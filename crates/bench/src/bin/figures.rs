@@ -785,27 +785,11 @@ fn ablation(opts: &Opts) {
             .run_sim();
 
         // Offline DES over the explicit DAG with mean durations.
-        let a = SharedTiles::layout_only(n, n, nb, 0);
-        let t = SharedTiles::layout_only(n, n, nb, a.id_range().1);
+        let (a, t) = supersim_workloads::stream::layout(alg, n, nb);
         let mut builder = DagBuilder::new();
-        match alg {
-            Algorithm::Cholesky => {
-                for task in supersim_tile::cholesky::task_stream(a.nt()) {
-                    let w = cal.registry.expect(task.label()).mean();
-                    builder.submit(
-                        task.label(),
-                        w,
-                        &supersim_workloads::cholesky::accesses(&a, task),
-                    );
-                }
-            }
-            Algorithm::Qr => {
-                for task in supersim_tile::qr::task_stream(a.nt()) {
-                    let w = cal.registry.expect(task.label()).mean();
-                    builder.submit(task.label(), w, &qr_workload::accesses(&a, &t, task));
-                }
-            }
-            Algorithm::Lu => unreachable!(),
+        for task in supersim_workloads::stream::tasks(alg, &a, t.as_ref()) {
+            let w = cal.registry.expect(task.label).mean();
+            builder.submit(task.label, w, &task.accesses);
         }
         let g = builder.finish();
         let des_fifo = supersim_des::simulate(&g, workers, supersim_des::DesPolicy::Fifo, |t| {

@@ -315,62 +315,25 @@ fn serve_point() -> ServePoint {
     }
 }
 
-/// Peak resident set size (VmHWM) of this process, in KiB.
-fn peak_rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|status| {
-            status
-                .lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or(0)
-}
-
-/// The `--probe-stream-rss` payload: replay a synthetic fixed-duration
-/// task stream on the DES backend — streaming mode drains spans to a null
-/// sink at 0.05s virtual epochs, buffered mode accumulates them all — and
-/// report this process's peak RSS. Mirrors `supersim stream-bench`, which
-/// is the user-facing twin of this probe.
+/// The `--probe-stream-rss` payload: replay the synthetic task stream of
+/// [`supersim_bench::stream_bench`] on the DES backend — streaming mode
+/// drains spans to a null sink at 0.05s virtual epochs, buffered mode
+/// accumulates them all — and report this process's peak RSS.
 fn stream_rss_probe(tasks: u64, streaming: bool) -> u64 {
-    use supersim_core::{ModelRegistry, SimConfig, SimSession};
-    use supersim_dag::{Access, DataId};
-    use supersim_des::{ReplayBody, ReplayEngine, ReplayTask};
-    use supersim_runtime::RuntimeConfig;
-    use supersim_trace::sink::NullSink;
-
-    let session = SimSession::new(ModelRegistry::new(), SimConfig::default());
-    if streaming {
-        session
-            .trace_recorder()
-            .attach_sink(Box::new(NullSink), 0.05);
+    let report = supersim_bench::stream_bench::StreamBench {
+        tasks,
+        streaming,
+        ..Default::default()
     }
-    let mut cfg = RuntimeConfig::simple(64);
-    cfg.window = 1_024;
-    let engine = ReplayEngine::new(&cfg, session.clone()).expect("simple profile replays");
-    const CELLS: u64 = 4096;
-    let out = engine.run((0..tasks).map(|i| ReplayTask {
-        label: format!("k{}", i % 7),
-        accesses: vec![
-            Access::write(DataId(i % CELLS)),
-            Access::read(DataId((i + CELLS - 256) % CELLS)),
-        ],
-        priority: 0,
-        pin: None,
-        body: ReplayBody::Fixed {
-            duration: 1e-4 * ((i % 9) + 1) as f64,
-        },
-    }));
-    assert_eq!(out.completed, tasks, "probe stream fully retired");
-    let trace = session.finish_trace(64);
+    .run()
+    .expect("a null-sink probe does no I/O");
+    assert_eq!(report.completed, tasks, "probe stream fully retired");
     assert_eq!(
-        trace.len() as u64 + session.trace_recorder().drained(),
+        report.resident_spans as u64 + report.streamed_spans,
         tasks,
         "every span accounted for"
     );
-    peak_rss_kb()
+    report.peak_rss_kb
 }
 
 /// One median gate-point measurement (the `--probe-targeted-64` payload).

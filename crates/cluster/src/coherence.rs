@@ -1,10 +1,10 @@
 //! The coherence layer: which nodes hold valid copies of which tiles, and
 //! which transfers a compute task's remote reads require.
 //!
-//! Extracted from [`ClusterEngine`](crate::ClusterEngine) so the threaded
-//! engine and the DES replay backend derive transfer tasks — and therefore
-//! task ids, dependences, and NIC-lane occupancy — from the *same* code.
-//! The decision procedure is purely a function of the serial submission
+//! There is one copy of this logic, so the threaded engine and the DES
+//! replay backend derive transfer tasks — and therefore task ids,
+//! dependences, and NIC-lane occupancy — from the *same* code. The
+//! decision procedure is purely a function of the serial submission
 //! stream: a remote read fetches once per (tile, node) and reuses the copy
 //! until the tile is rewritten, at which point every copy is invalidated.
 

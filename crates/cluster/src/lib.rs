@@ -5,18 +5,22 @@
 //! this crate extends the same virtual-time machinery to a distributed-
 //! memory machine. A [`ClusterSpec`] describes N nodes of W workers each,
 //! plus per-node NIC lanes. All lanes — compute workers and NICs of every
-//! node — are workers of **one** runtime sharing **one** Task Execution
-//! Queue, so the completion-order invariant (tasks retire in virtual
-//! completion order, clock advances monotonically) holds across nodes
-//! without any cross-clock synchronization protocol.
+//! node — are lanes of **one** simulated machine under the `Pinned`
+//! policy sharing **one** virtual clock, so the completion-order
+//! invariant (tasks retire in virtual completion order, clock advances
+//! monotonically) holds across nodes without any cross-clock
+//! synchronization protocol.
 //!
 //! Data lives where an owner-computes [`Placement`] puts it. When a task
-//! on node `n` reads a tile owned elsewhere, the [`ClusterEngine`] inserts
-//! a *communication task*: a simulated task whose duration comes from the
-//! [`Interconnect`] model and which is pinned to node `n`'s NIC lanes.
-//! The consumer reads both the original tile and the received copy, so
-//! the transfer orders correctly against producers (RaW), later writers
-//! (WaR), and other consumers on the same node (copy reuse).
+//! on node `n` reads a tile owned elsewhere, [`Coherence::plan_compute`]
+//! plans a *communication task*: a simulated task whose duration comes
+//! from the [`Interconnect`] model and which is pinned to node `n`'s NIC
+//! lanes. The consumer reads both the original tile and the received
+//! copy, so the transfer orders correctly against producers (RaW), later
+//! writers (WaR), and other consumers on the same node (copy reuse).
+//! This crate holds the models and the planning; turning plans into
+//! tasks is a stream adaptor in `supersim-workloads`, so both simulation
+//! backends consume the same transfer tasks.
 //!
 //! Contention is emergent, not modeled analytically: a single-lane NIC
 //! ([`SharedLink`]) can host only one in-flight transfer at a time in
@@ -25,13 +29,11 @@
 //! independently.
 
 mod coherence;
-mod engine;
 mod interconnect;
 mod placement;
 mod spec;
 
 pub use coherence::{Coherence, TransferPlan};
-pub use engine::ClusterEngine;
 pub use interconnect::{
     contention_free_completions, serialized_completions, Hockney, Interconnect, SharedLink,
     ZeroCost,

@@ -23,20 +23,6 @@
 //! * [`compare`] — the similarity metrics used to judge simulated traces
 //!   against real ones (makespan error, per-class counts, placement and
 //!   start-time agreement).
-//!
-//! # Migration: deprecated bulk access
-//!
-//! `Trace.events` used to be the only way in or out of a trace; it is now
-//! deprecated in favour of an accessor surface that works identically for
-//! buffered and streamed traces:
-//!
-//! * read: [`Trace::spans`] (a slice — iterate, index, window it);
-//! * write: [`Trace::push`], [`Trace::spans_mut`];
-//! * construct/consume: [`Trace::from_parts`], [`Trace::into_events`].
-//!
-//! Code holding whole traces should consider not materializing them at
-//! all: attach a [`TraceSink`] to the recorder
-//! ([`TraceRecorder::attach_sink`]) and consume spans per flush epoch.
 
 pub mod ascii;
 pub mod chrome;
@@ -82,20 +68,15 @@ impl TraceEvent {
 }
 
 /// A complete execution trace.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
     /// Number of worker lanes (may exceed the max worker index seen, for
     /// workers that executed nothing).
     pub workers: usize,
     /// All events; kept sorted by `(worker, start)` after [`Trace::normalize`].
-    #[deprecated(
-        note = "use spans()/spans_mut()/push()/from_parts()/into_events(), or stream \
-                through a TraceSink instead of materializing the whole trace"
-    )]
-    pub events: Vec<TraceEvent>,
+    events: Vec<TraceEvent>,
 }
 
-#[allow(deprecated)]
 impl Trace {
     /// An empty trace with `workers` lanes.
     pub fn new(workers: usize) -> Self {
@@ -257,46 +238,6 @@ impl Trace {
     }
 }
 
-// Hand-written (de)serialization: the derive would touch the deprecated
-// `events` field from generated code, which `-D deprecated` builds
-// reject. The emitted shape matches what the derive produced, so
-// persisted traces stay compatible.
-impl Serialize for Trace {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        #[allow(deprecated)]
-        let obj = serde::Value::Object(vec![
-            ("workers".to_string(), serde::to_value(&self.workers)?),
-            ("events".to_string(), serde::to_value(&self.events)?),
-        ]);
-        serializer.serialize_value(obj)
-    }
-}
-
-impl<'de> Deserialize<'de> for Trace {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let v = deserializer.take_value()?;
-        let obj = match v {
-            serde::Value::Object(m) => m,
-            other => {
-                return Err(<D::Error as serde::de::Error>::custom(format!(
-                    "expected object, got {other:?}"
-                )))
-            }
-        };
-        let take = |k: &str| -> serde::Value {
-            obj.iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, val)| val.clone())
-                .unwrap_or(serde::Value::Null)
-        };
-        let workers = serde::from_value(take("workers"))
-            .map_err(|e| <D::Error as serde::de::Error>::custom(format!("Trace.workers: {e}")))?;
-        let events = serde::from_value(take("events"))
-            .map_err(|e| <D::Error as serde::de::Error>::custom(format!("Trace.events: {e}")))?;
-        Ok(Trace::from_parts(workers, events))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,19 +322,15 @@ mod tests {
     }
 
     #[test]
-    fn accessors_agree_with_legacy_field() {
-        // The deprecated field keeps working for external code that has
-        // not migrated yet, and views the same storage as the accessors.
-        let mut t = Trace::new(1);
-        t.push(ev(0, "a", 0, 0.0, 1.0));
-        #[allow(deprecated)]
-        {
-            assert_eq!(t.events.len(), t.spans().len());
-            t.events.push(ev(0, "b", 1, 1.0, 2.0));
-        }
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.clone().into_events().len(), 2);
-        assert_eq!(Trace::from_parts(1, t.clone().into_events()), t);
+    fn serde_wire_shape_is_pinned() {
+        // Persisted traces and the serve layer's responses depend on this
+        // exact shape: field order, names, and shortest-roundtrip floats.
+        let mut t = Trace::new(2);
+        t.push(ev(1, "dgemm", 7, 0.25, 1.5));
+        assert_eq!(
+            serde_json::to_string(&t).unwrap(),
+            r#"{"workers":2,"events":[{"worker":1,"kernel":"dgemm","task_id":7,"start":0.25,"end":1.5}]}"#
+        );
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Tile Cholesky as a runtime workload (paper Algorithm 1).
 
 use crate::data::SharedTiles;
+use crate::driver::Algorithm;
 use crate::mode::ExecMode;
 use supersim_dag::Access;
-use supersim_runtime::{Runtime, TaskDesc};
+use supersim_runtime::Runtime;
 use supersim_tile::blas::{dgemm, dpotf2, dsyrk, dtrsm, Diag, Side, Trans, Uplo};
-use supersim_tile::cholesky::{task_stream, CholeskyTask};
+use supersim_tile::cholesky::CholeskyTask;
 
 /// The access list of one Cholesky task — shared by both execution modes
 /// so the scheduler sees the same dependences either way.
@@ -85,40 +86,7 @@ pub fn execute_real(a: &SharedTiles, task: CholeskyTask) {
 /// Submit the whole tile Cholesky task stream to the runtime. Returns the
 /// number of tasks submitted. Call `rt.seal()` afterwards (the drivers do).
 pub fn submit(rt: &Runtime, a: &SharedTiles, mode: &ExecMode) -> u64 {
-    submit_where(rt, a, mode, &mut |_| true)
-}
-
-/// Submit the Cholesky stream filtered by `keep` over the 0-based stream
-/// index. The fault-replay driver uses this to re-submit only the tasks a
-/// permanent failure left incomplete; skipped tasks contribute no hazards,
-/// so the survivors' mutual ordering is exactly the full stream's.
-pub fn submit_where(
-    rt: &Runtime,
-    a: &SharedTiles,
-    mode: &ExecMode,
-    keep: &mut dyn FnMut(u64) -> bool,
-) -> u64 {
-    assert_eq!(a.mt(), a.nt(), "Cholesky requires a square tile grid");
-    let nt = a.nt();
-    let mut count = 0;
-    for (idx, task) in task_stream(nt).into_iter().enumerate() {
-        if !keep(idx as u64) {
-            continue;
-        }
-        let label = task.label();
-        let acc = accesses(a, task);
-        let prio = priority(nt, task);
-        let desc = match mode {
-            ExecMode::Real => {
-                let tiles = a.clone();
-                TaskDesc::new(label, acc, move |_ctx| execute_real(&tiles, task))
-            }
-            ExecMode::Simulated(session) => TaskDesc::new(label, acc, session.planned_body(label)),
-        };
-        rt.submit(desc.with_priority(prio));
-        count += 1;
-    }
-    count
+    crate::stream::submit(rt, Algorithm::Cholesky, a, None, mode)
 }
 
 #[cfg(test)]

@@ -1,27 +1,26 @@
-//! Distributed workload drivers: the tile factorizations over a
+//! Distributed workload driver: the tile factorizations over a
 //! [`ClusterSpec`] with owner-computes placement.
 //!
-//! The task stream is *identical* to the single-node drivers — same
-//! kernels, same tile accesses, same priorities. The only additions are
-//! per-access owner annotations (from the [`Placement`]) and byte sizes
-//! (from the tile dimensions), from which the [`ClusterEngine`] inserts
-//! transfer tasks wherever a read crosses the distribution. Under a
-//! zero-cost interconnect a distributed run therefore reproduces the
-//! single-node schedule of the same total width exactly.
+//! The task stream is *the* single-node stream of [`crate::stream`] —
+//! same kernels, same tile accesses, same priorities, same ranks. The
+//! only additions are each tile's byte size (from its dimensions) and
+//! home node (from the [`Placement`]), from which
+//! `stream::with_transfers` inserts a transfer task wherever a
+//! read crosses the distribution. Under a zero-cost interconnect a
+//! distributed run therefore reproduces the single-node schedule of the
+//! same total width exactly.
 
 use crate::data::SharedTiles;
 use crate::driver::Algorithm;
+use crate::replay::run_stream;
+use crate::scenario::Scenario;
+use crate::stream;
 use std::sync::Arc;
-use supersim_cluster::{
-    ClusterEngine, ClusterSpec, Coherence, Interconnect, Placement, TRANSFER_LABEL,
-};
+use supersim_cluster::{ClusterSpec, Coherence, Placement};
 use supersim_core::SimSession;
-use supersim_dag::Access;
-use supersim_des::{ReplayBody, ReplayTask};
-use supersim_runtime::RuntimeStats;
-use supersim_tile::cholesky::{task_stream as cholesky_stream, CholeskyTask};
+use supersim_dag::DataId;
+use supersim_runtime::{PolicyKind, RuntimeConfig, RuntimeStats};
 use supersim_tile::flops;
-use supersim_tile::lu::{task_stream as lu_stream, LuTask};
 use supersim_trace::Trace;
 
 /// Result of a distributed simulated run.
@@ -67,254 +66,120 @@ pub struct ClusterRun {
     pub stats: RuntimeStats,
 }
 
-fn rd(a: &SharedTiles, pl: &dyn Placement, i: usize, j: usize) -> (Access, usize) {
-    (
-        Access::read(a.data_id(i, j)).with_bytes(a.tile_bytes(i, j)),
-        pl.owner(i, j),
-    )
-}
-
-fn rw(a: &SharedTiles, pl: &dyn Placement, i: usize, j: usize) -> (Access, usize) {
-    (
-        Access::read_write(a.data_id(i, j)).with_bytes(a.tile_bytes(i, j)),
-        pl.owner(i, j),
-    )
-}
-
-fn cholesky_acc(a: &SharedTiles, pl: &dyn Placement, task: CholeskyTask) -> Vec<(Access, usize)> {
-    match task {
-        CholeskyTask::Potrf { k } => vec![rw(a, pl, k, k)],
-        CholeskyTask::Trsm { k, i } => vec![rd(a, pl, k, k), rw(a, pl, i, k)],
-        CholeskyTask::Syrk { k, i } => vec![rd(a, pl, i, k), rw(a, pl, i, i)],
-        CholeskyTask::Gemm { k, i, j } => {
-            vec![rd(a, pl, i, k), rd(a, pl, j, k), rw(a, pl, i, j)]
-        }
+/// The simulated machine of a cluster: every lane — each node's compute
+/// workers and NIC lanes — is a lane of **one** machine under the `Pinned`
+/// policy, so virtual time is globally consistent by construction.
+pub(crate) fn machine_config(spec: &ClusterSpec) -> RuntimeConfig {
+    RuntimeConfig {
+        workers: spec.total_workers(),
+        policy: PolicyKind::Pinned,
+        window: usize::MAX,
+        name: "cluster",
     }
 }
 
-fn lu_acc(a: &SharedTiles, pl: &dyn Placement, task: LuTask) -> Vec<(Access, usize)> {
-    match task {
-        LuTask::Getrf { k } => vec![rw(a, pl, k, k)],
-        LuTask::TrsmL { k, j } => vec![rd(a, pl, k, k), rw(a, pl, k, j)],
-        LuTask::TrsmU { k, i } => vec![rd(a, pl, k, k), rw(a, pl, i, k)],
-        LuTask::Gemm { k, i, j } => {
-            vec![rd(a, pl, i, k), rd(a, pl, k, j), rw(a, pl, i, j)]
-        }
-    }
-}
-
-fn submit_cholesky(
-    engine: &mut ClusterEngine,
+/// Home node and size in bytes of every tile of `a`, indexed by `DataId`
+/// (`a` must start its id range at 0, as [`stream::layout`] grids do).
+/// Panics if `placement` maps a tile outside the cluster.
+pub(crate) fn tile_homes(
     a: &SharedTiles,
-    pl: &dyn Placement,
-    keep: &mut dyn FnMut(u64) -> bool,
-) -> u64 {
-    let nt = a.nt();
-    let mut count = 0;
-    for (idx, task) in cholesky_stream(nt).into_iter().enumerate() {
-        if !keep(idx as u64) {
-            continue;
+    placement: &dyn Placement,
+    nodes: usize,
+) -> Vec<(usize, u64)> {
+    assert_eq!(a.id_range().0, 0, "tile ids must index the table");
+    let mut homes = vec![(0, 0); a.len()];
+    for i in 0..a.mt() {
+        for j in 0..a.nt() {
+            let owner = placement.owner(i, j);
+            assert!(
+                owner < nodes,
+                "placement {} maps tile ({i},{j}) to node {owner} but the cluster has {nodes} nodes",
+                placement.name(),
+            );
+            homes[a.data_id(i, j).0 as usize] = (owner, a.tile_bytes(i, j));
         }
-        let acc = cholesky_acc(a, pl, task);
-        let node = acc.last().expect("every task writes a tile").1;
-        engine.submit_compute(
-            node,
-            task.label(),
-            &acc,
-            crate::cholesky::priority(nt, task),
-        );
-        count += 1;
     }
-    count
+    homes
 }
 
-fn submit_lu(
-    engine: &mut ClusterEngine,
-    a: &SharedTiles,
-    pl: &dyn Placement,
-    keep: &mut dyn FnMut(u64) -> bool,
-) -> u64 {
-    let nt = a.nt();
-    let mut count = 0;
-    for (idx, task) in lu_stream(nt).into_iter().enumerate() {
-        if !keep(idx as u64) {
-            continue;
-        }
-        let acc = lu_acc(a, pl, task);
-        let node = acc.last().expect("every task writes a tile").1;
-        engine.submit_compute(node, task.label(), &acc, crate::lu::priority(nt, task));
-        count += 1;
-    }
-    count
-}
-
-/// Enumerate an algorithm's distributed stream as [`ReplayTask`]s for the
-/// DES backend, mirroring [`submit_algorithm_cluster`] +
-/// [`ClusterEngine::submit_compute`]: the shared [`Coherence`] layer plans
-/// each compute task's transfers, which land in the stream *before* their
-/// consumer pinned to its node's NIC lanes — identical task ids and
-/// dependences to the threaded engine. Returns the tasks and the compute
-/// count (transfers excluded).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn cluster_replay_tasks(
-    alg: Algorithm,
-    a: &SharedTiles,
-    pl: &dyn Placement,
-    spec: &ClusterSpec,
-    interconnect: &dyn Interconnect,
-    session: &SimSession,
-    coherence: &mut Coherence,
-    keep: &mut dyn FnMut(u64) -> bool,
-) -> (Vec<ReplayTask>, u64) {
-    let nt = a.nt();
-    let mut tasks = Vec::new();
-    let mut count = 0;
-    let mut push_compute = |label: &str, acc_owner: Vec<(Access, usize)>, priority: i64| {
-        let node = acc_owner.last().expect("every task writes a tile").1;
-        assert!(node < spec.nodes, "node {node} out of range");
-        let (acc, xfers) = coherence.plan_compute(node, &acc_owner, interconnect);
-        for x in xfers {
-            tasks.push(ReplayTask {
-                label: TRANSFER_LABEL.to_string(),
-                accesses: x.accesses,
-                priority: 0,
-                pin: Some(spec.nic_range(x.node)),
-                body: ReplayBody::Fixed {
-                    duration: x.duration,
-                },
-            });
-        }
-        tasks.push(ReplayTask {
-            label: label.to_string(),
-            accesses: acc,
-            priority,
-            pin: Some(spec.compute_range(node)),
-            body: ReplayBody::Ranked {
-                rank: session.next_rank(label),
-            },
-        });
-    };
-    match alg {
-        Algorithm::Cholesky => {
-            for (idx, task) in cholesky_stream(nt).into_iter().enumerate() {
-                if !keep(idx as u64) {
-                    continue;
-                }
-                push_compute(
-                    task.label(),
-                    cholesky_acc(a, pl, task),
-                    crate::cholesky::priority(nt, task),
-                );
-                count += 1;
-            }
-        }
-        Algorithm::Lu => {
-            for (idx, task) in lu_stream(nt).into_iter().enumerate() {
-                if !keep(idx as u64) {
-                    continue;
-                }
-                push_compute(
-                    task.label(),
-                    lu_acc(a, pl, task),
-                    crate::lu::priority(nt, task),
-                );
-                count += 1;
-            }
-        }
-        Algorithm::Qr => panic!("distributed QR is not implemented; use cholesky or lu"),
-    }
-    (tasks, count)
-}
-
-/// Submit an algorithm's distributed task stream filtered by `keep` over
-/// the 0-based stream index (the fault-replay driver re-submits only the
-/// incomplete tasks). Returns the submitted compute-task count.
-pub(crate) fn submit_algorithm_cluster(
-    engine: &mut ClusterEngine,
-    alg: Algorithm,
-    a: &SharedTiles,
-    pl: &dyn Placement,
-    keep: &mut dyn FnMut(u64) -> bool,
-) -> u64 {
-    match alg {
-        Algorithm::Cholesky => submit_cholesky(engine, a, pl, keep),
-        Algorithm::Lu => submit_lu(engine, a, pl, keep),
-        Algorithm::Qr => panic!("distributed QR is not implemented; use cholesky or lu"),
-    }
-}
-
-/// Run a distributed simulated factorization. The owner-computes rule
-/// places every task on the node owning its output tile; cross-node reads
-/// become transfer tasks on the consumer's NIC lanes, costed by the
-/// interconnect model.
+/// Run a distributed simulated factorization of the scenario's algorithm
+/// over its cluster. The owner-computes rule places every task on the
+/// node owning its output tile; cross-node reads become transfer tasks on
+/// the consumer's NIC lanes, costed by the interconnect model.
 ///
 /// Distributed QR is not implemented (its T-factor grid needs a second
 /// placement); Cholesky and LU are.
 ///
-/// This is the engine behind [`crate::Scenario::run_cluster`]; build runs
-/// through the scenario builder.
+/// This is the engine behind [`crate::Scenario::run_cluster`] and both
+/// phases of the cluster fault replay: `dead` lanes are decommissioned
+/// before the run and only stream indices `keep` accepts are submitted.
+/// `placement` is passed separately from the scenario because recovery
+/// re-homes a dead node's tiles.
 pub(crate) fn exec_cluster(
-    alg: Algorithm,
-    spec: ClusterSpec,
-    interconnect: Arc<dyn Interconnect>,
+    sc: &Scenario,
     placement: Arc<dyn Placement>,
-    n: usize,
-    nb: usize,
     session: Arc<SimSession>,
+    dead: &[usize],
+    keep: &mut dyn FnMut(u64) -> bool,
 ) -> ClusterRun {
-    let a = SharedTiles::layout_only(n, n, nb, 0);
-    assert_eq!(a.mt(), a.nt(), "factorizations need a square tile grid");
-    for i in 0..a.mt() {
-        for j in 0..a.nt() {
-            assert!(
-                placement.owner(i, j) < spec.nodes,
-                "placement {} maps tile ({i},{j}) to node {} but the cluster has {} nodes",
-                placement.name(),
-                placement.owner(i, j),
-                spec.nodes
-            );
-        }
+    let spec = sc
+        .cluster
+        .clone()
+        .expect("run_cluster needs .cluster(ClusterSpec)");
+    let interconnect = sc.resolved_interconnect();
+    let (alg, n, nb) = (sc.algorithm, sc.matrix_order(), sc.tile_size_of());
+    assert!(
+        alg != Algorithm::Qr,
+        "distributed QR is not implemented; use cholesky or lu"
+    );
+    let (a, _) = stream::layout(alg, n, nb);
+    let homes = tile_homes(&a, &*placement, spec.nodes);
+    let mut node_owned_bytes = vec![0u64; spec.nodes];
+    for &(owner, bytes) in &homes {
+        node_owned_bytes[owner] += bytes;
     }
     for label in alg.labels() {
         session.models().expect(label);
     }
 
-    let mut engine = ClusterEngine::new(
-        spec.clone(),
-        interconnect.clone(),
-        session.clone(),
-        a.id_range().1,
-    );
+    let config = machine_config(&spec);
+    // One warm slot per compute worker, matching the first-call-per-worker
+    // effect of a single-node run of the same width.
+    session.set_warmup_slots(spec.total_compute_workers());
+    // Ghost tiles are allocated above every id of the matrix.
+    let mut coherence = Coherence::new(spec.nodes, a.id_range().1);
+    let mut compute_tasks = 0;
     let t0 = std::time::Instant::now();
-    let compute_tasks = submit_algorithm_cluster(&mut engine, alg, &a, &*placement, &mut |_| true);
-    engine.seal_and_wait().expect("cluster run failed");
+    let compute = stream::replay_tasks(stream::tasks(alg, &a, None), &session, keep)
+        .inspect(|_| compute_tasks += 1);
+    let home = |id: DataId| homes[id.0 as usize];
+    let tasks = stream::with_transfers(compute, &spec, &*interconnect, home, &mut coherence);
+    let (predicted_seconds, stats) =
+        run_stream(sc.backend, &config, &session, dead, tasks).unwrap_or_else(|e| panic!("{e}"));
     let wall_seconds = t0.elapsed().as_secs_f64();
+    let trace = session.finish_trace(spec.total_workers());
 
-    let predicted_seconds = engine.virtual_now();
-    let stats = engine.stats();
-    let trace = engine.finish_trace();
     let nic_busy_seconds = (0..spec.nodes)
-        .map(|node| engine.nic_busy_seconds(&trace, node))
+        .map(|node| {
+            let (lo, hi) = spec.nic_range(node);
+            (lo..hi)
+                .flat_map(|w| trace.lane(w))
+                .map(|e| e.duration())
+                .sum()
+        })
         .collect();
-    let mut node_owned_bytes = vec![0u64; spec.nodes];
-    for i in 0..a.mt() {
-        for j in 0..a.nt() {
-            node_owned_bytes[placement.owner(i, j)] += a.tile_bytes(i, j);
-        }
-    }
 
     ClusterRun {
         algorithm: alg,
         n,
         nb,
-        spec,
         interconnect: interconnect.name(),
         placement: placement.name(),
         compute_tasks,
-        transfers: engine.transfers(),
-        transfer_bytes: engine.transfer_bytes(),
-        node_transfers: engine.node_transfers().to_vec(),
-        node_bytes: engine.node_bytes().to_vec(),
+        transfers: coherence.transfers(),
+        transfer_bytes: coherence.transfer_bytes(),
+        node_transfers: coherence.node_transfers().to_vec(),
+        node_bytes: coherence.node_bytes().to_vec(),
         nic_busy_seconds,
         node_owned_bytes,
         predicted_seconds,
@@ -322,14 +187,33 @@ pub(crate) fn exec_cluster(
         gflops: flops::gflops(alg.flops(n), predicted_seconds),
         trace,
         stats,
+        spec,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use supersim_cluster::{BlockCyclic, Hockney, ZeroCost};
+    use supersim_cluster::{BlockCyclic, Hockney, Interconnect, ZeroCost};
     use supersim_core::{KernelModel, ModelRegistry, SimConfig};
+
+    /// A full distributed run, spelled positionally.
+    fn exec_cluster(
+        alg: Algorithm,
+        spec: ClusterSpec,
+        interconnect: Arc<dyn Interconnect>,
+        placement: Arc<dyn Placement>,
+        n: usize,
+        nb: usize,
+        session: Arc<SimSession>,
+    ) -> ClusterRun {
+        let sc = Scenario::new(alg)
+            .cluster(spec)
+            .interconnect(interconnect)
+            .n(n)
+            .tile_size(nb);
+        super::exec_cluster(&sc, placement, session, &[], &mut |_| true)
+    }
 
     fn session(alg: Algorithm, seed: u64) -> Arc<SimSession> {
         let mut m = ModelRegistry::new();

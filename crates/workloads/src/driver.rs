@@ -6,9 +6,11 @@
 
 use crate::data::SharedTiles;
 use crate::mode::ExecMode;
-use crate::{cholesky, lu, qr};
+use crate::replay::run_stream;
+use crate::scenario::Scenario;
+use crate::stream;
 use std::sync::Arc;
-use supersim_core::{SimConfig, SimSession};
+use supersim_core::SimSession;
 use supersim_runtime::{Runtime, RuntimeStats, SchedulerKind};
 use supersim_tile::{flops, generate, verify, TiledMatrix};
 use supersim_trace::{Trace, TraceRecorder};
@@ -101,34 +103,6 @@ pub struct SimRun {
     pub stats: RuntimeStats,
 }
 
-fn submit_algorithm(
-    alg: Algorithm,
-    rt: &Runtime,
-    a: &SharedTiles,
-    t: Option<&SharedTiles>,
-    mode: &ExecMode,
-) {
-    submit_algorithm_where(alg, rt, a, t, mode, &mut |_| true);
-}
-
-/// Submit an algorithm's task stream filtered by `keep` over the 0-based
-/// stream index: the fault-replay driver re-submits only the tasks a
-/// permanent failure left incomplete. Returns the submitted count.
-pub(crate) fn submit_algorithm_where(
-    alg: Algorithm,
-    rt: &Runtime,
-    a: &SharedTiles,
-    t: Option<&SharedTiles>,
-    mode: &ExecMode,
-    keep: &mut dyn FnMut(u64) -> bool,
-) -> u64 {
-    match alg {
-        Algorithm::Cholesky => cholesky::submit_where(rt, a, mode, keep),
-        Algorithm::Qr => qr::submit_where(rt, a, t.expect("QR needs a T grid"), mode, keep),
-        Algorithm::Lu => lu::submit_where(rt, a, mode, keep),
-    }
-}
-
 /// Run an algorithm for real under the given scheduler, verifying the
 /// numerical result. The input matrix is generated from `seed` (SPD for
 /// Cholesky, diagonally dominant for LU, uniform for QR).
@@ -160,7 +134,7 @@ pub(crate) fn exec_real(
     let recorder = TraceRecorder::new();
     let rt = Runtime::with_trace(kind.config(workers), Some(recorder.clone()));
     let t0 = std::time::Instant::now();
-    submit_algorithm(alg, &rt, &a, t.as_ref(), &ExecMode::Real);
+    stream::submit(&rt, alg, &a, t.as_ref(), &ExecMode::Real);
     rt.seal();
     rt.wait_all().expect("real run failed");
     let seconds = t0.elapsed().as_secs_f64();
@@ -186,47 +160,41 @@ pub(crate) fn exec_real(
     }
 }
 
-/// Run a simulated execution of the algorithm under the given scheduler,
-/// predicting its runtime from the session's kernel models. No numerical
-/// work happens; memory is `O(tiles)`, not `O(n^2)`.
+/// Run a simulated execution of the scenario's algorithm on a single
+/// node, predicting its runtime from the session's kernel models. No
+/// numerical work happens; memory is `O(tiles)`, not `O(n^2)`.
 ///
-/// This is the engine behind [`crate::Scenario::run_sim`]. Any fault
-/// injector must already be attached to `session` — the scenario builder
-/// does that before calling in.
+/// This is the engine behind [`crate::Scenario::run_sim`] and both phases
+/// of the single-node fault replay: `dead` lanes are decommissioned
+/// before the run and only stream indices `keep` accepts are submitted
+/// (a full run passes `&[]` and `|_| true`). Any fault injector must
+/// already be attached to `session`.
 pub(crate) fn exec_sim(
-    alg: Algorithm,
-    kind: SchedulerKind,
-    workers: usize,
-    n: usize,
-    nb: usize,
+    sc: &Scenario,
     session: Arc<SimSession>,
+    dead: &[usize],
+    keep: &mut dyn FnMut(u64) -> bool,
 ) -> SimRun {
-    let a = SharedTiles::layout_only(n, n, nb, 0);
-    let t = match alg {
-        Algorithm::Qr => Some(SharedTiles::layout_only(n, n, nb, a.id_range().1)),
-        _ => None,
-    };
+    let (alg, workers) = (sc.algorithm, sc.workers);
+    let (n, nb) = (sc.matrix_order(), sc.tile_size_of());
+    let (a, t) = stream::layout(alg, n, nb);
 
     // Fail fast with a clear message if a kernel class has no model
     // (e.g. calibrated from a run too small to contain that class).
     for label in alg.labels() {
         session.models().expect(label);
     }
-    let rt = Runtime::new(kind.config(workers));
-    session.attach_quiesce(rt.probe());
     // Plan-based warm-up: one warm slot per worker, assigned by submission
     // rank rather than worker arrival order, so warm-up placement is
     // deterministic even with `warmup_factor != 1` (see
     // `SimSession::run_kernel_ranked`).
     session.set_warmup_slots(workers);
-    let mode = ExecMode::Simulated(session.clone());
     let t0 = std::time::Instant::now();
-    submit_algorithm(alg, &rt, &a, t.as_ref(), &mode);
-    rt.seal();
-    rt.wait_all().expect("simulated run failed");
+    let tasks = stream::replay_tasks(stream::tasks(alg, &a, t.as_ref()), &session, keep);
+    let config = sc.scheduler.config(workers);
+    let (predicted_seconds, stats) =
+        run_stream(sc.backend, &config, &session, dead, tasks).unwrap_or_else(|e| panic!("{e}"));
     let wall_seconds = t0.elapsed().as_secs_f64();
-    let stats = rt.stats();
-    let predicted_seconds = session.virtual_now();
     let trace = session.finish_trace(workers);
 
     SimRun {
@@ -243,9 +211,10 @@ pub(crate) fn exec_sim(
 }
 
 /// A fresh session with the given models and a default config carrying
-/// `seed` (the engine behind the deprecated `session_with` shim; the
-/// scenario builder constructs its sessions through this too).
+/// `seed`.
+#[cfg(test)]
 pub(crate) fn make_session(models: supersim_core::ModelRegistry, seed: u64) -> Arc<SimSession> {
+    use supersim_core::SimConfig;
     SimSession::new(
         models,
         SimConfig {
@@ -259,6 +228,23 @@ pub(crate) fn make_session(models: supersim_core::ModelRegistry, seed: u64) -> A
 mod tests {
     use super::*;
     use supersim_core::{KernelModel, ModelRegistry};
+
+    /// A full single-node run, spelled positionally.
+    fn exec_sim(
+        alg: Algorithm,
+        kind: SchedulerKind,
+        workers: usize,
+        n: usize,
+        nb: usize,
+        session: Arc<SimSession>,
+    ) -> SimRun {
+        let sc = Scenario::new(alg)
+            .scheduler(kind)
+            .workers(workers)
+            .n(n)
+            .tile_size(nb);
+        super::exec_sim(&sc, session, &[], &mut |_| true)
+    }
 
     fn constant_models(alg: Algorithm, secs: f64) -> ModelRegistry {
         let mut m = ModelRegistry::new();

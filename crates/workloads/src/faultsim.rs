@@ -15,7 +15,7 @@
 //!   — on dead and surviving lanes alike — aborts, is truncated and
 //!   marked lost, and re-runs in phase B. On a cluster, recovery rolls
 //!   back to the last coordinated checkpoint (or to scratch without a
-//!   [`CheckpointPolicy`]): every span after the rollback point is lost.
+//!   [`supersim_faults::CheckpointPolicy`]): every span after the rollback point is lost.
 //!   Either way the cut is a pure function of the trace *times*, never
 //!   of lane placement — which host lane a task lands on races run to
 //!   run while virtual times are seed-deterministic (see
@@ -35,21 +35,17 @@
 //! *decision* of what re-runs is a pure function of `(seed, FaultPlan)`,
 //! so identical inputs give identical stitched traces.
 
-use crate::cluster::{cluster_replay_tasks, submit_algorithm_cluster};
-use crate::data::SharedTiles;
-use crate::driver::{submit_algorithm_where, Algorithm};
-use crate::mode::ExecMode;
-use crate::replay::{exec_cluster_backend, exec_sim_backend, replay_tasks_single, Backend};
+use crate::cluster::exec_cluster;
+use crate::driver::exec_sim;
 use crate::scenario::Scenario;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use supersim_cluster::{ClusterEngine, ClusterSpec, Coherence, Placement, TRANSFER_LABEL};
-use supersim_des::ReplayEngine;
+use supersim_cluster::{Placement, TRANSFER_LABEL};
+use supersim_core::SimSession;
 use supersim_faults::{
-    critical_lane, mark_lost, stitch, CheckpointPolicy, DegradationReport, FaultAttribution,
-    FaultEvent, FaultPlan, FaultScope,
+    critical_lane, mark_lost, stitch, DegradationReport, FaultAttribution, FaultEvent, FaultPlan,
+    FaultScope,
 };
-use supersim_runtime::{PolicyKind, Runtime, RuntimeConfig};
 use supersim_trace::fault::{base_kernel, event_kind, SpanKind};
 use supersim_trace::{Trace, TraceEvent};
 
@@ -182,54 +178,84 @@ fn describe_event(ev: &FaultEvent) -> String {
     }
 }
 
-/// Run one plan to completion (dispatching to the phased replay when it
-/// contains a permanent failure).
-fn run_plan(sc: &Scenario, plan: &FaultPlan, used: &mut bool) -> RunResult {
-    match plan.permanent_failure() {
-        None => run_simple(sc, plan, used),
-        Some((scope, at)) => match sc.cluster.clone() {
-            None => replay_single(sc, plan, scope, at, used),
-            Some(spec) => replay_cluster(sc, plan, scope, at, spec, used),
-        },
-    }
-}
-
-fn run_simple(sc: &Scenario, plan: &FaultPlan, used: &mut bool) -> RunResult {
-    let session = sc.fresh_session(*used);
-    *used = true;
-    sc.attach_plan(&session, plan, 0.0);
-    let (trace, makespan) = match sc.cluster.clone() {
+/// One simulated pass over the scenario's machine — single node or
+/// cluster — submitting only the stream indices `keep` accepts. `failed`
+/// is the scope a permanent failure took out: its lanes are
+/// decommissioned before submission and a dead cluster node's tiles are
+/// re-homed onto the survivors. Returns the trace and the makespan.
+fn run_pass(
+    sc: &Scenario,
+    session: Arc<SimSession>,
+    failed: Option<FaultScope>,
+    keep: &mut dyn FnMut(u64) -> bool,
+) -> (Trace, f64) {
+    let dead = failed.map_or(Vec::new(), |scope| sc.lane_map().lanes_of(scope));
+    match &sc.cluster {
         None => {
-            let run = exec_sim_backend(
-                sc.backend,
-                sc.algorithm,
-                sc.scheduler,
-                sc.workers,
-                sc.matrix_order(),
-                sc.tile_size_of(),
-                session,
-            );
+            let run = exec_sim(sc, session, &dead, keep);
             (run.trace, run.predicted_seconds)
         }
         Some(spec) => {
-            let run = exec_cluster_backend(
-                sc.backend,
-                sc.algorithm,
-                spec,
-                sc.resolved_interconnect(),
-                sc.resolved_placement(),
-                sc.matrix_order(),
-                sc.tile_size_of(),
-                session,
-            );
+            let placement = match failed {
+                Some(FaultScope::Node(dead)) => Arc::new(RemapPlacement {
+                    inner: sc.resolved_placement(),
+                    dead,
+                    nodes: spec.nodes,
+                }),
+                _ => sc.resolved_placement(),
+            };
+            let run = exec_cluster(sc, placement, session, &dead, keep);
             (run.trace, run.predicted_seconds)
         }
-    };
-    RunResult {
+    }
+}
+
+/// Refuse a permanent failure the machine cannot survive.
+fn check_survivable(sc: &Scenario, scope: FaultScope) {
+    match (&sc.cluster, scope) {
+        (None, _) => assert!(
+            sc.lane_map().lanes_of(scope).len() < sc.workers,
+            "a permanent failure must leave at least one surviving worker"
+        ),
+        (Some(spec), FaultScope::Node(_)) => {
+            assert!(spec.nodes > 1, "killing the only node leaves no survivors")
+        }
+        (Some(spec), FaultScope::Worker(w)) => {
+            assert!(
+                w < spec.total_compute_workers(),
+                "cluster worker kills target compute lanes (lane {w} is a NIC)"
+            );
+            assert!(
+                spec.workers_per_node > 1,
+                "killing a node's only compute worker strands its pinned tasks; \
+                 kill the node instead"
+            );
+        }
+    }
+}
+
+/// Run one plan to completion: in one pass, or through the phased replay
+/// when it contains a permanent failure.
+fn run_plan(sc: &Scenario, plan: &FaultPlan, used: &mut bool) -> RunResult {
+    if let Some((scope, _)) = plan.permanent_failure() {
+        check_survivable(sc, scope);
+    }
+    let session = sc.fresh_session(*used);
+    *used = true;
+    sc.attach_plan(&session, plan, 0.0);
+    let (trace, makespan) = run_pass(sc, session.clone(), None, &mut |_| true);
+    let whole = RunResult {
         trace,
         makespan,
         checkpoint_overhead: 0.0,
         restarted: 0,
+    };
+    match plan.permanent_failure() {
+        // A failure landing after completion leaves nothing to replay.
+        Some((scope, at)) if at < whole.trace.t_max() => {
+            replay_after_failure(sc, plan, scope, at, &session, &whole.trace)
+        }
+        _ => whole,
     }
 }
 
@@ -257,267 +283,56 @@ fn cut_phase_a(trace: &Trace, rollback: f64, cut: f64) -> (Vec<TraceEvent>, Hash
     (kept, completed_ids)
 }
 
-fn replay_single(
+/// Phases "cut" and B of the permanent-failure replay, given phase A
+/// (`trace_a`, the full run on `session_a` with every non-permanent
+/// event live). Single-node and cluster replays differ only in where
+/// recovery rolls back to and in the placement remap of `run_pass`.
+fn replay_after_failure(
     sc: &Scenario,
     plan: &FaultPlan,
     scope: FaultScope,
     at: f64,
-    used: &mut bool,
+    session_a: &SimSession,
+    trace_a: &Trace,
 ) -> RunResult {
-    let dead: HashSet<usize> = sc.lane_map().lanes_of(scope).into_iter().collect();
-    assert!(
-        dead.len() < sc.workers,
-        "a permanent failure must leave at least one surviving worker"
-    );
-
-    // Phase A: the full run (with any slowdown/transient events live).
-    let session_a = sc.fresh_session(*used);
-    *used = true;
-    sc.attach_plan(&session_a, plan, 0.0);
-    let run_a = exec_sim_backend(
-        sc.backend,
-        sc.algorithm,
-        sc.scheduler,
-        sc.workers,
-        sc.matrix_order(),
-        sc.tile_size_of(),
-        session_a.clone(),
-    );
-    if at >= run_a.trace.t_max() {
-        // The failure lands after completion: nothing to replay.
-        return RunResult {
-            trace: run_a.trace,
-            makespan: run_a.predicted_seconds,
-            checkpoint_overhead: 0.0,
-            restarted: 0,
-        };
-    }
-
     // Shared memory, fail-stop quiesce: work completed by the failure
     // survives; every in-flight attempt aborts and re-runs with the
-    // survivors in phase B.
-    let (kept, completed_ids) = cut_phase_a(&run_a.trace, at, at);
-    let stream = stream_indices(&run_a.trace);
-    let done: HashSet<u64> = completed_ids
-        .iter()
-        .filter_map(|id| stream.get(id).copied())
-        .collect();
-    let offset = at + plan.recovery.restart_delay;
-    let id_offset = run_a
-        .trace
-        .spans()
-        .iter()
-        .map(|e| e.task_id)
-        .max()
-        .unwrap_or(0)
-        + 1;
-
-    // Phase B: the survivors re-run the incomplete tail on a fresh clock.
-    let session_b = session_a.fork();
-    sc.attach_plan(&session_b, plan, offset);
-    let n = sc.matrix_order();
-    let nb = sc.tile_size_of();
-    let a = SharedTiles::layout_only(n, n, nb, 0);
-    let t = match sc.algorithm {
-        Algorithm::Qr => Some(SharedTiles::layout_only(n, n, nb, a.id_range().1)),
-        _ => None,
-    };
-    let (trace_b, restarted) = match sc.backend {
-        Backend::Threaded => {
-            let rt = Runtime::new(sc.scheduler.config(sc.workers));
-            session_b.attach_quiesce(rt.probe());
-            // Restart means cold caches: warm-up is charged again, like
-            // any fresh run.
-            session_b.set_warmup_slots(sc.workers);
-            for &w in &dead {
-                rt.decommission(w);
-            }
-            let mode = ExecMode::Simulated(session_b.clone());
-            let restarted =
-                submit_algorithm_where(sc.algorithm, &rt, &a, t.as_ref(), &mode, &mut |i| {
-                    !done.contains(&i)
-                });
-            rt.seal();
-            rt.wait_all().expect("fault-replay phase B failed");
-            (session_b.finish_trace(sc.workers), restarted)
-        }
-        Backend::Des => {
-            let mut engine = ReplayEngine::new(&sc.scheduler.config(sc.workers), session_b.clone())
-                .unwrap_or_else(|e| panic!("{e}"));
-            session_b.set_warmup_slots(sc.workers);
-            for &w in &dead {
-                engine.decommission(w);
-            }
-            let tasks = replay_tasks_single(sc.algorithm, &a, t.as_ref(), &session_b, &mut |i| {
-                !done.contains(&i)
-            });
-            let restarted = tasks.len() as u64;
-            engine.run(tasks);
-            (session_b.finish_trace(sc.workers), restarted)
+    // survivors. Distributed memory: recovery rolls back to the last
+    // coordinated checkpoint (scratch without a policy); snapshots taken
+    // before the failure plus the restore are pure overhead on the
+    // restart offset.
+    let (rollback, checkpoint_overhead) = match (&sc.cluster, &plan.recovery.checkpoint) {
+        (None, _) => (at, 0.0),
+        (Some(_), None) => (0.0, 0.0),
+        (Some(_), Some(cp)) => {
+            let k = (at / cp.interval).floor();
+            (k * cp.interval, k * cp.snapshot_cost + cp.restore_cost)
         }
     };
-
-    let trace = stitch(sc.workers, kept, &trace_b, offset, id_offset);
-    RunResult {
-        makespan: trace.t_max(),
-        trace,
-        checkpoint_overhead: 0.0,
-        restarted,
-    }
-}
-
-fn replay_cluster(
-    sc: &Scenario,
-    plan: &FaultPlan,
-    scope: FaultScope,
-    at: f64,
-    spec: ClusterSpec,
-    used: &mut bool,
-) -> RunResult {
-    match scope {
-        FaultScope::Node(_) => assert!(spec.nodes > 1, "killing the only node leaves no survivors"),
-        FaultScope::Worker(w) => {
-            assert!(
-                w < spec.total_compute_workers(),
-                "cluster worker kills target compute lanes (lane {w} is a NIC)"
-            );
-            assert!(
-                spec.workers_per_node > 1,
-                "killing a node's only compute worker strands its pinned tasks; \
-                 kill the node instead"
-            );
-        }
-    }
-
-    // Phase A.
-    let session_a = sc.fresh_session(*used);
-    *used = true;
-    sc.attach_plan(&session_a, plan, 0.0);
-    let ic = sc.resolved_interconnect();
-    let base_pl = sc.resolved_placement();
-    let run_a = exec_cluster_backend(
-        sc.backend,
-        sc.algorithm,
-        spec.clone(),
-        ic.clone(),
-        base_pl.clone(),
-        sc.matrix_order(),
-        sc.tile_size_of(),
-        session_a.clone(),
-    );
-    if at >= run_a.trace.t_max() {
-        return RunResult {
-            trace: run_a.trace,
-            makespan: run_a.predicted_seconds,
-            checkpoint_overhead: 0.0,
-            restarted: 0,
-        };
-    }
-
-    // Distributed memory: recovery rolls back to the last coordinated
-    // checkpoint (scratch without a policy). Snapshots taken before the
-    // failure plus the restore are pure overhead on the restart offset.
-    let (rollback, checkpoint_overhead) = match plan.recovery.checkpoint {
-        Some(CheckpointPolicy {
-            interval,
-            snapshot_cost,
-            restore_cost,
-        }) => {
-            let k = (at / interval).floor();
-            (k * interval, k * snapshot_cost + restore_cost)
-        }
-        None => (0.0, 0.0),
-    };
-    let (kept, completed_ids) = cut_phase_a(&run_a.trace, rollback, at);
-    let stream = stream_indices(&run_a.trace);
+    let (kept, completed_ids) = cut_phase_a(trace_a, rollback, at);
+    let stream = stream_indices(trace_a);
     let done: HashSet<u64> = completed_ids
         .iter()
         .filter_map(|id| stream.get(id).copied())
         .collect();
     let offset = at + plan.recovery.restart_delay + checkpoint_overhead;
-    let id_offset = run_a
-        .trace
-        .spans()
-        .iter()
-        .map(|e| e.task_id)
-        .max()
-        .unwrap_or(0)
-        + 1;
+    let id_offset = trace_a.spans().iter().map(|e| e.task_id).max().unwrap_or(0) + 1;
 
-    // Phase B: a fresh engine (its empty coherence map models the
-    // invalidation of every replicated copy), dead lanes decommissioned
-    // before submission, and — for a dead node — the placement remapped
-    // so its tiles re-home onto the survivors.
+    // Phase B: the survivors re-run the incomplete tasks on a fresh clock
+    // and a fresh machine — cold caches (warm-up is charged again), an
+    // empty coherence map (the restart invalidates every replicated
+    // copy), dead lanes decommissioned before submission, and a dead
+    // node's tiles re-homed.
     let session_b = session_a.fork();
     sc.attach_plan(&session_b, plan, offset);
-    let n = sc.matrix_order();
-    let nb = sc.tile_size_of();
-    let a = SharedTiles::layout_only(n, n, nb, 0);
-    let pl_b: Arc<dyn Placement> = match scope {
-        FaultScope::Node(node) => Arc::new(RemapPlacement {
-            inner: base_pl,
-            dead: node,
-            nodes: spec.nodes,
-        }),
-        FaultScope::Worker(_) => base_pl,
-    };
-    let (trace_b, restarted) = match sc.backend {
-        Backend::Threaded => {
-            let mut engine =
-                ClusterEngine::new(spec.clone(), ic, session_b.clone(), a.id_range().1);
-            match scope {
-                FaultScope::Node(node) => engine.decommission_node(node),
-                FaultScope::Worker(w) => engine.decommission_lane(w),
-            }
-            let restarted =
-                submit_algorithm_cluster(&mut engine, sc.algorithm, &a, &*pl_b, &mut |i| {
-                    !done.contains(&i)
-                });
-            engine.seal_and_wait().expect("fault-replay phase B failed");
-            (engine.finish_trace(), restarted)
-        }
-        Backend::Des => {
-            let config = RuntimeConfig {
-                workers: spec.total_workers(),
-                policy: PolicyKind::Pinned,
-                window: usize::MAX,
-                name: "cluster",
-            };
-            let mut engine =
-                ReplayEngine::new(&config, session_b.clone()).unwrap_or_else(|e| panic!("{e}"));
-            session_b.set_warmup_slots(spec.total_compute_workers());
-            match scope {
-                FaultScope::Node(node) => {
-                    let (lo, hi) = spec.compute_range(node);
-                    for w in lo..hi {
-                        engine.decommission(w);
-                    }
-                    let (lo, hi) = spec.nic_range(node);
-                    for w in lo..hi {
-                        engine.decommission(w);
-                    }
-                }
-                FaultScope::Worker(w) => engine.decommission(w),
-            }
-            // A fresh coherence map, like the fresh threaded engine:
-            // every replicated copy is invalidated by the restart.
-            let mut coherence = Coherence::new(spec.nodes, a.id_range().1);
-            let (tasks, restarted) = cluster_replay_tasks(
-                sc.algorithm,
-                &a,
-                &*pl_b,
-                &spec,
-                &*ic,
-                &session_b,
-                &mut coherence,
-                &mut |i| !done.contains(&i),
-            );
-            engine.run(tasks);
-            (session_b.finish_trace(spec.total_workers()), restarted)
-        }
-    };
+    let mut restarted = 0;
+    let (trace_b, _) = run_pass(sc, session_b, Some(scope), &mut |i| {
+        let rerun = !done.contains(&i);
+        restarted += u64::from(rerun);
+        rerun
+    });
 
-    let trace = stitch(spec.total_workers(), kept, &trace_b, offset, id_offset);
+    let trace = stitch(sc.lane_map().total(), kept, &trace_b, offset, id_offset);
     RunResult {
         makespan: trace.t_max(),
         trace,
@@ -592,7 +407,10 @@ pub(crate) fn run_faults(sc: Scenario) -> FaultOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::Algorithm;
+    use supersim_cluster::ClusterSpec;
     use supersim_core::{KernelModel, ModelRegistry};
+    use supersim_faults::CheckpointPolicy;
     use supersim_runtime::SchedulerKind;
 
     fn models(alg: Algorithm, secs: f64) -> ModelRegistry {

@@ -2,7 +2,7 @@
 //!
 //! Workload definitions binding the tile linear algebra algorithms (and
 //! synthetic DAGs) to the superscalar runtime — in **two execution modes**
-//! from a single task-stream definition:
+//! from a single task-stream definition ([`stream`]):
 //!
 //! * [`ExecMode::Real`] — task bodies execute the actual tile kernels on
 //!   shared tiles (with numerical verification afterwards);
@@ -20,21 +20,25 @@
 //! * [`data`] — tile grids shared across worker threads with stable
 //!   [`supersim_dag::DataId`]s;
 //! * [`mode`] — the execution-mode switch;
-//! * [`cholesky`], [`qr`], [`lu`] — the three tile factorizations as
-//!   runtime task streams (Cholesky and QR are the paper's case studies,
-//!   LU is the documented extension);
+//! * [`cholesky`], [`qr`], [`lu`] — the three tile factorizations' access
+//!   annotations, priorities and real kernel bodies (Cholesky and QR are
+//!   the paper's case studies, LU is the documented extension);
+//! * [`stream`] — the one lazy task stream per algorithm that every
+//!   consumer pulls from: real mode, both simulation backends, and the
+//!   cluster adaptor that inserts transfer tasks;
 //! * [`synthetic`] — synthetic DAG generators (chains, fork-join, random
 //!   layered graphs) for stress tests and the DES comparison;
-//! * [`driver`] — the run engines behind the scenario terminals,
-//!   returning traces, timings and verification results;
-//! * [`cluster`] — distributed variants of Cholesky/LU over a
+//! * [`driver`] — the single-node run engines behind the scenario
+//!   terminals, returning traces, timings and verification results;
+//! * [`cluster`] — the distributed run engine: Cholesky/LU over a
 //!   `supersim_cluster::ClusterSpec` with owner-computes placement and
 //!   automatic transfer tasks;
 //! * [`scenario`] — the **unified entry point**: a typed [`Scenario`]
 //!   builder with `run_real` / `run_sim` / `run_cluster` / `run_faults`
 //!   terminals;
-//! * [`replay`] — the [`Backend`] switch and the drivers running scenarios
-//!   on the pure-DES replay engine (`supersim_des::ReplayEngine`): same
+//! * [`replay`] — the [`Backend`] switch and the one function that runs a
+//!   simulated task stream on it: the threaded runtime, or the pure-DES
+//!   replay engine (`supersim_des::ReplayEngine`) — same task values, same
 //!   canonical traces, no host thread per simulated worker;
 //! * [`faultsim`] — fault-injected execution and the two-phase replay of
 //!   permanent failures, reported as a [`FaultOutcome`];
@@ -42,12 +46,10 @@
 //!   expands a cartesian product of axes into cells, runs them across
 //!   host threads over one shared model database, and merges a
 //!   deterministically ordered report with Pareto frontiers and
-//!   autotune argmin (DESIGN.md §10);
-//! * [`compat`] — deprecated shims for the pre-builder free functions.
+//!   autotune argmin (DESIGN.md §10).
 
 pub mod cholesky;
 pub mod cluster;
-pub mod compat;
 pub mod data;
 pub mod driver;
 pub mod faultsim;
@@ -56,6 +58,7 @@ pub mod mode;
 pub mod qr;
 pub mod replay;
 pub mod scenario;
+pub mod stream;
 pub mod sweep;
 pub mod synthetic;
 
@@ -67,6 +70,3 @@ pub use mode::ExecMode;
 pub use replay::Backend;
 pub use scenario::Scenario;
 pub use sweep::{SweepBackend, SweepOutcome, SweepReport, SweepSpec};
-
-#[allow(deprecated)]
-pub use compat::{run_cluster, run_real, run_sim, session_with};

@@ -3,11 +3,12 @@
 //! caveat: inputs should be diagonally dominant).
 
 use crate::data::SharedTiles;
+use crate::driver::Algorithm;
 use crate::mode::ExecMode;
 use supersim_dag::Access;
-use supersim_runtime::{Runtime, TaskDesc};
+use supersim_runtime::Runtime;
 use supersim_tile::blas::{dgemm, dtrsm, Diag, Side, Trans, Uplo};
-use supersim_tile::lu::{dgetrf_nopiv, task_stream, LuTask};
+use supersim_tile::lu::{dgetrf_nopiv, LuTask};
 
 /// The access list of one LU task.
 pub fn accesses(a: &SharedTiles, task: LuTask) -> Vec<Access> {
@@ -89,39 +90,7 @@ pub fn execute_real(a: &SharedTiles, task: LuTask, nb: usize) {
 /// Submit the tile LU task stream. Returns the task count; call
 /// `rt.seal()` afterwards.
 pub fn submit(rt: &Runtime, a: &SharedTiles, mode: &ExecMode) -> u64 {
-    submit_where(rt, a, mode, &mut |_| true)
-}
-
-/// Submit the LU stream filtered by `keep` over the 0-based stream index
-/// (see `cholesky::submit_where`).
-pub fn submit_where(
-    rt: &Runtime,
-    a: &SharedTiles,
-    mode: &ExecMode,
-    keep: &mut dyn FnMut(u64) -> bool,
-) -> u64 {
-    assert_eq!(a.mt(), a.nt(), "LU requires a square tile grid");
-    let nt = a.nt();
-    let nb = a.nb();
-    let mut count = 0;
-    for (idx, task) in task_stream(nt).into_iter().enumerate() {
-        if !keep(idx as u64) {
-            continue;
-        }
-        let label = task.label();
-        let acc = accesses(a, task);
-        let prio = priority(nt, task);
-        let desc = match mode {
-            ExecMode::Real => {
-                let tiles = a.clone();
-                TaskDesc::new(label, acc, move |_ctx| execute_real(&tiles, task, nb))
-            }
-            ExecMode::Simulated(session) => TaskDesc::new(label, acc, session.planned_body(label)),
-        };
-        rt.submit(desc.with_priority(prio));
-        count += 1;
-    }
-    count
+    crate::stream::submit(rt, Algorithm::Lu, a, None, mode)
 }
 
 #[cfg(test)]

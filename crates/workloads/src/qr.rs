@@ -1,10 +1,11 @@
 //! Tile QR as a runtime workload (paper Algorithm 2 / Fig. 2).
 
 use crate::data::SharedTiles;
+use crate::driver::Algorithm;
 use crate::mode::ExecMode;
 use supersim_dag::Access;
-use supersim_runtime::{Runtime, TaskDesc};
-use supersim_tile::qr::{task_stream, QrTask};
+use supersim_runtime::Runtime;
+use supersim_tile::qr::QrTask;
 use supersim_tile::qr_kernels::{dgeqrt, dormqr, dtsmqr, dtsqrt, ApplyTrans};
 use supersim_tile::Matrix;
 
@@ -89,49 +90,7 @@ pub fn execute_real(a: &SharedTiles, t: &SharedTiles, task: QrTask) {
 /// `a` (holding the T factors) with a disjoint id range. Returns the task
 /// count; call `rt.seal()` afterwards.
 pub fn submit(rt: &Runtime, a: &SharedTiles, t: &SharedTiles, mode: &ExecMode) -> u64 {
-    submit_where(rt, a, t, mode, &mut |_| true)
-}
-
-/// Submit the QR stream filtered by `keep` over the 0-based stream index
-/// (see `cholesky::submit_where`).
-pub fn submit_where(
-    rt: &Runtime,
-    a: &SharedTiles,
-    t: &SharedTiles,
-    mode: &ExecMode,
-    keep: &mut dyn FnMut(u64) -> bool,
-) -> u64 {
-    assert_eq!(
-        a.mt(),
-        a.nt(),
-        "tile QR workload requires a square tile grid"
-    );
-    assert_eq!(a.mt(), t.mt(), "T grid shape mismatch");
-    assert_eq!(a.nt(), t.nt(), "T grid shape mismatch");
-    let (a_lo, a_hi) = a.id_range();
-    let (t_lo, t_hi) = t.id_range();
-    assert!(a_hi <= t_lo || t_hi <= a_lo, "A and T id ranges overlap");
-    let nt = a.nt();
-    let mut count = 0;
-    for (idx, task) in task_stream(nt).into_iter().enumerate() {
-        if !keep(idx as u64) {
-            continue;
-        }
-        let label = task.label();
-        let acc = accesses(a, t, task);
-        let prio = priority(nt, task);
-        let desc = match mode {
-            ExecMode::Real => {
-                let a2 = a.clone();
-                let t2 = t.clone();
-                TaskDesc::new(label, acc, move |_ctx| execute_real(&a2, &t2, task))
-            }
-            ExecMode::Simulated(session) => TaskDesc::new(label, acc, session.planned_body(label)),
-        };
-        rt.submit(desc.with_priority(prio));
-        count += 1;
-    }
-    count
+    crate::stream::submit(rt, Algorithm::Qr, a, Some(t), mode)
 }
 
 #[cfg(test)]

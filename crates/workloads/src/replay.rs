@@ -1,30 +1,22 @@
-//! The DES replay backend's driver layer: build the same task streams the
-//! threaded drivers submit — as plain data instead of live submissions —
-//! and run them through [`supersim_des::ReplayEngine`].
+//! The [`Backend`] switch and the one function that runs a simulated task
+//! stream on a backend.
 //!
 //! The contract is bit-for-bit fidelity on the supported profiles: for a
 //! given `(seed, scenario)`, the canonical trace of a DES run equals the
-//! threaded engine's. That holds because every decision is shared, not
-//! reimplemented: hazards come from `supersim_runtime::HazardTracker`,
-//! dispatch order from the literal policy objects of `make_policy`,
-//! durations from [`supersim_core::SimSession::plan_ranked`], and cluster
-//! transfers from [`supersim_cluster::Coherence`]. What this module adds
-//! is only the enumeration of each algorithm's task stream in submission
-//! order, with the same ranks [`SimSession::next_rank`] would hand the
-//! threaded `planned_body` closures.
+//! threaded engine's. That holds because nothing is described twice:
+//! both engines consume the *same* [`ReplayTask`] values — produced once
+//! by [`crate::stream`], transfers included — and resolve them through
+//! the same `supersim_runtime::HazardTracker`, the literal policy
+//! objects of `make_policy`, and the durations of
+//! [`supersim_core::SimSession::plan_ranked`]. What differs is only who
+//! advances virtual time: worker threads parked on the TEQ, or a
+//! single-threaded event loop.
 
-use crate::cluster::{cluster_replay_tasks, exec_cluster, ClusterRun};
-use crate::data::SharedTiles;
-use crate::driver::{exec_sim, Algorithm, SimRun};
+use crate::stream::task_desc;
 use std::sync::Arc;
-use supersim_cluster::{ClusterSpec, Coherence, Interconnect, Placement};
 use supersim_core::SimSession;
-use supersim_des::{ReplayBody, ReplayEngine, ReplayTask, Unsupported};
-use supersim_runtime::{PolicyKind, RuntimeConfig, SchedulerKind};
-use supersim_tile::cholesky::task_stream as cholesky_stream;
-use supersim_tile::flops;
-use supersim_tile::lu::task_stream as lu_stream;
-use supersim_tile::qr::task_stream as qr_stream;
+use supersim_des::{ReplayEngine, ReplayTask, Unsupported};
+use supersim_runtime::{Runtime, RuntimeConfig, RuntimeStats, SchedulerKind};
 
 /// Which execution engine runs a simulated scenario.
 ///
@@ -76,250 +68,51 @@ impl Backend {
     }
 }
 
-/// Enumerate an algorithm's single-node task stream as [`ReplayTask`]s, in
-/// the exact order the threaded `submit_where` drivers submit, claiming
-/// the same per-label ranks from `session`. `keep` filters by 0-based
-/// stream index (fault replay re-submits only the incomplete tail);
-/// skipped tasks claim no rank, matching the threaded path where only
-/// submitted tasks call `planned_body`.
-pub(crate) fn replay_tasks_single(
-    alg: Algorithm,
-    a: &SharedTiles,
-    t: Option<&SharedTiles>,
-    session: &SimSession,
-    keep: &mut dyn FnMut(u64) -> bool,
-) -> Vec<ReplayTask> {
-    assert_eq!(a.mt(), a.nt(), "factorizations need a square tile grid");
-    let nt = a.nt();
-    let mut tasks = Vec::new();
-    let mut push = |label: &str, accesses: Vec<supersim_dag::Access>, priority: i64| {
-        tasks.push(ReplayTask {
-            label: label.to_string(),
-            accesses,
-            priority,
-            pin: None,
-            body: ReplayBody::Ranked {
-                rank: session.next_rank(label),
-            },
-        });
-    };
-    match alg {
-        Algorithm::Cholesky => {
-            for (idx, task) in cholesky_stream(nt).into_iter().enumerate() {
-                if !keep(idx as u64) {
-                    continue;
-                }
-                push(
-                    task.label(),
-                    crate::cholesky::accesses(a, task),
-                    crate::cholesky::priority(nt, task),
-                );
-            }
-        }
-        Algorithm::Qr => {
-            let t = t.expect("QR needs a T grid");
-            for (idx, task) in qr_stream(nt).into_iter().enumerate() {
-                if !keep(idx as u64) {
-                    continue;
-                }
-                push(
-                    task.label(),
-                    crate::qr::accesses(a, t, task),
-                    crate::qr::priority(nt, task),
-                );
-            }
-        }
-        Algorithm::Lu => {
-            for (idx, task) in lu_stream(nt).into_iter().enumerate() {
-                if !keep(idx as u64) {
-                    continue;
-                }
-                push(
-                    task.label(),
-                    crate::lu::accesses(a, task),
-                    crate::lu::priority(nt, task),
-                );
-            }
-        }
-    }
-    tasks
-}
-
-/// Single-node simulated run on the DES replay backend. Mirrors
-/// [`exec_sim`] exactly: same model checks, same warm-up plan, same
-/// session trace — only the engine differs.
-pub(crate) fn exec_sim_des(
-    alg: Algorithm,
-    kind: SchedulerKind,
-    workers: usize,
-    n: usize,
-    nb: usize,
-    session: Arc<SimSession>,
-) -> Result<SimRun, Unsupported> {
-    let a = SharedTiles::layout_only(n, n, nb, 0);
-    let t = match alg {
-        Algorithm::Qr => Some(SharedTiles::layout_only(n, n, nb, a.id_range().1)),
-        _ => None,
-    };
-    for label in alg.labels() {
-        session.models().expect(label);
-    }
-    let engine = ReplayEngine::new(&kind.config(workers), session.clone())?;
-    session.set_warmup_slots(workers);
-    let t0 = std::time::Instant::now();
-    let tasks = replay_tasks_single(alg, &a, t.as_ref(), &session, &mut |_| true);
-    let outcome = engine.run(tasks);
-    let wall_seconds = t0.elapsed().as_secs_f64();
-    let trace = session.finish_trace(workers);
-
-    Ok(SimRun {
-        algorithm: alg,
-        n,
-        nb,
-        workers,
-        predicted_seconds: outcome.makespan,
-        wall_seconds,
-        trace,
-        gflops: flops::gflops(alg.flops(n), outcome.makespan),
-        stats: outcome.stats,
-    })
-}
-
-/// Distributed simulated run on the DES replay backend. Mirrors
-/// [`exec_cluster`]: the same [`Coherence`] layer plans the same transfer
-/// tasks at the same stream positions, so task ids, dependences and
-/// NIC-lane occupancy are identical; the `Pinned` dispatch replays through
-/// the literal policy object.
-pub(crate) fn exec_cluster_des(
-    alg: Algorithm,
-    spec: ClusterSpec,
-    interconnect: Arc<dyn Interconnect>,
-    placement: Arc<dyn Placement>,
-    n: usize,
-    nb: usize,
-    session: Arc<SimSession>,
-) -> Result<ClusterRun, Unsupported> {
-    let a = SharedTiles::layout_only(n, n, nb, 0);
-    assert_eq!(a.mt(), a.nt(), "factorizations need a square tile grid");
-    for i in 0..a.mt() {
-        for j in 0..a.nt() {
-            assert!(
-                placement.owner(i, j) < spec.nodes,
-                "placement {} maps tile ({i},{j}) to node {} but the cluster has {} nodes",
-                placement.name(),
-                placement.owner(i, j),
-                spec.nodes
-            );
-        }
-    }
-    for label in alg.labels() {
-        session.models().expect(label);
-    }
-
-    let config = RuntimeConfig {
-        workers: spec.total_workers(),
-        policy: PolicyKind::Pinned,
-        window: usize::MAX,
-        name: "cluster",
-    };
-    let engine = ReplayEngine::new(&config, session.clone())?;
-    session.set_warmup_slots(spec.total_compute_workers());
-    let mut coherence = Coherence::new(spec.nodes, a.id_range().1);
-    let t0 = std::time::Instant::now();
-    let (tasks, compute_tasks) = cluster_replay_tasks(
-        alg,
-        &a,
-        &*placement,
-        &spec,
-        &*interconnect,
-        &session,
-        &mut coherence,
-        &mut |_| true,
-    );
-    let outcome = engine.run(tasks);
-    let wall_seconds = t0.elapsed().as_secs_f64();
-    let trace = session.finish_trace(spec.total_workers());
-
-    let nic_busy_seconds = (0..spec.nodes)
-        .map(|node| {
-            let (lo, hi) = spec.nic_range(node);
-            (lo..hi)
-                .flat_map(|w| trace.lane(w))
-                .map(|e| e.duration())
-                .sum()
-        })
-        .collect();
-    let mut node_owned_bytes = vec![0u64; spec.nodes];
-    for i in 0..a.mt() {
-        for j in 0..a.nt() {
-            node_owned_bytes[placement.owner(i, j)] += a.tile_bytes(i, j);
-        }
-    }
-
-    Ok(ClusterRun {
-        algorithm: alg,
-        n,
-        nb,
-        spec,
-        interconnect: interconnect.name(),
-        placement: placement.name(),
-        compute_tasks,
-        transfers: coherence.transfers(),
-        transfer_bytes: coherence.transfer_bytes(),
-        node_transfers: coherence.node_transfers().to_vec(),
-        node_bytes: coherence.node_bytes().to_vec(),
-        nic_busy_seconds,
-        node_owned_bytes,
-        predicted_seconds: outcome.makespan,
-        wall_seconds,
-        gflops: flops::gflops(alg.flops(n), outcome.makespan),
-        trace,
-        stats: outcome.stats,
-    })
-}
-
-/// Backend dispatch for single-node simulated runs. A DES run of an
-/// unsupported profile panics with the [`Unsupported`] message.
-pub(crate) fn exec_sim_backend(
+/// Run a stream of simulated tasks to completion on `backend`, on a
+/// machine of `config.workers` lanes with `dead_lanes` decommissioned
+/// before the first submission. Spans land in the session's trace
+/// recorder; returns the makespan (virtual seconds) and engine statistics.
+/// Both arms pull `tasks` lazily, in order — the threaded engine under
+/// its submission-window backpressure, the DES engine at most a window
+/// ahead of retirement.
+pub(crate) fn run_stream(
     backend: Backend,
-    alg: Algorithm,
-    kind: SchedulerKind,
-    workers: usize,
-    n: usize,
-    nb: usize,
-    session: Arc<SimSession>,
-) -> SimRun {
+    config: &RuntimeConfig,
+    session: &Arc<SimSession>,
+    dead_lanes: &[usize],
+    tasks: impl Iterator<Item = ReplayTask>,
+) -> Result<(f64, RuntimeStats), Unsupported> {
     match backend {
-        Backend::Threaded => exec_sim(alg, kind, workers, n, nb, session),
         Backend::Des => {
-            exec_sim_des(alg, kind, workers, n, nb, session).unwrap_or_else(|e| panic!("{e}"))
+            let mut engine = ReplayEngine::new(config, session.clone())?;
+            for &lane in dead_lanes {
+                engine.decommission(lane);
+            }
+            let outcome = engine.run(tasks);
+            Ok((outcome.makespan, outcome.stats))
         }
-    }
-}
-
-/// Backend dispatch for distributed simulated runs.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_cluster_backend(
-    backend: Backend,
-    alg: Algorithm,
-    spec: ClusterSpec,
-    interconnect: Arc<dyn Interconnect>,
-    placement: Arc<dyn Placement>,
-    n: usize,
-    nb: usize,
-    session: Arc<SimSession>,
-) -> ClusterRun {
-    match backend {
-        Backend::Threaded => exec_cluster(alg, spec, interconnect, placement, n, nb, session),
-        Backend::Des => exec_cluster_des(alg, spec, interconnect, placement, n, nb, session)
-            .unwrap_or_else(|e| panic!("{e}")),
+        Backend::Threaded => {
+            let rt = Runtime::new(config.clone());
+            session.attach_quiesce(rt.probe());
+            for &lane in dead_lanes {
+                rt.decommission(lane);
+            }
+            for task in tasks {
+                rt.submit(task_desc(session, task));
+            }
+            rt.seal();
+            rt.wait_all().expect("simulated run failed");
+            Ok((session.virtual_now(), rt.stats()))
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::Algorithm;
     use crate::scenario::Scenario;
+    use supersim_cluster::Interconnect;
     use supersim_core::{KernelModel, ModelRegistry};
 
     fn models(alg: Algorithm) -> ModelRegistry {

@@ -24,15 +24,11 @@
 //! * [`Scenario::run_cluster`] — distributed simulated run;
 //! * [`Scenario::run_faults`] — clean-vs-faulted comparison returning a
 //!   [`crate::FaultOutcome`], including permanent-failure phased replay.
-//!
-//! The builder replaces the former free functions `run_real`, `run_sim`,
-//! `run_cluster` and `session_with`, which survive as deprecated shims in
-//! [`crate::compat`].
 
-use crate::cluster::ClusterRun;
-use crate::driver::{exec_real, Algorithm, RealRun, SimRun};
+use crate::cluster::{exec_cluster, ClusterRun};
+use crate::driver::{exec_real, exec_sim, Algorithm, RealRun, SimRun};
 use crate::faultsim::{run_faults, FaultOutcome};
-use crate::replay::{exec_cluster_backend, exec_sim_backend, Backend};
+use crate::replay::Backend;
 use std::sync::Arc;
 use supersim_cluster::{BlockCyclic, ClusterSpec, Interconnect, Placement, ZeroCost};
 use supersim_core::{ModelRegistry, SimConfig, SimSession};
@@ -414,41 +410,25 @@ impl Scenario {
         );
         let session = self.fresh_session(false);
         self.attach_plan(&session, &self.faults.clone(), 0.0);
-        exec_sim_backend(
-            self.backend,
-            self.algorithm,
-            self.scheduler,
-            self.workers,
-            self.matrix_order(),
-            self.tile_size,
-            session,
-        )
+        exec_sim(&self, session, &[], &mut |_| true)
     }
 
     /// Simulate the scenario on the attached cluster. Straggler,
     /// link-degradation and transient events are injected; permanent
     /// failures must go through [`Scenario::run_faults`].
     pub fn run_cluster(self) -> ClusterRun {
-        let spec = self
-            .cluster
-            .clone()
-            .expect("run_cluster needs .cluster(ClusterSpec)");
+        assert!(
+            self.cluster.is_some(),
+            "run_cluster needs .cluster(ClusterSpec)"
+        );
         assert!(
             self.faults.permanent_failure().is_none(),
             "permanent failures need the phased replay; use run_faults"
         );
         let session = self.fresh_session(false);
         self.attach_plan(&session, &self.faults.clone(), 0.0);
-        exec_cluster_backend(
-            self.backend,
-            self.algorithm,
-            spec,
-            self.resolved_interconnect(),
-            self.resolved_placement(),
-            self.matrix_order(),
-            self.tile_size,
-            session,
-        )
+        let placement = self.resolved_placement();
+        exec_cluster(&self, placement, session, &[], &mut |_| true)
     }
 
     /// Run the scenario clean *and* under its fault plan, returning both

@@ -44,9 +44,6 @@
 //!                  [--backend threaded|des]
 //!                  [--out m.json] [--chrome t.json] [--trace-out t.txt]
 //!                  [--trace-stream spans.ndjson] [--stream-epoch 1.0]
-//! supersim stream-bench [--tasks 10000] [--workers 64] [--window 1024]
-//!                  [--mode streaming|buffered] [--epoch 0.05] [--seed 42]
-//!                  [--out spans.ndjson|canonical.txt]
 //! supersim trace-convert --in spans.ndjson [--out canonical.txt]
 //! supersim info
 //! ```
@@ -65,9 +62,7 @@
 //! memory, so trace output stays bounded no matter how long the run is.
 //! `trace-convert` rebuilds the canonical text projection from such a
 //! file — byte-identical to `--trace-out` on the deterministic profiles,
-//! which CI verifies. `stream-bench` replays a synthetic N-task stream on
-//! the DES backend in either trace mode and reports peak RSS — the
-//! datapoint behind the `trace_stream_rss` perf gate.
+//! which CI verifies.
 //!
 //! `--backend des` (on `metrics`, `cluster` and `faults`) replays the same
 //! scenario on the single-threaded pure-DES engine instead of the threaded
@@ -99,7 +94,6 @@ use supersim::calibrate::{calibrate, estimate_overhead, CalibrationDb, FitOption
 use supersim::core::{SimConfig, SimSession};
 use supersim::prelude::*;
 use supersim::trace::{chrome, svg, text};
-use supersim::workloads::SharedTiles;
 
 fn main() {
     // Invalid arguments exit 2 with a one-line stderr message — every
@@ -135,7 +129,6 @@ fn main() {
         "serve" => cmd_serve(&opts),
         "dag" => cmd_dag(&opts),
         "metrics" => cmd_metrics(&opts),
-        "stream-bench" => cmd_stream_bench(&opts),
         "trace-convert" => cmd_trace_convert(&opts),
         "info" => cmd_info(),
         "help" | "--help" | "-h" => usage_and_exit(),
@@ -163,7 +156,6 @@ fn usage_and_exit() -> ! {
          \x20 serve    resident HTTP daemon: /run, /sweep, /healthz, /metrics\n\
          \x20 dag      emit the task DAG of an algorithm\n\
          \x20 metrics  run a simulated workload and dump instrumentation as JSON\n\
-         \x20 stream-bench  replay a synthetic task stream, report peak RSS per trace mode\n\
          \x20 trace-convert rebuild a canonical trace from streamed ndjson spans\n\
          \x20 info     list algorithms and scheduler profiles\n\
          \n\
@@ -280,114 +272,6 @@ fn cmd_trace_convert(opts: &HashMap<String, String>) {
         }
         None => print!("{canonical}"),
     }
-}
-
-/// A lazily generated synthetic task stream: a handful of fixed-duration
-/// kernel classes, writes rolling over a bounded data window (so the
-/// hazard tracker stays bounded too) and reads reaching 256 tasks back
-/// (real RAW chains inside the scheduling window, parallelism width 256).
-/// A pure function of the index — no per-task state survives generation.
-fn synthetic_stream(tasks: u64) -> impl Iterator<Item = supersim::des::ReplayTask> {
-    use supersim::des::{ReplayBody, ReplayTask};
-    const CELLS: u64 = 4096;
-    (0..tasks).map(|i| ReplayTask {
-        label: format!("k{}", i % 7),
-        accesses: vec![
-            Access::write(DataId(i % CELLS)),
-            Access::read(DataId((i + CELLS - 256) % CELLS)),
-        ],
-        priority: 0,
-        pin: None,
-        body: ReplayBody::Fixed {
-            duration: 1e-4 * ((i % 9) + 1) as f64,
-        },
-    })
-}
-
-/// Peak resident set size (VmHWM) of this process, in KiB. Linux-only;
-/// 0 where /proc is unavailable.
-fn peak_rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|status| {
-            status
-                .lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or(0)
-}
-
-/// `supersim stream-bench`: replay a synthetic N-task stream on the DES
-/// backend and report peak RSS as one JSON line — the memory story behind
-/// the streaming trace pipeline. In `streaming` mode the recorder drains
-/// to an ndjson sink (`--out`) at each epoch boundary; in `buffered` mode
-/// it accumulates the whole trace and `--out` receives the canonical
-/// projection. The span set is identical either way, which is what the CI
-/// trace-streaming job verifies via `trace-convert` + `cmp`.
-fn cmd_stream_bench(opts: &HashMap<String, String>) {
-    use supersim::des::ReplayEngine;
-    use supersim::trace::sink::{NdjsonSink, NullSink};
-    use supersim::trace::TraceSink;
-
-    let tasks = get(opts, "tasks", 10_000u64);
-    let workers = get(opts, "workers", 64usize);
-    let window = get(opts, "window", 1_024usize);
-    let epoch = get(opts, "epoch", 0.05f64);
-    let seed = get(opts, "seed", 42u64);
-    let streaming = match opts.get("mode").map(String::as_str) {
-        None | Some("streaming") => true,
-        Some("buffered") => false,
-        Some(other) => {
-            eprintln!("unknown --mode {other} (streaming|buffered)");
-            exit(2)
-        }
-    };
-    if !epoch.is_finite() || epoch <= 0.0 {
-        eprintln!("--epoch must be a positive number of virtual seconds");
-        exit(2);
-    }
-    let session = SimSession::new(
-        ModelRegistry::new(),
-        SimConfig {
-            seed,
-            ..SimConfig::default()
-        },
-    );
-    if streaming {
-        let sink: Box<dyn TraceSink> = match opts.get("out") {
-            Some(path) => Box::new(NdjsonSink::create(path).unwrap_or_else(|e| {
-                eprintln!("cannot create {path}: {e}");
-                exit(2)
-            })),
-            None => Box::new(NullSink),
-        };
-        session.trace_recorder().attach_sink(sink, epoch);
-    }
-    let mut cfg = RuntimeConfig::simple(workers);
-    cfg.window = window;
-    let engine = ReplayEngine::new(&cfg, session.clone()).expect("simple profile replays");
-    let out = engine.run(synthetic_stream(tasks));
-    if let Some(err) = session.trace_recorder().sink_error() {
-        eprintln!("trace sink error: {err}");
-        exit(2);
-    }
-    let trace = session.finish_trace(workers);
-    if !streaming {
-        if let Some(path) = opts.get("out") {
-            std::fs::write(path, trace.canonical()).expect("write canonical trace");
-        }
-    }
-    println!(
-        "{{\"tasks\":{tasks},\"mode\":\"{}\",\"workers\":{workers},\"window\":{window},\"makespan\":{:?},\"completed\":{},\"resident_spans\":{},\"streamed_spans\":{},\"peak_rss_kb\":{}}}",
-        if streaming { "streaming" } else { "buffered" },
-        out.makespan,
-        out.completed,
-        trace.len(),
-        session.trace_recorder().drained(),
-        peak_rss_kb(),
-    );
 }
 
 fn cmd_real(opts: &HashMap<String, String>) {
@@ -1207,37 +1091,10 @@ fn cmd_serve(opts: &HashMap<String, String>) {
 fn cmd_dag(opts: &HashMap<String, String>) {
     let alg = algorithm(opts);
     let nt = get(opts, "nt", 4usize);
-    let a = SharedTiles::layout_only(nt * 8, nt * 8, 8, 0);
-    let t = SharedTiles::layout_only(nt * 8, nt * 8, 8, a.id_range().1);
+    let (a, t) = supersim::workloads::stream::layout(alg, nt * 8, 8);
     let mut builder = supersim::dag::DagBuilder::new();
-    match alg {
-        Algorithm::Cholesky => {
-            for task in supersim::tile::cholesky::task_stream(nt) {
-                builder.submit(
-                    task.label(),
-                    1.0,
-                    &supersim::workloads::cholesky::accesses(&a, task),
-                );
-            }
-        }
-        Algorithm::Qr => {
-            for task in supersim::tile::qr::task_stream(nt) {
-                builder.submit(
-                    task.label(),
-                    1.0,
-                    &supersim::workloads::qr::accesses(&a, &t, task),
-                );
-            }
-        }
-        Algorithm::Lu => {
-            for task in supersim::tile::lu::task_stream(nt) {
-                builder.submit(
-                    task.label(),
-                    1.0,
-                    &supersim::workloads::lu::accesses(&a, task),
-                );
-            }
-        }
+    for task in supersim::workloads::stream::tasks(alg, &a, t.as_ref()) {
+        builder.submit(task.label, 1.0, &task.accesses);
     }
     let g = builder.finish();
     let profile = supersim::dag::analysis::profile(&g);

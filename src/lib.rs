@@ -84,8 +84,7 @@ pub use supersim_workloads as workloads;
 pub mod prelude {
     pub use supersim_calibrate::{calibrate, CalibrationDb, CollectOptions, FitOptions};
     pub use supersim_cluster::{
-        BlockCyclic, ClusterEngine, ClusterSpec, Hockney, Interconnect, Placement, SharedLink,
-        ZeroCost,
+        BlockCyclic, ClusterSpec, Hockney, Interconnect, Placement, SharedLink, ZeroCost,
     };
     pub use supersim_core::{KernelModel, ModelRegistry, RaceMitigation, SimConfig, SimSession};
     pub use supersim_dag::{Access, AccessMode, DataId};
@@ -98,8 +97,6 @@ pub mod prelude {
         PolicyKind, Runtime, RuntimeConfig, SchedulerKind, TaskContext, TaskDesc,
     };
     pub use supersim_trace::{Trace, TraceComparison, TraceRecorder, TraceStats};
-    #[allow(deprecated)]
-    pub use supersim_workloads::{run_cluster, run_real, run_sim, session_with};
     pub use supersim_workloads::{
         Algorithm, Backend, ClusterRun, ExecMode, FaultOutcome, RealRun, Scenario, SharedTiles,
         SimRun,

@@ -4,15 +4,27 @@
 
 use supersim::prelude::*;
 
+/// The wall-clock reference for an accuracy assertion. The tests of this
+/// binary spawn engine threads beside each other, and contention only ever
+/// lengthens a real run: take the fastest of three (the caller calibrates
+/// from that same run).
+fn fastest_real(scenario: Scenario) -> RealRun {
+    (0..3)
+        .map(|_| scenario.clone().run_real())
+        .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
+        .expect("three runs")
+}
+
 fn pipeline(alg: Algorithm, kind: SchedulerKind) -> (RealRun, SimRun) {
     let (n, nb, workers) = (120, 24, 1);
-    let real = Scenario::new(alg)
-        .scheduler(kind)
-        .workers(workers)
-        .n(n)
-        .tile_size(nb)
-        .seed(1234)
-        .run_real();
+    let real = fastest_real(
+        Scenario::new(alg)
+            .scheduler(kind)
+            .workers(workers)
+            .n(n)
+            .tile_size(nb)
+            .seed(1234),
+    );
     assert!(
         real.residual < 1e-10,
         "{alg:?}/{kind:?}: bad residual {}",
@@ -79,12 +91,13 @@ fn moderate_size_prediction_is_accurate() {
     // The headline accuracy claim at a size where kernels dominate
     // overhead: error within ~15% (paper: worst case 16%, typical < 5%).
     let (n, nb, workers) = (480, 80, 1);
-    let real = Scenario::new(Algorithm::Cholesky)
-        .workers(workers)
-        .n(n)
-        .tile_size(nb)
-        .seed(55)
-        .run_real();
+    let real = fastest_real(
+        Scenario::new(Algorithm::Cholesky)
+            .workers(workers)
+            .n(n)
+            .tile_size(nb)
+            .seed(55),
+    );
     let cal = calibrate(&real.trace, FitOptions::default());
     let sim = Scenario::new(Algorithm::Cholesky)
         .workers(workers)
