@@ -242,7 +242,8 @@ fn serve_cached_rps_of(path: &str) -> Option<f64> {
 /// cluster} x {clean, straggler} x 16 seeds, quark/pinned profiles, DES
 /// replay everywhere, one shared synthetic model database.
 fn sweep_point() -> SweepPoint {
-    use supersim_workloads::sweep::{FaultPlanSpec, SweepBackend, SweepSpec};
+    use supersim_workloads::sweep::{FaultPlanSpec, SweepSpec};
+    use supersim_workloads::Backend;
 
     let spec = SweepSpec {
         tile_counts: vec![4, 6],
@@ -254,7 +255,7 @@ fn sweep_point() -> SweepPoint {
             FaultPlanSpec::preset("straggler").expect("straggler preset"),
         ],
         seeds: (1..=16).collect(),
-        backend: SweepBackend::Des,
+        backend: Some(Backend::Des),
         ..SweepSpec::default()
     };
     let probe = spec.run(0);

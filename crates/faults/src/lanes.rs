@@ -63,6 +63,28 @@ impl LaneMap {
         self.nodes[node]
     }
 
+    /// Whether `scope` names a lane or node of this machine.
+    pub fn contains(&self, scope: FaultScope) -> bool {
+        match scope {
+            FaultScope::Worker(w) => w < self.total,
+            FaultScope::Node(n) => n < self.nodes.len(),
+        }
+    }
+
+    /// Whether the machine can carry on after losing `scope` for good:
+    /// one node of several, or a compute lane of a node that has another
+    /// (a node's tasks are pinned to its own compute lanes; NIC lanes do
+    /// not fail alone).
+    pub fn survives(&self, scope: FaultScope) -> bool {
+        match scope {
+            FaultScope::Node(_) => self.nodes.len() > 1,
+            FaultScope::Worker(w) => self.nodes.iter().any(|n| {
+                let (lo, hi) = n.compute;
+                (lo..hi).contains(&w) && hi - lo > 1
+            }),
+        }
+    }
+
     /// All lanes a scope covers: one lane for a worker scope, compute +
     /// NIC lanes for a node scope.
     pub fn lanes_of(&self, scope: FaultScope) -> Vec<usize> {

@@ -1,5 +1,6 @@
 //! The fault plan: what goes wrong, when, and how the system recovers.
 
+use crate::lanes::LaneMap;
 use serde::{Deserialize, Serialize};
 
 /// What a fault event applies to.
@@ -105,6 +106,56 @@ pub struct FaultPlan {
     pub recovery: RecoveryPolicy,
 }
 
+/// Most failed attempts one transient event may prescribe per task. Each
+/// attempt becomes two segments of the task's planned timeline, so the
+/// bound keeps that plan small however the event was written down.
+pub const MAX_TRANSIENT_FAILURES: u32 = 64;
+
+impl FaultEvent {
+    /// The checks an event can fail on its own — whether it was built by a
+    /// [`FaultPlan`] method or deserialized. Phrased positively, so NaN
+    /// fails each of them.
+    pub fn check(&self) -> Result<(), String> {
+        let (ok, rule) = match *self {
+            FaultEvent::Straggler {
+                from,
+                until,
+                factor,
+                ..
+            }
+            | FaultEvent::LinkDegradation {
+                from,
+                until,
+                factor,
+                ..
+            } => (
+                factor > 0.0 && until > from,
+                "a slowdown's factor must be positive and its window must be non-empty",
+            ),
+            FaultEvent::PermanentFailure { at, .. } => {
+                (at >= 0.0, "a permanent failure needs a non-negative time")
+            }
+            FaultEvent::Transient {
+                period,
+                failures,
+                fail_fraction,
+                ..
+            } => (
+                period > 0
+                    && (1..=MAX_TRANSIENT_FAILURES).contains(&failures)
+                    && (0.0..=1.0).contains(&fail_fraction),
+                "a transient fault needs a positive period, 1..=64 failures, \
+                 and fail_fraction must be in [0, 1]",
+            ),
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(format!("{rule}: {self:?}"))
+        }
+    }
+}
+
 impl FaultPlan {
     /// An empty plan.
     pub fn new() -> Self {
@@ -116,56 +167,90 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
+    /// Everything that makes a plan legal for a machine laid out as `map`:
+    /// every event's own [`FaultEvent::check`], at most one permanent
+    /// failure, every scope inside the lane space, a permanent failure
+    /// the machine survives, and a positive checkpoint interval. The
+    /// builder methods below panic on the first two; a deserialized plan
+    /// has passed through none of them, so front ends call this before
+    /// running it.
+    pub fn validate(&self, map: &LaneMap) -> Result<(), String> {
+        self.single_permanent()?;
+        for ev in &self.events {
+            ev.check()?;
+            let (scope, what) = match *ev {
+                FaultEvent::Straggler { scope, .. } => (scope, "straggler"),
+                FaultEvent::PermanentFailure { scope, .. } => (scope, "permanent failure"),
+                FaultEvent::LinkDegradation { node, .. } => {
+                    (FaultScope::Node(node), "link degradation")
+                }
+                FaultEvent::Transient { .. } => continue,
+            };
+            if !map.contains(scope) {
+                return Err(format!(
+                    "{what} targets {scope:?}, outside the machine ({} nodes, {} lanes)",
+                    map.node_count(),
+                    map.total()
+                ));
+            }
+            if matches!(ev, FaultEvent::PermanentFailure { .. }) && !map.survives(scope) {
+                return Err(format!(
+                    "a permanent failure must leave survivors, but {scope:?} is the only node \
+                     or not a compute lane of a node that has another"
+                ));
+            }
+        }
+        if !self.recovery.checkpoint.is_none_or(|c| c.interval > 0.0) {
+            return Err("the checkpoint interval must be positive".to_string());
+        }
+        Ok(())
+    }
+
     /// Add a straggler window on one worker lane.
-    pub fn straggler_worker(mut self, worker: usize, from: f64, until: f64, factor: f64) -> Self {
-        assert!(factor > 0.0, "straggler factor must be positive");
-        assert!(until > from, "straggler window must be non-empty");
-        self.events.push(FaultEvent::Straggler {
+    pub fn straggler_worker(self, worker: usize, from: f64, until: f64, factor: f64) -> Self {
+        self.with(FaultEvent::Straggler {
             scope: FaultScope::Worker(worker),
             from,
             until,
             factor,
-        });
-        self
+        })
     }
 
     /// Add a straggler window covering every lane of a node.
-    pub fn straggler_node(mut self, node: usize, from: f64, until: f64, factor: f64) -> Self {
-        assert!(factor > 0.0, "straggler factor must be positive");
-        assert!(until > from, "straggler window must be non-empty");
-        self.events.push(FaultEvent::Straggler {
+    pub fn straggler_node(self, node: usize, from: f64, until: f64, factor: f64) -> Self {
+        self.with(FaultEvent::Straggler {
             scope: FaultScope::Node(node),
             from,
             until,
             factor,
-        });
-        self
+        })
     }
 
     /// Kill one worker lane at virtual time `at`.
-    pub fn kill_worker(mut self, worker: usize, at: f64) -> Self {
-        self.events.push(FaultEvent::PermanentFailure {
+    pub fn kill_worker(self, worker: usize, at: f64) -> Self {
+        self.with(FaultEvent::PermanentFailure {
             scope: FaultScope::Worker(worker),
             at,
-        });
-        self.assert_single_permanent();
-        self
+        })
     }
 
     /// Kill a whole node at virtual time `at`.
-    pub fn kill_node(mut self, node: usize, at: f64) -> Self {
-        self.events.push(FaultEvent::PermanentFailure {
+    pub fn kill_node(self, node: usize, at: f64) -> Self {
+        self.with(FaultEvent::PermanentFailure {
             scope: FaultScope::Node(node),
             at,
-        });
-        self.assert_single_permanent();
-        self
+        })
     }
 
     /// Add transient failures on every label (every `period`-th submission
     /// fails `failures` times, losing `fail_fraction` of each attempt).
     pub fn transient(self, period: u64, failures: u32, fail_fraction: f64) -> Self {
-        self.transient_impl(None, period, failures, fail_fraction)
+        self.with(FaultEvent::Transient {
+            label: None,
+            period,
+            failures,
+            fail_fraction,
+        })
     }
 
     /// Add transient failures on one kernel label.
@@ -176,41 +261,35 @@ impl FaultPlan {
         failures: u32,
         fail_fraction: f64,
     ) -> Self {
-        self.transient_impl(Some(label.into()), period, failures, fail_fraction)
-    }
-
-    fn transient_impl(
-        mut self,
-        label: Option<String>,
-        period: u64,
-        failures: u32,
-        fail_fraction: f64,
-    ) -> Self {
-        assert!(period > 0, "transient period must be positive");
-        assert!(failures > 0, "a transient fault needs at least one failure");
-        assert!(
-            (0.0..=1.0).contains(&fail_fraction),
-            "fail_fraction must be in [0, 1]"
-        );
-        self.events.push(FaultEvent::Transient {
-            label,
+        self.with(FaultEvent::Transient {
+            label: Some(label.into()),
             period,
             failures,
             fail_fraction,
-        });
-        self
+        })
     }
 
     /// Add a link-degradation window on a node's NIC lanes.
-    pub fn degrade_link(mut self, node: usize, from: f64, until: f64, factor: f64) -> Self {
-        assert!(factor > 0.0, "degradation factor must be positive");
-        assert!(until > from, "degradation window must be non-empty");
-        self.events.push(FaultEvent::LinkDegradation {
+    pub fn degrade_link(self, node: usize, from: f64, until: f64, factor: f64) -> Self {
+        self.with(FaultEvent::LinkDegradation {
             node,
             from,
             until,
             factor,
+        })
+    }
+
+    /// Append `ev`, panicking with the message [`FaultPlan::validate`]
+    /// would return if it is illegal on its own or is a second permanent
+    /// failure.
+    fn with(mut self, ev: FaultEvent) -> Self {
+        let checked = ev.check().and_then(|()| {
+            self.events.push(ev);
+            self.single_permanent()
         });
+        if let Err(e) = checked {
+            panic!("{e}");
+        }
         self
     }
 
@@ -246,17 +325,20 @@ impl FaultPlan {
         })
     }
 
-    fn assert_single_permanent(&self) {
+    fn single_permanent(&self) -> Result<(), String> {
         let n = self
             .events
             .iter()
             .filter(|e| matches!(e, FaultEvent::PermanentFailure { .. }))
             .count();
-        assert!(
-            n <= 1,
-            "at most one permanent failure per plan (got {n}); \
-             model cascading failures as separate scenarios"
-        );
+        if n <= 1 {
+            Ok(())
+        } else {
+            Err(format!(
+                "at most one permanent failure per plan (got {n}); \
+                 model cascading failures as separate scenarios"
+            ))
+        }
     }
 }
 
@@ -296,6 +378,74 @@ mod tests {
     #[should_panic(expected = "fail_fraction must be in [0, 1]")]
     fn bad_fail_fraction_rejected() {
         let _ = FaultPlan::new().transient(5, 1, 1.5);
+    }
+
+    /// A deserialized plan skips every builder method; `validate` holds
+    /// the same checks plus the scope and recovery ones.
+    #[test]
+    fn validate_checks_a_deserialized_plan_like_a_built_one() {
+        assert_eq!(
+            MAX_TRANSIENT_FAILURES, 64,
+            "the transient rule's text names the bound"
+        );
+        let map = LaneMap::single_node(4);
+        let plan = |events: &str| -> FaultPlan {
+            let recovery = serde_json::to_string(&RecoveryPolicy::default()).unwrap();
+            serde_json::from_str(&format!(
+                "{{\"events\":[{events}],\"recovery\":{recovery}}}"
+            ))
+            .expect("plan parses")
+        };
+        let straggler = |scope: &str, until: f64, factor: f64| {
+            format!(
+                "{{\"Straggler\":{{\"scope\":{scope},\"from\":0.0,\"until\":{until:?},\"factor\":{factor:?}}}}}"
+            )
+        };
+        let kill = |w: usize| {
+            format!("{{\"PermanentFailure\":{{\"scope\":{{\"Worker\":{w}}},\"at\":0.5}}}}")
+        };
+        let transient = |failures: u64| {
+            format!(
+                "{{\"Transient\":{{\"label\":null,\"period\":5,\"failures\":{failures},\"fail_fraction\":0.5}}}}"
+            )
+        };
+        assert_eq!(
+            plan(&straggler("{\"Worker\":1}", 1.0, 2.0)).validate(&map),
+            Ok(())
+        );
+        for (events, needle) in [
+            (
+                straggler("{\"Worker\":1}", 1.0, -3.0),
+                "factor must be positive",
+            ),
+            (
+                straggler("{\"Worker\":1}", 0.0, 2.0),
+                "window must be non-empty",
+            ),
+            (
+                straggler("{\"Worker\":9999}", 1.0, 2.0),
+                "outside the machine",
+            ),
+            (straggler("{\"Node\":1}", 1.0, 2.0), "outside the machine"),
+            (
+                format!("{},{}", kill(0), kill(1)),
+                "at most one permanent failure",
+            ),
+            (transient(400_000_000), "1..=64 failures"),
+            (transient(0), "1..=64 failures"),
+        ] {
+            let err = plan(&events).validate(&map).unwrap_err();
+            assert!(err.contains(needle), "{events}: {err}");
+        }
+        let bad_recovery = FaultPlan::new().with_recovery(RecoveryPolicy {
+            checkpoint: Some(CheckpointPolicy {
+                interval: 0.0,
+                snapshot_cost: 0.0,
+                restore_cost: 0.0,
+            }),
+            ..RecoveryPolicy::default()
+        });
+        assert!(bad_recovery.validate(&map).is_err());
     }
 
     #[test]

@@ -27,9 +27,10 @@ pub enum PolicyKind {
 
 /// Named scheduler profile: a preset of policy + window modeled after one
 /// of the paper's three runtimes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
     /// QUARK (UTK): central FIFO, task window, quiescence query available.
+    #[default]
     Quark,
     /// StarPU (INRIA): work stealing, effectively unbounded window.
     StarPu,
@@ -38,6 +39,18 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
+    /// Every profile, in the paper's order.
+    pub const ALL: [SchedulerKind; 3] = [
+        SchedulerKind::Quark,
+        SchedulerKind::StarPu,
+        SchedulerKind::OmpSs,
+    ];
+
+    /// The profile called `name` — the inverse of [`SchedulerKind::name`].
+    pub fn parse(name: &str) -> Option<SchedulerKind> {
+        Self::ALL.into_iter().find(|k| k.name() == name)
+    }
+
     /// The profile's human-readable name (as used in figure labels).
     pub fn name(self) -> &'static str {
         match self {
@@ -132,6 +145,15 @@ mod tests {
         assert_eq!(SchedulerKind::Quark.name(), "quark");
         assert_eq!(SchedulerKind::StarPu.name(), "starpu");
         assert_eq!(SchedulerKind::OmpSs.name(), "ompss");
+    }
+
+    #[test]
+    fn names_round_trip_through_parse() {
+        for kind in SchedulerKind::ALL {
+            assert_eq!(SchedulerKind::parse(kind.name()), Some(kind));
+        }
+        assert_eq!(SchedulerKind::parse("slurm"), None);
+        assert_eq!(SchedulerKind::default(), SchedulerKind::Quark);
     }
 
     #[test]

@@ -886,6 +886,14 @@ mod tests {
             rt.submit(TaskDesc::new("t", vec![Access::write(d(i))], |_| {}));
         }
         rt.wait_all().unwrap();
+        // `wait_all` returns on the last completion, which can be before
+        // any worker has looped back and parked (when both threads started
+        // only after all ten submits, nobody has parked yet): wait for the
+        // park instead of assuming it.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while rt.stats().idle_transitions == 0 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
         let s = rt.stats();
         // One busy transition per executed task.
         assert_eq!(s.busy_transitions, 10);
@@ -895,7 +903,7 @@ mod tests {
             "lock acquisitions {}",
             s.lock_acquisitions
         );
-        // Both workers must have parked at least once waiting for work.
+        // With the queue drained, a worker parks waiting for work.
         assert!(s.idle_transitions >= 1);
     }
 

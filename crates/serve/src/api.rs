@@ -1,9 +1,12 @@
 //! Typed request/response schema for the service, plus the mapping from
 //! wire DTOs onto the existing [`Scenario`] / [`SweepSpec`] builders.
 //!
-//! Every field the builders would `assert!` on is validated here first and
-//! returned as an `Err(String)` — the server turns those into 400s instead
-//! of worker-thread panics. Response documents contain **only
+//! The mapping is "unwrap the options with `Scenario`'s defaults, parse
+//! names with the shared vocabulary, then `validate()`": the names, the
+//! defaults and the legality rules are `supersim-workloads`', and its
+//! errors are returned as `Err(String)` for the server to answer 400. What
+//! this module adds is the daemon's own size ceilings
+//! ([`MAX_RUN_TASKS`]). Response documents contain **only
 //! virtual-time, seed-determined data** (no wall-clock timing, no lane
 //! assignments beyond the canonical trace digest), so a cached response is
 //! byte-identical to a cold one on the deterministic backends.
@@ -11,17 +14,38 @@
 use crate::cache::ModelCache;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use supersim_cluster::{ClusterSpec, Hockney, Interconnect, SharedLink, ZeroCost};
+use supersim_cluster::ClusterSpec;
 use supersim_core::{ModelRegistry, SimConfig};
 use supersim_faults::FaultPlan;
-use supersim_runtime::SchedulerKind;
-use supersim_workloads::sweep::{FaultPlanSpec, InterconnectSpec, SweepModels, AUTOTUNE_AXES};
+use supersim_workloads::scenario::{parse_scheduler, SYNTHETIC_MU, SYNTHETIC_SIGMA};
+use supersim_workloads::sweep::{FaultPlanSpec, InterconnectSpec, SweepModels};
 use supersim_workloads::{
-    Algorithm, Backend, ClusterRun, FaultOutcome, Scenario, SimRun, SweepBackend, SweepSpec,
+    Algorithm, Backend, ClusterRun, FaultOutcome, Scenario, SimRun, SweepSpec,
 };
 
 /// Maximum accepted request body (JSON) in bytes.
 pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
+
+/// Ceilings on what one request may ask this daemon to simulate, checked
+/// on [`Scenario::task_count`] / [`Scenario::lane_count`] /
+/// [`SweepSpec::cell_bound`] before a run thread is spawned or a tile
+/// layout allocated. Constants, not configuration: they bound what one
+/// request can cost a process other clients share, and sit far above
+/// every CI job and benchmark request (the largest, the 1,000-node smoke,
+/// is 20,000 DES lanes and 88,560 compute tasks). A DES lane is a few
+/// words of state; a threaded lane is a host thread.
+pub const MAX_RUN_TASKS: u64 = 2_000_000;
+/// See [`MAX_RUN_TASKS`].
+pub const MAX_DES_LANES: u64 = 65_536;
+/// See [`MAX_RUN_TASKS`].
+pub const MAX_THREADED_LANES: u64 = 256;
+/// See [`MAX_RUN_TASKS`].
+pub const MAX_SWEEP_CELLS: u64 = 4_096;
+
+/// Refuse a scenario beyond this daemon's ceilings.
+fn admit(scenario: &Scenario) -> Result<(), String> {
+    Ok(scenario.fits(MAX_RUN_TASKS, MAX_DES_LANES, MAX_THREADED_LANES)?)
+}
 
 /// FNV-1a 64 over a byte string — the digest used for trace hashes.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -166,7 +190,7 @@ pub struct SweepRequest {
     pub models: Option<ModelSource>,
     /// Autotune axis name (see the sweep docs).
     pub autotune: Option<String>,
-    /// Host threads (0 = all cores). Capped by the server.
+    /// Host threads, capped at the server's cores (absent or 0 = one).
     pub jobs: Option<usize>,
 }
 
@@ -277,142 +301,73 @@ pub struct PreparedRun {
     pub cacheable: bool,
 }
 
-fn parse_algorithm(s: Option<&str>) -> Result<Algorithm, String> {
-    match s {
-        None | Some("cholesky") => Ok(Algorithm::Cholesky),
-        Some("qr") => Ok(Algorithm::Qr),
-        Some("lu") => Ok(Algorithm::Lu),
-        Some(other) => Err(format!("unknown algorithm '{other}' (cholesky|qr|lu)")),
-    }
+/// An optional name of the vocabulary through its `parse`; absent = the
+/// type's default (`cholesky`, `quark`, backend `auto`).
+fn named<T: Default, E>(name: &Option<String>, parse: fn(&str) -> Result<T, E>) -> Result<T, E> {
+    name.as_deref().map_or_else(|| Ok(T::default()), parse)
 }
 
-fn parse_scheduler(s: Option<&str>) -> Result<SchedulerKind, String> {
-    match s {
-        None | Some("quark") => Ok(SchedulerKind::Quark),
-        Some("starpu") => Ok(SchedulerKind::StarPu),
-        Some("ompss") => Ok(SchedulerKind::OmpSs),
-        Some(other) => Err(format!("unknown scheduler '{other}' (quark|starpu|ompss)")),
-    }
-}
+impl ModelSource {
+    /// The source a request without `models` gets.
+    const DEFAULT: ModelSource = ModelSource::Synthetic {
+        mu: None,
+        sigma: None,
+        warmup: None,
+    };
 
-/// Resolve `auto`/`des`/`threaded` against what the profile supports.
-fn parse_backend(s: Option<&str>, scheduler: SchedulerKind) -> Result<Backend, String> {
-    match s {
-        None | Some("auto") => Ok(if Backend::Des.supports(scheduler).is_ok() {
-            Backend::Des
-        } else {
-            Backend::Threaded
-        }),
-        Some("threaded") => Ok(Backend::Threaded),
-        Some("des") => {
-            Backend::Des
-                .supports(scheduler)
-                .map_err(|e| e.to_string())?;
-            Ok(Backend::Des)
-        }
-        Some(other) => Err(format!("unknown backend '{other}' (auto|des|threaded)")),
-    }
-}
-
-fn positive(name: &str, v: usize) -> Result<usize, String> {
-    if v == 0 {
-        Err(format!("{name} must be positive"))
-    } else {
-        Ok(v)
-    }
-}
-
-/// Reject NaN/negative (and for `strict`, zero) float parameters; NaN
-/// fails every comparison, so the checks are phrased positively.
-fn non_negative_f(name: &str, v: f64, strict: bool) -> Result<f64, String> {
-    let ok = if strict { v > 0.0 } else { v >= 0.0 };
-    if ok {
-        Ok(v)
-    } else if strict {
-        Err(format!("{name} must be positive"))
-    } else {
-        Err(format!("{name} must be non-negative"))
-    }
-}
-
-fn build_interconnect(
-    name: Option<&str>,
-    latency: Option<f64>,
-    bandwidth: Option<f64>,
-) -> Result<Arc<dyn Interconnect>, String> {
-    let latency = non_negative_f("latency", latency.unwrap_or(1e-5), false)?;
-    let bandwidth = non_negative_f("bandwidth", bandwidth.unwrap_or(1e10), true)?;
-    match name {
-        None | Some("hockney") => Ok(Arc::new(Hockney::new(latency, bandwidth))),
-        Some("zero") => Ok(Arc::new(ZeroCost)),
-        Some("sharedlink") => Ok(Arc::new(SharedLink::new(latency, bandwidth))),
-        Some(other) => Err(format!(
-            "unknown interconnect '{other}' (zero|hockney|sharedlink)"
-        )),
+    /// `(mu, sigma, warmup)` of a synthetic source after defaulting.
+    pub(crate) fn synthetic(mu: Option<f64>, sigma: Option<f64>, warmup: Option<f64>) -> [f64; 3] {
+        [
+            mu.unwrap_or(SYNTHETIC_MU),
+            sigma.unwrap_or(SYNTHETIC_SIGMA),
+            warmup.unwrap_or(1.0),
+        ]
     }
 }
 
 impl RunRequest {
-    /// Validate the request, resolve its models through `cache`, and
-    /// build the scenario. All builder invariants are checked here so a
-    /// malformed request becomes a 400, never a worker panic.
+    /// Map the request onto a [`Scenario`] (absent fields keep the
+    /// scenario's defaults), resolve its models through `cache`, and
+    /// check it: [`Scenario::validate`], then the daemon's ceilings. A
+    /// rejected request is an `Err` — a 400 — never a worker panic.
     pub fn prepare(&self, cache: &ModelCache) -> Result<PreparedRun, String> {
-        let algorithm = parse_algorithm(self.algorithm.as_deref())?;
-        let scheduler = parse_scheduler(self.scheduler.as_deref())?;
-        let backend = parse_backend(self.backend.as_deref(), scheduler)?;
-        let workers = positive("workers", self.workers.unwrap_or(4))?;
-        let seed = self.seed.unwrap_or(42);
-        let tile_size = positive("tile_size", self.tile_size.unwrap_or(64))?;
-        if let Some(n) = self.n {
-            positive("n", n)?;
+        let algorithm = named(&self.algorithm, Algorithm::parse)?;
+        let scheduler = named(&self.scheduler, parse_scheduler)?;
+        let choice = named(&self.backend, Backend::parse_choice)?;
+        let backend = Backend::resolve(choice, scheduler, self.cluster.is_some())?;
+        let defaults = Scenario::new(algorithm);
+        let workers = self.workers.unwrap_or(defaults.workers_of());
+        let seed = self.seed.unwrap_or(defaults.seed_of());
+        let tile_size = self.tile_size.unwrap_or(defaults.tile_size_of());
+        if !self.virtual_budget.is_none_or(|b| b >= 0.0) {
+            return Err("virtual_budget must be non-negative".to_string());
         }
-        if let Some(t) = self.tiles {
-            positive("tiles", t)?;
-        }
-        let overhead = non_negative_f(
-            "overhead_per_task",
-            self.overhead_per_task.unwrap_or(0.0),
-            false,
-        )?;
-        if let Some(b) = self.virtual_budget {
-            non_negative_f("virtual_budget", b, false)?;
+        let stream_epoch = self.stream_epoch.unwrap_or(1.0);
+        if !stream_epoch.is_finite() || stream_epoch <= 0.0 {
+            return Err(format!(
+                "stream_epoch must be a positive finite number of virtual seconds, got {stream_epoch}"
+            ));
         }
 
-        let source = self.models.clone().unwrap_or(ModelSource::Synthetic {
-            mu: None,
-            sigma: None,
-            warmup: None,
-        });
-        let models = cache.resolve(&source, algorithm)?;
-
+        let source = self.models.as_ref().unwrap_or(&ModelSource::DEFAULT);
+        let models = cache.resolve(source, algorithm)?;
         let (plan, faults_name) = match (&self.faults, self.fault_preset.as_deref()) {
             (Some(p), _) => (p.clone(), "custom".to_string()),
-            (None, Some(name)) => {
-                let spec = FaultPlanSpec::preset(name).ok_or_else(|| {
-                    format!("unknown fault preset '{name}' (clean|straggler|transient|kill)")
-                })?;
-                (spec.plan, format!("preset:{name}"))
-            }
+            (None, Some(name)) => (FaultPlanSpec::parse(name)?.plan, format!("preset:{name}")),
             (None, None) => (FaultPlan::new(), "none".to_string()),
         };
-        let terminal = if self.cluster.is_some() {
-            if plan.permanent_failure().is_some() {
-                Terminal::Faults
-            } else {
-                Terminal::Cluster
-            }
-        } else if plan.permanent_failure().is_some() {
-            Terminal::Faults
-        } else {
-            Terminal::Sim
+        let terminal = match (plan.permanent_failure(), &self.cluster) {
+            (Some(_), _) => Terminal::Faults,
+            (None, Some(_)) => Terminal::Cluster,
+            (None, None) => Terminal::Sim,
         };
 
         let sim_config = SimConfig {
             seed,
-            overhead_per_task: overhead,
+            overhead_per_task: self.overhead_per_task.unwrap_or(0.0),
             ..SimConfig::default()
         };
-        let mut scenario = Scenario::new(algorithm)
+        let mut scenario = defaults
             .tile_size(tile_size)
             .scheduler(scheduler)
             .workers(workers)
@@ -428,17 +383,14 @@ impl RunRequest {
         }
         let mut cluster_echo = None;
         if let Some(c) = &self.cluster {
-            if algorithm == Algorithm::Qr {
-                return Err("distributed QR is unimplemented; drop the cluster".to_string());
-            }
-            positive("cluster.nodes", c.nodes)?;
-            positive("cluster.workers_per_node", c.workers_per_node)?;
-            let ic = build_interconnect(c.interconnect.as_deref(), c.latency, c.bandwidth)?;
-            let nic = match c.nic_lanes {
-                Some(l) => positive("cluster.nic_lanes", l)?,
-                None => ic.default_nic_lanes(),
+            let ic =
+                InterconnectSpec::parse(c.interconnect.as_deref(), c.latency, c.bandwidth)?.build();
+            let spec = ClusterSpec {
+                nodes: c.nodes,
+                workers_per_node: c.workers_per_node,
+                nic_lanes_per_node: c.nic_lanes.unwrap_or(ic.default_nic_lanes()),
+                mem_bytes_per_node: 0,
             };
-            let spec = ClusterSpec::new(c.nodes, c.workers_per_node).with_nic_lanes(nic);
             cluster_echo = Some(format!(
                 "{}x{}:{}",
                 c.nodes,
@@ -447,15 +399,11 @@ impl RunRequest {
             ));
             scenario = scenario.cluster(spec).interconnect(ic);
         }
+        scenario.validate()?;
+        admit(&scenario)?;
 
         let content_hash = scenario.content_hash();
         let stream = self.stream.unwrap_or(false);
-        let stream_epoch = self.stream_epoch.unwrap_or(1.0);
-        if !stream_epoch.is_finite() || stream_epoch <= 0.0 {
-            return Err(format!(
-                "stream_epoch must be a positive finite number of virtual seconds, got {stream_epoch}"
-            ));
-        }
         let echo = ScenarioEcho {
             algorithm: algorithm.name().to_string(),
             n: scenario.matrix_order(),
@@ -555,137 +503,66 @@ impl RunOutput {
 }
 
 impl SweepRequest {
-    /// Validate and map onto a [`SweepSpec`]. Every axis the sweep's
-    /// `cells()` would assert on is checked here.
+    /// Map the request onto a [`SweepSpec`] (absent axes keep the sweep's
+    /// defaults) and check it: the daemon's ceiling on the cell count,
+    /// [`SweepSpec::try_cells`] (everything [`SweepSpec::validate`]
+    /// checks), then the daemon's ceilings on every cell.
     pub fn spec(&self) -> Result<SweepSpec, String> {
+        fn axis<T: Clone>(into: &mut Vec<T>, from: &Option<Vec<T>>) {
+            if let Some(values) = from {
+                into.clone_from(values);
+            }
+        }
+        fn names<T, E>(
+            into: &mut Vec<T>,
+            from: &Option<Vec<String>>,
+            parse: fn(&str) -> Result<T, E>,
+        ) -> Result<(), E> {
+            if let Some(names) = from {
+                *into = names.iter().map(|s| parse(s)).collect::<Result<_, _>>()?;
+            }
+            Ok(())
+        }
         let mut spec = SweepSpec::default();
-        if let Some(algs) = &self.algorithms {
-            if algs.is_empty() {
-                return Err("algorithms axis is empty".to_string());
-            }
-            spec.algorithms = algs
-                .iter()
-                .map(|s| parse_algorithm(Some(s)))
-                .collect::<Result<_, _>>()?;
-        }
-        if let Some(orders) = &self.orders {
-            for &n in orders {
-                positive("orders entry", n)?;
-            }
-            spec.orders = orders.clone();
-        }
-        if let Some(tc) = &self.tile_counts {
-            if tc.is_empty() && self.orders.as_ref().is_none_or(Vec::is_empty) {
-                return Err("tile_counts axis is empty".to_string());
-            }
-            for &t in tc {
-                positive("tile_counts entry", t)?;
-            }
-            spec.tile_counts = tc.clone();
-        }
-        if let Some(ts) = &self.tile_sizes {
-            if ts.is_empty() {
-                return Err("tile_sizes axis is empty".to_string());
-            }
-            for &t in ts {
-                positive("tile_sizes entry", t)?;
-            }
-            spec.tile_sizes = ts.clone();
-        }
-        if let Some(scheds) = &self.schedulers {
-            if scheds.is_empty() {
-                return Err("schedulers axis is empty".to_string());
-            }
-            spec.schedulers = scheds
-                .iter()
-                .map(|s| parse_scheduler(Some(s)))
-                .collect::<Result<_, _>>()?;
-        }
-        if let Some(w) = &self.worker_counts {
-            if w.is_empty() {
-                return Err("worker_counts axis is empty".to_string());
-            }
-            for &x in w {
-                positive("worker_counts entry", x)?;
-            }
-            spec.worker_counts = w.clone();
-        }
-        if let Some(nodes) = &self.node_counts {
-            if nodes.is_empty() {
-                return Err("node_counts axis is empty".to_string());
-            }
-            spec.node_counts = nodes.clone();
-        }
-        if let Some(plans) = &self.plans {
-            if plans.is_empty() {
-                return Err("plans axis is empty".to_string());
-            }
-            spec.plans = plans
-                .iter()
-                .map(|name| {
-                    FaultPlanSpec::preset(name).ok_or_else(|| {
-                        format!("unknown fault preset '{name}' (clean|straggler|transient|kill)")
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-        }
-        if let Some(seeds) = &self.seeds {
-            if seeds.is_empty() {
-                return Err("seeds axis is empty".to_string());
-            }
-            spec.seeds = seeds.clone();
-        }
-        spec.backend = match self.backend.as_deref() {
-            None | Some("auto") => SweepBackend::Auto,
-            Some("des") => SweepBackend::Des,
-            Some("threaded") => SweepBackend::Threaded,
-            Some(other) => return Err(format!("unknown backend '{other}' (auto|des|threaded)")),
-        };
+        names(&mut spec.algorithms, &self.algorithms, Algorithm::parse)?;
+        names(&mut spec.schedulers, &self.schedulers, parse_scheduler)?;
+        names(&mut spec.plans, &self.plans, FaultPlanSpec::parse)?;
+        axis(&mut spec.orders, &self.orders);
+        axis(&mut spec.tile_counts, &self.tile_counts);
+        axis(&mut spec.tile_sizes, &self.tile_sizes);
+        axis(&mut spec.worker_counts, &self.worker_counts);
+        axis(&mut spec.node_counts, &self.node_counts);
+        axis(&mut spec.seeds, &self.seeds);
+        spec.backend = named(&self.backend, Backend::parse_choice)?;
         if self.interconnect.is_some() || self.latency.is_some() || self.bandwidth.is_some() {
-            let latency = non_negative_f("latency", self.latency.unwrap_or(1e-5), false)?;
-            let bandwidth = non_negative_f("bandwidth", self.bandwidth.unwrap_or(1e10), true)?;
-            let name = self.interconnect.as_deref().unwrap_or("hockney");
-            let ic = InterconnectSpec::parse(name, latency, bandwidth).ok_or_else(|| {
-                format!("unknown interconnect '{name}' (zero|hockney|sharedlink)")
-            })?;
-            spec.interconnects = vec![ic];
+            let name = self.interconnect.as_deref();
+            spec.interconnects = vec![InterconnectSpec::parse(name, self.latency, self.bandwidth)?];
         }
-        if let Some(l) = self.nic_lanes {
-            spec.nic_lanes = Some(positive("nic_lanes", l)?);
-        }
-        if let Some(o) = self.overhead_per_task {
-            spec.overhead_per_task = non_negative_f("overhead_per_task", o, false)?;
-        }
+        spec.nic_lanes = self.nic_lanes;
+        spec.overhead_per_task = self.overhead_per_task.unwrap_or(0.0);
         match &self.models {
             None => {}
             Some(ModelSource::Synthetic { mu, sigma, warmup }) => {
-                let sigma = non_negative_f("sigma", sigma.unwrap_or(0.3), false)?;
-                spec.models = SweepModels::Synthetic {
-                    mu: mu.unwrap_or(-6.0),
-                    sigma,
-                    warmup: warmup.unwrap_or(1.0),
-                };
+                let [mu, sigma, warmup] = ModelSource::synthetic(*mu, *sigma, *warmup);
+                spec.models = SweepModels::Synthetic { mu, sigma, warmup };
             }
-            Some(ModelSource::Constant { .. }) => {
+            Some(ModelSource::Constant { .. } | ModelSource::Calibration { .. }) => {
                 return Err(
-                    "constant models are not supported for sweeps; use synthetic with sigma 0"
-                        .to_string(),
-                );
-            }
-            Some(ModelSource::Calibration { .. }) => {
-                return Err(
-                    "calibration databases are not supported for sweeps; use /run per scenario"
+                    "sweeps take synthetic models only; use /run per scenario for the rest"
                         .to_string(),
                 );
             }
         }
-        if let Some(axis) = &self.autotune {
-            if !(AUTOTUNE_AXES.contains(&axis.as_str()) || axis == "tile_size") {
-                return Err(format!(
-                    "unknown autotune axis '{axis}' (one of {AUTOTUNE_AXES:?})"
-                ));
-            }
-            spec.autotune = Some(axis.clone());
+        spec.autotune.clone_from(&self.autotune);
+
+        if spec.cell_bound() > MAX_SWEEP_CELLS {
+            return Err(format!(
+                "up to {} cells exceed the limit of {MAX_SWEEP_CELLS}",
+                spec.cell_bound()
+            ));
+        }
+        for cell in spec.try_cells()? {
+            admit(&cell.scenario)?;
         }
         Ok(spec)
     }
@@ -772,6 +649,195 @@ mod tests {
         assert!(bad.spec().unwrap_err().contains("tile_sizes"));
         let bad: SweepRequest = serde_json::from_str("{\"autotune\":\"flux\"}").unwrap();
         assert!(bad.spec().unwrap_err().contains("autotune"));
+    }
+
+    /// Names are judged by `supersim-workloads`; this module returns its
+    /// text verbatim (`tests/cli.rs` pins the same for the CLI).
+    #[test]
+    fn unknown_names_return_the_vocabularys_text() {
+        let cache = ModelCache::new();
+        let sweep = |json: &str| -> SweepRequest { serde_json::from_str(json).unwrap() };
+        let algorithm = Algorithm::parse("gemm").unwrap_err().to_string();
+        let scheduler = parse_scheduler("slurm").unwrap_err().to_string();
+        let backend = Backend::parse_choice("gpu").unwrap_err().to_string();
+        let preset = FaultPlanSpec::parse("meteor").unwrap_err().to_string();
+        let interconnect = InterconnectSpec::parse(Some("ether"), None, None)
+            .unwrap_err()
+            .to_string();
+        for (run, sweeps, want) in [
+            (
+                "{\"algorithm\":\"gemm\"}",
+                "{\"algorithms\":[\"lu\",\"gemm\"]}",
+                algorithm,
+            ),
+            (
+                "{\"scheduler\":\"slurm\"}",
+                "{\"schedulers\":[\"slurm\"]}",
+                scheduler,
+            ),
+            ("{\"backend\":\"gpu\"}", "{\"backend\":\"gpu\"}", backend),
+            (
+                "{\"fault_preset\":\"meteor\"}",
+                "{\"plans\":[\"meteor\"]}",
+                preset,
+            ),
+            (
+                "{\"cluster\":{\"nodes\":2,\"workers_per_node\":2,\"interconnect\":\"ether\"}}",
+                "{\"interconnect\":\"ether\"}",
+                interconnect,
+            ),
+        ] {
+            assert_eq!(req(run).prepare(&cache).err(), Some(want.clone()), "{run}");
+            assert_eq!(sweep(sweeps).spec().err(), Some(want), "{sweeps}");
+        }
+    }
+
+    /// Satellite 1: the size of a request is judged from closed forms,
+    /// before a thread is spawned or a layout allocated — first by the
+    /// library's ceilings, then by this daemon's tighter ones.
+    #[test]
+    fn oversize_requests_are_refused_with_the_limit_in_the_message() {
+        let cache = ModelCache::new();
+        for (json, needle) in [
+            (
+                "{\"tiles\":100000,\"backend\":\"des\"}",
+                "tasks exceed the limit of 4294967296",
+            ),
+            (
+                "{\"tiles\":300,\"backend\":\"des\"}",
+                "4545100 tasks exceed the limit of 2000000",
+            ),
+            (
+                "{\"tiles\":2,\"workers\":50000,\"backend\":\"threaded\"}",
+                "50000 lanes exceed the threaded backend's limit of 4096",
+            ),
+            (
+                "{\"tiles\":2,\"workers\":1000,\"backend\":\"threaded\"}",
+                "1000 lanes exceed the threaded backend's limit of 256",
+            ),
+            (
+                "{\"tiles\":2,\"backend\":\"des\",\"cluster\":{\"nodes\":5000,\"workers_per_node\":16}}",
+                "100000 lanes exceed the des backend's limit of 65536",
+            ),
+        ] {
+            let err = req(json).prepare(&cache).err().expect(json);
+            assert!(err.contains(needle), "for {json}: {err}");
+        }
+        let sweep = |json: &str| -> SweepRequest { serde_json::from_str(json).unwrap() };
+        let seeds: Vec<String> = (0..5000).map(|s| s.to_string()).collect();
+        for (json, needle) in [
+            (
+                format!("{{\"seeds\":[{}]}}", seeds.join(",")),
+                "5000 cells exceed the limit of 4096",
+            ),
+            (
+                "{\"tile_counts\":[4,300]}".to_string(),
+                "tasks exceed the limit of 2000000",
+            ),
+            (
+                "{\"worker_counts\":[1000],\"backend\":\"threaded\"}".to_string(),
+                "lanes exceed the threaded backend's limit of 256",
+            ),
+        ] {
+            let err = sweep(&json).spec().expect_err(&json);
+            assert!(err.contains(needle), "for {json}: {err}");
+        }
+        // What CI and the benchmark send stays far inside: the saturation
+        // test's 80x80 tiles, the 1,000-node x 16-worker smoke's machine.
+        for json in [
+            "{\"tiles\":80,\"backend\":\"des\"}",
+            "{\"tiles\":12,\"workers\":16,\"seed\":7,\"backend\":\"des\"}",
+            "{\"n\":7680,\"tile_size\":96,\"backend\":\"des\",\"cluster\":{\"nodes\":1000,\"workers_per_node\":16}}",
+        ] {
+            assert!(req(json).prepare(&cache).is_ok(), "{json}");
+        }
+    }
+
+    /// A `"faults"` plan arrives deserialized, past every `FaultPlan`
+    /// builder method; `Scenario::validate` checks it like a built one.
+    #[test]
+    fn deserialized_fault_plans_are_validated() {
+        let cache = ModelCache::new();
+        let plan = |workers: usize, events: &str| {
+            req(&format!(
+                "{{\"tiles\":4,\"workers\":{workers},\"faults\":{{\"events\":[{events}],\"recovery\":\
+                 {{\"backoff_base\":1e-4,\"backoff_cap\":1e-2,\"restart_delay\":0.0,\"checkpoint\":null}}}}}}"
+            ))
+            .prepare(&cache)
+        };
+        let straggler = |worker: usize, factor: f64| {
+            format!(
+                "{{\"Straggler\":{{\"scope\":{{\"Worker\":{worker}}},\"from\":0.0,\"until\":1.0,\"factor\":{factor:?}}}}}"
+            )
+        };
+        let kill = |worker: usize| {
+            format!("{{\"PermanentFailure\":{{\"scope\":{{\"Worker\":{worker}}},\"at\":0.01}}}}")
+        };
+        let transient = "{\"Transient\":{\"label\":null,\"period\":5,\"failures\":400000000,\"fail_fraction\":0.5}}";
+        assert_eq!(plan(4, &straggler(1, 2.0)).unwrap().echo.faults, "custom");
+        assert_eq!(plan(4, &kill(1)).unwrap().terminal, Terminal::Faults);
+        for (prepared, needle) in [
+            (plan(4, &straggler(1, -3.0)), "factor must be positive"),
+            (plan(4, &straggler(9999, 2.0)), "outside the machine"),
+            (
+                plan(4, &format!("{},{}", kill(1), kill(2))),
+                "at most one permanent failure",
+            ),
+            (plan(1, &kill(0)), "must leave survivors"),
+            (plan(4, transient), "failures"),
+        ] {
+            let err = prepared.err().expect(needle);
+            assert!(err.contains(needle), "want {needle:?}, got {err:?}");
+        }
+    }
+
+    /// Satellite 4(c): what must not move. The `/run` documents for `{}`
+    /// and for the benchmark's `run_body(seed)` shape — echo, content
+    /// hash, makespan bits and trace hash — and the sweep report for its
+    /// `sweep_body` shape, as the parent commit's binary printed them.
+    #[test]
+    fn response_documents_are_pinned() {
+        let cache = ModelCache::new();
+        let run = |json: &str| {
+            let p = req(json).prepare(&cache).unwrap();
+            let doc = RunResponse {
+                result: RunOutput::Sim(p.scenario.run_sim()).doc(),
+                scenario: p.echo,
+            };
+            serde_json::to_string(&doc).unwrap()
+        };
+        assert_eq!(
+            run("{}"),
+            "{\"scenario\":{\"algorithm\":\"cholesky\",\"n\":512,\"nb\":64,\"scheduler\":\"quark\",\
+             \"workers\":4,\"seed\":42,\"backend\":\"des\",\"faults\":\"none\",\"cluster\":null,\
+             \"content_hash\":\"0x9ee5710741b97479\"},\"result\":{\"kind\":\"sim\",\
+             \"predicted_seconds\":0.09561276648707827,\"gflops\":0.469292978841524,\"tasks\":120,\
+             \"trace_events\":120,\"trace_hash\":\"0x9a12f97f7c2eab36\",\"transfers\":null,\
+             \"transfer_bytes\":null,\"clean_makespan\":null,\"faulted_makespan\":null,\
+             \"slowdown\":null,\"retries\":null}}"
+        );
+        assert_eq!(
+            run("{\"tiles\":12,\"workers\":16,\"seed\":7,\"backend\":\"des\"}"),
+            "{\"scenario\":{\"algorithm\":\"cholesky\",\"n\":768,\"nb\":64,\"scheduler\":\"quark\",\
+             \"workers\":16,\"seed\":7,\"backend\":\"des\",\"faults\":\"none\",\"cluster\":null,\
+             \"content_hash\":\"0x949073de1d1b5b27\"},\"result\":{\"kind\":\"sim\",\
+             \"predicted_seconds\":0.10628598683619868,\"gflops\":1.423423618704869,\"tasks\":364,\
+             \"trace_events\":364,\"trace_hash\":\"0xfe51fd7603b41ee9\",\"transfers\":null,\
+             \"transfer_bytes\":null,\"clean_makespan\":null,\"faulted_makespan\":null,\
+             \"slowdown\":null,\"retries\":null}}"
+        );
+        let sweep: SweepRequest = serde_json::from_str(
+            "{\"tile_counts\":[4,6],\"worker_counts\":[2,4],\"node_counts\":[0,2],\
+             \"plans\":[\"clean\",\"straggler\"],\"seeds\":[1,2,3,4],\"backend\":\"des\",\"jobs\":1}",
+        )
+        .unwrap();
+        let report = sweep.spec().unwrap().run(1).report;
+        assert_eq!(report.cells_total, 64);
+        let json = report.to_json();
+        assert_eq!(
+            (json.len(), fnv1a(json.as_bytes())),
+            (50_416, 0xcf45_7483_0c09_c9db)
+        );
     }
 
     #[test]

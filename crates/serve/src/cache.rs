@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use supersim_calibrate::CalibrationDb;
 use supersim_core::{KernelModel, ModelRegistry};
-use supersim_dist::Dist;
+use supersim_workloads::scenario::{synthetic_model, uniform_models};
 use supersim_workloads::Algorithm;
 
 /// Cached, shared duration-model registries.
@@ -62,57 +62,30 @@ impl ModelCache {
         source: &ModelSource,
         algorithm: Algorithm,
     ) -> Result<Arc<ModelRegistry>, String> {
-        match source {
+        // Building the one `KernelModel` is plain arithmetic, so the
+        // parameters are checked on every request, hit or miss.
+        let (key, model) = match source {
+            ModelSource::Calibration { path } => return self.calibration(path),
             ModelSource::Synthetic { mu, sigma, warmup } => {
-                let mu = mu.unwrap_or(-6.0);
-                let sigma = sigma.unwrap_or(0.3);
-                let warmup = warmup.unwrap_or(1.0);
-                if sigma < 0.0 || sigma.is_nan() {
-                    return Err("sigma must be non-negative".to_string());
-                }
-                if warmup <= 0.0 || warmup.is_nan() {
-                    return Err("warmup must be positive".to_string());
-                }
-                let key = format!("synthetic:{}:{mu:e}:{sigma:e}:{warmup:e}", algorithm.name());
-                self.build_cached(&key, || {
-                    let dist = Dist::log_normal(mu, sigma)
-                        .map_err(|e| format!("bad synthetic model: {e}"))?;
-                    let mut m = ModelRegistry::new();
-                    for label in algorithm.labels() {
-                        m.insert(*label, KernelModel::with_warmup(dist.clone(), warmup));
-                    }
-                    Ok(m)
-                })
+                let [mu, sigma, warmup] = ModelSource::synthetic(*mu, *sigma, *warmup);
+                (
+                    format!("synthetic:{}:{mu:e}:{sigma:e}:{warmup:e}", algorithm.name()),
+                    synthetic_model(mu, sigma, warmup)?,
+                )
             }
-            ModelSource::Constant { seconds } => {
-                if *seconds < 0.0 || seconds.is_nan() {
-                    return Err("seconds must be non-negative".to_string());
-                }
-                let key = format!("constant:{}:{seconds:e}", algorithm.name());
-                self.build_cached(&key, || {
-                    let mut m = ModelRegistry::new();
-                    for label in algorithm.labels() {
-                        m.insert(*label, KernelModel::constant(*seconds));
-                    }
-                    Ok(m)
-                })
-            }
-            ModelSource::Calibration { path } => self.calibration(path),
-        }
-    }
-
-    fn build_cached(
-        &self,
-        key: &str,
-        build: impl FnOnce() -> Result<ModelRegistry, String>,
-    ) -> Result<Arc<ModelRegistry>, String> {
-        if let Some(m) = self.map.lock().get(key) {
+            ModelSource::Constant { seconds } if *seconds >= 0.0 => (
+                format!("constant:{}:{seconds:e}", algorithm.name()),
+                KernelModel::constant(*seconds),
+            ),
+            ModelSource::Constant { .. } => return Err("seconds must be non-negative".to_string()),
+        };
+        if let Some(m) = self.map.lock().get(&key) {
             return Ok(m.clone());
         }
-        let built = Arc::new(build()?);
+        let built = Arc::new(uniform_models(&[algorithm], &model));
         // Races insert twice at worst; last write wins and both values
         // are identical by construction.
-        self.map.lock().insert(key.to_string(), built.clone());
+        self.map.lock().insert(key, built.clone());
         Ok(built)
     }
 

@@ -423,7 +423,7 @@ fn handle_run(state: &State, req: &Request, stream: &mut TcpStream) -> u16 {
                 Terminal::Cluster => RunOutput::Cluster(scenario.run_cluster()),
                 Terminal::Faults => RunOutput::Faults(scenario.run_faults()),
             }))
-            .map_err(|p| panic_message(&p));
+            .map_err(|p| panic_message(&*p));
             let _ = tx.send(out);
         })
         .expect("spawn run thread");
@@ -603,11 +603,11 @@ fn handle_sweep(state: &State, req: &Request, stream: &mut TcpStream) -> u16 {
         }
     };
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let jobs = parsed.jobs.unwrap_or(0).clamp(0, host).max(1).min(host);
+    let jobs = parsed.jobs.unwrap_or(1).clamp(1, host);
     let outcome = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| spec.run(jobs))) {
         Ok(o) => o,
         Err(p) => {
-            let _ = Response::error(500, &format!("sweep failed: {}", panic_message(&p)))
+            let _ = Response::error(500, &format!("sweep failed: {}", panic_message(&*p)))
                 .write_to(stream);
             return 500;
         }
@@ -622,6 +622,9 @@ fn handle_sweep(state: &State, req: &Request, stream: &mut TcpStream) -> u16 {
     200
 }
 
+/// The text of a caught panic. Takes the payload itself — pass `&*boxed`:
+/// a `&Box<dyn Any + Send>` would unsize to the `Any` of the *box* and
+/// miss both downcasts.
 fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_string()

@@ -259,3 +259,147 @@ fn protocol_errors_map_to_statuses() {
     assert_eq!(wrong.status, 405);
     handle.shutdown();
 }
+
+/// Satellite 4(b), third front end: every row of the illegal-input table
+/// (`scenario::tests::validate_rejects_each_illegal_scenario_with_one_line`)
+/// is a prompt 400 with a one-line reason, and the daemon answers
+/// `/healthz` afterwards. At the parent commit the two oversize rows
+/// aborted the whole process (a 560 GB tile layout; 50,000 thread
+/// spawns) and the custom-plan rows ran (or wedged a worker), because a
+/// deserialized plan skipped the builder's checks.
+#[test]
+fn rejected_inputs_are_400s_and_the_daemon_survives() {
+    let handle = boot(2, 4, 120_000);
+    let plan = |workers: usize, events: &str| {
+        format!(
+            "{{\"tiles\":4,\"workers\":{workers},\"faults\":{{\"events\":[{events}],\"recovery\":\
+             {{\"backoff_base\":1e-4,\"backoff_cap\":1e-2,\"restart_delay\":0.0,\"checkpoint\":null}}}}}}"
+        )
+    };
+    let straggler = |worker: usize, until: f64, factor: f64| {
+        format!(
+            "{{\"Straggler\":{{\"scope\":{{\"Worker\":{worker}}},\"from\":0.0,\"until\":{until:?},\"factor\":{factor:?}}}}}"
+        )
+    };
+    let kill = |worker: usize| {
+        format!("{{\"PermanentFailure\":{{\"scope\":{{\"Worker\":{worker}}},\"at\":0.01}}}}")
+    };
+    let seeds: Vec<String> = (0..5000).map(|s| s.to_string()).collect();
+    let rows: Vec<(&str, String, &str)> = vec![
+        ("/run", "{\"n\":0}".into(), "n must be positive"),
+        ("/run", "{\"workers\":0}".into(), "workers must be positive"),
+        (
+            "/run",
+            "{\"algorithm\":\"qr\",\"cluster\":{\"nodes\":2,\"workers_per_node\":2}}".into(),
+            "distributed QR",
+        ),
+        (
+            "/run",
+            "{\"scheduler\":\"starpu\",\"backend\":\"des\"}".into(),
+            "cannot replay deterministically",
+        ),
+        (
+            "/run",
+            plan(4, &format!("{},{}", kill(1), kill(2))),
+            "at most one permanent failure",
+        ),
+        ("/run", plan(1, &kill(0)), "must leave survivors"),
+        ("/run", plan(4, &straggler(1, 1.0, -3.0)), "factor must be positive"),
+        ("/run", plan(4, &straggler(1, 0.0, 2.0)), "window must be non-empty"),
+        ("/run", plan(4, &straggler(9999, 1.0, 2.0)), "outside the machine"),
+        (
+            "/run",
+            plan(
+                4,
+                "{\"Transient\":{\"label\":null,\"period\":5,\"failures\":400000000,\"fail_fraction\":0.5}}",
+            ),
+            "failures",
+        ),
+        (
+            "/run",
+            "{\"tiles\":100000,\"backend\":\"des\"}".into(),
+            "tasks exceed",
+        ),
+        (
+            "/run",
+            "{\"tiles\":2,\"workers\":50000,\"backend\":\"threaded\"}".into(),
+            "lanes exceed",
+        ),
+        (
+            "/sweep",
+            format!("{{\"seeds\":[{}]}}", seeds.join(",")),
+            "cells exceed",
+        ),
+        ("/sweep", "{\"tile_counts\":[100000]}".into(), "tasks exceed"),
+        (
+            "/sweep",
+            "{\"plans\":[\"kill\"],\"worker_counts\":[1]}".into(),
+            "outside the machine",
+        ),
+    ];
+    for (path, body, needle) in rows {
+        let started = std::time::Instant::now();
+        let resp = post(&handle, path, &body);
+        let elapsed = started.elapsed();
+        let shown = &body[..body.len().min(120)];
+        assert_eq!(resp.status, 400, "{shown}: {}", resp.body);
+        assert!(resp.body.contains(needle), "{shown}: {}", resp.body);
+        assert_eq!(resp.body.lines().count(), 1, "{}", resp.body);
+        assert!(
+            elapsed < Duration::from_secs(5),
+            "{shown}: a rejection must not do the work first ({elapsed:?})"
+        );
+        assert_eq!(get(&handle, "/healthz").status, 200, "after {shown}");
+    }
+    handle.shutdown();
+}
+
+/// A panic inside a run — an engine bug, not a rejected input — is caught
+/// per request and its message reaches the 500 body. Here a calibration
+/// file carries a kernel model deserialization cannot vet: an empirical
+/// distribution with no samples, which panics when first drawn from.
+#[test]
+fn engine_panics_are_500s_carrying_the_message() {
+    use supersim_calibrate::{calibrate, CalibrationDb, FitOptions};
+    use supersim_trace::{Trace, TraceEvent};
+    let mut trace = Trace::new(1);
+    let labels = supersim_workloads::Algorithm::Cholesky.labels();
+    for (i, kernel) in labels.iter().cycle().take(160).enumerate() {
+        trace.push(TraceEvent {
+            worker: 0,
+            kernel: (*kernel).into(),
+            task_id: i as u64,
+            start: i as f64,
+            end: i as f64 + 0.01,
+        });
+    }
+    let cal = calibrate(&trace, FitOptions::default());
+    let mut db = CalibrationDb::new("poisoned", 64, 8, 1, cal);
+    let empty: supersim_dist::Dist =
+        serde_json::from_str("{\"family\":\"empirical\",\"sorted\":[]}")
+            .expect("deserializes unchecked");
+    db.calibration
+        .registry
+        .insert("dgemm", supersim_core::KernelModel::new(empty));
+    let dir = std::env::temp_dir().join(format!("supersim-serve-panic-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("poisoned.json");
+    db.save(&path).unwrap();
+
+    let handle = boot(1, 4, 120_000);
+    let body = format!(
+        "{{\"tiles\":4,\"models\":{{\"type\":\"calibration\",\"path\":{:?}}}}}",
+        path.to_str().unwrap()
+    );
+    let resp = post(&handle, "/run", &body);
+    assert_eq!(resp.status, 500, "{}", resp.body);
+    assert!(resp.body.contains("run failed"), "{}", resp.body);
+    assert!(
+        !resp.body.contains("opaque panic") && resp.body.contains("empty range"),
+        "the panic's own text must reach the client: {}",
+        resp.body
+    );
+    assert_eq!(get(&handle, "/healthz").status, 200);
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -54,7 +54,12 @@ impl SharedTiles {
         assert!(nb > 0, "tile size must be positive");
         let mt = rows.div_ceil(nb);
         let nt = cols.div_ceil(nb);
-        let tiles: Vec<RwLock<Matrix>> = (0..mt * nt)
+        // Checked: a wrapped tile count or id range would alias tiles.
+        let count = mt
+            .checked_mul(nt)
+            .filter(|&c| base_id.checked_add(c as u64).is_some())
+            .unwrap_or_else(|| panic!("a {mt}x{nt} tile grid at id {base_id} overflows"));
+        let tiles: Vec<RwLock<Matrix>> = (0..count)
             .map(|_| RwLock::new(Matrix::zeros(0, 0)))
             .collect();
         SharedTiles {

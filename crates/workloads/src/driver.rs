@@ -7,7 +7,7 @@
 use crate::data::SharedTiles;
 use crate::mode::ExecMode;
 use crate::replay::run_stream;
-use crate::scenario::Scenario;
+use crate::scenario::{Scenario, ScenarioError};
 use crate::stream;
 use std::sync::Arc;
 use supersim_core::SimSession;
@@ -16,9 +16,10 @@ use supersim_tile::{flops, generate, verify, TiledMatrix};
 use supersim_trace::{Trace, TraceRecorder};
 
 /// Which tile algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Algorithm {
     /// Tile Cholesky (paper Algorithm 1).
+    #[default]
     Cholesky,
     /// Tile QR (paper Algorithm 2).
     Qr,
@@ -27,6 +28,14 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
+    /// Every algorithm.
+    pub const ALL: [Algorithm; 3] = [Algorithm::Cholesky, Algorithm::Qr, Algorithm::Lu];
+
+    /// The algorithm called `name` — the inverse of [`Algorithm::name`].
+    pub fn parse(name: &str) -> Result<Algorithm, ScenarioError> {
+        ScenarioError::lookup("algorithm", name, Self::ALL, Self::name)
+    }
+
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -43,6 +52,18 @@ impl Algorithm {
             Algorithm::Qr => &["dgeqrt", "dormqr", "dtsqrt", "dtsmqr"],
             Algorithm::Lu => &["dgetrf", "dtrsm_l", "dtrsm_u", "dgemm"],
         }
+    }
+
+    /// Tasks in the algorithm's stream over an `nt x nt` tile grid
+    /// (saturating): `sum (k+1)(k+2)/2` for Cholesky, `sum (k+1)^2` for QR
+    /// and LU, `k < nt`.
+    pub fn task_count(self, nt: u64) -> u64 {
+        let nt = u128::from(nt);
+        let count = match self {
+            Algorithm::Cholesky => (nt * (nt + 1)).saturating_mul(nt + 2) / 6,
+            Algorithm::Qr | Algorithm::Lu => (nt * (nt + 1)).saturating_mul(2 * nt + 1) / 6,
+        };
+        u64::try_from(count).unwrap_or(u64::MAX)
     }
 
     /// Standard flop count for an `n x n` problem.

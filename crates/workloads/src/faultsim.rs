@@ -210,36 +210,9 @@ fn run_pass(
     }
 }
 
-/// Refuse a permanent failure the machine cannot survive.
-fn check_survivable(sc: &Scenario, scope: FaultScope) {
-    match (&sc.cluster, scope) {
-        (None, _) => assert!(
-            sc.lane_map().lanes_of(scope).len() < sc.workers,
-            "a permanent failure must leave at least one surviving worker"
-        ),
-        (Some(spec), FaultScope::Node(_)) => {
-            assert!(spec.nodes > 1, "killing the only node leaves no survivors")
-        }
-        (Some(spec), FaultScope::Worker(w)) => {
-            assert!(
-                w < spec.total_compute_workers(),
-                "cluster worker kills target compute lanes (lane {w} is a NIC)"
-            );
-            assert!(
-                spec.workers_per_node > 1,
-                "killing a node's only compute worker strands its pinned tasks; \
-                 kill the node instead"
-            );
-        }
-    }
-}
-
 /// Run one plan to completion: in one pass, or through the phased replay
 /// when it contains a permanent failure.
 fn run_plan(sc: &Scenario, plan: &FaultPlan, used: &mut bool) -> RunResult {
-    if let Some((scope, _)) = plan.permanent_failure() {
-        check_survivable(sc, scope);
-    }
     let session = sc.fresh_session(*used);
     *used = true;
     sc.attach_plan(&session, plan, 0.0);
@@ -499,8 +472,17 @@ mod tests {
         // submission rank, and the permanent-failure cut is a pure
         // function of virtual times. That makes the whole outcome
         // reproducible in the canonical (lane-free) projection.
+        // Sampled durations (~10 ms), not the module's constant ones: the
+        // threaded engine orders equal completion times by host-thread
+        // arrival, so a constant model makes even the canonical trace racy
+        // under load.
+        let sampled = crate::scenario::synthetic_model(-4.6, 0.2, 1.0).unwrap();
         let mk = || {
             base(Algorithm::Cholesky)
+                .models(crate::scenario::uniform_models(
+                    &[Algorithm::Cholesky],
+                    &sampled,
+                ))
                 .faults(
                     FaultPlan::new()
                         .straggler_node(0, 0.0, 0.2, 3.0)
@@ -511,6 +493,7 @@ mod tests {
         };
         let a = mk();
         let b = mk();
+        assert!(a.report.restarted_tasks > 0, "the kill lands mid-run");
         assert_eq!(a.trace.canonical(), b.trace.canonical());
         assert_eq!(a.clean_trace.canonical(), b.clean_trace.canonical());
         assert_eq!(a.clean_makespan, b.clean_makespan);

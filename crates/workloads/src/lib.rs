@@ -35,7 +35,8 @@
 //!   automatic transfer tasks;
 //! * [`scenario`] — the **unified entry point**: a typed [`Scenario`]
 //!   builder with `run_real` / `run_sim` / `run_cluster` / `run_faults`
-//!   terminals;
+//!   terminals, the one `validate()` every front end and terminal goes
+//!   through, and the [`ScenarioError`] its vocabulary fails with;
 //! * [`replay`] — the [`Backend`] switch and the one function that runs a
 //!   simulated task stream on it: the threaded runtime, or the pure-DES
 //!   replay engine (`supersim_des::ReplayEngine`) — same task values, same
@@ -68,5 +69,5 @@ pub use driver::{Algorithm, RealRun, SimRun};
 pub use faultsim::FaultOutcome;
 pub use mode::ExecMode;
 pub use replay::Backend;
-pub use scenario::Scenario;
-pub use sweep::{SweepBackend, SweepOutcome, SweepReport, SweepSpec};
+pub use scenario::{Scenario, ScenarioError};
+pub use sweep::{SweepOutcome, SweepReport, SweepSpec};

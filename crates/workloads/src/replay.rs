@@ -12,6 +12,7 @@
 //! advances virtual time: worker threads parked on the TEQ, or a
 //! single-threaded event loop.
 
+use crate::scenario::ScenarioError;
 use crate::stream::task_desc;
 use std::sync::Arc;
 use supersim_core::SimSession;
@@ -39,13 +40,21 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Parse a CLI string.
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s {
-            "threaded" => Some(Backend::Threaded),
-            "des" => Some(Backend::Des),
-            _ => None,
-        }
+    /// Both backends.
+    pub const ALL: [Backend; 2] = [Backend::Threaded, Backend::Des];
+
+    /// The backend called `name` — the inverse of [`Backend::name`].
+    pub fn parse(name: &str) -> Result<Backend, ScenarioError> {
+        ScenarioError::lookup("backend", name, Self::ALL, Self::name)
+    }
+
+    /// Parse a backend *choice*: `auto` (`None` — [`Backend::resolve`]
+    /// picks per scenario) or a backend name.
+    pub fn parse_choice(name: &str) -> Result<Option<Backend>, ScenarioError> {
+        let all = [None, Some(Backend::Threaded), Some(Backend::Des)];
+        ScenarioError::lookup("backend", name, all, |choice| {
+            choice.map_or("auto", Self::name)
+        })
     }
 
     /// Display name (CLI and JSON).
@@ -56,14 +65,29 @@ impl Backend {
         }
     }
 
-    /// Whether this backend can run the given scheduler profile. The
-    /// threaded engine runs everything; [`Backend::Des`] defers to
-    /// [`supersim_des::replayable_policy`], so front-ends can refuse an
-    /// unsupported combination cleanly before building a session.
-    pub fn supports(self, kind: SchedulerKind) -> Result<(), Unsupported> {
-        match self {
-            Backend::Threaded => Ok(()),
-            Backend::Des => supersim_des::replayable_policy(kind.config(1).policy),
+    /// Settle a backend choice for one scenario. `None` (auto) prefers
+    /// DES wherever it replays deterministically — the `scheduler` profile
+    /// permitting, and every `clustered` scenario, whose lanes are pinned
+    /// — and falls back to the threaded engine; a forced DES that cannot
+    /// replay the profile is an error.
+    pub fn resolve(
+        choice: Option<Backend>,
+        scheduler: SchedulerKind,
+        clustered: bool,
+    ) -> Result<Backend, ScenarioError> {
+        let des = if clustered {
+            Ok(())
+        } else {
+            supersim_des::replayable_policy(scheduler.config(1).policy)
+        };
+        match (choice, des) {
+            (Some(Backend::Threaded), _) | (None, Err(_)) => Ok(Backend::Threaded),
+            (_, Ok(())) => Ok(Backend::Des),
+            (Some(Backend::Des), Err(e)) => Err(ScenarioError::new(format!(
+                "scheduler {} cannot replay deterministically on the DES backend \
+                 (use backend auto to fall back to threaded): {e}",
+                scheduler.name()
+            ))),
         }
     }
 }
@@ -259,9 +283,9 @@ mod tests {
 
     #[test]
     fn backend_parses_and_names() {
-        assert_eq!(Backend::parse("des"), Some(Backend::Des));
-        assert_eq!(Backend::parse("threaded"), Some(Backend::Threaded));
-        assert_eq!(Backend::parse("nope"), None);
+        assert_eq!(Backend::parse("des"), Ok(Backend::Des));
+        assert_eq!(Backend::parse("threaded"), Ok(Backend::Threaded));
+        assert!(Backend::parse("nope").is_err());
         assert_eq!(Backend::default().name(), "threaded");
         assert_eq!(Backend::Des.name(), "des");
     }

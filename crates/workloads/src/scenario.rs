@@ -18,6 +18,14 @@
 //!     .run_sim();
 //! ```
 //!
+//! A `Scenario` is also *the spec* the front ends share: the CLI, the
+//! `serve` daemon and the sweep expander each map their text onto one
+//! (names through the `parse` functions beside each type, all failing
+//! with a [`ScenarioError`]), unwrap absent fields against
+//! [`Scenario::new`]'s defaults, and ask [`Scenario::validate`] whether
+//! it is legal — the single home of every check, returning `Result`. The
+//! terminals call the same function and panic with its message:
+//!
 //! * [`Scenario::run_real`] — execute the actual kernels, verify, time;
 //! * [`Scenario::run_sim`] — single-node simulated run (honours
 //!   straggler/transient faults via the attached injector);
@@ -31,9 +39,104 @@ use crate::faultsim::{run_faults, FaultOutcome};
 use crate::replay::Backend;
 use std::sync::Arc;
 use supersim_cluster::{BlockCyclic, ClusterSpec, Interconnect, Placement, ZeroCost};
-use supersim_core::{ModelRegistry, SimConfig, SimSession};
+use supersim_core::{KernelModel, ModelRegistry, SimConfig, SimSession};
+use supersim_dist::Dist;
 use supersim_faults::{CompiledFaults, FaultPlan, LaneMap};
 use supersim_runtime::SchedulerKind;
+
+/// Why a scenario — or a name in its vocabulary — was rejected. `Display`
+/// is the one-line message; the CLI, `serve` and `sweep` print or return
+/// it unchanged and own no message text of their own for these checks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScenarioError(String);
+
+impl ScenarioError {
+    pub(crate) fn new(msg: impl Into<String>) -> Self {
+        ScenarioError(msg.into())
+    }
+
+    /// `got` is not one of `names`.
+    pub(crate) fn unknown(what: &str, got: &str, names: &[&str]) -> Self {
+        ScenarioError(format!("unknown {what} '{got}' ({})", names.join("|")))
+    }
+
+    /// The one text → value rule: the value among `all` that `print`s as
+    /// `name`, or [`ScenarioError::unknown`] listing what they print as.
+    pub(crate) fn lookup<T: Copy, const N: usize>(
+        what: &str,
+        name: &str,
+        all: [T; N],
+        print: impl Fn(T) -> &'static str,
+    ) -> Result<T, Self> {
+        let found = all.into_iter().find(|&v| print(v) == name);
+        found.ok_or_else(|| Self::unknown(what, name, &all.map(print)))
+    }
+}
+
+impl std::fmt::Display for ScenarioError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for ScenarioError {}
+
+impl From<ScenarioError> for String {
+    fn from(e: ScenarioError) -> String {
+        e.0
+    }
+}
+
+/// Ceilings [`Scenario::validate`] enforces so that no accepted scenario
+/// can exhaust the host before its first task runs: the tile layout is
+/// `O(tiles^2)`, both engines keep per-lane state, and the threaded engine
+/// spawns a host thread per lane. A host with less headroom (the `serve`
+/// daemon) compares [`Scenario::task_count`] / [`Scenario::lane_count`]
+/// against tighter limits of its own.
+pub const MAX_TASKS: u64 = 1 << 32;
+/// See [`MAX_TASKS`].
+pub const MAX_LANES: u64 = 1 << 20;
+/// See [`MAX_TASKS`].
+pub const MAX_THREADED_LANES: u64 = 1 << 12;
+
+/// The scheduler profile called `name` ([`SchedulerKind::parse`] with the
+/// vocabulary's error).
+pub fn parse_scheduler(name: &str) -> Result<SchedulerKind, ScenarioError> {
+    SchedulerKind::parse(name).ok_or_else(|| {
+        ScenarioError::unknown(
+            "scheduler",
+            name,
+            &SchedulerKind::ALL.map(SchedulerKind::name),
+        )
+    })
+}
+
+/// Log-space mean of the built-in synthetic kernel model (~2.5 ms).
+pub const SYNTHETIC_MU: f64 = -6.0;
+/// Log-space sigma of the built-in synthetic kernel model.
+pub const SYNTHETIC_SIGMA: f64 = 0.3;
+
+/// The synthetic kernel model every front end offers when no calibration
+/// is given: `logN(mu, sigma)` seconds, times `warmup` on each worker's
+/// first call (1.0 = no warm-up).
+pub fn synthetic_model(mu: f64, sigma: f64, warmup: f64) -> Result<KernelModel, ScenarioError> {
+    let dist = Dist::log_normal(mu, sigma)
+        .map_err(|e| ScenarioError::new(format!("bad synthetic model: {e}")))?;
+    if warmup > 0.0 {
+        Ok(KernelModel::with_warmup(dist, warmup))
+    } else {
+        Err(ScenarioError::new("warmup must be positive"))
+    }
+}
+
+/// A registry giving every kernel label of `algorithms` the same `model`.
+pub fn uniform_models(algorithms: &[Algorithm], model: &KernelModel) -> ModelRegistry {
+    let mut registry = ModelRegistry::new();
+    for label in algorithms.iter().flat_map(|a| a.labels()) {
+        registry.insert(*label, model.clone());
+    }
+    registry
+}
 
 /// A declarative description of one run. See the [module docs](self).
 #[derive(Clone)]
@@ -44,7 +147,7 @@ pub struct Scenario {
     n: Option<usize>,
     pub(crate) scheduler: SchedulerKind,
     pub(crate) workers: usize,
-    seed: u64,
+    pub(crate) seed: u64,
     models: Option<Arc<ModelRegistry>>,
     config: Option<SimConfig>,
     session: Option<Arc<SimSession>>,
@@ -81,7 +184,7 @@ impl Scenario {
             tiles: None,
             tile_size: 64,
             n: None,
-            scheduler: SchedulerKind::Quark,
+            scheduler: SchedulerKind::default(),
             workers: 4,
             seed: 42,
             models: None,
@@ -98,14 +201,12 @@ impl Scenario {
     /// Set the tile-grid side (`n = tiles * tile_size`). Overridden by an
     /// explicit [`Scenario::n`].
     pub fn tiles(mut self, tiles: usize) -> Self {
-        assert!(tiles > 0, "need at least one tile");
         self.tiles = Some(tiles);
         self
     }
 
     /// Set the tile size `nb`.
     pub fn tile_size(mut self, nb: usize) -> Self {
-        assert!(nb > 0, "tile size must be positive");
         self.tile_size = nb;
         self
     }
@@ -114,7 +215,6 @@ impl Scenario {
     /// tile size; the trailing tiles are ragged). Takes precedence over
     /// [`Scenario::tiles`].
     pub fn n(mut self, n: usize) -> Self {
-        assert!(n > 0, "matrix order must be positive");
         self.n = Some(n);
         self
     }
@@ -129,7 +229,6 @@ impl Scenario {
     /// single-node simulated runs; ignored by cluster runs, which size
     /// themselves from the [`ClusterSpec`]).
     pub fn workers(mut self, workers: usize) -> Self {
-        assert!(workers > 0, "need at least one worker");
         self.workers = workers;
         self
     }
@@ -213,12 +312,156 @@ impl Scenario {
 
     /// The resolved matrix order.
     pub fn matrix_order(&self) -> usize {
-        self.n.unwrap_or(self.tiles.unwrap_or(8) * self.tile_size)
+        self.n
+            .unwrap_or(self.tiles.unwrap_or(8).saturating_mul(self.tile_size))
     }
 
     /// The resolved tile size.
     pub fn tile_size_of(&self) -> usize {
         self.tile_size
+    }
+
+    /// The algorithm.
+    pub fn algorithm_of(&self) -> Algorithm {
+        self.algorithm
+    }
+
+    /// The scheduler profile.
+    pub fn scheduler_of(&self) -> SchedulerKind {
+        self.scheduler
+    }
+
+    /// The worker count (per node for cluster scenarios).
+    pub fn workers_of(&self) -> usize {
+        self.workers
+    }
+
+    /// The seed.
+    pub fn seed_of(&self) -> u64 {
+        self.seed
+    }
+
+    /// The backend.
+    pub fn backend_of(&self) -> Backend {
+        self.backend
+    }
+
+    /// Compute tasks in the scenario's stream, in closed form from the
+    /// tile-grid side (saturating; transfers of a cluster run come on
+    /// top). With [`Scenario::lane_count`], what a host can compare
+    /// against its limits before anything is allocated.
+    pub fn task_count(&self) -> u64 {
+        let nt = self.matrix_order().div_ceil(self.tile_size.max(1));
+        self.algorithm.task_count(nt as u64)
+    }
+
+    /// Lanes of the simulated machine (saturating): the workers of a
+    /// single node, or every compute and NIC lane of the cluster. The
+    /// threaded backend spends a host thread on each.
+    pub fn lane_count(&self) -> u64 {
+        match &self.cluster {
+            None => self.workers as u64,
+            Some(c) => (c.nodes as u64).saturating_mul(
+                (c.workers_per_node as u64).saturating_add(c.nic_lanes_per_node as u64),
+            ),
+        }
+    }
+
+    /// Compare [`Scenario::task_count`] and [`Scenario::lane_count`]
+    /// against a host's ceilings (the lane ceiling depends on the
+    /// backend: a threaded lane is a host thread).
+    pub fn fits(
+        &self,
+        max_tasks: u64,
+        max_des_lanes: u64,
+        max_threaded_lanes: u64,
+    ) -> Result<(), ScenarioError> {
+        let (tasks, lanes) = (self.task_count(), self.lane_count());
+        let max_lanes = match self.backend {
+            Backend::Threaded => max_threaded_lanes,
+            Backend::Des => max_des_lanes,
+        };
+        if tasks > max_tasks {
+            Err(ScenarioError::new(format!(
+                "{tasks} tasks exceed the limit of {max_tasks}"
+            )))
+        } else if lanes > max_lanes {
+            Err(ScenarioError::new(format!(
+                "{lanes} lanes exceed the {} backend's limit of {max_lanes}",
+                self.backend.name()
+            )))
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Everything that makes the scenario legal to run, in one place:
+    /// positive sizes, the size ceilings ([`MAX_TASKS`]), a backend that
+    /// can replay the scheduler profile, no distributed QR, a
+    /// non-negative overhead, a model for every kernel label, and a fault
+    /// plan that is legal for this machine ([`FaultPlan::validate`]). The
+    /// front ends call this and report the error;
+    /// the terminals call it too and panic with the same message. Cheap:
+    /// arithmetic plus `O(fault events)`, allocation-free for a fault-free
+    /// scenario.
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        let err = |msg: String| Err(ScenarioError::new(msg));
+        let cluster = self.cluster.as_ref();
+        let sizes = [
+            ("n", self.n.unwrap_or(1)),
+            ("tiles", self.tiles.unwrap_or(1)),
+            ("tile_size", self.tile_size),
+            ("workers", self.workers),
+            ("cluster.nodes", cluster.map_or(1, |c| c.nodes)),
+            (
+                "cluster.workers_per_node",
+                cluster.map_or(1, |c| c.workers_per_node),
+            ),
+            (
+                "cluster.nic_lanes",
+                cluster.map_or(1, |c| c.nic_lanes_per_node),
+            ),
+        ];
+        if let Some((what, _)) = sizes.iter().find(|(_, v)| *v == 0) {
+            return err(format!("{what} must be positive"));
+        }
+        if cluster.is_some() && self.algorithm == Algorithm::Qr {
+            return err("distributed QR is not implemented; use cholesky or lu".to_string());
+        }
+        Backend::resolve(Some(self.backend), self.scheduler, cluster.is_some())?;
+        self.fits(MAX_TASKS, MAX_LANES, MAX_THREADED_LANES)?;
+        if !self
+            .config
+            .as_ref()
+            .is_none_or(|c| c.overhead_per_task >= 0.0)
+        {
+            return err("overhead_per_task must be non-negative".to_string());
+        }
+        if let Some(models) = &self.models {
+            if let Some(label) = self
+                .algorithm
+                .labels()
+                .iter()
+                .find(|l| models.get(l).is_none())
+            {
+                return err(format!("no kernel model registered for '{label}'"));
+            }
+        }
+        if self.faults.is_empty() {
+            return Ok(());
+        }
+        self.faults
+            .validate(&self.lane_map())
+            .map_err(ScenarioError::new)
+    }
+
+    /// `self` if [`Scenario::validate`] accepts it; panics with its
+    /// message otherwise. Every terminal starts here.
+    fn checked(self) -> Self {
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
+        self
     }
 
     /// The resolved cluster interconnect (cluster scenarios only).
@@ -373,25 +616,26 @@ impl Scenario {
     /// Panics if a cluster or fault plan is attached — both exist only in
     /// simulation.
     pub fn run_real(self) -> RealRun {
+        let sc = self.checked();
         assert!(
-            self.cluster.is_none(),
+            sc.cluster.is_none(),
             "run_real is single-node; use run_cluster for distributed scenarios"
         );
         assert!(
-            self.faults.is_empty(),
+            sc.faults.is_empty(),
             "faults are simulated only; use run_sim or run_faults"
         );
         assert!(
-            self.backend == Backend::Threaded,
+            sc.backend == Backend::Threaded,
             "run_real executes real kernels; the DES backend only replays simulations"
         );
         exec_real(
-            self.algorithm,
-            self.scheduler,
-            self.workers,
-            self.matrix_order(),
-            self.tile_size,
-            self.seed,
+            sc.algorithm,
+            sc.scheduler,
+            sc.workers,
+            sc.matrix_order(),
+            sc.tile_size,
+            sc.seed,
         )
     }
 
@@ -408,9 +652,10 @@ impl Scenario {
             self.faults.permanent_failure().is_none(),
             "permanent failures need the phased replay; use run_faults"
         );
-        let session = self.fresh_session(false);
-        self.attach_plan(&session, &self.faults.clone(), 0.0);
-        exec_sim(&self, session, &[], &mut |_| true)
+        let sc = self.checked();
+        let session = sc.fresh_session(false);
+        sc.attach_plan(&session, &sc.faults, 0.0);
+        exec_sim(&sc, session, &[], &mut |_| true)
     }
 
     /// Simulate the scenario on the attached cluster. Straggler,
@@ -425,10 +670,11 @@ impl Scenario {
             self.faults.permanent_failure().is_none(),
             "permanent failures need the phased replay; use run_faults"
         );
-        let session = self.fresh_session(false);
-        self.attach_plan(&session, &self.faults.clone(), 0.0);
-        let placement = self.resolved_placement();
-        exec_cluster(&self, placement, session, &[], &mut |_| true)
+        let sc = self.checked();
+        let session = sc.fresh_session(false);
+        sc.attach_plan(&session, &sc.faults, 0.0);
+        let placement = sc.resolved_placement();
+        exec_cluster(&sc, placement, session, &[], &mut |_| true)
     }
 
     /// Run the scenario clean *and* under its fault plan, returning both
@@ -437,7 +683,7 @@ impl Scenario {
     /// (single-node: work-preserving cut; cluster: coordinated
     /// checkpoint/restart per the plan's [`supersim_faults::RecoveryPolicy`]).
     pub fn run_faults(self) -> FaultOutcome {
-        run_faults(self)
+        run_faults(self.checked())
     }
 }
 
@@ -559,6 +805,272 @@ mod tests {
             .tile_size(8)
             .models(models(Algorithm::Cholesky))
             .faults(FaultPlan::new().kill_worker(1, 0.5))
+            .run_sim();
+    }
+
+    /// Satellite 4(a): every name of the vocabulary parses back to the
+    /// value that printed it, and an unknown name lists the known ones.
+    #[test]
+    fn vocabulary_round_trips() {
+        use crate::sweep::{FaultPlanSpec, InterconnectSpec};
+        for alg in Algorithm::ALL {
+            assert_eq!(Algorithm::parse(alg.name()), Ok(alg));
+        }
+        for kind in SchedulerKind::ALL {
+            assert_eq!(parse_scheduler(kind.name()), Ok(kind));
+        }
+        for backend in Backend::ALL {
+            assert_eq!(Backend::parse(backend.name()), Ok(backend));
+            assert_eq!(Backend::parse_choice(backend.name()), Ok(Some(backend)));
+        }
+        assert_eq!(Backend::parse_choice("auto"), Ok(None));
+        for name in ["zero", "hockney", "sharedlink"] {
+            let ic = InterconnectSpec::parse(Some(name), None, None).unwrap();
+            assert_eq!(ic.name(), name);
+            assert_eq!(ic.build().name(), name);
+        }
+        assert_eq!(
+            InterconnectSpec::parse(None, None, None),
+            Ok(InterconnectSpec::default())
+        );
+        for name in ["clean", "straggler", "transient", "kill"] {
+            assert_eq!(FaultPlanSpec::parse(name).unwrap().name, name);
+            assert!(FaultPlanSpec::preset(name).is_some());
+        }
+        assert!(FaultPlanSpec::preset("meteor").is_none());
+        for (err, text) in [
+            (
+                Algorithm::parse("gemm").unwrap_err(),
+                "unknown algorithm 'gemm' (cholesky|qr|lu)",
+            ),
+            (
+                parse_scheduler("slurm").unwrap_err(),
+                "unknown scheduler 'slurm' (quark|starpu|ompss)",
+            ),
+            (
+                Backend::parse("gpu").unwrap_err(),
+                "unknown backend 'gpu' (threaded|des)",
+            ),
+            (
+                Backend::parse_choice("gpu").unwrap_err(),
+                "unknown backend 'gpu' (auto|threaded|des)",
+            ),
+            (
+                InterconnectSpec::parse(Some("ether"), None, None).unwrap_err(),
+                "unknown interconnect 'ether' (zero|hockney|sharedlink)",
+            ),
+            (
+                FaultPlanSpec::parse("meteor").unwrap_err(),
+                "unknown fault preset 'meteor' (clean|straggler|transient|kill)",
+            ),
+            (
+                InterconnectSpec::parse(None, Some(-1.0), None).unwrap_err(),
+                "latency must be non-negative",
+            ),
+            (
+                InterconnectSpec::parse(None, None, Some(f64::NAN)).unwrap_err(),
+                "bandwidth must be positive",
+            ),
+        ] {
+            assert_eq!(err.to_string(), text);
+        }
+    }
+
+    #[test]
+    fn backend_choice_resolves_per_scenario() {
+        use SchedulerKind::{Quark, StarPu};
+        let resolve = Backend::resolve;
+        assert_eq!(resolve(None, Quark, false), Ok(Backend::Des));
+        assert_eq!(resolve(None, StarPu, false), Ok(Backend::Threaded));
+        // Cluster lanes are pinned, whatever the scheduler axis says.
+        assert_eq!(resolve(None, StarPu, true), Ok(Backend::Des));
+        assert_eq!(resolve(Some(Backend::Des), StarPu, true), Ok(Backend::Des));
+        assert_eq!(
+            resolve(Some(Backend::Threaded), Quark, false),
+            Ok(Backend::Threaded)
+        );
+        let err = resolve(Some(Backend::Des), StarPu, false).unwrap_err();
+        assert!(err.to_string().contains("cannot replay deterministically"));
+    }
+
+    #[test]
+    fn uniform_models_cover_every_label_once() {
+        let model = synthetic_model(SYNTHETIC_MU, SYNTHETIC_SIGMA, 1.5).unwrap();
+        assert_eq!(model.warmup_factor, 1.5);
+        let registry = uniform_models(&Algorithm::ALL, &model);
+        for alg in Algorithm::ALL {
+            for label in alg.labels() {
+                assert_eq!(registry.expect(label), &model);
+            }
+        }
+        // dgemm is shared by Cholesky and LU.
+        assert_eq!(registry.len(), 11);
+        assert!(synthetic_model(-6.0, 0.0, 1.0).is_err());
+        assert!(synthetic_model(-6.0, 0.3, 0.0).is_err());
+        assert!(synthetic_model(f64::NAN, 0.3, 1.0).is_err());
+    }
+
+    /// The closed form a host compares against its limits is the length
+    /// of the stream the engines would pull.
+    #[test]
+    fn task_count_is_the_stream_length() {
+        for alg in Algorithm::ALL {
+            for nt in 1..=6usize {
+                let (a, t) = crate::stream::layout(alg, nt * 8, 8);
+                let streamed = crate::stream::tasks(alg, &a, t.as_ref()).count() as u64;
+                let sc = Scenario::new(alg).tiles(nt).tile_size(8);
+                assert_eq!(sc.task_count(), streamed, "{alg:?} nt={nt}");
+                // Ragged orders round the grid up.
+                assert_eq!(sc.n(nt * 8 - 3).task_count(), streamed);
+            }
+        }
+        assert_eq!(
+            Scenario::new(Algorithm::Qr).tiles(usize::MAX).task_count(),
+            u64::MAX
+        );
+        let lanes = |nodes, workers, nic| {
+            Scenario::new(Algorithm::Lu)
+                .cluster(ClusterSpec {
+                    nodes,
+                    workers_per_node: workers,
+                    nic_lanes_per_node: nic,
+                    mem_bytes_per_node: 0,
+                })
+                .lane_count()
+        };
+        assert_eq!(lanes(1000, 16, 4), 20_000);
+        assert_eq!(lanes(usize::MAX, usize::MAX, 1), u64::MAX);
+        assert_eq!(Scenario::new(Algorithm::Lu).workers(7).lane_count(), 7);
+    }
+
+    /// Satellite 4(b): the one table of illegal scenarios. `tests/cli.rs`
+    /// and `crates/serve/tests/service.rs` drive the same rows through
+    /// the two other front ends.
+    #[test]
+    fn validate_rejects_each_illegal_scenario_with_one_line() {
+        use supersim_faults::{FaultEvent, FaultScope, RecoveryPolicy};
+        let base = || {
+            Scenario::new(Algorithm::Cholesky)
+                .n(64)
+                .tile_size(16)
+                .models(models(Algorithm::Cholesky))
+        };
+        let raw = |events: Vec<FaultEvent>| FaultPlan {
+            events,
+            recovery: RecoveryPolicy::default(),
+        };
+        let straggler = |worker, from, until, factor| {
+            raw(vec![FaultEvent::Straggler {
+                scope: FaultScope::Worker(worker),
+                from,
+                until,
+                factor,
+            }])
+        };
+        let kill = |worker, at| FaultEvent::PermanentFailure {
+            scope: FaultScope::Worker(worker),
+            at,
+        };
+        let cluster = |nodes, workers| ClusterSpec {
+            nodes,
+            workers_per_node: workers,
+            nic_lanes_per_node: 1,
+            mem_bytes_per_node: 0,
+        };
+        assert_eq!(base().validate(), Ok(()));
+        assert_eq!(
+            base()
+                .faults(straggler(3, 0.0, 1.0, 2.0))
+                .cluster(cluster(2, 2))
+                .validate(),
+            Ok(())
+        );
+        for (scenario, needle) in [
+            (base().n(0), "n must be positive"),
+            (base().tiles(0), "tiles must be positive"),
+            (base().tile_size(0), "tile_size must be positive"),
+            (base().workers(0), "workers must be positive"),
+            (
+                base().cluster(cluster(0, 2)),
+                "cluster.nodes must be positive",
+            ),
+            (
+                Scenario::new(Algorithm::Qr).cluster(cluster(2, 2)),
+                "distributed QR",
+            ),
+            (
+                base()
+                    .scheduler(SchedulerKind::StarPu)
+                    .backend(Backend::Des),
+                "cannot replay deterministically",
+            ),
+            (
+                base().faults(raw(vec![kill(0, 0.1), kill(1, 0.2)])),
+                "at most one permanent failure",
+            ),
+            (
+                base().workers(1).faults(raw(vec![kill(0, 0.1)])),
+                "must leave survivors",
+            ),
+            (
+                base()
+                    .cluster(cluster(2, 1))
+                    .faults(raw(vec![kill(0, 0.1)])),
+                "must leave survivors",
+            ),
+            (
+                base().faults(straggler(0, 0.0, 1.0, -3.0)),
+                "factor must be positive",
+            ),
+            (
+                base().faults(straggler(0, 1.0, 1.0, 2.0)),
+                "window must be non-empty",
+            ),
+            (
+                base().faults(straggler(9999, 0.0, 1.0, 2.0)),
+                "outside the machine",
+            ),
+            (
+                base().faults(raw(vec![FaultEvent::Transient {
+                    label: None,
+                    period: 5,
+                    failures: 400_000_000,
+                    fail_fraction: 0.5,
+                }])),
+                "failures",
+            ),
+            (base().n(6_400_000).backend(Backend::Des), "tasks exceed"),
+            (base().workers(50_000), "lanes exceed the threaded"),
+            (
+                base().workers(5_000_000).backend(Backend::Des),
+                "lanes exceed the des",
+            ),
+            (
+                base().config(SimConfig {
+                    overhead_per_task: -1.0,
+                    ..SimConfig::default()
+                }),
+                "overhead_per_task",
+            ),
+            (
+                Scenario::new(Algorithm::Qr).models(models(Algorithm::Lu)),
+                "no kernel model registered for 'dgeqrt'",
+            ),
+        ] {
+            let err = scenario.validate().expect_err(needle).to_string();
+            assert!(err.contains(needle), "want {needle:?}, got {err:?}");
+            assert_eq!(err.lines().count(), 1, "{err:?}");
+        }
+    }
+
+    /// Library callers that skip `validate` get its message as the
+    /// terminal's panic.
+    #[test]
+    #[should_panic(expected = "n must be positive")]
+    fn terminals_panic_with_the_validation_message() {
+        let _ = Scenario::new(Algorithm::Cholesky)
+            .n(0)
+            .models(models(Algorithm::Cholesky))
             .run_sim();
     }
 

@@ -38,13 +38,22 @@ pub use runner::SweepOutcome;
 
 use crate::driver::Algorithm;
 use crate::replay::Backend;
+use crate::scenario::{synthetic_model, uniform_models, Scenario, ScenarioError};
+use crate::scenario::{SYNTHETIC_MU, SYNTHETIC_SIGMA};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use supersim_cluster::{Hockney, Interconnect, SharedLink, ZeroCost};
-use supersim_core::{KernelModel, ModelRegistry};
-use supersim_dist::Dist;
+use supersim_cluster::{ClusterSpec, Hockney, Interconnect, SharedLink, ZeroCost};
+use supersim_core::{ModelRegistry, SimConfig};
 use supersim_faults::FaultPlan;
 use supersim_runtime::SchedulerKind;
+
+/// Cells one sweep may expand to: the expansion is materialized before
+/// the first cell runs. A host with less headroom compares
+/// [`SweepSpec::cell_bound`] against a tighter limit of its own.
+pub const MAX_CELLS: u64 = 1 << 20;
+
+const DEFAULT_LATENCY: f64 = 1e-5;
+const DEFAULT_BANDWIDTH: f64 = 1e10;
 
 /// An interconnect model described by value, so a spec is plain data and
 /// each cell can build its own `Arc<dyn Interconnect>`.
@@ -68,16 +77,39 @@ pub enum InterconnectSpec {
     },
 }
 
-impl InterconnectSpec {
-    /// Parse a CLI name (`zero`, `hockney`, `sharedlink`) with the given
-    /// latency/bandwidth parameters.
-    pub fn parse(name: &str, latency: f64, bandwidth: f64) -> Option<InterconnectSpec> {
-        match name {
-            "zero" => Some(InterconnectSpec::Zero),
-            "hockney" => Some(InterconnectSpec::Hockney { latency, bandwidth }),
-            "sharedlink" => Some(InterconnectSpec::SharedLink { latency, bandwidth }),
-            _ => None,
+impl Default for InterconnectSpec {
+    fn default() -> Self {
+        InterconnectSpec::Hockney {
+            latency: DEFAULT_LATENCY,
+            bandwidth: DEFAULT_BANDWIDTH,
         }
+    }
+}
+
+impl InterconnectSpec {
+    /// The model called `name` (`zero`, `hockney`, `sharedlink`; absent =
+    /// `hockney`) with the given latency (seconds, default 1e-5) and
+    /// bandwidth (bytes/s, default 1e10) — the one name → model map.
+    pub fn parse(
+        name: Option<&str>,
+        latency: Option<f64>,
+        bandwidth: Option<f64>,
+    ) -> Result<InterconnectSpec, ScenarioError> {
+        let latency = latency.unwrap_or(DEFAULT_LATENCY);
+        let bandwidth = bandwidth.unwrap_or(DEFAULT_BANDWIDTH);
+        // Phrased positively, so NaN fails both.
+        match (latency >= 0.0, bandwidth > 0.0) {
+            (true, true) => {}
+            (false, _) => return Err(ScenarioError::new("latency must be non-negative")),
+            (true, false) => return Err(ScenarioError::new("bandwidth must be positive")),
+        }
+        let all = [
+            InterconnectSpec::Zero,
+            InterconnectSpec::Hockney { latency, bandwidth },
+            InterconnectSpec::SharedLink { latency, bandwidth },
+        ];
+        let name = name.unwrap_or(all[1].name());
+        ScenarioError::lookup("interconnect", name, all, |ic| ic.name())
     }
 
     /// The model's name as recorded in the report.
@@ -115,10 +147,7 @@ pub struct FaultPlanSpec {
 impl FaultPlanSpec {
     /// The fault-free plan.
     pub fn clean() -> FaultPlanSpec {
-        FaultPlanSpec {
-            name: "clean".to_string(),
-            plan: FaultPlan::new(),
-        }
+        FaultPlanSpec::named("clean", FaultPlan::new())
     }
 
     /// Wrap an explicit plan under a report name.
@@ -134,42 +163,23 @@ impl FaultPlanSpec {
     /// slowed 3x over the first 20% of the clean makespan timeline),
     /// `transient` (every 5th submission of each label fails once), and
     /// `kill` (worker lane 1 dies at t=0.05 with replay recovery).
-    pub fn preset(name: &str) -> Option<FaultPlanSpec> {
+    pub fn parse(name: &str) -> Result<FaultPlanSpec, ScenarioError> {
         let plan = match name {
             "clean" => FaultPlan::new(),
             "straggler" => FaultPlan::new().straggler_node(0, 0.0, 0.2, 3.0),
             "transient" => FaultPlan::new().transient(5, 1, 0.5),
             "kill" => FaultPlan::new().kill_worker(1, 0.05),
-            _ => return None,
+            _ => {
+                let names = ["clean", "straggler", "transient", "kill"];
+                return Err(ScenarioError::unknown("fault preset", name, &names));
+            }
         };
-        Some(FaultPlanSpec::named(name, plan))
+        Ok(FaultPlanSpec::named(name, plan))
     }
-}
 
-/// Backend policy for the whole sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SweepBackend {
-    /// Per cell: the DES replay backend wherever it can replay the cell
-    /// deterministically (the default scheduler and all cluster cells),
-    /// the threaded engine for the racy scheduler profiles.
-    #[default]
-    Auto,
-    /// Force DES everywhere. Expansion fails fast if the matrix contains
-    /// a scheduler profile DES cannot replay deterministically.
-    Des,
-    /// Force the threaded engine everywhere.
-    Threaded,
-}
-
-impl SweepBackend {
-    /// Parse a CLI name.
-    pub fn parse(s: &str) -> Option<SweepBackend> {
-        match s {
-            "auto" => Some(SweepBackend::Auto),
-            "des" => Some(SweepBackend::Des),
-            "threaded" => Some(SweepBackend::Threaded),
-            _ => None,
-        }
+    /// [`FaultPlanSpec::parse`] without the message.
+    pub fn preset(name: &str) -> Option<FaultPlanSpec> {
+        Self::parse(name).ok()
     }
 }
 
@@ -226,13 +236,15 @@ pub struct SweepSpec {
     pub plans: Vec<FaultPlanSpec>,
     /// Duration-sampling seeds.
     pub seeds: Vec<u64>,
-    /// Backend policy.
-    pub backend: SweepBackend,
+    /// Backend for every cell; `None` resolves per cell
+    /// ([`Backend::resolve`]): DES wherever it replays the cell
+    /// deterministically, the threaded engine for the racy profiles.
+    pub backend: Option<Backend>,
     /// Kernel-model source.
     pub models: SweepModels,
     /// Per-task scheduler overhead (seconds) applied to every cell.
     pub overhead_per_task: f64,
-    /// NIC lanes per node (None = the interconnect model's default).
+    /// NIC lanes per node (None = one).
     pub nic_lanes: Option<usize>,
     /// Autotune axis (see [`AUTOTUNE_AXES`]); adds an argmin section to
     /// the report.
@@ -242,23 +254,20 @@ pub struct SweepSpec {
 impl Default for SweepSpec {
     fn default() -> Self {
         SweepSpec {
-            algorithms: vec![Algorithm::Cholesky],
+            algorithms: vec![Algorithm::default()],
             orders: Vec::new(),
             tile_counts: vec![8],
             tile_sizes: vec![64],
-            schedulers: vec![SchedulerKind::Quark],
+            schedulers: vec![SchedulerKind::default()],
             worker_counts: vec![4],
             node_counts: vec![0],
-            interconnects: vec![InterconnectSpec::Hockney {
-                latency: 1e-5,
-                bandwidth: 1e10,
-            }],
+            interconnects: vec![InterconnectSpec::default()],
             plans: vec![FaultPlanSpec::clean()],
             seeds: vec![42],
-            backend: SweepBackend::Auto,
+            backend: None,
             models: SweepModels::Synthetic {
-                mu: -6.0,
-                sigma: 0.3,
+                mu: SYNTHETIC_MU,
+                sigma: SYNTHETIC_SIGMA,
                 warmup: 1.5,
             },
             overhead_per_task: 0.0,
@@ -268,38 +277,54 @@ impl Default for SweepSpec {
     }
 }
 
-/// One fully resolved cell of the matrix.
+/// One fully resolved cell of the matrix: the [`Scenario`] it runs (no
+/// models or session yet — the runner attaches the sweep's shared
+/// database) plus what only the report needs.
 #[derive(Debug, Clone)]
 pub struct CellSpec {
     /// Position in the expansion (the report's merge key).
     pub id: u64,
-    /// Algorithm.
-    pub algorithm: Algorithm,
-    /// Matrix order.
-    pub n: usize,
-    /// Tile size.
-    pub nb: usize,
-    /// Scheduler profile (ignored by cluster cells, which run pinned).
-    pub scheduler: SchedulerKind,
-    /// Workers (per node when `nodes > 0`).
-    pub workers: usize,
-    /// Nodes (0 = single-node).
-    pub nodes: usize,
-    /// Interconnect (cluster cells only).
-    pub interconnect: Option<InterconnectSpec>,
+    /// The cell's scenario.
+    pub scenario: Scenario,
     /// Fault-plan name.
     pub plan_name: String,
-    /// The fault plan.
-    pub plan: FaultPlan,
-    /// Duration-sampling seed.
-    pub seed: u64,
-    /// Resolved backend for this cell.
-    pub backend: Backend,
+    /// Interconnect name (cluster cells only).
+    pub interconnect: Option<&'static str>,
 }
 
 impl SweepSpec {
+    /// An upper bound on the number of cells (the saturating product of
+    /// the axis lengths), for a host to check before expanding anything.
+    pub fn cell_bound(&self) -> u64 {
+        let sizes = if self.orders.is_empty() {
+            self.tile_counts.len()
+        } else {
+            self.orders.len()
+        };
+        [
+            self.algorithms.len(),
+            sizes,
+            self.tile_sizes.len(),
+            self.schedulers.len(),
+            self.worker_counts.len(),
+            self.node_counts.len(),
+            self.interconnects.len(),
+            self.plans.len(),
+            self.seeds.len(),
+        ]
+        .iter()
+        .fold(1u64, |product, &len| product.saturating_mul(len as u64))
+    }
+
+    /// Everything that makes the matrix legal to run: no empty axis, a
+    /// known autotune axis, at most [`MAX_CELLS`] cells, usable kernel
+    /// models, and every expanded cell a valid [`Scenario`].
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        self.try_cells().map(drop)
+    }
+
     /// Expand the matrix into cells, deterministically: nested loops in
-    /// axis order (algorithm, order/tiles, tile size, nodes, scheduler,
+    /// axis order (algorithm, tile size, order/tiles, nodes, scheduler,
     /// workers, interconnect, plan, seed), ids assigned sequentially.
     /// Structurally impossible combinations are dropped, not errors: the
     /// distributed engine implements Cholesky and LU only, so QR ×
@@ -309,10 +334,14 @@ impl SweepSpec {
     ///
     /// # Panics
     ///
-    /// If an axis list is empty, or if [`SweepBackend::Des`] is forced
-    /// while the matrix contains a single-node scheduler profile the DES
-    /// replay cannot run deterministically.
+    /// With the message of [`SweepSpec::validate`] if it rejects the spec.
     pub fn cells(&self) -> Vec<CellSpec> {
+        self.try_cells().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`SweepSpec::cells`], or why [`SweepSpec::validate`] rejects the
+    /// spec.
+    pub fn try_cells(&self) -> Result<Vec<CellSpec>, ScenarioError> {
         for (name, empty) in [
             ("algorithms", self.algorithms.is_empty()),
             (
@@ -327,21 +356,46 @@ impl SweepSpec {
             ("plans", self.plans.is_empty()),
             ("seeds", self.seeds.is_empty()),
         ] {
-            assert!(!empty, "sweep axis {name} is empty");
+            if empty {
+                return Err(ScenarioError::new(format!("sweep axis {name} is empty")));
+            }
         }
         if let Some(axis) = &self.autotune {
-            assert!(
-                AUTOTUNE_AXES.contains(&axis.as_str()) || axis == "tile_size",
-                "unknown autotune axis {axis:?} (one of {AUTOTUNE_AXES:?})"
-            );
+            if !(AUTOTUNE_AXES.contains(&axis.as_str()) || axis == "tile_size") {
+                return Err(ScenarioError::new(format!(
+                    "unknown autotune axis '{axis}' (one of {AUTOTUNE_AXES:?})"
+                )));
+            }
+        }
+        if self.cell_bound() > MAX_CELLS {
+            return Err(ScenarioError::new(format!(
+                "up to {} cells exceed the limit of {MAX_CELLS}",
+                self.cell_bound()
+            )));
+        }
+        match &self.models {
+            SweepModels::Synthetic { mu, sigma, warmup } => {
+                synthetic_model(*mu, *sigma, *warmup)?;
+            }
+            SweepModels::PerTileSize(map) => {
+                if let Some(nb) = self.tile_sizes.iter().find(|nb| !map.contains_key(nb)) {
+                    return Err(ScenarioError::new(format!(
+                        "SweepModels::PerTileSize has no registry for nb={nb}"
+                    )));
+                }
+            }
+            SweepModels::Shared(_) => {}
         }
 
+        let interconnects: Vec<_> = self.interconnects.iter().map(|ic| ic.build()).collect();
         let mut cells = Vec::new();
-        let mut id = 0u64;
         for &algorithm in &self.algorithms {
             for &nb in &self.tile_sizes {
                 let orders: Vec<usize> = if self.orders.is_empty() {
-                    self.tile_counts.iter().map(|t| t * nb).collect()
+                    self.tile_counts
+                        .iter()
+                        .map(|t| t.saturating_mul(nb))
+                        .collect()
                 } else {
                     self.orders.clone()
                 };
@@ -352,39 +406,50 @@ impl SweepSpec {
                             continue;
                         }
                         // Cluster cells always run the pinned cluster
-                        // profile; iterating the scheduler axis would
-                        // duplicate identical cells.
-                        let schedulers: &[SchedulerKind] = if nodes > 0 {
-                            &self.schedulers[..1]
+                        // profile, single-node cells have no interconnect:
+                        // iterating those axes would duplicate cells.
+                        let (schedulers, ics) = if nodes > 0 {
+                            (&self.schedulers[..1], &self.interconnects[..])
                         } else {
-                            &self.schedulers
+                            (&self.schedulers[..], &self.interconnects[..1])
                         };
                         for &scheduler in schedulers {
+                            let backend = Backend::resolve(self.backend, scheduler, nodes > 0)?;
                             for &workers in &self.worker_counts {
-                                let interconnects: &[InterconnectSpec] = if nodes > 0 {
-                                    &self.interconnects
-                                } else {
-                                    &self.interconnects[..1]
-                                };
-                                for ic in interconnects {
+                                for (ic, built) in ics.iter().zip(&interconnects) {
                                     for plan in &self.plans {
                                         for &seed in &self.seeds {
-                                            let backend = self.resolve_backend(nodes, scheduler);
+                                            let mut scenario = Scenario::new(algorithm)
+                                                .n(n)
+                                                .tile_size(nb)
+                                                .scheduler(scheduler)
+                                                .workers(workers)
+                                                .config(SimConfig {
+                                                    seed,
+                                                    overhead_per_task: self.overhead_per_task,
+                                                    ..SimConfig::default()
+                                                })
+                                                .seed(seed)
+                                                .backend(backend)
+                                                .faults(plan.plan.clone());
+                                            if nodes > 0 {
+                                                let cluster = ClusterSpec {
+                                                    nodes,
+                                                    workers_per_node: workers,
+                                                    nic_lanes_per_node: self.nic_lanes.unwrap_or(1),
+                                                    mem_bytes_per_node: 0,
+                                                };
+                                                scenario = scenario
+                                                    .cluster(cluster)
+                                                    .interconnect(built.clone());
+                                            }
+                                            scenario.validate()?;
                                             cells.push(CellSpec {
-                                                id,
-                                                algorithm,
-                                                n,
-                                                nb,
-                                                scheduler,
-                                                workers,
-                                                nodes,
-                                                interconnect: (nodes > 0).then_some(*ic),
+                                                id: cells.len() as u64,
+                                                scenario,
                                                 plan_name: plan.name.clone(),
-                                                plan: plan.plan.clone(),
-                                                seed,
-                                                backend,
+                                                interconnect: (nodes > 0).then_some(ic.name()),
                                             });
-                                            id += 1;
                                         }
                                     }
                                 }
@@ -394,31 +459,7 @@ impl SweepSpec {
                 }
             }
         }
-        cells
-    }
-
-    fn resolve_backend(&self, nodes: usize, scheduler: SchedulerKind) -> Backend {
-        // Cluster cells replay on pinned lanes, which DES always supports.
-        let des_ok = nodes > 0 || Backend::Des.supports(scheduler).is_ok();
-        match self.backend {
-            SweepBackend::Threaded => Backend::Threaded,
-            SweepBackend::Auto => {
-                if des_ok {
-                    Backend::Des
-                } else {
-                    Backend::Threaded
-                }
-            }
-            SweepBackend::Des => {
-                assert!(
-                    des_ok,
-                    "backend des forced, but scheduler {} cannot replay deterministically \
-                     on the DES backend (use --backend auto to fall back per cell)",
-                    scheduler.name()
-                );
-                Backend::Des
-            }
-        }
+        Ok(cells)
     }
 
     /// Materialize the shared model database: one registry (or one per
@@ -426,30 +467,10 @@ impl SweepSpec {
     pub(crate) fn model_bank(&self) -> ModelBank {
         match &self.models {
             SweepModels::Shared(registry) => ModelBank::Single(registry.clone()),
-            SweepModels::PerTileSize(map) => {
-                for &nb in &self.tile_sizes {
-                    assert!(
-                        map.contains_key(&nb),
-                        "SweepModels::PerTileSize has no registry for nb={nb}"
-                    );
-                }
-                ModelBank::PerNb(map.clone())
-            }
+            SweepModels::PerTileSize(map) => ModelBank::PerNb(map.clone()),
             SweepModels::Synthetic { mu, sigma, warmup } => {
-                let mut registry = ModelRegistry::new();
-                for alg in &self.algorithms {
-                    for label in alg.labels() {
-                        let dist = Dist::log_normal(*mu, *sigma)
-                            .expect("synthetic sweep models need valid log-normal parameters");
-                        let model = if *warmup == 1.0 {
-                            KernelModel::new(dist)
-                        } else {
-                            KernelModel::with_warmup(dist, *warmup)
-                        };
-                        registry.insert(*label, model);
-                    }
-                }
-                ModelBank::Single(Arc::new(registry))
+                let model = synthetic_model(*mu, *sigma, *warmup).unwrap_or_else(|e| panic!("{e}"));
+                ModelBank::Single(Arc::new(uniform_models(&self.algorithms, &model)))
             }
         }
     }
@@ -509,8 +530,8 @@ mod tests {
         };
         let cells = spec.cells();
         assert_eq!(cells.len(), 2);
-        assert_eq!(cells[0].n, 100);
-        assert_eq!(cells[1].n, 200);
+        assert_eq!(cells[0].scenario.matrix_order(), 100);
+        assert_eq!(cells[1].scenario.matrix_order(), 200);
     }
 
     #[test]
@@ -519,13 +540,7 @@ mod tests {
             algorithms: vec![Algorithm::Cholesky, Algorithm::Qr],
             schedulers: vec![SchedulerKind::Quark, SchedulerKind::StarPu],
             node_counts: vec![0, 4],
-            interconnects: vec![
-                InterconnectSpec::Zero,
-                InterconnectSpec::Hockney {
-                    latency: 1e-5,
-                    bandwidth: 1e10,
-                },
-            ],
+            interconnects: vec![InterconnectSpec::Zero, InterconnectSpec::default()],
             ..SweepSpec::default()
         };
         let cells = spec.cells();
@@ -534,10 +549,10 @@ mod tests {
         assert_eq!(cells.len(), 2 * 2 + 2);
         assert!(cells
             .iter()
-            .all(|c| c.nodes == 0 || c.algorithm == Algorithm::Cholesky));
+            .all(|c| c.scenario.cluster.is_none() || c.scenario.algorithm == Algorithm::Cholesky));
         assert!(cells
             .iter()
-            .all(|c| (c.nodes > 0) == c.interconnect.is_some()));
+            .all(|c| c.scenario.cluster.is_some() == c.interconnect.is_some()));
     }
 
     #[test]
@@ -549,10 +564,11 @@ mod tests {
         };
         let cells = spec.cells();
         for c in &cells {
-            if c.nodes > 0 || c.scheduler == SchedulerKind::Quark {
-                assert_eq!(c.backend, Backend::Des, "cell {}", c.id);
+            let sc = &c.scenario;
+            if sc.cluster.is_some() || sc.scheduler == SchedulerKind::Quark {
+                assert_eq!(sc.backend, Backend::Des, "cell {}", c.id);
             } else {
-                assert_eq!(c.backend, Backend::Threaded, "cell {}", c.id);
+                assert_eq!(sc.backend, Backend::Threaded, "cell {}", c.id);
             }
         }
     }
@@ -562,10 +578,115 @@ mod tests {
     fn forced_des_rejects_racy_profiles() {
         let spec = SweepSpec {
             schedulers: vec![SchedulerKind::StarPu],
-            backend: SweepBackend::Des,
+            backend: Some(Backend::Des),
             ..SweepSpec::default()
         };
         spec.cells();
+    }
+
+    /// `validate` is what `cells()` panics with, as a `Result`.
+    #[test]
+    fn validate_rejects_each_illegal_matrix_with_one_line() {
+        assert_eq!(SweepSpec::default().validate(), Ok(()));
+        for (spec, needle) in [
+            (
+                SweepSpec {
+                    tile_sizes: vec![],
+                    ..SweepSpec::default()
+                },
+                "sweep axis tile_sizes is empty",
+            ),
+            (
+                SweepSpec {
+                    autotune: Some("flux".to_string()),
+                    ..SweepSpec::default()
+                },
+                "unknown autotune axis 'flux'",
+            ),
+            (
+                SweepSpec {
+                    seeds: (0..2048).collect(),
+                    worker_counts: (1..=1024).collect(),
+                    ..SweepSpec::default()
+                },
+                "cells exceed the limit",
+            ),
+            (
+                SweepSpec {
+                    orders: vec![64, 0],
+                    ..SweepSpec::default()
+                },
+                "n must be positive",
+            ),
+            (
+                SweepSpec {
+                    tile_counts: vec![100_000],
+                    ..SweepSpec::default()
+                },
+                "tasks exceed",
+            ),
+            (
+                // The `kill` preset takes out worker lane 1.
+                SweepSpec {
+                    worker_counts: vec![1],
+                    plans: vec![FaultPlanSpec::preset("kill").unwrap()],
+                    ..SweepSpec::default()
+                },
+                "outside the machine",
+            ),
+            (
+                SweepSpec {
+                    schedulers: vec![SchedulerKind::OmpSs],
+                    backend: Some(Backend::Des),
+                    ..SweepSpec::default()
+                },
+                "cannot replay deterministically",
+            ),
+            (
+                SweepSpec {
+                    models: SweepModels::Synthetic {
+                        mu: -6.0,
+                        sigma: 0.0,
+                        warmup: 1.0,
+                    },
+                    ..SweepSpec::default()
+                },
+                "sigma must be positive",
+            ),
+            (
+                SweepSpec {
+                    models: SweepModels::PerTileSize(BTreeMap::new()),
+                    ..SweepSpec::default()
+                },
+                "no registry for nb=64",
+            ),
+            (
+                SweepSpec {
+                    overhead_per_task: f64::NAN,
+                    ..SweepSpec::default()
+                },
+                "overhead_per_task",
+            ),
+        ] {
+            let err = spec.validate().expect_err(needle).to_string();
+            assert!(err.contains(needle), "want {needle:?}, got {err:?}");
+            assert_eq!(err.lines().count(), 1, "{err:?}");
+        }
+    }
+
+    #[test]
+    fn cell_bound_is_the_product_of_the_axes() {
+        let spec = SweepSpec {
+            algorithms: vec![Algorithm::Cholesky, Algorithm::Qr],
+            orders: vec![64, 128, 256],
+            tile_counts: vec![1, 2, 3, 4, 5],
+            node_counts: vec![0, 2],
+            seeds: vec![1, 2, 3, 4],
+            ..SweepSpec::default()
+        };
+        // `orders` overrides `tile_counts`; QR x cluster is dropped later.
+        assert_eq!(spec.cell_bound(), 2 * 3 * 2 * 4);
+        assert_eq!(spec.cells().len(), (2 + 1) * 3 * 4);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! it, append the result locally", and a final merge + sort by cell id.
 //! The sorted merge makes the report independent of which thread ran
 //! which cell — the determinism-across-`--jobs` guarantee. Each cell
-//! builds its own [`SimSession`] over the sweep's shared read-only model
+//! builds its own [`supersim_core::SimSession`] over the sweep's shared read-only model
 //! database; sessions own their clock, trace recorder, and counters, so
 //! N cells in flight never cross-talk (DESIGN.md §10).
 
@@ -14,9 +14,8 @@ use super::report::{CellResult, SweepReport};
 use super::{CellSpec, SweepSpec};
 use crate::scenario::Scenario;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use supersim_cluster::{ClusterSpec, TRANSFER_LABEL};
-use supersim_core::{ModelRegistry, SimConfig, SimSession};
+use std::sync::Mutex;
+use supersim_cluster::TRANSFER_LABEL;
 use supersim_tile::flops;
 use supersim_trace::fault::base_kernel;
 use supersim_trace::Trace;
@@ -76,9 +75,12 @@ impl SweepSpec {
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(cell) = cells.get(i) else { break };
-                        let models = bank.for_nb(cell.nb);
-                        let session = session_for(self, cell, models);
-                        local.push(run_cell(self, cell, session.clone()));
+                        // The cell's private session over the shared model
+                        // database, kept so its metrics can be published.
+                        let models = bank.for_nb(cell.scenario.tile_size_of());
+                        let scenario = cell.scenario.clone().models_shared(models);
+                        let session = scenario.fresh_session(false);
+                        local.push(run_cell(cell, scenario.session(session.clone())));
                         #[cfg(feature = "metrics")]
                         session.publish_metrics(&mut local_metrics);
                     }
@@ -101,20 +103,6 @@ impl SweepSpec {
     }
 }
 
-/// The cell's private session over the shared model database — the same
-/// construction `Scenario::fresh_session` would perform, made explicit
-/// so the runner can publish the session's metrics after the run.
-fn session_for(spec: &SweepSpec, cell: &CellSpec, models: Arc<ModelRegistry>) -> Arc<SimSession> {
-    SimSession::with_shared(
-        models,
-        SimConfig {
-            seed: cell.seed,
-            overhead_per_task: spec.overhead_per_task,
-            ..SimConfig::default()
-        },
-    )
-}
-
 fn transfer_spans(trace: &Trace) -> u64 {
     trace
         .spans()
@@ -123,46 +111,30 @@ fn transfer_spans(trace: &Trace) -> u64 {
         .count() as u64
 }
 
-/// Execute one cell and flatten the terminal's result into a
-/// [`CellResult`]. Traces are dropped here — a thousand-cell sweep keeps
-/// numbers, not schedules.
-fn run_cell(spec: &SweepSpec, cell: &CellSpec, session: Arc<SimSession>) -> CellResult {
-    let mut scenario = Scenario::new(cell.algorithm)
-        .n(cell.n)
-        .tile_size(cell.nb)
-        .scheduler(cell.scheduler)
-        .workers(cell.workers)
-        .seed(cell.seed)
-        .session(session)
-        .backend(cell.backend)
-        .faults(cell.plan.clone());
-    if let Some(ic) = &cell.interconnect {
-        let mut cluster = ClusterSpec::new(cell.nodes, cell.workers);
-        if let Some(lanes) = spec.nic_lanes {
-            cluster = cluster.with_nic_lanes(lanes);
-        }
-        scenario = scenario.cluster(cluster).interconnect(ic.build());
-    }
-
+/// Execute one cell's `scenario` (the cell's own, with its session
+/// attached) and flatten the terminal's result into a [`CellResult`].
+/// Traces are dropped here — a thousand-cell sweep keeps numbers, not
+/// schedules.
+fn run_cell(cell: &CellSpec, scenario: Scenario) -> CellResult {
+    let (n, nb) = (scenario.matrix_order(), scenario.tile_size_of());
+    let (algorithm, faulted) = (scenario.algorithm, !scenario.faults.is_empty());
+    let nodes = scenario.cluster.as_ref().map_or(0, |c| c.nodes);
     let mut result = CellResult {
         id: cell.id,
-        algorithm: cell.algorithm.name().to_string(),
-        n: cell.n,
-        nb: cell.nb,
-        scheduler: if cell.nodes > 0 {
+        algorithm: algorithm.name().to_string(),
+        n,
+        nb,
+        scheduler: if nodes > 0 {
             "pinned".to_string()
         } else {
-            cell.scheduler.name().to_string()
+            scenario.scheduler.name().to_string()
         },
-        workers: cell.workers,
-        nodes: cell.nodes,
-        interconnect: cell
-            .interconnect
-            .as_ref()
-            .map_or("-".to_string(), |ic| ic.name().to_string()),
+        workers: scenario.workers,
+        nodes,
+        interconnect: cell.interconnect.unwrap_or("-").to_string(),
         plan: cell.plan_name.clone(),
-        seed: cell.seed,
-        backend: cell.backend.name().to_string(),
+        seed: scenario.seed,
+        backend: scenario.backend.name().to_string(),
         tasks: 0,
         makespan: 0.0,
         gflops: 0.0,
@@ -174,35 +146,33 @@ fn run_cell(spec: &SweepSpec, cell: &CellSpec, session: Arc<SimSession>) -> Cell
         degradation: None,
     };
 
-    if cell.plan.is_empty() {
-        if cell.nodes > 0 {
-            let run = scenario.run_cluster();
-            result.tasks = run.trace.len() as u64;
-            result.makespan = run.predicted_seconds;
-            result.gflops = run.gflops;
-            result.transfers = run.transfers;
-            result.transfer_bytes = run.transfer_bytes;
-        } else {
-            let run = scenario.run_sim();
-            result.tasks = run.trace.len() as u64;
-            result.makespan = run.predicted_seconds;
-            result.gflops = run.gflops;
-        }
-    } else {
+    if faulted {
         let outcome = scenario.run_faults();
         result.tasks = outcome.trace.len() as u64;
         result.makespan = outcome.faulted_makespan;
-        result.gflops = flops::gflops(cell.algorithm.flops(cell.n), outcome.faulted_makespan);
+        result.gflops = flops::gflops(algorithm.flops(n), outcome.faulted_makespan);
         result.transfers = transfer_spans(&outcome.trace);
         // The faulted path surfaces a trace, not the coherence engine's
         // byte ledger, so bytes are reconstructed from the transfer span
         // count: one full tile each (exact whenever nb divides n, as in
         // tile-count-driven matrices).
-        result.transfer_bytes = result.transfers * (cell.nb * cell.nb * 8) as u64;
+        result.transfer_bytes = result.transfers * (nb * nb * 8) as u64;
         result.slowdown = outcome.report.slowdown;
         result.retries = outcome.report.retries;
         result.restarted_tasks = outcome.report.restarted_tasks;
         result.degradation = Some(outcome.report);
+    } else if nodes > 0 {
+        let run = scenario.run_cluster();
+        result.tasks = run.trace.len() as u64;
+        result.makespan = run.predicted_seconds;
+        result.gflops = run.gflops;
+        result.transfers = run.transfers;
+        result.transfer_bytes = run.transfer_bytes;
+    } else {
+        let run = scenario.run_sim();
+        result.tasks = run.trace.len() as u64;
+        result.makespan = run.predicted_seconds;
+        result.gflops = run.gflops;
     }
     result
 }
@@ -211,7 +181,7 @@ fn run_cell(spec: &SweepSpec, cell: &CellSpec, session: Arc<SimSession>) -> Cell
 mod tests {
     use super::*;
     use crate::driver::Algorithm;
-    use crate::sweep::{FaultPlanSpec, SweepBackend};
+    use crate::sweep::FaultPlanSpec;
     use supersim_runtime::SchedulerKind;
 
     fn small_spec() -> SweepSpec {
@@ -271,7 +241,7 @@ mod tests {
             tile_sizes: vec![12],
             worker_counts: vec![3],
             schedulers: vec![SchedulerKind::Quark, SchedulerKind::StarPu],
-            backend: SweepBackend::Auto,
+            backend: None,
             ..SweepSpec::default()
         };
         let outcome = spec.run(2);

@@ -89,37 +89,29 @@
 //! commands' canonical traces bit-for-bit (a CI gate).
 
 use std::collections::HashMap;
+use std::fmt::Display;
 use std::process::exit;
+use std::str::FromStr;
+use std::sync::Arc;
 use supersim::calibrate::{calibrate, estimate_overhead, CalibrationDb, FitOptions};
-use supersim::core::{SimConfig, SimSession};
+use supersim::core::{SimConfig, SimSession, WakeupMode};
 use supersim::prelude::*;
 use supersim::trace::{chrome, svg, text};
+use supersim::workloads::scenario::{
+    parse_scheduler, synthetic_model, uniform_models, SYNTHETIC_MU, SYNTHETIC_SIGMA,
+};
+use supersim::workloads::sweep::{FaultPlanSpec, InterconnectSpec, SweepModels, SweepSpec};
+
+type Opts = HashMap<String, String>;
 
 fn main() {
-    // Invalid arguments exit 2 with a one-line stderr message — every
-    // flag parser here follows that convention, but values that pass
-    // parsing can still trip `assert!`s deep in the builder crates
-    // (e.g. `--n 0`, inconsistent fault windows), which would otherwise
-    // abort with a multi-line panic dump and exit 101. Route those
-    // through the same convention: print the panic payload as a single
-    // `error:` line and exit 2.
-    std::panic::set_hook(Box::new(|info| {
-        let msg = if let Some(s) = info.payload().downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = info.payload().downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "internal error".to_string()
-        };
-        eprintln!("error: {}", msg.lines().next().unwrap_or("internal error"));
-    }));
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         usage_and_exit();
     }
     let cmd = args.remove(0);
     let opts = parse_flags(&args);
-    let outcome = std::panic::catch_unwind(|| match cmd.as_str() {
+    match cmd.as_str() {
         "real" => cmd_real(&opts),
         "sim" => cmd_sim(&opts),
         "predict" => cmd_predict(&opts),
@@ -136,9 +128,6 @@ fn main() {
             eprintln!("unknown command: {other}");
             usage_and_exit();
         }
-    });
-    if outcome.is_err() {
-        exit(2);
     }
 }
 
@@ -166,208 +155,280 @@ fn usage_and_exit() -> ! {
     exit(2)
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// Every rejected input ends here: one `error:` line on stderr, exit 2.
+/// The messages about names and scenario legality are the library's
+/// (`ScenarioError`); this file adds text only for flag syntax and files.
+fn fail(msg: impl Display) -> ! {
+    eprintln!("error: {msg}");
+    exit(2)
+}
+
+fn or_fail<T, E: Display>(result: Result<T, E>) -> T {
+    result.unwrap_or_else(|e| fail(e))
+}
+
+fn parse_flags(args: &[String]) -> Opts {
     let mut map = HashMap::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if let Some(key) = a.strip_prefix("--") {
-            let value = it.next().cloned().unwrap_or_else(|| {
-                eprintln!("flag --{key} needs a value");
-                exit(2)
-            });
-            map.insert(key.to_string(), value);
-        } else {
-            eprintln!("unexpected argument {a}");
-            exit(2);
-        }
+        let Some(key) = a.strip_prefix("--") else {
+            fail(format!("unexpected argument {a}"))
+        };
+        let Some(value) = it.next() else {
+            fail(format!("flag --{key} needs a value"))
+        };
+        map.insert(key.to_string(), value.clone());
     }
     map
 }
 
-fn get<T: std::str::FromStr>(opts: &HashMap<String, String>, key: &str, default: T) -> T {
-    match opts.get(key) {
-        None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("bad value for --{key}: {v}");
-            exit(2)
-        }),
-    }
+/// The flag's value parsed as `T`, if the flag was given.
+fn opt<T: FromStr>(opts: &Opts, key: &str) -> Option<T> {
+    opts.get(key).map(|v| {
+        v.parse()
+            .unwrap_or_else(|_| fail(format!("bad value for --{key}: {v}")))
+    })
 }
 
-fn algorithm(opts: &HashMap<String, String>) -> Algorithm {
-    match opts.get("alg").map(String::as_str) {
-        Some("cholesky") | None => Algorithm::Cholesky,
-        Some("qr") => Algorithm::Qr,
-        Some("lu") => Algorithm::Lu,
-        Some(other) => {
-            eprintln!("unknown algorithm {other} (cholesky|qr|lu)");
-            exit(2)
+fn get<T: FromStr>(opts: &Opts, key: &str, default: T) -> T {
+    opt(opts, key).unwrap_or(default)
+}
+
+/// A flag naming one value of the vocabulary; absent = the type's default.
+fn named<T: Default, E: Display>(opts: &Opts, key: &str, parse: fn(&str) -> Result<T, E>) -> T {
+    opts.get(key).map_or_else(T::default, |v| or_fail(parse(v)))
+}
+
+/// A comma-separated list flag, each item through `parse`; `None` when
+/// the flag is absent.
+fn list<T, E: Display>(
+    opts: &Opts,
+    key: &str,
+    parse: impl Fn(&str) -> Result<T, E>,
+) -> Option<Vec<T>> {
+    opts.get(key).map(|v| {
+        v.split(',')
+            .map(|item| or_fail(parse(item.trim())))
+            .collect()
+    })
+}
+
+fn numbers<T: FromStr>(opts: &Opts, key: &str) -> Option<Vec<T>> {
+    list(opts, key, |item| {
+        item.parse()
+            .map_err(|_| format!("bad value in --{key}: {item}"))
+    })
+}
+
+/// One output file a command can write: `(flag, label, render)`.
+type Output<'a> = (&'a str, &'a str, &'a dyn Fn() -> String);
+
+/// Write every output whose flag was given and confirm each through
+/// `note` (`<label> written to <path>`): stdout for the line-oriented
+/// commands, stderr for those whose stdout is a JSON document.
+fn write_outputs(opts: &Opts, note: fn(&str), outputs: &[Output]) {
+    for (flag, label, render) in outputs {
+        if let Some(path) = opts.get(*flag) {
+            std::fs::write(path, render())
+                .unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
+            note(&format!("{label} written to {path}"));
         }
     }
 }
 
-fn backend(opts: &HashMap<String, String>) -> supersim::workloads::Backend {
-    match opts.get("backend") {
-        None => supersim::workloads::Backend::Threaded,
-        Some(v) => supersim::workloads::Backend::parse(v).unwrap_or_else(|| {
-            eprintln!("unknown backend {v} (threaded|des)");
-            exit(2)
-        }),
-    }
+fn to_stdout(line: &str) {
+    println!("{line}");
 }
 
-fn scheduler(opts: &HashMap<String, String>) -> SchedulerKind {
-    match opts.get("scheduler").map(String::as_str) {
-        Some("quark") | None => SchedulerKind::Quark,
-        Some("starpu") => SchedulerKind::StarPu,
-        Some("ompss") => SchedulerKind::OmpSs,
-        Some(other) => {
-            eprintln!("unknown scheduler {other} (quark|starpu|ompss)");
-            exit(2)
+fn to_stderr(line: &str) {
+    eprintln!("{line}");
+}
+
+/// The scenario the common flags (`--alg --scheduler --n --nb --workers
+/// --seed`) describe; `(n, nb, workers)` are the command's size defaults —
+/// the one thing the commands disagree on.
+fn scenario_from(opts: &Opts, alg: Algorithm, (n, nb, workers): (usize, usize, usize)) -> Scenario {
+    Scenario::new(alg)
+        .scheduler(named(opts, "scheduler", parse_scheduler))
+        .n(get(opts, "n", n))
+        .tile_size(get(opts, "nb", nb))
+        .workers(get(opts, "workers", workers))
+        .seed(get(opts, "seed", 42u64))
+}
+
+/// `<cmd> <alg> n=<n> nb=<nb> workers=<w> scheduler=<s>`: the header line
+/// of the single-node commands.
+fn describe(cmd: &str, sc: &Scenario) -> String {
+    format!(
+        "{cmd} {} n={} nb={} workers={} scheduler={}",
+        sc.algorithm_of().name(),
+        sc.matrix_order(),
+        sc.tile_size_of(),
+        sc.workers_of(),
+        sc.scheduler_of().name()
+    )
+}
+
+/// The cluster flags (`--nodes --interconnect --latency --bandwidth
+/// --nic-lanes --placement`) applied to `sc`, whose `--workers` count per
+/// node. `nic_lanes` is the command's default lane count (`None` = the
+/// interconnect model's preference).
+fn with_cluster(
+    opts: &Opts,
+    sc: Scenario,
+    nic_lanes: Option<usize>,
+) -> (Scenario, ClusterSpec, Arc<dyn Interconnect>, BlockCyclic) {
+    let nodes = get(opts, "nodes", 4usize);
+    let name = opts.get("interconnect").map(String::as_str);
+    let interconnect = or_fail(InterconnectSpec::parse(
+        name,
+        opt(opts, "latency"),
+        opt(opts, "bandwidth"),
+    ))
+    .build();
+    let spec = ClusterSpec {
+        nodes,
+        workers_per_node: sc.workers_of(),
+        nic_lanes_per_node: get(
+            opts,
+            "nic-lanes",
+            nic_lanes.unwrap_or(interconnect.default_nic_lanes()),
+        ),
+        mem_bytes_per_node: 0,
+    };
+    // `--nodes 0` is `validate`'s to reject; the grids only must not panic
+    // on it first.
+    let placement = match opts.get("placement").map(String::as_str) {
+        None | Some("square") => BlockCyclic::square(nodes.max(1)),
+        Some("row") => BlockCyclic::row(nodes.max(1)),
+        Some("col") => BlockCyclic::col(nodes.max(1)),
+        Some(grid) => {
+            let parts: Vec<usize> = grid.split('x').map(|p| p.parse().unwrap_or(0)).collect();
+            if parts.len() != 2 || parts[0].checked_mul(parts[1]) != Some(nodes) || nodes == 0 {
+                fail(format!(
+                    "--placement {grid} must be square|row|col or PxQ with P*Q = {nodes} nodes"
+                ));
+            }
+            BlockCyclic::new(parts[0], parts[1])
         }
-    }
+    };
+    let sc = sc
+        .cluster(spec.clone())
+        .interconnect(interconnect.clone())
+        .placement(Arc::new(placement));
+    (sc, spec, interconnect, placement)
 }
 
-/// `--trace-stream PATH [--stream-epoch S]`: attach a streaming ndjson
-/// sink to the session's recorder, draining finalized spans at
-/// virtual-time epoch boundaries instead of buffering the whole run.
-fn attach_stream_sink(session: &SimSession, opts: &HashMap<String, String>) {
+/// The built-in kernel models — no calibration file needed, and
+/// deterministic for a given seed (the plan-based protocol keys durations
+/// by submission rank, not worker): `logN(-6.0, 0.3)`, with a 1.5x
+/// warm-up on the cluster recipes.
+fn synthetic_models(alg: Algorithm, clustered: bool) -> ModelRegistry {
+    let warmup = if clustered { 1.5 } else { 1.0 };
+    let model = or_fail(synthetic_model(SYNTHETIC_MU, SYNTHETIC_SIGMA, warmup));
+    uniform_models(&[alg], &model)
+}
+
+/// A session of its own for `sc`'s run, so the command can publish its
+/// metrics afterwards, with `--trace-stream PATH [--stream-epoch S]`
+/// honoured: a streaming ndjson sink on the recorder drains finalized
+/// spans at virtual-time epoch boundaries instead of buffering the run.
+fn session_for(
+    opts: &Opts,
+    sc: &Scenario,
+    clustered: bool,
+    wakeup_mode: WakeupMode,
+) -> Arc<SimSession> {
+    let session = SimSession::new(
+        synthetic_models(sc.algorithm_of(), clustered),
+        SimConfig {
+            seed: sc.seed_of(),
+            wakeup_mode,
+            ..SimConfig::default()
+        },
+    );
     if let Some(path) = opts.get("trace-stream") {
         let epoch = get(opts, "stream-epoch", 1.0f64);
         if !epoch.is_finite() || epoch <= 0.0 {
-            eprintln!("--stream-epoch must be a positive number of virtual seconds");
-            exit(2);
+            fail("--stream-epoch must be a positive number of virtual seconds");
         }
-        let sink = supersim::trace::sink::NdjsonSink::create(path).unwrap_or_else(|e| {
-            eprintln!("cannot create {path}: {e}");
-            exit(2)
-        });
+        let sink = supersim::trace::sink::NdjsonSink::create(path)
+            .unwrap_or_else(|e| fail(format!("cannot create {path}: {e}")));
         session.trace_recorder().attach_sink(Box::new(sink), epoch);
         eprintln!("streaming spans to {path} (epoch {epoch}s)");
     }
+    session
 }
 
 /// `supersim trace-convert --in spans.ndjson [--out canonical.txt]`:
 /// rebuild the canonical text projection from a streamed ndjson span
 /// file — the bridge CI uses to byte-compare streamed and buffered runs.
-fn cmd_trace_convert(opts: &HashMap<String, String>) {
-    let input = opts.get("in").unwrap_or_else(|| {
-        eprintln!("trace-convert needs --in spans.ndjson");
-        exit(2)
-    });
-    let data = std::fs::read_to_string(input).unwrap_or_else(|e| {
-        eprintln!("cannot read {input}: {e}");
-        exit(2)
-    });
-    let mut trace = supersim::trace::sink::parse_ndjson(&data).unwrap_or_else(|e| {
-        eprintln!("bad ndjson in {input}: {e}");
-        exit(2)
-    });
+fn cmd_trace_convert(opts: &Opts) {
+    let input = opts
+        .get("in")
+        .unwrap_or_else(|| fail("trace-convert needs --in spans.ndjson"));
+    let data = std::fs::read_to_string(input)
+        .unwrap_or_else(|e| fail(format!("cannot read {input}: {e}")));
+    let mut trace = supersim::trace::sink::parse_ndjson(&data)
+        .unwrap_or_else(|e| fail(format!("bad ndjson in {input}: {e}")));
     trace.normalize();
-    let canonical = trace.canonical();
+    let label = format!("canonical trace ({} spans)", trace.len());
     match opts.get("out") {
-        Some(path) => {
-            std::fs::write(path, &canonical).expect("write canonical trace");
-            eprintln!("canonical trace ({} spans) written to {path}", trace.len());
-        }
-        None => print!("{canonical}"),
+        Some(_) => write_outputs(opts, to_stderr, &[("out", &label, &|| trace.canonical())]),
+        None => print!("{}", trace.canonical()),
     }
 }
 
-fn cmd_real(opts: &HashMap<String, String>) {
-    let alg = algorithm(opts);
-    let kind = scheduler(opts);
-    let n = get(opts, "n", 720usize);
-    let nb = get(opts, "nb", 90usize);
-    let workers = get(opts, "workers", 1usize);
-    let seed = get(opts, "seed", 42u64);
-
-    println!(
-        "real {} n={n} nb={nb} workers={workers} scheduler={}",
-        alg.name(),
-        kind.name()
-    );
-    let run = Scenario::new(alg)
-        .scheduler(kind)
-        .workers(workers)
-        .n(n)
-        .tile_size(nb)
-        .seed(seed)
-        .run_real();
+fn cmd_real(opts: &Opts) {
+    let sc = scenario_from(opts, named(opts, "alg", Algorithm::parse), (720, 90, 1));
+    or_fail(sc.validate());
+    println!("{}", describe("real", &sc));
+    let run = sc.run_real();
     println!(
         "elapsed {:.4}s   {:.2} GFLOP/s   residual {:.2e}",
         run.seconds, run.gflops, run.residual
     );
-    let stats = TraceStats::of(&run.trace);
-    println!("{}", stats.report());
-
-    if let Some(path) = opts.get("trace-out") {
-        std::fs::write(path, text::write(&run.trace)).expect("write trace");
-        println!("trace written to {path}");
-    }
-    if let Some(path) = opts.get("calibration-out") {
-        let cal = calibrate(&run.trace, FitOptions::default());
-        let db = CalibrationDb::new(
-            format!("{} n={n} nb={nb} workers={workers}", alg.name()),
-            n,
-            nb,
-            workers,
-            cal,
+    println!("{}", TraceStats::of(&run.trace).report());
+    let calibration = || {
+        let what = format!(
+            "{} n={} nb={} workers={}",
+            run.algorithm.name(),
+            run.n,
+            run.nb,
+            run.workers
         );
-        db.save(std::path::Path::new(path))
-            .expect("write calibration");
-        println!("calibration written to {path}");
-    }
+        let cal = calibrate(&run.trace, FitOptions::default());
+        CalibrationDb::new(what, run.n, run.nb, run.workers, cal).to_json()
+    };
+    write_outputs(
+        opts,
+        to_stdout,
+        &[
+            ("trace-out", "trace", &|| text::write(&run.trace)),
+            ("calibration-out", "calibration", &calibration),
+        ],
+    );
 }
 
-fn cmd_sim(opts: &HashMap<String, String>) {
-    let alg = algorithm(opts);
-    let kind = scheduler(opts);
-    let n = get(opts, "n", 2000usize);
-    let nb = get(opts, "nb", 100usize);
-    let workers = get(opts, "workers", 8usize);
-    let seed = get(opts, "seed", 42u64);
-
+fn cmd_sim(opts: &Opts) {
     let Some(cal_path) = opts.get("calibration") else {
-        eprintln!("sim requires --calibration FILE (produce one with `supersim real --calibration-out ...`)");
-        exit(2)
+        fail("sim requires --calibration FILE (produce one with `supersim real --calibration-out ...`)")
     };
-    let db = CalibrationDb::load(std::path::Path::new(cal_path)).unwrap_or_else(|e| {
-        eprintln!("cannot load calibration: {e}");
-        exit(2)
-    });
-
-    let overhead = match opts.get("overhead").map(String::as_str) {
-        None => 0.0,
-        Some("auto") => {
-            eprintln!("--overhead auto requires a trace; use `predict` instead");
-            exit(2)
-        }
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("bad --overhead value {v}");
-            exit(2)
-        }),
-    };
-
+    let db = CalibrationDb::load(std::path::Path::new(cal_path))
+        .unwrap_or_else(|e| fail(format!("cannot load calibration: {e}")));
+    if opts.get("overhead").map(String::as_str) == Some("auto") {
+        fail("--overhead auto requires a trace; use `predict` instead");
+    }
+    let sc = scenario_from(opts, named(opts, "alg", Algorithm::parse), (2000, 100, 8));
     let config = SimConfig {
-        seed,
-        overhead_per_task: overhead,
+        seed: sc.seed_of(),
+        overhead_per_task: get(opts, "overhead", 0.0),
         ..SimConfig::default()
     };
-    println!(
-        "sim {} n={n} nb={nb} workers={workers} scheduler={} (calibration: {})",
-        alg.name(),
-        kind.name(),
-        db.description
-    );
-    let run = Scenario::new(alg)
-        .scheduler(kind)
-        .workers(workers)
-        .n(n)
-        .tile_size(nb)
-        .models(db.calibration.registry)
-        .config(config)
-        .run_sim();
+    let sc = sc.models(db.calibration.registry).config(config);
+    or_fail(sc.validate());
+    println!("{} (calibration: {})", describe("sim", &sc), db.description);
+    let run = sc.run_sim();
     println!(
         "predicted {:.4}s   {:.2} GFLOP/s   (simulation wall time {:.4}s, {} tasks)",
         run.predicted_seconds,
@@ -375,38 +436,25 @@ fn cmd_sim(opts: &HashMap<String, String>) {
         run.wall_seconds,
         run.trace.len()
     );
-
-    if let Some(path) = opts.get("svg") {
-        std::fs::write(path, svg::render_default(&run.trace)).expect("write svg");
-        println!("trace SVG written to {path}");
-    }
-    if let Some(path) = opts.get("chrome") {
-        std::fs::write(path, chrome::to_chrome_json(&run.trace)).expect("write chrome trace");
-        println!("chrome trace written to {path}");
-    }
+    write_outputs(
+        opts,
+        to_stdout,
+        &[
+            ("svg", "trace SVG", &|| svg::render_default(&run.trace)),
+            ("chrome", "chrome trace", &|| {
+                chrome::to_chrome_json(&run.trace)
+            }),
+        ],
+    );
 }
 
-fn cmd_predict(opts: &HashMap<String, String>) {
-    let alg = algorithm(opts);
-    let kind = scheduler(opts);
-    let n = get(opts, "n", 720usize);
-    let nb = get(opts, "nb", 90usize);
-    let workers = get(opts, "workers", 1usize);
-    let seed = get(opts, "seed", 42u64);
+fn cmd_predict(opts: &Opts) {
+    let sc = scenario_from(opts, named(opts, "alg", Algorithm::parse), (720, 90, 1));
+    or_fail(sc.validate());
     let model_overhead = opts.get("overhead").map(String::as_str) == Some("auto");
 
-    println!(
-        "predict {} n={n} nb={nb} workers={workers} scheduler={}",
-        alg.name(),
-        kind.name()
-    );
-    let real = Scenario::new(alg)
-        .scheduler(kind)
-        .workers(workers)
-        .n(n)
-        .tile_size(nb)
-        .seed(seed)
-        .run_real();
+    println!("{}", describe("predict", &sc));
+    let real = sc.clone().run_real();
     println!(
         "real:      {:.4}s  {:.2} GFLOP/s  residual {:.2e}",
         real.seconds, real.gflops, real.residual
@@ -424,18 +472,14 @@ fn cmd_predict(opts: &HashMap<String, String>) {
     } else {
         0.0
     };
-    let sim = Scenario::new(alg)
-        .scheduler(kind)
-        .workers(workers)
-        .n(n)
-        .tile_size(nb)
-        .models(cal.registry)
-        .config(SimConfig {
-            seed,
-            overhead_per_task: overhead,
-            ..SimConfig::default()
-        })
-        .run_sim();
+    let config = SimConfig {
+        seed: sc.seed_of(),
+        overhead_per_task: overhead,
+        ..SimConfig::default()
+    };
+    let sim = sc.models(cal.registry).config(config);
+    or_fail(sim.validate());
+    let sim = sim.run_sim();
     println!(
         "simulated: {:.4}s  {:.2} GFLOP/s  (sim wall {:.4}s)",
         sim.predicted_seconds, sim.gflops, sim.wall_seconds
@@ -446,107 +490,36 @@ fn cmd_predict(opts: &HashMap<String, String>) {
     println!("traces:    {}", cmp.summary());
 }
 
-/// Canonical virtual-time trace text: one line per task, sorted by task
-/// id, no worker lanes. Worker placement is scheduler-race dependent, but
-/// virtual times are seed-deterministic, so this format diffs bit-for-bit
-/// across repeated runs (the CI determinism gates rely on that).
-fn canonical_trace(trace: &supersim::trace::Trace) -> String {
-    trace.canonical()
-}
-
 /// Simulate a distributed run: N nodes of W workers, owner-computes
 /// block-cyclic placement, automatic transfer tasks costed by the chosen
 /// interconnect model. Prints a JSON report to stdout; the human summary
 /// goes to stderr.
-fn cmd_cluster(opts: &HashMap<String, String>) {
-    use std::sync::Arc;
-    use supersim::cluster::{ClusterSpec, Hockney, Interconnect, SharedLink, ZeroCost};
+fn cmd_cluster(opts: &Opts) {
     use supersim::trace::chrome::LaneGroup;
 
-    let alg = match opts.get("alg").map(String::as_str) {
-        Some("cholesky") | None => Algorithm::Cholesky,
-        Some("lu") => Algorithm::Lu,
-        Some(other) => {
-            eprintln!("unknown cluster algorithm {other} (cholesky|lu; distributed QR is not implemented)");
-            exit(2)
-        }
-    };
-    let n = get(opts, "n", 960usize);
-    let nb = get(opts, "nb", 96usize);
-    let nodes = get(opts, "nodes", 4usize);
-    let workers = get(opts, "workers", 4usize);
-    let seed = get(opts, "seed", 42u64);
-    let latency = get(opts, "latency", 1e-5f64);
-    let bandwidth = get(opts, "bandwidth", 1e10f64);
-    let interconnect: Arc<dyn Interconnect> = match opts.get("interconnect").map(String::as_str) {
-        Some("zero") => Arc::new(ZeroCost),
-        Some("hockney") | None => Arc::new(Hockney::new(latency, bandwidth)),
-        Some("sharedlink") => Arc::new(SharedLink::new(latency, bandwidth)),
-        Some(other) => {
-            eprintln!("unknown interconnect {other} (zero|hockney|sharedlink)");
-            exit(2)
-        }
-    };
-    let nic_lanes = get(opts, "nic-lanes", interconnect.default_nic_lanes());
-    let placement = match opts.get("placement").map(String::as_str) {
-        None | Some("square") => BlockCyclic::square(nodes),
-        Some("row") => BlockCyclic::row(nodes),
-        Some("col") => BlockCyclic::col(nodes),
-        Some(grid) => {
-            let parts: Vec<usize> = grid
-                .split('x')
-                .map(|p| {
-                    p.parse().unwrap_or_else(|_| {
-                        eprintln!("bad --placement {grid} (square|row|col|PxQ)");
-                        exit(2)
-                    })
-                })
-                .collect();
-            if parts.len() != 2 || parts[0] * parts[1] != nodes {
-                eprintln!("--placement {grid} must be PxQ with P*Q = {nodes} nodes");
-                exit(2);
-            }
-            BlockCyclic::new(parts[0], parts[1])
-        }
-    };
-
-    // Built-in lognormal kernel models with a warm-up factor — no
-    // calibration file needed, and deterministic for the given seed (the
-    // plan-based protocol keys durations by submission rank, not worker).
-    let mut models = ModelRegistry::new();
-    for l in alg.labels() {
-        models.insert(
-            *l,
-            KernelModel::with_warmup(Dist::log_normal(-6.0, 0.3).unwrap(), 1.5),
-        );
-    }
-    let session = SimSession::new(
-        models,
-        SimConfig {
-            seed,
-            ..SimConfig::default()
-        },
+    let alg = named(opts, "alg", Algorithm::parse);
+    let sc = scenario_from(opts, alg, (960, 96, 4)).backend(named(opts, "backend", Backend::parse));
+    let (sc, spec, interconnect, placement) = with_cluster(opts, sc, None);
+    or_fail(sc.validate());
+    let (n, nb, seed, backend) = (
+        sc.matrix_order(),
+        sc.tile_size_of(),
+        sc.seed_of(),
+        sc.backend_of(),
     );
-    let backend = backend(opts);
-    let spec = ClusterSpec::new(nodes, workers).with_nic_lanes(nic_lanes);
     eprintln!(
-        "cluster {} n={n} nb={nb} nodes={nodes} workers={workers}/node nic-lanes={nic_lanes} \
+        "cluster {} n={n} nb={nb} nodes={} workers={}/node nic-lanes={} \
          interconnect={} placement={} backend={}",
         alg.name(),
+        spec.nodes,
+        spec.workers_per_node,
+        spec.nic_lanes_per_node,
         interconnect.name(),
         placement.name(),
         backend.name()
     );
-    attach_stream_sink(&session, opts);
-    let run = Scenario::new(alg)
-        .n(n)
-        .tile_size(nb)
-        .session(session)
-        .cluster(spec.clone())
-        .interconnect(interconnect)
-        .placement(Arc::new(placement))
-        .backend(backend)
-        .run_cluster();
+    let session = session_for(opts, &sc, true, WakeupMode::default());
+    let run = sc.session(session).run_cluster();
     eprintln!(
         "predicted {:.4}s   {:.2} GFLOP/s   {} compute tasks, {} transfers ({} bytes)   (wall {:.4}s)",
         run.predicted_seconds,
@@ -586,9 +559,9 @@ fn cmd_cluster(opts: &HashMap<String, String>) {
         algorithm: alg.name().to_string(),
         n,
         nb,
-        nodes,
-        workers_per_node: workers,
-        nic_lanes_per_node: nic_lanes,
+        nodes: spec.nodes,
+        workers_per_node: spec.workers_per_node,
+        nic_lanes_per_node: spec.nic_lanes_per_node,
         interconnect: run.interconnect.to_string(),
         placement: run.placement.clone(),
         seed,
@@ -609,11 +582,7 @@ fn cmd_cluster(opts: &HashMap<String, String>) {
         serde_json::to_string_pretty(&report).expect("serialize report")
     );
 
-    if let Some(path) = opts.get("trace-out") {
-        std::fs::write(path, canonical_trace(&run.trace)).expect("write trace");
-        eprintln!("canonical trace written to {path}");
-    }
-    if let Some(path) = opts.get("chrome") {
+    let grouped_chrome = || {
         let names = spec.lane_names();
         let lanes: Vec<LaneGroup> = (0..spec.total_workers())
             .map(|w| {
@@ -628,112 +597,104 @@ fn cmd_cluster(opts: &HashMap<String, String>) {
                 }
             })
             .collect();
-        std::fs::write(path, chrome::to_chrome_json_grouped(&run.trace, &lanes))
-            .expect("write chrome trace");
-        eprintln!("chrome trace written to {path}");
-    }
-    if let Some(path) = opts.get("svg") {
+        chrome::to_chrome_json_grouped(&run.trace, &lanes)
+    };
+    let lane_svg = || {
         let svg_opts = svg::SvgOptions {
             title: format!(
                 "{} n={n} nb={nb}: {} nodes x {} workers over {}",
                 alg.name(),
-                nodes,
-                workers,
+                spec.nodes,
+                spec.workers_per_node,
                 run.interconnect
             ),
             lane_names: spec.lane_names(),
             ..Default::default()
         };
-        std::fs::write(path, svg::render(&run.trace, &svg_opts)).expect("write svg");
-        eprintln!("trace SVG written to {path}");
-    }
+        svg::render(&run.trace, &svg_opts)
+    };
+    write_outputs(
+        opts,
+        to_stderr,
+        &[
+            ("trace-out", "canonical trace", &|| run.trace.canonical()),
+            ("chrome", "chrome trace", &grouped_chrome),
+            ("svg", "trace SVG", &lane_svg),
+        ],
+    );
 }
 
 /// Parse a fault flag holding a comma-separated list of `:`-separated
 /// numeric tuples, e.g. `--straggler 0:0.0:0.5:2.0,3:0.1:0.2:4.0`.
-fn fault_tuples(opts: &HashMap<String, String>, key: &str, arity: usize) -> Vec<Vec<f64>> {
-    let Some(v) = opts.get(key) else {
-        return Vec::new();
+fn fault_tuples(opts: &Opts, key: &str, arity: usize) -> Vec<Vec<f64>> {
+    let tuple = |item: &str| {
+        let parts: Vec<f64> = item.split(':').flat_map(str::parse).collect();
+        if parts.len() == arity && item.split(':').count() == arity {
+            Ok(parts)
+        } else {
+            Err(format!(
+                "bad --{key} entry {item:?} (need {arity} ':'-separated numbers)"
+            ))
+        }
     };
-    v.split(',')
-        .map(|item| {
-            let parts: Vec<f64> = item
-                .split(':')
-                .map(|p| {
-                    p.parse().unwrap_or_else(|_| {
-                        eprintln!(
-                            "bad --{key} entry {item:?} (need {arity} ':'-separated numbers)"
-                        );
-                        exit(2)
-                    })
-                })
-                .collect();
-            if parts.len() != arity {
-                eprintln!("bad --{key} entry {item:?} (need {arity} ':'-separated numbers)");
-                exit(2);
-            }
-            parts
-        })
-        .collect()
+    list(opts, key, tuple).unwrap_or_default()
 }
 
-/// Assemble a [`FaultPlan`] from the `faults` command's flags.
-fn fault_plan(opts: &HashMap<String, String>) -> FaultPlan {
-    let mut plan = FaultPlan::new();
-    for t in fault_tuples(opts, "straggler", 4) {
-        plan = plan.straggler_worker(t[0] as usize, t[1], t[2], t[3]);
-    }
-    for t in fault_tuples(opts, "straggler-node", 4) {
-        plan = plan.straggler_node(t[0] as usize, t[1], t[2], t[3]);
-    }
+/// Assemble a [`FaultPlan`] from the `faults` command's flags. Events are
+/// written down as given; `Scenario::validate` judges them.
+fn fault_plan(opts: &Opts) -> FaultPlan {
+    let window = |key: &str, scope: fn(usize) -> FaultScope| {
+        let events = fault_tuples(opts, key, 4).into_iter();
+        events.map(move |t| FaultEvent::Straggler {
+            scope: scope(t[0] as usize),
+            from: t[1],
+            until: t[2],
+            factor: t[3],
+        })
+    };
+    let kill = |key: &str, scope: fn(usize) -> FaultScope| {
+        let events = fault_tuples(opts, key, 2).into_iter();
+        events.map(move |t| FaultEvent::PermanentFailure {
+            scope: scope(t[0] as usize),
+            at: t[1],
+        })
+    };
+    let mut events: Vec<FaultEvent> = window("straggler", FaultScope::Worker)
+        .chain(window("straggler-node", FaultScope::Node))
+        .collect();
     for t in fault_tuples(opts, "degrade-link", 4) {
-        plan = plan.degrade_link(t[0] as usize, t[1], t[2], t[3]);
-    }
-    for t in fault_tuples(opts, "transient", 3) {
-        let (period, failures, frac) = (t[0] as u64, t[1] as u32, t[2]);
-        plan = match opts.get("transient-label") {
-            Some(label) => plan.transient_for(label.clone(), period, failures, frac),
-            None => plan.transient(period, failures, frac),
-        };
-    }
-    let kills_w = fault_tuples(opts, "kill-worker", 2);
-    let kills_n = fault_tuples(opts, "kill-node", 2);
-    if kills_w.len() + kills_n.len() > 1 {
-        eprintln!("at most one permanent failure (--kill-worker or --kill-node) per plan");
-        exit(2);
-    }
-    for t in kills_w {
-        plan = plan.kill_worker(t[0] as usize, t[1]);
-    }
-    for t in kills_n {
-        plan = plan.kill_node(t[0] as usize, t[1]);
-    }
-
-    let mut recovery = RecoveryPolicy::default();
-    recovery.backoff_base = get(opts, "backoff-base", recovery.backoff_base);
-    recovery.backoff_cap = get(opts, "backoff-cap", recovery.backoff_cap);
-    recovery.restart_delay = get(opts, "restart-delay", recovery.restart_delay);
-    if let Some(cp) = opts.get("checkpoint") {
-        let parts: Vec<f64> = cp
-            .split(':')
-            .map(|p| {
-                p.parse().unwrap_or_else(|_| {
-                    eprintln!("bad --checkpoint {cp:?} (need INTERVAL:SNAPSHOT:RESTORE)");
-                    exit(2)
-                })
-            })
-            .collect();
-        if parts.len() != 3 {
-            eprintln!("bad --checkpoint {cp:?} (need INTERVAL:SNAPSHOT:RESTORE)");
-            exit(2);
-        }
-        recovery.checkpoint = Some(CheckpointPolicy {
-            interval: parts[0],
-            snapshot_cost: parts[1],
-            restore_cost: parts[2],
+        events.push(FaultEvent::LinkDegradation {
+            node: t[0] as usize,
+            from: t[1],
+            until: t[2],
+            factor: t[3],
         });
     }
-    plan.with_recovery(recovery)
+    for t in fault_tuples(opts, "transient", 3) {
+        events.push(FaultEvent::Transient {
+            label: opts.get("transient-label").cloned(),
+            period: t[0] as u64,
+            failures: t[1] as u32,
+            fail_fraction: t[2],
+        });
+    }
+    events.extend(kill("kill-worker", FaultScope::Worker));
+    events.extend(kill("kill-node", FaultScope::Node));
+
+    let defaults = RecoveryPolicy::default();
+    let recovery = RecoveryPolicy {
+        backoff_base: get(opts, "backoff-base", defaults.backoff_base),
+        backoff_cap: get(opts, "backoff-cap", defaults.backoff_cap),
+        restart_delay: get(opts, "restart-delay", defaults.restart_delay),
+        checkpoint: fault_tuples(opts, "checkpoint", 3)
+            .last()
+            .map(|t| CheckpointPolicy {
+                interval: t[0],
+                snapshot_cost: t[1],
+                restore_cost: t[2],
+            }),
+    };
+    FaultPlan { events, recovery }
 }
 
 /// Clean-vs-faulted comparison under a deterministic fault plan. Without
@@ -743,112 +704,37 @@ fn fault_plan(opts: &HashMap<String, String>) -> FaultPlan {
 /// an empty plan reproduces those commands' canonical traces bit-for-bit.
 /// The [`supersim::faults::DegradationReport`] goes to stdout as JSON,
 /// the human summary to stderr.
-fn cmd_faults(opts: &HashMap<String, String>) {
-    use std::sync::Arc;
-    use supersim::cluster::{ClusterSpec, Hockney, Interconnect, SharedLink, ZeroCost};
-
-    let cluster_mode = opts.contains_key("nodes");
-    let alg = match opts.get("alg").map(String::as_str) {
-        Some("cholesky") | None => Algorithm::Cholesky,
-        Some("qr") if !cluster_mode => Algorithm::Qr,
-        Some("lu") => Algorithm::Lu,
-        Some(other) => {
-            eprintln!(
-                "unknown faults algorithm {other} ({})",
-                if cluster_mode {
-                    "cholesky|lu with --nodes"
-                } else {
-                    "cholesky|qr|lu"
-                }
-            );
-            exit(2)
-        }
-    };
-    let plan = fault_plan(opts);
-    let seed = get(opts, "seed", 42u64);
-    let backend = backend(opts);
-
-    let (out, label) = if cluster_mode {
-        let n = get(opts, "n", 960usize);
-        let nb = get(opts, "nb", 96usize);
-        let nodes = get(opts, "nodes", 4usize);
-        let workers = get(opts, "workers", 4usize);
-        let latency = get(opts, "latency", 1e-5f64);
-        let bandwidth = get(opts, "bandwidth", 1e10f64);
-        let interconnect: Arc<dyn Interconnect> = match opts.get("interconnect").map(String::as_str)
-        {
-            Some("zero") => Arc::new(ZeroCost),
-            Some("hockney") | None => Arc::new(Hockney::new(latency, bandwidth)),
-            Some("sharedlink") => Arc::new(SharedLink::new(latency, bandwidth)),
-            Some(other) => {
-                eprintln!("unknown interconnect {other} (zero|hockney|sharedlink)");
-                exit(2)
-            }
-        };
-        let nic_lanes = get(opts, "nic-lanes", interconnect.default_nic_lanes());
-        let mut models = ModelRegistry::new();
-        for l in alg.labels() {
-            models.insert(
-                *l,
-                KernelModel::with_warmup(Dist::log_normal(-6.0, 0.3).unwrap(), 1.5),
-            );
-        }
-        let spec = ClusterSpec::new(nodes, workers).with_nic_lanes(nic_lanes);
-        let label = format!(
-            "faults {} n={n} nb={nb} nodes={nodes} workers={workers}/node interconnect={} backend={}",
-            alg.name(),
-            interconnect.name(),
-            backend.name()
-        );
-        let out = Scenario::new(alg)
-            .n(n)
-            .tile_size(nb)
-            .models(models)
-            .config(SimConfig {
-                seed,
-                ..SimConfig::default()
-            })
-            .cluster(spec)
-            .interconnect(interconnect)
-            .placement(Arc::new(BlockCyclic::square(nodes)))
-            .backend(backend)
-            .faults(plan)
-            .run_faults();
-        (out, label)
+fn cmd_faults(opts: &Opts) {
+    let clustered = opts.contains_key("nodes");
+    let alg = named(opts, "alg", Algorithm::parse);
+    let sizes = if clustered {
+        (960, 96, 4)
     } else {
-        let kind = scheduler(opts);
-        if let Err(e) = backend.supports(kind) {
-            eprintln!("{e}");
-            exit(2)
-        }
-        let n = get(opts, "n", 512usize);
-        let nb = get(opts, "nb", 64usize);
-        let workers = get(opts, "workers", 8usize);
-        let mut models = ModelRegistry::new();
-        for l in alg.labels() {
-            models.insert(*l, KernelModel::new(Dist::log_normal(-6.0, 0.3).unwrap()));
-        }
-        let label = format!(
-            "faults {} n={n} nb={nb} workers={workers} scheduler={} backend={}",
-            alg.name(),
-            kind.name(),
-            backend.name()
-        );
-        let out = Scenario::new(alg)
-            .scheduler(kind)
-            .workers(workers)
-            .n(n)
-            .tile_size(nb)
-            .models(models)
-            .config(SimConfig {
-                seed,
-                ..SimConfig::default()
-            })
-            .backend(backend)
-            .faults(plan)
-            .run_faults();
-        (out, label)
+        (512, 64, 8)
     };
+    let sc = scenario_from(opts, alg, sizes)
+        .backend(named(opts, "backend", Backend::parse))
+        .models(synthetic_models(alg, clustered))
+        .faults(fault_plan(opts));
+    let (sc, label) = if clustered {
+        let (sc, spec, interconnect, _) = with_cluster(opts, sc, None);
+        let label = format!(
+            "faults {} n={} nb={} nodes={} workers={}/node interconnect={}",
+            alg.name(),
+            sc.matrix_order(),
+            sc.tile_size_of(),
+            spec.nodes,
+            spec.workers_per_node,
+            interconnect.name()
+        );
+        (sc, label)
+    } else {
+        let label = describe("faults", &sc);
+        (sc, label)
+    };
+    or_fail(sc.validate());
+    let label = format!("{label} backend={}", sc.backend_of().name());
+    let out = sc.run_faults();
 
     let r = &out.report;
     eprintln!("{label}");
@@ -881,143 +767,73 @@ fn cmd_faults(opts: &HashMap<String, String>) {
         serde_json::to_string_pretty(r).expect("serialize report")
     );
 
-    if let Some(path) = opts.get("trace-out") {
-        std::fs::write(path, canonical_trace(&out.trace)).expect("write trace");
-        eprintln!("faulted canonical trace written to {path}");
-    }
-    if let Some(path) = opts.get("clean-trace-out") {
-        std::fs::write(path, canonical_trace(&out.clean_trace)).expect("write trace");
-        eprintln!("clean canonical trace written to {path}");
-    }
-    if let Some(path) = opts.get("svg") {
-        std::fs::write(path, svg::render_default(&out.trace)).expect("write svg");
-        eprintln!("faulted trace SVG written to {path}");
-    }
-    if let Some(path) = opts.get("chrome") {
-        std::fs::write(path, chrome::to_chrome_json(&out.trace)).expect("write chrome trace");
-        eprintln!("faulted chrome trace written to {path}");
-    }
+    write_outputs(
+        opts,
+        to_stderr,
+        &[
+            ("trace-out", "faulted canonical trace", &|| {
+                out.trace.canonical()
+            }),
+            ("clean-trace-out", "clean canonical trace", &|| {
+                out.clean_trace.canonical()
+            }),
+            ("svg", "faulted trace SVG", &|| {
+                svg::render_default(&out.trace)
+            }),
+            ("chrome", "faulted chrome trace", &|| {
+                chrome::to_chrome_json(&out.trace)
+            }),
+        ],
+    );
     #[cfg(feature = "metrics")]
-    if let Some(path) = opts.get("metrics-out") {
-        let mut snap = supersim::metrics::MetricsSnapshot::default();
-        r.publish_metrics(&mut snap);
-        std::fs::write(path, snap.to_json()).expect("write metrics");
-        eprintln!("fault metrics written to {path}");
-    }
-}
-
-/// Parse a comma-separated list flag; `None` when the flag is absent.
-fn parse_list<T: std::str::FromStr>(opts: &HashMap<String, String>, key: &str) -> Option<Vec<T>> {
-    opts.get(key).map(|v| {
-        v.split(',')
-            .map(|p| {
-                p.trim().parse().unwrap_or_else(|_| {
-                    eprintln!("bad value in --{key}: {p}");
-                    exit(2)
-                })
-            })
-            .collect()
-    })
+    write_outputs(
+        opts,
+        to_stderr,
+        &[("metrics-out", "fault metrics", &|| {
+            let mut snap = supersim::metrics::MetricsSnapshot::default();
+            r.publish_metrics(&mut snap);
+            snap.to_json()
+        })],
+    );
 }
 
 /// Expand and execute a scenario matrix; see the module docs for flags.
-fn cmd_sweep(opts: &HashMap<String, String>) {
-    use supersim::workloads::sweep::{
-        FaultPlanSpec, InterconnectSpec, SweepBackend, SweepModels, SweepSpec,
-    };
-
+fn cmd_sweep(opts: &Opts) {
     let defaults = SweepSpec::default();
-    let algorithms = opts.get("alg").map_or(defaults.algorithms.clone(), |v| {
-        v.split(',')
-            .map(|name| match name.trim() {
-                "cholesky" => Algorithm::Cholesky,
-                "qr" => Algorithm::Qr,
-                "lu" => Algorithm::Lu,
-                other => {
-                    eprintln!("unknown algorithm {other} (cholesky|qr|lu)");
-                    exit(2)
-                }
-            })
-            .collect()
-    });
-    let schedulers = opts
-        .get("schedulers")
-        .map_or(defaults.schedulers.clone(), |v| {
-            v.split(',')
-                .map(|name| match name.trim() {
-                    "quark" => SchedulerKind::Quark,
-                    "starpu" => SchedulerKind::StarPu,
-                    "ompss" => SchedulerKind::OmpSs,
-                    other => {
-                        eprintln!("unknown scheduler {other} (quark|starpu|ompss)");
-                        exit(2)
-                    }
-                })
-                .collect()
-        });
-    let latency = get(opts, "latency", 1e-5f64);
-    let bandwidth = get(opts, "bandwidth", 1e10f64);
-    let interconnects = opts
-        .get("interconnects")
-        .map_or(defaults.interconnects.clone(), |v| {
-            v.split(',')
-                .map(|name| {
-                    InterconnectSpec::parse(name.trim(), latency, bandwidth).unwrap_or_else(|| {
-                        eprintln!("unknown interconnect {name} (zero|hockney|sharedlink)");
-                        exit(2)
-                    })
-                })
-                .collect()
-        });
-    let plans = opts.get("plans").map_or(defaults.plans.clone(), |v| {
-        v.split(',')
-            .map(|name| {
-                FaultPlanSpec::preset(name.trim()).unwrap_or_else(|| {
-                    eprintln!("unknown fault plan {name} (clean|straggler|transient|kill)");
-                    exit(2)
-                })
-            })
-            .collect()
-    });
-    let backend = opts.get("backend").map_or(defaults.backend, |v| {
-        SweepBackend::parse(v).unwrap_or_else(|| {
-            eprintln!("unknown sweep backend {v} (auto|des|threaded)");
-            exit(2)
-        })
-    });
+    let (latency, bandwidth) = (opt(opts, "latency"), opt(opts, "bandwidth"));
     // One shared read-only model database for every cell: either loaded
     // from a calibration file or the synthetic default.
     let models = match opts.get("calibration") {
-        None => defaults.models.clone(),
+        None => defaults.models,
         Some(path) => {
-            let db = CalibrationDb::load(std::path::Path::new(path)).unwrap_or_else(|e| {
-                eprintln!("cannot load calibration: {e}");
-                exit(2)
-            });
+            let db = CalibrationDb::load(std::path::Path::new(path))
+                .unwrap_or_else(|e| fail(format!("cannot load calibration: {e}")));
             eprintln!("sweep models: {}", db.description);
             SweepModels::Shared(db.shared_models())
         }
     };
-
     let spec = SweepSpec {
-        algorithms,
-        orders: parse_list(opts, "n").unwrap_or_default(),
-        tile_counts: parse_list(opts, "tiles").unwrap_or(defaults.tile_counts.clone()),
-        tile_sizes: parse_list(opts, "nb").unwrap_or(defaults.tile_sizes.clone()),
-        schedulers,
-        worker_counts: parse_list(opts, "workers").unwrap_or(defaults.worker_counts.clone()),
-        node_counts: parse_list(opts, "nodes").unwrap_or(defaults.node_counts.clone()),
-        interconnects,
-        plans,
-        seeds: parse_list(opts, "seeds").unwrap_or(defaults.seeds.clone()),
-        backend,
+        algorithms: list(opts, "alg", Algorithm::parse).unwrap_or(defaults.algorithms),
+        orders: numbers(opts, "n").unwrap_or_default(),
+        tile_counts: numbers(opts, "tiles").unwrap_or(defaults.tile_counts),
+        tile_sizes: numbers(opts, "nb").unwrap_or(defaults.tile_sizes),
+        schedulers: list(opts, "schedulers", parse_scheduler).unwrap_or(defaults.schedulers),
+        worker_counts: numbers(opts, "workers").unwrap_or(defaults.worker_counts),
+        node_counts: numbers(opts, "nodes").unwrap_or(defaults.node_counts),
+        interconnects: list(opts, "interconnects", |name| {
+            InterconnectSpec::parse(Some(name), latency, bandwidth)
+        })
+        .unwrap_or(defaults.interconnects),
+        plans: list(opts, "plans", FaultPlanSpec::parse).unwrap_or(defaults.plans),
+        seeds: numbers(opts, "seeds").unwrap_or(defaults.seeds),
+        backend: named(opts, "backend", Backend::parse_choice),
         models,
         overhead_per_task: get(opts, "overhead", 0.0f64),
-        nic_lanes: parse_list(opts, "nic-lanes").map(|v: Vec<usize>| v[0]),
+        nic_lanes: opt(opts, "nic-lanes"),
         autotune: opts.get("autotune").cloned(),
     };
 
-    let cells = spec.cells().len();
+    let cells = or_fail(spec.try_cells()).len();
     let jobs = get(opts, "jobs", 0usize);
     eprintln!(
         "sweep: {cells} cells, jobs={}",
@@ -1041,31 +857,33 @@ fn cmd_sweep(opts: &HashMap<String, String>) {
     }
 
     let json = outcome.report.to_json();
-    match opts.get("out") {
-        Some(path) => {
-            std::fs::write(path, &json).expect("write report");
-            eprintln!("merged report written to {path}");
-        }
-        None => println!("{json}"),
+    if !opts.contains_key("out") {
+        println!("{json}");
     }
-    if let Some(path) = opts.get("csv") {
-        std::fs::write(path, outcome.report.to_csv()).expect("write csv");
-        eprintln!("csv report written to {path}");
-    }
-    if let Some(path) = opts.get("counts-out") {
-        std::fs::write(path, outcome.report.counts()).expect("write counts");
-        eprintln!("rank-keyed counts written to {path}");
-    }
+    write_outputs(
+        opts,
+        to_stderr,
+        &[
+            ("out", "merged report", &|| json.clone()),
+            ("csv", "csv report", &|| outcome.report.to_csv()),
+            ("counts-out", "rank-keyed counts", &|| {
+                outcome.report.counts()
+            }),
+        ],
+    );
     #[cfg(feature = "metrics")]
-    if let Some(path) = opts.get("metrics-out") {
-        std::fs::write(path, outcome.metrics.to_json()).expect("write metrics");
-        eprintln!("merged metrics written to {path}");
-    }
+    write_outputs(
+        opts,
+        to_stderr,
+        &[("metrics-out", "merged metrics", &|| {
+            outcome.metrics.to_json()
+        })],
+    );
 }
 
 /// Start the resident simulation service (see DESIGN.md §11). Blocks
 /// until `POST /shutdown`.
-fn cmd_serve(opts: &HashMap<String, String>) {
+fn cmd_serve(opts: &Opts) {
     let config = supersim::serve::ServeConfig {
         addr: opts
             .get("addr")
@@ -1077,10 +895,8 @@ fn cmd_serve(opts: &HashMap<String, String>) {
         retry_after_secs: get(opts, "retry-after", 1u64),
     };
     let addr = config.addr.clone();
-    let server = supersim::serve::Server::bind(config).unwrap_or_else(|e| {
-        eprintln!("cannot bind {addr}: {e}");
-        exit(2)
-    });
+    let server = supersim::serve::Server::bind(config)
+        .unwrap_or_else(|e| fail(format!("cannot bind {addr}: {e}")));
     eprintln!(
         "serving on http://{}  (POST /run, POST /sweep, GET /healthz, GET /metrics, POST /shutdown)",
         server.local_addr()
@@ -1088,9 +904,10 @@ fn cmd_serve(opts: &HashMap<String, String>) {
     server.run();
 }
 
-fn cmd_dag(opts: &HashMap<String, String>) {
-    let alg = algorithm(opts);
+fn cmd_dag(opts: &Opts) {
+    let alg = named(opts, "alg", Algorithm::parse);
     let nt = get(opts, "nt", 4usize);
+    or_fail(Scenario::new(alg).tiles(nt).tile_size(8).validate());
     let (a, t) = supersim::workloads::stream::layout(alg, nt * 8, 8);
     let mut builder = supersim::dag::DagBuilder::new();
     for task in supersim::workloads::stream::tasks(alg, &a, t.as_ref()) {
@@ -1108,219 +925,129 @@ fn cmd_dag(opts: &HashMap<String, String>) {
         profile.max_width,
         profile.avg_parallelism
     );
-    if let Some(path) = opts.get("dot") {
-        std::fs::write(path, supersim::dag::dot::to_dot_default(&g)).expect("write dot");
-        println!("DOT written to {path}");
-    }
+    write_outputs(
+        opts,
+        to_stdout,
+        &[("dot", "DOT", &|| supersim::dag::dot::to_dot_default(&g))],
+    );
 }
 
 /// Run a synthetic simulated workload once per requested TEQ wakeup mode,
 /// publish every instrumented component into one snapshot, and dump it.
+/// `--workload cluster-cholesky|cluster-lu` runs the distributed recipe
+/// instead (once, over the default 4x2 Hockney cluster with one NIC lane
+/// per node) and adds cluster instrumentation: transfer counts/bytes and
+/// per-node NIC busy time.
 #[cfg(feature = "metrics")]
-fn cmd_metrics(opts: &HashMap<String, String>) {
-    use supersim::core::WakeupMode;
+fn cmd_metrics(opts: &Opts) {
     use supersim::metrics::MetricsSnapshot;
 
-    let alg = match opts
-        .get("workload")
-        .or_else(|| opts.get("alg"))
-        .map(String::as_str)
-    {
-        Some("cholesky") | None => Algorithm::Cholesky,
-        Some("qr") => Algorithm::Qr,
-        Some("lu") => Algorithm::Lu,
-        Some("cluster-cholesky") => {
-            cmd_metrics_cluster(opts, Algorithm::Cholesky);
-            return;
-        }
-        Some("cluster-lu") => {
-            cmd_metrics_cluster(opts, Algorithm::Lu);
-            return;
-        }
-        Some(other) => {
-            eprintln!("unknown workload {other} (cholesky|qr|lu|cluster-cholesky|cluster-lu)");
-            exit(2)
-        }
+    let workload = opts.get("workload").or_else(|| opts.get("alg"));
+    let workload = workload.map_or(Algorithm::default().name(), String::as_str);
+    let (clustered, name) = match workload.strip_prefix("cluster-") {
+        Some(name) => (true, name),
+        None => (false, workload),
     };
-    let kind = scheduler(opts);
-    let n = get(opts, "n", 512usize);
-    let nb = get(opts, "nb", 64usize);
-    let workers = get(opts, "workers", 8usize);
-    let seed = get(opts, "seed", 42u64);
-    let modes: &[WakeupMode] = match opts.get("mode").map(String::as_str) {
-        None | Some("both") => &[WakeupMode::Targeted, WakeupMode::Broadcast],
-        Some("targeted") => &[WakeupMode::Targeted],
-        Some("broadcast") => &[WakeupMode::Broadcast],
-        Some(other) => {
-            eprintln!("unknown --mode {other} (both|targeted|broadcast)");
-            exit(2)
-        }
+    let alg = or_fail(Algorithm::parse(name));
+    let both = [WakeupMode::Targeted, WakeupMode::Broadcast];
+    let modes = match (opts.get("mode").map(String::as_str), clustered) {
+        (None, false) | (Some("both"), _) => &both[..],
+        (None, true) | (Some("targeted"), _) => &both[..1],
+        (Some("broadcast"), _) => &both[1..],
+        (Some(other), _) => fail(format!("unknown --mode {other} (both|targeted|broadcast)")),
     };
-
-    let backend = backend(opts);
-    if let Err(e) = backend.supports(kind) {
-        eprintln!("{e}");
-        exit(2)
+    let sizes = if clustered {
+        (480, 60, 2)
+    } else {
+        (512, 64, 8)
+    };
+    let mut sc = scenario_from(opts, alg, sizes).backend(named(opts, "backend", Backend::parse));
+    if clustered {
+        sc = with_cluster(opts, sc, Some(1)).0;
     }
+    or_fail(sc.validate());
+
     let mut snap = MetricsSnapshot::default();
     let mut last_trace = None;
     for &mode in modes {
-        let mut models = ModelRegistry::new();
-        for l in alg.labels() {
-            models.insert(*l, KernelModel::new(Dist::log_normal(-6.0, 0.3).unwrap()));
-        }
-        let session = SimSession::new(
-            models,
-            SimConfig {
-                seed,
-                wakeup_mode: mode,
-                ..SimConfig::default()
-            },
-        );
-        attach_stream_sink(&session, opts);
-        let run = Scenario::new(alg)
-            .scheduler(kind)
-            .workers(workers)
-            .n(n)
-            .tile_size(nb)
-            .session(session.clone())
-            .backend(backend)
-            .run_sim();
-        session.publish_metrics(&mut snap);
-        run.stats.publish_metrics(&mut snap);
-        // In streaming mode the finished trace is empty by design — the
-        // spans went to the sink — so count resident + drained.
-        eprintln!(
-            "{mode:?} wakeups: {} tasks, predicted {:.4}s (wall {:.4}s)",
-            run.trace.len() as u64 + session.trace_recorder().drained(),
-            run.predicted_seconds,
-            run.wall_seconds
-        );
-        last_trace = Some(run.trace);
+        let session = session_for(opts, &sc, clustered, mode);
+        let sc = sc.clone().session(session.clone());
+        let trace = if clustered {
+            let run = sc.run_cluster();
+            session.publish_metrics(&mut snap);
+            run.stats.publish_metrics(&mut snap);
+            snap.push_counter("cluster.transfers", run.transfers);
+            snap.push_counter("cluster.transfer.bytes", run.transfer_bytes);
+            snap.push_gauge("cluster.nodes", run.spec.nodes as i64);
+            for node in 0..run.spec.nodes {
+                snap.push_counter(
+                    &format!("cluster.node.{node:02}.transfers"),
+                    run.node_transfers[node],
+                );
+                snap.push_counter(
+                    &format!("cluster.node.{node:02}.transfer.bytes"),
+                    run.node_bytes[node],
+                );
+                snap.push_gauge(
+                    &format!("cluster.node.{node:02}.nic.busy_us"),
+                    (run.nic_busy_seconds[node] * 1e6).round() as i64,
+                );
+            }
+            eprintln!(
+                "cluster-{} metrics: {} compute tasks, {} transfers, predicted {:.4}s",
+                alg.name(),
+                run.compute_tasks,
+                run.transfers,
+                run.predicted_seconds
+            );
+            run.trace
+        } else {
+            let run = sc.run_sim();
+            session.publish_metrics(&mut snap);
+            run.stats.publish_metrics(&mut snap);
+            // In streaming mode the finished trace is empty by design — the
+            // spans went to the sink — so count resident + drained.
+            eprintln!(
+                "{mode:?} wakeups: {} tasks, predicted {:.4}s (wall {:.4}s)",
+                run.trace.len() as u64 + session.trace_recorder().drained(),
+                run.predicted_seconds,
+                run.wall_seconds
+            );
+            run.trace
+        };
+        last_trace = Some(trace);
     }
     // All engine counters (sim.*, des.*, trace.*) are per-session and
     // arrive via session.publish_metrics above — nothing process-global
     // remains to fold in.
     let json = snap.to_json();
     println!("{json}");
-    if let Some(path) = opts.get("out") {
-        std::fs::write(path, &json).expect("write metrics");
-        eprintln!("metrics written to {path}");
-    }
     let trace = last_trace.expect("at least one mode ran");
-    if let Some(path) = opts.get("chrome") {
-        std::fs::write(path, chrome::to_chrome_json_with_metrics(&trace, &snap))
-            .expect("write chrome trace");
-        eprintln!("chrome trace written to {path}");
-    }
-    if let Some(path) = opts.get("trace-out") {
-        std::fs::write(path, canonical_trace(&trace)).expect("write trace");
-        eprintln!("canonical trace written to {path}");
-    }
-}
-
-/// `supersim metrics --workload cluster-cholesky|cluster-lu`: run a
-/// distributed simulated workload and dump cluster instrumentation
-/// (transfer counts/bytes, per-node NIC busy time) alongside the session
-/// and engine metrics.
-#[cfg(feature = "metrics")]
-fn cmd_metrics_cluster(opts: &HashMap<String, String>, alg: Algorithm) {
-    use std::sync::Arc;
-    use supersim::cluster::{ClusterSpec, Hockney};
-    use supersim::metrics::MetricsSnapshot;
-
-    let n = get(opts, "n", 480usize);
-    let nb = get(opts, "nb", 60usize);
-    let nodes = get(opts, "nodes", 4usize);
-    let workers = get(opts, "workers", 2usize);
-    let seed = get(opts, "seed", 42u64);
-
-    let mut models = ModelRegistry::new();
-    for l in alg.labels() {
-        models.insert(
-            *l,
-            KernelModel::with_warmup(Dist::log_normal(-6.0, 0.3).unwrap(), 1.5),
-        );
-    }
-    let session = SimSession::new(
-        models,
-        SimConfig {
-            seed,
-            ..SimConfig::default()
-        },
+    write_outputs(
+        opts,
+        to_stderr,
+        &[
+            ("out", "metrics", &|| json.clone()),
+            ("chrome", "chrome trace", &|| {
+                chrome::to_chrome_json_with_metrics(&trace, &snap)
+            }),
+            ("trace-out", "canonical trace", &|| trace.canonical()),
+        ],
     );
-    attach_stream_sink(&session, opts);
-    let run = Scenario::new(alg)
-        .n(n)
-        .tile_size(nb)
-        .session(session.clone())
-        .cluster(ClusterSpec::new(nodes, workers))
-        .interconnect(Arc::new(Hockney::new(1e-5, 1e10)))
-        .placement(Arc::new(BlockCyclic::square(nodes)))
-        .backend(backend(opts))
-        .run_cluster();
-
-    let mut snap = MetricsSnapshot::default();
-    session.publish_metrics(&mut snap);
-    run.stats.publish_metrics(&mut snap);
-    snap.push_counter("cluster.transfers", run.transfers);
-    snap.push_counter("cluster.transfer.bytes", run.transfer_bytes);
-    snap.push_gauge("cluster.nodes", nodes as i64);
-    for node in 0..nodes {
-        snap.push_counter(
-            &format!("cluster.node.{node:02}.transfers"),
-            run.node_transfers[node],
-        );
-        snap.push_counter(
-            &format!("cluster.node.{node:02}.transfer.bytes"),
-            run.node_bytes[node],
-        );
-        snap.push_gauge(
-            &format!("cluster.node.{node:02}.nic.busy_us"),
-            (run.nic_busy_seconds[node] * 1e6).round() as i64,
-        );
-    }
-    eprintln!(
-        "cluster-{} metrics: {} compute tasks, {} transfers, predicted {:.4}s",
-        alg.name(),
-        run.compute_tasks,
-        run.transfers,
-        run.predicted_seconds
-    );
-    let json = snap.to_json();
-    println!("{json}");
-    if let Some(path) = opts.get("out") {
-        std::fs::write(path, &json).expect("write metrics");
-        eprintln!("metrics written to {path}");
-    }
-    if let Some(path) = opts.get("chrome") {
-        std::fs::write(path, chrome::to_chrome_json_with_metrics(&run.trace, &snap))
-            .expect("write chrome trace");
-        eprintln!("chrome trace written to {path}");
-    }
-    if let Some(path) = opts.get("trace-out") {
-        std::fs::write(path, canonical_trace(&run.trace)).expect("write trace");
-        eprintln!("canonical trace written to {path}");
-    }
 }
 
 /// Without the `metrics` feature the instrumentation is compiled out, so
 /// there is nothing to dump.
 #[cfg(not(feature = "metrics"))]
-fn cmd_metrics(_opts: &HashMap<String, String>) {
-    eprintln!("this binary was built without the `metrics` feature; rebuild with default features");
-    exit(2)
+fn cmd_metrics(_opts: &Opts) {
+    fail("this binary was built without the `metrics` feature; rebuild with default features")
 }
 
 fn cmd_info() {
     println!("supersim {}", env!("CARGO_PKG_VERSION"));
     println!("algorithms: cholesky (Algorithm 1), qr (Algorithm 2), lu (extension)");
     println!("schedulers:");
-    for kind in [
-        SchedulerKind::Quark,
-        SchedulerKind::StarPu,
-        SchedulerKind::OmpSs,
-    ] {
+    for kind in SchedulerKind::ALL {
         let c = kind.config(1);
         println!(
             "  {:<8} policy={:?} window={}",

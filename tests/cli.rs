@@ -261,26 +261,101 @@ fn sim_without_calibration_is_an_error() {
     assert!(err.contains("--calibration"));
 }
 
-/// Every invalid-argument path — including values that only trip
-/// `assert!`s deep inside the builder crates — must exit 2 with a
-/// one-line stderr message, not abort with a panic dump (exit 101).
+/// Every rejected input — flag syntax, unknown names, and each row of the
+/// illegal-scenario table that `Scenario::validate` and `serve` are also
+/// driven with (satellite 4(b)) — exits 2 with exactly one `error:` line
+/// on stderr: no panic dump (exit 101), no allocation abort (exit 134).
 #[test]
 fn invalid_arguments_exit_two_with_one_line() {
-    for args in [
-        // Parses fine, then trips Scenario::n's positivity assert.
-        &["metrics", "--n", "0"][..],
-        &["metrics", "--workers", "0"][..],
-        // Trips the sweep expander's autotune-axis assert.
-        &["sweep", "--autotune", "flux", "--tiles", "2"][..],
-        // Plain flag-parse errors, for comparison.
-        &["metrics", "--n", "banana"][..],
-        &["faults", "--alg", "gemm"][..],
+    let many_seeds: Vec<String> = (0..2048).map(|s| s.to_string()).collect();
+    let many_workers: Vec<String> = (1..=1024).map(|w| w.to_string()).collect();
+    let (many_seeds, many_workers) = (many_seeds.join(","), many_workers.join(","));
+    for (args, needle) in [
+        (&["metrics", "--n", "0"][..], "n must be positive"),
+        (
+            &["metrics", "--workers", "0"][..],
+            "workers must be positive",
+        ),
+        (&["cluster", "--alg", "qr"][..], "distributed QR"),
+        (
+            &["cluster", "--nodes", "0"][..],
+            "cluster.nodes must be positive",
+        ),
+        (
+            &["metrics", "--scheduler", "starpu", "--backend", "des"][..],
+            "cannot replay deterministically",
+        ),
+        (
+            &["faults", "--kill-worker", "0:0.1", "--kill-node", "0:0.2"][..],
+            "at most one permanent failure",
+        ),
+        (
+            &["faults", "--workers", "1", "--kill-worker", "0:0.01"][..],
+            "must leave survivors",
+        ),
+        (
+            &["faults", "--straggler", "0:0:1:-3"][..],
+            "factor must be positive",
+        ),
+        (
+            &["faults", "--straggler", "0:1:1:2"][..],
+            "window must be non-empty",
+        ),
+        (
+            &["faults", "--straggler", "9999:0:1:2"][..],
+            "outside the machine",
+        ),
+        (
+            &["faults", "--transient", "5:400000000:0.5"][..],
+            "failures",
+        ),
+        (
+            &[
+                "metrics",
+                "--n",
+                "6400000",
+                "--nb",
+                "64",
+                "--backend",
+                "des",
+            ][..],
+            "tasks exceed",
+        ),
+        (
+            &["metrics", "--workers", "50000", "--backend", "threaded"][..],
+            "lanes exceed",
+        ),
+        (
+            &[
+                "sweep",
+                "--tiles",
+                "2",
+                "--seeds",
+                &many_seeds,
+                "--workers",
+                &many_workers,
+            ][..],
+            "cells exceed",
+        ),
+        (
+            &["sweep", "--autotune", "flux", "--tiles", "2"][..],
+            "autotune",
+        ),
+        (&["dag", "--nt", "100000"][..], "tasks exceed"),
+        // Plain flag-syntax errors, for comparison.
+        (&["metrics", "--n", "banana"][..], "bad value for --n"),
+        (
+            &["faults", "--straggler", "0:1"][..],
+            "bad --straggler entry",
+        ),
+        (&["metrics", "--seed"][..], "needs a value"),
     ] {
         let out = bin().args(args).output().unwrap();
+        let shown: Vec<&str> = args.iter().map(|a| &a[..a.len().min(40)]).collect();
         assert_eq!(
             out.status.code(),
             Some(2),
-            "{args:?}: expected exit 2, got {:?}",
+            "{shown:?}: expected exit 2, got {:?}",
             out.status.code()
         );
         let err = String::from_utf8(out.stderr).unwrap();
@@ -288,9 +363,164 @@ fn invalid_arguments_exit_two_with_one_line() {
         assert_eq!(
             lines.len(),
             1,
-            "{args:?}: want one stderr line, got {err:?}"
+            "{shown:?}: want one stderr line, got {err:?}"
+        );
+        assert!(
+            lines[0].starts_with("error: ") && lines[0].contains(needle),
+            "{shown:?}: want {needle:?} in {err:?}"
         );
     }
+}
+
+/// The CLI owns no text for the vocabulary's names: an unknown one prints
+/// the library's `ScenarioError` verbatim (satellite 4(a); the `serve`
+/// half is `api::tests::unknown_names_return_the_vocabularys_text`).
+#[test]
+fn unknown_names_print_the_vocabularys_text() {
+    use supersim::workloads::scenario::parse_scheduler;
+    use supersim::workloads::sweep::{FaultPlanSpec, InterconnectSpec};
+    use supersim::workloads::{Algorithm, Backend};
+    let ether = InterconnectSpec::parse(Some("ether"), None, None).unwrap_err();
+    for (args, want) in [
+        (
+            &["faults", "--alg", "gemm"][..],
+            Algorithm::parse("gemm").unwrap_err(),
+        ),
+        (
+            &["sweep", "--alg", "lu,gemm"][..],
+            Algorithm::parse("gemm").unwrap_err(),
+        ),
+        (
+            &["real", "--scheduler", "slurm"][..],
+            parse_scheduler("slurm").unwrap_err(),
+        ),
+        (
+            &["sweep", "--schedulers", "slurm"][..],
+            parse_scheduler("slurm").unwrap_err(),
+        ),
+        (
+            &["cluster", "--backend", "gpu"][..],
+            Backend::parse("gpu").unwrap_err(),
+        ),
+        (
+            &["sweep", "--backend", "gpu"][..],
+            Backend::parse_choice("gpu").unwrap_err(),
+        ),
+        (&["cluster", "--interconnect", "ether"][..], ether.clone()),
+        (&["sweep", "--interconnects", "zero,ether"][..], ether),
+        (
+            &["sweep", "--plans", "meteor"][..],
+            FaultPlanSpec::parse("meteor").unwrap_err(),
+        ),
+    ] {
+        let out = bin().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert_eq!(
+            String::from_utf8(out.stderr).unwrap(),
+            format!("error: {want}\n"),
+            "{args:?}"
+        );
+    }
+}
+
+/// Satellite 4(c): documents that must not move — the `--help` text, and
+/// the key order of the `cluster` and `faults` stdout reports.
+#[test]
+fn help_text_and_report_keys_are_pinned() {
+    let help = bin().arg("--help").output().unwrap();
+    assert_eq!(help.status.code(), Some(2));
+    assert_eq!(
+        String::from_utf8(help.stderr).unwrap(),
+        "supersim — parallel simulation of superscalar scheduling
+
+commands:
+  real     run an algorithm for real; verify, time, optionally calibrate
+  sim      simulate from a stored calibration
+  predict  real run + calibration + simulation, with comparison
+  cluster  simulate a distributed run over N nodes with an interconnect model
+  faults   clean-vs-faulted comparison under a deterministic fault plan
+  sweep    run a scenario matrix across host cores, merge one report
+  serve    resident HTTP daemon: /run, /sweep, /healthz, /metrics
+  dag      emit the task DAG of an algorithm
+  metrics  run a simulated workload and dump instrumentation as JSON
+  trace-convert rebuild a canonical trace from streamed ndjson spans
+  info     list algorithms and scheduler profiles
+
+common flags: --alg cholesky|qr|lu  --scheduler quark|starpu|ompss
+              --n N  --nb NB  --workers W  --seed S
+see the module docs for per-command flags
+"
+    );
+    let keys = |args: &[&str]| -> Vec<String> {
+        let out = bin().args(args).output().unwrap();
+        assert!(out.status.success(), "{args:?}");
+        String::from_utf8(out.stdout)
+            .unwrap()
+            .lines()
+            .filter_map(|l| l.strip_prefix("  \"")?.split('"').next().map(String::from))
+            .collect()
+    };
+    assert_eq!(
+        keys(&[
+            "cluster",
+            "--n",
+            "96",
+            "--nb",
+            "24",
+            "--nodes",
+            "2",
+            "--workers",
+            "2"
+        ]),
+        [
+            "algorithm",
+            "n",
+            "nb",
+            "nodes",
+            "workers_per_node",
+            "nic_lanes_per_node",
+            "interconnect",
+            "placement",
+            "seed",
+            "backend",
+            "compute_tasks",
+            "transfers",
+            "transfer_bytes",
+            "node_transfers",
+            "node_bytes",
+            "nic_busy_seconds",
+            "node_owned_bytes",
+            "predicted_seconds",
+            "gflops",
+            "wall_seconds"
+        ]
+    );
+    assert_eq!(
+        keys(&[
+            "faults",
+            "--n",
+            "96",
+            "--nb",
+            "24",
+            "--workers",
+            "2",
+            "--transient",
+            "5:1:0.5"
+        ]),
+        [
+            "clean_makespan",
+            "faulted_makespan",
+            "slowdown",
+            "critical_lane_clean",
+            "critical_lane_faulted",
+            "retries",
+            "aborted_virtual_seconds",
+            "lost_virtual_seconds",
+            "checkpoint_overhead",
+            "restarted_tasks",
+            "per_fault"
+        ]
+    );
 }
 
 /// `supersim serve` boots, answers /healthz, and stops on /shutdown.

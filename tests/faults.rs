@@ -235,10 +235,7 @@ fn uniform_straggler_scales_constant_model_makespan_exactly() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 6,
-        ..ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Injecting only work-increasing events (slowdown factor >= 1,
     /// transient retries) can never beat the clean run.
