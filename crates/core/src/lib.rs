@@ -38,7 +38,7 @@ pub mod teq;
 pub use model::{KernelModel, ModelRegistry};
 pub use race::RaceMitigation;
 pub use session::{
-    layout_segments, record_segment_spans, FaultInjector, KernelPlan, SegmentKind, SimConfig,
-    SimSession, TransientSpec,
+    aborted_seconds, layout_segments, record_segment_spans, FaultInjector, KernelPlan, SegmentKind,
+    SimConfig, SimSession, TransientSpec,
 };
 pub use teq::{TaskExecutionQueue, WakeupMode};

@@ -35,13 +35,11 @@ use crate::race::RaceMitigation;
 use crate::teq::{TaskExecutionQueue, WakeupMode};
 use parking_lot::Mutex;
 use rand::{Rng, SeedableRng};
-#[cfg(feature = "metrics")]
-use std::collections::BTreeMap;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use supersim_runtime::{Quiesce, TaskContext};
-use supersim_trace::{Trace, TraceRecorder};
+use supersim_trace::{Trace, TraceEvent, TraceRecorder};
 
 /// Simulation configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -165,10 +163,11 @@ pub enum SegmentKind {
 /// by [`SimSession::run_kernel_ranked`] (threaded backend) and by the DES
 /// replay backend, which must draw the *same* plan for the same
 /// `(seed, label, rank)`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelPlan {
-    /// Nominal segment durations in timeline order. A clean execution is a
-    /// single `Work` segment.
+    /// Nominal segment durations in timeline order: any number of
+    /// `Failed`/`Backoff` segments, then exactly one `Work` segment. A
+    /// clean execution is the `Work` segment alone.
     pub segments: Vec<(SegmentKind, f64)>,
     /// Failed attempts prescribed by the fault injector (0 = clean).
     pub failures: u32,
@@ -183,24 +182,37 @@ impl KernelPlan {
     pub fn is_transient(&self) -> bool {
         self.transient
     }
+
+    /// Overwrite with the clean single-segment plan of `duration` seconds
+    /// (what [`SimSession::run_fixed`] executes), keeping the buffer.
+    pub fn set_clean(&mut self, duration: f64) {
+        self.segments.clear();
+        self.segments.push((SegmentKind::Work, duration));
+        self.failures = 0;
+        self.transient = false;
+    }
 }
 
 /// Lay a kernel plan's segments onto the virtual timeline from `start`,
 /// applying the injector's perturbation to work (but not idle backoff) and
-/// the TEQ's non-finite/negative clamping to every segment. Returns the
-/// per-segment `(kind, start, end)` bounds and the total duration.
+/// the TEQ's non-finite/negative clamping to every segment. Writes the
+/// per-segment `(kind, start, end)` bounds into `bounds` (cleared first)
+/// and returns the total duration.
 ///
 /// This is the exact arithmetic [`SimSession`] performs under the TEQ
-/// state lock when inserting a (possibly segmented) task; the DES replay
-/// backend calls it with its own event-loop clock to reproduce the
-/// threaded timelines bit for bit.
+/// state lock when inserting a segmented task; the DES replay backend
+/// calls it with its own event-loop clock, for clean and faulted tasks
+/// alike, to reproduce the threaded timelines bit for bit. Note the total
+/// is `(start + d) - start`, not `d`: the rounding is part of the
+/// timeline.
 pub fn layout_segments(
     inj: Option<&dyn FaultInjector>,
     worker: usize,
     start: f64,
     segs: &[(SegmentKind, f64)],
-) -> (Vec<(SegmentKind, f64, f64)>, f64) {
-    let mut bounds: Vec<(SegmentKind, f64, f64)> = Vec::with_capacity(segs.len());
+    bounds: &mut Vec<(SegmentKind, f64, f64)>,
+) -> f64 {
+    bounds.clear();
     let mut t = start;
     for &(kind, nominal) in segs {
         // Backoff is idle waiting — a slow worker waits at the same rate
@@ -213,39 +225,62 @@ pub fn layout_segments(
         bounds.push((kind, t, t + d));
         t += d;
     }
-    (bounds, t - start)
+    t - start
+}
+
+/// The aborted virtual seconds of a laid-out timeline: the summed
+/// post-perturbation cost of its failed attempts (what
+/// [`FaultInjector::on_transient`] is told).
+pub fn aborted_seconds(bounds: &[(SegmentKind, f64, f64)]) -> f64 {
+    bounds
+        .iter()
+        .filter(|b| b.0 == SegmentKind::Failed)
+        .fold(0.0, |aborted, &(_, s, e)| aborted + (e - s))
 }
 
 /// Record one trace span per laid-out segment — failed attempts under
 /// `label` + [`supersim_trace::fault::FAIL_SUFFIX`], non-empty backoffs
-/// under [`supersim_trace::fault::BACKOFF_LABEL`], work under `label`, all
-/// sharing `task_id`. Returns the aborted virtual seconds (the summed
-/// post-perturbation cost of the failed attempts). Shared by the threaded
-/// protocol and the DES replay backend so faulted traces match bit for bit.
+/// under [`supersim_trace::fault::BACKOFF_LABEL`], the closing work
+/// segment under `label` itself, all sharing `task_id`. `label` is taken
+/// by value and *moved* into the work span: a caller that owns the task's
+/// label records a clean task without copying it. Shared by the threaded
+/// protocol and the DES replay backend so faulted traces match bit for
+/// bit.
 pub fn record_segment_spans(
     trace: &TraceRecorder,
     worker: usize,
-    label: &str,
+    label: String,
     task_id: u64,
     bounds: &[(SegmentKind, f64, f64)],
-) -> f64 {
-    let mut aborted = 0.0;
-    for &(kind, s, e) in bounds {
+) {
+    let (&(last, start, end), faulted) = bounds
+        .split_last()
+        .expect("a kernel plan ends in its work segment");
+    debug_assert_eq!(last, SegmentKind::Work);
+    let span = |kernel: String, start: f64, end: f64| {
+        trace.record_event(TraceEvent {
+            worker,
+            kernel,
+            task_id,
+            start,
+            end,
+        })
+    };
+    for &(kind, s, e) in faulted {
         match kind {
-            SegmentKind::Failed => {
-                aborted += e - s;
-                let marked = format!("{label}{}", supersim_trace::fault::FAIL_SUFFIX);
-                trace.record(worker, &marked, task_id, s, e);
+            SegmentKind::Failed => span(
+                [label.as_str(), supersim_trace::fault::FAIL_SUFFIX].concat(),
+                s,
+                e,
+            ),
+            SegmentKind::Backoff if e > s => {
+                span(supersim_trace::fault::BACKOFF_LABEL.to_string(), s, e)
             }
-            SegmentKind::Backoff => {
-                if e > s {
-                    trace.record(worker, supersim_trace::fault::BACKOFF_LABEL, task_id, s, e);
-                }
-            }
-            SegmentKind::Work => trace.record(worker, label, task_id, s, e),
+            SegmentKind::Backoff => {}
+            SegmentKind::Work => span(label.clone(), s, e),
         }
     }
-    aborted
+    span(label, start, end);
 }
 
 /// A simulation session. Create one per simulated run; hand
@@ -272,7 +307,9 @@ pub struct SimSession {
     /// Per-label submission-rank counters for [`SimSession::planned_body`].
     /// Ranks are assigned on the (serial) master thread at submission
     /// time, so they are deterministic regardless of worker interleaving.
-    ranks: Mutex<HashMap<String, u64>>,
+    /// A `BTreeMap`: a session sees a handful of labels, and a string
+    /// compare or two beats hashing the label on every submission.
+    ranks: Mutex<BTreeMap<String, u64>>,
     /// Cooperative cancellation flag: set via
     /// [`SimSession::request_cancel`] (e.g. by a serving front-end whose
     /// wall-clock deadline expired), polled by engines between
@@ -322,7 +359,7 @@ impl SimSession {
             faults: Mutex::new(None),
             first_calls: Mutex::new(HashSet::new()),
             warmup_slots: AtomicUsize::new(0),
-            ranks: Mutex::new(HashMap::new()),
+            ranks: Mutex::new(BTreeMap::new()),
             cancel: AtomicBool::new(false),
             virtual_budget_bits: AtomicU64::new(f64::INFINITY.to_bits()),
             #[cfg(feature = "metrics")]
@@ -537,10 +574,13 @@ impl SimSession {
     /// this for you.
     pub fn next_rank(&self, label: &str) -> u64 {
         let mut ranks = self.ranks.lock();
-        let r = ranks.entry(label.to_string()).or_insert(0);
-        let rank = *r;
-        *r += 1;
-        rank
+        // Look up before inserting: only a label's first sight copies it.
+        if let Some(next) = ranks.get_mut(label) {
+            *next += 1;
+            return *next - 1;
+        }
+        ranks.insert(label.to_string(), 1);
+        0
     }
 
     /// The plan-based simulated-kernel protocol: like
@@ -586,37 +626,43 @@ impl SimSession {
         speed: f64,
         inj: Option<&dyn FaultInjector>,
     ) -> KernelPlan {
+        let mut plan = KernelPlan::default();
+        self.plan_ranked_into(label, rank, speed, inj, &mut plan);
+        plan
+    }
+
+    /// [`SimSession::plan_ranked`] into a caller-owned plan (overwritten,
+    /// its segment buffer reused): an engine that keeps one `KernelPlan`
+    /// as scratch plans clean and faulted tasks alike without allocating.
+    pub fn plan_ranked_into(
+        &self,
+        label: &str,
+        rank: u64,
+        speed: f64,
+        inj: Option<&dyn FaultInjector>,
+        plan: &mut KernelPlan,
+    ) {
         let model = self.models.expect(label);
         let warm = (rank as usize) < self.warmup_slots.load(Ordering::Relaxed);
         let key = self.config.seed ^ label_hash(label) ^ rank.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let mut rng = rand::rngs::StdRng::seed_from_u64(splitmix64(key));
         let _: u64 = rng.random();
-        let duration = model.sample(&mut rng, warm) / speed + self.config.overhead_per_task;
-        if let Some(inj) = inj {
-            if let Some(spec) = inj.transient(label, rank) {
-                let frac = spec.fail_fraction.clamp(0.0, 1.0);
-                let mut segs = Vec::with_capacity(2 * spec.failures as usize + 1);
-                let mut attempt = duration;
-                for i in 0..spec.failures {
-                    segs.push((SegmentKind::Failed, attempt * frac));
-                    let backoff =
-                        (spec.backoff_base * (1u64 << i.min(62)) as f64).min(spec.backoff_cap);
-                    segs.push((SegmentKind::Backoff, backoff.max(0.0)));
-                    attempt = model.sample(&mut rng, warm) / speed + self.config.overhead_per_task;
-                }
-                segs.push((SegmentKind::Work, attempt));
-                return KernelPlan {
-                    segments: segs,
-                    failures: spec.failures,
-                    transient: true,
-                };
+        let mut attempt = model.sample(&mut rng, warm) / speed + self.config.overhead_per_task;
+        let spec = inj.and_then(|inj| inj.transient(label, rank));
+        plan.segments.clear();
+        plan.failures = spec.map_or(0, |spec| spec.failures);
+        plan.transient = spec.is_some();
+        if let Some(spec) = spec {
+            let frac = spec.fail_fraction.clamp(0.0, 1.0);
+            for i in 0..spec.failures {
+                plan.segments.push((SegmentKind::Failed, attempt * frac));
+                let backoff =
+                    (spec.backoff_base * (1u64 << i.min(62)) as f64).min(spec.backoff_cap);
+                plan.segments.push((SegmentKind::Backoff, backoff.max(0.0)));
+                attempt = model.sample(&mut rng, warm) / speed + self.config.overhead_per_task;
             }
         }
-        KernelPlan {
-            segments: vec![(SegmentKind::Work, duration)],
-            failures: 0,
-            transient: false,
-        }
+        plan.segments.push((SegmentKind::Work, attempt));
     }
 
     /// Run a simulated task with an externally computed `duration` —
@@ -674,9 +720,7 @@ impl SimSession {
         self.note_kernel();
         let mut bounds: Vec<(SegmentKind, f64, f64)> = Vec::with_capacity(segs.len());
         let (ticket, start) = self.teq.insert_with(|start| {
-            let (b, total) = layout_segments(Some(inj.as_ref()), ctx.worker, start, segs);
-            bounds = b;
-            total
+            layout_segments(Some(inj.as_ref()), ctx.worker, start, segs, &mut bounds)
         });
         if debug_enabled() {
             eprintln!(
@@ -688,10 +732,16 @@ impl SimSession {
                 segs.len()
             );
         }
-        let aborted = record_segment_spans(&self.trace, ctx.worker, label, ctx.task_id, &bounds);
+        record_segment_spans(
+            &self.trace,
+            ctx.worker,
+            label.to_string(),
+            ctx.task_id,
+            &bounds,
+        );
         ctx.mark_registered();
         self.settle_and_retire(ctx, ticket);
-        aborted
+        aborted_seconds(&bounds)
     }
 
     /// Steps (4)+(5) of the protocol, shared by [`SimSession::simulate`]

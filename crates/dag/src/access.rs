@@ -98,7 +98,15 @@ impl Access {
 /// generators may produce duplicates (e.g. a kernel using one tile as two
 /// arguments), so this is applied at submission.
 pub fn normalize_accesses(accesses: &[Access]) -> Vec<Access> {
-    let mut out: Vec<Access> = Vec::with_capacity(accesses.len());
+    let mut out = Vec::with_capacity(accesses.len());
+    normalize_accesses_into(accesses, &mut out);
+    out
+}
+
+/// [`normalize_accesses`] into a caller-owned buffer (cleared first), so a
+/// submission loop normalizes every task through one reused allocation.
+pub fn normalize_accesses_into(accesses: &[Access], out: &mut Vec<Access>) {
+    out.clear();
     for &a in accesses {
         if let Some(existing) = out.iter_mut().find(|e| e.data == a.data) {
             existing.bytes = existing.bytes.max(a.bytes);
@@ -115,7 +123,6 @@ pub fn normalize_accesses(accesses: &[Access]) -> Vec<Access> {
             out.push(a);
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -34,6 +34,6 @@ mod proptests;
 pub mod renaming;
 pub mod validate;
 
-pub use access::{normalize_accesses, Access, AccessMode, DataId};
+pub use access::{normalize_accesses, normalize_accesses_into, Access, AccessMode, DataId};
 pub use build::DagBuilder;
 pub use graph::{TaskGraph, TaskId, TaskNode};

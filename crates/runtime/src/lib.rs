@@ -25,6 +25,7 @@
 //! [`quiesce::Quiesce`] (is all scheduler bookkeeping done?) and per-task
 //! [`task::TaskContext`] callbacks.
 
+pub mod chain;
 pub mod config;
 pub mod engine;
 pub mod hazards;
@@ -36,6 +37,7 @@ pub mod quiesce;
 pub mod stats;
 pub mod task;
 
+pub use chain::{Chain, ChainPool};
 pub use config::{PolicyKind, RuntimeConfig, SchedulerKind};
 pub use engine::Runtime;
 pub use hazards::HazardTracker;

@@ -45,7 +45,7 @@ pub use stats::TraceStats;
 use serde::{Deserialize, Serialize};
 
 /// One executed task occurrence in a trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TraceEvent {
     /// Worker (lane) index the task ran on.
     pub worker: usize,

@@ -8,9 +8,14 @@
 //! buffers selected by `worker % SHARDS`, so concurrent workers recording
 //! on different shards never contend on a common lock. Each event is
 //! stamped with a globally unique sequence number from a single atomic
-//! counter; [`TraceRecorder::snapshot`] and [`TraceRecorder::finish`] merge
-//! the shards by `(start, seq)`, which makes the merged order deterministic
-//! for a given set of recorded events regardless of shard interleaving.
+//! counter, the tie-breaker that makes every merge deterministic for a
+//! given set of recorded events regardless of shard interleaving.
+//! [`TraceRecorder::snapshot`] and [`TraceRecorder::finish`] deal the
+//! shards out lane by lane into the normalized order `(worker, start −
+//! t0, task_id, start, seq)` — what a `(start, seq)` merge followed by
+//! [`Trace::normalize`] would give — in one pass, because a lane's spans
+//! sit in one shard and, one task at a time, were pushed in that order
+//! already; a lane found out of order is sorted.
 //!
 //! # Streaming (bounded-memory) mode
 //!
@@ -109,6 +114,18 @@ struct Inner {
     stream: Mutex<Option<StreamState>>,
 }
 
+/// The order of two stamped spans of one lane in a normalized trace whose
+/// time origin is `t0`: by shifted start and task id (what
+/// [`Trace::normalize`] sorts by), then by the `(start, seq)` merge order
+/// its stable sort preserves among equals.
+fn lane_order(t0: f64, a: &(u64, TraceEvent), b: &(u64, TraceEvent)) -> std::cmp::Ordering {
+    (a.1.start - t0, a.1.task_id)
+        .partial_cmp(&(b.1.start - t0, b.1.task_id))
+        .expect("non-finite times in trace")
+        .then(a.1.start.total_cmp(&b.1.start))
+        .then(a.0.cmp(&b.0))
+}
+
 /// A shareable, thread-safe accumulator of trace events.
 ///
 /// Cloning shares the underlying buffers ([`Arc`] internally), so every
@@ -181,21 +198,78 @@ impl TraceRecorder {
         }
     }
 
-    /// Merge every shard into one deterministically ordered event list:
-    /// ascending `(start, seq)`, with `total_cmp` on the timestamp so the
-    /// order is total even for exotic floats.
-    fn merged(&self, take: bool) -> Vec<TraceEvent> {
-        let mut stamped: Vec<(u64, TraceEvent)> = Vec::new();
-        for s in &self.inner.shards {
-            let mut guard = s.events.lock();
-            if take {
-                stamped.append(&mut guard);
-            } else {
-                stamped.extend(guard.iter().cloned());
+    /// Merge the shards into a normalized [`Trace`] of at least `workers`
+    /// lanes: spans in `(worker, start′, task_id, start, seq)` order with
+    /// `start′ = start − t0` the time shifted so the earliest start is 0
+    /// — the order a `(start, seq)` merge followed by
+    /// [`Trace::normalize`]'s stable `(worker, start′, task_id)` sort
+    /// produces. One pass instead of two sorts: a lane's spans all sit in
+    /// one shard, and a lane runs one task at a time, so they were pushed
+    /// in that order already. Each lane is checked, a shard holding a lane
+    /// that is not in order is sorted, and the shards are dealt out lane
+    /// by lane. `take` empties the recorder; otherwise spans are copied.
+    fn merged(&self, workers: usize, take: bool) -> Trace {
+        let mut shards: Vec<Vec<(u64, TraceEvent)>> = self
+            .inner
+            .shards
+            .iter()
+            .map(|s| {
+                let mut guard = s.events.lock();
+                if take {
+                    std::mem::take(&mut *guard)
+                } else {
+                    guard.clone()
+                }
+            })
+            .collect();
+
+        // Lane sizes and the time origin.
+        let mut lane_end = vec![0usize; workers];
+        let mut t0 = f64::INFINITY;
+        for (_, e) in shards.iter().flatten() {
+            if e.worker >= lane_end.len() {
+                lane_end.resize(e.worker + 1, 0);
+            }
+            lane_end[e.worker] += 1;
+            t0 = t0.min(e.start);
+        }
+        // `x - 0.0` is `x` bit for bit, so "no shift" is a shift by zero.
+        let t0 = if t0.is_finite() && t0 != 0.0 { t0 } else { 0.0 };
+
+        // Each lane in order? A lane lives in one shard, so `latest` (the
+        // index of a lane's latest span within its shard) needs no reset
+        // between shards.
+        let mut latest: Vec<Option<usize>> = vec![None; lane_end.len()];
+        for shard in &mut shards {
+            let ordered = (0..shard.len()).all(|i| {
+                let prev = latest[shard[i].1.worker].replace(i);
+                prev.is_none_or(|p| lane_order(t0, &shard[p], &shard[i]).is_le())
+            });
+            if !ordered {
+                shard.sort_by(|a, b| {
+                    let by_lane = a.1.worker.cmp(&b.1.worker);
+                    by_lane.then_with(|| lane_order(t0, a, b))
+                });
             }
         }
-        stamped.sort_by(|a, b| a.1.start.total_cmp(&b.1.start).then(a.0.cmp(&b.0)));
-        stamped.into_iter().map(|(_, e)| e).collect()
+
+        // Deal the spans out: lane `l` fills `[lane_end[l-1], lane_end[l])`.
+        let mut total = 0;
+        for n in &mut lane_end {
+            total += *n;
+            *n = total - *n;
+        }
+        let mut events = vec![TraceEvent::default(); total];
+        for (_, e) in shards.into_iter().flatten() {
+            let slot = &mut lane_end[e.worker];
+            events[*slot] = TraceEvent {
+                start: e.start - t0,
+                end: e.end - t0,
+                ..e
+            };
+            *slot += 1;
+        }
+        Trace::from_parts(lane_end.len(), events)
     }
 
     /// Remove every resident event with `end <= bound` and return them
@@ -331,9 +405,7 @@ impl TraceRecorder {
     /// keeps its contents. In streaming mode this covers the resident
     /// window only — spans already drained to the sink are gone.
     pub fn snapshot(&self, workers: usize) -> Trace {
-        let mut t = Trace::from_parts(workers, self.merged(false));
-        t.normalize();
-        t
+        self.merged(workers, false)
     }
 
     /// Consume the recorded events into a normalized [`Trace`], leaving the
@@ -346,9 +418,7 @@ impl TraceRecorder {
     /// once can stream into a [`crate::sink::CollectSink`].
     pub fn finish(&self, workers: usize) -> Trace {
         self.finish_stream();
-        let mut t = Trace::from_parts(workers, self.merged(true));
-        t.normalize();
-        t
+        self.merged(workers, true)
     }
 
     /// Flush all resident spans to the attached sink (if any), close it
@@ -463,24 +533,99 @@ mod tests {
         assert_eq!(t.workers, SHARDS * 3);
     }
 
+    /// The merge `merged` replaced, kept as its oracle: every stamped span
+    /// sorted by `(start, seq)`, then [`Trace::normalize`]'s time shift and
+    /// stable `(worker, start′, task_id)` sort.
+    fn two_sort_oracle(r: &TraceRecorder, workers: usize) -> Trace {
+        let mut stamped: Vec<(u64, TraceEvent)> = Vec::new();
+        for s in &r.inner.shards {
+            stamped.extend(s.events.lock().iter().cloned());
+        }
+        stamped.sort_by(|a, b| a.1.start.total_cmp(&b.1.start).then(a.0.cmp(&b.0)));
+        let mut t = Trace::from_parts(workers, stamped.into_iter().map(|(_, e)| e).collect());
+        t.normalize();
+        t
+    }
+
     #[test]
     fn merge_order_is_deterministic_on_timestamp_ties() {
         // Same timestamps recorded from one thread across different
-        // shards: the (start, seq) merge must reproduce recording order
-        // before normalization re-sorts by lane.
+        // shards: the merge must equal the (start, seq) merge followed by
+        // normalization, and two identical recorders must agree.
         let r = TraceRecorder::new();
         for i in 0..10u64 {
             r.record((i % 4) as usize, "k", i, 1.0, 2.0);
         }
-        let merged = r.merged(false);
-        let ids: Vec<u64> = merged.iter().map(|e| e.task_id).collect();
-        assert_eq!(ids, (0..10).collect::<Vec<_>>());
-        // And two identical recorders produce identical snapshots.
+        assert_eq!(r.snapshot(4), two_sort_oracle(&r, 4));
         let r2 = TraceRecorder::new();
         for i in 0..10u64 {
             r2.record((i % 4) as usize, "k", i, 1.0, 2.0);
         }
         assert_eq!(r.snapshot(4), r2.snapshot(4));
+    }
+
+    #[test]
+    fn starts_collapsed_by_the_time_shift_order_by_task_id() {
+        // A negative origin moves lane 0's two starts onto one float
+        // (2^53 + 0.25 and 2^53 + 0.5 both round to 2^53), so the pair
+        // recorded in start order must come out in task-id order — the
+        // lane looks ordered before the shift and is not after it.
+        let r = TraceRecorder::new();
+        r.record(1, "origin", 0, -9007199254740992.0, 0.0);
+        r.record(0, "late-id", 5, 0.25, 0.3);
+        r.record(0, "early-id", 3, 0.5, 0.6);
+        let t = r.snapshot(2);
+        assert_eq!(t, two_sort_oracle(&r, 2));
+        assert_eq!(t.spans()[0].start, t.spans()[1].start);
+        assert_eq!(
+            t.spans().iter().map(|e| e.task_id).collect::<Vec<_>>(),
+            [3, 5, 0]
+        );
+    }
+
+    mod merge_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `(worker, task_id, start, duration)` on coarse grids, so equal
+        /// starts, shared task ids (a faulted task's failed / backoff /
+        /// work spans) and zero-length spans are all common. 40 lanes
+        /// over 32 shards: lanes 32.. share a shard with lanes 0..8.
+        fn spans() -> impl Strategy<Value = Vec<(usize, u64, u32, u32)>> {
+            prop::collection::vec((0usize..40, 0u64..6, 0u32..8, 0u32..3), 0..80)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// `finish` and `snapshot` equal the two sorts they replaced,
+            /// whether each lane was recorded in order (the engines' case:
+            /// no sort runs) or not (the fallback sort runs), for a zero,
+            /// positive, inexact and negative time origin.
+            #[test]
+            fn merge_equals_the_two_sorts(
+                spans in spans(),
+                lanes_in_order in any::<bool>(),
+                origin in prop_oneof![Just(0.0), Just(100.0), Just(0.1), Just(-3e15)],
+                workers in 0usize..48,
+            ) {
+                let mut spans = spans;
+                if lanes_in_order {
+                    // Stable: spans of one (lane, start, id) keep their order.
+                    spans.sort_by_key(|&(_, id, start, _)| (start, id));
+                }
+                let r = TraceRecorder::new();
+                for &(worker, id, start, dur) in &spans {
+                    let start = origin + f64::from(start) * 0.25;
+                    r.record(worker, "k", id, start, start + f64::from(dur) * 0.25);
+                }
+                let expected = two_sort_oracle(&r, workers);
+                prop_assert_eq!(&r.snapshot(workers), &expected);
+                prop_assert_eq!(r.len(), spans.len());
+                prop_assert_eq!(&r.finish(workers), &expected);
+                prop_assert!(r.is_empty());
+            }
+        }
     }
 
     #[test]

@@ -163,6 +163,25 @@ fn fail(msg: impl Display) -> ! {
     exit(2)
 }
 
+/// Every stdout write goes through here. A reader that went away
+/// (`supersim real … | head -1`) has what it wanted: that is a clean exit,
+/// not the panic `println!` makes of it.
+fn write_stdout(text: std::fmt::Arguments) {
+    use std::io::Write as _;
+    match std::io::stdout().write_fmt(text) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => exit(0),
+        Err(e) => fail(format!("cannot write to stdout: {e}")),
+    }
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! say {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn or_fail<T, E: Display>(result: Result<T, E>) -> T {
     result.unwrap_or_else(|e| fail(e))
 }
@@ -237,7 +256,7 @@ fn write_outputs(opts: &Opts, note: fn(&str), outputs: &[Output]) {
 }
 
 fn to_stdout(line: &str) {
-    println!("{line}");
+    say!("{line}");
 }
 
 fn to_stderr(line: &str) {
@@ -375,20 +394,22 @@ fn cmd_trace_convert(opts: &Opts) {
     let label = format!("canonical trace ({} spans)", trace.len());
     match opts.get("out") {
         Some(_) => write_outputs(opts, to_stderr, &[("out", &label, &|| trace.canonical())]),
-        None => print!("{}", trace.canonical()),
+        None => write_stdout(format_args!("{}", trace.canonical())),
     }
 }
 
 fn cmd_real(opts: &Opts) {
     let sc = scenario_from(opts, named(opts, "alg", Algorithm::parse), (720, 90, 1));
     or_fail(sc.validate());
-    println!("{}", describe("real", &sc));
+    say!("{}", describe("real", &sc));
     let run = sc.run_real();
-    println!(
+    say!(
         "elapsed {:.4}s   {:.2} GFLOP/s   residual {:.2e}",
-        run.seconds, run.gflops, run.residual
+        run.seconds,
+        run.gflops,
+        run.residual
     );
-    println!("{}", TraceStats::of(&run.trace).report());
+    say!("{}", TraceStats::of(&run.trace).report());
     let calibration = || {
         let what = format!(
             "{} n={} nb={} workers={}",
@@ -427,9 +448,9 @@ fn cmd_sim(opts: &Opts) {
     };
     let sc = sc.models(db.calibration.registry).config(config);
     or_fail(sc.validate());
-    println!("{} (calibration: {})", describe("sim", &sc), db.description);
+    say!("{} (calibration: {})", describe("sim", &sc), db.description);
     let run = sc.run_sim();
-    println!(
+    say!(
         "predicted {:.4}s   {:.2} GFLOP/s   (simulation wall time {:.4}s, {} tasks)",
         run.predicted_seconds,
         run.gflops,
@@ -453,18 +474,20 @@ fn cmd_predict(opts: &Opts) {
     or_fail(sc.validate());
     let model_overhead = opts.get("overhead").map(String::as_str) == Some("auto");
 
-    println!("{}", describe("predict", &sc));
+    say!("{}", describe("predict", &sc));
     let real = sc.clone().run_real();
-    println!(
+    say!(
         "real:      {:.4}s  {:.2} GFLOP/s  residual {:.2e}",
-        real.seconds, real.gflops, real.residual
+        real.seconds,
+        real.gflops,
+        real.residual
     );
     let cal = calibrate(&real.trace, FitOptions::default());
     let overhead = if model_overhead {
         let est = estimate_overhead(&real.trace, 0.01)
             .map(|e| e.median_gap)
             .unwrap_or(0.0);
-        println!(
+        say!(
             "overhead:  modeling {:.2} µs/task from trace gaps",
             est * 1e6
         );
@@ -480,14 +503,16 @@ fn cmd_predict(opts: &Opts) {
     let sim = sc.models(cal.registry).config(config);
     or_fail(sim.validate());
     let sim = sim.run_sim();
-    println!(
+    say!(
         "simulated: {:.4}s  {:.2} GFLOP/s  (sim wall {:.4}s)",
-        sim.predicted_seconds, sim.gflops, sim.wall_seconds
+        sim.predicted_seconds,
+        sim.gflops,
+        sim.wall_seconds
     );
     let err = (sim.predicted_seconds - real.seconds) / real.seconds * 100.0;
-    println!("error:     {err:+.2}%");
+    say!("error:     {err:+.2}%");
     let cmp = TraceComparison::compare(&real.trace, &sim.trace);
-    println!("traces:    {}", cmp.summary());
+    say!("traces:    {}", cmp.summary());
 }
 
 /// Simulate a distributed run: N nodes of W workers, owner-computes
@@ -577,7 +602,7 @@ fn cmd_cluster(opts: &Opts) {
         gflops: run.gflops,
         wall_seconds: run.wall_seconds,
     };
-    println!(
+    say!(
         "{}",
         serde_json::to_string_pretty(&report).expect("serialize report")
     );
@@ -762,7 +787,7 @@ fn cmd_faults(opts: &Opts) {
             f.fault, f.makespan, f.slowdown
         );
     }
-    println!(
+    say!(
         "{}",
         serde_json::to_string_pretty(r).expect("serialize report")
     );
@@ -858,7 +883,7 @@ fn cmd_sweep(opts: &Opts) {
 
     let json = outcome.report.to_json();
     if !opts.contains_key("out") {
-        println!("{json}");
+        say!("{json}");
     }
     write_outputs(
         opts,
@@ -915,7 +940,7 @@ fn cmd_dag(opts: &Opts) {
     }
     let g = builder.finish();
     let profile = supersim::dag::analysis::profile(&g);
-    println!(
+    say!(
         "{} DAG ({nt}x{nt} tiles): {} tasks, {} edges ({} dependences), depth {}, max width {}, avg parallelism {:.2}",
         alg.name(),
         profile.tasks,
@@ -1021,7 +1046,7 @@ fn cmd_metrics(opts: &Opts) {
     // arrive via session.publish_metrics above — nothing process-global
     // remains to fold in.
     let json = snap.to_json();
-    println!("{json}");
+    say!("{json}");
     let trace = last_trace.expect("at least one mode ran");
     write_outputs(
         opts,
@@ -1044,12 +1069,12 @@ fn cmd_metrics(_opts: &Opts) {
 }
 
 fn cmd_info() {
-    println!("supersim {}", env!("CARGO_PKG_VERSION"));
-    println!("algorithms: cholesky (Algorithm 1), qr (Algorithm 2), lu (extension)");
-    println!("schedulers:");
+    say!("supersim {}", env!("CARGO_PKG_VERSION"));
+    say!("algorithms: cholesky (Algorithm 1), qr (Algorithm 2), lu (extension)");
+    say!("schedulers:");
     for kind in SchedulerKind::ALL {
         let c = kind.config(1);
-        println!(
+        say!(
             "  {:<8} policy={:?} window={}",
             kind.name(),
             c.policy,
@@ -1060,5 +1085,5 @@ fn cmd_info() {
             }
         );
     }
-    println!("race mitigations: quiesce (exact), sleep_yield (portable), none (demo)");
+    say!("race mitigations: quiesce (exact), sleep_yield (portable), none (demo)");
 }

@@ -254,6 +254,44 @@ fn metrics_trace_out_is_deterministic() {
 }
 
 #[test]
+fn a_closed_stdout_pipe_is_a_clean_exit() {
+    // `supersim … | head -1`: the reader takes one line and goes away
+    // while the writer still has more than a pipe's worth (64 KiB) to
+    // say, so the write fails with EPIPE however the two are scheduled.
+    use std::io::{BufRead, BufReader, Read};
+    let spans = tmpdir().join("head.ndjson");
+    let ndjson: String = (0..20_000)
+        .map(|i| {
+            format!(r#"{{"worker":0,"kernel":"k","task_id":{i},"start":{i}.0,"end":{i}.5}}"#) + "\n"
+        })
+        .collect();
+    std::fs::write(&spans, ndjson).unwrap();
+    let mut child = bin()
+        .args(["trace-convert", "--in"])
+        .arg(&spans)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdout = BufReader::with_capacity(64, child.stdout.take().unwrap());
+    let mut first = String::new();
+    stdout.read_line(&mut first).unwrap();
+    assert_eq!(first, "0 k 0.0 0.5\n");
+    drop(stdout);
+    let status = child.wait().unwrap();
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    assert!(status.success(), "{status}: {stderr}");
+    assert_eq!(stderr, "", "no panic report, no error line");
+    std::fs::remove_file(&spans).ok();
+}
+
+#[test]
 fn sim_without_calibration_is_an_error() {
     let out = bin().args(["sim", "--alg", "qr"]).output().unwrap();
     assert!(!out.status.success());
