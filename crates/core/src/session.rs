@@ -283,6 +283,24 @@ pub fn record_segment_spans(
     span(label, start, end);
 }
 
+/// What a session has attached, as one simulated kernel sees it.
+#[derive(Clone, Default)]
+struct Hooks {
+    /// The runtime's quiescence probe (required by
+    /// [`RaceMitigation::Quiesce`]).
+    quiesce: Option<Arc<dyn Quiesce>>,
+    /// Optional fault injector (straggler windows, transient failures,
+    /// link degradation). `None` — the default — keeps every simulated
+    /// path bit-for-bit identical to a fault-free session.
+    faults: Option<Arc<dyn FaultInjector>>,
+}
+
+thread_local! {
+    /// A worker thread's kernel-plan buffer, reused by every ranked kernel
+    /// it runs.
+    static PLAN: std::cell::Cell<KernelPlan> = std::cell::Cell::default();
+}
+
 /// A simulation session. Create one per simulated run; hand
 /// [`SimSession::run_kernel`] (or [`SimSession::kernel_body`]) to every
 /// task body, then read the predicted makespan and the virtual-time trace.
@@ -294,11 +312,9 @@ pub struct SimSession {
     models: Arc<ModelRegistry>,
     trace: TraceRecorder,
     config: SimConfig,
-    quiesce: Mutex<Option<Arc<dyn Quiesce>>>,
-    /// Optional fault injector (straggler windows, transient failures,
-    /// link degradation). `None` — the default — keeps every simulated
-    /// path bit-for-bit identical to a fault-free session.
-    faults: Mutex<Option<Arc<dyn FaultInjector>>>,
+    /// The runtime's quiescence probe and the fault injector, behind one
+    /// lock: a simulated kernel resolves both in one acquisition.
+    hooks: Mutex<Hooks>,
     first_calls: Mutex<HashSet<(usize, String)>>,
     /// Warm-up budget for the plan-based protocol: the first `n`
     /// submissions of each label sample warm (see
@@ -355,8 +371,7 @@ impl SimSession {
             models,
             trace: TraceRecorder::new(),
             config,
-            quiesce: Mutex::new(None),
-            faults: Mutex::new(None),
+            hooks: Mutex::new(Hooks::default()),
             first_calls: Mutex::new(HashSet::new()),
             warmup_slots: AtomicUsize::new(0),
             ranks: Mutex::new(BTreeMap::new()),
@@ -376,19 +391,30 @@ impl SimSession {
     /// Attach the runtime's quiescence probe (required for
     /// [`RaceMitigation::Quiesce`]; ignored by the other strategies).
     pub fn attach_quiesce(&self, probe: Arc<dyn Quiesce>) {
-        *self.quiesce.lock() = Some(probe);
+        self.hooks.lock().quiesce = Some(probe);
     }
 
     /// Attach a fault injector. Call before submitting tasks; a session
     /// with no injector attached executes the exact fault-free code path.
     pub fn attach_faults(&self, injector: Arc<dyn FaultInjector>) {
-        *self.faults.lock() = Some(injector);
+        self.hooks.lock().faults = Some(injector);
     }
 
     /// The attached fault injector, if any (the DES replay backend reads
     /// it to draw the same kernel plans the threaded protocol would).
     pub fn fault_injector(&self) -> Option<Arc<dyn FaultInjector>> {
-        self.faults.lock().clone()
+        self.hooks.lock().faults.clone()
+    }
+
+    /// The hooks one simulated kernel runs with, resolved once per task.
+    /// Panics under [`RaceMitigation::Quiesce`] without a probe attached.
+    fn hooks(&self) -> Hooks {
+        let hooks = self.hooks.lock().clone();
+        assert!(
+            hooks.quiesce.is_some() || self.config.mitigation != RaceMitigation::Quiesce,
+            "RaceMitigation::Quiesce requires attach_quiesce"
+        );
+        hooks
     }
 
     /// The session's virtual-time trace recorder. The DES replay backend
@@ -555,7 +581,7 @@ impl SimSession {
         let speed = self.config.speed_of(ctx.worker);
         assert!(speed > 0.0, "worker speed must be positive");
         let duration = model.sample(&mut rng, first) / speed + self.config.overhead_per_task;
-        self.simulate(ctx, label, duration);
+        self.simulate(ctx, label, duration, &self.hooks());
     }
 
     /// Set the warm-up budget for the plan-based protocol: the first `n`
@@ -594,17 +620,20 @@ impl SimSession {
     pub fn run_kernel_ranked(&self, ctx: &TaskContext, label: &str, rank: u64) {
         let speed = self.config.speed_of(ctx.worker);
         assert!(speed > 0.0, "worker speed must be positive");
-        let faults = self.faults.lock().clone();
-        let plan = self.plan_ranked(label, rank, speed, faults.as_deref());
+        let hooks = self.hooks();
+        let mut plan = PLAN.take();
+        self.plan_ranked_into(label, rank, speed, hooks.faults.as_deref(), &mut plan);
         if plan.is_transient() {
-            let inj = faults
+            let inj = hooks
+                .faults
                 .as_ref()
                 .expect("transient plan requires an injector");
-            let aborted = self.simulate_segments(ctx, label, &plan.segments, inj);
+            let aborted = self.simulate_segments(ctx, label, &plan.segments, inj, &hooks);
             inj.on_transient(label, plan.failures, aborted);
         } else {
-            self.simulate(ctx, label, plan.segments[0].1);
+            self.simulate(ctx, label, plan.segments[0].1, &hooks);
         }
+        PLAN.set(plan);
     }
 
     /// Draw the virtual timeline of the `rank`-th submission of `label`:
@@ -671,19 +700,18 @@ impl SimSession {
     /// interconnect model. Zero durations are valid: the task occupies its
     /// lane for a virtual instant without advancing the clock.
     pub fn run_fixed(&self, ctx: &TaskContext, label: &str, duration: f64) {
-        self.simulate(ctx, label, duration);
+        self.simulate(ctx, label, duration, &self.hooks());
     }
 
     /// Steps (1)–(5) of the protocol, shared by every entry point.
-    fn simulate(&self, ctx: &TaskContext, label: &str, duration: f64) {
+    fn simulate(&self, ctx: &TaskContext, label: &str, duration: f64, hooks: &Hooks) {
         self.note_kernel();
         // (1)+(2): read the clock for the start, insert the completion.
         // With an injector attached the duration is re-derived from the
         // start time *under the TEQ lock*, so start-dependent costs
         // (straggler windows, degraded links) are a pure function of the
         // virtual timeline.
-        let faults = self.faults.lock().clone();
-        let (ticket, start) = match &faults {
+        let (ticket, start) = match &hooks.faults {
             None => self.teq.insert(duration),
             Some(inj) => self
                 .teq
@@ -701,7 +729,7 @@ impl SimSession {
         // The task is now visible to the simulation: scheduler bookkeeping
         // for this dispatch is done.
         ctx.mark_registered();
-        self.settle_and_retire(ctx, ticket);
+        self.settle_and_retire(ctx, ticket, hooks);
     }
 
     /// Steps (1)–(5) for a transiently failing task: one TEQ insertion
@@ -716,6 +744,7 @@ impl SimSession {
         label: &str,
         segs: &[(SegmentKind, f64)],
         inj: &Arc<dyn FaultInjector>,
+        hooks: &Hooks,
     ) -> f64 {
         self.note_kernel();
         let mut bounds: Vec<(SegmentKind, f64, f64)> = Vec::with_capacity(segs.len());
@@ -740,80 +769,67 @@ impl SimSession {
             &bounds,
         );
         ctx.mark_registered();
-        self.settle_and_retire(ctx, ticket);
+        self.settle_and_retire(ctx, ticket, hooks);
         aborted_seconds(&bounds)
     }
 
     /// Steps (4)+(5) of the protocol, shared by [`SimSession::simulate`]
     /// and [`SimSession::simulate_segments`].
-    fn settle_and_retire(&self, ctx: &TaskContext, ticket: crate::teq::TeqTicket) {
+    fn settle_and_retire(&self, ctx: &TaskContext, ticket: crate::teq::TeqTicket, hooks: &Hooks) {
         // (4): wait to be the next virtual completion, guarding against the
-        // §V-E race before retiring. `wait_front` parks on this ticket's
-        // own condvar (targeted wakeup): the retiring front wakes exactly
-        // the next front's owner, so re-entering the loop after a failed
-        // quiescence check costs one wakeup, not a broadcast herd. The
-        // probe handle is resolved once — not per loop iteration — since
-        // re-locking `self.quiesce` on every settle retry put an extra
-        // mutex acquisition on the hot path.
-        let probe = match self.config.mitigation {
-            RaceMitigation::Quiesce => Some(
-                self.quiesce
-                    .lock()
-                    .clone()
-                    .expect("RaceMitigation::Quiesce requires attach_quiesce"),
-            ),
-            _ => None,
-        };
+        // §V-E race before retiring. `wait_front` parks on this thread's
+        // condvar (targeted wakeup): the retiring front wakes exactly the
+        // next front's owner, so re-entering the loop after a failed
+        // settle check costs one wakeup, not a broadcast herd.
+        //
+        // A woken front owner can proceed only once the thread that woke it
+        // — the previous front's owner — has propagated that completion and
+        // registered its next task. Under the default policy the wakee may
+        // preempt the waker on a shared CPU, find the system unsettled and
+        // park again; batch-scheduled threads do not preempt on wakeup, so
+        // the waker runs on to its own park first.
+        batch_scheduling();
+
         // Settle retries: every extra pass through this loop means a
         // quiescence (or re-front) check failed and the task went back to
         // waiting. Accumulated locally and flushed to the global counter
         // once per kernel, so the hot loop touches no shared state.
         let mut spins = 0u64;
-        loop {
-            self.teq.wait_front(ticket);
+        let clock = loop {
+            // The retired count as of reaching the front: the settle target.
+            let retired = self.teq.wait_front(ticket);
             match self.config.mitigation {
-                RaceMitigation::None => break,
-                RaceMitigation::SleepYield { .. } => {
-                    self.config.mitigation.portable_delay();
-                    if self.teq.is_front(ticket) {
-                        break;
-                    }
-                    spins += 1;
-                }
-                RaceMitigation::Quiesce => {
-                    // Every task already retired must have had its
-                    // completion propagated, and the scheduler must have no
-                    // in-flight dispatches. The retired count is re-read
-                    // after the wait: if another task retired while this
-                    // one was blocked (it lost the front in the meantime),
-                    // the settle target is stale and the wait must be
-                    // re-run against the new count — otherwise this task
-                    // can slip out during the short window in which the
-                    // newly retired task has left the queue but has not
-                    // yet released its successors. The post-wait front and
-                    // retired-count reads are fused into one TEQ lock
-                    // acquisition.
-                    let probe = probe.as_ref().expect("probe resolved above");
-                    let (_, retired_before) = self.teq.front_and_retired(ticket);
-                    probe.wait_settled(retired_before);
-                    let (is_front, retired_now) = self.teq.front_and_retired(ticket);
-                    if retired_now == retired_before && is_front {
-                        break;
-                    }
-                    spins += 1;
-                }
+                RaceMitigation::None => break self.teq.retire(ticket),
+                RaceMitigation::SleepYield { .. } => self.config.mitigation.portable_delay(),
+                // Every task already retired must have had its completion
+                // propagated, and the scheduler must have no in-flight
+                // dispatches.
+                RaceMitigation::Quiesce => hooks
+                    .quiesce
+                    .as_ref()
+                    .expect("hooks() checked the probe")
+                    .wait_settled(retired),
             }
-        }
+            // If another task retired while this one waited (it lost the
+            // front in the meantime), the settle target is stale and the
+            // wait must be re-run against the new count — otherwise this
+            // task could slip out in the window in which the newly retired
+            // task has left the queue but not yet released its successors.
+            // The check and the retire are one TEQ lock acquisition.
+            if let Some(clock) = self.teq.retire_if_settled(ticket, retired) {
+                break clock;
+            }
+            spins += 1;
+        };
         self.note_quiesce_spins(spins);
-        // (5): retire — advance the clock to this task's completion.
+        // (5) happened above: the clock advanced to this task's completion.
         if debug_enabled() {
             eprintln!("[dbg] retire task={} end={:.6}", ctx.task_id, ticket.end);
         }
-        self.teq.retire(ticket);
         // Streaming mode: retirement is the only place the virtual clock
         // advances, so epoch flushes hang off it. One relaxed atomic
         // load when no sink is attached.
-        self.trace.observe_clock(self.teq.now());
+        self.trace.observe_clock(clock);
     }
 
     /// Convenience: build a task body closure for `label`.
@@ -845,6 +861,35 @@ impl SimSession {
 fn debug_enabled() -> bool {
     static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *FLAG.get_or_init(|| std::env::var_os("SUPERSIM_DEBUG").is_some())
+}
+
+/// Move the calling thread — a runtime worker about to park in the TEQ —
+/// to batch scheduling, once per thread: its wakeups then never preempt
+/// the thread that issued them. Virtual times do not depend on host
+/// scheduling. Linux only; elsewhere a no-op.
+fn batch_scheduling() {
+    thread_local! {
+        static SET: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+    if SET.replace(true) {
+        return;
+    }
+    #[cfg(target_os = "linux")]
+    {
+        #[repr(C)]
+        struct SchedParam {
+            sched_priority: i32,
+        }
+        extern "C" {
+            fn sched_setscheduler(pid: i32, policy: i32, param: *const SchedParam) -> i32;
+        }
+        const SCHED_BATCH: i32 = 3;
+        let param = SchedParam { sched_priority: 0 };
+        // SAFETY: the kernel reads one `sched_param` through a pointer that
+        // is valid for the call; pid 0 names the calling thread, and a
+        // refusal leaves its policy unchanged, so the result is ignored.
+        unsafe { sched_setscheduler(0, SCHED_BATCH, &param) };
+    }
 }
 
 /// FNV-1a hash of a label, mixing the kernel class into the ranked RNG key.
@@ -1076,6 +1121,13 @@ mod tests {
     /// C (0.5s) depends on A. Correct virtual trace: C starts at 1.0 and
     /// the makespan is 2.0 (B is the last to finish).
     fn fig5_run(mitigation: RaceMitigation) -> (f64, f64) {
+        fig5_try(mitigation).expect("the Fig. 5 run failed")
+    }
+
+    /// [`fig5_run`], returning the task errors instead of panicking on
+    /// them: unmitigated, B can reach `retire` just after C displaced it
+    /// from the front, which trips the TEQ's non-front assertion.
+    fn fig5_try(mitigation: RaceMitigation) -> Result<(f64, f64), Vec<String>> {
         let models = constant_models(&[("a", 1.0), ("b", 2.0), ("c", 0.5)]);
         let session = new_session(models, mitigation);
         let rt = Runtime::new(RuntimeConfig::simple(2));
@@ -1093,10 +1145,10 @@ mod tests {
             s.run_kernel(ctx, "c")
         }));
         rt.seal();
-        rt.wait_all().unwrap();
+        rt.wait_all()?;
         let trace = session.finish_trace(2);
         let c = trace.spans().iter().find(|e| e.kernel == "c").unwrap();
-        (c.start, trace.makespan())
+        Ok((c.start, trace.makespan()))
     }
 
     #[test]
@@ -1127,13 +1179,24 @@ mod tests {
         // Without mitigation, B usually retires before C registers, so C
         // reads the advanced clock (start 2.0 instead of 1.0). The race is
         // timing-dependent; require it to appear at least once in 20 runs
-        // (in practice it appears nearly every run).
+        // (in practice it appears nearly every run). When C inserts just
+        // after B reached the front, B's retire trips the TEQ's non-front
+        // assertion instead: the same race, caught by the queue.
         let mut raced = 0;
         for _ in 0..20 {
-            let (c_start, makespan) = fig5_run(RaceMitigation::None);
-            if c_start > 1.5 {
-                raced += 1;
-                assert!(makespan > 2.4, "raced run must show inflated makespan");
+            match fig5_try(RaceMitigation::None) {
+                Err(errors) => {
+                    assert!(
+                        errors.iter().all(|e| e.contains("non-front")),
+                        "only the race may fail a run: {errors:?}"
+                    );
+                    raced += 1;
+                }
+                Ok((c_start, makespan)) if c_start > 1.5 => {
+                    raced += 1;
+                    assert!(makespan > 2.4, "raced run must show inflated makespan");
+                }
+                Ok(_) => {}
             }
         }
         assert!(

@@ -6,18 +6,24 @@
 //! mutex so that reading the clock for a task's start time and inserting
 //! its completion are one atomic step.
 //!
-//! Blocked tasks park on per-waiter condition variables keyed by their
-//! ticket's sequence number. Queue transitions compute the new front under
-//! the state lock and wake only that front's owner, so a retire costs one
-//! wakeup instead of waking every simulated worker (the broadcast herd
-//! grows as O(tasks x workers); see DESIGN.md §5 "Locking & wakeup
-//! protocol"). [`WakeupMode::Broadcast`] preserves the old behavior for
-//! benchmark comparisons.
+//! Blocked tasks park on their thread's own condition variable, registered
+//! under their ticket's sequence number. Queue transitions compute the new
+//! front under the state lock and wake only that front's owner, so a
+//! retire costs one wakeup instead of waking every simulated worker (the
+//! broadcast herd grows as O(tasks x workers); see DESIGN.md §5 "Locking &
+//! wakeup protocol"). [`WakeupMode::Broadcast`] preserves the old behavior
+//! for benchmark comparisons.
 
 use crate::obs;
 use parking_lot::{Condvar, Mutex};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
+
+thread_local! {
+    /// The condvar this thread parks on in targeted `wait_front`: made once
+    /// per thread and reused by every park, in any queue.
+    static PARK: Arc<Condvar> = Arc::default();
+}
 
 /// Ticket identifying one entry in the queue.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,9 +68,9 @@ pub enum WakeupMode {
     /// as the baseline for contention benchmarks.
     Broadcast,
     /// Wake only the owner of the entry that just became the front. Each
-    /// waiter parks on its own condvar, registered by ticket sequence
-    /// number; the new front is computed under the state lock, so exactly
-    /// one thread is scheduled per retirement.
+    /// waiter parks on its thread's own condvar, registered by ticket
+    /// sequence number; the new front is computed under the state lock, so
+    /// exactly one thread is scheduled per retirement.
     #[default]
     Targeted,
 }
@@ -75,9 +81,10 @@ struct State {
     next_seq: u64,
     /// Completions retired so far (monotone, for diagnostics).
     retired: u64,
-    /// Parked `wait_front` callers by ticket seq (targeted mode only).
-    /// At most one waiter per seq: a ticket is owned by a single task.
-    waiters: HashMap<u64, Arc<Condvar>>,
+    /// Parked `wait_front` callers as `(ticket seq, the thread's condvar)`
+    /// (targeted mode only). One entry per parked thread, so it stays as
+    /// short as the worker count and a scan beats hashing.
+    waiters: Vec<(u64, Arc<Condvar>)>,
     /// Observability tally, updated under this mutex (zero-sized and
     /// compiled out when the `metrics` feature is off).
     tally: obs::TeqTally,
@@ -116,7 +123,7 @@ impl TaskExecutionQueue {
                 heap: BinaryHeap::new(),
                 next_seq: 0,
                 retired: 0,
-                waiters: HashMap::new(),
+                waiters: Vec::new(),
                 tally: obs::TeqTally::default(),
             }),
             cv: Condvar::new(),
@@ -160,7 +167,7 @@ impl TaskExecutionQueue {
             }
             WakeupMode::Targeted => {
                 if let Some(front) = st.heap.peek() {
-                    if let Some(cv) = st.waiters.get(&front.seq) {
+                    if let Some((_, cv)) = st.waiters.iter().find(|(seq, _)| *seq == front.seq) {
                         cv.notify_one();
                         st.tally.on_wakeup();
                     }
@@ -219,8 +226,8 @@ impl TaskExecutionQueue {
         st.heap.peek().is_some_and(|e| e.seq == ticket.seq)
     }
 
-    /// Fused query for the quiescence wait loop: whether `ticket` is at
-    /// the front, plus the retired count, in one lock acquisition.
+    /// Whether `ticket` is at the front, plus the retired count, in one
+    /// lock acquisition.
     pub fn front_and_retired(&self, ticket: TeqTicket) -> (bool, u64) {
         let st = self.state.lock();
         (
@@ -229,12 +236,14 @@ impl TaskExecutionQueue {
         )
     }
 
-    /// Block until `ticket` is at the front.
-    pub fn wait_front(&self, ticket: TeqTicket) {
+    /// Block until `ticket` is at the front. Returns the retired count
+    /// read under the same lock acquisition that saw it there — the settle
+    /// target of [`TaskExecutionQueue::retire_if_settled`].
+    pub fn wait_front(&self, ticket: TeqTicket) -> u64 {
         let mut st = self.state.lock();
         if st.heap.peek().is_some_and(|e| e.seq == ticket.seq) {
             st.tally.on_wait_immediate();
-            return;
+            return st.retired;
         }
         // About to park: the timer is 1-in-64 sampled (dedicated stream,
         // first wait per thread always fires) because an unconditional
@@ -247,37 +256,54 @@ impl TaskExecutionQueue {
                     self.cv.wait(&mut st);
                 }
             }
-            WakeupMode::Targeted => {
-                let cv = st
-                    .waiters
-                    .entry(ticket.seq)
-                    .or_insert_with(|| Arc::new(Condvar::new()))
-                    .clone();
+            WakeupMode::Targeted => PARK.with(|cv| {
+                st.waiters.push((ticket.seq, cv.clone()));
                 while st.heap.peek().is_none_or(|e| e.seq != ticket.seq) {
                     cv.wait(&mut st);
                 }
-                st.waiters.remove(&ticket.seq);
-            }
+                let i = st.waiters.iter().position(|(seq, _)| *seq == ticket.seq);
+                st.waiters
+                    .swap_remove(i.expect("a parked waiter stays registered"));
+            }),
         }
         st.tally.on_wait_parked(timer);
+        st.retired
     }
 
     /// Retire the front entry (must be `ticket` — panics otherwise),
-    /// advancing the clock to its completion time.
-    pub fn retire(&self, ticket: TeqTicket) {
+    /// advancing the clock to its completion time. Returns the clock.
+    pub fn retire(&self, ticket: TeqTicket) -> f64 {
         let stamp = obs::stamp();
         let mut st = self.state.lock();
         let front = st.heap.peek().expect("retire on empty queue");
         assert_eq!(front.seq, ticket.seq, "retire called by a non-front task");
-        let e = st.heap.pop().unwrap();
+        self.pop_front(&mut st, stamp)
+    }
+
+    /// Retire `ticket` if it is still the front and exactly `retired`
+    /// entries have retired so far — the settle check and the retire in one
+    /// step, so nothing can slip between them. Returns the advanced clock,
+    /// or `None` (and changes nothing) when the front moved or another
+    /// entry retired since the caller read `retired`.
+    pub fn retire_if_settled(&self, ticket: TeqTicket, retired: u64) -> Option<f64> {
+        let stamp = obs::stamp();
+        let mut st = self.state.lock();
+        let settled = st.retired == retired && st.heap.peek().is_some_and(|e| e.seq == ticket.seq);
+        settled.then(|| self.pop_front(&mut st, stamp))
+    }
+
+    /// Pop the front entry, advance the clock to its end and wake the new
+    /// front's owner (and only it). Returns the clock.
+    fn pop_front(&self, st: &mut State, stamp: obs::Stamp) -> f64 {
+        let e = st.heap.pop().expect("retire on empty queue");
         if debug_enabled() {
             eprintln!("[dbg] teq.retire seq={} end={:.6}", e.seq, e.end);
         }
         st.clock = st.clock.max(e.end);
         st.retired += 1;
-        // The pop promoted a new front; wake its owner (and only it).
-        self.wake_front(&mut st);
+        self.wake_front(st);
         st.tally.on_retire(stamp);
+        st.clock
     }
 
     /// Advance the clock directly (used by tests and by the offline DES).
@@ -432,6 +458,21 @@ mod tests {
         assert_eq!(q.front_and_retired(b), (false, 0));
         q.retire(a);
         assert_eq!(q.front_and_retired(b), (true, 1));
+    }
+
+    #[test]
+    fn retire_if_settled_retires_only_an_unmoved_front() {
+        let q = TaskExecutionQueue::new();
+        let (a, _) = q.insert(1.0);
+        let (b, _) = q.insert(2.0);
+        assert_eq!(q.wait_front(a), 0, "the retired count the front saw");
+        assert_eq!(q.retire_if_settled(b, 0), None, "not the front");
+        assert_eq!(q.retire_if_settled(a, 1), None, "stale count");
+        assert_eq!(q.retire_if_settled(a, 0), Some(1.0));
+        assert_eq!(q.retire_if_settled(b, 0), None, "a retired meanwhile");
+        assert_eq!(q.wait_front(b), 1);
+        assert_eq!(q.retire(b), 2.0);
+        assert_eq!(q.retired(), 2);
     }
 
     fn wakeup_modes() -> [WakeupMode; 2] {

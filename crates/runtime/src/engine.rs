@@ -1,24 +1,29 @@
 //! The runtime engine: submission-side hazard tracking, worker threads,
 //! dispatch, completion propagation, and the quiescence machinery.
 
+use crate::chain::{Chain, ChainPool};
 use crate::config::RuntimeConfig;
 use crate::hazards::HazardTracker;
 use crate::policy::{make_policy, Policy, ReadyMeta};
 use crate::quiesce::Quiesce;
 use crate::stats::RuntimeStats;
-use crate::task::{DispatchToken, TaskBody, TaskContext, TaskDesc};
-use parking_lot::{Condvar, Mutex};
+use crate::task::{TaskBody, TaskContext, TaskDesc};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use supersim_trace::TraceRecorder;
 
-/// Per-task bookkeeping entry.
+/// Per-task bookkeeping entry. The engine keeps one per task of a phase,
+/// so it is kept small: the label is boxed (no capacity word) and the
+/// dependence count is 32 bits.
 struct Entry {
-    label: Arc<str>,
-    deps: usize,
-    succs: Vec<u64>,
+    /// Moved into the executing worker's [`TaskContext`] at dispatch.
+    label: Box<str>,
+    deps: u32,
+    /// Successor ids, in [`Inner::succs`].
+    succs: Chain,
     body: Option<TaskBody>,
     priority: i64,
     affinity: Option<u64>,
@@ -30,6 +35,10 @@ struct Entry {
 struct Inner {
     entries: Vec<Entry>,
     hazards: HazardTracker,
+    /// Every entry's successor list.
+    succs: ChainPool,
+    /// `submit`'s predecessor scratch, reused across tasks.
+    preds: Vec<u64>,
     policy: Box<dyn Policy>,
     in_flight: usize,
     idle_workers: usize,
@@ -47,8 +56,43 @@ struct Inner {
     shutdown: bool,
     sealed: bool,
     submitter_waiting: usize,
+    /// Threads parked in `wait_quiescent`/`wait_settled`: `quiesce_cv` is
+    /// notified only while this is non-zero.
+    quiesce_waiters: usize,
     errors: Vec<String>,
     stats: RuntimeStats,
+}
+
+impl Inner {
+    /// Wake the quiescence waiters, if any. Call after every transition
+    /// that can make the quiescence predicate (or `completed`) true.
+    fn notify_quiesce(&self, shared: &Shared) {
+        if self.quiesce_waiters > 0 {
+            shared.quiesce_cv.notify_all();
+        }
+    }
+
+    /// Wake workers for `released` newly queued tasks, `own` of which the
+    /// calling worker will pop itself before it parks.
+    fn wake_workers(&self, shared: &Shared, released: usize, own: usize) {
+        if released == 0 {
+            return;
+        }
+        if self.policy.broadcast_wakeups() {
+            // Pinned tasks: only specific workers are eligible, and a
+            // targeted notify cannot aim — broadcast instead.
+            shared.work_cv.notify_all();
+        } else {
+            // Wake exactly as many workers as can absorb the tasks nobody
+            // awake will take: a notify beyond `idle_workers` has no parked
+            // worker to land on (awake workers re-check the ready queue
+            // before sleeping, so surplus tasks are never stranded), and a
+            // notify beyond that would wake a worker to an empty queue.
+            for _ in 0..(released - own).min(self.idle_workers) {
+                shared.work_cv.notify_one();
+            }
+        }
+    }
 }
 
 /// Per-worker statistics slot, updated lock-free by its owning worker.
@@ -144,6 +188,8 @@ impl Runtime {
             inner: Mutex::new(Inner {
                 entries: Vec::new(),
                 hazards: HazardTracker::new(),
+                succs: ChainPool::default(),
+                preds: Vec::new(),
                 policy,
                 in_flight: 0,
                 idle_workers: 0,
@@ -153,6 +199,7 @@ impl Runtime {
                 shutdown: false,
                 sealed: false,
                 submitter_waiting: 0,
+                quiesce_waiters: 0,
                 errors: Vec::new(),
                 stats: RuntimeStats::new(config.workers),
             }),
@@ -196,30 +243,38 @@ impl Runtime {
             "submit() after seal(); call unseal() for a new phase"
         );
         while inner.in_flight >= self.shared.window {
+            // A window-stalled submitter can make the system quiescent.
             inner.submitter_waiting += 1;
-            self.shared.quiesce_cv.notify_all();
+            inner.notify_quiesce(&self.shared);
             self.shared.window_cv.wait(&mut inner);
             inner.submitter_waiting -= 1;
         }
         let id = inner.entries.len() as u64;
 
         // Hazard analysis against the live data state (shared with the
-        // DES replay backend).
-        let (preds, affinity) = inner.hazards.analyze(id, &desc.accesses);
-
-        let mut deps = 0;
-        for &p in &preds {
-            let e = &mut inner.entries[p as usize];
+        // DES replay backend), into the engine's reused buffers.
+        let Inner {
+            entries,
+            hazards,
+            succs,
+            preds,
+            ..
+        } = &mut *inner;
+        let affinity = hazards.analyze_into(id, &desc.accesses, preds);
+        let mut deps = 0usize;
+        for &p in preds.iter() {
+            let e = &mut entries[p as usize];
             if !e.done {
-                e.succs.push(id);
+                succs.push(&mut e.succs, id);
                 deps += 1;
             }
         }
+        let deps = u32::try_from(deps).expect("fewer than 2^32 predecessors");
 
         inner.entries.push(Entry {
-            label: desc.label.into(),
+            label: desc.label.into_boxed_str(),
             deps,
-            succs: Vec::new(),
+            succs: Chain::default(),
             body: Some(desc.body),
             priority: desc.priority,
             affinity,
@@ -237,14 +292,8 @@ impl Runtime {
                 pin: desc.pin,
             };
             inner.policy.push(id, meta);
-            if inner.policy.broadcast_wakeups() {
-                // A targeted notify could land on a worker outside the
-                // task's pin range; broadcast so an eligible one wakes.
-                self.shared.work_cv.notify_all();
-            } else {
-                self.shared.work_cv.notify_one();
-            }
-            self.shared.quiesce_cv.notify_all();
+            inner.wake_workers(&self.shared, 1, 0);
+            inner.notify_quiesce(&self.shared);
         }
         id
     }
@@ -258,7 +307,7 @@ impl Runtime {
     pub fn seal(&self) {
         let mut inner = self.shared.inner.lock();
         inner.sealed = true;
-        self.shared.quiesce_cv.notify_all();
+        inner.notify_quiesce(&self.shared);
     }
 
     /// Reopen submission for another phase after [`Runtime::seal`].
@@ -394,10 +443,7 @@ impl Quiesce for RuntimeProbe {
     }
 
     fn wait_quiescent(&self) {
-        let mut inner = self.shared.inner.lock();
-        while !quiescent_locked(&inner, self.shared.window) {
-            self.shared.quiesce_cv.wait(&mut inner);
-        }
+        self.wait_settled(0);
     }
 
     fn completed(&self) -> u64 {
@@ -408,7 +454,9 @@ impl Quiesce for RuntimeProbe {
         let mut inner = self.shared.inner.lock();
         while inner.stats.completed < min_completed || !quiescent_locked(&inner, self.shared.window)
         {
+            inner.quiesce_waiters += 1;
             self.shared.quiesce_cv.wait(&mut inner);
+            inner.quiesce_waiters -= 1;
         }
     }
 }
@@ -435,65 +483,26 @@ fn quiescent_locked(inner: &Inner, window: usize) -> bool {
 }
 
 fn worker_loop(shared: Arc<Shared>, worker: usize) {
-    loop {
-        // Acquire a task (or exit on shutdown).
-        let (task_id, body, label) = {
+    // The worker's one context and registration handle, re-armed per task.
+    let on_register: Arc<dyn Fn() + Send + Sync> = {
+        let shared = shared.clone();
+        Arc::new(move || {
             let mut inner = shared.inner.lock();
             inner.stats.lock_acquisitions += 1;
-            let task = loop {
-                if inner.decommissioned[worker] {
-                    // This worker may have absorbed a targeted wakeup meant
-                    // to pair with a ready task; hand it to a live worker
-                    // before exiting so the task is not stranded.
-                    shared.work_cv.notify_one();
-                    break None;
-                }
-                if let Some(t) = inner.policy.pop(worker) {
-                    // Cancelled tasks may still sit in the ready queue;
-                    // their bodies are gone — skip them. Draining one
-                    // shrinks the queue, which can flip the quiescence
-                    // condition, so waiters must be re-woken.
-                    if inner.entries[t as usize].cancelled {
-                        shared.quiesce_cv.notify_all();
-                        continue;
-                    }
-                    break Some(t);
-                }
-                if inner.shutdown {
-                    break None;
-                }
-                inner.idle_workers += 1;
-                inner.stats.idle_transitions += 1;
-                shared.work_cv.wait(&mut inner);
-                inner.idle_workers -= 1;
-            };
-            let Some(t) = task else { return };
-            if debug_enabled() {
-                eprintln!("[dbg] pop {t} by w{worker}");
-            }
-            inner.in_dispatch += 1;
-            inner.busy[worker] = true;
-            inner.stats.busy_transitions += 1;
-            let e = &mut inner.entries[t as usize];
-            let body = e.body.take().expect("task body already taken");
-            (t, body, e.label.clone())
-        };
+            inner.in_dispatch -= 1;
+            inner.notify_quiesce(&shared);
+        })
+    };
+    let mut ctx = TaskContext::new(worker, on_register);
+    // From here on one acquisition per task: the guard a completion is
+    // propagated under is the one the next pop runs under.
+    let mut inner = shared.inner.lock();
+    inner.stats.lock_acquisitions += 1;
+    while let Some((task_id, body, label)) = next_task(&shared, &mut inner, worker) {
+        ctx.begin(task_id, label);
+        drop(inner);
 
         // Execute outside the lock.
-        let token = DispatchToken::new();
-        let reg_shared = shared.clone();
-        let ctx = TaskContext {
-            worker,
-            task_id,
-            label: label.to_string(),
-            token,
-            on_register: Arc::new(move || {
-                let mut inner = reg_shared.inner.lock();
-                inner.stats.lock_acquisitions += 1;
-                inner.in_dispatch -= 1;
-                reg_shared.quiesce_cv.notify_all();
-            }),
-        };
         let t_start = shared.epoch.elapsed().as_secs_f64();
         let result = catch_unwind(AssertUnwindSafe(|| (body)(&ctx)));
         // Guarantee the in-dispatch counter returns to zero even if the
@@ -505,65 +514,119 @@ fn worker_loop(shared: Arc<Shared>, worker: usize) {
         // outside the engine lock: the trace recorder shards internally and
         // the counter slot is owned by this worker alone.
         if let Some(trace) = &shared.trace {
-            trace.record(worker, &label, task_id, t_start, t_end);
+            trace.record(worker, &ctx.label, task_id, t_start, t_end);
         }
         shared.worker_slots[worker].add_task(t_end - t_start);
 
-        // Completion: propagate to successors.
-        {
-            let mut inner = shared.inner.lock();
-            inner.stats.lock_acquisitions += 1;
-            inner.entries[task_id as usize].done = true;
-            let succs = std::mem::take(&mut inner.entries[task_id as usize].succs);
-            let mut released = 0;
-            for s in succs {
-                let e = &mut inner.entries[s as usize];
-                e.deps -= 1;
-                if e.deps == 0 && !e.done {
-                    let meta = ReadyMeta {
-                        priority: e.priority,
-                        releaser: Some(worker),
-                        affinity: e.affinity,
-                        pin: e.pin,
-                    };
-                    if debug_enabled() {
-                        eprintln!("[dbg] push_ready {s} (released by {task_id})");
-                    }
-                    inner.policy.push(s, meta);
-                    released += 1;
-                }
+        inner = shared.inner.lock();
+        inner.stats.lock_acquisitions += 1;
+        complete(&shared, &mut inner, &ctx, result);
+    }
+}
+
+/// Pop `worker`'s next task under `inner`, parking while there is none.
+/// Returns its id, body and label, or `None` when the worker must exit
+/// (decommissioned, or shut down with nothing queued for it).
+fn next_task(
+    shared: &Shared,
+    inner: &mut MutexGuard<'_, Inner>,
+    worker: usize,
+) -> Option<(u64, TaskBody, String)> {
+    let t = loop {
+        if inner.decommissioned[worker] {
+            // This worker may have absorbed a targeted wakeup meant to pair
+            // with a ready task, or released one it counted on popping
+            // itself; hand that wakeup to a live worker before exiting so
+            // the task is not stranded.
+            shared.work_cv.notify_one();
+            return None;
+        }
+        if let Some(t) = inner.policy.pop(worker) {
+            // Cancelled tasks may still sit in the ready queue; their
+            // bodies are gone — skip them. Draining one shrinks the queue,
+            // which can flip the quiescence condition.
+            if inner.entries[t as usize].cancelled {
+                inner.notify_quiesce(shared);
+                continue;
             }
-            if released > 0 && inner.policy.broadcast_wakeups() {
-                // Pinned tasks: only specific workers are eligible, and a
-                // targeted notify cannot aim — broadcast instead.
-                shared.work_cv.notify_all();
-            } else {
-                // Wake exactly as many workers as can absorb the released
-                // tasks: a notify beyond `idle_workers` has no parked worker
-                // to land on (awake workers re-check the ready queue before
-                // sleeping, so surplus tasks are never stranded), and a
-                // notify beyond `released` would wake a worker to an empty
-                // queue.
-                for _ in 0..released.min(inner.idle_workers) {
-                    shared.work_cv.notify_one();
-                }
+            break t;
+        }
+        if inner.shutdown {
+            return None;
+        }
+        inner.idle_workers += 1;
+        inner.stats.idle_transitions += 1;
+        shared.work_cv.wait(inner);
+        inner.idle_workers -= 1;
+    };
+    if debug_enabled() {
+        eprintln!("[dbg] pop {t} by w{worker}");
+    }
+    inner.in_dispatch += 1;
+    inner.busy[worker] = true;
+    inner.stats.busy_transitions += 1;
+    let e = &mut inner.entries[t as usize];
+    let body = e.body.take().expect("task body already taken");
+    Some((t, body, std::mem::take(&mut e.label).into_string()))
+}
+
+/// Propagate the completion of `ctx`'s task: release its successors, wake
+/// whoever can now proceed — and nobody else.
+fn complete(
+    shared: &Shared,
+    inner: &mut Inner,
+    ctx: &TaskContext,
+    result: std::thread::Result<()>,
+) {
+    let (worker, task_id) = (ctx.worker, ctx.task_id);
+    let Inner {
+        entries,
+        succs,
+        policy,
+        ..
+    } = inner;
+    entries[task_id as usize].done = true;
+    let mut chain = std::mem::take(&mut entries[task_id as usize].succs);
+    let mut released = 0;
+    while let Some(s) = succs.pop(&mut chain) {
+        let e = &mut entries[s as usize];
+        e.deps -= 1;
+        if e.deps == 0 && !e.done {
+            let meta = ReadyMeta {
+                priority: e.priority,
+                releaser: Some(worker),
+                affinity: e.affinity,
+                pin: e.pin,
+            };
+            if debug_enabled() {
+                eprintln!("[dbg] push_ready {s} (released by {task_id})");
             }
-            inner.in_flight -= 1;
-            inner.stats.completed += 1;
-            if let Err(panic) = result {
-                inner.stats.failed += 1;
-                let msg = panic_message(&*panic);
-                inner
-                    .errors
-                    .push(format!("task {task_id} ({label}): {msg}"));
-            }
-            // A lane decommissioned mid-task stays busy forever.
-            inner.busy[worker] = inner.decommissioned[worker];
-            shared.window_cv.notify_all();
-            shared.done_cv.notify_all();
-            shared.quiesce_cv.notify_all();
+            policy.push(s, meta);
+            released += 1;
         }
     }
+    // This worker goes straight on to pop under the same guard: it takes
+    // one released task itself, or, if its lane died, hands that wakeup on
+    // as it exits.
+    inner.wake_workers(shared, released, usize::from(released > 0));
+    inner.in_flight -= 1;
+    inner.stats.completed += 1;
+    if let Err(panic) = result {
+        inner.stats.failed += 1;
+        let msg = panic_message(&*panic);
+        inner
+            .errors
+            .push(format!("task {task_id} ({}): {msg}", ctx.label));
+    }
+    // A lane decommissioned mid-task stays busy forever.
+    inner.busy[worker] = inner.decommissioned[worker];
+    if inner.in_flight == 0 {
+        shared.done_cv.notify_all();
+    }
+    if inner.submitter_waiting > 0 {
+        shared.window_cv.notify_all();
+    }
+    inner.notify_quiesce(shared);
 }
 
 /// Cached SUPERSIM_DEBUG environment check (hot paths consult this).
@@ -574,11 +637,11 @@ fn debug_enabled() -> bool {
 
 fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
+        String::from(*s)
     } else if let Some(s) = p.downcast_ref::<String>() {
         s.clone()
     } else {
-        "unknown panic".to_string()
+        String::from("unknown panic")
     }
 }
 
@@ -897,7 +960,8 @@ mod tests {
         let s = rt.stats();
         // One busy transition per executed task.
         assert_eq!(s.busy_transitions, 10);
-        // At least one submit + one acquire + one completion lock per task.
+        // One submit, one registration and one completion + next-pop lock
+        // per task, plus each worker's first pop.
         assert!(
             s.lock_acquisitions >= 30,
             "lock acquisitions {}",
@@ -905,6 +969,34 @@ mod tests {
         );
         // With the queue drained, a worker parks waiting for work.
         assert!(s.idle_transitions >= 1);
+    }
+
+    #[test]
+    fn three_engine_locks_per_task() {
+        // Submission, registration, and completion fused with the next
+        // pop: a worker keeps the guard from one into the other, so only
+        // its first pop takes a lock of its own.
+        const TASKS: u64 = 1_000;
+        let workers = 4;
+        let rt = Runtime::new(SchedulerKind::Quark.config(workers));
+        for i in 0..TASKS {
+            // Chains over 16 tiles: tasks turn ready both at submission
+            // and at a predecessor's completion.
+            rt.submit(TaskDesc::new(
+                "t",
+                vec![Access::read_write(d(i % 16))],
+                |ctx| ctx.mark_registered(),
+            ));
+        }
+        rt.seal();
+        rt.wait_all().unwrap();
+        let s = rt.stats();
+        assert_eq!(s.completed, TASKS);
+        assert!(
+            s.lock_acquisitions <= 3 * TASKS + workers as u64,
+            "lock acquisitions {}",
+            s.lock_acquisitions
+        );
     }
 
     #[test]
@@ -1071,6 +1163,46 @@ mod tests {
             0,
             "the pinned task must run on the surviving lane"
         );
+    }
+
+    #[test]
+    fn a_lane_killed_mid_task_still_wakes_a_worker_for_its_successor() {
+        // A completing worker normally pops one released task itself and
+        // wakes nobody for it; a decommissioned one exits instead, so it
+        // must wake a parked worker for every task it releases.
+        let rt = Arc::new(Runtime::new(RuntimeConfig::simple(2)));
+        let (lane_tx, lane_rx) = std::sync::mpsc::channel();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let timeout = std::time::Duration::from_secs(10);
+        rt.submit(TaskDesc::new("a", vec![Access::write(d(0))], move |ctx| {
+            lane_tx.send(ctx.worker).unwrap();
+            go_rx.recv_timeout(timeout).unwrap();
+        }));
+        let ran_on = Arc::new(AtomicUsize::new(usize::MAX));
+        let r = ran_on.clone();
+        rt.submit(TaskDesc::new("b", vec![Access::read(d(0))], move |ctx| {
+            r.store(ctx.worker, Ordering::SeqCst);
+        }));
+        rt.seal();
+        let lane = lane_rx.recv_timeout(timeout).unwrap();
+        // The other worker parks (B is not ready), and parks again after
+        // the decommission broadcast: once its park count moves, it sleeps.
+        let parks = rt.stats().idle_transitions;
+        rt.decommission(lane);
+        let deadline = std::time::Instant::now() + timeout;
+        while rt.stats().idle_transitions == parks && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        go_tx.send(()).unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let waiter = rt.clone();
+        let runner = std::thread::spawn(move || done_tx.send(waiter.wait_all()).unwrap());
+        done_rx
+            .recv_timeout(timeout)
+            .expect("the released task was stranded")
+            .unwrap();
+        runner.join().unwrap();
+        assert_eq!(ran_on.load(Ordering::SeqCst), 1 - lane);
     }
 
     #[test]

@@ -22,9 +22,10 @@ pub struct RuntimeStats {
     pub idle_transitions: u64,
     /// Times a worker picked up a task (parked/scanning -> executing).
     pub busy_transitions: u64,
-    /// Hot-path engine-lock acquisitions: task submission, worker task
-    /// acquire, dispatch registration, and completion propagation. Cold
-    /// paths (stats reads, seal, quiescence probes) are not counted.
+    /// Hot-path engine-lock acquisitions: task submission, dispatch
+    /// registration, and completion propagation fused with the worker's
+    /// next pop (plus each worker's first pop). Cold paths (stats reads,
+    /// seal, quiescence probes) are not counted.
     pub lock_acquisitions: u64,
 }
 

@@ -67,26 +67,31 @@ impl std::fmt::Debug for TaskDesc {
     }
 }
 
-/// Shared token that tracks whether an executing task has completed its
-/// "dispatch registration" — for simulated kernels, the moment the task has
-/// inserted itself into the Task Execution Queue. The runtime counts tasks
-/// whose token is still unregistered ("in dispatch") for the quiescence
-/// query; see paper §V-E.
+/// Flag that tracks whether an executing task has completed its "dispatch
+/// registration" — for simulated kernels, the moment the task has inserted
+/// itself into the Task Execution Queue. The runtime counts tasks whose
+/// token is still unregistered ("in dispatch") for the quiescence query;
+/// see paper §V-E. Each worker owns one and re-arms it per task.
 #[derive(Debug)]
 pub struct DispatchToken {
     registered: AtomicBool,
 }
 
 impl DispatchToken {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(DispatchToken {
+    pub(crate) fn new() -> Self {
+        DispatchToken {
             registered: AtomicBool::new(false),
-        })
+        }
     }
 
     /// Mark registered; returns true on the first call only.
     pub(crate) fn set(&self) -> bool {
         !self.registered.swap(true, Ordering::AcqRel)
+    }
+
+    /// Re-arm for the next task.
+    fn reset(&self) {
+        self.registered.store(false, Ordering::Release);
     }
 
     /// Whether registration happened.
@@ -96,7 +101,8 @@ impl DispatchToken {
     }
 }
 
-/// Per-execution context passed to the task body.
+/// Per-execution context passed to the task body. A worker keeps one for
+/// its whole life and re-arms it per task, so dispatch allocates nothing.
 pub struct TaskContext {
     /// Worker index executing this task.
     pub worker: usize,
@@ -104,11 +110,30 @@ pub struct TaskContext {
     pub task_id: u64,
     /// Kernel-class label.
     pub label: String,
-    pub(crate) token: Arc<DispatchToken>,
+    pub(crate) token: DispatchToken,
+    /// The worker's registration handle, shared by all its tasks.
     pub(crate) on_register: Arc<dyn Fn() + Send + Sync>,
 }
 
 impl TaskContext {
+    /// An idle context for `worker`, registering through `on_register`.
+    pub(crate) fn new(worker: usize, on_register: Arc<dyn Fn() + Send + Sync>) -> Self {
+        TaskContext {
+            worker,
+            task_id: 0,
+            label: String::new(),
+            token: DispatchToken::new(),
+            on_register,
+        }
+    }
+
+    /// Re-arm for task `task_id`, taking ownership of its label.
+    pub(crate) fn begin(&mut self, task_id: u64, label: String) {
+        self.task_id = task_id;
+        self.label = label;
+        self.token.reset();
+    }
+
     /// Signal that the task has finished its scheduling-visible setup (for
     /// a simulated kernel: inserted itself into the Task Execution Queue).
     ///
@@ -165,15 +190,13 @@ mod tests {
         use std::sync::atomic::AtomicUsize;
         let count = Arc::new(AtomicUsize::new(0));
         let c2 = count.clone();
-        let ctx = TaskContext {
-            worker: 0,
-            task_id: 1,
-            label: "x".into(),
-            token: DispatchToken::new(),
-            on_register: Arc::new(move || {
+        let mut ctx = TaskContext::new(
+            0,
+            Arc::new(move || {
                 c2.fetch_add(1, Ordering::SeqCst);
             }),
-        };
+        );
+        ctx.begin(1, "x".into());
         ctx.mark_registered();
         ctx.mark_registered();
         ctx.finish_registration();

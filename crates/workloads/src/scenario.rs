@@ -738,8 +738,14 @@ mod tests {
 
     #[test]
     fn scenario_session_takes_precedence() {
-        // An explicit session's seed governs, not the builder's.
-        let session = make_session(models(Algorithm::Cholesky), 7);
+        // An explicit session's seed governs, not the builder's. Sampled
+        // durations, not the module's constant ones: the seed then decides
+        // every duration, and the threaded engine orders equal completion
+        // times by host-thread arrival, so a constant model makes even the
+        // canonical trace racy.
+        let sampled = synthetic_model(-4.6, 0.2, 1.0).unwrap();
+        let sampled = || uniform_models(&[Algorithm::Cholesky], &sampled);
+        let session = make_session(sampled(), 7);
         let a = Scenario::new(Algorithm::Cholesky)
             .n(40)
             .tile_size(10)
@@ -751,7 +757,7 @@ mod tests {
             .n(40)
             .tile_size(10)
             .workers(3)
-            .models(models(Algorithm::Cholesky))
+            .models(sampled())
             .seed(7)
             .run_sim();
         // Virtual times are seed-deterministic; worker placement is not —
