@@ -27,7 +27,7 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 use supersim_core::SimSession;
 use supersim_metrics::{LocalHistogram, MetricsSnapshot};
-use supersim_trace::sink::{ndjson_line, ChannelSink};
+use supersim_trace::sink::{push_ndjson_fields, ChannelSink};
 use supersim_trace::TraceEvent;
 
 /// Daemon configuration.
@@ -335,20 +335,20 @@ struct ProgressEvent {
     executing: usize,
 }
 
-/// A finalized span as a stream event: the recorder's ndjson line tagged
-/// with an `event` discriminator so clients demultiplex one ndjson
-/// stream of progress, span, and result events.
-fn span_event_line(e: &TraceEvent) -> String {
-    let body = ndjson_line(e);
-    format!("{{\"event\":\"span\",{}\n", &body[1..])
-}
-
 /// Forward every epoch batch currently in the channel to the chunked
-/// stream. Returns false when the client went away mid-write.
+/// stream, one chunk per span: the recorder's ndjson line tagged with an
+/// `event` discriminator so clients demultiplex one ndjson stream of
+/// progress, span, and result events. Returns false when the client
+/// went away mid-write.
 fn forward_spans(w: &mut ChunkedWriter<'_>, srx: &mpsc::Receiver<Vec<TraceEvent>>) -> bool {
+    let mut line = Vec::new();
     while let Ok(batch) = srx.try_recv() {
         for e in &batch {
-            if w.chunk(span_event_line(e).as_bytes()).is_err() {
+            line.clear();
+            line.extend_from_slice(br#"{"event":"span","#);
+            push_ndjson_fields(&mut line, e);
+            line.extend_from_slice(b"}\n");
+            if w.chunk(&line).is_err() {
                 return false;
             }
         }

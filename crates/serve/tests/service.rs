@@ -208,6 +208,11 @@ fn streaming_run_ends_with_a_result_event() {
     let span: serde_json::Value = serde_json::from_str(span_line).unwrap();
     assert!(span["kernel"].as_str().is_some(), "{span_line}");
     assert!(span["end"].as_f64().unwrap() >= span["start"].as_f64().unwrap());
+    // A span event is the sink's ndjson line with the tag spliced in.
+    let bare = span_line.replacen("\"event\":\"span\",", "", 1);
+    let parsed = supersim_trace::sink::parse_ndjson(&bare).unwrap();
+    let line = supersim_trace::sink::ndjson_line(&parsed.spans()[0]);
+    assert_eq!(span_line, format!("{{\"event\":\"span\",{}", &line[1..]));
     // A bad epoch is rejected before any work happens.
     let bad = post(
         &handle,

@@ -12,8 +12,9 @@
 //! and TEQ traffic are visible alongside the timeline they came from.
 
 use crate::fault::{span_kind, SpanKind};
+use crate::num::push_u64;
 use crate::{Trace, TraceEvent};
-use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// Extra `cname` field (a Chrome trace-viewer reserved color class) for
 /// fault-marked spans, so failed attempts, lost work and backoff read
@@ -28,29 +29,37 @@ fn fault_cname(kernel: &str) -> &'static str {
     }
 }
 
-/// One span as a complete `X` Chrome trace event (pid 0, `tid` =
-/// worker lane) — the unit the streaming exporter
-/// ([`crate::sink::ChromeStreamSink`]) emits incrementally.
-pub fn chrome_event_json(e: &TraceEvent) -> String {
-    format!(
-        r#"{{"name":{},"ph":"X"{},"ts":{:.3},"dur":{:.3},"pid":0,"tid":{},"args":{{"task_id":{}}}}}"#,
-        json_string(&e.kernel),
-        fault_cname(&e.kernel),
+/// Append one span as a complete `X` Chrome trace event (`tid` = worker
+/// lane) — the unit every exporter here writes, and the one the
+/// streaming exporter ([`crate::sink::ChromeStreamSink`]) emits
+/// incrementally. Times are microseconds at std's `{:.3}`.
+pub fn push_chrome_event(out: &mut Vec<u8>, e: &TraceEvent, pid: usize) {
+    out.extend_from_slice(br#"{"name":"#);
+    push_json_string(out, &e.kernel);
+    out.extend_from_slice(br#","ph":"X""#);
+    out.extend_from_slice(fault_cname(&e.kernel).as_bytes());
+    let _ = write!(
+        out,
+        r#","ts":{:.3},"dur":{:.3},"pid":"#,
         e.start * 1e6,
-        e.duration() * 1e6,
-        e.worker,
-        e.task_id
-    )
+        e.duration() * 1e6
+    );
+    push_u64(out, pid as u64);
+    out.extend_from_slice(br#","tid":"#);
+    push_u64(out, e.worker as u64);
+    out.extend_from_slice(br#","args":{"task_id":"#);
+    push_u64(out, e.task_id);
+    out.extend_from_slice(b"}}");
 }
 
 /// Serialize a trace to the Chrome trace-event JSON array format.
 pub fn to_chrome_json(trace: &Trace) -> String {
-    let mut s = String::with_capacity(64 + trace.len() * 96);
-    s.push('[');
+    let mut s = Vec::with_capacity(64 + trace.len() * 96);
+    s.push(b'[');
     let mut first = true;
     push_task_events(&mut s, trace, &mut first);
-    s.push(']');
-    s
+    s.push(b']');
+    into_string(s)
 }
 
 /// How one trace lane should appear in a grouped Chrome export: which
@@ -75,83 +84,73 @@ pub struct LaneGroup {
 /// the same `X` events as [`to_chrome_json`], with `pid`/`tid` taken from
 /// the grouping.
 pub fn to_chrome_json_grouped(trace: &Trace, lanes: &[LaneGroup]) -> String {
-    let mut s = String::with_capacity(256 + trace.len() * 96 + lanes.len() * 96);
-    s.push('[');
+    let mut s = Vec::with_capacity(256 + trace.len() * 96 + lanes.len() * 96);
+    s.push(b'[');
     let mut first = true;
     let mut named_pids: Vec<usize> = Vec::new();
     for (w, lane) in lanes.iter().enumerate() {
         if !named_pids.contains(&lane.pid) {
             named_pids.push(lane.pid);
             if !first {
-                s.push(',');
+                s.push(b',');
             }
             first = false;
             let _ = write!(
                 s,
-                r#"{{"name":"process_name","ph":"M","pid":{},"args":{{"name":{}}}}}"#,
-                lane.pid,
-                json_string(&lane.process_name)
+                r#"{{"name":"process_name","ph":"M","pid":{},"args":{{"name":"#,
+                lane.pid
             );
+            push_json_string(&mut s, &lane.process_name);
+            s.extend_from_slice(b"}}");
         }
         if !first {
-            s.push(',');
+            s.push(b',');
         }
         first = false;
         let _ = write!(
             s,
-            r#"{{"name":"thread_name","ph":"M","pid":{},"tid":{},"args":{{"name":{}}}}}"#,
-            lane.pid,
-            w,
-            json_string(&lane.thread_name)
+            r#"{{"name":"thread_name","ph":"M","pid":{},"tid":{},"args":{{"name":"#,
+            lane.pid, w
         );
+        push_json_string(&mut s, &lane.thread_name);
+        s.extend_from_slice(b"}}");
     }
     for e in trace.spans() {
         if !first {
-            s.push(',');
+            s.push(b',');
         }
         first = false;
-        let pid = lanes.get(e.worker).map_or(0, |l| l.pid);
-        let _ = write!(
-            s,
-            r#"{{"name":{},"ph":"X"{},"ts":{:.3},"dur":{:.3},"pid":{},"tid":{},"args":{{"task_id":{}}}}}"#,
-            json_string(&e.kernel),
-            fault_cname(&e.kernel),
-            e.start * 1e6,
-            e.duration() * 1e6,
-            pid,
-            e.worker,
-            e.task_id
-        );
+        push_chrome_event(&mut s, e, lanes.get(e.worker).map_or(0, |l| l.pid));
     }
-    s.push(']');
-    s
+    s.push(b']');
+    into_string(s)
 }
 
 /// Append one `X` event per task to `s` (comma-separated, updating the
 /// leading-comma state in `first`).
-fn push_task_events(s: &mut String, trace: &Trace, first: &mut bool) {
+fn push_task_events(s: &mut Vec<u8>, trace: &Trace, first: &mut bool) {
     for e in trace.spans() {
         if !*first {
-            s.push(',');
+            s.push(b',');
         }
         *first = false;
-        s.push_str(&chrome_event_json(e));
+        push_chrome_event(s, e, 0);
     }
 }
 
 /// Append one `C` (counter) sample to `s`.
 #[cfg(feature = "metrics")]
-fn push_counter_sample(s: &mut String, name: &str, ts_us: f64, value: f64, first: &mut bool) {
+fn push_counter_sample(s: &mut Vec<u8>, name: &str, ts_us: f64, value: f64, first: &mut bool) {
     if !*first {
-        s.push(',');
+        s.push(b',');
     }
     *first = false;
+    s.extend_from_slice(br#"{"name":"#);
+    push_json_string(s, name);
     let _ = write!(
         s,
-        r#"{{"name":{},"ph":"C","ts":{:.3},"pid":0,"args":{{"value":{}}}}}"#,
-        json_string(name),
-        ts_us,
-        value
+        r#","ph":"C","ts":{:.3},"pid":0,"args":{{"value":{}}}}}"#,
+        ts_us, value
     );
 }
 
@@ -169,8 +168,8 @@ pub fn to_chrome_json_with_metrics(
     trace: &Trace,
     snap: &supersim_metrics::MetricsSnapshot,
 ) -> String {
-    let mut s = String::with_capacity(64 + trace.len() * 128 + snap.counters.len() * 160);
-    s.push('[');
+    let mut s = Vec::with_capacity(64 + trace.len() * 128 + snap.counters.len() * 160);
+    s.push(b'[');
     let mut first = true;
     push_task_events(&mut s, trace, &mut first);
 
@@ -198,25 +197,36 @@ pub fn to_chrome_json_with_metrics(
         }
     }
 
-    s.push(']');
-    s
+    s.push(b']');
+    into_string(s)
 }
 
-pub(crate) fn json_string(v: &str) -> String {
-    let mut out = String::with_capacity(v.len() + 2);
-    out.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+/// The exporters write `&str` labels and ASCII only.
+fn into_string(json: Vec<u8>) -> String {
+    String::from_utf8(json).expect("JSON built from &str and ASCII is UTF-8")
+}
+
+/// Append `v` as a JSON string literal. A label with nothing to escape
+/// (every kernel label in practice) is copied straight in.
+pub(crate) fn push_json_string(out: &mut Vec<u8>, v: &str) {
+    let escaped = |b: u8| b == b'"' || b == b'\\' || b < 0x20;
+    out.push(b'"');
+    if !v.bytes().any(escaped) {
+        out.extend_from_slice(v.as_bytes());
+    } else {
+        // Bytes of multi-byte UTF-8 sequences are >= 0x80: copied as is.
+        for b in v.bytes() {
+            match b {
+                b'"' => out.extend_from_slice(br#"\""#),
+                b'\\' => out.extend_from_slice(br"\\"),
+                b if b < 0x20 => {
+                    let _ = write!(out, "\\u{b:04x}");
+                }
+                b => out.push(b),
             }
-            c => out.push(c),
         }
     }
-    out.push('"');
-    out
+    out.push(b'"');
 }
 
 #[cfg(test)]

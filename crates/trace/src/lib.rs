@@ -29,6 +29,7 @@ pub mod chrome;
 pub mod color;
 pub mod compare;
 pub mod fault;
+mod num;
 #[cfg(test)]
 mod proptests;
 pub mod recorder;
@@ -171,15 +172,24 @@ impl Trace {
     /// bit-for-bit across repeated runs of the same `(seed, plan)`; the
     /// CI determinism gates rely on that. Fault-marked spans keep their
     /// kernel suffixes, so faulted schedules are covered too.
+    ///
+    /// Each line is `task_id kernel start end`, the times as `{:?}` writes
+    /// them (shortest round trip).
     pub fn canonical(&self) -> String {
-        use std::fmt::Write as _;
         let mut events: Vec<&TraceEvent> = self.events.iter().collect();
         events.sort_by(|a, b| a.task_id.cmp(&b.task_id).then(a.start.total_cmp(&b.start)));
-        let mut s = String::with_capacity(events.len() * 48);
+        let mut s = Vec::with_capacity(events.len() * 48);
         for e in events {
-            let _ = writeln!(s, "{} {} {:?} {:?}", e.task_id, e.kernel, e.start, e.end);
+            num::push_u64(&mut s, e.task_id);
+            s.push(b' ');
+            s.extend_from_slice(e.kernel.as_bytes());
+            s.push(b' ');
+            num::push_f64(&mut s, e.start);
+            s.push(b' ');
+            num::push_f64(&mut s, e.end);
+            s.push(b'\n');
         }
-        s
+        String::from_utf8(s).expect("&str labels and ASCII are UTF-8")
     }
 
     /// Iterate events of a single lane.

@@ -24,6 +24,8 @@
 //! sinks that must not stall it (live subscribers) should buffer or
 //! drop, as [`ChannelSink`] does.
 
+use crate::chrome::{push_chrome_event, push_json_string};
+use crate::num::{push_f64, push_u64};
 use crate::{Trace, TraceEvent};
 use parking_lot::Mutex;
 use std::io::{self, Write};
@@ -111,32 +113,40 @@ impl CollectHandle {
 /// The float fields use Rust's shortest-round-trip formatting, so a
 /// parsed-back trace ([`parse_ndjson`]) reproduces the original `f64`
 /// bits exactly and its [`Trace::canonical`] projection is
-/// byte-identical to the buffered run's.
+/// byte-identical to the buffered run's. Each line is built in one
+/// reused buffer and handed to the writer whole.
 #[derive(Debug)]
 pub struct NdjsonSink<W: Write> {
     out: W,
+    line: Vec<u8>,
 }
 
 impl NdjsonSink<io::BufWriter<std::fs::File>> {
     /// Create (truncate) `path` and stream ndjson spans into it.
     pub fn create(path: &str) -> io::Result<Self> {
-        Ok(NdjsonSink {
-            out: io::BufWriter::new(std::fs::File::create(path)?),
-        })
+        Ok(NdjsonSink::new(io::BufWriter::new(std::fs::File::create(
+            path,
+        )?)))
     }
 }
 
 impl<W: Write> NdjsonSink<W> {
     /// Wrap an arbitrary writer.
     pub fn new(out: W) -> Self {
-        NdjsonSink { out }
+        NdjsonSink {
+            out,
+            line: Vec::with_capacity(LINE_CAPACITY),
+        }
     }
 }
 
 impl<W: Write + Send> TraceSink for NdjsonSink<W> {
     fn flush_epoch(&mut self, spans: &[TraceEvent]) -> io::Result<()> {
         for e in spans {
-            writeln!(self.out, "{}", ndjson_line(e))?;
+            self.line.clear();
+            push_ndjson_line(&mut self.line, e);
+            self.line.push(b'\n');
+            self.out.write_all(&self.line)?;
         }
         Ok(())
     }
@@ -152,6 +162,7 @@ impl<W: Write + Send> TraceSink for NdjsonSink<W> {
 #[derive(Debug)]
 pub struct ChromeStreamSink<W: Write> {
     out: W,
+    line: Vec<u8>,
     first: bool,
     opened: bool,
 }
@@ -171,6 +182,7 @@ impl<W: Write> ChromeStreamSink<W> {
     pub fn new(out: W) -> Self {
         ChromeStreamSink {
             out,
+            line: Vec::with_capacity(LINE_CAPACITY),
             first: true,
             opened: false,
         }
@@ -184,12 +196,13 @@ impl<W: Write + Send> TraceSink for ChromeStreamSink<W> {
             self.opened = true;
         }
         for e in spans {
+            self.line.clear();
             if !self.first {
-                self.out.write_all(b",")?;
+                self.line.push(b',');
             }
             self.first = false;
-            self.out
-                .write_all(crate::chrome::chrome_event_json(e).as_bytes())?;
+            push_chrome_event(&mut self.line, e, 0);
+            self.out.write_all(&self.line)?;
         }
         Ok(())
     }
@@ -253,16 +266,37 @@ impl TraceSink for NullSink {
     }
 }
 
-/// One span as a flat ndjson object.
+/// Starting size of a sink's line buffer: a span line with a kernel
+/// label of a few dozen bytes fits without growing it.
+const LINE_CAPACITY: usize = 192;
+
+/// Append the fields of one span's flat ndjson object, without braces:
+/// `"worker":…,"kernel":…,"task_id":…,"start":…,"end":…`. The times are
+/// written as `{:?}` writes them (shortest round trip).
+pub fn push_ndjson_fields(out: &mut Vec<u8>, e: &TraceEvent) {
+    out.extend_from_slice(br#""worker":"#);
+    push_u64(out, e.worker as u64);
+    out.extend_from_slice(br#","kernel":"#);
+    push_json_string(out, &e.kernel);
+    out.extend_from_slice(br#","task_id":"#);
+    push_u64(out, e.task_id);
+    out.extend_from_slice(br#","start":"#);
+    push_f64(out, e.start);
+    out.extend_from_slice(br#","end":"#);
+    push_f64(out, e.end);
+}
+
+fn push_ndjson_line(out: &mut Vec<u8>, e: &TraceEvent) {
+    out.push(b'{');
+    push_ndjson_fields(out, e);
+    out.push(b'}');
+}
+
+/// One span as a flat ndjson object (no newline).
 pub fn ndjson_line(e: &TraceEvent) -> String {
-    format!(
-        r#"{{"worker":{},"kernel":{},"task_id":{},"start":{:?},"end":{:?}}}"#,
-        e.worker,
-        crate::chrome::json_string(&e.kernel),
-        e.task_id,
-        e.start,
-        e.end
-    )
+    let mut line = Vec::with_capacity(LINE_CAPACITY);
+    push_ndjson_line(&mut line, e);
+    String::from_utf8(line).expect("a &str label and ASCII are UTF-8")
 }
 
 /// Parse an ndjson span stream (as written by [`NdjsonSink`]) back into
@@ -277,7 +311,8 @@ pub fn parse_ndjson(input: &str) -> Result<Trace, String> {
         if line.is_empty() {
             continue;
         }
-        let e = parse_span_line(line).map_err(|m| format!("line {}: {}", idx + 1, m))?;
+        let e = parse_span_line(line)
+            .map_err(|m| ["line ", &(idx + 1).to_string(), ": ", m].concat())?;
         workers = workers.max(e.worker + 1);
         events.push(e);
     }
@@ -285,44 +320,51 @@ pub fn parse_ndjson(input: &str) -> Result<Trace, String> {
 }
 
 /// Parse one `{"worker":..,"kernel":..,"task_id":..,"start":..,"end":..}`
-/// object. Specialized to the flat shape [`ndjson_line`] emits.
-fn parse_span_line(line: &str) -> Result<TraceEvent, String> {
+/// object. Specialized to the flat shape [`ndjson_line`] emits: keys in
+/// any order, unknown keys skipped, integers for `worker`/`task_id`, and
+/// times through `str::parse::<f64>`, which round-trips `{:?}` exactly.
+fn parse_span_line(line: &str) -> Result<TraceEvent, &'static str> {
     let inner = line
         .strip_prefix('{')
         .and_then(|s| s.strip_suffix('}'))
         .ok_or("not a JSON object")?;
     let (mut worker, mut kernel, mut task_id, mut start, mut end) = (None, None, None, None, None);
-    let mut rest = inner;
-    while !rest.trim().is_empty() {
-        let (key, after_key) = take_json_string(rest.trim_start())?;
-        let after_colon = after_key
+    let mut rest = inner.trim_start();
+    while !rest.is_empty() {
+        let (key, after_key) = take_json_string(rest)?;
+        let value = after_key
             .trim_start()
             .strip_prefix(':')
             .ok_or("missing ':' after key")?
             .trim_start();
-        let after_value = if after_colon.starts_with('"') {
-            let (val, tail) = take_json_string(after_colon)?;
+        rest = if value.starts_with('"') {
+            let (raw, tail) = take_json_string(value)?;
             if key == "kernel" {
-                kernel = Some(val);
+                kernel = Some(unescape(raw)?);
             }
             tail
         } else {
-            let stop = after_colon.find(',').unwrap_or(after_colon.len());
-            let raw = after_colon[..stop].trim();
-            let num: f64 = raw.parse().map_err(|_| format!("bad number {raw:?}"))?;
-            match key.as_str() {
-                "worker" => worker = Some(num as usize),
-                "task_id" => task_id = Some(num as u64),
-                "start" => start = Some(num),
-                "end" => end = Some(num),
+            let stop = value.find(',').unwrap_or(value.len());
+            let raw = value[..stop].trim_end();
+            match key {
+                // Below `usize::MAX`, so the lane count `worker + 1` fits.
+                "worker" => {
+                    let w = raw.parse::<usize>().ok().filter(|&w| w < usize::MAX);
+                    worker = Some(w.ok_or("bad worker")?);
+                }
+                "task_id" => task_id = Some(raw.parse::<u64>().map_err(|_| "bad task_id")?),
+                "start" => start = Some(raw.parse::<f64>().map_err(|_| "bad start")?),
+                "end" => end = Some(raw.parse::<f64>().map_err(|_| "bad end")?),
                 _ => {}
             }
-            &after_colon[stop..]
-        };
-        rest = after_value
-            .trim_start()
-            .strip_prefix(',')
-            .unwrap_or(after_value);
+            &value[stop..]
+        }
+        .trim_start();
+        if let Some(next) = rest.strip_prefix(',') {
+            rest = next.trim_start();
+        } else if !rest.is_empty() {
+            return Err("expected ',' between fields");
+        }
     }
     Ok(TraceEvent {
         worker: worker.ok_or("missing worker")?,
@@ -333,36 +375,55 @@ fn parse_span_line(line: &str) -> Result<TraceEvent, String> {
     })
 }
 
-/// Read a leading JSON string literal, returning `(decoded, rest)`.
-fn take_json_string(s: &str) -> Result<(String, &str), String> {
+/// Split a leading JSON string literal into its still-escaped body and
+/// the text after the closing quote.
+fn take_json_string(s: &str) -> Result<(&str, &str), &'static str> {
     let body = s.strip_prefix('"').ok_or("expected '\"'")?;
-    let mut out = String::new();
-    let mut chars = body.char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Ok((out, &body[i + 1..])),
-            '\\' => match chars.next().map(|(_, c)| c) {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('n') => out.push('\n'),
-                Some('t') => out.push('\t'),
-                Some('u') => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        let d = chars
-                            .next()
-                            .and_then(|(_, c)| c.to_digit(16))
-                            .ok_or("bad \\u escape")?;
-                        code = code * 16 + d;
-                    }
-                    out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                }
-                other => return Err(format!("bad escape {other:?}")),
-            },
-            c => out.push(c),
+    let bytes = body.as_bytes();
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'"' => return Ok((&body[..i], &body[i + 1..])),
+            b'\\' => i += 2,
+            _ => i += 1,
         }
     }
-    Err("unterminated string".to_string())
+    Err("unterminated string")
+}
+
+/// Decode a string body from [`take_json_string`]; one without escapes
+/// (every kernel label in practice) is copied as is.
+fn unescape(raw: &str) -> Result<String, &'static str> {
+    if !raw.contains('\\') {
+        return Ok(raw.to_owned());
+    }
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next() {
+            Some('"') => out.push('"'),
+            Some('\\') => out.push('\\'),
+            Some('n') => out.push('\n'),
+            Some('t') => out.push('\t'),
+            Some('u') => {
+                let mut code = 0u32;
+                for _ in 0..4 {
+                    let d = chars
+                        .next()
+                        .and_then(|c| c.to_digit(16))
+                        .ok_or("bad \\u escape")?;
+                    code = code * 16 + d;
+                }
+                out.push(char::from_u32(code).ok_or("bad \\u code point")?);
+            }
+            _ => return Err("bad escape"),
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -421,6 +482,62 @@ mod tests {
             parse_ndjson("{\"worker\":0,\"kernel\":\"k\",\"task_id\":1,\"start\":x,\"end\":1}")
                 .unwrap_err();
         assert!(err.contains("line 1"), "got {err}");
+    }
+
+    /// Malformed input of every kind is an `Err`, never a panic.
+    #[test]
+    fn ndjson_parse_rejects_malformed_lines() {
+        let good = ndjson_line(&ev(3, "dgemm", 7, 0.25, 0.5));
+        for cut in 1..good.len() {
+            assert!(parse_ndjson(&good[..cut]).is_err(), "{}", &good[..cut]);
+        }
+        let span = |worker: &str, kernel: &str, id: &str, start: &str| {
+            format!(
+                r#"{{"worker":{worker},"kernel":{kernel},"task_id":{id},"start":{start},"end":1.0}}"#
+            )
+        };
+        for bad in [
+            r#"{"worker":0,"kernel":"unterminated}"#.to_string(),
+            span("0", r#""k\""#, "1", "0.5"),
+            span("0", r#""\u12""#, "1", "0.5"),
+            span("0", r#""\u12zz""#, "1", "0.5"),
+            span("0", r#""\ud800""#, "1", "0.5"),
+            span("0", r#""\q""#, "1", "0.5"),
+            span("0", r#""k""#, "1", "0.5x"),
+            span("0", r#""k""#, "1", "0.5 7"),
+            span("0", r#""k""#, "1.5", "0.5"),
+            span("-1", r#""k""#, "1", "0.5"),
+            span("18446744073709551615", r#""k""#, "1", "0.5"),
+            span("0 \"x\":1", r#""k""#, "1", "0.5"),
+            span(&"9".repeat(1 << 20), r#""k""#, "1", "0.5"),
+            span("0", r#""k""#, "1", &"7".repeat(1 << 20)).replace("\"end\":1.0", "\"end\":x"),
+            format!(r#"{{"worker":0,"kernel":"{}"#, "a".repeat(1 << 20)),
+        ] {
+            assert!(parse_ndjson(&bad).is_err(), "{}", &bad[..bad.len().min(80)]);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2_000))]
+        /// A valid line with JSON-significant bytes written over it and
+        /// then truncated parses or fails, but never panics.
+        #[test]
+        fn ndjson_parse_never_panics(
+            edits in proptest::prop::collection::vec(
+                (proptest::prelude::any::<usize>(), proptest::prelude::any::<usize>()),
+                0..6,
+            ),
+            cut in proptest::prelude::any::<usize>(),
+        ) {
+            const BYTES: &[u8] = b"\"\\{}:,u0e-. x9\n";
+            let mut line = ndjson_line(&ev(3, "dg\"emm", 7, 0.25, 0.5)).into_bytes();
+            for (at, b) in edits {
+                let at = at % line.len();
+                line[at] = BYTES[b % BYTES.len()];
+            }
+            line.truncate(cut % (line.len() + 1));
+            let _ = parse_ndjson(std::str::from_utf8(&line).unwrap());
+        }
     }
 
     #[test]
