@@ -36,8 +36,9 @@ use crate::teq::{TaskExecutionQueue, WakeupMode};
 use parking_lot::Mutex;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 use supersim_runtime::{Quiesce, TaskContext};
 use supersim_trace::{Trace, TraceEvent, TraceRecorder};
 
@@ -301,6 +302,58 @@ thread_local! {
     static PLAN: std::cell::Cell<KernelPlan> = std::cell::Cell::default();
 }
 
+/// [`Interrupt::state`] bit: cancellation was requested (or the deadline
+/// passed).
+const CANCELLED: u8 = 1;
+/// [`Interrupt::state`] bit: a wall-clock deadline is armed.
+const DEADLINE: u8 = 2;
+/// Deadline polls per wall-clock read.
+const DEADLINE_STRIDE: u32 = 64;
+
+/// Request-scoped interruption, shared by a session and every fork of it
+/// (the phases and attribution runs of one fault replay are one request):
+/// cooperative cancellation and an optional wall-clock deadline. `state`
+/// is zero unless either is in play, so the poll of an uninterrupted run
+/// is one relaxed load.
+#[derive(Default)]
+struct Interrupt {
+    /// [`CANCELLED`] | [`DEADLINE`].
+    state: AtomicU8,
+    /// The wall-clock deadline, set once.
+    deadline: OnceLock<Instant>,
+    /// Polls since the deadline was armed; the clock is read on every
+    /// [`DEADLINE_STRIDE`]-th. A plain load + store, not an RMW: forks
+    /// racing on it only shift the stride.
+    polls: AtomicU32,
+}
+
+impl Interrupt {
+    /// Whether a run polling this should stop.
+    #[inline]
+    fn fired(&self) -> bool {
+        match self.state.load(Ordering::Relaxed) {
+            0 => false,
+            s if s & CANCELLED != 0 => true,
+            _ => self.deadline_passed(),
+        }
+    }
+
+    /// The amortised deadline check; a passed deadline cancels, so later
+    /// polls (and forks) stop on the flag alone.
+    #[cold]
+    fn deadline_passed(&self) -> bool {
+        let n = self.polls.load(Ordering::Relaxed);
+        self.polls.store(n.wrapping_add(1), Ordering::Relaxed);
+        if !n.is_multiple_of(DEADLINE_STRIDE)
+            || self.deadline.get().is_none_or(|d| Instant::now() < *d)
+        {
+            return false;
+        }
+        self.state.fetch_or(CANCELLED, Ordering::Relaxed);
+        true
+    }
+}
+
 /// A simulation session. Create one per simulated run; hand
 /// [`SimSession::run_kernel`] (or [`SimSession::kernel_body`]) to every
 /// task body, then read the predicted makespan and the virtual-time trace.
@@ -326,15 +379,16 @@ pub struct SimSession {
     /// A `BTreeMap`: a session sees a handful of labels, and a string
     /// compare or two beats hashing the label on every submission.
     ranks: Mutex<BTreeMap<String, u64>>,
-    /// Cooperative cancellation flag: set via
-    /// [`SimSession::request_cancel`] (e.g. by a serving front-end whose
-    /// wall-clock deadline expired), polled by engines between
-    /// retirements. Never set by the simulation itself.
-    cancel: AtomicBool,
+    /// Cooperative cancellation and the wall-clock deadline
+    /// ([`SimSession::request_cancel`], [`SimSession::set_deadline`]),
+    /// polled by engines between retirements and shared with every
+    /// [`SimSession::fork`]. Never set by the simulation itself.
+    interrupt: Arc<Interrupt>,
     /// Virtual-time budget in seconds, stored as `f64` bits
     /// (`f64::INFINITY` = unlimited). Engines abort a run whose clock
     /// exceeds it — a guard against scenarios whose virtual span is
-    /// unexpectedly huge even though each step is cheap.
+    /// unexpectedly huge even though each step is cheap. Per session:
+    /// forks start unlimited.
     virtual_budget_bits: AtomicU64,
     /// Recorder shard occupancy captured by [`SimSession::finish_trace`]
     /// just before the shards are drained, so metrics published after the
@@ -366,6 +420,14 @@ impl SimSession {
     /// fitted-model database up front and hand every concurrent session
     /// the same `Arc` — the registry is read-only, so sharing is free.
     pub fn with_shared(models: Arc<ModelRegistry>, config: SimConfig) -> Arc<Self> {
+        Self::build(models, config, Arc::default())
+    }
+
+    fn build(
+        models: Arc<ModelRegistry>,
+        config: SimConfig,
+        interrupt: Arc<Interrupt>,
+    ) -> Arc<Self> {
         Arc::new(SimSession {
             teq: TaskExecutionQueue::with_wakeup_mode(config.wakeup_mode),
             models,
@@ -375,7 +437,7 @@ impl SimSession {
             first_calls: Mutex::new(HashSet::new()),
             warmup_slots: AtomicUsize::new(0),
             ranks: Mutex::new(BTreeMap::new()),
-            cancel: AtomicBool::new(false),
+            interrupt,
             virtual_budget_bits: AtomicU64::new(f64::INFINITY.to_bits()),
             #[cfg(feature = "metrics")]
             final_occupancy: Mutex::new(None),
@@ -425,26 +487,45 @@ impl SimSession {
     }
 
     /// A fresh session with the same models and configuration but reset
-    /// state (clock at 0, empty trace, fresh warm-up and rank counters, no
-    /// quiescence probe or fault injector, cancellation cleared, unlimited
-    /// virtual budget). Used by phased fault replay: the post-failure
-    /// phase re-runs the surviving work on a clean clock and is stitched
-    /// onto the pre-failure trace afterwards.
+    /// run state (clock at 0, empty trace, fresh warm-up and rank
+    /// counters, no quiescence probe or fault injector, unlimited virtual
+    /// budget). Cancellation and the wall-clock deadline are the
+    /// request's, not the run's: the fork shares them, so cancelling
+    /// either session stops both. Used by phased fault replay: the
+    /// post-failure phase re-runs the surviving work on a clean clock and
+    /// is stitched onto the pre-failure trace afterwards.
     pub fn fork(&self) -> Arc<Self> {
-        SimSession::with_shared(self.models.clone(), self.config.clone())
+        Self::build(
+            self.models.clone(),
+            self.config.clone(),
+            self.interrupt.clone(),
+        )
     }
 
     /// Request cooperative cancellation: engines polling
     /// [`SimSession::should_abort`] stop at their next retirement
-    /// boundary. Idempotent; there is no un-cancel (fork for a fresh
-    /// session). Safe to call from any thread while the run executes.
+    /// boundary, in this session and in every fork of it. Idempotent;
+    /// there is no un-cancel. Safe to call from any thread while the run
+    /// executes.
     pub fn request_cancel(&self) {
-        self.cancel.store(true, Ordering::Relaxed);
+        self.interrupt.state.fetch_or(CANCELLED, Ordering::Relaxed);
     }
 
-    /// Whether [`SimSession::request_cancel`] has been called.
+    /// Whether [`SimSession::request_cancel`] has been called, or a poll
+    /// found the [`SimSession::set_deadline`] deadline passed.
     pub fn cancel_requested(&self) -> bool {
-        self.cancel.load(Ordering::Relaxed)
+        self.interrupt.state.load(Ordering::Relaxed) & CANCELLED != 0
+    }
+
+    /// Arm a wall-clock deadline: once [`SimSession::should_abort`] finds
+    /// it passed (it reads the clock on every 64th poll), the session and
+    /// its forks are cancelled. Lets a caller run a DES replay on its own
+    /// thread instead of watching it from another. Set at most once; a
+    /// later call is ignored.
+    pub fn set_deadline(&self, at: Instant) {
+        if self.interrupt.deadline.set(at).is_ok() {
+            self.interrupt.state.fetch_or(DEADLINE, Ordering::Relaxed);
+        }
     }
 
     /// Cap the run's virtual time: once the clock passes `seconds`,
@@ -457,12 +538,14 @@ impl SimSession {
     }
 
     /// Whether an engine driving this session should stop at the next
-    /// clean boundary: cancellation was requested, or the virtual clock
-    /// (`now`) has exceeded the budget. Engines pass their own clock
-    /// rather than reading [`SimSession::virtual_now`] — the DES replay
-    /// backend's clock never touches the TEQ.
+    /// clean boundary: cancellation was requested, the wall-clock
+    /// deadline passed, or the virtual clock (`now`) has exceeded the
+    /// budget. Engines pass their own clock rather than reading
+    /// [`SimSession::virtual_now`] — the DES replay backend's clock never
+    /// touches the TEQ.
+    #[inline]
     pub fn should_abort(&self, now: f64) -> bool {
-        self.cancel.load(Ordering::Relaxed)
+        self.interrupt.fired()
             || now > f64::from_bits(self.virtual_budget_bits.load(Ordering::Relaxed))
     }
 
@@ -953,10 +1036,35 @@ mod tests {
         s.request_cancel();
         assert!(s.cancel_requested());
         assert!(s.should_abort(0.0), "cancel fires regardless of clock");
-        // A fork starts clean.
+        // Cancellation is the request's: a fork carries it (phase B of a
+        // fault replay must stop with phase A), but not the budget.
         let f = s.fork();
-        assert!(!f.cancel_requested());
-        assert!(!f.should_abort(1e300));
+        assert!(f.cancel_requested());
+        assert!(f.should_abort(0.0), "a cancelled session's fork aborts");
+        let clean = new_session(constant_models(&[("k", 1.0)]), RaceMitigation::Quiesce);
+        let f = clean.fork();
+        clean.set_virtual_budget(1.0);
+        assert!(!f.should_abort(1e300), "the budget stays per fork");
+        f.request_cancel();
+        assert!(
+            clean.should_abort(0.0),
+            "cancelling a fork cancels the request"
+        );
+    }
+
+    #[test]
+    fn a_passed_deadline_cancels_the_session_and_its_forks() {
+        let s = new_session(constant_models(&[("k", 1.0)]), RaceMitigation::Quiesce);
+        s.set_deadline(Instant::now() + std::time::Duration::from_secs(3600));
+        assert!(!s.should_abort(0.0), "a future deadline does not fire");
+        assert!(!s.cancel_requested());
+        let passed = new_session(constant_models(&[("k", 1.0)]), RaceMitigation::Quiesce);
+        let fork = passed.fork();
+        passed.set_deadline(Instant::now());
+        // The first poll of a stride reads the clock, on any fork.
+        assert!(fork.should_abort(0.0), "a fork shares the deadline");
+        assert!(passed.cancel_requested(), "a passed deadline cancels");
+        assert!(passed.should_abort(0.0));
     }
 
     #[test]

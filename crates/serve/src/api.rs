@@ -350,7 +350,7 @@ impl RunRequest {
         }
 
         let source = self.models.as_ref().unwrap_or(&ModelSource::DEFAULT);
-        let models = cache.resolve(source, algorithm)?;
+        let (models, models_json) = cache.resolve(source, algorithm)?;
         let (plan, faults_name) = match (&self.faults, self.fault_preset.as_deref()) {
             (Some(p), _) => (p.clone(), "custom".to_string()),
             (None, Some(name)) => (FaultPlanSpec::parse(name)?.plan, format!("preset:{name}")),
@@ -372,7 +372,7 @@ impl RunRequest {
             .scheduler(scheduler)
             .workers(workers)
             .seed(seed)
-            .models_shared(models.clone())
+            .models_serialized(models.clone(), models_json)
             .config(sim_config.clone())
             .faults(plan)
             .backend(backend);

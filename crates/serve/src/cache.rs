@@ -5,7 +5,9 @@
 //!   re-parsed when its bytes change; synthetic registries are keyed by
 //!   their parameters). Model construction dominates request setup, and a
 //!   registry is immutable once built, so every concurrent session shares
-//!   one `Arc` — the same sharing discipline sweeps use.
+//!   one `Arc` — the same sharing discipline sweeps use. Its JSON text,
+//!   serialised once when it is built, is kept beside it for every
+//!   request's content hash.
 //! * [`ResponseCache`] — full serialized `/run` response documents, keyed
 //!   by [`Scenario::content_hash`](supersim_workloads::Scenario::content_hash).
 //!   Only deterministic (DES-backend, non-streamed) responses are
@@ -26,11 +28,17 @@ use supersim_core::{KernelModel, ModelRegistry};
 use supersim_workloads::scenario::{synthetic_model, uniform_models};
 use supersim_workloads::Algorithm;
 
+/// A cached registry and its JSON text (what `serde_json::to_string`
+/// writes for it, for [`Scenario::models_serialized`]).
+///
+/// [`Scenario::models_serialized`]: supersim_workloads::Scenario::models_serialized
+pub type SerializedModels = (Arc<ModelRegistry>, Arc<str>);
+
 /// Cached, shared duration-model registries.
 #[derive(Default)]
 pub struct ModelCache {
     /// Key: a content descriptor (see [`ModelCache::resolve`]).
-    map: Mutex<HashMap<String, Arc<ModelRegistry>>>,
+    map: Mutex<HashMap<String, SerializedModels>>,
     /// Calibration freshness: path → (raw-bytes digest, db fingerprint).
     files: Mutex<HashMap<String, (u64, u64)>>,
 }
@@ -51,7 +59,8 @@ impl ModelCache {
         self.len() == 0
     }
 
-    /// Resolve a model source to a shared registry, memoized by content:
+    /// Resolve a model source to a shared registry and its JSON text,
+    /// memoized by content:
     /// synthetic/constant sources key on `(algorithm, parameters)`;
     /// calibration sources re-read the file each call but skip the JSON
     /// parse and registry clone when the bytes are unchanged (keyed on
@@ -61,7 +70,7 @@ impl ModelCache {
         &self,
         source: &ModelSource,
         algorithm: Algorithm,
-    ) -> Result<Arc<ModelRegistry>, String> {
+    ) -> Result<SerializedModels, String> {
         // Building the one `KernelModel` is plain arithmetic, so the
         // parameters are checked on every request, hit or miss.
         let (key, model) = match source {
@@ -82,7 +91,7 @@ impl ModelCache {
         if let Some(m) = self.map.lock().get(&key) {
             return Ok(m.clone());
         }
-        let built = Arc::new(uniform_models(&[algorithm], &model));
+        let built = serialized(Arc::new(uniform_models(&[algorithm], &model)));
         // Races insert twice at worst; last write wins and both values
         // are identical by construction.
         self.map.lock().insert(key, built.clone());
@@ -90,7 +99,7 @@ impl ModelCache {
     }
 
     /// Load (or reuse) a calibration database's fitted registry.
-    fn calibration(&self, path: &str) -> Result<Arc<ModelRegistry>, String> {
+    fn calibration(&self, path: &str) -> Result<SerializedModels, String> {
         let bytes = std::fs::read(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
         let digest = fnv1a(&bytes);
         if let Some((cached_digest, fp)) = self.files.lock().get(path) {
@@ -109,11 +118,17 @@ impl ModelCache {
             .map
             .lock()
             .entry(key)
-            .or_insert_with(|| db.shared_models())
+            .or_insert_with(|| serialized(db.shared_models()))
             .clone();
         self.files.lock().insert(path.to_string(), (digest, fp));
         Ok(models)
     }
+}
+
+/// `registry` with its JSON text.
+fn serialized(registry: Arc<ModelRegistry>) -> SerializedModels {
+    let json = serde_json::to_string(registry.as_ref()).expect("model registries serialize");
+    (registry, json.into())
 }
 
 /// Cached serialized `/run` responses, keyed by scenario content hash.
@@ -161,10 +176,12 @@ mod tests {
             sigma: Some(0.3),
             warmup: None,
         };
-        let a = cache.resolve(&src, Algorithm::Cholesky).unwrap();
-        let b = cache.resolve(&src, Algorithm::Cholesky).unwrap();
+        let (a, a_json) = cache.resolve(&src, Algorithm::Cholesky).unwrap();
+        let (b, b_json) = cache.resolve(&src, Algorithm::Cholesky).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "same parameters share one registry");
-        let c = cache.resolve(&src, Algorithm::Lu).unwrap();
+        assert!(Arc::ptr_eq(&a_json, &b_json), "and one serialisation");
+        assert_eq!(&*a_json, serde_json::to_string(a.as_ref()).unwrap());
+        let (c, _) = cache.resolve(&src, Algorithm::Lu).unwrap();
         assert!(!Arc::ptr_eq(&a, &c), "different label sets");
         assert_eq!(cache.len(), 2);
     }
@@ -179,7 +196,7 @@ mod tests {
             )
             .unwrap_err();
         assert!(err.contains("non-negative"));
-        let m = cache
+        let (m, _) = cache
             .resolve(&ModelSource::Constant { seconds: 0.01 }, Algorithm::Qr)
             .unwrap();
         assert_eq!(m.len(), Algorithm::Qr.labels().len());
@@ -208,8 +225,8 @@ mod tests {
         let p = path.to_str().unwrap();
 
         let cache = ModelCache::new();
-        let a = cache.calibration(p).unwrap();
-        let b = cache.calibration(p).unwrap();
+        let (a, _) = cache.calibration(p).unwrap();
+        let (b, _) = cache.calibration(p).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "unchanged file reuses the registry");
 
         // Rewrite with different provenance: the fingerprint changes, so
@@ -217,7 +234,7 @@ mod tests {
         let mut db2 = db.clone();
         db2.description = "edited".into();
         db2.save(&path).unwrap();
-        let c = cache.calibration(p).unwrap();
+        let (c, _) = cache.calibration(p).unwrap();
         assert!(!Arc::ptr_eq(&a, &c), "edited file re-parses");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -9,10 +9,19 @@
 //! control happens at accept time: when the queue already holds `queue`
 //! waiting connections, the acceptor answers `503` with `Retry-After`
 //! itself (on a short-lived thread, so slow clients cannot stall the
-//! accept loop) — requests are *never* silently dropped. Each worker
-//! executes its run on a separate child thread so the worker can watch
-//! the wall clock, stream progress, and cancel the session when the
-//! deadline passes.
+//! accept loop) — requests are *never* silently dropped.
+//!
+//! A worker runs what has nothing to do concurrently itself: a
+//! non-streamed DES `/run` (the cacheable kind) and a `/sweep` at
+//! `jobs: 1`. The run's wall-clock deadline lives in its `SimSession`;
+//! the replay checks it where it already polls `should_abort` (reading
+//! the clock every 64th poll) and stops at the next retirement once it
+//! has passed, cancelling the phases and forks of a fault replay with it.
+//! Streamed and threaded runs execute on a child thread instead, because
+//! something does run concurrently: the worker writes progress and span
+//! events while the run goes on, and the threaded engine cannot poll a
+//! deadline, so the worker watches the wall clock and cancels the session.
+//! Both paths execute the same terminal body.
 
 use crate::api::{RunOutput, RunRequest, SweepRequest, Terminal, MAX_BODY_BYTES};
 use crate::cache::{ModelCache, ResponseCache};
@@ -22,13 +31,14 @@ use serde::Serialize;
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 use supersim_core::SimSession;
 use supersim_metrics::{LocalHistogram, MetricsSnapshot};
 use supersim_trace::sink::{push_ndjson_fields, ChannelSink};
 use supersim_trace::TraceEvent;
+use supersim_workloads::Scenario;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -364,6 +374,10 @@ enum Sink<'a> {
     Stream(ChunkedWriter<'a>),
 }
 
+/// A streamed run's span subscription: the channel the recorder's epoch
+/// batches arrive on, and the count of batches dropped for a slow client.
+type SpanFeed = (mpsc::Receiver<Vec<TraceEvent>>, Arc<AtomicU64>);
+
 fn handle_run(state: &State, req: &Request, stream: &mut TcpStream) -> u16 {
     let parsed: RunRequest = match serde_json::from_str(&String::from_utf8_lossy(&req.body)) {
         Ok(r) => r,
@@ -393,110 +407,60 @@ fn handle_run(state: &State, req: &Request, stream: &mut TcpStream) -> u16 {
         state.metrics.bump("serve.cache.miss");
     }
 
-    // Run on a child thread so this worker can watch the wall clock,
-    // stream progress, and cancel the session past the deadline.
     let session = SimSession::with_shared(prepared.models.clone(), prepared.sim_config.clone());
     if let Some(b) = prepared.virtual_budget {
         session.set_virtual_budget(b);
     }
-    // Streaming runs subscribe to the trace: a bounded channel sink
-    // drains finalized epoch batches off the recorder, and the progress
-    // loop forwards them as `span` events. Bounded and lossy (drops are
-    // counted and reported) so a slow client can never stall the run.
-    let span_rx = prepared.stream.then(|| {
-        let (stx, srx) = mpsc::sync_channel::<Vec<TraceEvent>>(256);
-        let sink = ChannelSink::new(stx);
-        let dropped = sink.dropped();
-        session
-            .trace_recorder()
-            .attach_sink(Box::new(sink), prepared.stream_epoch);
-        (srx, dropped)
-    });
-    let scenario = prepared.scenario.clone().session(session.clone());
-    let terminal = prepared.terminal;
-    let (tx, rx) = mpsc::channel::<Result<RunOutput, String>>();
-    let runner = std::thread::Builder::new()
-        .name("serve-run".to_string())
-        .spawn(move || {
-            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match terminal {
-                Terminal::Sim => RunOutput::Sim(scenario.run_sim()),
-                Terminal::Cluster => RunOutput::Cluster(scenario.run_cluster()),
-                Terminal::Faults => RunOutput::Faults(scenario.run_faults()),
-            }))
-            .map_err(|p| panic_message(&*p));
-            let _ = tx.send(out);
-        })
-        .expect("spawn run thread");
-
     let timeout_ms = prepared
         .timeout_ms
         .unwrap_or(state.config.default_timeout_ms);
     let deadline = (timeout_ms > 0).then(|| Instant::now() + Duration::from_millis(timeout_ms));
-
-    let mut sink = if prepared.stream {
-        match ChunkedWriter::start(stream, 200, &[("X-Cache".to_string(), "miss".to_string())]) {
-            Ok(w) => Sink::Stream(w),
-            Err(_) => {
-                // Client went away before the stream opened: cancel and
-                // let the runner wind down.
-                session.request_cancel();
-                drop(rx);
-                let _ = runner.join();
-                return 200;
-            }
+    let scenario = prepared.scenario.clone().session(session.clone());
+    let mut spans = None;
+    let (outcome, sink) = if prepared.cacheable {
+        // A non-streamed DES run has nothing to do concurrently, so it
+        // runs on this worker; the replay polls the deadline where it
+        // polls for cancellation, and a passed deadline cancels it.
+        if let Some(d) = deadline {
+            session.set_deadline(d);
         }
+        let out = execute(scenario, prepared.terminal);
+        let outcome = if session.cancel_requested() {
+            state.metrics.bump("serve.timeouts");
+            None
+        } else {
+            Some(out)
+        };
+        (outcome, Sink::Plain(stream))
     } else {
-        Sink::Plain(stream)
-    };
-
-    let mut timed_out = false;
-    let outcome = loop {
-        match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(out) => break Some(out),
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                break Some(Err("run thread died without a result".to_string()))
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if let Sink::Stream(w) = &mut sink {
-                    if let Some((srx, _)) = &span_rx {
-                        if !forward_spans(w, srx) {
-                            session.request_cancel();
-                            timed_out = true;
-                            break None;
-                        }
-                    }
-                    let ev = ProgressEvent {
-                        event: "progress",
-                        virtual_seconds: session.virtual_now(),
-                        executing: session.executing(),
-                    };
-                    let line = format!(
-                        "{}\n",
-                        serde_json::to_string(&ev).expect("progress serializes")
-                    );
-                    if w.chunk(line.as_bytes()).is_err() {
-                        // Client went away: cancel the run and stop.
-                        session.request_cancel();
-                        timed_out = true;
-                        break None;
-                    }
-                }
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    session.request_cancel();
-                    state.metrics.bump("serve.timeouts");
-                    timed_out = true;
-                    // Grace period: a DES run exits at its next
-                    // retirement; the threaded engine is best-effort and
-                    // may run on detached.
-                    let _ = rx.recv_timeout(Duration::from_millis(500));
-                    break None;
-                }
-            }
+        // Streaming runs subscribe to the trace: a bounded channel sink
+        // drains finalized epoch batches off the recorder, and the watch
+        // loop forwards them as `span` events. Bounded and lossy (drops
+        // are counted and reported) so a slow client can never stall the
+        // run.
+        spans = prepared.stream.then(|| {
+            let (stx, srx) = mpsc::sync_channel::<Vec<TraceEvent>>(256);
+            let sink = ChannelSink::new(stx);
+            let dropped = sink.dropped();
+            session
+                .trace_recorder()
+                .attach_sink(Box::new(sink), prepared.stream_epoch);
+            (srx, dropped)
+        });
+        match watch(
+            state,
+            &session,
+            deadline,
+            spans.as_ref(),
+            scenario,
+            prepared.terminal,
+            stream,
+        ) {
+            Some(ran) => ran,
+            // The client went away before the stream opened.
+            None => return 200,
         }
     };
-    if outcome.is_some() {
-        let _ = runner.join();
-    }
 
     // Fold the served session's simulator instruments into the daemon
     // aggregate (runs that timed out still simulated work worth counting).
@@ -511,9 +475,6 @@ fn handle_run(state: &State, req: &Request, stream: &mut TcpStream) -> u16 {
         None => finish_run(sink, 504, "wall-clock timeout; run cancelled"),
         Some(Err(msg)) => finish_run(sink, 500, &format!("run failed: {msg}")),
         Some(Ok(out)) => {
-            if timed_out {
-                return finish_run(sink, 504, "wall-clock timeout; run cancelled");
-            }
             // The DES backend stops past the budget (so the makespan
             // exceeds it exactly when the budget fired); the threaded
             // engine runs to completion and is checked after the fact.
@@ -536,12 +497,15 @@ fn handle_run(state: &State, req: &Request, stream: &mut TcpStream) -> u16 {
                 result: out.doc(),
             };
             let body = serde_json::to_string(&doc).expect("run response serializes");
+            // Release the run before answering: the client may send its
+            // next request the moment the answer arrives.
+            drop((doc, out, session));
             match sink {
                 Sink::Stream(mut w) => {
                     // The runner has joined, so the recorder's final
                     // flush has already landed in the channel: drain the
                     // tail, report any drops, then emit the result.
-                    if let Some((srx, dropped)) = &span_rx {
+                    if let Some((srx, dropped)) = &spans {
                         let _ = forward_spans(&mut w, srx);
                         let d = dropped.load(Ordering::Relaxed);
                         if d > 0 {
@@ -568,6 +532,103 @@ fn handle_run(state: &State, req: &Request, stream: &mut TcpStream) -> u16 {
             }
         }
     }
+}
+
+/// Run `scenario` through `terminal` on the calling thread; a panic (an
+/// engine bug, not a rejected input) becomes its message.
+fn execute(scenario: Scenario, terminal: Terminal) -> Result<RunOutput, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match terminal {
+        Terminal::Sim => RunOutput::Sim(scenario.run_sim()),
+        Terminal::Cluster => RunOutput::Cluster(scenario.run_cluster()),
+        Terminal::Faults => RunOutput::Faults(scenario.run_faults()),
+    }))
+    .map_err(|p| panic_message(&*p))
+}
+
+/// [`execute`] on a child thread, for a run that must be watched from
+/// another: a streamed one writes progress and `spans` while it runs, and
+/// the threaded engine never polls a deadline. This worker streams, and
+/// cancels the session past the deadline or when the client goes away.
+/// Returns the outcome (`None`: cancelled) and where the answer goes, or
+/// `None` if the client left before a stream opened.
+fn watch<'s>(
+    state: &State,
+    session: &SimSession,
+    deadline: Option<Instant>,
+    spans: Option<&SpanFeed>,
+    scenario: Scenario,
+    terminal: Terminal,
+    stream: &'s mut TcpStream,
+) -> Option<(Option<Result<RunOutput, String>>, Sink<'s>)> {
+    let (tx, rx) = mpsc::channel::<Result<RunOutput, String>>();
+    let runner = std::thread::Builder::new()
+        .name("serve-run".to_string())
+        .spawn(move || {
+            let _ = tx.send(execute(scenario, terminal));
+        })
+        .expect("spawn run thread");
+
+    let mut sink = if spans.is_some() {
+        match ChunkedWriter::start(stream, 200, &[("X-Cache".to_string(), "miss".to_string())]) {
+            Ok(w) => Sink::Stream(w),
+            Err(_) => {
+                // Client went away before the stream opened: cancel and
+                // let the runner wind down.
+                session.request_cancel();
+                drop(rx);
+                let _ = runner.join();
+                return None;
+            }
+        }
+    } else {
+        Sink::Plain(stream)
+    };
+
+    let outcome = loop {
+        match rx.recv_timeout(Duration::from_millis(50)) {
+            Ok(out) => break Some(out),
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                break Some(Err("run thread died without a result".to_string()))
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                if let Sink::Stream(w) = &mut sink {
+                    if let Some((srx, _)) = spans {
+                        if !forward_spans(w, srx) {
+                            session.request_cancel();
+                            break None;
+                        }
+                    }
+                    let ev = ProgressEvent {
+                        event: "progress",
+                        virtual_seconds: session.virtual_now(),
+                        executing: session.executing(),
+                    };
+                    let line = format!(
+                        "{}\n",
+                        serde_json::to_string(&ev).expect("progress serializes")
+                    );
+                    if w.chunk(line.as_bytes()).is_err() {
+                        // Client went away: cancel the run and stop.
+                        session.request_cancel();
+                        break None;
+                    }
+                }
+                if deadline.is_some_and(|d| Instant::now() >= d) {
+                    session.request_cancel();
+                    state.metrics.bump("serve.timeouts");
+                    // Grace period: a DES run exits at its next
+                    // retirement; the threaded engine is best-effort
+                    // and may run on detached.
+                    let _ = rx.recv_timeout(Duration::from_millis(500));
+                    break None;
+                }
+            }
+        }
+    };
+    if outcome.is_some() {
+        let _ = runner.join();
+    }
+    Some((outcome, sink))
 }
 
 /// Emit a terminal error for `/run`: an `error` event on an open stream
@@ -618,7 +679,9 @@ fn handle_sweep(state: &State, req: &Request, stream: &mut TcpStream) -> u16 {
     let _ = state;
     // The report is deterministic for a fixed spec (wall-clock data lives
     // outside it), so the body is byte-stable across jobs values too.
-    let _ = Response::json(200, outcome.report.to_json()).write_to(stream);
+    let body = outcome.report.to_json();
+    drop(outcome);
+    let _ = Response::json(200, body).write_to(stream);
     200
 }
 

@@ -85,21 +85,57 @@ fn saturation_rejects_with_retry_after_never_drops() {
 #[test]
 fn timeout_cancels_a_running_scenario() {
     let handle = boot(1, 4, 120_000);
-    // 80x80 tiles (~171k tasks) takes well over 100ms to build and
-    // replay; the 100ms deadline fires while the DES clock is advancing
-    // and request_cancel stops it at the next retirement.
+    // 120x120 tiles is 295,240 tasks: a complete replay takes hundreds of
+    // milliseconds even in a release build, against a 20 ms deadline. The
+    // replay reads the clock every 64th retirement, so the 504 arrives
+    // soon after the deadline, long before the run could have finished.
+    let started = std::time::Instant::now();
     let resp = post(
         &handle,
         "/run",
-        "{\"tiles\":80,\"backend\":\"des\",\"timeout_ms\":100}",
+        "{\"tiles\":120,\"backend\":\"des\",\"timeout_ms\":20}",
     );
+    let elapsed = started.elapsed();
     assert_eq!(resp.status, 504, "{}", resp.body);
     assert!(resp.body.contains("timeout"), "{}", resp.body);
+    assert!(
+        elapsed < Duration::from_millis(150),
+        "the 504 must not wait for the run: {elapsed:?}"
+    );
     // The daemon is still serving.
     let health = get(&handle, "/healthz");
     assert_eq!(health.status, 200);
     let metrics = get(&handle, "/metrics").body;
     assert!(metrics.contains("serve.timeouts"), "{metrics}");
+    handle.shutdown();
+}
+
+/// A permanent-failure replay runs its phase B on a fork of the request's
+/// session; the fork shares the deadline, so a timed-out `kill` run stops
+/// in every phase instead of simulating on after its 504. With one worker,
+/// `/healthz` answering at once shows nothing is still running.
+#[test]
+fn a_timed_out_kill_replay_stops_in_every_phase() {
+    let handle = boot(1, 4, 120_000);
+    let started = std::time::Instant::now();
+    let resp = post(
+        &handle,
+        "/run",
+        "{\"tiles\":120,\"workers\":8,\"backend\":\"des\",\"fault_preset\":\"kill\",\"timeout_ms\":20}",
+    );
+    let elapsed = started.elapsed();
+    assert_eq!(resp.status, 504, "{}", resp.body);
+    assert!(
+        elapsed < Duration::from_millis(300),
+        "the 504 must not wait for the replay: {elapsed:?}"
+    );
+    let started = std::time::Instant::now();
+    assert_eq!(get(&handle, "/healthz").status, 200);
+    assert!(
+        started.elapsed() < Duration::from_millis(100),
+        "the worker is free again: {:?}",
+        started.elapsed()
+    );
     handle.shutdown();
 }
 

@@ -314,18 +314,65 @@ fn replay_after_failure(
     }
 }
 
+/// What a faulted run is compared against: the fault-free run's makespan
+/// and critical lane.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Baseline {
+    pub(crate) makespan: f64,
+    pub(crate) critical_lane: usize,
+}
+
+impl Baseline {
+    /// The baseline a fault-free `trace` of makespan `makespan` gives.
+    pub(crate) fn of(trace: &Trace, makespan: f64) -> Baseline {
+        Baseline {
+            makespan,
+            critical_lane: critical_lane(trace),
+        }
+    }
+}
+
 /// Execute [`Scenario::run_faults`]: the clean run, the faulted run, and
 /// (for multi-event plans) per-event attribution runs.
 pub(crate) fn run_faults(sc: Scenario) -> FaultOutcome {
-    let plan = sc.faults.clone();
     let mut used = false;
     let clean = run_plan(&sc, &FaultPlan::new(), &mut used);
-    let faulted = if plan.is_empty() {
+    let faulted = if sc.faults.is_empty() {
         clean.clone()
     } else {
-        run_plan(&sc, &plan, &mut used)
+        run_plan(&sc, &sc.faults, &mut used)
     };
+    let baseline = Baseline::of(&clean.trace, clean.makespan);
+    let report = degradation(&sc, baseline, &faulted, &mut used);
+    FaultOutcome {
+        clean_trace: clean.trace,
+        clean_makespan: clean.makespan,
+        faulted_makespan: faulted.makespan,
+        trace: faulted.trace,
+        report,
+    }
+}
 
+/// [`run_faults`] without its clean run: `sc`'s non-empty plan, compared
+/// against a `clean` baseline the caller has already simulated (a sweep's
+/// scenario group shares one clean run across its fault plans). The first
+/// run uses `sc`'s own session. Returns the faulted trace and the report.
+pub(crate) fn run_faults_against(sc: &Scenario, clean: Baseline) -> (Trace, DegradationReport) {
+    let mut used = false;
+    let faulted = run_plan(sc, &sc.faults, &mut used);
+    let report = degradation(sc, clean, &faulted, &mut used);
+    (faulted.trace, report)
+}
+
+/// Compare `faulted` (a run of `sc`'s plan) with `clean`, running each
+/// event alone when the plan has several (per-fault attribution).
+fn degradation(
+    sc: &Scenario,
+    clean: Baseline,
+    faulted: &RunResult,
+    used: &mut bool,
+) -> DegradationReport {
+    let plan = &sc.faults;
     let ratio = |makespan: f64| {
         if clean.makespan > 0.0 {
             makespan / clean.makespan
@@ -344,7 +391,7 @@ pub(crate) fn run_faults(sc: Scenario) -> FaultOutcome {
                     events: vec![ev.clone()],
                     recovery: plan.recovery.clone(),
                 };
-                run_plan(&sc, &sub, &mut used).makespan
+                run_plan(sc, &sub, used).makespan
             };
             FaultAttribution {
                 fault: describe_event(ev),
@@ -355,11 +402,11 @@ pub(crate) fn run_faults(sc: Scenario) -> FaultOutcome {
         .collect();
 
     let (retries, aborted, lost) = fault_numbers(&faulted.trace);
-    let report = DegradationReport {
+    DegradationReport {
         clean_makespan: clean.makespan,
         faulted_makespan: faulted.makespan,
         slowdown: ratio(faulted.makespan),
-        critical_lane_clean: critical_lane(&clean.trace),
+        critical_lane_clean: clean.critical_lane,
         critical_lane_faulted: critical_lane(&faulted.trace),
         retries,
         aborted_virtual_seconds: aborted,
@@ -367,13 +414,6 @@ pub(crate) fn run_faults(sc: Scenario) -> FaultOutcome {
         checkpoint_overhead: faulted.checkpoint_overhead,
         restarted_tasks: faulted.restarted,
         per_fault,
-    };
-    FaultOutcome {
-        clean_trace: clean.trace,
-        clean_makespan: clean.makespan,
-        faulted_makespan: faulted.makespan,
-        trace: faulted.trace,
-        report,
     }
 }
 

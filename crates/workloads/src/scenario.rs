@@ -149,6 +149,9 @@ pub struct Scenario {
     pub(crate) workers: usize,
     pub(crate) seed: u64,
     models: Option<Arc<ModelRegistry>>,
+    /// `models` as `serde_json` writes it, when the caller serialised the
+    /// shared registry once up front ([`Scenario::models_serialized`]).
+    models_json: Option<Arc<str>>,
     config: Option<SimConfig>,
     session: Option<Arc<SimSession>>,
     pub(crate) cluster: Option<ClusterSpec>,
@@ -188,6 +191,7 @@ impl Scenario {
             workers: 4,
             seed: 42,
             models: None,
+            models_json: None,
             config: None,
             session: None,
             cluster: None,
@@ -242,9 +246,8 @@ impl Scenario {
 
     /// Provide kernel duration models for simulated terminals. A session
     /// is built from these plus the seed/config on each simulated run.
-    pub fn models(mut self, models: ModelRegistry) -> Self {
-        self.models = Some(Arc::new(models));
-        self
+    pub fn models(self, models: ModelRegistry) -> Self {
+        self.models_shared(Arc::new(models))
     }
 
     /// Provide a *shared* read-only model registry. Sweeps build one
@@ -252,6 +255,22 @@ impl Scenario {
     /// sessions built from it reference it without cloning.
     pub fn models_shared(mut self, models: Arc<ModelRegistry>) -> Self {
         self.models = Some(models);
+        self.models_json = None;
+        self
+    }
+
+    /// [`Scenario::models_shared`] with the registry's JSON text (what
+    /// `serde_json::to_string` writes for it) already in hand: a host that
+    /// hashes many scenarios over one registry serialises it once, and
+    /// [`Scenario::content_hash`] reuses the text.
+    pub fn models_serialized(mut self, models: Arc<ModelRegistry>, json: Arc<str>) -> Self {
+        debug_assert_eq!(
+            serde_json::to_string(models.as_ref()).ok().as_deref(),
+            Some(&*json),
+            "the text must be the registry's own serialisation"
+        );
+        self.models = Some(models);
+        self.models_json = Some(json);
         self
     }
 
@@ -556,11 +575,13 @@ impl Scenario {
                 c.seed, c.mitigation, c.overhead_per_task, c.worker_speeds, c.wakeup_mode
             ));
         }
-        if let Some(m) = &self.models {
-            lines.push(format!(
+        match (&self.models_json, &self.models) {
+            (Some(json), _) => lines.push(format!("models={json}")),
+            (None, Some(m)) => lines.push(format!(
                 "models={}",
                 serde_json::to_string(m.as_ref()).expect("model registries serialize")
-            ));
+            )),
+            (None, None) => {}
         }
         // Sorting makes the digest independent of how fields are added
         // above — reordering this function can never silently invalidate
@@ -1108,6 +1129,17 @@ mod tests {
             .models(models(Algorithm::Cholesky))
             .backend(Backend::Des);
         assert_eq!(a.content_hash(), c.content_hash());
+        // A registry serialised up front hashes as one serialised here;
+        // replacing the registry drops the stale text.
+        let registry = Arc::new(models(Algorithm::Cholesky));
+        let json: Arc<str> = serde_json::to_string(registry.as_ref()).unwrap().into();
+        let d = a.clone().models_serialized(registry, json);
+        assert_eq!(a.content_hash(), d.content_hash());
+        let lu = d.models(models(Algorithm::Lu));
+        assert_eq!(
+            lu.content_hash(),
+            a.models(models(Algorithm::Lu)).content_hash()
+        );
     }
 
     #[test]

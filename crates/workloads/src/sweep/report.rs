@@ -13,6 +13,10 @@ use super::pareto::pareto_frontier;
 use serde::Serialize;
 use supersim_faults::DegradationReport;
 
+/// Bytes of a typical cell in [`SweepReport::to_json`] (about 0.55 KB
+/// clean, 1 KB with a degradation report), to size the output once.
+const CELL_JSON_BYTES: usize = 800;
+
 /// One cell's resolved coordinates and results.
 #[derive(Debug, Clone, Serialize)]
 pub struct CellResult {
@@ -206,9 +210,45 @@ impl SweepReport {
         }
     }
 
-    /// Pretty JSON rendering (deterministic for a fixed-seed sweep).
+    /// Pretty JSON rendering (deterministic for a fixed-seed sweep): the
+    /// bytes of `serde_json::to_string_pretty(self)`, but the cells are
+    /// serialised one at a time and spliced in two levels deep, so the
+    /// intermediate value tree is one cell's, not the whole report's.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("sweep report serialization cannot fail")
+        fn pretty<T: Serialize>(value: &T) -> String {
+            serde_json::to_string_pretty(value).expect("sweep report serialization cannot fail")
+        }
+        let shell = pretty(&SweepReport {
+            version: self.version,
+            cells_total: self.cells_total,
+            cells: Vec::new(),
+            pareto: self.pareto.clone(),
+            autotune: self.autotune.clone(),
+        });
+        if self.cells.is_empty() {
+            return shell;
+        }
+        // Field order puts the top-level `cells` before every nested one.
+        let (head, tail) = shell
+            .split_once("\"cells\": []")
+            .expect("the shell report has an empty cells array");
+        let mut out = String::with_capacity(shell.len() + self.cells.len() * CELL_JSON_BYTES);
+        out.push_str(head);
+        out.push_str("\"cells\": [");
+        for (i, cell) in self.cells.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            // Strings escape their newlines, so every raw one is an
+            // indentation break.
+            for line in pretty(cell).split('\n') {
+                out.push_str("\n    ");
+                out.push_str(line);
+            }
+        }
+        out.push_str("\n  ]");
+        out.push_str(tail);
+        out
     }
 
     /// CSV rendering: fixed column order, one row per cell, a trailing
@@ -348,6 +388,43 @@ mod tests {
         assert_eq!(rows.len(), 3);
         assert!(rows[1].ends_with(",1"), "cell 0 on frontier: {}", rows[1]);
         assert!(rows[2].ends_with(",0"), "cell 1 dominated: {}", rows[2]);
+    }
+
+    /// Splicing cells in one at a time writes exactly what serialising the
+    /// whole report writes: empty, clean and faulted cells, with and
+    /// without an autotune section, strings needing escapes included.
+    #[test]
+    fn spliced_json_is_the_whole_report_serialised() {
+        let mut faulted = cell(1, 2.0, 1.25, 0);
+        faulted.plan = "a \"quoted\"\nplan".into();
+        faulted.degradation = Some(DegradationReport {
+            clean_makespan: 1.6,
+            faulted_makespan: 2.0,
+            slowdown: 1.25,
+            critical_lane_clean: 1,
+            critical_lane_faulted: 2,
+            retries: 3,
+            aborted_virtual_seconds: 0.1,
+            lost_virtual_seconds: 0.0,
+            checkpoint_overhead: 0.0,
+            restarted_tasks: 0,
+            per_fault: vec![supersim_faults::FaultAttribution {
+                fault: "straggler".into(),
+                makespan: 2.0,
+                slowdown: 1.25,
+            }],
+        });
+        for (cells, axis) in [
+            (vec![], None),
+            (vec![cell(0, 1.5, 1.0, 7)], None),
+            (vec![cell(0, 1.5, 1.0, 7), faulted], Some("nb")),
+        ] {
+            let report = SweepReport::assemble(cells, axis);
+            assert_eq!(
+                report.to_json(),
+                serde_json::to_string_pretty(&report).unwrap()
+            );
+        }
     }
 
     #[test]

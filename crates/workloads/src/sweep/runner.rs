@@ -1,21 +1,34 @@
-//! The sweep executor: a shared work queue drained by scoped host
-//! threads.
+//! The sweep executor: scenario groups drained from a shared work queue.
 //!
-//! Cells are independent simulations, so the pool is trivial: one atomic
-//! next-cell index, `jobs` scoped threads each looping "claim a cell, run
-//! it, append the result locally", and a final merge + sort by cell id.
-//! The sorted merge makes the report independent of which thread ran
-//! which cell — the determinism-across-`--jobs` guarantee. Each cell
-//! builds its own [`supersim_core::SimSession`] over the sweep's shared read-only model
-//! database; sessions own their clock, trace recorder, and counters, so
-//! N cells in flight never cross-talk (DESIGN.md §10).
+//! The unit of work is a *scenario group*: one fault-free scenario plus
+//! every fault plan swept over it. The expansion nests `plans` between
+//! `interconnects` and `seeds`, so with P plans and S seeds the cells of
+//! group `g` are `(g / S)·P·S + g % S + p·S` for `p < P`: arithmetic, no
+//! hashing, no lock. A group simulates its fault-free scenario once. That
+//! run is the result of every fault-free cell (`clean`) and the baseline
+//! (`clean_makespan`, `critical_lane_clean`) of every faulted one, so K
+//! single-event plans cost 1 + K runs (a `kill` plan that lands mid-run
+//! adds its phase B). Results merge by cell id.
+//!
+//! The pool is trivial: one atomic next-group index and `jobs` workers,
+//! each looping "claim a group, run it, keep the results", then a merge +
+//! sort by cell id. At `jobs == 1` the worker is the calling thread; only
+//! more jobs spawn scoped threads. The sorted merge makes the report
+//! independent of which thread ran which group — the
+//! determinism-across-`--jobs` guarantee. Every run builds its own
+//! [`supersim_core::SimSession`] over the sweep's shared read-only model
+//! database; sessions own their clock, trace recorder, and counters, so N
+//! runs in flight never cross-talk (DESIGN.md §10).
 
 use super::report::{CellResult, SweepReport};
-use super::{CellSpec, SweepSpec};
+use super::{CellSpec, ModelBank, SweepSpec};
+use crate::driver::Algorithm;
+use crate::faultsim::{run_faults_against, Baseline};
 use crate::scenario::Scenario;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use supersim_cluster::TRANSFER_LABEL;
+use supersim_core::SimSession;
+use supersim_faults::{DegradationReport, FaultPlan};
 use supersim_tile::flops;
 use supersim_trace::fault::base_kernel;
 use supersim_trace::Trace;
@@ -30,10 +43,10 @@ pub struct SweepOutcome {
     pub wall_seconds: f64,
     /// Host threads used.
     pub jobs: usize,
-    /// Aggregate of every cell session's published instruments, merged
-    /// across cells (counters sum, histograms merge bucket-wise). Not
-    /// deterministic — latency histograms sample wall time — which is
-    /// exactly why it is separate from `report`.
+    /// Aggregate of every run's session instruments, merged across runs
+    /// (counters sum, histograms merge bucket-wise). Not deterministic —
+    /// latency histograms sample wall time — which is exactly why it is
+    /// separate from `report`.
     #[cfg(feature = "metrics")]
     pub metrics: supersim_metrics::MetricsSnapshot,
 }
@@ -45,6 +58,22 @@ impl SweepOutcome {
     }
 }
 
+/// What one worker collected.
+#[derive(Default)]
+struct Collected {
+    results: Vec<CellResult>,
+    #[cfg(feature = "metrics")]
+    metrics: supersim_metrics::MetricsSnapshot,
+}
+
+impl Collected {
+    /// Fold a finished run's session instruments in.
+    fn publish(&mut self, _session: &SimSession) {
+        #[cfg(feature = "metrics")]
+        _session.publish_metrics(&mut self.metrics);
+    }
+}
+
 impl SweepSpec {
     /// Execute the matrix on `jobs` host threads (0 = the host's
     /// available parallelism) and merge the results. The report is
@@ -52,53 +81,60 @@ impl SweepSpec {
     pub fn run(&self, jobs: usize) -> SweepOutcome {
         let cells = self.cells();
         let bank = self.model_bank();
+        let (plans, seeds) = (self.plans.len(), self.seeds.len());
+        let groups = cells.len() / plans;
         let jobs = if jobs == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
             jobs
         };
-        // No point spinning up more threads than cells.
-        let jobs = jobs.min(cells.len()).max(1);
+        // No point spinning up more threads than groups.
+        let jobs = jobs.min(groups).max(1);
 
         let started = std::time::Instant::now();
         let next = AtomicUsize::new(0);
-        let merged: Mutex<Vec<CellResult>> = Mutex::new(Vec::with_capacity(cells.len()));
-        #[cfg(feature = "metrics")]
-        let metrics: Mutex<supersim_metrics::MetricsSnapshot> =
-            Mutex::new(supersim_metrics::MetricsSnapshot::default());
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    #[cfg(feature = "metrics")]
-                    let mut local_metrics = supersim_metrics::MetricsSnapshot::default();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(cell) = cells.get(i) else { break };
-                        // The cell's private session over the shared model
-                        // database, kept so its metrics can be published.
-                        let models = bank.for_nb(cell.scenario.tile_size_of());
-                        let scenario = cell.scenario.clone().models_shared(models);
-                        let session = scenario.fresh_session(false);
-                        local.push(run_cell(cell, scenario.session(session.clone())));
-                        #[cfg(feature = "metrics")]
-                        session.publish_metrics(&mut local_metrics);
-                    }
-                    merged.lock().unwrap().append(&mut local);
-                    #[cfg(feature = "metrics")]
-                    metrics.lock().unwrap().merge(&local_metrics);
-                });
+        let work = || {
+            let mut out = Collected {
+                results: Vec::with_capacity(cells.len().div_ceil(jobs)),
+                ..Collected::default()
+            };
+            loop {
+                let g = next.fetch_add(1, Ordering::Relaxed);
+                if g >= groups {
+                    break out;
+                }
+                let first = g / seeds * plans * seeds + g % seeds;
+                let group = (0..plans).map(|p| &cells[first + p * seeds]);
+                run_group(group, &bank, &mut out);
             }
-        });
-        let results = merged.into_inner().unwrap();
-        assert_eq!(results.len(), cells.len(), "every cell must report");
+        };
+        let parts = if jobs == 1 {
+            vec![work()]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..jobs).map(|_| scope.spawn(work)).collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
+        };
+        let mut parts = parts.into_iter();
+        let mut all = parts.next().expect("one worker at least");
+        for part in parts {
+            all.results.extend(part.results);
+            #[cfg(feature = "metrics")]
+            all.metrics.merge(&part.metrics);
+        }
+        assert_eq!(all.results.len(), cells.len(), "every cell must report");
+        drop(cells);
 
         SweepOutcome {
-            report: SweepReport::assemble(results, self.autotune.as_deref()),
+            report: SweepReport::assemble(all.results, self.autotune.as_deref()),
             wall_seconds: started.elapsed().as_secs_f64(),
             jobs,
             #[cfg(feature = "metrics")]
-            metrics: metrics.into_inner().unwrap(),
+            metrics: all.metrics,
         }
     }
 }
@@ -111,19 +147,16 @@ fn transfer_spans(trace: &Trace) -> u64 {
         .count() as u64
 }
 
-/// Execute one cell's `scenario` (the cell's own, with its session
-/// attached) and flatten the terminal's result into a [`CellResult`].
-/// Traces are dropped here — a thousand-cell sweep keeps numbers, not
-/// schedules.
-fn run_cell(cell: &CellSpec, scenario: Scenario) -> CellResult {
-    let (n, nb) = (scenario.matrix_order(), scenario.tile_size_of());
-    let (algorithm, faulted) = (scenario.algorithm, !scenario.faults.is_empty());
+/// `cell`'s coordinates, with the results of a run that has not happened
+/// yet (no tasks, slowdown 1).
+fn cell_result(cell: &CellSpec) -> CellResult {
+    let scenario = &cell.scenario;
     let nodes = scenario.cluster.as_ref().map_or(0, |c| c.nodes);
-    let mut result = CellResult {
+    CellResult {
         id: cell.id,
-        algorithm: algorithm.name().to_string(),
-        n,
-        nb,
+        algorithm: scenario.algorithm.name().to_string(),
+        n: scenario.matrix_order(),
+        nb: scenario.tile_size_of(),
         scheduler: if nodes > 0 {
             "pinned".to_string()
         } else {
@@ -144,45 +177,243 @@ fn run_cell(cell: &CellSpec, scenario: Scenario) -> CellResult {
         retries: 0,
         restarted_tasks: 0,
         degradation: None,
-    };
+    }
+}
 
-    if faulted {
-        let outcome = scenario.run_faults();
-        result.tasks = outcome.trace.len() as u64;
-        result.makespan = outcome.faulted_makespan;
-        result.gflops = flops::gflops(algorithm.flops(n), outcome.faulted_makespan);
-        result.transfers = transfer_spans(&outcome.trace);
-        // The faulted path surfaces a trace, not the coherence engine's
-        // byte ledger, so bytes are reconstructed from the transfer span
-        // count: one full tile each (exact whenever nb divides n, as in
-        // tile-count-driven matrices).
-        result.transfer_bytes = result.transfers * (nb * nb * 8) as u64;
-        result.slowdown = outcome.report.slowdown;
-        result.retries = outcome.report.retries;
-        result.restarted_tasks = outcome.report.restarted_tasks;
-        result.degradation = Some(outcome.report);
-    } else if nodes > 0 {
+/// Run the fault-free `scenario` (a cell's, with its session attached)
+/// into `result`; returns the trace. Traces are dropped by the caller — a
+/// thousand-cell sweep keeps numbers, not schedules.
+fn run_clean(scenario: Scenario, result: &mut CellResult) -> Trace {
+    if result.nodes > 0 {
         let run = scenario.run_cluster();
         result.tasks = run.trace.len() as u64;
         result.makespan = run.predicted_seconds;
         result.gflops = run.gflops;
         result.transfers = run.transfers;
         result.transfer_bytes = run.transfer_bytes;
+        run.trace
     } else {
         let run = scenario.run_sim();
         result.tasks = run.trace.len() as u64;
         result.makespan = run.predicted_seconds;
         result.gflops = run.gflops;
+        run.trace
     }
-    result
+}
+
+/// Record a faulted run of `result`'s cell: its `trace` and `report`.
+fn record_faulted(
+    result: &mut CellResult,
+    algorithm: Algorithm,
+    trace: &Trace,
+    report: DegradationReport,
+) {
+    let nb = result.nb;
+    result.tasks = trace.len() as u64;
+    result.makespan = report.faulted_makespan;
+    result.gflops = flops::gflops(algorithm.flops(result.n), report.faulted_makespan);
+    result.transfers = transfer_spans(trace);
+    // The faulted path surfaces a trace, not the coherence engine's byte
+    // ledger, so bytes are reconstructed from the transfer span count: one
+    // full tile each (exact whenever nb divides n, as in tile-count-driven
+    // matrices).
+    result.transfer_bytes = result.transfers * (nb * nb * 8) as u64;
+    result.slowdown = report.slowdown;
+    result.retries = report.retries;
+    result.restarted_tasks = report.restarted_tasks;
+    result.degradation = Some(report);
+}
+
+/// Run one scenario group (its cells, one per plan, in plan order): the
+/// fault-free scenario once, then every faulted cell against it.
+fn run_group<'a>(
+    mut group: impl Iterator<Item = &'a CellSpec>,
+    bank: &ModelBank,
+    out: &mut Collected,
+) {
+    let first = group.next().expect("a group has one cell per plan");
+    let models = bank.for_nb(first.scenario.tile_size_of());
+    let scenario = first.scenario.clone().faults(FaultPlan::new());
+    let scenario = scenario.models_shared(models.clone());
+    let session = scenario.fresh_session(false);
+    let mut clean = cell_result(first);
+    let clean_trace = run_clean(scenario.session(session.clone()), &mut clean);
+    out.publish(&session);
+    let mut baseline = None;
+
+    for cell in std::iter::once(first).chain(group) {
+        if cell.scenario.faults.is_empty() {
+            out.results.push(CellResult {
+                id: cell.id,
+                plan: cell.plan_name.clone(),
+                ..clean.clone()
+            });
+            continue;
+        }
+        let against = *baseline.get_or_insert_with(|| Baseline::of(&clean_trace, clean.makespan));
+        let scenario = cell.scenario.clone().models_shared(models.clone());
+        let session = scenario.fresh_session(false);
+        let (trace, report) = run_faults_against(&scenario.session(session.clone()), against);
+        let mut result = cell_result(cell);
+        record_faulted(&mut result, cell.scenario.algorithm, &trace, report);
+        out.publish(&session);
+        out.results.push(result);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::Algorithm;
     use crate::sweep::FaultPlanSpec;
+    use proptest::prelude::*;
     use supersim_runtime::SchedulerKind;
+
+    /// The per-cell execution that scenario groups replaced, kept as the
+    /// oracle: every cell alone on its own session, a faulted cell through
+    /// [`Scenario::run_faults`] with a clean run of its own.
+    fn per_cell_report(spec: &SweepSpec) -> SweepReport {
+        let bank = spec.model_bank();
+        let results = spec
+            .cells()
+            .iter()
+            .map(|cell| {
+                let models = bank.for_nb(cell.scenario.tile_size_of());
+                let scenario = cell.scenario.clone().models_shared(models);
+                let mut result = cell_result(cell);
+                if cell.scenario.faults.is_empty() {
+                    run_clean(scenario, &mut result);
+                } else {
+                    let outcome = scenario.run_faults();
+                    record_faulted(
+                        &mut result,
+                        cell.scenario.algorithm,
+                        &outcome.trace,
+                        outcome.report,
+                    );
+                }
+                result
+            })
+            .collect();
+        SweepReport::assemble(results, spec.autotune.as_deref())
+    }
+
+    /// A cell's coordinates minus its plan: cells with equal keys share a
+    /// scenario group.
+    fn group_key(c: &CellResult) -> String {
+        format!(
+            "{}/{}/{}/{}/{}/{}/{}/{}/{}",
+            c.algorithm,
+            c.n,
+            c.nb,
+            c.scheduler,
+            c.workers,
+            c.nodes,
+            c.interconnect,
+            c.seed,
+            c.backend
+        )
+    }
+
+    /// Every faulted cell's baseline is its clean sibling's run, bit for
+    /// bit.
+    fn assert_baselines_are_the_clean_siblings(report: &SweepReport) {
+        let clean: std::collections::HashMap<String, f64> = report
+            .cells
+            .iter()
+            .filter(|c| c.plan == "clean")
+            .map(|c| (group_key(c), c.makespan))
+            .collect();
+        for c in &report.cells {
+            if let (Some(d), Some(m)) = (&c.degradation, clean.get(&group_key(c))) {
+                assert_eq!(d.clean_makespan.to_bits(), m.to_bits(), "cell {}", c.id);
+            }
+        }
+    }
+
+    /// A small DES matrix over `plans` (preset names, in order).
+    fn grouped_spec(plans: &[&str], nodes: Vec<usize>, seeds: Vec<u64>) -> SweepSpec {
+        SweepSpec {
+            tile_counts: vec![4, 6],
+            tile_sizes: vec![12],
+            worker_counts: vec![2, 3],
+            node_counts: nodes,
+            plans: plans
+                .iter()
+                .map(|p| FaultPlanSpec::preset(p).unwrap())
+                .collect(),
+            seeds,
+            backend: Some(crate::replay::Backend::Des),
+            ..SweepSpec::default()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Grouped execution reports exactly what per-cell execution
+        /// reports, for any plan set (with or without `clean`, in any
+        /// order), node axis and job count.
+        #[test]
+        fn grouping_matches_per_cell_execution(
+            picks in prop::collection::vec(0usize..4, 1..7),
+            nodes in prop_oneof![Just(vec![0]), Just(vec![2]), Just(vec![0, 2]), Just(vec![2, 0])],
+            seeds in 1usize..3,
+            jobs in 1usize..4,
+        ) {
+            let mut plans = Vec::new();
+            for p in picks {
+                let name = ["clean", "straggler", "transient", "kill"][p];
+                if !plans.contains(&name) {
+                    plans.push(name);
+                }
+            }
+            let spec = grouped_spec(&plans, nodes, (1..=seeds as u64).collect());
+            let grouped = spec.run(jobs).report;
+            let oracle = per_cell_report(&spec);
+            prop_assert_eq!(grouped.to_json(), oracle.to_json(), "plans {:?}", plans);
+            prop_assert_eq!(grouped.to_csv(), oracle.to_csv());
+            assert_baselines_are_the_clean_siblings(&grouped);
+        }
+    }
+
+    /// The CI matrix's plan set, including a kill that lands mid-run.
+    #[test]
+    fn every_preset_matches_per_cell_execution() {
+        let spec = grouped_spec(
+            &["kill", "clean", "transient", "straggler"],
+            vec![0, 2],
+            vec![1, 2],
+        );
+        let grouped = spec.run(2).report;
+        assert!(
+            grouped.cells.iter().any(|c| c.restarted_tasks > 0),
+            "some kill lands mid-run"
+        );
+        assert_eq!(grouped.to_json(), per_cell_report(&spec).to_json());
+        assert_baselines_are_the_clean_siblings(&grouped);
+    }
+
+    /// One clean run per scenario group plus one per faulted cell: a
+    /// clean + K-plan DES sweep over S fault-free scenarios runs
+    /// S × (1 + K) replays (per-cell execution ran S × (1 + 2K)).
+    #[cfg(feature = "metrics")]
+    #[test]
+    fn a_group_simulates_its_clean_scenario_once() {
+        for (plans, k) in [
+            (&["clean", "straggler", "transient"][..], 2),
+            (&["straggler", "transient"][..], 2),
+            (&["clean"][..], 0),
+        ] {
+            let spec = grouped_spec(plans, vec![0, 2], vec![1, 2]);
+            let outcome = spec.run(2);
+            let scenarios = outcome.report.cells_total / plans.len() as u64;
+            assert_eq!(
+                outcome.metrics.counter("des.replay.runs"),
+                Some(scenarios * (1 + k)),
+                "plans {plans:?}"
+            );
+        }
+    }
 
     fn small_spec() -> SweepSpec {
         SweepSpec {
