@@ -850,4 +850,45 @@ mod tests {
         assert_ne!(a.content_hash, c.content_hash);
         assert_eq!(a.echo.content_hash, format!("{:#018x}", a.content_hash));
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2_000))]
+        /// A valid request body with JSON-significant bytes written over
+        /// it, a run of `[` spliced in, and then truncated parses into a
+        /// `Value`, a `RunRequest` and a `SweepRequest` or fails, but never
+        /// panics or overflows the stack.
+        #[test]
+        fn request_parse_never_panics(
+            sweep in proptest::prelude::any::<bool>(),
+            edits in proptest::prop::collection::vec(
+                (proptest::prelude::any::<usize>(), proptest::prelude::any::<usize>()),
+                0..8,
+            ),
+            nest in (proptest::prelude::any::<usize>(), 0usize..200),
+            cut in proptest::prelude::any::<usize>(),
+        ) {
+            const BYTES: &[u8] = b"\"\\{}[]:,u0e-. x9\ntfn";
+            let body: &[u8] = if sweep {
+                b"{\"tile_counts\":[4,6],\"plans\":[\"clean\",\"kill\"],\"seeds\":[1],\
+                  \"latency\":1e-5,\"models\":{\"type\":\"synthetic\"},\"jobs\":2}"
+            } else {
+                b"{\"tiles\":4,\"scheduler\":\"quark\",\"seed\":7,\"stream\":false,\
+                  \"cluster\":{\"nodes\":2,\"workers_per_node\":2,\"interconnect\":\"zero\"},\
+                  \"faults\":{\"events\":[],\"recovery\":{\"backoff_base\":1e-4}},\
+                  \"overhead_per_task\":-0.5e-3,\"stream_epoch\":null}"
+            };
+            let mut body = body.to_vec();
+            for (at, b) in edits {
+                let at = at % body.len();
+                body[at] = BYTES[b % BYTES.len()];
+            }
+            let at = nest.0 % (body.len() + 1);
+            body.splice(at..at, std::iter::repeat_n(b'[', nest.1));
+            body.truncate(cut % (body.len() + 1));
+            let text = std::str::from_utf8(&body).unwrap();
+            let _ = serde_json::from_str::<serde_json::Value>(text);
+            let _ = serde_json::from_str::<RunRequest>(text);
+            let _ = serde_json::from_str::<SweepRequest>(text);
+        }
+    }
 }

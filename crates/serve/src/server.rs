@@ -276,17 +276,21 @@ fn handle_connection(state: &State, mut stream: TcpStream) {
             return;
         }
     };
-    let endpoint = req.path.trim_start_matches('/').to_string();
-    let endpoint = if endpoint.is_empty() {
-        "root".to_string()
-    } else {
-        endpoint
+    // Keyed by route, with one bucket for every unknown path, so the
+    // metric set cannot grow with what clients send.
+    let endpoint = match req.path.as_str() {
+        "/healthz" => "healthz",
+        "/metrics" => "metrics",
+        "/shutdown" => "shutdown",
+        "/run" => "run",
+        "/sweep" => "sweep",
+        _ => "other",
     };
     state.metrics.bump(&format!("serve.requests.{endpoint}"));
     let started = Instant::now();
     let status = route(state, &req, &mut stream);
     state.metrics.bump(&format!("serve.responses.{status}"));
-    state.metrics.record_latency(&endpoint, started.elapsed());
+    state.metrics.record_latency(endpoint, started.elapsed());
 }
 
 /// Dispatch one request; returns the response status for accounting.

@@ -444,3 +444,56 @@ fn engine_panics_are_500s_carrying_the_message() {
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A body nested far past the JSON parser's depth limit is a 400 on both
+/// JSON endpoints, and so is a body holding one multi-megabyte string;
+/// the daemon answers `/healthz` afterwards. 10,000 `[` used to overflow
+/// a pool thread's stack and abort the process.
+#[test]
+fn hostile_json_bodies_are_400s_and_the_daemon_survives() {
+    let handle = boot(1, 4, 120_000);
+    let nested = "[".repeat(100_000);
+    for path in ["/run", "/sweep"] {
+        let resp = post(&handle, path, &nested);
+        assert_eq!(resp.status, 400, "{path}: {}", resp.body);
+        assert!(resp.body.contains("nested deeper"), "{}", resp.body);
+    }
+    let long = format!("{{\"tiles\":\"{}\"}}", "a".repeat(3 << 20));
+    let resp = post(&handle, "/run", &long);
+    assert_eq!(
+        resp.status,
+        400,
+        "{}",
+        &resp.body[..resp.body.len().min(200)]
+    );
+    assert_eq!(get(&handle, "/healthz").status, 200);
+    handle.shutdown();
+}
+
+/// Every metric name `/metrics` reports.
+fn metric_names(handle: &supersim_serve::ServerHandle) -> std::collections::BTreeSet<String> {
+    let body = get(handle, "/metrics").body;
+    let v: serde_json::Value = serde_json::from_str(&body).expect("metrics are JSON");
+    ["counters", "gauges", "histograms"]
+        .iter()
+        .flat_map(|kind| v[*kind].as_array().cloned().unwrap_or_default())
+        .map(|m| m["name"].as_str().expect("named metric").to_string())
+        .collect()
+}
+
+/// Requests to unknown paths share one `other` bucket: 10,000 distinct
+/// 404 paths leave the set of metric names unchanged.
+#[test]
+fn unknown_paths_share_one_metrics_bucket() {
+    let handle = boot(1, 4, 120_000);
+    assert_eq!(get(&handle, "/nope").status, 404);
+    // A `/metrics` request counts itself once it is answered.
+    metric_names(&handle);
+    let before = metric_names(&handle);
+    assert!(before.contains("serve.requests.other"), "{before:?}");
+    for i in 0..10_000 {
+        assert_eq!(get(&handle, &format!("/nope/{i}")).status, 404);
+    }
+    assert_eq!(metric_names(&handle), before);
+    handle.shutdown();
+}

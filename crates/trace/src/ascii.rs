@@ -12,49 +12,9 @@ use crate::Trace;
 
 /// Render a trace as ASCII art, `cols` characters wide.
 pub fn render(trace: &Trace, cols: usize) -> String {
-    let names: Vec<String> = (0..trace.workers).map(|w| w.to_string()).collect();
-    render_labeled(trace, cols, &names)
-}
-
-/// Render with custom lane labels (e.g. `n0.w3` / `n1.nic0` for cluster
-/// traces). `names[w]` labels lane `w`; missing names fall back to the
-/// numeric index.
-pub fn render_labeled(trace: &Trace, cols: usize, names: &[String]) -> String {
-    render_core(trace.workers, trace.spans(), cols, names, 0.0)
-}
-
-/// Windowed/streaming mode: render a bare span window (e.g. one flush
-/// epoch from a [`crate::TraceSink`], or any slice of a larger trace)
-/// without materializing a full [`Trace`]. The time axis covers the
-/// window's own extent.
-pub fn render_spans(workers: usize, spans: &[crate::TraceEvent], cols: usize) -> String {
-    let names: Vec<String> = (0..workers).map(|w| w.to_string()).collect();
-    render_spans_labeled(workers, spans, cols, &names)
-}
-
-/// [`render_spans`] with custom lane labels.
-pub fn render_spans_labeled(
-    workers: usize,
-    spans: &[crate::TraceEvent],
-    cols: usize,
-    names: &[String],
-) -> String {
-    let t0 = spans.iter().map(|e| e.start).fold(f64::INFINITY, f64::min);
-    let t0 = if t0.is_finite() { t0 } else { 0.0 };
-    render_core(workers, spans, cols, names, t0)
-}
-
-/// Shared lane rasterizer; `t0` anchors the left edge (0 for whole
-/// traces, the window start for streamed spans).
-fn render_core(
-    workers: usize,
-    spans: &[crate::TraceEvent],
-    cols: usize,
-    names: &[String],
-    t0: f64,
-) -> String {
+    let (workers, spans) = (trace.workers, trace.spans());
     let cols = cols.max(4);
-    let span = (spans.iter().map(|e| e.end).fold(0.0, f64::max) - t0).max(1e-12);
+    let span = spans.iter().map(|e| e.end).fold(0.0, f64::max).max(1e-12);
     let mut labels: Vec<String> = Vec::new();
     for e in spans {
         if span_kind(&e.kernel) == SpanKind::Normal && !labels.iter().any(|l| l == &e.kernel) {
@@ -84,8 +44,8 @@ fn render_core(
                 '~'
             }
         };
-        let c0 = (((e.start - t0) / span) * cols as f64).floor() as usize;
-        let c1 = (((e.end - t0) / span) * cols as f64).ceil() as usize;
+        let c0 = ((e.start / span) * cols as f64).floor() as usize;
+        let c1 = ((e.end / span) * cols as f64).ceil() as usize;
         let c0 = c0.min(cols - 1);
         let c1 = c1.clamp(c0 + 1, cols);
         for cell in rows[e.worker][c0..c1].iter_mut() {
@@ -93,21 +53,10 @@ fn render_core(
         }
     }
 
-    let fallback: Vec<String> = (names.len()..workers).map(|w| w.to_string()).collect();
-    let label = |w: usize| -> &str {
-        match names.get(w) {
-            Some(s) => s,
-            None => &fallback[w - names.len()],
-        }
-    };
-    let width = (0..workers)
-        .map(|w| label(w).len())
-        .max()
-        .unwrap_or(1)
-        .max(3);
+    let width = workers.saturating_sub(1).to_string().len().max(3);
     let mut out = String::new();
     for (w, row) in rows.iter().enumerate() {
-        out.push_str(&format!("{:>width$} |", label(w)));
+        out.push_str(&format!("{w:>width$} |"));
         out.extend(row.iter());
         out.push('\n');
     }
@@ -188,20 +137,6 @@ mod tests {
         assert!(lines[1].contains('T'));
         assert!(lines[2].contains("G=gemm"));
         assert!(lines[2].contains("T=trsm"));
-    }
-
-    #[test]
-    fn labeled_lanes_use_names_and_align() {
-        let mut t = Trace::new(3);
-        t.push(ev(0, "gemm", 0, 0.0, 0.5));
-        t.push(ev(2, "trsm", 1, 0.5, 1.0));
-        let names = vec!["n0.w0".to_string(), "n0.w1".to_string()];
-        let art = render_labeled(&t, 20, &names);
-        let lines: Vec<&str> = art.lines().collect();
-        assert!(lines[0].starts_with("n0.w0 |"));
-        assert!(lines[1].starts_with("n0.w1 |"));
-        // Missing name falls back to the numeric index, right-aligned.
-        assert!(lines[2].starts_with("    2 |"), "got {:?}", lines[2]);
     }
 
     #[test]

@@ -5,16 +5,21 @@
 //! to explore a trace interactively. Times are exported in microseconds
 //! ("complete" `X` events, one per task, `tid` = worker lane).
 //!
-//! With the `metrics` feature, [`to_chrome_json_with_metrics`] also emits
-//! counter tracks (`C` events): a `running_tasks` concurrency track
-//! derived from the trace's own event boundaries, plus one flat track per
-//! counter in a [`supersim_metrics::MetricsSnapshot`], so wakeup counts
-//! and TEQ traffic are visible alongside the timeline they came from.
+//! [`ChromeStreamSink`] is the one writer of the JSON array: it streams
+//! spans epoch by epoch, and the buffered exporters ([`to_chrome_json`],
+//! [`to_chrome_json_grouped`], [`to_chrome_json_with_metrics`]) feed it a
+//! whole trace at once. With the `metrics` feature,
+//! [`to_chrome_json_with_metrics`] also emits counter tracks (`C`
+//! events): a `running_tasks` concurrency track derived from the trace's
+//! own event boundaries, plus one flat track per counter in a
+//! [`supersim_metrics::MetricsSnapshot`], so wakeup counts and TEQ
+//! traffic are visible alongside the timeline they came from.
 
 use crate::fault::{span_kind, SpanKind};
 use crate::num::push_u64;
+use crate::sink::{TraceSink, LINE_CAPACITY};
 use crate::{Trace, TraceEvent};
-use std::io::Write as _;
+use std::io::{self, Write};
 
 /// Extra `cname` field (a Chrome trace-viewer reserved color class) for
 /// fault-marked spans, so failed attempts, lost work and backoff read
@@ -30,10 +35,8 @@ fn fault_cname(kernel: &str) -> &'static str {
 }
 
 /// Append one span as a complete `X` Chrome trace event (`tid` = worker
-/// lane) — the unit every exporter here writes, and the one the
-/// streaming exporter ([`crate::sink::ChromeStreamSink`]) emits
-/// incrementally. Times are microseconds at std's `{:.3}`.
-pub fn push_chrome_event(out: &mut Vec<u8>, e: &TraceEvent, pid: usize) {
+/// lane). Times are microseconds at std's `{:.3}`.
+pub(crate) fn push_chrome_event(out: &mut Vec<u8>, e: &TraceEvent, pid: usize) {
     out.extend_from_slice(br#"{"name":"#);
     push_json_string(out, &e.kernel);
     out.extend_from_slice(br#","ph":"X""#);
@@ -52,16 +55,6 @@ pub fn push_chrome_event(out: &mut Vec<u8>, e: &TraceEvent, pid: usize) {
     out.extend_from_slice(b"}}");
 }
 
-/// Serialize a trace to the Chrome trace-event JSON array format.
-pub fn to_chrome_json(trace: &Trace) -> String {
-    let mut s = Vec::with_capacity(64 + trace.len() * 96);
-    s.push(b'[');
-    let mut first = true;
-    push_task_events(&mut s, trace, &mut first);
-    s.push(b']');
-    into_string(s)
-}
-
 /// How one trace lane should appear in a grouped Chrome export: which
 /// process row it belongs to and what the process/thread rows are called.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,83 +68,143 @@ pub struct LaneGroup {
     pub thread_name: String,
 }
 
-/// Serialize a trace with lanes grouped into named processes — one
-/// Perfetto process row per cluster node, with its compute workers and
-/// NIC lanes as named threads. `lanes[w]` describes trace lane `w`;
-/// lanes beyond the slice fall back to pid 0 / numeric names.
-///
-/// Emits `M` (metadata) `process_name`/`thread_name` events followed by
-/// the same `X` events as [`to_chrome_json`], with `pid`/`tid` taken from
-/// the grouping.
-pub fn to_chrome_json_grouped(trace: &Trace, lanes: &[LaneGroup]) -> String {
-    let mut s = Vec::with_capacity(256 + trace.len() * 96 + lanes.len() * 96);
-    s.push(b'[');
-    let mut first = true;
-    let mut named_pids: Vec<usize> = Vec::new();
-    for (w, lane) in lanes.iter().enumerate() {
-        if !named_pids.contains(&lane.pid) {
-            named_pids.push(lane.pid);
-            if !first {
-                s.push(b',');
+/// Incremental Chrome trace-event writer: the JSON array, one epoch at a
+/// time, so the full document never has to exist in memory. Each event
+/// is built in one reused line buffer and handed to the writer whole.
+#[derive(Debug)]
+pub struct ChromeStreamSink<W: Write> {
+    out: W,
+    line: Vec<u8>,
+    lanes: Vec<LaneGroup>,
+    first: bool,
+    opened: bool,
+}
+
+impl<W: Write> ChromeStreamSink<W> {
+    /// Wrap an arbitrary writer; every span goes to pid 0. Nothing is
+    /// written until the first epoch arrives (or [`TraceSink::close`],
+    /// for an empty stream).
+    pub fn new(out: W) -> Self {
+        Self::grouped(out, Vec::new())
+    }
+
+    /// Wrap a writer and group lanes into named processes — one Perfetto
+    /// process row per cluster node, with its compute workers and NIC
+    /// lanes as named threads. `lanes[w]` describes trace lane `w`; lanes
+    /// beyond it fall back to pid 0 / numeric names. The array opens with
+    /// `M` (metadata) `process_name`/`thread_name` events, and each `X`
+    /// event takes its `pid` from its lane.
+    pub fn grouped(out: W, lanes: Vec<LaneGroup>) -> Self {
+        ChromeStreamSink {
+            out,
+            line: Vec::with_capacity(LINE_CAPACITY),
+            lanes,
+            first: true,
+            opened: false,
+        }
+    }
+
+    /// Write the array's opening `[` and the lane metadata, once.
+    fn open(&mut self) -> io::Result<()> {
+        if self.opened {
+            return Ok(());
+        }
+        self.opened = true;
+        self.line.clear();
+        self.line.push(b'[');
+        let mut named_pids: Vec<usize> = Vec::new();
+        for (w, lane) in self.lanes.iter().enumerate() {
+            if !named_pids.contains(&lane.pid) {
+                named_pids.push(lane.pid);
+                separate(&mut self.line, &mut self.first);
+                push_metadata(
+                    &mut self.line,
+                    "process_name",
+                    lane.pid,
+                    None,
+                    &lane.process_name,
+                );
             }
-            first = false;
-            let _ = write!(
-                s,
-                r#"{{"name":"process_name","ph":"M","pid":{},"args":{{"name":"#,
-                lane.pid
+            separate(&mut self.line, &mut self.first);
+            push_metadata(
+                &mut self.line,
+                "thread_name",
+                lane.pid,
+                Some(w),
+                &lane.thread_name,
             );
-            push_json_string(&mut s, &lane.process_name);
-            s.extend_from_slice(b"}}");
         }
-        if !first {
-            s.push(b',');
-        }
-        first = false;
+        self.out.write_all(&self.line)
+    }
+
+    /// Append one `C` (counter) sample.
+    #[cfg(feature = "metrics")]
+    fn counter(&mut self, name: &str, ts_us: f64, value: f64) -> io::Result<()> {
+        self.open()?;
+        self.line.clear();
+        separate(&mut self.line, &mut self.first);
+        self.line.extend_from_slice(br#"{"name":"#);
+        push_json_string(&mut self.line, name);
         let _ = write!(
-            s,
-            r#"{{"name":"thread_name","ph":"M","pid":{},"tid":{},"args":{{"name":"#,
-            lane.pid, w
+            self.line,
+            r#","ph":"C","ts":{ts_us:.3},"pid":0,"args":{{"value":{value}}}}}"#
         );
-        push_json_string(&mut s, &lane.thread_name);
-        s.extend_from_slice(b"}}");
-    }
-    for e in trace.spans() {
-        if !first {
-            s.push(b',');
-        }
-        first = false;
-        push_chrome_event(&mut s, e, lanes.get(e.worker).map_or(0, |l| l.pid));
-    }
-    s.push(b']');
-    into_string(s)
-}
-
-/// Append one `X` event per task to `s` (comma-separated, updating the
-/// leading-comma state in `first`).
-fn push_task_events(s: &mut Vec<u8>, trace: &Trace, first: &mut bool) {
-    for e in trace.spans() {
-        if !*first {
-            s.push(b',');
-        }
-        *first = false;
-        push_chrome_event(s, e, 0);
+        self.out.write_all(&self.line)
     }
 }
 
-/// Append one `C` (counter) sample to `s`.
-#[cfg(feature = "metrics")]
-fn push_counter_sample(s: &mut Vec<u8>, name: &str, ts_us: f64, value: f64, first: &mut bool) {
-    if !*first {
-        s.push(b',');
+impl<W: Write + Send> TraceSink for ChromeStreamSink<W> {
+    fn flush_epoch(&mut self, spans: &[TraceEvent]) -> io::Result<()> {
+        self.open()?;
+        for e in spans {
+            self.line.clear();
+            separate(&mut self.line, &mut self.first);
+            let pid = self.lanes.get(e.worker).map_or(0, |l| l.pid);
+            push_chrome_event(&mut self.line, e, pid);
+            self.out.write_all(&self.line)?;
+        }
+        Ok(())
     }
-    *first = false;
-    s.extend_from_slice(br#"{"name":"#);
-    push_json_string(s, name);
-    let _ = write!(
-        s,
-        r#","ph":"C","ts":{:.3},"pid":0,"args":{{"value":{}}}}}"#,
-        ts_us, value
-    );
+
+    fn close(&mut self) -> io::Result<()> {
+        self.open()?;
+        self.out.write_all(b"]")?;
+        self.out.flush()
+    }
+}
+
+/// The `,` between array elements: none before the first.
+fn separate(out: &mut Vec<u8>, first: &mut bool) {
+    if !std::mem::take(first) {
+        out.push(b',');
+    }
+}
+
+/// Append one `M` (metadata) event naming a process (`tid: None`) or a
+/// thread row.
+fn push_metadata(out: &mut Vec<u8>, kind: &str, pid: usize, tid: Option<usize>, name: &str) {
+    out.extend_from_slice(br#"{"name":""#);
+    out.extend_from_slice(kind.as_bytes());
+    out.extend_from_slice(br#"","ph":"M","pid":"#);
+    push_u64(out, pid as u64);
+    if let Some(tid) = tid {
+        out.extend_from_slice(br#","tid":"#);
+        push_u64(out, tid as u64);
+    }
+    out.extend_from_slice(br#","args":{"name":"#);
+    push_json_string(out, name);
+    out.extend_from_slice(b"}}");
+}
+
+/// Serialize a trace to the Chrome trace-event JSON array format.
+pub fn to_chrome_json(trace: &Trace) -> String {
+    export(trace, Vec::new(), |_| Ok(()))
+}
+
+/// Serialize a trace with lanes grouped into named processes (see
+/// [`ChromeStreamSink::grouped`]).
+pub fn to_chrome_json_grouped(trace: &Trace, lanes: &[LaneGroup]) -> String {
+    export(trace, lanes.to_vec(), |_| Ok(()))
 }
 
 /// Serialize a trace plus metrics counter tracks.
@@ -168,41 +221,47 @@ pub fn to_chrome_json_with_metrics(
     trace: &Trace,
     snap: &supersim_metrics::MetricsSnapshot,
 ) -> String {
-    let mut s = Vec::with_capacity(64 + trace.len() * 128 + snap.counters.len() * 160);
-    s.push(b'[');
-    let mut first = true;
-    push_task_events(&mut s, trace, &mut first);
-
-    // Concurrency track: +1 at each start, -1 at each end, cumulative sum
-    // in timestamp order (ends before starts on ties, so a task handing
-    // off to another at the same instant does not double-count).
-    let mut deltas: Vec<(f64, i64)> = Vec::with_capacity(trace.len() * 2);
-    for e in trace.spans() {
-        deltas.push((e.start, 1));
-        deltas.push((e.end, -1));
-    }
-    deltas.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let mut running = 0i64;
-    for (t, d) in deltas {
-        running += d;
-        push_counter_sample(&mut s, "running_tasks", t * 1e6, running as f64, &mut first);
-    }
-
-    // Flat per-counter tracks across the whole timeline.
-    let end_us = trace.makespan() * 1e6;
-    for c in &snap.counters {
-        push_counter_sample(&mut s, &c.name, 0.0, c.value as f64, &mut first);
-        if end_us > 0.0 {
-            push_counter_sample(&mut s, &c.name, end_us, c.value as f64, &mut first);
+    export(trace, Vec::new(), |sink| {
+        // Concurrency track: +1 at each start, -1 at each end, cumulative
+        // sum in timestamp order (ends before starts on ties, so a task
+        // handing off to another at the same instant does not
+        // double-count).
+        let mut deltas: Vec<(f64, i64)> = Vec::with_capacity(trace.len() * 2);
+        for e in trace.spans() {
+            deltas.push((e.start, 1));
+            deltas.push((e.end, -1));
         }
-    }
-
-    s.push(b']');
-    into_string(s)
+        deltas.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut running = 0i64;
+        for (t, d) in deltas {
+            running += d;
+            sink.counter("running_tasks", t * 1e6, running as f64)?;
+        }
+        // Flat per-counter tracks across the whole timeline.
+        let end_us = trace.makespan() * 1e6;
+        for c in &snap.counters {
+            sink.counter(&c.name, 0.0, c.value as f64)?;
+            if end_us > 0.0 {
+                sink.counter(&c.name, end_us, c.value as f64)?;
+            }
+        }
+        Ok(())
+    })
 }
 
-/// The exporters write `&str` labels and ASCII only.
-fn into_string(json: Vec<u8>) -> String {
+/// Feed every span of `trace` to one [`ChromeStreamSink`] over a byte
+/// buffer, let `extra` append events after them, and close the array.
+fn export(
+    trace: &Trace,
+    lanes: Vec<LaneGroup>,
+    extra: impl FnOnce(&mut ChromeStreamSink<&mut Vec<u8>>) -> io::Result<()>,
+) -> String {
+    let mut json = Vec::with_capacity(64 + trace.len() * 96);
+    let mut sink = ChromeStreamSink::grouped(&mut json, lanes);
+    sink.flush_epoch(trace.spans())
+        .and_then(|()| extra(&mut sink))
+        .and_then(|()| sink.close())
+        .expect("a Vec accepts every write");
     String::from_utf8(json).expect("JSON built from &str and ASCII is UTF-8")
 }
 

@@ -6,18 +6,21 @@
 //! *wall-clock* time, while the simulation needs traces in *virtual*
 //! (user-specified) time — so the authors wrote "a rudimentary trace
 //! generation environment" with SVG output and a plain-text format. This
-//! crate is that environment:
+//! crate is that environment, with one writer per output format:
 //!
 //! * [`Trace`] / [`TraceEvent`] — the trace model: one lane per worker,
 //!   one rectangle per executed task, in arbitrary time units;
 //! * [`TraceRecorder`] — a thread-safe recorder that workers log into
 //!   (in either real or virtual time), with an optional bounded-memory
 //!   streaming mode that drains to a [`TraceSink`] at epoch boundaries;
-//! * [`sink`] — push-based streaming sinks (ndjson, incremental Chrome
-//!   JSON, in-memory collection, live-subscriber channels);
+//! * [`sink`] — push-based streaming sinks (ndjson — the plain-text
+//!   format, one span per line, with its parser — in-memory collection,
+//!   live-subscriber channels);
 //! * [`svg`] — Gantt-style SVG rendering (paper Figs. 6–7);
-//! * [`chrome`] — Chrome trace-event JSON export (chrome://tracing);
-//! * [`text`] — a line-oriented plain-text format with a parser;
+//! * [`chrome`] — Chrome trace-event JSON export (chrome://tracing),
+//!   streamed or buffered through one sink;
+//! * [`Trace::canonical`] — the lane-free text projection the
+//!   determinism gates diff;
 //! * [`ascii`] — quick terminal rendering for the examples;
 //! * [`stats`] — makespan, utilization, per-kernel summaries;
 //! * [`compare`] — the similarity metrics used to judge simulated traces
@@ -36,7 +39,6 @@ pub mod recorder;
 pub mod sink;
 pub mod stats;
 pub mod svg;
-pub mod text;
 
 pub use compare::TraceComparison;
 pub use recorder::TraceRecorder;
@@ -106,11 +108,6 @@ impl Trace {
     /// Append one span.
     pub fn push(&mut self, event: TraceEvent) {
         self.events.push(event);
-    }
-
-    /// Consume the trace into its span list.
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events
     }
 
     /// Number of events.
@@ -195,17 +192,6 @@ impl Trace {
     /// Iterate events of a single lane.
     pub fn lane(&self, worker: usize) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter().filter(move |e| e.worker == worker)
-    }
-
-    /// Distinct kernel labels in first-appearance order.
-    pub fn kernel_labels(&self) -> Vec<String> {
-        let mut seen = Vec::new();
-        for e in &self.events {
-            if !seen.iter().any(|s| s == &e.kernel) {
-                seen.push(e.kernel.clone());
-            }
-        }
-        seen
     }
 
     /// Validate internal consistency: all events have `end >= start`,
@@ -311,15 +297,6 @@ mod tests {
         assert!(t.validate(0.0).unwrap_err().contains("lanes"));
         t.spans_mut()[0] = ev(0, "a", 0, f64::NAN, 1.0);
         assert!(t.validate(0.0).unwrap_err().contains("non-finite"));
-    }
-
-    #[test]
-    fn kernel_labels_first_seen_order() {
-        let mut t = Trace::new(1);
-        t.push(ev(0, "gemm", 0, 0.0, 1.0));
-        t.push(ev(0, "trsm", 1, 1.0, 2.0));
-        t.push(ev(0, "gemm", 2, 2.0, 3.0));
-        assert_eq!(t.kernel_labels(), vec!["gemm", "trsm"]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::chrome::{push_chrome_event, to_chrome_json};
 use crate::sink::{ndjson_line, parse_ndjson};
-use crate::{text, Trace, TraceComparison, TraceEvent};
+use crate::{Trace, TraceComparison, TraceEvent};
 use proptest::prelude::*;
 
 fn event_strategy() -> impl Strategy<Value = TraceEvent> {
@@ -36,22 +36,6 @@ fn trace_strategy() -> impl Strategy<Value = Trace> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Text format round-trips every event exactly enough for comparison.
-    #[test]
-    fn text_round_trip(t in trace_strategy()) {
-        let written = text::write(&t);
-        let back = text::parse(&written).unwrap();
-        prop_assert_eq!(back.workers, t.workers);
-        prop_assert_eq!(back.len(), t.len());
-        for (a, b) in t.spans().iter().zip(back.spans().iter()) {
-            prop_assert_eq!(a.worker, b.worker);
-            prop_assert_eq!(&a.kernel, &b.kernel);
-            prop_assert_eq!(a.task_id, b.task_id);
-            prop_assert!((a.start - b.start).abs() < 1e-6);
-            prop_assert!((a.end - b.end).abs() < 1e-6);
-        }
-    }
 
     /// Normalize is idempotent and shifts the earliest start to zero.
     #[test]
@@ -108,7 +92,7 @@ proptest! {
     fn svg_always_renders(t in trace_strategy()) {
         let mut t = t;
         t.normalize();
-        let svg = crate::svg::render_default(&t);
+        let svg = crate::svg::render(&t, &Default::default());
         prop_assert!(svg.starts_with("<svg"));
         prop_assert!(svg.trim_end().ends_with("</svg>"));
     }

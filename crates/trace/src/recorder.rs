@@ -10,12 +10,12 @@
 //! stamped with a globally unique sequence number from a single atomic
 //! counter, the tie-breaker that makes every merge deterministic for a
 //! given set of recorded events regardless of shard interleaving.
-//! [`TraceRecorder::snapshot`] and [`TraceRecorder::finish`] deal the
-//! shards out lane by lane into the normalized order `(worker, start −
-//! t0, task_id, start, seq)` — what a `(start, seq)` merge followed by
-//! [`Trace::normalize`] would give — in one pass, because a lane's spans
-//! sit in one shard and, one task at a time, were pushed in that order
-//! already; a lane found out of order is sorted.
+//! [`TraceRecorder::finish`] deals the shards out lane by lane into the
+//! normalized order `(worker, start − t0, task_id, start, seq)` — what a
+//! `(start, seq)` merge followed by [`Trace::normalize`] would give — in
+//! one pass, because a lane's spans sit in one shard and, one task at a
+//! time, were pushed in that order already; a lane found out of order is
+//! sorted.
 //!
 //! # Streaming (bounded-memory) mode
 //!
@@ -48,11 +48,10 @@
 //!   [`TraceRecorder::is_empty`] — resident spans only;
 //! * [`TraceRecorder::drained`] — spans already pushed to the sink;
 //! * [`TraceRecorder::total_recorded`] — lifetime count (resident +
-//!   drained + anything dropped by [`TraceRecorder::clear`]);
-//! * [`TraceRecorder::snapshot`] — a normalized trace of the resident
-//!   window only (a *partial* trace mid-stream);
-//! * [`TraceRecorder::clear`] — drops resident spans; they never reach
-//!   the sink and are not counted as drained. The sink stays attached.
+//!   drained);
+//! * [`TraceRecorder::sink_error`] — the sink's first I/O error. Later
+//!   epochs are still handed to the sink, so a sink that recovers loses
+//!   only what failed; the error outlives the sink's detach;
 //! * [`TraceRecorder::finish`] — flushes every remaining span as one
 //!   final epoch, closes the sink, detaches it, and returns the
 //!   (therefore empty) resident trace.
@@ -85,8 +84,6 @@ struct StreamState {
     /// (computed by multiplication, not accumulation, so long runs do
     /// not drift).
     next_epoch: u64,
-    /// First sink error, if any; later flushes are still attempted.
-    error: Option<String>,
 }
 
 impl std::fmt::Debug for StreamState {
@@ -94,7 +91,6 @@ impl std::fmt::Debug for StreamState {
         f.debug_struct("StreamState")
             .field("epoch", &self.epoch)
             .field("next_epoch", &self.next_epoch)
-            .field("error", &self.error)
             .finish_non_exhaustive()
     }
 }
@@ -112,6 +108,8 @@ struct Inner {
     /// [`TraceRecorder::observe_clock`].
     next_bound: AtomicU64,
     stream: Mutex<Option<StreamState>>,
+    /// First error a sink reported (survives sink detach).
+    sink_error: Mutex<Option<String>>,
 }
 
 /// The order of two stamped spans of one lane in a normalized trace whose
@@ -144,6 +142,7 @@ impl Default for TraceRecorder {
                 drained: AtomicU64::new(0),
                 next_bound: AtomicU64::new(f64::INFINITY.to_bits()),
                 stream: Mutex::new(None),
+                sink_error: Mutex::new(None),
             }),
         }
     }
@@ -188,16 +187,6 @@ impl TraceRecorder {
         self.inner.shards.iter().all(|s| s.events.lock().is_empty())
     }
 
-    /// Drop all resident events. The sequence stamp keeps counting up —
-    /// only relative order within one merge matters. In streaming mode
-    /// the dropped events never reach the sink and are **not** counted
-    /// as drained; the sink itself stays attached.
-    pub fn clear(&self) {
-        for s in &self.inner.shards {
-            s.events.lock().clear();
-        }
-    }
-
     /// Merge the shards into a normalized [`Trace`] of at least `workers`
     /// lanes: spans in `(worker, start′, task_id, start, seq)` order with
     /// `start′ = start − t0` the time shifted so the earliest start is 0
@@ -207,20 +196,13 @@ impl TraceRecorder {
     /// one shard, and a lane runs one task at a time, so they were pushed
     /// in that order already. Each lane is checked, a shard holding a lane
     /// that is not in order is sorted, and the shards are dealt out lane
-    /// by lane. `take` empties the recorder; otherwise spans are copied.
-    fn merged(&self, workers: usize, take: bool) -> Trace {
+    /// by lane. The recorder is left empty.
+    fn merged(&self, workers: usize) -> Trace {
         let mut shards: Vec<Vec<(u64, TraceEvent)>> = self
             .inner
             .shards
             .iter()
-            .map(|s| {
-                let mut guard = s.events.lock();
-                if take {
-                    std::mem::take(&mut *guard)
-                } else {
-                    guard.clone()
-                }
-            })
+            .map(|s| std::mem::take(&mut *s.events.lock()))
             .collect();
 
         // Lane sizes and the time origin.
@@ -291,11 +273,6 @@ impl TraceRecorder {
         stamped.into_iter().map(|(_, e)| e).collect()
     }
 
-    /// The number of shards events are distributed over.
-    pub fn shard_count(&self) -> usize {
-        SHARDS
-    }
-
     /// Events currently buffered in each shard (index = shard). A heavily
     /// skewed distribution means workers are aliasing onto few shards and
     /// contending on their locks. In streaming mode this covers resident
@@ -309,9 +286,8 @@ impl TraceRecorder {
     }
 
     /// Total events ever recorded through this recorder, including ones
-    /// since drained to a sink, consumed by [`TraceRecorder::finish`] or
-    /// dropped by [`TraceRecorder::clear`] (read from the global
-    /// sequence stamp).
+    /// since drained to a sink or consumed by [`TraceRecorder::finish`]
+    /// (read from the global sequence stamp).
     pub fn total_recorded(&self) -> u64 {
         self.inner.seq.load(Ordering::Relaxed)
     }
@@ -323,18 +299,20 @@ impl TraceRecorder {
         self.inner.drained.load(Ordering::Relaxed)
     }
 
-    /// Whether a sink is currently attached.
-    pub fn is_streaming(&self) -> bool {
-        self.inner.stream.lock().is_some()
+    /// First error a sink reported, if any — also after
+    /// [`TraceRecorder::finish`] has closed and detached it.
+    pub fn sink_error(&self) -> Option<String> {
+        self.inner.sink_error.lock().clone()
     }
 
-    /// First error the attached sink reported, if any.
-    pub fn sink_error(&self) -> Option<String> {
-        self.inner
-            .stream
-            .lock()
-            .as_ref()
-            .and_then(|s| s.error.clone())
+    /// Remember `result`'s error if it is the first one.
+    fn note(&self, result: std::io::Result<()>) {
+        if let Err(e) = result {
+            self.inner
+                .sink_error
+                .lock()
+                .get_or_insert_with(|| e.to_string());
+        }
     }
 
     /// Switch into bounded-memory streaming mode: from now on, every
@@ -358,7 +336,6 @@ impl TraceRecorder {
             sink,
             epoch,
             next_epoch: 1,
-            error: None,
         });
         self.inner
             .next_bound
@@ -393,23 +370,14 @@ impl TraceRecorder {
                 self.inner
                     .drained
                     .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                if let Err(e) = st.sink.flush_epoch(&batch) {
-                    st.error.get_or_insert_with(|| e.to_string());
-                }
+                self.note(st.sink.flush_epoch(&batch));
             }
         }
     }
 
-    /// Take a normalized snapshot of the trace with `workers` lanes
-    /// (grown if events reference higher worker indices). The recorder
-    /// keeps its contents. In streaming mode this covers the resident
-    /// window only — spans already drained to the sink are gone.
-    pub fn snapshot(&self, workers: usize) -> Trace {
-        self.merged(workers, false)
-    }
-
-    /// Consume the recorded events into a normalized [`Trace`], leaving the
-    /// recorder empty.
+    /// Consume the recorded events into a normalized [`Trace`] with
+    /// `workers` lanes (grown if events reference higher worker indices),
+    /// leaving the recorder empty.
     ///
     /// In streaming mode, every span still resident is first pushed to
     /// the sink as one final (partial) epoch, the sink is closed and
@@ -418,7 +386,7 @@ impl TraceRecorder {
     /// once can stream into a [`crate::sink::CollectSink`].
     pub fn finish(&self, workers: usize) -> Trace {
         self.finish_stream();
-        self.merged(workers, true)
+        self.merged(workers)
     }
 
     /// Flush all resident spans to the attached sink (if any), close it
@@ -431,13 +399,9 @@ impl TraceRecorder {
             self.inner
                 .drained
                 .fetch_add(batch.len() as u64, Ordering::Relaxed);
-            if let Err(e) = st.sink.flush_epoch(&batch) {
-                st.error.get_or_insert_with(|| e.to_string());
-            }
+            self.note(st.sink.flush_epoch(&batch));
         }
-        if let Err(e) = st.sink.close() {
-            st.error.get_or_insert_with(|| e.to_string());
-        }
+        self.note(st.sink.close());
         self.inner
             .next_bound
             .store(f64::INFINITY.to_bits(), Ordering::Relaxed);
@@ -459,15 +423,6 @@ mod tests {
         let t = r.finish(2);
         assert_eq!(t.len(), 2);
         assert!(r.is_empty());
-    }
-
-    #[test]
-    fn snapshot_keeps_contents() {
-        let r = TraceRecorder::new();
-        r.record(0, "a", 0, 0.0, 1.0);
-        let t = r.snapshot(1);
-        assert_eq!(t.len(), 1);
-        assert_eq!(r.len(), 1);
     }
 
     #[test]
@@ -514,14 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties() {
-        let r = TraceRecorder::new();
-        r.record(0, "a", 0, 0.0, 1.0);
-        r.clear();
-        assert!(r.is_empty());
-    }
-
-    #[test]
     fn shards_beyond_worker_count_still_merge() {
         // Workers far above SHARDS wrap onto existing shards without loss.
         let r = TraceRecorder::new();
@@ -556,12 +503,13 @@ mod tests {
         for i in 0..10u64 {
             r.record((i % 4) as usize, "k", i, 1.0, 2.0);
         }
-        assert_eq!(r.snapshot(4), two_sort_oracle(&r, 4));
         let r2 = TraceRecorder::new();
         for i in 0..10u64 {
             r2.record((i % 4) as usize, "k", i, 1.0, 2.0);
         }
-        assert_eq!(r.snapshot(4), r2.snapshot(4));
+        let expected = two_sort_oracle(&r, 4);
+        assert_eq!(r.finish(4), expected);
+        assert_eq!(r2.finish(4), expected);
     }
 
     #[test]
@@ -574,8 +522,9 @@ mod tests {
         r.record(1, "origin", 0, -9007199254740992.0, 0.0);
         r.record(0, "late-id", 5, 0.25, 0.3);
         r.record(0, "early-id", 3, 0.5, 0.6);
-        let t = r.snapshot(2);
-        assert_eq!(t, two_sort_oracle(&r, 2));
+        let expected = two_sort_oracle(&r, 2);
+        let t = r.finish(2);
+        assert_eq!(t, expected);
         assert_eq!(t.spans()[0].start, t.spans()[1].start);
         assert_eq!(
             t.spans().iter().map(|e| e.task_id).collect::<Vec<_>>(),
@@ -598,7 +547,7 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
-            /// `finish` and `snapshot` equal the two sorts they replaced,
+            /// `finish` equals the two sorts it replaced,
             /// whether each lane was recorded in order (the engines' case:
             /// no sort runs) or not (the fallback sort runs), for a zero,
             /// positive, inexact and negative time origin.
@@ -620,7 +569,6 @@ mod tests {
                     r.record(worker, "k", id, start, start + f64::from(dur) * 0.25);
                 }
                 let expected = two_sort_oracle(&r, workers);
-                prop_assert_eq!(&r.snapshot(workers), &expected);
                 prop_assert_eq!(r.len(), spans.len());
                 prop_assert_eq!(&r.finish(workers), &expected);
                 prop_assert!(r.is_empty());
@@ -681,11 +629,9 @@ mod tests {
         let handle = sink.handle();
         r.attach_sink(Box::new(sink), 10.0);
         r.record(0, "a", 0, 0.0, 1.0);
-        assert!(r.is_streaming());
         let t = r.finish(1);
         assert!(t.is_empty());
         assert_eq!(handle.len(), 1);
-        assert!(!r.is_streaming());
         assert_eq!(r.drained(), 1, "drained counter survives detach");
         // After detach the recorder buffers again.
         r.record(0, "b", 1, 1.0, 2.0);
@@ -693,36 +639,31 @@ mod tests {
         assert_eq!(handle.len(), 1);
     }
 
-    #[test]
-    fn clear_drops_resident_without_counting_drained() {
-        let r = TraceRecorder::new();
-        let sink = CollectSink::new();
-        let handle = sink.handle();
-        r.attach_sink(Box::new(sink), 1.0);
-        r.record(0, "a", 0, 0.0, 0.5);
-        r.observe_clock(1.5); // a drained
-        r.record(0, "b", 1, 1.2, 1.8);
-        r.clear(); // b dropped, never drained
-        assert_eq!(r.len(), 0);
-        assert_eq!(r.drained(), 1);
-        assert_eq!(r.total_recorded(), 2);
-        assert!(r.is_streaming(), "clear keeps the sink attached");
-        r.finish(1);
-        assert_eq!(handle.len(), 1, "only a ever reached the sink");
+    /// A sink that fails every write.
+    struct FailingSink;
+
+    impl TraceSink for FailingSink {
+        fn flush_epoch(&mut self, _: &[TraceEvent]) -> std::io::Result<()> {
+            Err(std::io::Error::other("disk full"))
+        }
+
+        fn close(&mut self) -> std::io::Result<()> {
+            Err(std::io::Error::other("close failed"))
+        }
     }
 
     #[test]
-    fn snapshot_mid_stream_is_resident_window_only() {
+    fn first_sink_error_is_kept_and_survives_detach() {
         let r = TraceRecorder::new();
-        r.attach_sink(Box::new(CollectSink::new()), 1.0);
+        r.attach_sink(Box::new(FailingSink), 1.0);
         r.record(0, "a", 0, 0.0, 0.5);
-        r.record(0, "b", 1, 1.1, 1.9);
+        r.record(0, "b", 1, 1.2, 1.8);
+        r.observe_clock(1.5);
+        assert_eq!(r.sink_error().as_deref(), Some("disk full"));
         r.observe_clock(2.5);
-        let snap = r.snapshot(1);
-        assert_eq!(snap.len(), 0, "everything ≤ 2.0 was drained");
-        r.record(0, "c", 2, 2.6, 3.4);
-        assert_eq!(r.snapshot(1).len(), 1);
-        assert_eq!(r.shard_occupancy().iter().sum::<usize>(), 1);
+        assert_eq!(r.drained(), 2, "later epochs are still handed over");
+        r.finish(1);
+        assert_eq!(r.sink_error().as_deref(), Some("disk full"));
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //! sinks that must not stall it (live subscribers) should buffer or
 //! drop, as [`ChannelSink`] does.
 
-use crate::chrome::{push_chrome_event, push_json_string};
+use crate::chrome::push_json_string;
+pub use crate::chrome::ChromeStreamSink;
 use crate::num::{push_f64, push_u64};
 use crate::{Trace, TraceEvent};
 use parking_lot::Mutex;
@@ -35,8 +36,8 @@ use std::sync::Arc;
 /// A destination for finalized trace spans, fed one flush epoch at a
 /// time in deterministic `(start, seq)` order.
 pub trait TraceSink: Send {
-    /// Deliver one epoch's worth of finalized spans. Never called with
-    /// an empty batch.
+    /// Deliver one epoch's worth of finalized spans. The recorder never
+    /// sends an empty batch.
     fn flush_epoch(&mut self, spans: &[TraceEvent]) -> io::Result<()>;
 
     /// The stream is complete; flush any buffered output. Called exactly
@@ -156,67 +157,6 @@ impl<W: Write + Send> TraceSink for NdjsonSink<W> {
     }
 }
 
-/// Incremental Chrome trace-event writer: emits the same JSON array as
-/// [`crate::chrome::to_chrome_json`], but one epoch at a time, so the
-/// full document never has to exist in memory.
-#[derive(Debug)]
-pub struct ChromeStreamSink<W: Write> {
-    out: W,
-    line: Vec<u8>,
-    first: bool,
-    opened: bool,
-}
-
-impl ChromeStreamSink<io::BufWriter<std::fs::File>> {
-    /// Create (truncate) `path` and stream Chrome JSON into it.
-    pub fn create(path: &str) -> io::Result<Self> {
-        Ok(ChromeStreamSink::new(io::BufWriter::new(
-            std::fs::File::create(path)?,
-        )))
-    }
-}
-
-impl<W: Write> ChromeStreamSink<W> {
-    /// Wrap an arbitrary writer. Nothing is written until the first
-    /// epoch arrives (or [`TraceSink::close`], for an empty stream).
-    pub fn new(out: W) -> Self {
-        ChromeStreamSink {
-            out,
-            line: Vec::with_capacity(LINE_CAPACITY),
-            first: true,
-            opened: false,
-        }
-    }
-}
-
-impl<W: Write + Send> TraceSink for ChromeStreamSink<W> {
-    fn flush_epoch(&mut self, spans: &[TraceEvent]) -> io::Result<()> {
-        if !self.opened {
-            self.out.write_all(b"[")?;
-            self.opened = true;
-        }
-        for e in spans {
-            self.line.clear();
-            if !self.first {
-                self.line.push(b',');
-            }
-            self.first = false;
-            push_chrome_event(&mut self.line, e, 0);
-            self.out.write_all(&self.line)?;
-        }
-        Ok(())
-    }
-
-    fn close(&mut self) -> io::Result<()> {
-        if !self.opened {
-            self.out.write_all(b"[")?;
-            self.opened = true;
-        }
-        self.out.write_all(b"]")?;
-        self.out.flush()
-    }
-}
-
 /// Non-blocking forwarding sink for live subscribers (the `serve`
 /// streaming path): epochs are `try_send`-ed over a bounded channel,
 /// and epochs the receiver cannot keep up with are *dropped* (counted
@@ -268,7 +208,7 @@ impl TraceSink for NullSink {
 
 /// Starting size of a sink's line buffer: a span line with a kernel
 /// label of a few dozen bytes fits without growing it.
-const LINE_CAPACITY: usize = 192;
+pub(crate) const LINE_CAPACITY: usize = 192;
 
 /// Append the fields of one span's flat ndjson object, without braces:
 /// `"worker":…,"kernel":…,"task_id":…,"start":…,"end":…`. The times are

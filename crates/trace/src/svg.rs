@@ -61,14 +61,7 @@ const LEGEND_ROW: f64 = 18.0;
 
 /// Render a trace to an SVG document string.
 pub fn render(trace: &Trace, opts: &SvgOptions) -> String {
-    render_spans(trace.workers, trace.spans(), opts)
-}
-
-/// Windowed/streaming mode: render a bare span window (one flush epoch
-/// from a [`crate::TraceSink`], or any slice of a larger trace) without
-/// materializing a full [`Trace`]. Set [`SvgOptions::time_span`] to the
-/// full run's extent to keep windows of one run on a common scale.
-pub fn render_spans(workers: usize, spans: &[crate::TraceEvent], opts: &SvgOptions) -> String {
+    let (workers, spans) = (trace.workers, trace.spans());
     let span = opts
         .time_span
         .unwrap_or_else(|| spans.iter().map(|e| e.end).fold(0.0, f64::max))
@@ -228,11 +221,6 @@ pub fn render_spans(workers: usize, spans: &[crate::TraceEvent], opts: &SvgOptio
     s
 }
 
-/// Render with default options.
-pub fn render_default(trace: &Trace) -> String {
-    render(trace, &SvgOptions::default())
-}
-
 fn format_time(t: f64) -> String {
     if t == 0.0 {
         "0".to_string()
@@ -277,7 +265,7 @@ mod tests {
 
     #[test]
     fn renders_valid_svg_shell() {
-        let svg = render_default(&trace());
+        let svg = render(&trace(), &SvgOptions::default());
         assert!(svg.starts_with("<svg"));
         assert!(svg.trim_end().ends_with("</svg>"));
         // One background + per-lane stripes + 2 task rects + legend swatches.
@@ -286,7 +274,7 @@ mod tests {
 
     #[test]
     fn contains_kernel_names_and_colors() {
-        let svg = render_default(&trace());
+        let svg = render(&trace(), &SvgOptions::default());
         assert!(svg.contains("gemm"));
         assert!(svg.contains("trsm"));
         assert!(svg.contains(crate::color::PALETTE[0]));
@@ -316,7 +304,7 @@ mod tests {
 
     #[test]
     fn empty_trace_renders() {
-        let svg = render_default(&Trace::new(3));
+        let svg = render(&Trace::new(3), &SvgOptions::default());
         assert!(svg.contains("</svg>"));
     }
 
@@ -365,7 +353,7 @@ mod tests {
             start: 0.5,
             end: 0.75,
         });
-        let svg = render_default(&t);
+        let svg = render(&t, &SvgOptions::default());
         // Failed attempts: kernel color, red stroke; lost work: dashed.
         assert!(svg.contains(r##"stroke="#c62828""##));
         assert!(svg.contains(r#"stroke-dasharray="3,2""#));
@@ -389,7 +377,7 @@ mod tests {
             start: 0.0,
             end: 1.0,
         });
-        let svg = render_default(&t);
+        let svg = render(&t, &SvgOptions::default());
         assert!(svg.contains("a&lt;b&amp;c"));
         assert!(!svg.contains("a<b&c"));
     }

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! supersim real    --alg cholesky --n 720 --nb 90 [--scheduler quark]
-//!                  [--workers 1] [--seed 42] [--trace-out t.txt]
+//!                  [--workers 1] [--seed 42] [--trace-out spans.ndjson]
 //!                  [--calibration-out cal.json]
 //! supersim sim     --alg cholesky --n 2000 --nb 100 --calibration cal.json
 //!                  [--workers 8] [--svg out.svg] [--chrome out.json]
@@ -62,7 +62,8 @@
 //! memory, so trace output stays bounded no matter how long the run is.
 //! `trace-convert` rebuilds the canonical text projection from such a
 //! file — byte-identical to `--trace-out` on the deterministic profiles,
-//! which CI verifies.
+//! which CI verifies. `real --trace-out` writes its wall-clock trace in
+//! the same ndjson format, so `trace-convert` reads it too.
 //!
 //! `--backend des` (on `metrics`, `cluster` and `faults`) replays the same
 //! scenario on the single-threaded pure-DES engine instead of the threaded
@@ -96,7 +97,8 @@ use std::sync::Arc;
 use supersim::calibrate::{calibrate, estimate_overhead, CalibrationDb, FitOptions};
 use supersim::core::{SimConfig, SimSession, WakeupMode};
 use supersim::prelude::*;
-use supersim::trace::{chrome, svg, text};
+use supersim::trace::sink::ndjson_line;
+use supersim::trace::{chrome, svg};
 use supersim::workloads::scenario::{
     parse_scheduler, synthetic_model, uniform_models, SYNTHETIC_MU, SYNTHETIC_SIGMA,
 };
@@ -379,6 +381,17 @@ fn session_for(
     session
 }
 
+/// After a run on a [`session_for`] session: a `--trace-stream` file the
+/// sink could not write fails the command.
+fn check_trace_stream(opts: &Opts, session: &SimSession) {
+    if let (Some(path), Some(e)) = (
+        opts.get("trace-stream"),
+        session.trace_recorder().sink_error(),
+    ) {
+        fail(format!("cannot write {path}: {e}"));
+    }
+}
+
 /// `supersim trace-convert --in spans.ndjson [--out canonical.txt]`:
 /// rebuild the canonical text projection from a streamed ndjson span
 /// file — the bridge CI uses to byte-compare streamed and buffered runs.
@@ -425,7 +438,13 @@ fn cmd_real(opts: &Opts) {
         opts,
         to_stdout,
         &[
-            ("trace-out", "trace", &|| text::write(&run.trace)),
+            ("trace-out", "trace", &|| {
+                run.trace
+                    .spans()
+                    .iter()
+                    .map(|e| ndjson_line(e) + "\n")
+                    .collect()
+            }),
             ("calibration-out", "calibration", &calibration),
         ],
     );
@@ -461,7 +480,9 @@ fn cmd_sim(opts: &Opts) {
         opts,
         to_stdout,
         &[
-            ("svg", "trace SVG", &|| svg::render_default(&run.trace)),
+            ("svg", "trace SVG", &|| {
+                svg::render(&run.trace, &svg::SvgOptions::default())
+            }),
             ("chrome", "chrome trace", &|| {
                 chrome::to_chrome_json(&run.trace)
             }),
@@ -544,7 +565,8 @@ fn cmd_cluster(opts: &Opts) {
         backend.name()
     );
     let session = session_for(opts, &sc, true, WakeupMode::default());
-    let run = sc.session(session).run_cluster();
+    let run = sc.session(session.clone()).run_cluster();
+    check_trace_stream(opts, &session);
     eprintln!(
         "predicted {:.4}s   {:.2} GFLOP/s   {} compute tasks, {} transfers ({} bytes)   (wall {:.4}s)",
         run.predicted_seconds,
@@ -803,7 +825,7 @@ fn cmd_faults(opts: &Opts) {
                 out.clean_trace.canonical()
             }),
             ("svg", "faulted trace SVG", &|| {
-                svg::render_default(&out.trace)
+                svg::render(&out.trace, &svg::SvgOptions::default())
             }),
             ("chrome", "faulted chrome trace", &|| {
                 chrome::to_chrome_json(&out.trace)
@@ -1040,6 +1062,7 @@ fn cmd_metrics(opts: &Opts) {
             );
             run.trace
         };
+        check_trace_stream(opts, &session);
         last_trace = Some(trace);
     }
     // All engine counters (sim.*, des.*, trace.*) are per-session and

@@ -604,3 +604,70 @@ fn serve_command_boots_and_shuts_down() {
     let status = child.wait().unwrap();
     assert!(status.success(), "serve exits cleanly after /shutdown");
 }
+
+/// `real --trace-out` writes the ndjson span format, so `trace-convert`
+/// reads a real run's trace back exactly as it reads a streamed one.
+#[test]
+fn real_trace_out_is_ndjson_that_trace_convert_reads() {
+    let spans = tmpdir().join("real-spans.ndjson");
+    let out = bin()
+        .args(["real", "--alg", "cholesky", "--n", "96", "--nb", "24"])
+        .arg("--trace-out")
+        .arg(&spans)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let ndjson = std::fs::read_to_string(&spans).unwrap();
+    // 4x4 tiles: 4 potrf + 6 trsm + 6 syrk + 4 gemm.
+    assert_eq!(ndjson.lines().count(), 20);
+    assert!(ndjson.starts_with("{\"worker\":"), "{ndjson}");
+    let out = bin()
+        .args(["trace-convert", "--in"])
+        .arg(&spans)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(String::from_utf8(out.stdout).unwrap().lines().count(), 20);
+    std::fs::remove_file(&spans).ok();
+}
+
+/// A `--trace-stream` file that cannot be written fails the command with
+/// one `error:` line and exit 2, for both commands that stream.
+#[cfg(all(target_os = "linux", feature = "metrics"))]
+#[test]
+fn trace_stream_write_failure_exits_two() {
+    for args in [
+        &["metrics", "--n", "256", "--nb", "64", "--backend", "des"][..],
+        &[
+            "cluster",
+            "--n",
+            "192",
+            "--nb",
+            "48",
+            "--nodes",
+            "2",
+            "--backend",
+            "des",
+        ][..],
+    ] {
+        let out = bin()
+            .args(args)
+            .args(["--trace-stream", "/dev/full"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        let errors: Vec<&str> = err.lines().filter(|l| l.starts_with("error:")).collect();
+        assert_eq!(errors.len(), 1, "{args:?}: {err}");
+        assert!(errors[0].contains("cannot write /dev/full"), "{err}");
+        assert!(out.stdout.is_empty(), "no report after a failed stream");
+    }
+}
