@@ -800,19 +800,13 @@ impl SimSession {
                 .teq
                 .insert_with(|start| inj.perturb(ctx.worker, start, duration)),
         };
-        if debug_enabled() {
-            eprintln!(
-                "[dbg] insert task={} w={} start={:.6} end={:.6}",
-                ctx.task_id, ctx.worker, start, ticket.end
-            );
-        }
         // (3): the trace records virtual times.
         self.trace
             .record(ctx.worker, label, ctx.task_id, start, ticket.end);
         // The task is now visible to the simulation: scheduler bookkeeping
         // for this dispatch is done.
         ctx.mark_registered();
-        self.settle_and_retire(ctx, ticket, hooks);
+        self.settle_and_retire(ticket, hooks);
     }
 
     /// Steps (1)–(5) for a transiently failing task: one TEQ insertion
@@ -831,19 +825,9 @@ impl SimSession {
     ) -> f64 {
         self.note_kernel();
         let mut bounds: Vec<(SegmentKind, f64, f64)> = Vec::with_capacity(segs.len());
-        let (ticket, start) = self.teq.insert_with(|start| {
+        let (ticket, _) = self.teq.insert_with(|start| {
             layout_segments(Some(inj.as_ref()), ctx.worker, start, segs, &mut bounds)
         });
-        if debug_enabled() {
-            eprintln!(
-                "[dbg] insert task={} w={} start={:.6} end={:.6} segments={}",
-                ctx.task_id,
-                ctx.worker,
-                start,
-                ticket.end,
-                segs.len()
-            );
-        }
         record_segment_spans(
             &self.trace,
             ctx.worker,
@@ -852,13 +836,13 @@ impl SimSession {
             &bounds,
         );
         ctx.mark_registered();
-        self.settle_and_retire(ctx, ticket, hooks);
+        self.settle_and_retire(ticket, hooks);
         aborted_seconds(&bounds)
     }
 
     /// Steps (4)+(5) of the protocol, shared by [`SimSession::simulate`]
     /// and [`SimSession::simulate_segments`].
-    fn settle_and_retire(&self, ctx: &TaskContext, ticket: crate::teq::TeqTicket, hooks: &Hooks) {
+    fn settle_and_retire(&self, ticket: crate::teq::TeqTicket, hooks: &Hooks) {
         // (4): wait to be the next virtual completion, guarding against the
         // §V-E race before retiring. `wait_front` parks on this thread's
         // condvar (targeted wakeup): the retiring front wakes exactly the
@@ -906,9 +890,6 @@ impl SimSession {
         };
         self.note_quiesce_spins(spins);
         // (5) happened above: the clock advanced to this task's completion.
-        if debug_enabled() {
-            eprintln!("[dbg] retire task={} end={:.6}", ctx.task_id, ticket.end);
-        }
         // Streaming mode: retirement is the only place the virtual clock
         // advances, so epoch flushes hang off it. One relaxed atomic
         // load when no sink is attached.
@@ -938,12 +919,6 @@ impl SimSession {
         let rank = session.next_rank(&label);
         move |ctx: &TaskContext| session.run_kernel_ranked(ctx, &label, rank)
     }
-}
-
-/// Cached SUPERSIM_DEBUG environment check (hot paths consult this).
-fn debug_enabled() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("SUPERSIM_DEBUG").is_some())
 }
 
 /// Move the calling thread — a runtime worker about to park in the TEQ —

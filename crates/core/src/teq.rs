@@ -207,9 +207,6 @@ impl TaskExecutionQueue {
         let seq = st.next_seq;
         st.next_seq += 1;
         st.heap.push(HeapEntry { end, seq });
-        if debug_enabled() {
-            eprintln!("[dbg] teq.insert seq={seq} start={start:.6} end={end:.6}");
-        }
         // An insert can only displace the front with the new entry (whose
         // owner is the caller, not parked); it can never make an already
         // parked ticket become the front. Targeted mode therefore has no
@@ -296,9 +293,6 @@ impl TaskExecutionQueue {
     /// front's owner (and only it). Returns the clock.
     fn pop_front(&self, st: &mut State, stamp: obs::Stamp) -> f64 {
         let e = st.heap.pop().expect("retire on empty queue");
-        if debug_enabled() {
-            eprintln!("[dbg] teq.retire seq={} end={:.6}", e.seq, e.end);
-        }
         st.clock = st.clock.max(e.end);
         st.retired += 1;
         self.wake_front(st);
@@ -350,12 +344,6 @@ impl TaskExecutionQueue {
         snap.push_histogram("teq.retire.ns", &tally.retire_ns);
         snap.push_histogram("teq.wait.parked.ns", &tally.wait_parked_ns);
     }
-}
-
-/// Cached SUPERSIM_DEBUG environment check (hot paths consult this).
-fn debug_enabled() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("SUPERSIM_DEBUG").is_some())
 }
 
 #[cfg(test)]

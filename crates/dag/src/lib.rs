@@ -16,8 +16,6 @@
 //! * [`graph`] — the task-graph structure with edge multiplicity (Fig. 1's
 //!   multi-edges: "more than one data dependence" between two tasks);
 //! * [`build`] — superscalar hazard analysis from a serial task stream;
-//! * [`renaming`] — anti-dependence elimination by data renaming (what
-//!   schedulers that copy data to break WaR/WaW effectively do);
 //! * [`dot`] — Graphviz export (regenerates Fig. 1);
 //! * [`critical_path`] — weighted longest path and bottom-levels;
 //! * [`analysis`] — depth/width/parallelism profiles;
@@ -31,7 +29,6 @@ pub mod dot;
 pub mod graph;
 #[cfg(test)]
 mod proptests;
-pub mod renaming;
 pub mod validate;
 
 pub use access::{normalize_accesses, normalize_accesses_into, Access, AccessMode, DataId};

@@ -6,7 +6,6 @@ use crate::access::{Access, AccessMode, DataId};
 use crate::analysis::profile;
 use crate::build::DagBuilder;
 use crate::critical_path::{bottom_levels, critical_path, top_levels};
-use crate::renaming::build_renamed;
 use crate::validate::{is_acyclic, topological_sort};
 use proptest::prelude::*;
 
@@ -79,22 +78,6 @@ proptest! {
                     prop_assert!(reach[i][j], "conflict ({i},{j}) unordered");
                 }
             }
-        }
-    }
-
-    /// Renaming never adds orderings and removes all WaR/WaW-only edges.
-    #[test]
-    fn renaming_subset_of_plain(stream in stream_strategy()) {
-        let mut plain = DagBuilder::new();
-        for (i, acc) in stream.iter().enumerate() {
-            plain.submit(&format!("t{i}"), 1.0, acc);
-        }
-        let plain = plain.finish();
-        let renamed = build_renamed(stream.iter().map(|acc| ("t", 1.0, acc.clone())));
-        prop_assert!(renamed.edge_count() <= plain.edge_count());
-        prop_assert!(is_acyclic(&renamed));
-        for (f, t, _) in renamed.edges() {
-            prop_assert!(plain.edge_multiplicity(f, t) > 0, "renaming invented {f}->{t}");
         }
     }
 

@@ -1,10 +1,15 @@
-//! Offline list-scheduling simulation of a task DAG.
+//! Offline list-scheduling simulation of a task DAG, run on the replay
+//! loop: the graph's dependences become one data region per task, each
+//! task writing its own and reading its predecessors', so the scheduling
+//! core derives exactly the graph's edges.
 
-use crate::event::EventQueue;
-use std::collections::VecDeque;
+use crate::replay::{ReplayBody, ReplayEngine, ReplayTask};
+use supersim_core::{ModelRegistry, SimConfig, SimSession};
 use supersim_dag::critical_path::bottom_levels;
-use supersim_dag::{TaskGraph, TaskId};
-use supersim_trace::{Trace, TraceEvent};
+use supersim_dag::{Access, DataId, TaskGraph, TaskId};
+use supersim_runtime::policy::{CentralFifo, Policy, PriorityQueue};
+use supersim_runtime::RuntimeConfig;
+use supersim_trace::Trace;
 
 /// Ready-task ordering policy of the offline simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,9 +35,15 @@ pub struct DesResult {
 }
 
 /// Simulate greedy list scheduling of `graph` on `workers` identical
-/// workers. `duration(task)` supplies each task's duration — pass
-/// `|t| graph.node(t).weight` for weight-based runs or close over sampled
-/// values for stochastic ones.
+/// workers. `duration(task)` supplies each task's duration, called once
+/// per task in id order — pass `|t| graph.node(t).weight` for
+/// weight-based runs or close over sampled values for stochastic ones.
+///
+/// # Panics
+///
+/// If `workers` is zero, or an edge of `graph` points from a later task
+/// to an earlier one: the graph is replayed in submission order, as every
+/// [`supersim_dag::DagBuilder`] graph is built.
 pub fn simulate(
     graph: &TaskGraph,
     workers: usize,
@@ -41,110 +52,59 @@ pub fn simulate(
 ) -> DesResult {
     assert!(workers > 0, "need at least one worker");
     let n = graph.len();
-    let bl = match policy {
-        DesPolicy::BottomLevel => bottom_levels(graph),
-        DesPolicy::Fifo => Vec::new(),
-    };
-
-    #[derive(Debug)]
-    enum Ev {
-        Complete { task: TaskId, worker: usize },
-    }
-
-    let mut q: EventQueue<Ev> = EventQueue::new();
-    let mut deps: Vec<usize> = (0..n).map(|t| graph.predecessors(t).len()).collect();
-    let mut ready: VecDeque<TaskId> = VecDeque::new();
-    let mut idle: Vec<usize> = (0..workers).rev().collect();
-    let mut trace = Trace::new(workers);
-
-    let push_ready = |ready: &mut VecDeque<TaskId>, t: TaskId| match policy {
-        DesPolicy::Fifo => ready.push_back(t),
+    // Under BottomLevel a task's priority is minus its rank in (bottom
+    // level descending, id ascending): unique, so no tie is left to the
+    // queue.
+    let mut priority = vec![0i64; n];
+    let queue: Box<dyn Policy> = match policy {
+        DesPolicy::Fifo => Box::new(CentralFifo::default()),
         DesPolicy::BottomLevel => {
-            // Insert keeping descending bottom-level order (ties: task id).
-            let key = |x: TaskId| (std::cmp::Reverse(ordered(bl[x])), x);
-            let pos = ready
-                .iter()
-                .position(|&x| key(x) > key(t))
-                .unwrap_or(ready.len());
-            ready.insert(pos, t);
+            let bl = bottom_levels(graph);
+            let mut order: Vec<TaskId> = (0..n).collect();
+            order.sort_by(|&a, &b| bl[b].total_cmp(&bl[a]).then(a.cmp(&b)));
+            for (rank, t) in order.into_iter().enumerate() {
+                priority[t] = -(rank as i64);
+            }
+            Box::new(PriorityQueue::default())
         }
     };
-
-    for (t, &d) in deps.iter().enumerate() {
-        if d == 0 {
-            push_ready(&mut ready, t);
+    let tasks = (0..n).map(|t| {
+        let preds = graph.predecessors(t);
+        let mut accesses = Vec::with_capacity(preds.len() + 1);
+        accesses.push(Access::write(DataId(t as u64)));
+        for &p in preds {
+            assert!(
+                p < t,
+                "edge {p}->{t} points backwards: not a submission-order graph"
+            );
+            accesses.push(Access::read(DataId(p as u64)));
         }
-    }
-
-    // Dispatch loop: start tasks while both a ready task and an idle
-    // worker exist; otherwise advance to the next completion.
-    let mut events_processed = 0u64;
-    loop {
-        while !ready.is_empty() && !idle.is_empty() {
-            let t = ready.pop_front().expect("checked non-empty");
-            let w = idle.pop().expect("checked non-empty");
-            let start = q.now();
-            let d = duration(t).max(0.0);
-            trace.push(TraceEvent {
-                worker: w,
-                kernel: graph.node(t).label.clone(),
-                task_id: t as u64,
-                start,
-                end: start + d,
-            });
-            q.schedule(start + d, Ev::Complete { task: t, worker: w });
+        ReplayTask {
+            label: graph.node(t).label.clone(),
+            accesses,
+            priority: priority[t],
+            pin: None,
+            body: ReplayBody::Fixed {
+                duration: duration(t).max(0.0),
+            },
         }
-        let Some(ev) = q.pop() else { break };
-        events_processed += 1;
-        let Ev::Complete { task, worker } = ev.payload;
-        idle.push(worker);
-        for &s in graph.successors(task) {
-            deps[s] -= 1;
-            if deps[s] == 0 {
-                push_ready(&mut ready, s);
-            }
-        }
-    }
-
-    let unfinished: Vec<TaskId> = (0..n).filter(|&t| deps[t] > 0).collect();
-    assert!(
-        unfinished.is_empty(),
-        "cyclic graph: tasks {unfinished:?} never became ready"
-    );
-
+    });
+    // An unbounded window: the whole graph is submitted before the first
+    // dispatch, as an offline scheduler sees it.
+    let config = RuntimeConfig::simple(workers);
+    let session = SimSession::new(ModelRegistry::new(), SimConfig::default());
+    let out = ReplayEngine::with_policy(&config, session.clone(), queue).run(tasks);
+    let mut trace = session.finish_trace(workers);
     trace.normalize();
-    let makespan = trace.makespan();
 
     // End-of-run totals ride on the result itself: no process-global
     // registry writes, so concurrent simulations never cross-talk.
     DesResult {
         trace,
-        makespan,
+        makespan: out.makespan,
         tasks: n as u64,
-        events: events_processed,
+        events: out.events,
     }
-}
-
-/// Total-ordering wrapper for f64 priorities.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Ordered(f64);
-
-impl Eq for Ordered {}
-
-impl PartialOrd for Ordered {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Ordered {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-fn ordered(x: f64) -> Ordered {
-    Ordered(x)
 }
 
 #[cfg(test)]
@@ -278,6 +238,21 @@ mod tests {
         let r = simulate(&g, 2, DesPolicy::Fifo, |_| 0.0);
         assert_eq!(r.makespan, 0.0);
         assert_eq!(r.trace.len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge 1->0 points backwards")]
+    fn a_backward_edge_is_refused() {
+        let mut g = TaskGraph::new();
+        for _ in 0..2 {
+            g.add_node(supersim_dag::TaskNode {
+                label: "t".into(),
+                weight: 1.0,
+                accesses: vec![],
+            });
+        }
+        g.add_edge(1, 0);
+        simulate(&g, 1, DesPolicy::Fifo, |_| 1.0);
     }
 
     #[test]

@@ -1,30 +1,23 @@
 //! # supersim-des
 //!
-//! A classic **offline** discrete-event simulator: the baseline the
-//! scheduler-in-the-loop approach is contrasted against.
+//! Discrete-event simulation without host threads, on one event loop.
 //!
-//! The paper's §II surveys conventional DES tools (SimGrid, GridSim, ...)
-//! that simulate scheduling by *reimplementing* a scheduling policy over an
-//! explicit task graph. This crate is that conventional simulator: given a
-//! [`supersim_dag::TaskGraph`] and per-task durations, it replays greedy
-//! list scheduling on `P` identical workers through an event queue — no
-//! real runtime in the loop. The ablation benches compare its predictions
-//! against the in-the-loop simulation, quantifying what the paper's
-//! approach buys (faithfulness to the *actual* scheduler's dispatch order,
-//! window, and policy quirks).
-//!
-//! * [`event`] — a small generic event queue (time-ordered, deterministic
-//!   tie-breaking);
-//! * [`engine`] — the list-scheduling simulator producing a [`Trace`];
 //! * [`replay`] — the **replay backend**: a pure-DES reproduction of the
 //!   threaded engine's schedule on the Quark/Pinned profiles, bit-for-bit
 //!   identical canonical traces without one host thread per simulated
-//!   worker.
-//!
-//! [`Trace`]: supersim_trace::Trace
+//!   worker. It drives the runtime's own scheduling core
+//!   ([`supersim_runtime::SchedCore`]) and keeps only virtual time and
+//!   the lanes.
+//! * [`engine`] — the classic **offline** list scheduler, the baseline
+//!   the scheduler-in-the-loop approach is contrasted against (the
+//!   paper's §II surveys tools that *reimplement* a policy over an
+//!   explicit task graph). Given a [`supersim_dag::TaskGraph`] and
+//!   per-task durations it runs greedy FIFO or bottom-level list
+//!   scheduling on `P` identical workers — the replay loop fed the graph,
+//!   with no runtime profile in the loop. The ablation benches compare its
+//!   predictions against the in-the-loop simulation.
 
 pub mod engine;
-pub mod event;
 mod proptests;
 pub mod replay;
 

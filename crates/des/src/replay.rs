@@ -13,18 +13,21 @@
 //! therefore a deterministic function of (task stream, policy, seed), and
 //! a sequential loop can reproduce it:
 //!
-//! 1. **Submit** tasks from the stream while `in_flight < window`,
-//!    resolving hazards through the *same* [`HazardTracker`] the threaded
-//!    engine uses.
-//! 2. **Dispatch** one task per idle lane through the *same*
-//!    [`Policy`] object
-//!    (`make_policy(config.policy, workers)`), laying out its virtual
-//!    timeline with the session's [`SimSession::plan_ranked`] /
+//! 1. **Submit** tasks from the stream while the window has room, into
+//!    the *same* [`SchedCore`] the threaded engine drives: one hazard
+//!    analysis, one window, one policy object
+//!    (`make_policy(config.policy, workers)`), one successor release.
+//! 2. **Dispatch** one task per idle lane through the core, laying out
+//!    its virtual timeline with the session's [`SimSession::plan_ranked`] /
 //!    [`supersim_core::layout_segments`] — the same draws and the same
 //!    arithmetic as the threaded protocol.
 //! 3. **Retire** the earliest completion (min `(end, seq)`, exactly the
-//!    TEQ's ordering), advance the clock, release successors, refill the
-//!    window, and dispatch again.
+//!    TEQ's ordering), advance the clock, release successors through the
+//!    core, refill the window, and dispatch again.
+//!
+//! The loop keeps only what the core leaves to its caller: virtual time
+//! (the `(end, seq)` heap) and the lanes (which are idle, which may have
+//! gained work).
 //!
 //! Work-stealing and locality-aware policies are *not* replayable: their
 //! dispatch order depends on which host thread steals first, which the
@@ -34,14 +37,14 @@
 //! depend on the racy task-to-lane assignment.
 
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 use supersim_core::{
     aborted_seconds, layout_segments, record_segment_spans, KernelPlan, SimSession,
 };
 use supersim_dag::Access;
-use supersim_runtime::policy::{make_policy, Policy, ReadyMeta};
-use supersim_runtime::{Chain, ChainPool, HazardTracker, PolicyKind, RuntimeConfig, RuntimeStats};
+use supersim_runtime::policy::{make_policy, Policy};
+use supersim_runtime::{PolicyKind, RuntimeConfig, RuntimeStats, SchedCore};
 
 /// How a replayed task obtains its duration.
 #[derive(Debug, Clone, PartialEq)]
@@ -160,98 +163,6 @@ impl PartialOrd for Exec {
     }
 }
 
-/// Per-task dependence bookkeeping (the DES analogue of the engine's
-/// `Entry`, minus the thread machinery). The task payload itself is taken
-/// out at dispatch.
-#[derive(Default)]
-struct Node {
-    deps: usize,
-    succs: Chain,
-    task: Option<ReplayTask>,
-}
-
-/// Ring mark of an id whose task has retired.
-const RETIRED: u32 = u32::MAX;
-
-/// The in-flight tasks, keyed by submission id without hashing.
-///
-/// Ids are the contiguous submission counter, so `id - base` indexes a
-/// ring of 4-byte handles covering the *live id span* — oldest unretired
-/// id to newest submitted — while the nodes themselves sit in a slab
-/// whose slots are reused as tasks retire, their successor lists in one
-/// shared [`ChainPool`]. The slab therefore never outgrows the in-flight
-/// window, even when one straggler keeps the id span long: replaying a
-/// 10⁶-task stream holds 10⁶ nodes only if the window is that large. An
-/// id below `base`, or marked [`RETIRED`], has retired and imposes no
-/// dependence.
-#[derive(Default)]
-struct NodeTable {
-    base: u64,
-    ring: VecDeque<u32>,
-    slab: Vec<Node>,
-    free: Vec<u32>,
-    succs: ChainPool,
-}
-
-impl NodeTable {
-    /// Add the next submission; `id` must be one past the newest.
-    fn insert(&mut self, id: u64, deps: usize, task: ReplayTask) {
-        debug_assert_eq!(id, self.base + self.ring.len() as u64);
-        let slot = self.free.pop().unwrap_or_else(|| {
-            self.slab.push(Node::default());
-            u32::try_from(self.slab.len() - 1)
-                .ok()
-                .filter(|&slot| slot != RETIRED)
-                .expect("more than u32::MAX tasks in flight")
-        });
-        let node = &mut self.slab[slot as usize];
-        node.deps = deps;
-        node.task = Some(task);
-        self.ring.push_back(slot);
-    }
-
-    /// The slab slot of `id`, unless it has retired.
-    fn slot(&self, id: u64) -> Option<usize> {
-        let at = usize::try_from(id.checked_sub(self.base)?).ok()?;
-        match *self.ring.get(at)? {
-            RETIRED => None,
-            slot => Some(slot as usize),
-        }
-    }
-
-    /// The node of `id`, unless it has retired.
-    fn get_mut(&mut self, id: u64) -> Option<&mut Node> {
-        self.slot(id).map(|slot| &mut self.slab[slot])
-    }
-
-    /// Make `id` a successor of `pred`; false if `pred` has retired.
-    fn add_successor(&mut self, pred: u64, id: u64) -> bool {
-        let Some(slot) = self.slot(pred) else {
-            return false;
-        };
-        self.succs.push(&mut self.slab[slot].succs, id);
-        true
-    }
-
-    /// Detach and return the oldest remaining successor of in-flight `id`.
-    fn pop_successor(&mut self, id: u64) -> Option<u64> {
-        let slot = self.slot(id).expect("retired a task twice");
-        self.succs.pop(&mut self.slab[slot].succs)
-    }
-
-    /// Retire `id` (its successors already popped), freeing its slot.
-    fn retire(&mut self, id: u64) {
-        let at = (id - self.base) as usize;
-        let slot = std::mem::replace(&mut self.ring[at], RETIRED);
-        debug_assert!(self.slab[slot as usize].succs.is_empty());
-        self.free.push(slot);
-        while self.ring.front() == Some(&RETIRED) {
-            self.ring.pop_front();
-            self.base += 1;
-        }
-    }
-}
-
 /// A set of lanes as a fixed-width bitset, read out in ascending lane
 /// order (ascending dispatch order is part of the replayed schedule).
 struct LaneSet {
@@ -312,64 +223,50 @@ impl LaneSet {
     }
 }
 
-/// The submission side of the loop: the lazily pulled stream, the window
-/// accounting, and everything a newly submitted or released task touches.
+/// What the core hands back at dispatch: the label and duration source.
+type Payload = (String, ReplayBody);
+
+/// The submission side of the loop: the lazily pulled stream, the core,
+/// and the lanes a newly ready task can wake.
 struct Submission<S> {
     stream: S,
     exhausted: bool,
-    submitted: u64,
-    in_flight: usize,
-    window: usize,
     lanes: usize,
-    nodes: NodeTable,
-    hazards: HazardTracker,
-    /// Scratch for one task's predecessor ids.
-    preds: Vec<u64>,
-    policy: Box<dyn Policy>,
+    core: SchedCore<Payload>,
     idle: LaneSet,
     /// Idle lanes that may have gained work since the last dispatch pass.
     candidates: LaneSet,
 }
 
 impl<S: Iterator<Item = ReplayTask>> Submission<S> {
-    /// Submit tasks while the window has room, resolving hazards and
-    /// pushing newly ready ones into the policy — `Runtime::submit`
-    /// without the backpressure parking. Newly ready tasks' admitting
-    /// idle lanes become dispatch candidates.
+    /// Submit tasks while the window has room — `Runtime::submit` without
+    /// the backpressure parking. Newly ready tasks' admitting idle lanes
+    /// become dispatch candidates.
     fn refill(&mut self) {
-        while !self.exhausted && self.in_flight < self.window {
+        while !self.exhausted && !self.core.window_full() {
             let Some(t) = self.stream.next() else {
                 self.exhausted = true;
                 break;
             };
-            let id = self.submitted;
-            self.submitted += 1;
             if let Some((lo, hi)) = t.pin {
                 assert!(
                     lo < hi && hi <= self.lanes,
-                    "task {id} is pinned to lanes [{lo}, {hi}), which is not a non-empty \
+                    "task {} is pinned to lanes [{lo}, {hi}), which is not a non-empty \
                      range of this machine's {} lanes",
+                    self.core.submitted(),
                     self.lanes
                 );
             }
-            let affinity = self.hazards.analyze_into(id, &t.accesses, &mut self.preds);
-            let mut deps = 0;
-            for &p in &self.preds {
-                deps += usize::from(self.nodes.add_successor(p, id));
+            let ReplayTask {
+                label,
+                accesses,
+                priority,
+                pin,
+                body,
+            } = t;
+            if self.core.submit(&accesses, priority, pin, (label, body)).1 {
+                self.candidates.admit(&self.idle, pin);
             }
-            if deps == 0 {
-                let meta = ReadyMeta {
-                    priority: t.priority,
-                    releaser: None,
-                    affinity,
-                    pin: t.pin,
-                };
-                self.policy.push(id, meta);
-                self.candidates.admit(&self.idle, t.pin);
-            }
-            self.nodes.insert(id, deps, t);
-            self.in_flight += 1;
-            debug_assert!(self.nodes.slab.len() <= self.window);
         }
     }
 }
@@ -379,8 +276,7 @@ impl<S: Iterator<Item = ReplayTask>> Submission<S> {
 /// [`ReplayEngine::run`] the task stream.
 pub struct ReplayEngine {
     session: Arc<SimSession>,
-    policy: Box<dyn Policy>,
-    window: usize,
+    core: SchedCore<Payload>,
     lanes: usize,
     decommissioned: Vec<bool>,
 }
@@ -400,14 +296,26 @@ impl ReplayEngine {
                     .into(),
             ));
         }
+        let policy = make_policy(config.policy, config.workers);
+        Ok(Self::with_policy(config, session, policy))
+    }
+
+    /// [`ReplayEngine::new`] dispatching through `policy` instead of the
+    /// one `config.policy` names, and without the replayability checks:
+    /// the offline list scheduler brings its own order, and tests count
+    /// what the policy sees.
+    pub(crate) fn with_policy(
+        config: &RuntimeConfig,
+        session: Arc<SimSession>,
+        policy: Box<dyn Policy>,
+    ) -> Self {
         assert!(config.workers > 0, "replay needs at least one lane");
-        Ok(ReplayEngine {
+        ReplayEngine {
             session,
-            policy: make_policy(config.policy, config.workers),
-            window: config.window,
+            core: SchedCore::new(policy, config.window),
             lanes: config.workers,
             decommissioned: vec![false; config.workers],
-        })
+        }
     }
 
     /// Permanently remove `lane` from service before the run (fault
@@ -437,8 +345,7 @@ impl ReplayEngine {
     {
         let ReplayEngine {
             session,
-            policy,
-            window,
+            core,
             lanes,
             decommissioned,
         } = self;
@@ -448,14 +355,8 @@ impl ReplayEngine {
         let mut sub = Submission {
             stream: tasks.into_iter().fuse(),
             exhausted: false,
-            submitted: 0,
-            in_flight: 0,
-            window,
             lanes,
-            nodes: NodeTable::default(),
-            hazards: HazardTracker::new(),
-            preds: Vec::new(),
-            policy,
+            core,
             idle: LaneSet::new(lanes),
             candidates: LaneSet::new(lanes),
         };
@@ -489,31 +390,24 @@ impl ReplayEngine {
                 if !sub.idle.contains(lane) {
                     continue;
                 }
-                let Some(task) = sub.policy.pop(lane) else {
+                let (Some((task, (label, body))), _) = sub.core.pop(lane) else {
                     continue;
                 };
                 sub.idle.remove(lane);
-                let t = sub
-                    .nodes
-                    .get_mut(task)
-                    .expect("policy dispatched an unknown task")
-                    .task
-                    .take()
-                    .expect("task dispatched twice");
                 // The same draws the threaded protocol would make; clean
                 // and faulted tasks share one plan → layout → record path.
-                match t.body {
+                match body {
                     ReplayBody::Ranked { rank } => {
-                        session.plan_ranked_into(&t.label, rank, 1.0, inj, &mut plan)
+                        session.plan_ranked_into(&label, rank, 1.0, inj, &mut plan)
                     }
                     ReplayBody::Fixed { duration } => plan.set_clean(duration),
                 }
                 let total = layout_segments(inj, lane, clock, &plan.segments, &mut bounds);
                 if plan.is_transient() {
                     inj.expect("transient plan requires an injector")
-                        .on_transient(&t.label, plan.failures, aborted_seconds(&bounds));
+                        .on_transient(&label, plan.failures, aborted_seconds(&bounds));
                 }
-                record_segment_spans(recorder, lane, t.label, task, &bounds);
+                record_segment_spans(recorder, lane, label, task, &bounds);
                 executing.push(Exec {
                     end: clock + total,
                     seq: next_seq,
@@ -541,26 +435,9 @@ impl ReplayEngine {
             // Streaming trace mode: every span ending at or before the
             // new clock is recorded, so elapsed flush epochs can drain.
             recorder.observe_clock(clock);
-            while let Some(s) = sub.nodes.pop_successor(exec.task) {
-                let e = sub
-                    .nodes
-                    .get_mut(s)
-                    .expect("successor retired before its dep");
-                e.deps -= 1;
-                if e.deps == 0 {
-                    let t = e.task.as_ref().expect("ready successor already dispatched");
-                    let meta = ReadyMeta {
-                        priority: t.priority,
-                        releaser: Some(exec.lane),
-                        affinity: first_written(&t.accesses),
-                        pin: t.pin,
-                    };
-                    sub.policy.push(s, meta);
-                    sub.candidates.admit(&sub.idle, t.pin);
-                }
-            }
-            sub.nodes.retire(exec.task);
-            sub.in_flight -= 1;
+            sub.core.retire(exec.task, exec.lane, |pin| {
+                sub.candidates.admit(&sub.idle, pin);
+            });
             stats.completed += 1;
             stats.per_worker_tasks[exec.lane] += 1;
             if !decommissioned[exec.lane] {
@@ -571,11 +448,11 @@ impl ReplayEngine {
         }
 
         assert!(
-            cancelled || (sub.exhausted && sub.in_flight == 0),
+            cancelled || (sub.exhausted && sub.core.in_flight() == 0),
             "replay stalled: {} tasks submitted, {} in flight \
              (a task pinned exclusively to decommissioned lanes can never run)",
-            sub.submitted,
-            sub.in_flight
+            sub.core.submitted(),
+            sub.core.in_flight()
         );
 
         // Run totals go to the driving session, not a process-global
@@ -592,11 +469,6 @@ impl ReplayEngine {
             cancelled,
         }
     }
-}
-
-/// The locality-affinity hint of a released task: its first written data.
-fn first_written(accesses: &[Access]) -> Option<u64> {
-    accesses.iter().find(|a| a.mode.writes()).map(|a| a.data.0)
 }
 
 #[cfg(test)]
@@ -825,10 +697,10 @@ mod tests {
     #[test]
     fn a_straggler_holds_the_id_span_open_but_not_the_slab() {
         // One 10⁶-unit task, then 10⁵ independent unit tasks, window 64:
-        // the straggler outlives them all, so the ring spans every id
-        // submitted behind it while at most 64 nodes are ever live. The
-        // slab bound is `refill`'s debug assertion; here: the run
-        // completes, on time, with a valid trace.
+        // the straggler outlives them all, so the core's ring spans every
+        // id submitted behind it while at most 64 nodes are ever live. The
+        // slab bound is `SchedCore::submit`'s debug assertion; here: the
+        // run completes, on time, with a valid trace.
         let s = session(&[], 1.0, 1);
         let cfg = RuntimeConfig {
             window: 64,
@@ -846,27 +718,58 @@ mod tests {
         assert!(trace.validate(0.0).is_ok());
     }
 
+    /// The DES twin of `core/tests/policy_guard.rs`: a counting policy
+    /// passed through `with_policy` sees every task of a dependent
+    /// workload pushed and popped exactly once.
     #[test]
-    fn node_slots_are_reused_behind_a_straggler() {
-        let mut nodes = NodeTable::default();
-        nodes.insert(0, 0, fixed(1.0, None));
-        for id in 1..=10_000u64 {
-            nodes.insert(id, 0, fixed(1.0, None));
-            assert!(nodes.add_successor(0, id), "the straggler is in flight");
-            if id > 1 {
-                assert!(!nodes.add_successor(id - 1, id), "retired: no dependence");
-            }
-            assert_eq!(nodes.pop_successor(0), Some(id));
-            nodes.retire(id);
-            assert!(nodes.get_mut(id).is_none());
+    fn with_policy_routes_every_dispatch_through_the_policy() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use supersim_runtime::ReadyMeta;
+
+        struct Counting {
+            inner: Box<dyn Policy>,
+            pushes: Arc<AtomicU64>,
+            pops: Arc<AtomicU64>,
         }
-        assert_eq!(nodes.slab.len(), 2, "one slot per task in flight");
-        assert_eq!(nodes.succs.capacity(), 1);
-        assert_eq!((nodes.base, nodes.ring.len()), (0, 10_001));
-        assert_eq!(nodes.pop_successor(0), None);
-        nodes.retire(0);
-        assert_eq!((nodes.base, nodes.ring.len()), (10_001, 0));
-        assert!(!nodes.add_successor(0, 10_001));
+
+        impl Policy for Counting {
+            fn push(&mut self, task: u64, meta: ReadyMeta) {
+                self.pushes.fetch_add(1, Ordering::Relaxed);
+                self.inner.push(task, meta);
+            }
+
+            fn pop(&mut self, worker: usize) -> Option<u64> {
+                let t = self.inner.pop(worker);
+                self.pops
+                    .fetch_add(u64::from(t.is_some()), Ordering::Relaxed);
+                t
+            }
+
+            fn len(&self) -> usize {
+                self.inner.len()
+            }
+        }
+
+        let (pushes, pops) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let config = RuntimeConfig {
+            window: 5,
+            ..RuntimeConfig::simple(3)
+        };
+        let policy = Box::new(Counting {
+            inner: make_policy(config.policy, config.workers),
+            pushes: pushes.clone(),
+            pops: pops.clone(),
+        });
+        let s = session(&["k"], 0.001, 1);
+        // 4 chains of 8 over distinct tiles: tasks turn ready both at
+        // submission and at a predecessor's retirement.
+        let tasks: Vec<ReplayTask> = (0..32)
+            .map(|i| ranked(&s, "k", vec![Access::read_write(DataId(i % 4))]))
+            .collect();
+        let out = ReplayEngine::with_policy(&config, s, policy).run(tasks);
+        assert_eq!(out.completed, 32);
+        assert_eq!(pushes.load(Ordering::Relaxed), 32);
+        assert_eq!(pops.load(Ordering::Relaxed), 32);
     }
 
     mod lane_set_properties {

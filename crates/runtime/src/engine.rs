@@ -1,11 +1,10 @@
-//! The runtime engine: submission-side hazard tracking, worker threads,
-//! dispatch, completion propagation, and the quiescence machinery.
+//! The runtime engine: the lock, condvars and worker threads around the
+//! scheduling core ([`SchedCore`]), and the quiescence machinery.
 
-use crate::chain::{Chain, ChainPool};
 use crate::config::RuntimeConfig;
-use crate::hazards::HazardTracker;
-use crate::policy::{make_policy, Policy, ReadyMeta};
+use crate::policy::{make_policy, Policy};
 use crate::quiesce::Quiesce;
+use crate::sched::SchedCore;
 use crate::stats::RuntimeStats;
 use crate::task::{TaskBody, TaskContext, TaskDesc};
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -15,32 +14,11 @@ use std::sync::Arc;
 use std::time::Instant;
 use supersim_trace::TraceRecorder;
 
-/// Per-task bookkeeping entry. The engine keeps one per task of a phase,
-/// so it is kept small: the label is boxed (no capacity word) and the
-/// dependence count is 32 bits.
-struct Entry {
-    /// Moved into the executing worker's [`TaskContext`] at dispatch.
-    label: Box<str>,
-    deps: u32,
-    /// Successor ids, in [`Inner::succs`].
-    succs: Chain,
-    body: Option<TaskBody>,
-    priority: i64,
-    affinity: Option<u64>,
-    pin: Option<(usize, usize)>,
-    done: bool,
-    cancelled: bool,
-}
-
 struct Inner {
-    entries: Vec<Entry>,
-    hazards: HazardTracker,
-    /// Every entry's successor list.
-    succs: ChainPool,
-    /// `submit`'s predecessor scratch, reused across tasks.
-    preds: Vec<u64>,
-    policy: Box<dyn Policy>,
-    in_flight: usize,
+    /// Hazards, window, policy and successor release. A task's payload is
+    /// its body and its label (boxed: no capacity word), which moves into
+    /// the executing worker's [`TaskContext`] at dispatch.
+    core: SchedCore<(TaskBody, Box<str>)>,
     idle_workers: usize,
     in_dispatch: usize,
     /// Per-worker busy flags (`busy[w]` while worker `w` executes a task).
@@ -78,7 +56,7 @@ impl Inner {
         if released == 0 {
             return;
         }
-        if self.policy.broadcast_wakeups() {
+        if self.core.policy().broadcast_wakeups() {
             // Pinned tasks: only specific workers are eligible, and a
             // targeted notify cannot aim — broadcast instead.
             shared.work_cv.notify_all();
@@ -127,7 +105,6 @@ struct Shared {
     window_cv: Condvar,
     done_cv: Condvar,
     quiesce_cv: Condvar,
-    window: usize,
     epoch: Instant,
     trace: Option<TraceRecorder>,
     /// Per-worker counters live outside the big `Inner` lock; the hot
@@ -186,12 +163,7 @@ impl Runtime {
         assert!(config.workers > 0, "runtime needs at least one worker");
         let shared = Arc::new(Shared {
             inner: Mutex::new(Inner {
-                entries: Vec::new(),
-                hazards: HazardTracker::new(),
-                succs: ChainPool::default(),
-                preds: Vec::new(),
-                policy,
-                in_flight: 0,
+                core: SchedCore::new(policy, config.window),
                 idle_workers: 0,
                 in_dispatch: 0,
                 busy: vec![false; config.workers],
@@ -207,7 +179,6 @@ impl Runtime {
             window_cv: Condvar::new(),
             done_cv: Condvar::new(),
             quiesce_cv: Condvar::new(),
-            window: config.window,
             epoch: Instant::now(),
             trace: recorder,
             worker_slots: (0..config.workers).map(|_| WorkerSlot::default()).collect(),
@@ -242,56 +213,23 @@ impl Runtime {
             !inner.sealed,
             "submit() after seal(); call unseal() for a new phase"
         );
-        while inner.in_flight >= self.shared.window {
+        while inner.core.window_full() {
             // A window-stalled submitter can make the system quiescent.
             inner.submitter_waiting += 1;
             inner.notify_quiesce(&self.shared);
             self.shared.window_cv.wait(&mut inner);
             inner.submitter_waiting -= 1;
         }
-        let id = inner.entries.len() as u64;
-
-        // Hazard analysis against the live data state (shared with the
-        // DES replay backend), into the engine's reused buffers.
-        let Inner {
-            entries,
-            hazards,
-            succs,
-            preds,
-            ..
-        } = &mut *inner;
-        let affinity = hazards.analyze_into(id, &desc.accesses, preds);
-        let mut deps = 0usize;
-        for &p in preds.iter() {
-            let e = &mut entries[p as usize];
-            if !e.done {
-                succs.push(&mut e.succs, id);
-                deps += 1;
-            }
-        }
-        let deps = u32::try_from(deps).expect("fewer than 2^32 predecessors");
-
-        inner.entries.push(Entry {
-            label: desc.label.into_boxed_str(),
-            deps,
-            succs: Chain::default(),
-            body: Some(desc.body),
-            priority: desc.priority,
-            affinity,
-            pin: desc.pin,
-            done: false,
-            cancelled: false,
-        });
-        inner.in_flight += 1;
-
-        if deps == 0 {
-            let meta = ReadyMeta {
-                priority: desc.priority,
-                releaser: None,
-                affinity,
-                pin: desc.pin,
-            };
-            inner.policy.push(id, meta);
+        let TaskDesc {
+            label,
+            accesses,
+            priority,
+            pin,
+            body,
+        } = desc;
+        let payload = (body, label.into_boxed_str());
+        let (id, ready) = inner.core.submit(&accesses, priority, pin, payload);
+        if ready {
             inner.wake_workers(&self.shared, 1, 0);
             inner.notify_quiesce(&self.shared);
         }
@@ -320,7 +258,7 @@ impl Runtime {
     /// panic messages from failed tasks (empty on full success) as `Err`.
     pub fn wait_all(&self) -> Result<(), Vec<String>> {
         let mut inner = self.shared.inner.lock();
-        while inner.in_flight > 0 {
+        while inner.core.in_flight() > 0 {
             self.shared.done_cv.wait(&mut inner);
         }
         if inner.errors.is_empty() {
@@ -344,7 +282,7 @@ impl Runtime {
 
     /// Number of tasks submitted so far.
     pub fn submitted(&self) -> u64 {
-        self.shared.inner.lock().entries.len() as u64
+        self.shared.inner.lock().core.submitted()
     }
 
     /// Cancel every task that has not started executing yet (QUARK-style
@@ -356,22 +294,12 @@ impl Runtime {
     /// without executing their bodies. Returns the number cancelled.
     pub fn abort_pending(&self) -> u64 {
         let mut inner = self.shared.inner.lock();
-        let mut cancelled = 0u64;
-        for e in inner.entries.iter_mut() {
-            if !e.done && e.body.is_some() {
-                e.body = None;
-                e.done = true;
-                e.cancelled = true;
-                cancelled += 1;
-            }
-        }
-        inner.in_flight -= cancelled as usize;
+        let cancelled = inner.core.cancel_pending();
         inner.stats.cancelled += cancelled;
-        // Queued ids of cancelled tasks remain in the policy; workers skip
-        // them at pop (their bodies are gone). Wake all workers so idle
-        // ones drain those stale queue entries — otherwise a quiescence
-        // waiter could block forever on `policy.len() > 0` with every
-        // remaining worker asleep.
+        // Queued ids of cancelled tasks remain in the policy; the core
+        // skips them at pop. Wake all workers so idle ones drain those
+        // stale queue entries — otherwise a quiescence waiter could block
+        // forever on `policy.len() > 0` with every remaining worker asleep.
         self.shared.work_cv.notify_all();
         self.shared.done_cv.notify_all();
         self.shared.window_cv.notify_all();
@@ -438,8 +366,7 @@ struct RuntimeProbe {
 
 impl Quiesce for RuntimeProbe {
     fn quiescent(&self) -> bool {
-        let inner = self.shared.inner.lock();
-        quiescent_locked(&inner, self.shared.window)
+        quiescent_locked(&self.shared.inner.lock())
     }
 
     fn wait_quiescent(&self) {
@@ -452,8 +379,7 @@ impl Quiesce for RuntimeProbe {
 
     fn wait_settled(&self, min_completed: u64) {
         let mut inner = self.shared.inner.lock();
-        while inner.stats.completed < min_completed || !quiescent_locked(&inner, self.shared.window)
-        {
+        while inner.stats.completed < min_completed || !quiescent_locked(&inner) {
             inner.quiesce_waiters += 1;
             self.shared.quiesce_cv.wait(&mut inner);
             inner.quiesce_waiters -= 1;
@@ -461,7 +387,7 @@ impl Quiesce for RuntimeProbe {
     }
 }
 
-fn quiescent_locked(inner: &Inner, window: usize) -> bool {
+fn quiescent_locked(inner: &Inner) -> bool {
     // The submission stream must be finished (sealed) or stalled on a
     // genuinely *full* task window; otherwise tasks not yet submitted
     // could still have earlier virtual start times than the caller's
@@ -477,9 +403,9 @@ fn quiescent_locked(inner: &Inner, window: usize) -> bool {
     // workers idle. A worker that has not reached its scheduling loop yet
     // (thread start-up) counts as able to absorb work, which is why the
     // flags mark busy workers rather than non-idle ones.
-    (inner.sealed || (inner.submitter_waiting > 0 && inner.in_flight >= window))
+    (inner.sealed || (inner.submitter_waiting > 0 && inner.core.window_full()))
         && inner.in_dispatch == 0
-        && inner.policy.stalled(&inner.busy)
+        && inner.core.policy().stalled(&inner.busy)
 }
 
 fn worker_loop(shared: Arc<Shared>, worker: usize) {
@@ -532,7 +458,7 @@ fn next_task(
     inner: &mut MutexGuard<'_, Inner>,
     worker: usize,
 ) -> Option<(u64, TaskBody, String)> {
-    let t = loop {
+    let (t, (body, label)) = loop {
         if inner.decommissioned[worker] {
             // This worker may have absorbed a targeted wakeup meant to pair
             // with a ready task, or released one it counted on popping
@@ -541,15 +467,14 @@ fn next_task(
             shared.work_cv.notify_one();
             return None;
         }
-        if let Some(t) = inner.policy.pop(worker) {
-            // Cancelled tasks may still sit in the ready queue; their
-            // bodies are gone — skip them. Draining one shrinks the queue,
-            // which can flip the quiescence condition.
-            if inner.entries[t as usize].cancelled {
-                inner.notify_quiesce(shared);
-                continue;
-            }
-            break t;
+        let (popped, skipped) = inner.core.pop(worker);
+        if skipped > 0 {
+            // The pop drained cancelled ids, which shrinks the queue and
+            // can flip the quiescence condition.
+            inner.notify_quiesce(shared);
+        }
+        if let Some(task) = popped {
+            break task;
         }
         if inner.shutdown {
             return None;
@@ -559,15 +484,10 @@ fn next_task(
         shared.work_cv.wait(inner);
         inner.idle_workers -= 1;
     };
-    if debug_enabled() {
-        eprintln!("[dbg] pop {t} by w{worker}");
-    }
     inner.in_dispatch += 1;
     inner.busy[worker] = true;
     inner.stats.busy_transitions += 1;
-    let e = &mut inner.entries[t as usize];
-    let body = e.body.take().expect("task body already taken");
-    Some((t, body, std::mem::take(&mut e.label).into_string()))
+    Some((t, body, label.into_string()))
 }
 
 /// Propagate the completion of `ctx`'s task: release its successors, wake
@@ -579,37 +499,12 @@ fn complete(
     result: std::thread::Result<()>,
 ) {
     let (worker, task_id) = (ctx.worker, ctx.task_id);
-    let Inner {
-        entries,
-        succs,
-        policy,
-        ..
-    } = inner;
-    entries[task_id as usize].done = true;
-    let mut chain = std::mem::take(&mut entries[task_id as usize].succs);
     let mut released = 0;
-    while let Some(s) = succs.pop(&mut chain) {
-        let e = &mut entries[s as usize];
-        e.deps -= 1;
-        if e.deps == 0 && !e.done {
-            let meta = ReadyMeta {
-                priority: e.priority,
-                releaser: Some(worker),
-                affinity: e.affinity,
-                pin: e.pin,
-            };
-            if debug_enabled() {
-                eprintln!("[dbg] push_ready {s} (released by {task_id})");
-            }
-            policy.push(s, meta);
-            released += 1;
-        }
-    }
+    inner.core.retire(task_id, worker, |_| released += 1);
     // This worker goes straight on to pop under the same guard: it takes
     // one released task itself, or, if its lane died, hands that wakeup on
     // as it exits.
     inner.wake_workers(shared, released, usize::from(released > 0));
-    inner.in_flight -= 1;
     inner.stats.completed += 1;
     if let Err(panic) = result {
         inner.stats.failed += 1;
@@ -620,19 +515,13 @@ fn complete(
     }
     // A lane decommissioned mid-task stays busy forever.
     inner.busy[worker] = inner.decommissioned[worker];
-    if inner.in_flight == 0 {
+    if inner.core.in_flight() == 0 {
         shared.done_cv.notify_all();
     }
     if inner.submitter_waiting > 0 {
         shared.window_cv.notify_all();
     }
     inner.notify_quiesce(shared);
-}
-
-/// Cached SUPERSIM_DEBUG environment check (hot paths consult this).
-fn debug_enabled() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("SUPERSIM_DEBUG").is_some())
 }
 
 fn panic_message(p: &(dyn std::any::Any + Send)) -> String {

@@ -21,6 +21,11 @@
 //! * [`SchedulerKind::OmpSs`] — locality-aware per-worker queues with a
 //!   submission throttle (Nanos++-style breadth-first).
 //!
+//! Hazard tracking, the task window, policy dispatch and successor
+//! release live in one single-threaded [`SchedCore`]; the threaded
+//! [`Runtime`] is a lock, condvars and worker threads around it, and the
+//! DES replay in `supersim-des` drives the same core without threads.
+//!
 //! The engine exposes the hooks the simulation layer needs:
 //! [`quiesce::Quiesce`] (is all scheduler bookkeeping done?) and per-task
 //! [`task::TaskContext`] callbacks.
@@ -34,6 +39,7 @@ pub mod profiles;
 #[cfg(test)]
 mod proptests;
 pub mod quiesce;
+pub mod sched;
 pub mod stats;
 pub mod task;
 
@@ -43,5 +49,6 @@ pub use engine::Runtime;
 pub use hazards::HazardTracker;
 pub use policy::{make_policy, Policy, ReadyMeta};
 pub use quiesce::Quiesce;
+pub use sched::SchedCore;
 pub use stats::RuntimeStats;
 pub use task::{TaskContext, TaskDesc};

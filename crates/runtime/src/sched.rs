@@ -1,0 +1,466 @@
+//! The scheduling core: everything a task passes through between
+//! submission and retirement, with no locks, clocks or I/O.
+//!
+//! A [`SchedCore`] resolves a task's hazards against earlier submissions,
+//! holds it until its predecessors retire, hands it to the policy once it
+//! is ready, gives it out at [`SchedCore::pop`] and releases its
+//! successors at [`SchedCore::retire`], counting the submission window on
+//! the way. Both engines drive this one core: the threaded [`Runtime`]
+//! behind its lock (payload: the task body and label), and the DES
+//! replay loop in `supersim-des` (payload: the label and duration source),
+//! which also runs the offline list scheduler. Virtual time, lanes and
+//! wakeups stay with each engine.
+//!
+//! [`Runtime`]: crate::Runtime
+
+use crate::chain::{Chain, ChainPool};
+use crate::hazards::HazardTracker;
+use crate::policy::{Policy, ReadyMeta};
+use std::collections::VecDeque;
+use supersim_dag::Access;
+
+/// Per-task bookkeeping. The payload is taken out at dispatch. A window
+/// of these is live at once, so the node is kept small: a 32-bit
+/// dependence count, and the policy metadata without the releaser, which
+/// is known only at release.
+struct Node<T> {
+    deps: u32,
+    succs: Chain,
+    priority: i64,
+    affinity: Option<u64>,
+    pin: Option<(usize, usize)>,
+    payload: Option<T>,
+}
+
+/// Ring mark of an id whose task has retired.
+const RETIRED: u32 = u32::MAX;
+
+/// The in-flight tasks, keyed by submission id without hashing.
+///
+/// Ids are the contiguous submission counter, so `id - base` indexes a
+/// ring of 4-byte handles covering the *live id span* — oldest unretired
+/// id to newest submitted — while the nodes themselves sit in a slab
+/// whose slots are reused as tasks retire, their successor lists in one
+/// shared [`ChainPool`]. The slab therefore never outgrows the in-flight
+/// window, even when one straggler keeps the id span long: replaying a
+/// 10⁶-task stream holds 10⁶ nodes only if the window is that large. An
+/// id below `base`, or marked [`RETIRED`], has retired and imposes no
+/// dependence.
+struct NodeTable<T> {
+    base: u64,
+    ring: VecDeque<u32>,
+    slab: Vec<Node<T>>,
+    free: Vec<u32>,
+    succs: ChainPool,
+}
+
+impl<T> Default for NodeTable<T> {
+    fn default() -> Self {
+        NodeTable {
+            base: 0,
+            ring: VecDeque::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            succs: ChainPool::default(),
+        }
+    }
+}
+
+impl<T> NodeTable<T> {
+    /// The id the next submission gets.
+    fn next_id(&self) -> u64 {
+        self.base + self.ring.len() as u64
+    }
+
+    /// Add the next submission.
+    fn insert(&mut self, deps: u32, meta: ReadyMeta, payload: T) {
+        let node = Node {
+            deps,
+            succs: Chain::default(),
+            priority: meta.priority,
+            affinity: meta.affinity,
+            pin: meta.pin,
+            payload: Some(payload),
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = node;
+                slot
+            }
+            None => {
+                self.slab.push(node);
+                u32::try_from(self.slab.len() - 1)
+                    .ok()
+                    .filter(|&slot| slot != RETIRED)
+                    .expect("more than u32::MAX tasks in flight")
+            }
+        };
+        self.ring.push_back(slot);
+    }
+
+    /// The slab slot of `id`, unless it has retired.
+    fn slot(&self, id: u64) -> Option<usize> {
+        let at = usize::try_from(id.checked_sub(self.base)?).ok()?;
+        match *self.ring.get(at)? {
+            RETIRED => None,
+            slot => Some(slot as usize),
+        }
+    }
+
+    /// The node of `id`, unless it has retired.
+    fn get_mut(&mut self, id: u64) -> Option<&mut Node<T>> {
+        self.slot(id).map(|slot| &mut self.slab[slot])
+    }
+
+    /// Make `id` a successor of `pred`; false if `pred` has retired.
+    fn add_successor(&mut self, pred: u64, id: u64) -> bool {
+        let Some(slot) = self.slot(pred) else {
+            return false;
+        };
+        self.succs.push(&mut self.slab[slot].succs, id);
+        true
+    }
+
+    /// Detach and return the oldest remaining successor of in-flight `id`.
+    fn pop_successor(&mut self, id: u64) -> Option<u64> {
+        let slot = self.slot(id).expect("retired a task twice");
+        self.succs.pop(&mut self.slab[slot].succs)
+    }
+
+    /// Retire `id` (its successors already popped), freeing its slot.
+    fn retire(&mut self, id: u64) {
+        let at = (id - self.base) as usize;
+        let slot = std::mem::replace(&mut self.ring[at], RETIRED);
+        debug_assert!(self.slab[slot as usize].succs.is_empty());
+        self.free.push(slot);
+        while self.ring.front() == Some(&RETIRED) {
+            self.ring.pop_front();
+            self.base += 1;
+        }
+    }
+}
+
+/// The single-threaded task table both engines drive: hazards, window,
+/// policy, dispatch, retirement and successor release. `T` is whatever
+/// the engine needs back at dispatch.
+pub struct SchedCore<T> {
+    nodes: NodeTable<T>,
+    hazards: HazardTracker,
+    /// Scratch for one task's predecessor ids.
+    preds: Vec<u64>,
+    policy: Box<dyn Policy>,
+    window: usize,
+    in_flight: usize,
+    /// Cancelled ids still queued in the policy, skipped at pop.
+    stale: usize,
+}
+
+impl<T> SchedCore<T> {
+    /// An empty core dispatching through `policy`, admitting at most
+    /// `window` unretired tasks.
+    pub fn new(policy: Box<dyn Policy>, window: usize) -> Self {
+        SchedCore {
+            nodes: NodeTable::default(),
+            hazards: HazardTracker::new(),
+            preds: Vec::new(),
+            policy,
+            window,
+            in_flight: 0,
+            stale: 0,
+        }
+    }
+
+    /// The ready-queue policy (for its quiescence and wakeup queries).
+    pub fn policy(&self) -> &dyn Policy {
+        &*self.policy
+    }
+
+    /// Tasks submitted so far; also the id the next submission gets.
+    pub fn submitted(&self) -> u64 {
+        self.nodes.next_id()
+    }
+
+    /// Tasks submitted but neither retired nor cancelled.
+    pub fn in_flight(&self) -> usize {
+        self.in_flight
+    }
+
+    /// Whether the window is full: no submission until a task retires.
+    pub fn window_full(&self) -> bool {
+        self.in_flight >= self.window
+    }
+
+    /// Submit the next task: its hazards against earlier, unretired
+    /// submissions become dependences. Returns its id and whether it is
+    /// ready (queued in the policy) right away. The caller checks the
+    /// window first.
+    pub fn submit(
+        &mut self,
+        accesses: &[Access],
+        priority: i64,
+        pin: Option<(usize, usize)>,
+        payload: T,
+    ) -> (u64, bool) {
+        let id = self.nodes.next_id();
+        let affinity = self.hazards.analyze_into(id, accesses, &mut self.preds);
+        let mut deps = 0;
+        for &p in &self.preds {
+            deps += usize::from(self.nodes.add_successor(p, id));
+        }
+        let deps = u32::try_from(deps).expect("fewer than 2^32 predecessors");
+        let meta = ReadyMeta {
+            priority,
+            releaser: None,
+            affinity,
+            pin,
+        };
+        if deps == 0 {
+            self.policy.push(id, meta);
+        }
+        self.nodes.insert(deps, meta, payload);
+        self.in_flight += 1;
+        debug_assert!(self.nodes.slab.len() <= self.window);
+        (id, deps == 0)
+    }
+
+    /// Dispatch the policy's next task for `lane`: its id and payload,
+    /// and how many ids cancelled while queued were skipped on the way.
+    pub fn pop(&mut self, lane: usize) -> (Option<(u64, T)>, usize) {
+        let mut skipped = 0;
+        while let Some(id) = self.policy.pop(lane) {
+            match self.nodes.get_mut(id) {
+                Some(node) => {
+                    let payload = node.payload.take().expect("dispatched twice");
+                    return (Some((id, payload)), skipped);
+                }
+                None => {
+                    assert!(self.stale > 0, "policy dispatched unknown task {id}");
+                    self.stale -= 1;
+                    skipped += 1;
+                }
+            }
+        }
+        (None, skipped)
+    }
+
+    /// Retire dispatched task `id`, which ran on `lane`: each successor
+    /// whose last dependence this was goes to the policy, in submission
+    /// order, and `on_ready` sees its pin. Frees one window slot.
+    pub fn retire(
+        &mut self,
+        id: u64,
+        lane: usize,
+        mut on_ready: impl FnMut(Option<(usize, usize)>),
+    ) {
+        while let Some(s) = self.nodes.pop_successor(id) {
+            let node = self
+                .nodes
+                .get_mut(s)
+                .expect("successor retired before its dependence");
+            node.deps -= 1;
+            if node.deps == 0 {
+                let meta = ReadyMeta {
+                    priority: node.priority,
+                    releaser: Some(lane),
+                    affinity: node.affinity,
+                    pin: node.pin,
+                };
+                self.policy.push(s, meta);
+                on_ready(node.pin);
+            }
+        }
+        self.nodes.retire(id);
+        self.in_flight -= 1;
+    }
+
+    /// Cancel every task not yet dispatched: its payload is dropped, it
+    /// leaves the window and imposes no dependence. Dispatched tasks keep
+    /// running and retire as usual, releasing nothing. Cancelled ids
+    /// already queued stay in the policy until [`SchedCore::pop`] skips
+    /// them. Returns the number cancelled.
+    pub fn cancel_pending(&mut self) -> u64 {
+        let mut cancelled = 0;
+        for id in self.nodes.base..self.nodes.next_id() {
+            let Some(slot) = self.nodes.slot(id) else {
+                continue;
+            };
+            // Every successor of a live task is pending: cancelled below.
+            let node = &mut self.nodes.slab[slot];
+            while self.nodes.succs.pop(&mut node.succs).is_some() {}
+            if node.payload.take().is_some() {
+                self.stale += usize::from(node.deps == 0);
+                self.nodes.retire(id);
+                cancelled += 1;
+            }
+        }
+        self.in_flight -= cancelled;
+        cancelled as u64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::policy::CentralFifo;
+
+    fn meta() -> ReadyMeta {
+        ReadyMeta {
+            priority: 0,
+            releaser: None,
+            affinity: None,
+            pin: None,
+        }
+    }
+
+    #[test]
+    fn a_threaded_node_is_no_larger_than_the_entry_it_replaced() {
+        // The engine's per-task entry was 96 bytes, and the slab that
+        // replaced the entry table holds up to a window of nodes: every
+        // task of a run that fits in Quark's window of 5,000.
+        assert!(std::mem::size_of::<Node<(crate::task::TaskBody, Box<str>)>>() <= 96);
+    }
+
+    #[test]
+    fn node_slots_are_reused_behind_a_straggler() {
+        let mut nodes = NodeTable::default();
+        nodes.insert(0, meta(), ());
+        for id in 1..=10_000u64 {
+            nodes.insert(0, meta(), ());
+            assert!(nodes.add_successor(0, id), "the straggler is in flight");
+            if id > 1 {
+                assert!(!nodes.add_successor(id - 1, id), "retired: no dependence");
+            }
+            assert_eq!(nodes.pop_successor(0), Some(id));
+            nodes.retire(id);
+            assert!(nodes.get_mut(id).is_none());
+        }
+        assert_eq!(nodes.slab.len(), 2, "one slot per task in flight");
+        assert_eq!(nodes.succs.capacity(), 1);
+        assert_eq!((nodes.base, nodes.ring.len()), (0, 10_001));
+        assert_eq!(nodes.pop_successor(0), None);
+        nodes.retire(0);
+        assert_eq!((nodes.base, nodes.ring.len()), (10_001, 0));
+        assert!(!nodes.add_successor(0, 10_001));
+    }
+
+    #[test]
+    fn cancelled_ids_are_skipped_at_pop() {
+        use supersim_dag::DataId;
+        let mut core = SchedCore::new(Box::new(CentralFifo::default()), usize::MAX);
+        let x = DataId(0);
+        core.submit(&[Access::write(x)], 0, None, "running");
+        core.submit(&[Access::write(DataId(1))], 0, None, "queued");
+        core.submit(&[Access::read(x)], 0, None, "waiting");
+        assert_eq!(core.pop(0), (Some((0, "running")), 0));
+        assert_eq!(core.cancel_pending(), 2);
+        assert_eq!((core.in_flight(), core.stale), (1, 1));
+        assert_eq!(core.pop(0), (None, 1), "the queued id was cancelled");
+        assert_eq!(core.stale, 0);
+        core.retire(0, 0, |_| panic!("a cancelled successor was released"));
+        assert_eq!((core.in_flight(), core.nodes.ring.len()), (0, 0));
+        // A new phase depends on nothing cancelled.
+        assert_eq!(core.submit(&[Access::read(x)], 0, None, "next"), (3, true));
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+        use supersim_dag::{AccessMode, DagBuilder, DataId};
+
+        /// The `dag` proptest strategy: up to 40 tasks of 1–3 accesses
+        /// over 8 regions.
+        fn stream() -> impl Strategy<Value = Vec<Vec<Access>>> {
+            let access = (0u64..8, 0u8..3).prop_map(|(d, m)| Access {
+                data: DataId(d),
+                mode: match m {
+                    0 => AccessMode::Read,
+                    1 => AccessMode::Write,
+                    _ => AccessMode::ReadWrite,
+                },
+                bytes: 0,
+            });
+            prop::collection::vec(prop::collection::vec(access, 1..4), 1..40)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Submitting a random stream through the core under any
+            /// window, dispatching on one lane and retiring in an
+            /// adversarial order (`picks` chooses among the dispatched
+            /// tasks), releases every task exactly once and only after all
+            /// of its `DagBuilder` predecessors have retired. Cancelling
+            /// at `cancel_at` retirements (about half the cases never
+            /// cancel) leaves no live node once the dispatched tasks
+            /// retire.
+            #[test]
+            fn releases_follow_the_dag_builder_graph(
+                stream in stream(),
+                window in prop_oneof![Just(1usize), Just(2), Just(8), Just(usize::MAX)],
+                picks in prop::collection::vec(any::<usize>(), 64),
+                cancel_at in 0usize..80,
+            ) {
+                let mut builder = DagBuilder::new();
+                for accesses in &stream {
+                    builder.submit("t", 1.0, accesses);
+                }
+                let graph = builder.finish();
+                let n = stream.len();
+                let mut core = SchedCore::new(Box::new(CentralFifo::default()), window);
+                let mut next = 0;
+                let (mut retired, mut released) = (vec![false; n], vec![0u32; n]);
+                let mut running: Vec<u64> = Vec::new();
+                let mut retirements = 0;
+                let mut cancelled = false;
+                loop {
+                    while next < n && !cancelled && !core.window_full() {
+                        let (id, _) = core.submit(&stream[next], 0, None, next);
+                        prop_assert_eq!(id, next as u64);
+                        next += 1;
+                    }
+                    if cancel_at == retirements && !cancelled {
+                        // Ready ids may sit in the queue: they go stale.
+                        cancelled = true;
+                        let before = core.in_flight();
+                        let dropped = core.cancel_pending();
+                        prop_assert_eq!(before - dropped as usize, running.len());
+                    }
+                    while let (Some((id, payload)), _) = core.pop(0) {
+                        prop_assert_eq!(id as usize, payload);
+                        released[payload] += 1;
+                        for &p in graph.predecessors(payload) {
+                            prop_assert!(retired[p], "task {} ran before its predecessor {}", payload, p);
+                        }
+                        running.push(id);
+                    }
+                    if !cancelled {
+                        // Nothing is held back whose predecessors all retired.
+                        for t in (0..next).filter(|&t| released[t] == 0) {
+                            prop_assert!(
+                                graph.predecessors(t).iter().any(|&p| !retired[p]),
+                                "task {} is held back with every predecessor retired", t
+                            );
+                        }
+                    }
+                    if running.is_empty() {
+                        break;
+                    }
+                    let id = running.swap_remove(picks[retirements % picks.len()] % running.len());
+                    core.retire(id, 0, |_| {});
+                    retired[id as usize] = true;
+                    retirements += 1;
+                }
+                prop_assert_eq!(core.in_flight(), 0);
+                prop_assert_eq!(core.nodes.ring.len(), 0, "a live node survived");
+                prop_assert_eq!(core.pop(0), (None, 0));
+                prop_assert_eq!(core.stale, 0);
+                if cancelled {
+                    prop_assert!(released.iter().all(|&r| r <= 1));
+                } else {
+                    prop_assert_eq!(next, n);
+                    prop_assert!(released.iter().all(|&r| r == 1));
+                }
+            }
+        }
+    }
+}

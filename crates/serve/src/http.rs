@@ -13,7 +13,8 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-/// Maximum accepted header block (request line + headers) in bytes.
+/// Maximum accepted header block (request line + headers, line
+/// terminators included) in bytes.
 const MAX_HEADER_BYTES: usize = 16 * 1024;
 
 /// A parsed request.
@@ -41,13 +42,19 @@ impl Request {
 
 /// Read and parse one request from `stream`, capping the body at
 /// `max_body` bytes. Errors map to a 400 at the call site.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> io::Result<Request> {
+pub fn read_request<R: Read>(stream: &mut R, max_body: usize) -> io::Result<Request> {
     let mut reader = BufReader::new(stream);
     let mut head = Vec::new();
-    // Read up to the blank line separating headers from the body.
+    // Read up to the blank line separating headers from the body, through
+    // a cap: a line that never ends stops at the limit instead of growing
+    // the buffer for as long as the client keeps sending.
+    let mut capped = (&mut reader).take(MAX_HEADER_BYTES as u64 + 1);
     loop {
         let mut line = Vec::new();
-        let n = read_crlf_line(&mut reader, &mut line)?;
+        let n = read_crlf_line(&mut capped, &mut line)?;
+        if capped.limit() == 0 {
+            return Err(bad("request header block too large"));
+        }
         if n == 0 {
             return Err(bad("connection closed mid-request"));
         }
@@ -56,9 +63,6 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> io::Result<Reque
         }
         head.extend_from_slice(&line);
         head.push(b'\n');
-        if head.len() > MAX_HEADER_BYTES {
-            return Err(bad("request header block too large"));
-        }
     }
     let head = String::from_utf8(head).map_err(|_| bad("non-UTF-8 request head"))?;
     let mut lines = head.lines();
@@ -372,6 +376,66 @@ mod tests {
             "{\"event\":\"progress\"}\n{\"event\":\"result\"}\n"
         );
         server.join().unwrap();
+    }
+
+    #[test]
+    fn a_head_without_newlines_is_refused_without_buffering_it() {
+        /// 64 MiB of `a`, counting what the parser pulls.
+        struct Endless {
+            served: usize,
+        }
+
+        impl Read for Endless {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                let n = buf.len().min((64 << 20) - self.served);
+                buf[..n].fill(b'a');
+                self.served += n;
+                Ok(n)
+            }
+        }
+
+        let mut stream = Endless { served: 0 };
+        let err = read_request(&mut stream, 1 << 20).unwrap_err();
+        assert_eq!(err.to_string(), "request header block too large");
+        assert!(
+            stream.served <= 2 * MAX_HEADER_BYTES,
+            "{} bytes pulled",
+            stream.served
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2_000))]
+
+        /// A valid request with head-significant bytes written over it, a
+        /// run of one byte spliced in, and then truncated parses or fails,
+        /// but never panics; a parsed body has its declared length.
+        #[test]
+        fn request_read_never_panics(
+            edits in proptest::prop::collection::vec(
+                (proptest::prelude::any::<usize>(), proptest::prelude::any::<usize>()),
+                0..8,
+            ),
+            splice in (proptest::prelude::any::<usize>(), proptest::prelude::any::<usize>(), 0usize..20_000),
+            cut in proptest::prelude::any::<usize>(),
+        ) {
+            const BYTES: &[u8] = b"\r\n: \t09-+?/aZ\xff\xc3";
+            let mut bytes = b"POST /run?verbose=1 HTTP/1.1\r\nHost: localhost\r\n\
+                Content-Length: 8\r\nX-Request: a:b\r\n\r\n{\"n\":64}"
+                .to_vec();
+            for (at, b) in edits {
+                let at = at % bytes.len();
+                bytes[at] = BYTES[b % BYTES.len()];
+            }
+            let (at, b, len) = splice;
+            let at = at % (bytes.len() + 1);
+            bytes.splice(at..at, std::iter::repeat_n(BYTES[b % BYTES.len()], len));
+            bytes.truncate(cut % (bytes.len() + 1));
+            if let Ok(req) = read_request(&mut &bytes[..], 1 << 10) {
+                let declared = req.header("content-length").map_or(0, |v| v.parse().unwrap());
+                proptest::prop_assert_eq!(req.body.len(), declared);
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! | [`dist`] | `supersim-dist` | distributions, fitting, goodness-of-fit |
 //! | [`dag`] | `supersim-dag` | hazard analysis, DAG export/analysis |
 //! | [`trace`] | `supersim-trace` | trace model, SVG/ASCII rendering, comparison metrics |
-//! | [`des`] | `supersim-des` | offline DES baseline (list scheduling) |
+//! | [`des`] | `supersim-des` | the DES replay backend and, on the same loop, the offline list-scheduling baseline |
 //! | [`metrics`] | `supersim-metrics` | lock-free metrics registry, snapshots, JSON export (feature `metrics`, on by default) |
 //!
 //! ## Quickstart

@@ -116,7 +116,11 @@ fn real_then_sim_round_trip() {
     let json: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&chrome).unwrap()).unwrap();
     assert!(!json.as_array().unwrap().is_empty());
-    std::fs::remove_dir_all(&dir).ok();
+    // Only this test's files: the directory is shared with tests running
+    // concurrently in this process.
+    for f in [&cal, &svg, &chrome] {
+        std::fs::remove_file(f).ok();
+    }
 }
 
 #[test]
