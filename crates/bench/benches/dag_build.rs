@@ -12,7 +12,7 @@ fn bench_dag_build(c: &mut Criterion) {
         let a = SharedTiles::layout_only(nt * 10, nt * 10, 10, 0);
         let t = SharedTiles::layout_only(nt * 10, nt * 10, 10, a.id_range().1);
 
-        let chol_tasks = supersim_tile::cholesky::task_stream(nt);
+        let chol_tasks: Vec<_> = supersim_tile::cholesky::task_stream(nt).collect();
         group.throughput(Throughput::Elements(chol_tasks.len() as u64));
         group.bench_with_input(BenchmarkId::new("cholesky", nt), &nt, |b, _| {
             b.iter(|| {
@@ -24,7 +24,7 @@ fn bench_dag_build(c: &mut Criterion) {
             });
         });
 
-        let qr_tasks = supersim_tile::qr::task_stream(nt);
+        let qr_tasks: Vec<_> = supersim_tile::qr::task_stream(nt).collect();
         group.throughput(Throughput::Elements(qr_tasks.len() as u64));
         group.bench_with_input(BenchmarkId::new("qr", nt), &nt, |b, _| {
             b.iter(|| {

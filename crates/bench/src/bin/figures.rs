@@ -177,8 +177,8 @@ fn fig2(opts: &Opts) {
     let a = SharedTiles::layout_only(nt * 10, nt * 10, 10, 0);
     let t = SharedTiles::layout_only(nt * 10, nt * 10, 10, a.id_range().1);
     let mut listing = String::new();
-    for (idx, task) in supersim_tile::qr::task_stream(nt).iter().enumerate() {
-        let acc = qr_workload::accesses(&a, &t, *task);
+    for (idx, task) in supersim_tile::qr::task_stream(nt).enumerate() {
+        let acc = qr_workload::accesses(&a, &t, task);
         let args: Vec<String> = acc
             .iter()
             .map(|x| {

@@ -331,10 +331,13 @@ impl ReplayEngine {
     /// object and hazard state are single-use, like a `Runtime`.
     ///
     /// The stream is pulled lazily, at most a window ahead of
-    /// retirement, and per-task bookkeeping is recycled at retirement —
-    /// so with a bounded `RuntimeConfig::window` (and a streaming trace
-    /// sink attached to the session), memory stays flat no matter how
-    /// many tasks the stream yields.
+    /// retirement; per-task bookkeeping is recycled at retirement, and
+    /// the hazard tracker forgets readers that have retired. So with a
+    /// bounded `RuntimeConfig::window`, a lazy stream and a streaming
+    /// trace sink attached to the session, memory is the window plus one
+    /// entry per data region, however many tasks the stream yields and
+    /// however often a region is read after its last write. (The live id
+    /// span behind a straggler still costs 4 bytes per id.)
     ///
     /// # Panics
     ///

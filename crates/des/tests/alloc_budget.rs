@@ -1,10 +1,11 @@
 //! The replay loop's allocation budget, as a test: a replayed task must
 //! not cost the engine a heap allocation of its own. What remains is
-//! amortised growth (trace shards, the node slab, per-tile reader lists)
-//! and, under faults, the marked labels of failed-attempt and backoff
-//! spans — a quarter of an allocation per task at most. Before the node
-//! ring, the reused hazard / plan / layout buffers and the moved label,
-//! the figure was about 8.
+//! amortised growth (trace shards, the node slab, the reader and
+//! successor pools, the hazard tracker's region map) and, under faults,
+//! the marked labels of failed-attempt and backoff spans — a quarter of
+//! an allocation per task at most. Before the node ring, the reused
+//! hazard / plan / layout buffers and the moved label, the figure was
+//! about 8.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -7,6 +7,10 @@
 //! [`ChainPool`] carves them all out of one growing vector of cells:
 //! pushing takes a cell from the free list, popping returns it, and the
 //! pool never holds more cells than the peak number of ids live at once.
+//! It counts its live ids, so an owner that can forget stale ids (the
+//! hazard tracker drops retired readers) knows when a sweep pays: when
+//! its next pushes would carve cells and the live count has outgrown what
+//! the last sweep left.
 
 /// End of a chain, and the empty free list.
 const NIL: u32 = u32::MAX;
@@ -42,6 +46,8 @@ pub struct ChainPool {
     /// `(id, next cell)`; free cells are chained through `next` too.
     cells: Vec<(u64, u32)>,
     free: u32,
+    /// Ids chained now: `cells.len()` less the free list.
+    live: usize,
 }
 
 impl Default for ChainPool {
@@ -49,6 +55,7 @@ impl Default for ChainPool {
         ChainPool {
             cells: Vec::new(),
             free: NIL,
+            live: 0,
         }
     }
 }
@@ -76,6 +83,12 @@ impl ChainPool {
             tail => self.cells[tail as usize].1 = cell,
         }
         chain.tail = cell;
+        self.live += 1;
+    }
+
+    /// The oldest id of `chain`, left in place.
+    pub(crate) fn front(&self, chain: &Chain) -> Option<u64> {
+        (chain.head != NIL).then(|| self.cells[chain.head as usize].0)
     }
 
     /// Remove and return the oldest id of `chain`, recycling its cell.
@@ -91,12 +104,23 @@ impl ChainPool {
         }
         self.cells[cell as usize].1 = self.free;
         self.free = cell;
+        self.live -= 1;
         Some(id)
     }
 
     /// Cells ever carved: the peak number of ids chained at once.
     pub fn capacity(&self) -> usize {
         self.cells.len()
+    }
+
+    /// Ids chained at the moment, over every chain.
+    pub(crate) fn live(&self) -> usize {
+        self.live
+    }
+
+    /// Pushes that reuse a free cell before the next one carves a cell.
+    pub(crate) fn spare(&self) -> usize {
+        self.cells.len() - self.live
     }
 }
 
@@ -134,5 +158,19 @@ mod tests {
             assert_eq!(pool.pop(&mut c), None);
         }
         assert_eq!(pool.capacity(), 3, "the pool holds the peak, not the total");
+    }
+
+    #[test]
+    fn live_counts_chained_ids_and_spare_the_free_cells() {
+        let mut pool = ChainPool::default();
+        let mut c = Chain::default();
+        assert_eq!((pool.live(), pool.spare(), pool.front(&c)), (0, 0, None));
+        pool.push(&mut c, 7);
+        pool.push(&mut c, 9);
+        assert_eq!((pool.live(), pool.spare(), pool.front(&c)), (2, 0, Some(7)));
+        pool.pop(&mut c);
+        assert_eq!((pool.live(), pool.spare(), pool.front(&c)), (1, 1, Some(9)));
+        pool.push(&mut c, 11);
+        assert_eq!((pool.live(), pool.spare(), pool.capacity()), (2, 0, 2));
     }
 }

@@ -18,7 +18,8 @@ use supersim_dag::{normalize_accesses_into, Access, DataId};
 #[derive(Default)]
 struct DataState {
     last_writer: Option<u64>,
-    /// Readers since the last write, in [`HazardTracker::readers`].
+    /// Readers since the last write, in [`HazardTracker::readers`], in
+    /// ascending id order.
     readers: Chain,
 }
 
@@ -49,12 +50,26 @@ impl Hasher for DataIdHasher {
 
 /// Tracks reader/writer state per data id across a serial submission
 /// stream and derives each task's predecessor set.
+///
+/// A region keeps its readers until its next write, so a region read
+/// often and never written again (a finished panel) would keep every
+/// reader id for the rest of the stream. Inside a scheduling core the
+/// tracker is told which ids have retired, and a reader that has retired
+/// can create no dependence: the core refuses it. So the tracker forgets
+/// such readers in a sweep over the regions, run when the reader pool is
+/// about to carve new cells and its live count has more than doubled
+/// since the last sweep. Reader memory then follows the unretired tasks,
+/// not the stream. Standalone (no retirement known) nothing is forgotten.
 #[derive(Default)]
 pub struct HazardTracker {
     /// A map, not a dense table: cluster ghost ids grow without bound.
     data: HashMap<DataId, DataState, BuildHasherDefault<DataIdHasher>>,
     /// Every region's current readers.
     readers: ChainPool,
+    /// Every id below this one has retired (0: none known to have).
+    frontier: u64,
+    /// `readers.live()` when the last sweep ended.
+    swept: usize,
     /// The task under analysis, normalized — reused across tasks.
     normalized: Vec<Access>,
 }
@@ -63,6 +78,34 @@ impl HazardTracker {
     /// Empty tracker: no data has been touched yet.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Every id below `frontier` has retired, so as a reader it can
+    /// create no dependence and may be forgotten. Never decreases.
+    pub(crate) fn retire_below(&mut self, frontier: u64) {
+        debug_assert!(frontier >= self.frontier, "the frontier went back");
+        self.frontier = frontier;
+    }
+
+    /// Drop every reader below the frontier. Chains hold ascending ids,
+    /// so the retired readers of a region are a prefix of its chain.
+    fn forget_retired(&mut self) {
+        for st in self.data.values_mut() {
+            while self
+                .readers
+                .front(&st.readers)
+                .is_some_and(|r| r < self.frontier)
+            {
+                self.readers.pop(&mut st.readers);
+            }
+        }
+        self.swept = self.readers.live();
+    }
+
+    /// Cells the reader pool has carved: its peak number of readers.
+    #[cfg(test)]
+    pub(crate) fn reader_capacity(&self) -> usize {
+        self.readers.capacity()
     }
 
     /// Record task `id`'s accesses and return `(preds, affinity)`: the
@@ -82,6 +125,8 @@ impl HazardTracker {
     /// [`HazardTracker::analyze`] with the predecessors written into a
     /// caller-owned buffer (cleared first) and the affinity returned: a
     /// submission loop that reuses `preds` analyzes without allocating.
+    /// Inside a scheduling core, which tells the tracker what has
+    /// retired, retired readers may be missing from `preds`.
     pub fn analyze_into(
         &mut self,
         id: u64,
@@ -89,6 +134,12 @@ impl HazardTracker {
         preds: &mut Vec<u64>,
     ) -> Option<u64> {
         preds.clear();
+        // This task may carve reader cells (one per access at most), and
+        // the pool has more than doubled since the last sweep.
+        let carves = self.readers.spare() < accesses.len();
+        if carves && self.frontier > 0 && self.readers.live() > 2 * self.swept {
+            self.forget_retired();
+        }
         normalize_accesses_into(accesses, &mut self.normalized);
         for a in &self.normalized {
             let st = self.data.entry(a.data).or_default();
@@ -161,6 +212,43 @@ mod tests {
         assert_eq!(aff, Some(9));
     }
 
+    #[test]
+    fn retired_readers_of_a_finished_region_are_forgotten() {
+        // One region written once, then read by every later task and
+        // never written again; each reader retires four tasks later.
+        let x = DataId(0);
+        let (mut core, mut standalone) = (HazardTracker::new(), HazardTracker::new());
+        for id in 0..10_000u64 {
+            let access = if id == 0 {
+                Access::write(x)
+            } else {
+                Access::read(x)
+            };
+            core.retire_below(id.saturating_sub(4));
+            core.analyze(id, &[access]);
+            standalone.analyze(id, &[access]);
+        }
+        assert!(core.reader_capacity() <= 16, "{}", core.reader_capacity());
+        assert_eq!(
+            standalone.reader_capacity(),
+            9_999,
+            "standalone forgets nothing"
+        );
+        // The next write depends on the writer and the readers not yet
+        // forgotten (at most a pool's worth, the live ones among them);
+        // the standalone tracker still names every reader.
+        let (preds, _) = core.analyze(10_000, &[Access::write(x)]);
+        assert!(preds.len() <= 17 && preds[0] == 0, "{preds:?}");
+        assert!(
+            preds.ends_with(&[9_995, 9_996, 9_997, 9_998, 9_999]),
+            "{preds:?}"
+        );
+        assert_eq!(
+            standalone.analyze(10_000, &[Access::write(x)]).0.len(),
+            10_000
+        );
+    }
+
     /// The analysis `analyze_into` replaced, kept as its oracle: a fresh
     /// normalized copy per task, a `Vec` of readers per region.
     #[derive(Default)]
@@ -225,6 +313,33 @@ mod tests {
                     prop_assert_eq!(&wrapped.analyze(id, accesses), &expected);
                     let affinity = reused.analyze_into(id, accesses, &mut preds);
                     prop_assert_eq!((preds.clone(), affinity), expected);
+                }
+            }
+
+            /// With a retirement frontier that only moves forward, the
+            /// analysis names every predecessor at or above the frontier
+            /// that the reference names, and nothing the reference does
+            /// not: forgetting drops retired readers only.
+            #[test]
+            fn a_frontier_forgets_only_retired_predecessors(
+                stream in stream(),
+                steps in prop::collection::vec(0u64..4, 60),
+            ) {
+                let mut tracker = HazardTracker::new();
+                let mut reference = Reference::default();
+                let mut frontier = 0;
+                for (id, accesses) in stream.iter().enumerate() {
+                    let id = id as u64;
+                    frontier = (frontier + steps[id as usize]).min(id);
+                    tracker.retire_below(frontier);
+                    let (want, want_affinity) = reference.analyze(id, accesses);
+                    let (got, affinity) = tracker.analyze(id, accesses);
+                    prop_assert_eq!(affinity, want_affinity);
+                    prop_assert!(got.iter().all(|p| want.contains(p)), "{:?} ⊄ {:?}", got, want);
+                    let live = |preds: &[u64]| -> Vec<u64> {
+                        preds.iter().copied().filter(|&p| p >= frontier).collect()
+                    };
+                    prop_assert_eq!(live(&got), live(&want));
                 }
             }
         }

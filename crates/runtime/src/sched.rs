@@ -202,6 +202,7 @@ impl<T> SchedCore<T> {
         payload: T,
     ) -> (u64, bool) {
         let id = self.nodes.next_id();
+        self.hazards.retire_below(self.nodes.base);
         let affinity = self.hazards.analyze_into(id, accesses, &mut self.preds);
         let mut deps = 0;
         for &p in &self.preds {
@@ -360,6 +361,72 @@ mod tests {
         assert_eq!((core.in_flight(), core.nodes.ring.len()), (0, 0));
         // A new phase depends on nothing cancelled.
         assert_eq!(core.submit(&[Access::read(x)], 0, None, "next"), (3, true));
+    }
+
+    /// The access stream of a right-looking tile Cholesky on `nt × nt`
+    /// tiles, tile `(i, j)` being region `i·nt + j`.
+    fn cholesky(nt: u64) -> Vec<Vec<Access>> {
+        use supersim_dag::DataId;
+        let tile = |i: u64, j: u64| DataId(i * nt + j);
+        let mut tasks = Vec::new();
+        for k in 0..nt {
+            tasks.push(vec![Access::read_write(tile(k, k))]);
+            for i in k + 1..nt {
+                tasks.push(vec![
+                    Access::read(tile(k, k)),
+                    Access::read_write(tile(i, k)),
+                ]);
+            }
+            for i in k + 1..nt {
+                tasks.push(vec![
+                    Access::read(tile(i, k)),
+                    Access::read_write(tile(i, i)),
+                ]);
+                for j in k + 1..i {
+                    tasks.push(vec![
+                        Access::read(tile(i, k)),
+                        Access::read(tile(j, k)),
+                        Access::read_write(tile(i, j)),
+                    ]);
+                }
+            }
+        }
+        tasks
+    }
+
+    #[test]
+    fn reader_memory_follows_the_window_not_the_stream() {
+        // A finished panel is read by every later update of its step and
+        // never written again. Dispatching every ready task and retiring
+        // in submission order behind a 64-task window (at most 128 live
+        // reads), the reader pool keeps under twice that plus one task's
+        // accesses, whatever the matrix: 816, 5,984 and 45,760 tasks.
+        // Without forgetting, it holds every panel read: 1,360, 10,912
+        // and 87,360 cells.
+        let capacity = |nt| {
+            let mut core = SchedCore::new(Box::new(CentralFifo::default()), 64);
+            let mut stream = cholesky(nt).into_iter();
+            let mut running = std::collections::BinaryHeap::new();
+            loop {
+                while !core.window_full() {
+                    let Some(accesses) = stream.next() else { break };
+                    core.submit(&accesses, 0, None, ());
+                }
+                while let (Some((id, ())), _) = core.pop(0) {
+                    running.push(std::cmp::Reverse(id));
+                }
+                let Some(std::cmp::Reverse(id)) = running.pop() else {
+                    break;
+                };
+                core.retire(id, 0, |_| {});
+            }
+            assert_eq!((core.in_flight(), stream.len()), (0, 0));
+            core.hazards.reader_capacity()
+        };
+        for nt in [16, 32, 64] {
+            let cells = capacity(nt);
+            assert!(cells <= 2 * 128 + 3, "{nt} tiles: {cells} reader cells");
+        }
     }
 
     mod properties {

@@ -382,11 +382,20 @@ enum Sink<'a> {
 /// batches arrive on, and the count of batches dropped for a slow client.
 type SpanFeed = (mpsc::Receiver<Vec<TraceEvent>>, Arc<AtomicU64>);
 
+/// A request DTO from its JSON body. The body must be UTF-8: decoding
+/// anything else lossily would let two different bodies read as one
+/// request, and one cache key.
+fn parse_body<T: for<'de> serde::Deserialize<'de>>(body: &[u8]) -> Result<T, String> {
+    let text =
+        std::str::from_utf8(body).map_err(|e| format!("bad request: body is not UTF-8: {e}"))?;
+    serde_json::from_str(text).map_err(|e| format!("bad request: {e}"))
+}
+
 fn handle_run(state: &State, req: &Request, stream: &mut TcpStream) -> u16 {
-    let parsed: RunRequest = match serde_json::from_str(&String::from_utf8_lossy(&req.body)) {
+    let parsed: RunRequest = match parse_body(&req.body) {
         Ok(r) => r,
         Err(e) => {
-            let _ = Response::error(400, &format!("bad request: {e}")).write_to(stream);
+            let _ = Response::error(400, &e).write_to(stream);
             return 400;
         }
     };
@@ -653,10 +662,10 @@ fn finish_run(sink: Sink<'_>, status: u16, msg: &str) -> u16 {
 }
 
 fn handle_sweep(state: &State, req: &Request, stream: &mut TcpStream) -> u16 {
-    let parsed: SweepRequest = match serde_json::from_str(&String::from_utf8_lossy(&req.body)) {
+    let parsed: SweepRequest = match parse_body(&req.body) {
         Ok(r) => r,
         Err(e) => {
-            let _ = Response::error(400, &format!("bad request: {e}")).write_to(stream);
+            let _ = Response::error(400, &e).write_to(stream);
             return 400;
         }
     };

@@ -470,6 +470,36 @@ fn hostile_json_bodies_are_400s_and_the_daemon_survives() {
     handle.shutdown();
 }
 
+/// A `/run` body that is not UTF-8 is a 400, even where decoding it
+/// lossily would have read as a valid request (the `0xFF` sits in a
+/// field the request ignores): two different bodies must never share one
+/// request, or one cache key. The daemon answers `/healthz` afterwards.
+#[test]
+fn non_utf8_run_body_is_a_400() {
+    use std::io::{Read, Write};
+    let handle = boot(1, 4, 120_000);
+    let body = b"{\"tiles\":2,\"backend\":\"des\",\"note\":\"\xFF\"}";
+    let mut stream = std::net::TcpStream::connect(handle.addr).expect("connect");
+    let head = format!(
+        "POST /run HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes()).unwrap();
+    stream.write_all(body).unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+    assert!(response.contains("not UTF-8"), "{response}");
+    let valid = post(
+        &handle,
+        "/run",
+        "{\"tiles\":2,\"backend\":\"des\",\"note\":\"x\"}",
+    );
+    assert_eq!(valid.status, 200, "{}", valid.body);
+    assert_eq!(get(&handle, "/healthz").status, 200);
+    handle.shutdown();
+}
+
 /// Every metric name `/metrics` reports.
 fn metric_names(handle: &supersim_serve::ServerHandle) -> std::collections::BTreeSet<String> {
     let body = get(handle, "/metrics").body;

@@ -38,22 +38,19 @@ impl CholeskyTask {
 }
 
 /// The serial task stream of the tile Cholesky of an `nt x nt` tile matrix
-/// (Algorithm 1 of the paper, right-looking variant).
-pub fn task_stream(nt: usize) -> Vec<CholeskyTask> {
-    let mut tasks = Vec::new();
-    for k in 0..nt {
-        tasks.push(CholeskyTask::Potrf { k });
-        for i in (k + 1)..nt {
-            tasks.push(CholeskyTask::Trsm { k, i });
-        }
-        for i in (k + 1)..nt {
-            tasks.push(CholeskyTask::Syrk { k, i });
-            for j in (k + 1)..i {
-                tasks.push(CholeskyTask::Gemm { k, i, j });
-            }
-        }
-    }
-    tasks
+/// (Algorithm 1 of the paper, right-looking variant), enumerated lazily:
+/// the loop nest as nested iterators, one task per `next`, nothing held.
+pub fn task_stream(nt: usize) -> impl Iterator<Item = CholeskyTask> {
+    (0..nt).flat_map(move |k| {
+        let trsms = (k + 1..nt).map(move |i| CholeskyTask::Trsm { k, i });
+        let updates = (k + 1..nt).flat_map(move |i| {
+            let gemms = (k + 1..i).map(move |j| CholeskyTask::Gemm { k, i, j });
+            std::iter::once(CholeskyTask::Syrk { k, i }).chain(gemms)
+        });
+        std::iter::once(CholeskyTask::Potrf { k })
+            .chain(trsms)
+            .chain(updates)
+    })
 }
 
 /// Execute one Cholesky task on the tiled matrix.
@@ -111,12 +108,40 @@ mod tests {
     use crate::verify::cholesky_residual;
     use crate::Matrix;
 
+    /// The loop nest of Algorithm 1, written out: the lazy stream's oracle.
+    fn nested_loops(nt: usize) -> Vec<CholeskyTask> {
+        let mut tasks = Vec::new();
+        for k in 0..nt {
+            tasks.push(CholeskyTask::Potrf { k });
+            for i in (k + 1)..nt {
+                tasks.push(CholeskyTask::Trsm { k, i });
+            }
+            for i in (k + 1)..nt {
+                tasks.push(CholeskyTask::Syrk { k, i });
+                for j in (k + 1)..i {
+                    tasks.push(CholeskyTask::Gemm { k, i, j });
+                }
+            }
+        }
+        tasks
+    }
+
+    #[test]
+    fn task_stream_is_the_loop_nest() {
+        for nt in 0..12 {
+            assert_eq!(
+                task_stream(nt).collect::<Vec<_>>(),
+                nested_loops(nt),
+                "nt={nt}"
+            );
+        }
+    }
+
     #[test]
     fn task_stream_counts() {
         // nt=1: 1 potrf. nt=3: 3 potrf + 3 trsm + 3 syrk + 1 gemm.
-        assert_eq!(task_stream(1).len(), 1);
-        let t3 = task_stream(3);
-        let count = |label: &str| t3.iter().filter(|t| t.label() == label).count();
+        assert_eq!(task_stream(1).count(), 1);
+        let count = |label: &str| task_stream(3).filter(|t| t.label() == label).count();
         assert_eq!(count("dpotrf"), 3);
         assert_eq!(count("dtrsm"), 3);
         assert_eq!(count("dsyrk"), 3);
@@ -128,11 +153,11 @@ mod tests {
         // total = nt potrf + nt(nt-1)/2 trsm + nt(nt-1)/2 syrk
         //         + nt(nt-1)(nt-2)/6 gemm.
         for nt in 2..8 {
-            let n = task_stream(nt).len();
+            let n = task_stream(nt).count();
             let expect = nt + nt * (nt - 1) / 2 * 2 + nt * (nt - 1) * (nt - 2) / 6;
             assert_eq!(n, expect, "nt={nt}");
         }
-        assert_eq!(task_stream(1).len(), 1);
+        assert_eq!(task_stream(1).count(), 1);
     }
 
     #[test]

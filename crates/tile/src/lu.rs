@@ -56,24 +56,20 @@ impl LuTask {
     }
 }
 
-/// The serial task stream of the tile LU of an `nt x nt` tile matrix.
-pub fn task_stream(nt: usize) -> Vec<LuTask> {
-    let mut tasks = Vec::new();
-    for k in 0..nt {
-        tasks.push(LuTask::Getrf { k });
-        for j in (k + 1)..nt {
-            tasks.push(LuTask::TrsmL { k, j });
-        }
-        for i in (k + 1)..nt {
-            tasks.push(LuTask::TrsmU { k, i });
-        }
-        for i in (k + 1)..nt {
-            for j in (k + 1)..nt {
-                tasks.push(LuTask::Gemm { k, i, j });
-            }
-        }
-    }
-    tasks
+/// The serial task stream of the tile LU of an `nt x nt` tile matrix,
+/// enumerated lazily: the loop nest as nested iterators, one task per
+/// `next`, nothing held.
+pub fn task_stream(nt: usize) -> impl Iterator<Item = LuTask> {
+    (0..nt).flat_map(move |k| {
+        let rows = (k + 1..nt).map(move |j| LuTask::TrsmL { k, j });
+        let cols = (k + 1..nt).map(move |i| LuTask::TrsmU { k, i });
+        let gemms =
+            (k + 1..nt).flat_map(move |i| (k + 1..nt).map(move |j| LuTask::Gemm { k, i, j }));
+        std::iter::once(LuTask::Getrf { k })
+            .chain(rows)
+            .chain(cols)
+            .chain(gemms)
+    })
 }
 
 /// Unblocked LU without pivoting of one square tile (right-looking).
@@ -163,11 +159,42 @@ mod tests {
     use crate::generate::diag_dominant;
     use crate::verify::lu_residual;
 
+    /// The loop nest of the tile LU, written out: the lazy stream's oracle.
+    fn nested_loops(nt: usize) -> Vec<LuTask> {
+        let mut tasks = Vec::new();
+        for k in 0..nt {
+            tasks.push(LuTask::Getrf { k });
+            for j in (k + 1)..nt {
+                tasks.push(LuTask::TrsmL { k, j });
+            }
+            for i in (k + 1)..nt {
+                tasks.push(LuTask::TrsmU { k, i });
+            }
+            for i in (k + 1)..nt {
+                for j in (k + 1)..nt {
+                    tasks.push(LuTask::Gemm { k, i, j });
+                }
+            }
+        }
+        tasks
+    }
+
+    #[test]
+    fn task_stream_is_the_loop_nest() {
+        for nt in 0..12 {
+            assert_eq!(
+                task_stream(nt).collect::<Vec<_>>(),
+                nested_loops(nt),
+                "nt={nt}"
+            );
+        }
+    }
+
     #[test]
     fn task_stream_counts() {
         // nt potrf-analog + 2*nt(nt-1)/2 trsms + sum (nt-k-1)^2 gemms.
         for nt in 1..6usize {
-            let n = task_stream(nt).len();
+            let n = task_stream(nt).count();
             let gemms: usize = (0..nt).map(|k| (nt - k - 1) * (nt - k - 1)).sum();
             assert_eq!(n, nt + nt * (nt - 1) + gemms);
         }

@@ -34,22 +34,19 @@ impl QrTask {
 }
 
 /// The serial task stream of the tile QR of an `nt x nt` tile matrix
-/// (Algorithm 2 / Fig. 2 of the paper).
-pub fn task_stream(nt: usize) -> Vec<QrTask> {
-    let mut tasks = Vec::new();
-    for k in 0..nt {
-        tasks.push(QrTask::Geqrt { k });
-        for n in (k + 1)..nt {
-            tasks.push(QrTask::Ormqr { k, n });
-        }
-        for m in (k + 1)..nt {
-            tasks.push(QrTask::Tsqrt { k, m });
-            for n in (k + 1)..nt {
-                tasks.push(QrTask::Tsmqr { k, m, n });
-            }
-        }
-    }
-    tasks
+/// (Algorithm 2 / Fig. 2 of the paper), enumerated lazily: the loop nest as
+/// nested iterators, one task per `next`, nothing held.
+pub fn task_stream(nt: usize) -> impl Iterator<Item = QrTask> {
+    (0..nt).flat_map(move |k| {
+        let ormqrs = (k + 1..nt).map(move |n| QrTask::Ormqr { k, n });
+        let updates = (k + 1..nt).flat_map(move |m| {
+            let tsmqrs = (k + 1..nt).map(move |n| QrTask::Tsmqr { k, m, n });
+            std::iter::once(QrTask::Tsqrt { k, m }).chain(tsmqrs)
+        });
+        std::iter::once(QrTask::Geqrt { k })
+            .chain(ormqrs)
+            .chain(updates)
+    })
 }
 
 /// Execute one QR task on the tiled matrix `a` and the T-factor store `ts`.
@@ -176,11 +173,39 @@ mod tests {
     use crate::norms::frobenius;
     use crate::verify::{qr_orthogonality, qr_residual};
 
+    /// The loop nest of Algorithm 2, written out: the lazy stream's oracle.
+    fn nested_loops(nt: usize) -> Vec<QrTask> {
+        let mut tasks = Vec::new();
+        for k in 0..nt {
+            tasks.push(QrTask::Geqrt { k });
+            for n in (k + 1)..nt {
+                tasks.push(QrTask::Ormqr { k, n });
+            }
+            for m in (k + 1)..nt {
+                tasks.push(QrTask::Tsqrt { k, m });
+                for n in (k + 1)..nt {
+                    tasks.push(QrTask::Tsmqr { k, m, n });
+                }
+            }
+        }
+        tasks
+    }
+
+    #[test]
+    fn task_stream_is_the_loop_nest() {
+        for nt in 0..12 {
+            assert_eq!(
+                task_stream(nt).collect::<Vec<_>>(),
+                nested_loops(nt),
+                "nt={nt}"
+            );
+        }
+    }
+
     #[test]
     fn task_stream_matches_paper_fig2() {
         // Fig. 2: 3x3 tiles = 14 tasks F0..F13 in this exact order.
-        let stream = task_stream(3);
-        let labels: Vec<&str> = stream.iter().map(|t| t.label()).collect();
+        let labels: Vec<&str> = task_stream(3).map(|t| t.label()).collect();
         assert_eq!(
             labels,
             vec![
@@ -192,14 +217,14 @@ mod tests {
                 "dgeqrt", // F13
             ]
         );
-        assert_eq!(stream.len(), 14);
+        assert_eq!(labels.len(), 14);
     }
 
     #[test]
     fn task_stream_count_formula() {
         // nt geqrt + nt(nt-1)/2 ormqr + nt(nt-1)/2 tsqrt + sum k (nt-k-1)^2 tsmqr.
         for nt in 1..7usize {
-            let n = task_stream(nt).len();
+            let n = task_stream(nt).count();
             let tsmqr: usize = (0..nt).map(|k| (nt - k - 1) * (nt - k - 1)).sum();
             let expect = nt + nt * (nt - 1) / 2 * 2 + tsmqr;
             assert_eq!(n, expect, "nt={nt}");

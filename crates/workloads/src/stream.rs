@@ -76,9 +76,9 @@ pub fn layout(alg: Algorithm, n: usize, nb: usize) -> (SharedTiles, Option<Share
     (a, t)
 }
 
-/// Number a tile task list and describe each kernel as a [`StreamTask`].
+/// Number a tile task stream and describe each kernel as a [`StreamTask`].
 fn stream_of<'a, K: 'a>(
-    kernels: Vec<K>,
+    kernels: impl Iterator<Item = K> + 'a,
     describe: impl Fn(K) -> (Kernel, &'static str, Vec<Access>, i64) + 'a,
 ) -> Box<dyn Iterator<Item = StreamTask> + 'a> {
     Box::new((0..).zip(kernels).map(move |(index, k)| {
@@ -274,7 +274,6 @@ mod tests {
             let t = t.as_ref();
             let expected: [Vec<(&str, Vec<Access>, i64)>; 3] = [
                 supersim_tile::cholesky::task_stream(nt)
-                    .into_iter()
                     .map(|k| {
                         (
                             k.label(),
@@ -284,14 +283,12 @@ mod tests {
                     })
                     .collect(),
                 supersim_tile::qr::task_stream(nt)
-                    .into_iter()
                     .map(|k| {
                         let acc = qr::accesses(&a, t.unwrap(), k);
                         (k.label(), acc, qr::priority(nt, k))
                     })
                     .collect(),
                 supersim_tile::lu::task_stream(nt)
-                    .into_iter()
                     .map(|k| (k.label(), lu::accesses(&a, k), lu::priority(nt, k)))
                     .collect(),
             ];
@@ -302,6 +299,20 @@ mod tests {
                     assert_eq!(task.index, pos as u64);
                     assert_eq!((task.label, task.accesses, task.priority), want);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn tile_streams_are_as_long_as_task_count() {
+        for nt in 0..24 {
+            let lengths = [
+                supersim_tile::cholesky::task_stream(nt).count(),
+                supersim_tile::qr::task_stream(nt).count(),
+                supersim_tile::lu::task_stream(nt).count(),
+            ];
+            for (alg, len) in ALGORITHMS.into_iter().zip(lengths) {
+                assert_eq!(len as u64, alg.task_count(nt as u64), "{alg:?} nt={nt}");
             }
         }
     }
