@@ -298,23 +298,20 @@ fn fig5(opts: &Opts) {
         let rt = Runtime::new(RuntimeConfig::simple(2));
         session.attach_quiesce(rt.probe());
         use supersim_dag::{Access, DataId};
-        let s = session.clone();
         rt.submit(TaskDesc::new(
             "A",
             vec![Access::write(DataId(0))],
-            move |c| s.run_kernel(c, "A"),
+            session.planned_body("A"),
         ));
-        let s = session.clone();
         rt.submit(TaskDesc::new(
             "B",
             vec![Access::write(DataId(1))],
-            move |c| s.run_kernel(c, "B"),
+            session.planned_body("B"),
         ));
-        let s = session.clone();
         rt.submit(TaskDesc::new(
             "C",
             vec![Access::read(DataId(0))],
-            move |c| s.run_kernel(c, "C"),
+            session.planned_body("C"),
         ));
         rt.seal();
         rt.wait_all().unwrap();
@@ -593,23 +590,20 @@ fn race_sensitivity(opts: &Opts) {
             let rt = Runtime::new(RuntimeConfig::simple(2));
             session.attach_quiesce(rt.probe());
             use supersim_dag::{Access, DataId};
-            let s = session.clone();
             rt.submit(TaskDesc::new(
                 "A",
                 vec![Access::write(DataId(0))],
-                move |c| s.run_kernel(c, "A"),
+                session.planned_body("A"),
             ));
-            let s = session.clone();
             rt.submit(TaskDesc::new(
                 "B",
                 vec![Access::write(DataId(1))],
-                move |c| s.run_kernel(c, "B"),
+                session.planned_body("B"),
             ));
-            let s = session.clone();
             rt.submit(TaskDesc::new(
                 "C",
                 vec![Access::read(DataId(0))],
-                move |c| s.run_kernel(c, "C"),
+                session.planned_body("C"),
             ));
             rt.seal();
             rt.wait_all().unwrap();

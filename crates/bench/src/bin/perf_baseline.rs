@@ -2,9 +2,9 @@
 //! path to `BENCH_simcore.json` (in the current directory, or the path
 //! given as the first positional argument).
 //!
-//! Scenarios mirror `benches/contention.rs`: TEQ drain throughput under
-//! broadcast vs targeted wakeups at several waiter counts, plus engine
-//! burst throughput. The 64-waiter TEQ point carries the acceptance
+//! Scenarios come from `supersim_bench::contention`: TEQ drain throughput
+//! under broadcast vs targeted wakeups at several waiter counts, plus
+//! engine burst throughput. The 64-waiter TEQ point carries the acceptance
 //! criterion for the targeted-wakeup redesign: >= 2x over the broadcast
 //! baseline.
 //!

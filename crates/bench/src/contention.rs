@@ -1,7 +1,7 @@
 //! Shared contention scenarios for the hot-path benchmarks: many threads
 //! draining one Task Execution Queue, and a burst of independent tasks
-//! through the runtime engine. Used by both `benches/contention.rs`
-//! (criterion) and `src/bin/perf_baseline.rs` (JSON baseline emitter).
+//! through the runtime engine. Used by `src/bin/perf_baseline.rs` (JSON
+//! baseline emitter).
 
 use std::sync::Arc;
 use std::time::Instant;

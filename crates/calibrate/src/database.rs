@@ -10,6 +10,7 @@ use supersim_core::ModelRegistry;
 
 /// A stored calibration plus provenance metadata.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct CalibrationDb {
     /// Schema version.
     pub version: u32,
@@ -167,6 +168,23 @@ mod tests {
         let mut other = db.clone();
         other.description = "edited".into();
         assert_ne!(db.fingerprint(), other.fingerprint());
+    }
+
+    /// A misspelt or unknown key is refused at every level of the file:
+    /// the top level, a kernel model, and a distribution's parameters.
+    #[test]
+    fn misspelt_key_is_a_load_error_naming_it() {
+        let db = CalibrationDb::new("typo", 0, 0, 0, small_calibration());
+        let json = db.to_json();
+        for (from, to, key) in [
+            ("\"workers\"", "\"wrokers\"", "wrokers"),
+            ("\"warmup_factor\"", "\"warmup_facter\"", "warmup_facter"),
+            ("\"family\": ", "\"offset\": 1.0, \"family\": ", "offset"),
+        ] {
+            assert!(json.contains(from), "{from} not in {json}");
+            let err = CalibrationDb::from_json(&json.replacen(from, to, 1)).unwrap_err();
+            assert!(err.contains(&format!("unknown field `{key}`")), "{err}");
+        }
     }
 
     #[test]

@@ -34,6 +34,7 @@ impl Default for FitOptions {
 
 /// Fit summary for one kernel class.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct LabelReport {
     /// Number of samples used in the fit.
     pub samples: usize,
@@ -53,6 +54,7 @@ pub struct LabelReport {
 
 /// A full calibration: models plus per-label diagnostics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Calibration {
     /// The model registry to hand to a `SimSession`.
     pub registry: ModelRegistry,

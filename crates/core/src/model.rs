@@ -13,6 +13,7 @@ use supersim_dist::{Dist, Distribution};
 
 /// Duration model for one kernel class.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct KernelModel {
     /// The fitted duration distribution (seconds).
     pub dist: Dist,
@@ -64,6 +65,7 @@ impl KernelModel {
 /// Serializable so a calibration run can persist it and later simulations
 /// can reload it (the calibration "database").
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ModelRegistry {
     models: BTreeMap<String, KernelModel>,
     /// Fallback model used for labels with no entry (None = panic on miss).

@@ -58,12 +58,11 @@ proptest! {
             session.attach_quiesce(rt.probe());
             // `width` independent chains of 6 tasks.
             for i in 0..(width * 6) {
-                let s = session.clone();
                 let lane = (i % width) as u64;
                 rt.submit(TaskDesc::new(
                     "k",
                     vec![Access::read_write(DataId(lane))],
-                    move |ctx| s.run_kernel(ctx, "k"),
+                    session.planned_body("k"),
                 ));
             }
             rt.seal();
@@ -91,11 +90,10 @@ proptest! {
             let rt = Runtime::new(RuntimeConfig::simple(2));
             session.attach_quiesce(rt.probe());
             for i in 0..12u64 {
-                let s = session.clone();
                 rt.submit(TaskDesc::new(
                     "k",
                     vec![Access::read_write(DataId(i % 2))],
-                    move |ctx| s.run_kernel(ctx, "k"),
+                    session.planned_body("k"),
                 ));
             }
             rt.seal();
@@ -122,11 +120,10 @@ proptest! {
             let rt = Runtime::new(RuntimeConfig::simple(1));
             session.attach_quiesce(rt.probe());
             for _i in 0..12u64 {
-                let s = session.clone();
                 rt.submit(TaskDesc::new(
                     "k",
                     vec![Access::read_write(DataId(0))],
-                    move |ctx| s.run_kernel(ctx, "k"),
+                    session.planned_body("k"),
                 ));
             }
             rt.seal();
@@ -149,10 +146,11 @@ proptest! {
             let rt = Runtime::new(RuntimeConfig::simple(1));
             session.attach_quiesce(rt.probe());
             for _ in 0..tasks {
-                let s = session.clone();
-                rt.submit(TaskDesc::new("k", vec![Access::read_write(DataId(0))], move |c| {
-                    s.run_kernel(c, "k")
-                }));
+                rt.submit(TaskDesc::new(
+                    "k",
+                    vec![Access::read_write(DataId(0))],
+                    session.planned_body("k"),
+                ));
             }
             rt.seal();
             rt.wait_all().unwrap();
@@ -210,25 +208,22 @@ fn mixed_modes_simulate_correctly() {
     let rt = Runtime::new(RuntimeConfig::simple(4));
     session.attach_quiesce(rt.probe());
     // w -> 3 parallel readers -> w2.
-    let s = session.clone();
     rt.submit(TaskDesc::new(
         "w",
         vec![Access::write(DataId(0))],
-        move |c| s.run_kernel(c, "w"),
+        session.planned_body("w"),
     ));
     for _ in 0..3 {
-        let s = session.clone();
         rt.submit(TaskDesc::new(
             "r",
             vec![Access::read(DataId(0))],
-            move |c| s.run_kernel(c, "r"),
+            session.planned_body("r"),
         ));
     }
-    let s = session.clone();
     rt.submit(TaskDesc::new(
         "w",
         vec![Access::write(DataId(0))],
-        move |c| s.run_kernel(c, "w"),
+        session.planned_body("w"),
     ));
     rt.seal();
     rt.wait_all().unwrap();

@@ -19,9 +19,8 @@
 //! session.attach_quiesce(rt.probe());
 //! // A 3-task chain: virtual makespan must be exactly 3 seconds.
 //! for _ in 0..3 {
-//!     let s = session.clone();
 //!     rt.submit(TaskDesc::new("work", vec![Access::read_write(DataId(0))],
-//!         move |ctx| s.run_kernel(ctx, "work")));
+//!         session.planned_body("work")));
 //! }
 //! rt.seal(); // a simulated run must declare submission complete
 //! rt.wait_all().unwrap();
@@ -35,7 +34,7 @@ use crate::race::RaceMitigation;
 use crate::teq::{TaskExecutionQueue, WakeupMode};
 use parking_lot::Mutex;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -46,9 +45,9 @@ use supersim_trace::{Trace, TraceEvent, TraceRecorder};
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Seed for the per-task duration RNG. Durations depend only on
-    /// `(seed, task_id)` (and, on heterogeneous platforms, the executing
-    /// worker's speed), so a simulation is reproducible regardless of
-    /// thread interleaving.
+    /// `(seed, label, rank)`, the task's submission rank within its label
+    /// (and, on heterogeneous platforms, the executing worker's speed), so
+    /// a simulation is reproducible regardless of thread interleaving.
     pub seed: u64,
     /// Race mitigation strategy (paper §V-E).
     pub mitigation: RaceMitigation,
@@ -288,7 +287,8 @@ pub fn record_segment_spans(
 #[derive(Clone, Default)]
 struct Hooks {
     /// The runtime's quiescence probe (required by
-    /// [`RaceMitigation::Quiesce`]).
+    /// [`RaceMitigation::Quiesce`]); a cancelled run also drops the
+    /// runtime's unstarted tasks through it.
     quiesce: Option<Arc<dyn Quiesce>>,
     /// Optional fault injector (straggler windows, transient failures,
     /// link degradation). `None` — the default — keeps every simulated
@@ -354,9 +354,11 @@ impl Interrupt {
     }
 }
 
-/// A simulation session. Create one per simulated run; hand
-/// [`SimSession::run_kernel`] (or [`SimSession::kernel_body`]) to every
-/// task body, then read the predicted makespan and the virtual-time trace.
+/// A simulation session. Create one per simulated run; build every task
+/// body with [`SimSession::planned_body`] in submission order (engines
+/// that claim ranks themselves call [`SimSession::run_kernel_ranked`] or
+/// [`SimSession::plan_ranked`]), then read the predicted makespan and the
+/// virtual-time trace.
 pub struct SimSession {
     teq: TaskExecutionQueue,
     /// Shared, read-only kernel models. An `Arc` so N concurrent sessions
@@ -368,7 +370,6 @@ pub struct SimSession {
     /// The runtime's quiescence probe and the fault injector, behind one
     /// lock: a simulated kernel resolves both in one acquisition.
     hooks: Mutex<Hooks>,
-    first_calls: Mutex<HashSet<(usize, String)>>,
     /// Warm-up budget for the plan-based protocol: the first `n`
     /// submissions of each label sample warm (see
     /// [`SimSession::set_warmup_slots`]). 0 disables warm-up entirely.
@@ -434,7 +435,6 @@ impl SimSession {
             trace: TraceRecorder::new(),
             config,
             hooks: Mutex::new(Hooks::default()),
-            first_calls: Mutex::new(HashSet::new()),
             warmup_slots: AtomicUsize::new(0),
             ranks: Mutex::new(BTreeMap::new()),
             interrupt,
@@ -503,7 +503,8 @@ impl SimSession {
     }
 
     /// Request cooperative cancellation: engines polling
-    /// [`SimSession::should_abort`] stop at their next retirement
+    /// [`SimSession::should_abort`] (the DES loop and the threaded
+    /// protocol, at every retirement) stop at their next retirement
     /// boundary, in this session and in every fork of it. Idempotent;
     /// there is no un-cancel. Safe to call from any thread while the run
     /// executes.
@@ -519,7 +520,7 @@ impl SimSession {
 
     /// Arm a wall-clock deadline: once [`SimSession::should_abort`] finds
     /// it passed (it reads the clock on every 64th poll), the session and
-    /// its forks are cancelled. Lets a caller run a DES replay on its own
+    /// its forks are cancelled. Lets a caller run a simulation on its own
     /// thread instead of watching it from another. Set at most once; a
     /// later call is ignored.
     pub fn set_deadline(&self, at: Instant) {
@@ -542,7 +543,9 @@ impl SimSession {
     /// deadline passed, or the virtual clock (`now`) has exceeded the
     /// budget. Engines pass their own clock rather than reading
     /// [`SimSession::virtual_now`] — the DES replay backend's clock never
-    /// touches the TEQ.
+    /// touches the TEQ. Once it fires in the threaded protocol, every
+    /// retirement drops the runtime's unstarted tasks through the attached
+    /// quiescence probe.
     #[inline]
     pub fn should_abort(&self, now: f64) -> bool {
         self.interrupt.fired()
@@ -645,35 +648,12 @@ impl SimSession {
         self.quiesce_spins.fetch_add(_spins, Ordering::Relaxed);
     }
 
-    /// The simulated-kernel protocol (paper §V-D). Call from inside a task
-    /// body submitted to the runtime; `label` selects the duration model.
-    ///
-    /// The call blocks (in wall-clock time) until every simulated task with
-    /// an earlier virtual completion has returned, then returns — from the
-    /// scheduler's perspective the kernel "ran" for its virtual duration.
-    pub fn run_kernel(&self, ctx: &TaskContext, label: &str) {
-        let model = self.models.expect(label);
-        let first = self
-            .first_calls
-            .lock()
-            .insert((ctx.worker, label.to_string()));
-        let mut rng = rand::rngs::StdRng::seed_from_u64(splitmix64(self.config.seed ^ ctx.task_id));
-        // Consume one draw so task_id=0 with seed^0 doesn't alias the raw
-        // seed stream used elsewhere.
-        let _: u64 = rng.random();
-        let speed = self.config.speed_of(ctx.worker);
-        assert!(speed > 0.0, "worker speed must be positive");
-        let duration = model.sample(&mut rng, first) / speed + self.config.overhead_per_task;
-        self.simulate(ctx, label, duration, &self.hooks());
-    }
-
     /// Set the warm-up budget for the plan-based protocol: the first `n`
     /// submissions of each label (by submission rank, not worker arrival
     /// order) sample with the model's warm-up factor applied. Drivers set
-    /// this to the worker count so a cold run warms one slot per worker —
-    /// but unlike the legacy first-call-per-worker keying, the choice of
-    /// *which* tasks are warm is fixed at submission time and therefore
-    /// deterministic across schedules and placements.
+    /// this to the worker count so a cold run warms one slot per worker;
+    /// the choice of *which* tasks are warm is fixed at submission time
+    /// and therefore deterministic across schedules and placements.
     pub fn set_warmup_slots(&self, n: usize) {
         self.warmup_slots.store(n, Ordering::Relaxed);
     }
@@ -692,10 +672,14 @@ impl SimSession {
         0
     }
 
-    /// The plan-based simulated-kernel protocol: like
-    /// [`SimSession::run_kernel`], but the duration RNG is keyed by
-    /// `(seed, label, rank)` — the task's submission rank within its label
-    /// — instead of the runtime task id, and warm-up applies to the first
+    /// The simulated-kernel protocol (paper §V-D). Call from inside a task
+    /// body submitted to the runtime; `label` selects the duration model.
+    ///
+    /// The call blocks (in wall-clock time) until every simulated task with
+    /// an earlier virtual completion has returned, then returns — from the
+    /// scheduler's perspective the kernel "ran" for its virtual duration.
+    /// The duration RNG is keyed by `(seed, label, rank)` — the task's
+    /// submission rank within its label — and warm-up applies to the first
     /// [`SimSession::set_warmup_slots`] ranks of each label. Both keys are
     /// fixed at submission time, so per-task durations are identical across
     /// worker counts, schedulers, and cluster placements (transfer tasks
@@ -894,16 +878,15 @@ impl SimSession {
         // advances, so epoch flushes hang off it. One relaxed atomic
         // load when no sink is attached.
         self.trace.observe_clock(clock);
-    }
-
-    /// Convenience: build a task body closure for `label`.
-    pub fn kernel_body(
-        self: &Arc<Self>,
-        label: impl Into<String>,
-    ) -> impl FnOnce(&TaskContext) + Send + 'static {
-        let session = self.clone();
-        let label = label.into();
-        move |ctx: &TaskContext| session.run_kernel(ctx, &label)
+        // Cancellation, the deadline and the virtual budget stop a threaded
+        // run at its retirements, as they stop the DES loop: the runtime
+        // drops every task that has not started, and the tasks already
+        // running retire as usual.
+        if self.should_abort(clock) {
+            if let Some(probe) = &hooks.quiesce {
+                probe.cancel_pending();
+            }
+        }
     }
 
     /// Build a task body for the plan-based protocol: claims the label's
@@ -960,7 +943,7 @@ fn label_hash(label: &str) -> u64 {
     h
 }
 
-/// SplitMix64 — decorrelates seed^task_id into a well-mixed RNG seed.
+/// SplitMix64 — decorrelates the ranked key into a well-mixed RNG seed.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -1048,11 +1031,10 @@ mod tests {
         let rt = Runtime::new(RuntimeConfig::simple(2));
         session.attach_quiesce(rt.probe());
         for _ in 0..4 {
-            let s = session.clone();
             rt.submit(TaskDesc::new(
                 "k",
                 vec![Access::read_write(d(0))],
-                move |ctx| s.run_kernel(ctx, "k"),
+                session.planned_body("k"),
             ));
         }
         rt.seal();
@@ -1071,10 +1053,11 @@ mod tests {
         let rt = Runtime::new(RuntimeConfig::simple(2));
         session.attach_quiesce(rt.probe());
         for i in 0..4u64 {
-            let s = session.clone();
-            rt.submit(TaskDesc::new("k", vec![Access::write(d(i))], move |ctx| {
-                s.run_kernel(ctx, "k")
-            }));
+            rt.submit(TaskDesc::new(
+                "k",
+                vec![Access::write(d(i))],
+                session.planned_body("k"),
+            ));
         }
         rt.seal();
         rt.wait_all().unwrap();
@@ -1089,10 +1072,11 @@ mod tests {
         let rt = Runtime::new(RuntimeConfig::simple(16));
         session.attach_quiesce(rt.probe());
         for i in 0..16u64 {
-            let s = session.clone();
-            rt.submit(TaskDesc::new("k", vec![Access::write(d(i))], move |ctx| {
-                s.run_kernel(ctx, "k")
-            }));
+            rt.submit(TaskDesc::new(
+                "k",
+                vec![Access::write(d(i))],
+                session.planned_body("k"),
+            ));
         }
         rt.seal();
         rt.wait_all().unwrap();
@@ -1110,27 +1094,25 @@ mod tests {
         let session = new_session(models, RaceMitigation::Quiesce);
         let rt = Runtime::new(RuntimeConfig::simple(3));
         session.attach_quiesce(rt.probe());
-        let s = session.clone();
-        rt.submit(TaskDesc::new("a", vec![Access::write(d(0))], move |ctx| {
-            s.run_kernel(ctx, "a")
-        }));
-        let s = session.clone();
+        rt.submit(TaskDesc::new(
+            "a",
+            vec![Access::write(d(0))],
+            session.planned_body("a"),
+        ));
         rt.submit(TaskDesc::new(
             "b",
             vec![Access::read(d(0)), Access::write(d(1))],
-            move |ctx| s.run_kernel(ctx, "b"),
+            session.planned_body("b"),
         ));
-        let s = session.clone();
         rt.submit(TaskDesc::new(
             "c",
             vec![Access::read(d(0)), Access::write(d(2))],
-            move |ctx| s.run_kernel(ctx, "c"),
+            session.planned_body("c"),
         ));
-        let s = session.clone();
         rt.submit(TaskDesc::new(
             "e",
             vec![Access::read(d(1)), Access::read(d(2)), Access::write(d(3))],
-            move |ctx| s.run_kernel(ctx, "e"),
+            session.planned_body("e"),
         ));
         rt.seal();
         rt.wait_all().unwrap();
@@ -1161,12 +1143,11 @@ mod tests {
             let rt = Runtime::new(RuntimeConfig::simple(3));
             session.attach_quiesce(rt.probe());
             for i in 0..30u64 {
-                let s = session.clone();
                 // Chain within each of 3 lanes: data id i % 3.
                 rt.submit(TaskDesc::new(
                     "k",
                     vec![Access::read_write(d(i % 3))],
-                    move |ctx| s.run_kernel(ctx, "k"),
+                    session.planned_body("k"),
                 ));
             }
             rt.seal();
@@ -1179,25 +1160,6 @@ mod tests {
         assert_eq!(cmp.makespan_rel_error, 0.0);
         assert_eq!(cmp.matched_tasks, 30);
         assert_eq!(cmp.mean_start_shift, 0.0);
-    }
-
-    #[test]
-    fn warmup_factor_inflates_first_call_per_worker() {
-        let mut models = ModelRegistry::new();
-        models.insert("k", KernelModel::with_warmup(Dist::constant(1.0), 3.0));
-        let session = new_session(models, RaceMitigation::Quiesce);
-        let rt = Runtime::new(RuntimeConfig::simple(1));
-        session.attach_quiesce(rt.probe());
-        for i in 0..3u64 {
-            let s = session.clone();
-            rt.submit(TaskDesc::new("k", vec![Access::write(d(i))], move |ctx| {
-                s.run_kernel(ctx, "k")
-            }));
-        }
-        rt.seal();
-        rt.wait_all().unwrap();
-        // One worker: first call 3s, then 1s each: 5s.
-        assert_eq!(session.virtual_now(), 5.0);
     }
 
     /// The Fig. 5 scenario: two workers; A (1s) and B (2s) independent,
@@ -1215,18 +1177,21 @@ mod tests {
         let session = new_session(models, mitigation);
         let rt = Runtime::new(RuntimeConfig::simple(2));
         session.attach_quiesce(rt.probe());
-        let s = session.clone();
-        rt.submit(TaskDesc::new("a", vec![Access::write(d(0))], move |ctx| {
-            s.run_kernel(ctx, "a")
-        }));
-        let s = session.clone();
-        rt.submit(TaskDesc::new("b", vec![Access::write(d(1))], move |ctx| {
-            s.run_kernel(ctx, "b")
-        }));
-        let s = session.clone();
-        rt.submit(TaskDesc::new("c", vec![Access::read(d(0))], move |ctx| {
-            s.run_kernel(ctx, "c")
-        }));
+        rt.submit(TaskDesc::new(
+            "a",
+            vec![Access::write(d(0))],
+            session.planned_body("a"),
+        ));
+        rt.submit(TaskDesc::new(
+            "b",
+            vec![Access::write(d(1))],
+            session.planned_body("b"),
+        ));
+        rt.submit(TaskDesc::new(
+            "c",
+            vec![Access::read(d(0))],
+            session.planned_body("c"),
+        ));
         rt.seal();
         rt.wait_all()?;
         let trace = session.finish_trace(2);
@@ -1294,10 +1259,7 @@ mod tests {
         let session = new_session(constant_models(&[("k", 1.0)]), RaceMitigation::Quiesce);
         let rt = Runtime::new(RuntimeConfig::simple(1));
         // No attach_quiesce: the task body panics, the runtime records it.
-        let s = session.clone();
-        rt.submit(TaskDesc::new("k", vec![], move |ctx| {
-            s.run_kernel(ctx, "k")
-        }));
+        rt.submit(TaskDesc::new("k", vec![], session.planned_body("k")));
         let errs = rt.wait_all().unwrap_err();
         // Re-panic with the recorded message to satisfy should_panic.
         panic!("{}", errs[0]);
@@ -1435,11 +1397,10 @@ mod extension_tests {
         let rt = Runtime::new(RuntimeConfig::simple(1));
         session.attach_quiesce(rt.probe());
         for i in 0..4u64 {
-            let s = session.clone();
             rt.submit(TaskDesc::new(
                 "k",
                 vec![Access::write(DataId(i))],
-                move |c| s.run_kernel(c, "k"),
+                session.planned_body("k"),
             ));
         }
         rt.seal();
@@ -1462,11 +1423,10 @@ mod extension_tests {
         let rt = Runtime::new(RuntimeConfig::simple(2));
         session.attach_quiesce(rt.probe());
         for i in 0..2u64 {
-            let s = session.clone();
             rt.submit(TaskDesc::new(
                 "k",
                 vec![Access::write(DataId(i))],
-                move |c| s.run_kernel(c, "k"),
+                session.planned_body("k"),
             ));
         }
         rt.seal();
@@ -1504,11 +1464,10 @@ mod extension_tests {
         let rt = Runtime::new(RuntimeConfig::simple(2));
         session.attach_quiesce(rt.probe());
         for i in 0..8u64 {
-            let s = session.clone();
             rt.submit(TaskDesc::new(
                 "k",
                 vec![Access::write(DataId(i))],
-                move |c| s.run_kernel(c, "k"),
+                session.planned_body("k"),
             ));
         }
         rt.seal();
@@ -1533,11 +1492,10 @@ mod isolation_tests {
         let rt = Runtime::new(RuntimeConfig::simple(2));
         session.attach_quiesce(rt.probe());
         for _ in 0..tasks {
-            let s = session.clone();
             rt.submit(TaskDesc::new(
                 "k",
                 vec![Access::read_write(DataId(0))],
-                move |ctx| s.run_kernel(ctx, "k"),
+                session.planned_body("k"),
             ));
         }
         rt.seal();

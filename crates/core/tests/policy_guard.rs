@@ -79,11 +79,10 @@ fn quark_routes_every_dispatch_through_the_shared_policy() {
     let mut submitted = 0u64;
     for chain in 0..4u64 {
         for _ in 0..8 {
-            let s = session.clone();
             rt.submit(TaskDesc::new(
                 "k",
                 vec![Access::read_write(DataId(chain))],
-                move |ctx| s.run_kernel(ctx, "k"),
+                session.planned_body("k"),
             ));
             submitted += 1;
         }

@@ -14,7 +14,7 @@
 //!   explicit task graph). Given a [`supersim_dag::TaskGraph`] and
 //!   per-task durations it runs greedy FIFO or bottom-level list
 //!   scheduling on `P` identical workers — the replay loop fed the graph,
-//!   with no runtime profile in the loop. The ablation benches compare its
+//!   with no runtime profile in the loop. `figures ablation` compares its
 //!   predictions against the in-the-loop simulation.
 
 pub mod engine;

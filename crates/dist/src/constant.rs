@@ -10,6 +10,7 @@ use serde::{Deserialize, Serialize};
 
 /// A distribution that always returns `value`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Constant {
     value: f64,
 }

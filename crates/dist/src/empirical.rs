@@ -13,6 +13,7 @@ use serde::{Deserialize, Serialize};
 /// The sample vector is kept sorted so that CDF queries are `O(log n)` and
 /// quantiles are `O(1)`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Empirical {
     sorted: Vec<f64>,
 }

@@ -10,6 +10,7 @@ use serde::{Deserialize, Serialize};
 
 /// Exponential distribution with rate `lambda` (mean `1/lambda`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Exponential {
     lambda: f64,
 }

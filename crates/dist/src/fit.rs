@@ -158,6 +158,7 @@ pub fn bic(log_lik: f64, param_count: usize, n: usize) -> f64 {
 
 /// One fitted candidate model with its quality scores.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FittedModel {
     /// The fitted distribution.
     pub dist: Dist,

@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 
 /// Gamma distribution with shape `k` and scale `theta` (mean `k*theta`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Gamma {
     shape: f64,
     scale: f64,

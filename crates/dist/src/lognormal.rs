@@ -14,6 +14,7 @@ const LN_SQRT_2PI: f64 = 0.918_938_533_204_672_7;
 
 /// Log-normal distribution: `ln X ~ N(mu, sigma^2)`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct LogNormal {
     mu: f64,
     sigma: f64,

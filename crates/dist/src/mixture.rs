@@ -13,6 +13,7 @@ use serde::{Deserialize, Serialize};
 /// A finite mixture: sample a component with probability proportional to
 /// its weight, then sample from that component.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Mixture {
     components: Vec<(f64, Dist)>,
 }

@@ -13,6 +13,7 @@ const LN_SQRT_2PI: f64 = 0.918_938_533_204_672_7;
 
 /// Normal distribution with mean `mu` and standard deviation `sigma`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Normal {
     mu: f64,
     sigma: f64,

@@ -6,6 +6,7 @@ use serde::{Deserialize, Serialize};
 
 /// Uniform distribution on the closed interval `[lo, hi]`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Uniform {
     lo: f64,
     hi: f64,

@@ -15,6 +15,7 @@ pub enum FaultScope {
 
 /// One scheduled fault.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum FaultEvent {
     /// Multiplicative slowdown of the scoped lanes over a virtual-time
     /// window: work started (or in progress) inside `[from, until)` takes
@@ -57,6 +58,7 @@ pub enum FaultEvent {
 /// `snapshot_cost`; after a failure the machine restores the last
 /// snapshot for `restore_cost` and re-executes everything after it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct CheckpointPolicy {
     /// Virtual seconds between snapshots (must be positive).
     pub interval: f64,
@@ -69,6 +71,7 @@ pub struct CheckpointPolicy {
 
 /// How the system recovers from the plan's faults.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct RecoveryPolicy {
     /// First retry backoff for transient failures (virtual seconds);
     /// attempt `i` backs off `backoff_base * 2^i`.
@@ -99,6 +102,7 @@ impl Default for RecoveryPolicy {
 /// plan (no events) perturbs nothing — drivers skip injector attachment
 /// entirely, so the simulation is bit-for-bit the fault-free one.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FaultPlan {
     /// The scheduled faults.
     pub events: Vec<FaultEvent>,

@@ -1,11 +1,4 @@
-//! Primitive instruments: counters, gauges, and log-scale histograms.
-//!
-//! Every atomic instrument is updated with `Ordering::Relaxed`: metrics
-//! are monotone tallies, not synchronization edges, and a relaxed
-//! `fetch_add` can neither lose an increment nor double one — a snapshot
-//! racing an increment simply lands before or after it.
-
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+//! The log-scale wall-time histogram and its bucket arithmetic.
 
 /// Number of histogram buckets. Bucket 0 holds zero-duration samples;
 /// bucket `i` (for `i >= 1`) holds samples in `[2^(i-1), 2^i)` ns. The
@@ -34,133 +27,10 @@ pub fn bucket_upper_ns(i: usize) -> u64 {
     }
 }
 
-/// A monotone counter, padded to a cache line so unrelated counters
-/// registered next to each other never false-share.
-#[repr(align(128))]
-#[derive(Debug, Default)]
-pub struct Counter {
-    value: AtomicU64,
-}
-
-impl Counter {
-    /// A fresh counter at zero.
-    pub const fn new() -> Self {
-        Counter {
-            value: AtomicU64::new(0),
-        }
-    }
-
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&self) {
-        self.value.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Increment by `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if n > 0 {
-            self.value.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-value gauge (signed, so it can track deltas like idle-worker
-/// counts that go up and down).
-#[repr(align(128))]
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicI64,
-}
-
-impl Gauge {
-    /// A fresh gauge at zero.
-    pub const fn new() -> Self {
-        Gauge {
-            value: AtomicI64::new(0),
-        }
-    }
-
-    /// Set the value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Add a (possibly negative) delta.
-    #[inline]
-    pub fn add(&self, d: i64) {
-        self.value.fetch_add(d, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A wall-time histogram with fixed log₂-scale nanosecond buckets,
-/// updated lock-free. The sample count is *derived* from the buckets at
-/// read time — there is no separate count atomic that could disagree
-/// with the buckets mid-snapshot.
-#[repr(align(128))]
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; BUCKETS],
-    sum_ns: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// A fresh, empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum_ns: AtomicU64::new(0),
-        }
-    }
-
-    /// Record one nanosecond sample.
-    #[inline]
-    pub fn record(&self, ns: u64) {
-        self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Point-in-time copy. Buckets are read independently; each observed
-    /// value is at most its final total, so the derived count can never
-    /// exceed the true number of recorded samples.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut s = HistogramSnapshot::default();
-        for (i, b) in self.buckets.iter().enumerate() {
-            s.buckets[i] = b.load(Ordering::Relaxed);
-        }
-        s.sum_ns = self.sum_ns.load(Ordering::Relaxed);
-        s
-    }
-
-    /// Total samples recorded (derived from the buckets).
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-}
-
-/// The plain, non-atomic twin of [`Histogram`]: used both as the
-/// snapshot representation and as the in-place tally for components
-/// whose update path already holds a lock (e.g. the TEQ state mutex),
-/// where an atomic would buy nothing and cost a cache transaction.
+/// A wall-time histogram with fixed log₂-scale nanosecond buckets: the
+/// in-place tally for components whose update path already holds a lock
+/// or is thread-confined (e.g. the TEQ state mutex), where an atomic
+/// would buy nothing and cost a cache transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocalHistogram {
     /// Per-bucket sample counts (log₂ ns scale, see [`bucket_of`]).
@@ -168,10 +38,6 @@ pub struct LocalHistogram {
     /// Sum of all recorded samples in nanoseconds.
     pub sum_ns: u64,
 }
-
-/// Alias making call sites read naturally: a [`Histogram::snapshot`] and
-/// a component-local tally are the same plain data.
-pub type HistogramSnapshot = LocalHistogram;
 
 impl Default for LocalHistogram {
     fn default() -> Self {
@@ -246,7 +112,6 @@ impl LocalHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn bucket_boundaries() {
@@ -263,34 +128,15 @@ mod tests {
     }
 
     #[test]
-    fn counter_counts() {
-        let c = Counter::new();
-        c.inc();
-        c.add(4);
-        c.add(0);
-        assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn gauge_tracks_deltas() {
-        let g = Gauge::new();
-        g.set(3);
-        g.add(-5);
-        assert_eq!(g.get(), -2);
-    }
-
-    #[test]
-    fn histogram_records_and_snapshots() {
-        let h = Histogram::new();
+    fn local_histogram_records() {
+        let mut h = LocalHistogram::new();
         h.record(0);
         h.record(1);
         h.record(1000);
         h.record(1_000_000);
-        let s = h.snapshot();
-        assert_eq!(s.count(), 4);
-        assert_eq!(s.sum_ns, 1_001_001);
         assert_eq!(h.count(), 4);
-        assert!(s.quantile_ns(0.5) <= s.quantile_ns(0.99));
+        assert_eq!(h.sum_ns, 1_001_001);
+        assert!(h.quantile_ns(0.5) <= h.quantile_ns(0.99));
     }
 
     #[test]
@@ -310,24 +156,5 @@ mod tests {
     #[test]
     fn quantile_on_empty_is_zero() {
         assert_eq!(LocalHistogram::new().quantile_ns(0.5), 0);
-    }
-
-    #[test]
-    fn concurrent_counter_increments_all_land() {
-        let c = Arc::new(Counter::new());
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let c = c.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..10_000 {
-                        c.inc();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(c.get(), 80_000);
     }
 }

@@ -6,28 +6,17 @@
 //! once: where does wall time go inside the Task Execution Queue, how
 //! often do quiescence checks spin, how hard is the engine lock hit.
 //!
-//! Three layers:
+//! Two layers:
 //!
-//! * [`instruments`] — the primitive instruments: [`Counter`] (a
-//!   cache-padded atomic, safe to hammer from any thread), [`Gauge`]
-//!   (last-value atomic), and [`Histogram`] (atomic fixed log₂-scale
-//!   nanosecond buckets). There is also [`LocalHistogram`], the plain
-//!   non-atomic twin used by components that already hold a lock on their
-//!   update path (the TEQ records its tallies *under the state mutex it
-//!   already owns*, which costs nothing extra; see DESIGN.md §5e).
-//! * [`registry`] — a process-global named-instrument registry. Lookup
-//!   takes a registration lock **once** per call site (call sites cache
-//!   the returned `&'static` instrument); updates are lock-free atomics.
+//! * [`instruments`] — [`LocalHistogram`], a plain log₂-scale nanosecond
+//!   histogram. Every tally is per session or per run and lives inside
+//!   the component that updates it, under a lock it already holds (the
+//!   TEQ records its tallies *under the state mutex it already owns*,
+//!   which costs nothing extra; see DESIGN.md §5e), so N concurrent
+//!   sessions never cross-talk.
 //! * [`snapshot`] — [`MetricsSnapshot`], a point-in-time, serializable
-//!   view assembled from the global registry plus any component-local
-//!   tallies merged in, with JSON output via the vendored serde shims.
-//!
-//! Reading a snapshot mid-run is safe and tear-free in the sense that a
-//! concurrently incremented counter is observed at some value **at most**
-//! its final total and **at least** its value when the snapshot began —
-//! never doubled, never torn (each instrument is a single atomic, and
-//! histogram totals are derived from the buckets rather than kept as a
-//! separate racing counter).
+//!   view that components publish their tallies into, with JSON output
+//!   via the vendored serde shims.
 //!
 //! Hot paths that cannot afford two `Instant::now` calls per operation
 //! use [`sample::tick`]: a thread-local 1-in-N sampler whose first tick
@@ -35,10 +24,8 @@
 //! latency histograms.
 
 pub mod instruments;
-pub mod registry;
 pub mod sample;
 pub mod snapshot;
 
-pub use instruments::{Counter, Gauge, Histogram, HistogramSnapshot, LocalHistogram, BUCKETS};
-pub use registry::{global, Registry};
+pub use instruments::{LocalHistogram, BUCKETS};
 pub use snapshot::{BucketSample, CounterSample, GaugeSample, HistogramSample, MetricsSnapshot};

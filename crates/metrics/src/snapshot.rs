@@ -1,12 +1,10 @@
 //! Point-in-time, serializable view of a set of instruments.
 //!
-//! A [`MetricsSnapshot`] is assembled from the global registry
-//! ([`crate::Registry::snapshot`]) and then extended with
-//! component-local tallies (the TEQ's in-lock counters, the runtime's
-//! per-run statistics, trace-shard occupancy) via the `push_*` methods —
-//! pushing a name that already exists **accumulates** counters and
-//! merges histograms, so two simulation sessions publishing under the
-//! same names sum naturally.
+//! A [`MetricsSnapshot`] is assembled from component-local tallies (the
+//! TEQ's in-lock counters, the runtime's per-run statistics, trace-shard
+//! occupancy) via the `push_*` methods — pushing a name that already
+//! exists **accumulates** counters and merges histograms, so two
+//! simulation sessions publishing under the same names sum naturally.
 
 use crate::instruments::{bucket_upper_ns, LocalHistogram};
 use serde::Serialize;
@@ -61,7 +59,7 @@ pub struct HistogramSample {
 /// A complete snapshot: counters, gauges, histograms.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct MetricsSnapshot {
-    /// All counters, in push order (registry snapshots push sorted).
+    /// All counters, in push order.
     pub counters: Vec<CounterSample>,
     /// All gauges.
     pub gauges: Vec<GaugeSample>,

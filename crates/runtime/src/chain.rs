@@ -109,7 +109,8 @@ impl ChainPool {
     }
 
     /// Cells ever carved: the peak number of ids chained at once.
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
         self.cells.len()
     }
 

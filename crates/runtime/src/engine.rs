@@ -134,7 +134,6 @@ struct Shared {
 pub struct Runtime {
     shared: Arc<Shared>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    config: RuntimeConfig,
 }
 
 impl Runtime {
@@ -192,16 +191,7 @@ impl Runtime {
                     .expect("failed to spawn worker thread")
             })
             .collect();
-        Runtime {
-            shared,
-            workers,
-            config,
-        }
-    }
-
-    /// The configuration this runtime was built with.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.config
+        Runtime { shared, workers }
     }
 
     /// Submit one task. Blocks while the task window is full (QUARK-style
@@ -280,11 +270,6 @@ impl Runtime {
         stats
     }
 
-    /// Number of tasks submitted so far.
-    pub fn submitted(&self) -> u64 {
-        self.shared.inner.lock().core.submitted()
-    }
-
     /// Cancel every task that has not started executing yet (QUARK-style
     /// task cancellation, used for error recovery: "error handling
     /// extensions and task cancellation capabilities", paper §IV-A3).
@@ -293,18 +278,7 @@ impl Runtime {
     /// waiting on dependences or sitting in the ready queue — are dropped
     /// without executing their bodies. Returns the number cancelled.
     pub fn abort_pending(&self) -> u64 {
-        let mut inner = self.shared.inner.lock();
-        let cancelled = inner.core.cancel_pending();
-        inner.stats.cancelled += cancelled;
-        // Queued ids of cancelled tasks remain in the policy; the core
-        // skips them at pop. Wake all workers so idle ones drain those
-        // stale queue entries — otherwise a quiescence waiter could block
-        // forever on `policy.len() > 0` with every remaining worker asleep.
-        self.shared.work_cv.notify_all();
-        self.shared.done_cv.notify_all();
-        self.shared.window_cv.notify_all();
-        self.shared.quiesce_cv.notify_all();
-        cancelled
+        abort_pending(&self.shared)
     }
 
     /// Permanently remove `worker` from service (fault injection: a died
@@ -328,21 +302,11 @@ impl Runtime {
         self.shared.quiesce_cv.notify_all();
     }
 
-    /// Whether `worker` has been decommissioned.
-    pub fn is_decommissioned(&self, worker: usize) -> bool {
-        self.shared.inner.lock().decommissioned[worker]
-    }
-
     /// A [`Quiesce`] handle for the simulation layer.
     pub fn probe(&self) -> Arc<dyn Quiesce> {
         Arc::new(RuntimeProbe {
             shared: self.shared.clone(),
         })
-    }
-
-    /// Seconds since this runtime started (the wall-clock trace origin).
-    pub fn now(&self) -> f64 {
-        self.shared.epoch.elapsed().as_secs_f64()
     }
 }
 
@@ -362,6 +326,23 @@ impl Drop for Runtime {
 /// Quiescence probe backed by the live engine counters.
 struct RuntimeProbe {
     shared: Arc<Shared>,
+}
+
+/// [`Runtime::abort_pending`]'s body, shared with the probe's
+/// [`Quiesce::cancel_pending`].
+fn abort_pending(shared: &Shared) -> u64 {
+    let mut inner = shared.inner.lock();
+    let cancelled = inner.core.cancel_pending();
+    inner.stats.cancelled += cancelled;
+    // Queued ids of cancelled tasks remain in the policy; the core
+    // skips them at pop. Wake all workers so idle ones drain those
+    // stale queue entries — otherwise a quiescence waiter could block
+    // forever on `policy.len() > 0` with every remaining worker asleep.
+    shared.work_cv.notify_all();
+    shared.done_cv.notify_all();
+    shared.window_cv.notify_all();
+    shared.quiesce_cv.notify_all();
+    cancelled
 }
 
 impl Quiesce for RuntimeProbe {
@@ -384,6 +365,10 @@ impl Quiesce for RuntimeProbe {
             self.shared.quiesce_cv.wait(&mut inner);
             inner.quiesce_waiters -= 1;
         }
+    }
+
+    fn cancel_pending(&self) {
+        abort_pending(&self.shared);
     }
 }
 
@@ -889,15 +874,6 @@ mod tests {
     }
 
     #[test]
-    fn submitted_counts_tasks() {
-        let rt = Runtime::new(RuntimeConfig::simple(1));
-        assert_eq!(rt.submitted(), 0);
-        rt.submit(TaskDesc::new("t", vec![], |_| {}));
-        assert_eq!(rt.submitted(), 1);
-        rt.wait_all().unwrap();
-    }
-
-    #[test]
     fn tasks_with_no_accesses_are_independent() {
         let rt = Runtime::new(RuntimeConfig::simple(4));
         let count = Arc::new(AtomicU64::new(0));
@@ -983,8 +959,6 @@ mod tests {
     fn decommissioned_worker_takes_no_work() {
         let rt = Runtime::new(RuntimeConfig::simple(2));
         rt.decommission(1);
-        assert!(rt.is_decommissioned(1));
-        assert!(!rt.is_decommissioned(0));
         let seen = Arc::new(Mutex::new(Vec::new()));
         for i in 0..20u64 {
             let seen = seen.clone();

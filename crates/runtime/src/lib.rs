@@ -30,12 +30,11 @@
 //! [`quiesce::Quiesce`] (is all scheduler bookkeeping done?) and per-task
 //! [`task::TaskContext`] callbacks.
 
-pub mod chain;
+mod chain;
 pub mod config;
 pub mod engine;
 pub mod hazards;
 pub mod policy;
-pub mod profiles;
 #[cfg(test)]
 mod proptests;
 pub mod quiesce;
@@ -43,7 +42,6 @@ pub mod sched;
 pub mod stats;
 pub mod task;
 
-pub use chain::{Chain, ChainPool};
 pub use config::{PolicyKind, RuntimeConfig, SchedulerKind};
 pub use engine::Runtime;
 pub use hazards::HazardTracker;

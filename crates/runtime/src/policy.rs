@@ -158,8 +158,6 @@ impl Policy for PriorityQueue {
 pub struct WorkStealing {
     deques: Vec<VecDeque<u64>>,
     rr: usize,
-    /// Steals per worker (exposed for stats/tests).
-    pub steals: Vec<u64>,
 }
 
 impl WorkStealing {
@@ -168,7 +166,6 @@ impl WorkStealing {
         WorkStealing {
             deques: (0..workers.max(1)).map(|_| VecDeque::new()).collect(),
             rr: 0,
-            steals: vec![0; workers.max(1)],
         }
     }
 }
@@ -195,7 +192,6 @@ impl Policy for WorkStealing {
         let victim = (0..self.deques.len())
             .filter(|&v| v != w && !self.deques[v].is_empty())
             .max_by_key(|&v| self.deques[v].len())?;
-        self.steals[w] += 1;
         self.deques[victim].pop_front()
     }
 
@@ -399,25 +395,21 @@ mod tests {
         assert_eq!(p.pop(0), Some(1));
         // Now worker 0 must steal from worker 1 (FIFO side).
         assert_eq!(p.pop(0), Some(3));
-        assert_eq!(p.steals[0], 1);
         assert_eq!(p.pop(0), None);
     }
 
     #[test]
     fn work_stealing_round_robins_unattributed() {
-        // Three unattributed pushes land on three different deques, so
-        // each worker can pop one from its own deque without stealing.
+        // Three unattributed pushes land on three different deques
+        // (round robin from deque 1), so each worker pops the one task
+        // of its own deque without stealing.
         let mut p = WorkStealing::new(3);
         for t in 0..3 {
             p.push(t, meta()); // releaser None -> round robin
         }
-        let mut got = Vec::new();
-        for w in 0..3 {
-            got.push(p.pop(w).expect("each worker should find a local task"));
-        }
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2]);
-        assert_eq!(p.steals, vec![0, 0, 0], "no stealing should be needed");
+        assert_eq!(p.pop(1), Some(0));
+        assert_eq!(p.pop(2), Some(1));
+        assert_eq!(p.pop(0), Some(2));
     }
 
     #[test]

@@ -32,41 +32,10 @@ pub trait Quiesce: Send + Sync {
     /// release a successor with an earlier virtual completion, so the
     /// caller must not retire until those propagations settle.
     fn wait_settled(&self, min_completed: u64);
-}
 
-/// A trivially quiescent implementation (for tests and for the offline DES
-/// baseline, which has no concurrent scheduler to wait for).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct AlwaysQuiescent;
-
-impl Quiesce for AlwaysQuiescent {
-    fn quiescent(&self) -> bool {
-        true
-    }
-
-    fn wait_quiescent(&self) {}
-
-    fn completed(&self) -> u64 {
-        u64::MAX
-    }
-
-    fn wait_settled(&self, _min_completed: u64) {}
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn always_quiescent_never_blocks() {
-        let q = AlwaysQuiescent;
-        assert!(q.quiescent());
-        q.wait_quiescent(); // must return immediately
-    }
-
-    #[test]
-    fn trait_object_usable() {
-        let q: std::sync::Arc<dyn Quiesce> = std::sync::Arc::new(AlwaysQuiescent);
-        assert!(q.quiescent());
-    }
+    /// Drop every task that has not started executing (the runtime's task
+    /// cancellation, paper §IV-A3); tasks already running finish. The
+    /// simulation layer calls this once its run is cancelled, so the run
+    /// ends with the tasks it had started.
+    fn cancel_pending(&self);
 }

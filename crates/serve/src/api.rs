@@ -59,7 +59,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Where a request's kernel duration models come from.
 #[derive(Debug, Clone, Deserialize)]
-#[serde(tag = "type", rename_all = "snake_case")]
+#[serde(tag = "type", rename_all = "snake_case", deny_unknown_fields)]
 pub enum ModelSource {
     /// Load a fitted [`supersim_calibrate::CalibrationDb`] from disk
     /// (cached by content fingerprint — see [`ModelCache`]).
@@ -87,6 +87,7 @@ pub enum ModelSource {
 
 /// A distributed-scenario request fragment.
 #[derive(Debug, Clone, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ClusterRequest {
     /// Node count (> 0).
     pub nodes: usize,
@@ -108,6 +109,7 @@ pub struct ClusterRequest {
 /// 42). `backend` additionally accepts `auto` (the default): DES replay
 /// wherever the profile replays deterministically, threaded otherwise.
 #[derive(Debug, Clone, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct RunRequest {
     /// `cholesky` | `qr` | `lu`.
     pub algorithm: Option<String>,
@@ -136,7 +138,7 @@ pub struct RunRequest {
     /// Per-task scheduler overhead in seconds.
     pub overhead_per_task: Option<f64>,
     /// Virtual-time budget in seconds: the run is aborted (422) once the
-    /// simulated clock exceeds it. Enforced exactly on the DES backend.
+    /// simulated clock exceeds it, checked at every retirement.
     pub virtual_budget: Option<f64>,
     /// Wall-clock timeout in milliseconds (overrides the server default;
     /// 0 disables).
@@ -154,6 +156,7 @@ pub struct RunRequest {
 /// default to the sweep's own defaults when omitted; empty axes are
 /// rejected (they would expand to nothing).
 #[derive(Debug, Clone, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SweepRequest {
     /// Algorithm axis.
     pub algorithms: Option<Vec<String>>,

@@ -11,17 +11,17 @@
 //! itself (on a short-lived thread, so slow clients cannot stall the
 //! accept loop) — requests are *never* silently dropped.
 //!
-//! A worker runs what has nothing to do concurrently itself: a
-//! non-streamed DES `/run` (the cacheable kind) and a `/sweep` at
-//! `jobs: 1`. The run's wall-clock deadline lives in its `SimSession`;
-//! the replay checks it where it already polls `should_abort` (reading
-//! the clock every 64th poll) and stops at the next retirement once it
-//! has passed, cancelling the phases and forks of a fault replay with it.
-//! Streamed and threaded runs execute on a child thread instead, because
+//! A worker runs what has nothing to do concurrently itself: every
+//! non-streamed `/run`, on either backend, and a `/sweep` at `jobs: 1`.
+//! The run's wall-clock deadline lives in its `SimSession`; both engines
+//! check it where they already poll `should_abort` (at every retirement,
+//! reading the clock every 64th poll) and stop at the next retirement
+//! once it has passed, cancelling the phases and forks of a fault replay
+//! with it. A streamed run executes on a child thread instead, because
 //! something does run concurrently: the worker writes progress and span
-//! events while the run goes on, and the threaded engine cannot poll a
-//! deadline, so the worker watches the wall clock and cancels the session.
-//! Both paths execute the same terminal body.
+//! events while the run goes on, and cancels the session if the client
+//! goes away; it joins the run before answering. Both paths execute the
+//! same terminal body and time out the same way.
 
 use crate::api::{RunOutput, RunRequest, SweepRequest, Terminal, MAX_BODY_BYTES};
 use crate::cache::{ModelCache, ResponseCache};
@@ -427,52 +427,47 @@ fn handle_run(state: &State, req: &Request, stream: &mut TcpStream) -> u16 {
     let timeout_ms = prepared
         .timeout_ms
         .unwrap_or(state.config.default_timeout_ms);
-    let deadline = (timeout_ms > 0).then(|| Instant::now() + Duration::from_millis(timeout_ms));
+    // Both engines poll the deadline where they poll for cancellation,
+    // and a passed deadline cancels the run.
+    if timeout_ms > 0 {
+        session.set_deadline(Instant::now() + Duration::from_millis(timeout_ms));
+    }
     let scenario = prepared.scenario.clone().session(session.clone());
     let mut spans = None;
-    let (outcome, sink) = if prepared.cacheable {
-        // A non-streamed DES run has nothing to do concurrently, so it
-        // runs on this worker; the replay polls the deadline where it
-        // polls for cancellation, and a passed deadline cancels it.
-        if let Some(d) = deadline {
-            session.set_deadline(d);
-        }
-        let out = execute(scenario, prepared.terminal);
-        let outcome = if session.cancel_requested() {
-            state.metrics.bump("serve.timeouts");
-            None
-        } else {
-            Some(out)
-        };
-        (outcome, Sink::Plain(stream))
+    let (outcome, sink) = if !prepared.stream {
+        // A non-streamed run has nothing to do concurrently, so it runs
+        // on this worker.
+        (
+            Some(execute(scenario, prepared.terminal)),
+            Sink::Plain(stream),
+        )
     } else {
         // Streaming runs subscribe to the trace: a bounded channel sink
         // drains finalized epoch batches off the recorder, and the watch
         // loop forwards them as `span` events. Bounded and lossy (drops
         // are counted and reported) so a slow client can never stall the
         // run.
-        spans = prepared.stream.then(|| {
-            let (stx, srx) = mpsc::sync_channel::<Vec<TraceEvent>>(256);
-            let sink = ChannelSink::new(stx);
-            let dropped = sink.dropped();
-            session
-                .trace_recorder()
-                .attach_sink(Box::new(sink), prepared.stream_epoch);
-            (srx, dropped)
-        });
-        match watch(
-            state,
-            &session,
-            deadline,
-            spans.as_ref(),
-            scenario,
-            prepared.terminal,
-            stream,
-        ) {
-            Some(ran) => ran,
+        let (stx, srx) = mpsc::sync_channel::<Vec<TraceEvent>>(256);
+        let sink = ChannelSink::new(stx);
+        let dropped = sink.dropped();
+        session
+            .trace_recorder()
+            .attach_sink(Box::new(sink), prepared.stream_epoch);
+        let feed = spans.insert((srx, dropped));
+        match watch(&session, feed, scenario, prepared.terminal, stream) {
+            Some((outcome, w)) => (outcome, Sink::Stream(w)),
             // The client went away before the stream opened.
             None => return 200,
         }
+    };
+    // A run that finished cancelled, with its client still there, ran
+    // past its deadline.
+    let outcome = match outcome {
+        Some(_) if session.cancel_requested() => {
+            state.metrics.bump("serve.timeouts");
+            None
+        }
+        ran => ran,
     };
 
     // Fold the served session's simulator instruments into the daemon
@@ -488,9 +483,8 @@ fn handle_run(state: &State, req: &Request, stream: &mut TcpStream) -> u16 {
         None => finish_run(sink, 504, "wall-clock timeout; run cancelled"),
         Some(Err(msg)) => finish_run(sink, 500, &format!("run failed: {msg}")),
         Some(Ok(out)) => {
-            // The DES backend stops past the budget (so the makespan
-            // exceeds it exactly when the budget fired); the threaded
-            // engine runs to completion and is checked after the fact.
+            // Both engines stop at the first retirement past the budget,
+            // so the makespan exceeds it exactly when the budget fired.
             if prepared
                 .virtual_budget
                 .is_some_and(|b| out.makespan() > b || session.cancel_requested())
@@ -558,21 +552,20 @@ fn execute(scenario: Scenario, terminal: Terminal) -> Result<RunOutput, String> 
     .map_err(|p| panic_message(&*p))
 }
 
-/// [`execute`] on a child thread, for a run that must be watched from
-/// another: a streamed one writes progress and `spans` while it runs, and
-/// the threaded engine never polls a deadline. This worker streams, and
-/// cancels the session past the deadline or when the client goes away.
-/// Returns the outcome (`None`: cancelled) and where the answer goes, or
-/// `None` if the client left before a stream opened.
+/// [`execute`] on a child thread, for a streamed run: this worker writes
+/// progress and `spans` events while the run goes on, and cancels the
+/// session when the client goes away. The run stops at its next
+/// retirement once cancelled (or past the session's deadline), and the
+/// runner is joined before this returns, so no thread of the run outlives
+/// the request. Returns the outcome (`None`: the client left) and the
+/// open stream, or `None` if the client left before the stream opened.
 fn watch<'s>(
-    state: &State,
     session: &SimSession,
-    deadline: Option<Instant>,
-    spans: Option<&SpanFeed>,
+    (srx, _): &SpanFeed,
     scenario: Scenario,
     terminal: Terminal,
     stream: &'s mut TcpStream,
-) -> Option<(Option<Result<RunOutput, String>>, Sink<'s>)> {
+) -> Option<(Option<Result<RunOutput, String>>, ChunkedWriter<'s>)> {
     let (tx, rx) = mpsc::channel::<Result<RunOutput, String>>();
     let runner = std::thread::Builder::new()
         .name("serve-run".to_string())
@@ -581,21 +574,17 @@ fn watch<'s>(
         })
         .expect("spawn run thread");
 
-    let mut sink = if spans.is_some() {
+    let mut w =
         match ChunkedWriter::start(stream, 200, &[("X-Cache".to_string(), "miss".to_string())]) {
-            Ok(w) => Sink::Stream(w),
+            Ok(w) => w,
             Err(_) => {
                 // Client went away before the stream opened: cancel and
                 // let the runner wind down.
                 session.request_cancel();
-                drop(rx);
                 let _ = runner.join();
                 return None;
             }
-        }
-    } else {
-        Sink::Plain(stream)
-    };
+        };
 
     let outcome = loop {
         match rx.recv_timeout(Duration::from_millis(50)) {
@@ -604,44 +593,29 @@ fn watch<'s>(
                 break Some(Err("run thread died without a result".to_string()))
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {
-                if let Sink::Stream(w) = &mut sink {
-                    if let Some((srx, _)) = spans {
-                        if !forward_spans(w, srx) {
-                            session.request_cancel();
-                            break None;
-                        }
-                    }
-                    let ev = ProgressEvent {
-                        event: "progress",
-                        virtual_seconds: session.virtual_now(),
-                        executing: session.executing(),
-                    };
-                    let line = format!(
-                        "{}\n",
-                        serde_json::to_string(&ev).expect("progress serializes")
-                    );
-                    if w.chunk(line.as_bytes()).is_err() {
-                        // Client went away: cancel the run and stop.
-                        session.request_cancel();
-                        break None;
-                    }
-                }
-                if deadline.is_some_and(|d| Instant::now() >= d) {
+                if !forward_spans(&mut w, srx) {
                     session.request_cancel();
-                    state.metrics.bump("serve.timeouts");
-                    // Grace period: a DES run exits at its next
-                    // retirement; the threaded engine is best-effort
-                    // and may run on detached.
-                    let _ = rx.recv_timeout(Duration::from_millis(500));
+                    break None;
+                }
+                let ev = ProgressEvent {
+                    event: "progress",
+                    virtual_seconds: session.virtual_now(),
+                    executing: session.executing(),
+                };
+                let line = format!(
+                    "{}\n",
+                    serde_json::to_string(&ev).expect("progress serializes")
+                );
+                if w.chunk(line.as_bytes()).is_err() {
+                    // Client went away: cancel the run and stop.
+                    session.request_cancel();
                     break None;
                 }
             }
         }
     };
-    if outcome.is_some() {
-        let _ = runner.join();
-    }
-    Some((outcome, sink))
+    let _ = runner.join();
+    Some((outcome, w))
 }
 
 /// Emit a terminal error for `/run`: an `error` event on an open stream

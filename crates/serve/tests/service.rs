@@ -259,6 +259,36 @@ fn streaming_run_ends_with_a_result_event() {
     handle.shutdown();
 }
 
+/// A streamed run times out the way a plain one does: the engine polls
+/// the session's deadline, and the open stream ends with an `error` event
+/// carrying 504 instead of a result. The daemon counts the timeout.
+#[test]
+fn a_timed_out_streamed_run_ends_with_a_504_event() {
+    let handle = boot(1, 4, 120_000);
+    for backend in ["des", "threaded"] {
+        let started = std::time::Instant::now();
+        let resp = post(
+            &handle,
+            "/run",
+            &format!(
+                "{{\"tiles\":100,\"workers\":8,\"backend\":\"{backend}\",\"stream\":true,\"timeout_ms\":20}}"
+            ),
+        );
+        let elapsed = started.elapsed();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let last = resp.body.lines().last().expect("at least one event");
+        assert!(last.contains("\"event\":\"error\""), "{backend}: {last}");
+        assert!(last.contains("\"status\":504"), "{backend}: {last}");
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "{backend}: the 504 must not wait for the run: {elapsed:?}"
+        );
+    }
+    let metrics = get(&handle, "/metrics").body;
+    assert!(metrics.contains("serve.timeouts"), "{metrics}");
+    handle.shutdown();
+}
+
 /// `/sweep` maps the request onto the sweep runner and returns the
 /// deterministic merged report; malformed matrices are 400s.
 #[test]
@@ -377,6 +407,37 @@ fn rejected_inputs_are_400s_and_the_daemon_survives() {
             "{\"plans\":[\"kill\"],\"worker_counts\":[1]}".into(),
             "outside the machine",
         ),
+        // A misspelt key, top-level or nested, would run the defaults.
+        (
+            "/run",
+            "{\"tiles\":4,\"workerz\":3}".into(),
+            "unknown field `workerz` in RunRequest",
+        ),
+        (
+            "/run",
+            "{\"cluster\":{\"nodes\":2,\"workers_per_node\":2,\"latncy\":1e-3}}".into(),
+            "unknown field `latncy` in ClusterRequest",
+        ),
+        (
+            "/run",
+            "{\"models\":{\"type\":\"constant\",\"seconds\":1e-3,\"warmpu\":2.0}}".into(),
+            "unknown field `warmpu` in ModelSource::Constant",
+        ),
+        (
+            "/run",
+            plan(4, &kill(1)).replace("\"at\"", "\"when\""),
+            "unknown field `when` in FaultEvent::PermanentFailure",
+        ),
+        (
+            "/run",
+            plan(4, "").replace("restart_delay", "restart_dealy"),
+            "unknown field `restart_dealy` in RecoveryPolicy",
+        ),
+        (
+            "/sweep",
+            "{\"tile_counts\":[4],\"plan\":[\"kill\"]}".into(),
+            "unknown field `plan` in SweepRequest",
+        ),
     ];
     for (path, body, needle) in rows {
         let started = std::time::Instant::now();
@@ -470,10 +531,9 @@ fn hostile_json_bodies_are_400s_and_the_daemon_survives() {
     handle.shutdown();
 }
 
-/// A `/run` body that is not UTF-8 is a 400, even where decoding it
-/// lossily would have read as a valid request (the `0xFF` sits in a
-/// field the request ignores): two different bodies must never share one
-/// request, or one cache key. The daemon answers `/healthz` afterwards.
+/// A `/run` body that is not UTF-8 is a 400 for its encoding, before any
+/// key is read: two different bodies must never share one request, or
+/// one cache key. The daemon answers `/healthz` afterwards.
 #[test]
 fn non_utf8_run_body_is_a_400() {
     use std::io::{Read, Write};
@@ -490,11 +550,7 @@ fn non_utf8_run_body_is_a_400() {
     stream.read_to_string(&mut response).unwrap();
     assert!(response.starts_with("HTTP/1.1 400"), "{response}");
     assert!(response.contains("not UTF-8"), "{response}");
-    let valid = post(
-        &handle,
-        "/run",
-        "{\"tiles\":2,\"backend\":\"des\",\"note\":\"x\"}",
-    );
+    let valid = post(&handle, "/run", "{\"tiles\":2,\"backend\":\"des\"}");
     assert_eq!(valid.status, 200, "{}", valid.body);
     assert_eq!(get(&handle, "/healthz").status, 200);
     handle.shutdown();

@@ -108,7 +108,7 @@ mod tests {
             let n = 24;
             let a0 = spd(n, 7);
             let shared = SharedTiles::new(TiledMatrix::from_matrix(&a0, 6), 0);
-            let rt = supersim_runtime::profiles::runtime_for(kind, 3);
+            let rt = Runtime::new(kind.config(3));
             submit(&rt, &shared, &ExecMode::Real);
             rt.seal();
             rt.wait_all().unwrap();

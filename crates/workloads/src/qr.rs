@@ -117,7 +117,7 @@ mod tests {
             SchedulerKind::OmpSs,
         ] {
             let (a0, a, t) = grids(24, 6, 11);
-            let rt = supersim_runtime::profiles::runtime_for(kind, 3);
+            let rt = Runtime::new(kind.config(3));
             submit(&rt, &a, &t, &ExecMode::Real);
             rt.seal();
             rt.wait_all().unwrap();

@@ -94,7 +94,8 @@ impl Backend {
 
 /// Run a stream of simulated tasks to completion on `backend`, on a
 /// machine of `config.workers` lanes with `dead_lanes` decommissioned
-/// before the first submission. Spans land in the session's trace
+/// before the first submission, or until the session's
+/// [`SimSession::should_abort`] fires. Spans land in the session's trace
 /// recorder; returns the makespan (virtual seconds) and engine statistics.
 /// Both arms pull `tasks` lazily, in order — the threaded engine under
 /// its submission-window backpressure, the DES engine at most a window
@@ -121,7 +122,13 @@ pub(crate) fn run_stream(
             for &lane in dead_lanes {
                 rt.decommission(lane);
             }
+            // A cancelled run stops submitting; the retirement that saw the
+            // cancellation has dropped the tasks already submitted but not
+            // started, so the run ends with the partial makespan.
             for task in tasks {
+                if session.should_abort(session.virtual_now()) {
+                    break;
+                }
                 rt.submit(task_desc(session, task));
             }
             rt.seal();
@@ -279,6 +286,64 @@ mod tests {
                 "panic message must name the unsupported policy: {msg}"
             );
         }
+    }
+
+    /// A threaded run on a session cancelled before it starts submits
+    /// nothing: at most one task per worker completes, not the stream.
+    #[test]
+    fn cancelled_threaded_run_completes_at_most_the_running_tasks() {
+        let alg = Algorithm::Cholesky;
+        let session = SimSession::new(models(alg), Default::default());
+        session.request_cancel();
+        let run = base(alg).n(240).session(session).run_sim();
+        assert!(
+            run.stats.completed <= 3 && run.trace.len() <= 3,
+            "{} tasks completed after cancellation on 3 workers",
+            run.stats.completed
+        );
+    }
+
+    /// A threaded run cancelled from another thread mid-run stops at its
+    /// next retirement: the runtime drops its unstarted tasks, so far
+    /// fewer than the stream's tasks complete.
+    #[test]
+    fn threaded_run_cancelled_mid_run_stops() {
+        let alg = Algorithm::Cholesky;
+        let full = base(alg).n(360).run_sim();
+        let session = SimSession::new(models(alg), Default::default());
+        let watcher = session.clone();
+        let canceller = std::thread::spawn(move || {
+            while watcher.virtual_now() == 0.0 {
+                std::thread::yield_now();
+            }
+            watcher.request_cancel();
+        });
+        let cut = base(alg).n(360).session(session).run_sim();
+        canceller.join().unwrap();
+        assert!(
+            cut.stats.completed > 0 && cut.stats.completed < full.stats.completed / 2,
+            "{} of {} tasks completed after a mid-run cancellation",
+            cut.stats.completed,
+            full.stats.completed
+        );
+    }
+
+    /// The virtual budget stops a threaded run mid-stream, as it stops
+    /// the DES loop.
+    #[test]
+    fn virtual_budget_stops_a_threaded_run() {
+        let alg = Algorithm::Cholesky;
+        let full = base(alg).n(240).run_sim();
+        let session = SimSession::new(models(alg), Default::default());
+        session.set_virtual_budget(full.predicted_seconds / 10.0);
+        let cut = base(alg).n(240).session(session).run_sim();
+        assert!(cut.predicted_seconds > full.predicted_seconds / 10.0);
+        assert!(
+            cut.stats.completed < full.stats.completed / 2,
+            "{} of {} tasks completed past a tenth of the makespan",
+            cut.stats.completed,
+            full.stats.completed
+        );
     }
 
     #[test]

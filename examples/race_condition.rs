@@ -35,10 +35,7 @@ fn run(mitigation: RaceMitigation) -> Trace {
         ("B", vec![Access::write(DataId(1))]),
         ("C", vec![Access::read(DataId(0))]),
     ] {
-        let s = session.clone();
-        rt.submit(TaskDesc::new(label, accesses, move |ctx| {
-            s.run_kernel(ctx, label)
-        }));
+        rt.submit(TaskDesc::new(label, accesses, session.planned_body(label)));
     }
     rt.seal();
     rt.wait_all().unwrap();

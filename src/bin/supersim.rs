@@ -106,28 +106,84 @@ use supersim::workloads::sweep::{FaultPlanSpec, InterconnectSpec, SweepModels, S
 
 type Opts = HashMap<String, String>;
 
+/// The scenario flags of the single-node recipes ([`scenario_from`]).
+const SCENARIO: &str = "alg scheduler n nb workers seed";
+/// The cluster flags ([`with_cluster`]).
+const CLUSTER: &str = "nodes interconnect latency bandwidth nic-lanes placement";
+/// The streaming-trace flags ([`session_for`]).
+const STREAM: &str = "trace-stream stream-epoch";
+/// The fault-plan flags ([`fault_plan`]).
+const FAULTS: &str = "straggler straggler-node kill-worker kill-node transient \
+                      transient-label degrade-link backoff-base backoff-cap \
+                      restart-delay checkpoint";
+
+/// The sweep's axis and output flags ([`cmd_sweep`]).
+const SWEEP: &str = "alg n tiles nb schedulers workers nodes interconnects latency \
+                     bandwidth nic-lanes plans seeds backend jobs overhead calibration \
+                     autotune out csv counts-out metrics-out";
+
+/// A command: its name, its body, and every flag it reads, as
+/// space-separated flag sets. Any other flag is refused before it runs.
+type Command = (&'static str, fn(&Opts), &'static [&'static str]);
+
+const COMMANDS: &[Command] = &[
+    ("real", cmd_real, &[SCENARIO, "trace-out calibration-out"]),
+    (
+        "sim",
+        cmd_sim,
+        &[SCENARIO, "calibration overhead svg chrome"],
+    ),
+    ("predict", cmd_predict, &[SCENARIO, "overhead"]),
+    (
+        "cluster",
+        cmd_cluster,
+        &[SCENARIO, "backend", CLUSTER, STREAM, "trace-out chrome svg"],
+    ),
+    (
+        "faults",
+        cmd_faults,
+        &[
+            SCENARIO,
+            "backend",
+            FAULTS,
+            CLUSTER,
+            "trace-out clean-trace-out svg chrome metrics-out",
+        ],
+    ),
+    ("sweep", cmd_sweep, &[SWEEP]),
+    (
+        "serve",
+        cmd_serve,
+        &["addr serve-workers queue timeout-ms retry-after"],
+    ),
+    ("dag", cmd_dag, &["alg nt dot"]),
+    (
+        "metrics",
+        cmd_metrics,
+        &[
+            "workload mode",
+            SCENARIO,
+            "backend",
+            CLUSTER,
+            STREAM,
+            "out chrome trace-out",
+        ],
+    ),
+    ("trace-convert", cmd_trace_convert, &["in out"]),
+    ("info", cmd_info, &[]),
+];
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         usage_and_exit();
     }
     let cmd = args.remove(0);
-    let opts = parse_flags(&args);
-    match cmd.as_str() {
-        "real" => cmd_real(&opts),
-        "sim" => cmd_sim(&opts),
-        "predict" => cmd_predict(&opts),
-        "cluster" => cmd_cluster(&opts),
-        "faults" => cmd_faults(&opts),
-        "sweep" => cmd_sweep(&opts),
-        "serve" => cmd_serve(&opts),
-        "dag" => cmd_dag(&opts),
-        "metrics" => cmd_metrics(&opts),
-        "trace-convert" => cmd_trace_convert(&opts),
-        "info" => cmd_info(),
-        "help" | "--help" | "-h" => usage_and_exit(),
-        other => {
-            eprintln!("unknown command: {other}");
+    match COMMANDS.iter().find(|(name, ..)| *name == cmd) {
+        Some((name, run, flags)) => run(&parse_flags(name, flags, &args)),
+        None if matches!(cmd.as_str(), "help" | "--help" | "-h") => usage_and_exit(),
+        None => {
+            eprintln!("unknown command: {cmd}");
             usage_and_exit();
         }
     }
@@ -188,13 +244,28 @@ fn or_fail<T, E: Display>(result: Result<T, E>) -> T {
     result.unwrap_or_else(|e| fail(e))
 }
 
-fn parse_flags(args: &[String]) -> Opts {
+/// `--key value` pairs of `cmd`'s arguments. A flag outside the
+/// command's `flags` is refused with the list of the ones it reads: a
+/// misspelt flag would otherwise run a plausible, wrong experiment.
+fn parse_flags(cmd: &str, flags: &[&str], args: &[String]) -> Opts {
+    let known = || flags.iter().flat_map(|set| set.split_whitespace());
     let mut map = HashMap::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let Some(key) = a.strip_prefix("--") else {
             fail(format!("unexpected argument {a}"))
         };
+        if !known().any(|f| f == key) {
+            let list: Vec<String> = known().map(|f| format!("--{f}")).collect();
+            let list = if list.is_empty() {
+                "none".to_string()
+            } else {
+                list.join(" ")
+            };
+            fail(format!(
+                "unknown flag --{key} for {cmd} (its flags: {list})"
+            ))
+        }
         let Some(value) = it.next() else {
             fail(format!("flag --{key} needs a value"))
         };
@@ -1091,7 +1162,7 @@ fn cmd_metrics(_opts: &Opts) {
     fail("this binary was built without the `metrics` feature; rebuild with default features")
 }
 
-fn cmd_info() {
+fn cmd_info(_opts: &Opts) {
     say!("supersim {}", env!("CARGO_PKG_VERSION"));
     say!("algorithms: cholesky (Algorithm 1), qr (Algorithm 2), lu (extension)");
     say!("schedulers:");

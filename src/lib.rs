@@ -23,7 +23,7 @@
 //! | [`dag`] | `supersim-dag` | hazard analysis, DAG export/analysis |
 //! | [`trace`] | `supersim-trace` | trace model, SVG/ASCII rendering, comparison metrics |
 //! | [`des`] | `supersim-des` | the DES replay backend and, on the same loop, the offline list-scheduling baseline |
-//! | [`metrics`] | `supersim-metrics` | lock-free metrics registry, snapshots, JSON export (feature `metrics`, on by default) |
+//! | [`metrics`] | `supersim-metrics` | per-session wall-time histograms, sampling ticker, snapshots, JSON export (feature `metrics`, on by default) |
 //!
 //! ## Quickstart
 //!

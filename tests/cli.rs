@@ -391,6 +391,13 @@ fn invalid_arguments_exit_two_with_one_line() {
             "bad --straggler entry",
         ),
         (&["metrics", "--seed"][..], "needs a value"),
+        // A misspelt flag would run a plausible, wrong experiment.
+        (
+            &["faults", "--kil-worker", "0:0.01"][..],
+            "unknown flag --kil-worker for faults",
+        ),
+        (&["metrics", "--wrokers", "3"][..], "unknown flag --wrokers"),
+        (&["sweep", "--tiles", "2", "--plan", "kill"][..], "--plans"),
     ] {
         let out = bin().args(args).output().unwrap();
         let shown: Vec<&str> = args.iter().map(|a| &a[..a.len().min(40)]).collect();

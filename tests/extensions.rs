@@ -81,11 +81,10 @@ fn heterogeneous_platform_speedup() {
         let rt = Runtime::new(RuntimeConfig::simple(workers));
         session.attach_quiesce(rt.probe());
         for i in 0..bag {
-            let s = session.clone();
             rt.submit(TaskDesc::new(
                 "k",
                 vec![Access::write(DataId(i))],
-                move |c| s.run_kernel(c, "k"),
+                session.planned_body("k"),
             ));
         }
         rt.seal();
@@ -122,11 +121,10 @@ fn mixture_kernel_model_end_to_end() {
     let rt = Runtime::new(RuntimeConfig::simple(1));
     session.attach_quiesce(rt.probe());
     for i in 0..200u64 {
-        let s = session.clone();
         rt.submit(TaskDesc::new(
             "k",
             vec![Access::write(DataId(i))],
-            move |c| s.run_kernel(c, "k"),
+            session.planned_body("k"),
         ));
     }
     rt.seal();
@@ -154,11 +152,10 @@ fn abort_during_simulation() {
     let rt = Runtime::new(RuntimeConfig::simple(2));
     session.attach_quiesce(rt.probe());
     for i in 0..40u64 {
-        let s = session.clone();
         rt.submit(TaskDesc::new(
             "k",
             vec![Access::read_write(DataId(i % 2))],
-            move |c| s.run_kernel(c, "k"),
+            session.planned_body("k"),
         ));
     }
     rt.seal();
