@@ -92,12 +92,7 @@ impl CalibrationDb {
     /// edited on disk is re-fitted rather than served stale.
     pub fn fingerprint(&self) -> u64 {
         let json = serde_json::to_string(self).expect("calibration serialization cannot fail");
-        let mut h = 0xcbf29ce484222325u64;
-        for b in json.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
+        supersim_trace::fnv1a(supersim_trace::FNV1A_BASIS, json.as_bytes())
     }
 }
 
@@ -159,6 +154,14 @@ mod tests {
         let other = Arc::clone(&shared);
         assert_eq!(Arc::strong_count(&shared), 2);
         drop(other);
+    }
+
+    /// `serve` keys its fitted-model cache on the fingerprint: its value
+    /// must not move.
+    #[test]
+    fn fingerprint_value_is_pinned() {
+        let db = CalibrationDb::new("fp test", 100, 10, 2, small_calibration());
+        assert_eq!(db.fingerprint(), 0x9deb_2334_5336_1875);
     }
 
     #[test]

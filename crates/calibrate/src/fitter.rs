@@ -71,28 +71,32 @@ pub fn fit_label(samples: &KernelSamples, opts: &FitOptions) -> Option<(KernelMo
         1.0
     };
 
+    let fitted = |dist: Dist, mean: f64, candidates: Vec<FittedModel>| {
+        let report = LabelReport {
+            samples: data.len(),
+            warmups_excluded: samples.warmup_durations.len(),
+            trimmed: samples.trimmed,
+            mean,
+            family: dist.family().to_string(),
+            warmup_factor,
+            candidates,
+        };
+        Some((KernelModel::with_warmup(dist, warmup_factor), report))
+    };
+    // The fallback: a constant model at `mean`.
+    let constant = |mean: f64| fitted(Dist::constant(mean), mean, vec![]);
+
     // Too few samples for a distribution fit: fall back to the mean
     // (a constant model) so small runs still calibrate.
     if data.len() < supersim_dist::fit::MIN_FIT_SAMPLES {
         if data.is_empty() && samples.warmup_durations.is_empty() {
             return None;
         }
-        let mean = if data.is_empty() {
+        return constant(if data.is_empty() {
             samples.warmup_durations.iter().sum::<f64>() / samples.warmup_durations.len() as f64
         } else {
             samples.mean()
-        };
-        let model = KernelModel::with_warmup(Dist::constant(mean), warmup_factor);
-        let report = LabelReport {
-            samples: data.len(),
-            warmups_excluded: samples.warmup_durations.len(),
-            trimmed: samples.trimmed,
-            mean,
-            family: "constant".to_string(),
-            warmup_factor,
-            candidates: vec![],
-        };
-        return Some((model, report));
+        });
     }
 
     // All-equal samples: no spread to fit — use the constant model
@@ -100,51 +104,22 @@ pub fn fit_label(samples: &KernelSamples, opts: &FitOptions) -> Option<(KernelMo
     // the only family that tolerates zero variance, which is a poor model).
     let spread = supersim_dist::moments::Moments::from_slice(data).sample_variance();
     if spread <= 0.0 {
-        let model = KernelModel::with_warmup(Dist::constant(samples.mean()), warmup_factor);
-        let report = LabelReport {
-            samples: data.len(),
-            warmups_excluded: samples.warmup_durations.len(),
-            trimmed: samples.trimmed,
-            mean: samples.mean(),
-            family: "constant".to_string(),
-            warmup_factor,
-            candidates: vec![],
-        };
-        return Some((model, report));
+        return constant(samples.mean());
     }
 
-    let selection = match select_model(data) {
-        Ok(s) => s,
-        Err(_) => {
-            // Degenerate data (e.g. all-equal durations): constant model.
-            let model = KernelModel::with_warmup(Dist::constant(samples.mean()), warmup_factor);
-            let report = LabelReport {
-                samples: data.len(),
-                warmups_excluded: samples.warmup_durations.len(),
-                trimmed: samples.trimmed,
-                mean: samples.mean(),
-                family: "constant".to_string(),
-                warmup_factor,
-                candidates: vec![],
-            };
-            return Some((model, report));
-        }
+    // Degenerate data no family fits: constant model.
+    let Ok(selection) = select_model(data) else {
+        return constant(samples.mean());
     };
     let chosen = opts
         .force_family
         .and_then(|f| selection.family(f))
         .unwrap_or_else(|| selection.best());
-    let model = KernelModel::with_warmup(chosen.dist.clone(), warmup_factor);
-    let report = LabelReport {
-        samples: data.len(),
-        warmups_excluded: samples.warmup_durations.len(),
-        trimmed: samples.trimmed,
-        mean: samples.mean(),
-        family: chosen.dist.family().to_string(),
-        warmup_factor,
-        candidates: selection.candidates().to_vec(),
-    };
-    Some((model, report))
+    fitted(
+        chosen.dist.clone(),
+        samples.mean(),
+        selection.candidates().to_vec(),
+    )
 }
 
 /// Calibrate every kernel class found in a real-run trace.

@@ -143,14 +143,6 @@ impl Coherence {
         ghost
     }
 
-    /// Drop every copy held by `node` (permanent node failure): a later
-    /// reader re-fetches from home.
-    pub fn drop_node(&mut self, node: usize) {
-        for copies in self.valid.values_mut() {
-            copies.remove(&node);
-        }
-    }
-
     /// Transfers planned so far.
     pub fn transfers(&self) -> u64 {
         self.transfers
@@ -241,25 +233,5 @@ mod tests {
     fn remote_write_is_rejected() {
         let mut c = Coherence::new(2, 10);
         c.plan_compute(1, &[(Access::write(DataId(0)), 0)], &ZeroCost);
-    }
-
-    #[test]
-    fn drop_node_forces_refetch() {
-        let mut c = Coherence::new(2, 100);
-        let d0 = DataId(0);
-        c.plan_compute(0, &[(Access::read_write(d0), 0)], &ZeroCost);
-        c.plan_compute(
-            1,
-            &[(Access::read(d0), 0), (Access::read_write(DataId(1)), 1)],
-            &ZeroCost,
-        );
-        assert_eq!(c.transfers(), 1);
-        c.drop_node(1);
-        let (_, x) = c.plan_compute(
-            1,
-            &[(Access::read(d0), 0), (Access::read_write(DataId(2)), 1)],
-            &ZeroCost,
-        );
-        assert_eq!(x.len(), 1, "dropped copy must refetch");
     }
 }

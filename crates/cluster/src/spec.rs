@@ -46,12 +46,6 @@ impl ClusterSpec {
         self
     }
 
-    /// Set the per-node memory budget in bytes.
-    pub fn with_mem_bytes(mut self, bytes: u64) -> Self {
-        self.mem_bytes_per_node = bytes;
-        self
-    }
-
     /// Total compute workers across all nodes.
     pub fn total_compute_workers(&self) -> usize {
         self.nodes * self.workers_per_node

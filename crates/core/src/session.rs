@@ -934,13 +934,9 @@ fn batch_scheduling() {
 }
 
 /// FNV-1a hash of a label, mixing the kernel class into the ranked RNG key.
+#[inline]
 fn label_hash(label: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in label.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    supersim_trace::fnv1a(supersim_trace::FNV1A_BASIS, label.as_bytes())
 }
 
 /// SplitMix64 — decorrelates the ranked key into a well-mixed RNG seed.
@@ -1529,6 +1525,15 @@ mod isolation_tests {
         assert_eq!(snap_b.counter("sim.kernels.count"), Some(5));
         assert_eq!(snap_a.counter("des.replay.runs"), Some(1));
         assert_eq!(snap_b.counter("des.replay.runs"), None);
+    }
+
+    /// The label hash keys every sampled duration: its values must not
+    /// move, or every seeded trace and `trace_hash` moves with them.
+    #[test]
+    fn label_hash_values_are_pinned() {
+        assert_eq!(label_hash(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(label_hash("dgemm"), 0x8ef5_2f64_f50e_e9fd);
+        assert_eq!(label_hash("dpotrf"), 0x7826_84fe_e932_e9c2);
     }
 
     /// A shared registry is one allocation: sessions built over the same

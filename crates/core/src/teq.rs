@@ -223,16 +223,6 @@ impl TaskExecutionQueue {
         st.heap.peek().is_some_and(|e| e.seq == ticket.seq)
     }
 
-    /// Whether `ticket` is at the front, plus the retired count, in one
-    /// lock acquisition.
-    pub fn front_and_retired(&self, ticket: TeqTicket) -> (bool, u64) {
-        let st = self.state.lock();
-        (
-            st.heap.peek().is_some_and(|e| e.seq == ticket.seq),
-            st.retired,
-        )
-    }
-
     /// Block until `ticket` is at the front. Returns the retired count
     /// read under the same lock acquisition that saw it there — the settle
     /// target of [`TaskExecutionQueue::retire_if_settled`].
@@ -298,16 +288,6 @@ impl TaskExecutionQueue {
         self.wake_front(st);
         st.tally.on_retire(stamp);
         st.clock
-    }
-
-    /// Advance the clock directly (used by tests and by the offline DES).
-    /// The clock never moves backwards.
-    pub fn advance_to(&self, t: f64) {
-        let mut st = self.state.lock();
-        st.clock = st.clock.max(t);
-        // The clock is not part of the wait_front predicate, but broadcast
-        // mode historically woke waiters here; keep transitions uniform.
-        self.wake_front(&mut st);
     }
 
     /// Publish this queue's tally into a snapshot: counts, latency
@@ -426,26 +406,6 @@ mod tests {
         assert_eq!(t.end, s);
         let (t2, s2) = q.insert(f64::NAN);
         assert_eq!(t2.end, s2);
-    }
-
-    #[test]
-    fn clock_monotone_under_retire() {
-        let q = TaskExecutionQueue::new();
-        let (a, _) = q.insert(5.0);
-        q.advance_to(10.0);
-        q.retire(a); // end = 5 < clock = 10: clock must not go back
-        assert_eq!(q.now(), 10.0);
-    }
-
-    #[test]
-    fn front_and_retired_is_consistent() {
-        let q = TaskExecutionQueue::new();
-        let (a, _) = q.insert(1.0);
-        let (b, _) = q.insert(2.0);
-        assert_eq!(q.front_and_retired(a), (true, 0));
-        assert_eq!(q.front_and_retired(b), (false, 0));
-        q.retire(a);
-        assert_eq!(q.front_and_retired(b), (true, 1));
     }
 
     #[test]

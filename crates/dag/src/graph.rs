@@ -116,11 +116,6 @@ impl TaskGraph {
         &self.nodes[id]
     }
 
-    /// Mutable access to a node (e.g. to set weights post-construction).
-    pub fn node_mut(&mut self, id: TaskId) -> &mut TaskNode {
-        &mut self.nodes[id]
-    }
-
     /// All nodes in submission order.
     pub fn nodes(&self) -> &[TaskNode] {
         &self.nodes

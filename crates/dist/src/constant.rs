@@ -4,7 +4,7 @@
 //! probabilistic models against "a constant or uniform distribution"
 //! (Fig. 4 caption); this is that baseline.
 
-use crate::{DistError, Distribution};
+use crate::Distribution;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -20,14 +20,6 @@ impl Constant {
     pub fn new(value: f64) -> Self {
         let value = if value.is_nan() { 0.0 } else { value };
         Constant { value }
-    }
-
-    /// Construct, rejecting non-finite values.
-    pub fn try_new(value: f64) -> Result<Self, DistError> {
-        if !value.is_finite() {
-            return Err(DistError::InvalidParameter("constant value must be finite"));
-        }
-        Ok(Constant { value })
     }
 
     /// The point of mass.
@@ -91,13 +83,6 @@ mod tests {
         assert_eq!(c.cdf(0.999), 0.0);
         assert_eq!(c.cdf(1.0), 1.0);
         assert_eq!(c.cdf(2.0), 1.0);
-    }
-
-    #[test]
-    fn try_new_rejects_non_finite() {
-        assert!(Constant::try_new(f64::INFINITY).is_err());
-        assert!(Constant::try_new(f64::NAN).is_err());
-        assert!(Constant::try_new(3.0).is_ok());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::moments::Moments;
 use crate::special::digamma;
-use crate::{Dist, DistError, Distribution, Exponential, Gamma, LogNormal, Normal, Uniform};
+use crate::{Dist, DistError, Distribution, Exponential, Gamma, LogNormal, Normal};
 use serde::{Deserialize, Serialize};
 
 /// Minimum number of samples we are willing to fit a 2-parameter model to.
@@ -106,17 +106,6 @@ pub fn fit_exponential(data: &[f64]) -> Result<Exponential, DistError> {
         ));
     }
     Exponential::from_mean(m.mean())
-}
-
-/// Fit a uniform over the observed range (MLE for the uniform family).
-pub fn fit_uniform(data: &[f64]) -> Result<Uniform, DistError> {
-    let m = finite_moments(data)?;
-    if m.min() >= m.max() {
-        return Err(DistError::UnsupportedData(
-            "uniform fit requires a non-degenerate range",
-        ));
-    }
-    Uniform::new(m.min(), m.max())
 }
 
 fn check_count(data: &[f64]) -> Result<(), DistError> {
@@ -285,12 +274,9 @@ mod tests {
     }
 
     #[test]
-    fn exponential_and_uniform_fits() {
+    fn exponential_fit() {
         let e = fit_exponential(&[1.0, 3.0, 2.0, 2.0, 1.5, 2.5, 2.0, 2.0]).unwrap();
         assert!((e.mean() - 2.0).abs() < 1e-12);
-        let u = fit_uniform(&[1.0, 3.0, 2.0, 2.0, 1.5, 2.5, 2.0, 2.0]).unwrap();
-        assert_eq!(u.lo(), 1.0);
-        assert_eq!(u.hi(), 3.0);
     }
 
     #[test]
@@ -310,7 +296,6 @@ mod tests {
         ));
         let constant = [2.0; 10];
         assert!(fit_normal(&constant).is_err());
-        assert!(fit_uniform(&constant).is_err());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Goodness-of-fit: Kolmogorov–Smirnov test.
+//! Goodness-of-fit: the Kolmogorov–Smirnov statistic.
 //!
 //! Used to sanity-check the fitted kernel models ("to test how appropriate
 //! these distributions are, we fitted the empirical distributions of
@@ -26,81 +26,6 @@ pub fn ks_statistic(dist: &Dist, data: &[f64]) -> f64 {
     d
 }
 
-/// Asymptotic Kolmogorov distribution survival function:
-/// `Q(lambda) = 2 * sum_{j>=1} (-1)^{j-1} exp(-2 j^2 lambda^2)`.
-///
-/// Returns the approximate p-value for the KS test with statistic `d` and
-/// sample size `n`. Accurate enough for model-diagnostic purposes (the
-/// classic Numerical Recipes `probks`).
-pub fn ks_p_value(d: f64, n: usize) -> f64 {
-    if !(d.is_finite() && d >= 0.0) || n == 0 {
-        return f64::NAN;
-    }
-    let en = (n as f64).sqrt();
-    let lambda = (en + 0.12 + 0.11 / en) * d;
-    let mut sum = 0.0;
-    let mut sign = 1.0;
-    let mut prev_term = 0.0_f64;
-    for j in 1..=100 {
-        let term = sign * 2.0 * (-2.0 * (j as f64) * (j as f64) * lambda * lambda).exp();
-        sum += term;
-        if term.abs() <= 1e-9 * sum.abs() || term.abs() <= 1e-12 * prev_term.abs() {
-            return sum.clamp(0.0, 1.0);
-        }
-        prev_term = term;
-        sign = -sign;
-    }
-    // Alternating series failed to converge: this only happens for very
-    // small lambda, where the distribution mass is all above d — p = 1
-    // (same convention as Numerical Recipes' probks).
-    1.0
-}
-
-/// Combined KS test: statistic and p-value.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KsTest {
-    /// The KS statistic (sup-norm distance of CDFs).
-    pub statistic: f64,
-    /// Approximate p-value under the null that the data came from `dist`.
-    pub p_value: f64,
-}
-
-/// Run a one-sample KS test of `data` against `dist`.
-pub fn ks_test(dist: &Dist, data: &[f64]) -> KsTest {
-    let d = ks_statistic(dist, data);
-    KsTest {
-        statistic: d,
-        p_value: ks_p_value(d, data.len()),
-    }
-}
-
-/// Two-sample KS statistic between two data sets.
-pub fn ks_two_sample(a: &[f64], b: &[f64]) -> f64 {
-    let mut sa: Vec<f64> = a.iter().copied().filter(|x| x.is_finite()).collect();
-    let mut sb: Vec<f64> = b.iter().copied().filter(|x| x.is_finite()).collect();
-    if sa.is_empty() || sb.is_empty() {
-        return f64::NAN;
-    }
-    sa.sort_by(f64::total_cmp);
-    sb.sort_by(f64::total_cmp);
-    let (na, nb) = (sa.len() as f64, sb.len() as f64);
-    let (mut ia, mut ib) = (0usize, 0usize);
-    let mut d = 0.0_f64;
-    while ia < sa.len() && ib < sb.len() {
-        let xa = sa[ia];
-        let xb = sb[ib];
-        let x = xa.min(xb);
-        while ia < sa.len() && sa[ia] <= x {
-            ia += 1;
-        }
-        while ib < sb.len() && sb[ib] <= x {
-            ib += 1;
-        }
-        d = d.max((ia as f64 / na - ib as f64 / nb).abs());
-    }
-    d
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,9 +41,8 @@ mod tests {
     fn ks_small_for_true_model() {
         let d = Dist::normal(0.0, 1.0).unwrap();
         let data = samples(&d, 5_000, 1);
-        let t = ks_test(&d, &data);
-        assert!(t.statistic < 0.03, "stat {}", t.statistic);
-        assert!(t.p_value > 0.01, "p {}", t.p_value);
+        let d_n = ks_statistic(&d, &data);
+        assert!(d_n < 0.03, "stat {d_n}");
     }
 
     #[test]
@@ -126,42 +50,13 @@ mod tests {
         let truth = Dist::normal(0.0, 1.0).unwrap();
         let wrong = Dist::normal(2.0, 1.0).unwrap();
         let data = samples(&truth, 5_000, 2);
-        let t = ks_test(&wrong, &data);
-        assert!(t.statistic > 0.5, "stat {}", t.statistic);
-        assert!(t.p_value < 1e-6, "p {}", t.p_value);
-    }
-
-    #[test]
-    fn ks_p_value_limits() {
-        // Tiny statistic -> p near 1; huge statistic -> p near 0.
-        assert!(ks_p_value(0.001, 100) > 0.99);
-        assert!(ks_p_value(0.9, 100) < 1e-10);
+        let d_n = ks_statistic(&wrong, &data);
+        assert!(d_n > 0.5, "stat {d_n}");
     }
 
     #[test]
     fn ks_statistic_empty_is_nan() {
         let d = Dist::normal(0.0, 1.0).unwrap();
         assert!(ks_statistic(&d, &[]).is_nan());
-    }
-
-    #[test]
-    fn two_sample_same_source_small() {
-        let d = Dist::gamma(3.0, 1.0).unwrap();
-        let a = samples(&d, 4_000, 3);
-        let b = samples(&d, 4_000, 4);
-        assert!(ks_two_sample(&a, &b) < 0.05);
-    }
-
-    #[test]
-    fn two_sample_different_sources_large() {
-        let a = samples(&Dist::normal(0.0, 1.0).unwrap(), 2_000, 5);
-        let b = samples(&Dist::normal(3.0, 1.0).unwrap(), 2_000, 6);
-        assert!(ks_two_sample(&a, &b) > 0.7);
-    }
-
-    #[test]
-    fn two_sample_identical_data_zero() {
-        let a = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(ks_two_sample(&a, &a), 0.0);
     }
 }

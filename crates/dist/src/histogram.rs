@@ -129,15 +129,6 @@ impl Histogram {
         let norm = 1.0 / (self.total as f64 * self.bin_width());
         self.counts.iter().map(|&c| c as f64 * norm).collect()
     }
-
-    /// The bin index containing `x`, or None if out of range.
-    pub fn bin_of(&self, x: f64) -> Option<usize> {
-        if !x.is_finite() || x < self.lo || x > self.hi {
-            return None;
-        }
-        let idx = ((x - self.lo) / self.bin_width()).floor() as usize;
-        Some(idx.min(self.counts.len() - 1))
-    }
 }
 
 #[cfg(test)]
@@ -210,15 +201,5 @@ mod tests {
     fn centers_are_midpoints() {
         let h = Histogram::new(0.0, 4.0, 4);
         assert_eq!(h.centers(), vec![0.5, 1.5, 2.5, 3.5]);
-    }
-
-    #[test]
-    fn bin_of_boundaries() {
-        let h = Histogram::new(0.0, 4.0, 4);
-        assert_eq!(h.bin_of(0.0), Some(0));
-        assert_eq!(h.bin_of(3.999), Some(3));
-        assert_eq!(h.bin_of(4.0), Some(3));
-        assert_eq!(h.bin_of(-0.1), None);
-        assert_eq!(h.bin_of(4.1), None);
     }
 }

@@ -37,18 +37,6 @@ impl Kde {
         })
     }
 
-    /// Build with an explicit bandwidth (`> 0`).
-    pub fn with_bandwidth(data: &[f64], bandwidth: f64) -> Option<Self> {
-        let finite: Vec<f64> = data.iter().copied().filter(|x| x.is_finite()).collect();
-        if finite.is_empty() || !(bandwidth.is_finite() && bandwidth > 0.0) {
-            return None;
-        }
-        Some(Kde {
-            data: finite,
-            bandwidth,
-        })
-    }
-
     /// The bandwidth in use.
     pub fn bandwidth(&self) -> f64 {
         self.bandwidth
@@ -103,8 +91,6 @@ mod tests {
         assert!(Kde::silverman(&[]).is_none());
         assert!(Kde::silverman(&[1.0]).is_none());
         assert!(Kde::silverman(&[2.0, 2.0, 2.0]).is_none());
-        assert!(Kde::with_bandwidth(&[1.0], 0.0).is_none());
-        assert!(Kde::with_bandwidth(&[], 1.0).is_none());
     }
 
     #[test]
@@ -132,7 +118,7 @@ mod tests {
 
     #[test]
     fn density_peaks_near_data() {
-        let kde = Kde::with_bandwidth(&[5.0, 5.1, 4.9], 0.2).unwrap();
+        let kde = Kde::silverman(&[5.0, 5.1, 4.9]).unwrap();
         assert!(kde.density(5.0) > kde.density(3.0));
         assert!(kde.density(5.0) > kde.density(7.0));
     }

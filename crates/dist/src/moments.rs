@@ -2,17 +2,13 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Numerically stable online accumulator for the first four central moments.
-///
-/// Uses the Welford/Pébay update formulas; merging two accumulators is also
-/// supported so per-thread statistics can be combined.
+/// Numerically stable online accumulator (Welford) for the mean and the
+/// second central moment, plus the observed range.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct Moments {
     n: u64,
     mean: f64,
     m2: f64,
-    m3: f64,
-    m4: f64,
     min: f64,
     max: f64,
 }
@@ -24,8 +20,6 @@ impl Moments {
             n: 0,
             mean: 0.0,
             m2: 0.0,
-            m3: 0.0,
-            m4: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -41,12 +35,8 @@ impl Moments {
         let n = self.n as f64;
         let delta = x - self.mean;
         let delta_n = delta / n;
-        let delta_n2 = delta_n * delta_n;
         let term1 = delta * delta_n * n1;
         self.mean += delta_n;
-        self.m4 += term1 * delta_n2 * (n * n - 3.0 * n + 3.0) + 6.0 * delta_n2 * self.m2
-            - 4.0 * delta_n * self.m3;
-        self.m3 += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * self.m2;
         self.m2 += term1;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
@@ -64,43 +54,6 @@ impl Moments {
         let mut m = Moments::new();
         m.push_all(xs);
         m
-    }
-
-    /// Merge another accumulator into this one (Pébay's parallel formulas).
-    pub fn merge(&mut self, other: &Moments) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let (na, nb) = (self.n as f64, other.n as f64);
-        let n = na + nb;
-        let delta = other.mean - self.mean;
-        let delta2 = delta * delta;
-        let delta3 = delta2 * delta;
-        let delta4 = delta3 * delta;
-
-        let mean = self.mean + delta * nb / n;
-        let m2 = self.m2 + other.m2 + delta2 * na * nb / n;
-        let m3 = self.m3
-            + other.m3
-            + delta3 * na * nb * (na - nb) / (n * n)
-            + 3.0 * delta * (na * other.m2 - nb * self.m2) / n;
-        let m4 = self.m4
-            + other.m4
-            + delta4 * na * nb * (na * na - na * nb + nb * nb) / (n * n * n)
-            + 6.0 * delta2 * (na * na * other.m2 + nb * nb * self.m2) / (n * n)
-            + 4.0 * delta * (na * other.m3 - nb * self.m3) / n;
-
-        self.n += other.n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.m3 = m3;
-        self.m4 = m4;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of accumulated (finite) observations.
@@ -145,24 +98,6 @@ impl Moments {
         self.sample_variance().sqrt()
     }
 
-    /// Skewness (0 for degenerate data).
-    pub fn skewness(&self) -> f64 {
-        if self.n == 0 || self.m2 == 0.0 {
-            return 0.0;
-        }
-        let n = self.n as f64;
-        (n.sqrt() * self.m3) / self.m2.powf(1.5)
-    }
-
-    /// Excess kurtosis (0 for degenerate data).
-    pub fn kurtosis(&self) -> f64 {
-        if self.n == 0 || self.m2 == 0.0 {
-            return 0.0;
-        }
-        let n = self.n as f64;
-        n * self.m4 / (self.m2 * self.m2) - 3.0
-    }
-
     /// Minimum observed value (`+inf` if empty).
     pub fn min(&self) -> f64 {
         self.min
@@ -171,15 +106,6 @@ impl Moments {
     /// Maximum observed value (`-inf` if empty).
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Coefficient of variation, `std/mean` (0 for zero mean).
-    pub fn cv(&self) -> f64 {
-        if self.mean() == 0.0 {
-            0.0
-        } else {
-            self.std_dev() / self.mean().abs()
-        }
     }
 }
 
@@ -193,8 +119,6 @@ mod tests {
         assert_eq!(m.count(), 0);
         assert_eq!(m.mean(), 0.0);
         assert_eq!(m.variance(), 0.0);
-        assert_eq!(m.skewness(), 0.0);
-        assert_eq!(m.kurtosis(), 0.0);
     }
 
     #[test]
@@ -220,54 +144,5 @@ mod tests {
         let m = Moments::from_slice(&[1.0, f64::NAN, 2.0, f64::INFINITY]);
         assert_eq!(m.count(), 2);
         assert!((m.mean() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let data: Vec<f64> = (0..1000)
-            .map(|i| ((i * 37) % 101) as f64 * 0.13 + 1.0)
-            .collect();
-        let whole = Moments::from_slice(&data);
-        let mut a = Moments::from_slice(&data[..333]);
-        let b = Moments::from_slice(&data[333..]);
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-10);
-        assert!((a.variance() - whole.variance()).abs() < 1e-8);
-        assert!((a.skewness() - whole.skewness()).abs() < 1e-8);
-        assert!((a.kurtosis() - whole.kurtosis()).abs() < 1e-7);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let data = [3.0, 1.0, 4.0, 1.0, 5.0];
-        let mut m = Moments::from_slice(&data);
-        let before = m;
-        m.merge(&Moments::new());
-        assert_eq!(m, before);
-
-        let mut e = Moments::new();
-        e.merge(&before);
-        assert_eq!(e, before);
-    }
-
-    #[test]
-    fn skewness_sign_detects_asymmetry() {
-        // Right-skewed data: skewness > 0.
-        let right: Vec<f64> = (0..100).map(|i| (i as f64 / 10.0).exp()).collect();
-        assert!(Moments::from_slice(&right).skewness() > 0.5);
-        // Symmetric data: skewness near 0.
-        let sym: Vec<f64> = (-50..=50).map(|i| i as f64).collect();
-        assert!(Moments::from_slice(&sym).skewness().abs() < 1e-10);
-    }
-
-    #[test]
-    fn cv_basic() {
-        let m = Moments::from_slice(&[10.0, 10.0, 10.0]);
-        assert_eq!(m.cv(), 0.0);
-        let m2 = Moments::from_slice(&[8.0, 12.0]);
-        assert!((m2.cv() - 0.2).abs() < 1e-12);
     }
 }

@@ -116,17 +116,4 @@ proptest! {
             prop_assert!((integral - 1.0).abs() < 1e-9, "integral {integral}");
         }
     }
-
-    /// Moments accumulator merge == sequential accumulation, any split.
-    #[test]
-    fn moments_merge_any_split(data in prop::collection::vec(-1e3f64..1e3, 2..120), split in 0usize..120) {
-        let split = split.min(data.len());
-        let whole = crate::moments::Moments::from_slice(&data);
-        let mut a = crate::moments::Moments::from_slice(&data[..split]);
-        let b = crate::moments::Moments::from_slice(&data[split..]);
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean() - whole.mean()).abs() < 1e-6 * (1.0 + whole.mean().abs()));
-        prop_assert!((a.variance() - whole.variance()).abs() < 1e-4 * (1.0 + whole.variance()));
-    }
 }

@@ -311,24 +311,6 @@ impl FaultPlan {
         })
     }
 
-    /// Whether the plan contains any transient-failure events.
-    pub fn has_transients(&self) -> bool {
-        self.events
-            .iter()
-            .any(|e| matches!(e, FaultEvent::Transient { .. }))
-    }
-
-    /// Whether the plan contains any straggler or link-degradation
-    /// windows (anything the injector's `perturb` hook acts on).
-    pub fn has_slowdowns(&self) -> bool {
-        self.events.iter().any(|e| {
-            matches!(
-                e,
-                FaultEvent::Straggler { .. } | FaultEvent::LinkDegradation { .. }
-            )
-        })
-    }
-
     fn single_permanent(&self) -> Result<(), String> {
         let n = self
             .events
@@ -354,8 +336,6 @@ mod tests {
     fn empty_plan_is_empty() {
         let p = FaultPlan::new();
         assert!(p.is_empty());
-        assert!(!p.has_transients());
-        assert!(!p.has_slowdowns());
         assert!(p.permanent_failure().is_none());
     }
 
@@ -367,8 +347,6 @@ mod tests {
             .degrade_link(1, 0.5, 2.0, 4.0)
             .kill_node(3, 1.5);
         assert_eq!(p.events.len(), 4);
-        assert!(p.has_transients());
-        assert!(p.has_slowdowns());
         assert_eq!(p.permanent_failure(), Some((FaultScope::Node(3), 1.5)));
     }
 

@@ -17,6 +17,7 @@ use std::sync::Arc;
 use supersim_cluster::ClusterSpec;
 use supersim_core::{ModelRegistry, SimConfig};
 use supersim_faults::FaultPlan;
+use supersim_trace::{fnv1a, FNV1A_BASIS};
 use supersim_workloads::scenario::{parse_scheduler, SYNTHETIC_MU, SYNTHETIC_SIGMA};
 use supersim_workloads::sweep::{FaultPlanSpec, InterconnectSpec, SweepModels};
 use supersim_workloads::{
@@ -45,16 +46,6 @@ pub const MAX_SWEEP_CELLS: u64 = 4_096;
 /// Refuse a scenario beyond this daemon's ceilings.
 fn admit(scenario: &Scenario) -> Result<(), String> {
     Ok(scenario.fits(MAX_RUN_TASKS, MAX_DES_LANES, MAX_THREADED_LANES)?)
-}
-
-/// FNV-1a 64 over a byte string — the digest used for trace hashes.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Where a request's kernel duration models come from.
@@ -457,7 +448,9 @@ impl RunOutput {
 
     /// Build the deterministic result document.
     pub fn doc(&self) -> ResultDoc {
-        let hash = |t: &supersim_trace::Trace| format!("{:#018x}", fnv1a(t.canonical().as_bytes()));
+        let hash = |t: &supersim_trace::Trace| {
+            format!("{:#018x}", fnv1a(FNV1A_BASIS, t.canonical().as_bytes()))
+        };
         match self {
             RunOutput::Sim(r) => ResultDoc {
                 kind: "sim".to_string(),
@@ -838,7 +831,7 @@ mod tests {
         assert_eq!(report.cells_total, 64);
         let json = report.to_json();
         assert_eq!(
-            (json.len(), fnv1a(json.as_bytes())),
+            (json.len(), fnv1a(FNV1A_BASIS, json.as_bytes())),
             (50_416, 0xcf45_7483_0c09_c9db)
         );
     }

@@ -19,12 +19,13 @@
 //! **not** cached: those are rebuilt per request from the cached
 //! immutable inputs.
 
-use crate::api::{fnv1a, ModelSource};
+use crate::api::ModelSource;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use supersim_calibrate::CalibrationDb;
 use supersim_core::{KernelModel, ModelRegistry};
+use supersim_trace::{fnv1a, FNV1A_BASIS};
 use supersim_workloads::scenario::{synthetic_model, uniform_models};
 use supersim_workloads::Algorithm;
 
@@ -101,7 +102,7 @@ impl ModelCache {
     /// Load (or reuse) a calibration database's fitted registry.
     fn calibration(&self, path: &str) -> Result<SerializedModels, String> {
         let bytes = std::fs::read(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-        let digest = fnv1a(&bytes);
+        let digest = fnv1a(FNV1A_BASIS, &bytes);
         if let Some((cached_digest, fp)) = self.files.lock().get(path) {
             if *cached_digest == digest {
                 let key = format!("calibration:{fp:016x}");

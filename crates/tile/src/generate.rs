@@ -37,12 +37,6 @@ pub fn spd_fast(n: usize, seed: u64) -> Matrix {
     })
 }
 
-/// Symmetric (not necessarily definite) random matrix.
-pub fn symmetric(n: usize, seed: u64) -> Matrix {
-    let b = random(n, n, seed);
-    Matrix::from_fn(n, n, |i, j| 0.5 * (b[(i, j)] + b[(j, i)]))
-}
-
 /// Diagonally dominant matrix (well conditioned for LU without pivoting).
 pub fn diag_dominant(n: usize, seed: u64) -> Matrix {
     let mut a = random(n, n, seed);
@@ -92,16 +86,6 @@ mod tests {
         }
         let mut f = a.clone();
         dpotf2(&mut f).expect("spd_fast must factor");
-    }
-
-    #[test]
-    fn symmetric_is_symmetric() {
-        let a = symmetric(9, 2);
-        for i in 0..9 {
-            for j in 0..9 {
-                assert_eq!(a[(i, j)], a[(j, i)]);
-            }
-        }
     }
 
     #[test]

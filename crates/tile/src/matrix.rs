@@ -144,33 +144,6 @@ impl Matrix {
         out
     }
 
-    /// Copy a rectangular block of `src` into `self` at `(dst_i, dst_j)`.
-    #[allow(clippy::too_many_arguments)] // mirrors the LAPACK lacpy signature
-    pub fn copy_block(
-        &mut self,
-        src: &Matrix,
-        src_i: usize,
-        src_j: usize,
-        rows: usize,
-        cols: usize,
-        dst_i: usize,
-        dst_j: usize,
-    ) {
-        assert!(
-            src_i + rows <= src.rows && src_j + cols <= src.cols,
-            "src block out of range"
-        );
-        assert!(
-            dst_i + rows <= self.rows && dst_j + cols <= self.cols,
-            "dst block out of range"
-        );
-        for j in 0..cols {
-            for i in 0..rows {
-                self[(dst_i + i, dst_j + j)] = src[(src_i + i, src_j + j)];
-            }
-        }
-    }
-
     /// Maximum absolute entry (0 for empty).
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0, |m, &x| m.max(x.abs()))
@@ -279,16 +252,6 @@ mod tests {
         let (c2b, c0b) = m.two_cols_mut(2, 0);
         assert_eq!(c2b[1], -2.0);
         assert_eq!(c0b[0], -1.0);
-    }
-
-    #[test]
-    fn copy_block_moves_submatrix() {
-        let src = Matrix::from_fn(4, 4, |i, j| (i * 4 + j) as f64);
-        let mut dst = Matrix::zeros(3, 3);
-        dst.copy_block(&src, 1, 1, 2, 2, 0, 0);
-        assert_eq!(dst[(0, 0)], src[(1, 1)]);
-        assert_eq!(dst[(1, 1)], src[(2, 2)]);
-        assert_eq!(dst[(2, 2)], 0.0);
     }
 
     #[test]

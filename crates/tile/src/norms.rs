@@ -1,33 +1,10 @@
-//! Matrix norms.
+//! The Frobenius norm.
 
 use crate::matrix::Matrix;
 
 /// Frobenius norm.
 pub fn frobenius(a: &Matrix) -> f64 {
     a.data().iter().map(|&x| x * x).sum::<f64>().sqrt()
-}
-
-/// One-norm (max absolute column sum).
-pub fn one_norm(a: &Matrix) -> f64 {
-    (0..a.cols())
-        .map(|j| a.col(j).iter().map(|x| x.abs()).sum::<f64>())
-        .fold(0.0, f64::max)
-}
-
-/// Infinity-norm (max absolute row sum).
-pub fn inf_norm(a: &Matrix) -> f64 {
-    let mut sums = vec![0.0f64; a.rows()];
-    for j in 0..a.cols() {
-        for (i, &v) in a.col(j).iter().enumerate() {
-            sums[i] += v.abs();
-        }
-    }
-    sums.into_iter().fold(0.0, f64::max)
-}
-
-/// Max-norm (largest absolute entry).
-pub fn max_norm(a: &Matrix) -> f64 {
-    a.max_abs()
 }
 
 #[cfg(test)]
@@ -45,26 +22,8 @@ mod tests {
     }
 
     #[test]
-    fn one_norm_is_col_sum() {
-        assert_eq!(one_norm(&m()), 6.0);
-    }
-
-    #[test]
-    fn inf_norm_is_row_sum() {
-        assert_eq!(inf_norm(&m()), 7.0);
-    }
-
-    #[test]
-    fn max_norm_known() {
-        assert_eq!(max_norm(&m()), 4.0);
-    }
-
-    #[test]
     fn zero_matrix_all_norms_zero() {
         let z = Matrix::zeros(3, 3);
         assert_eq!(frobenius(&z), 0.0);
-        assert_eq!(one_norm(&z), 0.0);
-        assert_eq!(inf_norm(&z), 0.0);
-        assert_eq!(max_norm(&z), 0.0);
     }
 }

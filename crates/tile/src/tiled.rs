@@ -122,12 +122,6 @@ impl TiledMatrix {
         &mut self.tiles[i + j * self.mt]
     }
 
-    /// Flat tile index of `(i, j)` — stable id for dependence tracking.
-    pub fn tile_index(&self, i: usize, j: usize) -> usize {
-        assert!(i < self.mt && j < self.nt, "tile ({i},{j}) out of range");
-        i + j * self.mt
-    }
-
     /// Take all tiles out (consumes the layout), returning the grid and
     /// its shape — used to hand tiles to the runtime behind locks.
     pub fn into_tiles(self) -> (Vec<Matrix>, usize, usize, usize) {
@@ -187,17 +181,6 @@ mod tests {
         let tile = t.tile(1, 0);
         assert_eq!(tile[(0, 0)], a[(3, 0)]);
         assert_eq!(tile[(2, 2)], a[(5, 2)]);
-    }
-
-    #[test]
-    fn tile_index_is_stable_and_unique() {
-        let t = TiledMatrix::zeros(9, 9, 3);
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!(seen.insert(t.tile_index(i, j)));
-            }
-        }
     }
 
     #[test]

@@ -54,7 +54,11 @@ impl ColorMap {
     pub fn color(&self, label: &str) -> &'static str {
         match self.labels.iter().position(|l| l == label) {
             Some(i) => PALETTE[i % PALETTE.len()],
-            None => PALETTE[stable_hash(label) as usize % PALETTE.len()],
+            // FNV-1a: deterministic across runs, unlike `DefaultHasher`.
+            None => {
+                let h = crate::fnv1a(crate::FNV1A_BASIS, label.as_bytes());
+                PALETTE[h as usize % PALETTE.len()]
+            }
         }
     }
 
@@ -62,16 +66,6 @@ impl ColorMap {
     pub fn labels(&self) -> &[String] {
         &self.labels
     }
-}
-
-/// FNV-1a — tiny, deterministic across runs (unlike `DefaultHasher` seeds).
-fn stable_hash(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

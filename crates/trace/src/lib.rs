@@ -47,6 +47,20 @@ pub use stats::TraceStats;
 
 use serde::{Deserialize, Serialize};
 
+/// The FNV-1a 64 offset basis: the state [`fnv1a`] starts from.
+pub const FNV1A_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64 over `bytes`, continuing from state `h` ([`FNV1A_BASIS`] to
+/// start): the one digest behind trace hashes, scenario content hashes,
+/// calibration fingerprints and the label key of every sampled duration.
+/// Inlined: the label key is on the per-task duration path.
+#[inline]
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// One executed task occurrence in a trace.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TraceEvent {
@@ -237,6 +251,18 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The published FNV-1a 64 test vectors, whole and in pieces.
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(FNV1A_BASIS, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV1A_BASIS, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV1A_BASIS, b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(
+            fnv1a(fnv1a(FNV1A_BASIS, b"foo"), b"bar"),
+            0x8594_4171_f739_67e8
+        );
+    }
 
     fn ev(worker: usize, kernel: &str, id: u64, start: f64, end: f64) -> TraceEvent {
         TraceEvent {

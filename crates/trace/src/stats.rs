@@ -87,16 +87,6 @@ impl TraceStats {
         }
     }
 
-    /// Total idle time across all lanes: `workers * makespan - busy_time`.
-    pub fn idle_time(&self) -> f64 {
-        (self.workers as f64 * self.makespan - self.busy_time).max(0.0)
-    }
-
-    /// Count of events for one kernel class (0 if absent).
-    pub fn kernel_count(&self, label: &str) -> usize {
-        self.kernels.get(label).map_or(0, |k| k.count)
-    }
-
     /// Render a compact human-readable report.
     pub fn report(&self) -> String {
         use std::fmt::Write as _;
@@ -151,7 +141,6 @@ mod tests {
         assert!((s.makespan - 3.0).abs() < 1e-12);
         assert!((s.busy_time - 5.0).abs() < 1e-12);
         assert!((s.utilization - 5.0 / 6.0).abs() < 1e-12);
-        assert!((s.idle_time() - 1.0).abs() < 1e-12);
         assert_eq!(s.per_worker_count, vec![2, 1]);
         assert!((s.per_worker_busy[0] - 3.0).abs() < 1e-12);
     }
@@ -159,9 +148,9 @@ mod tests {
     #[test]
     fn kernel_breakdown() {
         let s = TraceStats::of(&trace());
-        assert_eq!(s.kernel_count("gemm"), 2);
-        assert_eq!(s.kernel_count("trsm"), 1);
-        assert_eq!(s.kernel_count("nope"), 0);
+        assert_eq!(s.kernels["gemm"].count, 2);
+        assert_eq!(s.kernels["trsm"].count, 1);
+        assert!(!s.kernels.contains_key("nope"));
         let g = &s.kernels["gemm"];
         assert!((g.mean_time - 1.5).abs() < 1e-12);
         assert_eq!(g.min_time, 1.0);
@@ -173,7 +162,6 @@ mod tests {
         let s = TraceStats::of(&Trace::new(4));
         assert_eq!(s.events, 0);
         assert_eq!(s.utilization, 0.0);
-        assert_eq!(s.idle_time(), 0.0);
     }
 
     #[test]

@@ -8,12 +8,13 @@
 //! one pass (lanes vanish mid-run, and host-side aborts would be
 //! nondeterministic), so it is replayed in two deterministic phases:
 //!
-//! * **Phase A** runs the full workload with every non-permanent event
-//!   injected, then *cuts* the trace analytically at the failure time
-//!   `T`. On a single node (shared memory) the machine quiesces
-//!   fail-stop: work completed by `T` survives, every in-flight attempt
-//!   — on dead and surviving lanes alike — aborts, is truncated and
-//!   marked lost, and re-runs in phase B. On a cluster, recovery rolls
+//! * **Phase A** is the run of the plan without its failure, shared: the
+//!   simulation is deterministic in virtual time, so what happened before
+//!   the failure time `T` is exactly that run's prefix. The run is *cut*
+//!   analytically at `T`. On a single node (shared memory) the machine
+//!   quiesces fail-stop: work completed by `T` survives, every in-flight
+//!   attempt — on dead and surviving lanes alike — aborts, is truncated
+//!   and marked lost, and re-runs in phase B. On a cluster, recovery rolls
 //!   back to the last coordinated checkpoint (or to scratch without a
 //!   [`supersim_faults::CheckpointPolicy`]): every span after the rollback point is lost.
 //!   Either way the cut is a pure function of the trace *times*, never
@@ -34,11 +35,20 @@
 //! is a new draw, keyed by the fork's fresh submission ranks); the
 //! *decision* of what re-runs is a pure function of `(seed, FaultPlan)`,
 //! so identical inputs give identical stitched traces.
+//!
+//! **One pass table per comparison.** The clean baseline, the faulted
+//! run, each event alone (per-fault attribution) and a sweep group's plans
+//! all come from one `Passes` table, which simulates a plan without its
+//! permanent failure once, so a `kill` costs only its phase B; the clean
+//! pass runs first, on the scenario's own session. A pass whose spans
+//! went to a stream sink, or that stopped early, is no phase A: a failure
+//! then runs its phase A again, on a fork.
 
 use crate::cluster::exec_cluster;
 use crate::driver::exec_sim;
 use crate::scenario::Scenario;
 use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 use std::sync::Arc;
 use supersim_cluster::{Placement, TRANSFER_LABEL};
 use supersim_core::SimSession;
@@ -67,9 +77,8 @@ pub struct FaultOutcome {
 }
 
 /// One plan's execution result, before report assembly.
-#[derive(Debug, Clone)]
-struct RunResult {
-    trace: Trace,
+pub(crate) struct RunResult {
+    pub(crate) trace: Rc<Trace>,
     makespan: f64,
     checkpoint_overhead: f64,
     restarted: u64,
@@ -178,96 +187,167 @@ fn describe_event(ev: &FaultEvent) -> String {
     }
 }
 
-/// One simulated pass over the scenario's machine — single node or
-/// cluster — submitting only the stream indices `keep` accepts. `failed`
-/// is the scope a permanent failure took out: its lanes are
-/// decommissioned before submission and a dead cluster node's tiles are
-/// re-homed onto the survivors. Returns the trace and the makespan.
-fn run_pass(
-    sc: &Scenario,
-    session: Arc<SimSession>,
-    failed: Option<FaultScope>,
-    keep: &mut dyn FnMut(u64) -> bool,
-) -> (Trace, f64) {
-    let dead = failed.map_or(Vec::new(), |scope| sc.lane_map().lanes_of(scope));
-    match &sc.cluster {
-        None => {
-            let run = exec_sim(sc, session, &dead, keep);
-            (run.trace, run.predicted_seconds)
-        }
-        Some(spec) => {
-            let placement = match failed {
-                Some(FaultScope::Node(dead)) => Arc::new(RemapPlacement {
-                    inner: sc.resolved_placement(),
-                    dead,
-                    nodes: spec.nodes,
-                }),
-                _ => sc.resolved_placement(),
-            };
-            let run = exec_cluster(sc, placement, session, &dead, keep);
-            (run.trace, run.predicted_seconds)
-        }
+/// Whether plans `a` and `b` simulate the same pass: equal events bar the
+/// permanent failure, and equal backoff when a transient reads it — all
+/// that [`supersim_faults::CompiledFaults::compile`] reads of a plan.
+fn same_pass(a: &FaultPlan, b: &FaultPlan) -> bool {
+    fn events(p: &FaultPlan) -> impl Iterator<Item = &FaultEvent> {
+        p.events
+            .iter()
+            .filter(|e| !matches!(e, FaultEvent::PermanentFailure { .. }))
     }
+    let backoff = |p: &FaultPlan| (p.recovery.backoff_base, p.recovery.backoff_cap);
+    let transient = events(a).any(|e| matches!(e, FaultEvent::Transient { .. }));
+    events(a).eq(events(b)) && (!transient || backoff(a) == backoff(b))
 }
 
-/// Run one plan to completion: in one pass, or through the phased replay
-/// when it contains a permanent failure.
-fn run_plan(sc: &Scenario, plan: &FaultPlan, used: &mut bool) -> RunResult {
-    let session = sc.fresh_session(*used);
-    *used = true;
-    sc.attach_plan(&session, plan, 0.0);
-    let (trace, makespan) = run_pass(sc, session.clone(), None, &mut |_| true);
-    let whole = RunResult {
-        trace,
-        makespan,
-        checkpoint_overhead: 0.0,
-        restarted: 0,
-    };
-    match plan.permanent_failure() {
-        // A failure landing after completion leaves nothing to replay.
-        Some((scope, at)) if at < whole.trace.t_max() => {
-            replay_after_failure(sc, plan, scope, at, &session, &whole.trace)
+/// A plan run to the end without its permanent failure.
+pub(crate) struct Pass {
+    plan: FaultPlan,
+    /// Nothing streamed to a sink and no abort: a phase A may share it.
+    whole: bool,
+    pub(crate) session: Arc<SimSession>,
+    pub(crate) trace: Rc<Trace>,
+    pub(crate) makespan: f64,
+    pub(crate) transfers: u64,
+    pub(crate) transfer_bytes: u64,
+}
+
+/// The passes of one fault-free scenario, the clean one first; see the
+/// module docs.
+pub(crate) struct Passes<'s> {
+    sc: &'s Scenario,
+    pub(crate) passes: Vec<Pass>,
+}
+
+impl<'s> Passes<'s> {
+    /// The table for `sc` (its plan ignored), the clean pass run at once
+    /// on `sc`'s own session: a stream sink or budget there sees it.
+    pub(crate) fn new(sc: &'s Scenario) -> Self {
+        let mut table = Passes { sc, passes: vec![] };
+        table.run(&FaultPlan::new());
+        table
+    }
+
+    /// Run `plan`: its pass — simulated on a fork of the clean session
+    /// unless the table has it (whole, for a phase A) — then phase B when
+    /// its permanent failure lands before that pass ends.
+    pub(crate) fn run(&mut self, plan: &FaultPlan) -> RunResult {
+        let failure = plan.permanent_failure();
+        let found = self
+            .passes
+            .iter()
+            .position(|p| same_pass(&p.plan, plan) && (p.whole || failure.is_none()));
+        let i = found.unwrap_or_else(|| {
+            let clean = self.passes.first().map(|p| &p.session);
+            let session = clean.map_or_else(|| self.sc.fresh_session(), |s| s.fork());
+            self.sc.attach_plan(&session, plan, 0.0);
+            let (trace, makespan, transfers, transfer_bytes) =
+                run_pass(self.sc, session.clone(), None, &mut |_| true);
+            self.passes.push(Pass {
+                plan: plan.clone(),
+                whole: session.trace_recorder().drained() == 0 && !session.should_abort(makespan),
+                session,
+                trace: Rc::new(trace),
+                makespan,
+                transfers,
+                transfer_bytes,
+            });
+            self.passes.len() - 1
+        });
+        let a = &self.passes[i];
+        match failure {
+            Some((_, at)) if at < a.trace.t_max() => replay_after_failure(self.sc, plan, a),
+            _ => RunResult {
+                trace: a.trace.clone(),
+                makespan: a.makespan,
+                checkpoint_overhead: 0.0,
+                restarted: 0,
+            },
         }
-        _ => whole,
+    }
+
+    /// Run `plan` and compare it with the clean pass, running each event
+    /// alone when the plan has several (per-fault attribution).
+    pub(crate) fn compare(&mut self, plan: &FaultPlan) -> (RunResult, DegradationReport) {
+        let faulted = self.run(plan);
+        let clean_makespan = self.passes[0].makespan;
+        let ratio = |makespan: f64| {
+            if clean_makespan > 0.0 {
+                makespan / clean_makespan
+            } else {
+                1.0
+            }
+        };
+        let per_fault = plan
+            .events
+            .iter()
+            .map(|ev| {
+                let makespan = if plan.events.len() == 1 {
+                    faulted.makespan
+                } else {
+                    let alone = FaultPlan {
+                        events: vec![ev.clone()],
+                        recovery: plan.recovery.clone(),
+                    };
+                    self.run(&alone).makespan
+                };
+                FaultAttribution {
+                    fault: describe_event(ev),
+                    makespan,
+                    slowdown: ratio(makespan),
+                }
+            })
+            .collect();
+        let (retries, aborted, lost) = fault_numbers(&faulted.trace);
+        let report = DegradationReport {
+            clean_makespan,
+            faulted_makespan: faulted.makespan,
+            slowdown: ratio(faulted.makespan),
+            critical_lane_clean: critical_lane(&self.passes[0].trace),
+            critical_lane_faulted: critical_lane(&faulted.trace),
+            retries,
+            aborted_virtual_seconds: aborted,
+            lost_virtual_seconds: lost,
+            checkpoint_overhead: faulted.checkpoint_overhead,
+            restarted_tasks: faulted.restarted,
+            per_fault,
+        };
+        (faulted, report)
     }
 }
 
 /// Cut phase A at the failure: events ending by `rollback` are kept as
-/// completed; events still running (or rolled back) before `cut` are
-/// truncated and marked lost; events starting after `cut` never
-/// happened. On a single node `rollback == cut == T` (fail-stop
+/// completed (their tasks' stream indices are returned as done); events
+/// still running (or rolled back) before `cut` are truncated and marked
+/// lost; events starting after `cut` never happened. On a single node `rollback == cut == T` (fail-stop
 /// quiesce); on a cluster `rollback` is the last checkpoint before the
 /// `cut`. Deliberately a pure function of event *times* — never of lane
 /// placement, which is scheduler-race dependent — so identical
 /// `(seed, plan)` inputs cut identically.
 fn cut_phase_a(trace: &Trace, rollback: f64, cut: f64) -> (Vec<TraceEvent>, HashSet<u64>) {
+    let stream = stream_indices(trace);
     let mut kept = Vec::new();
-    let mut completed_ids = HashSet::new();
+    let mut done = HashSet::new();
     for e in trace.spans() {
         if e.end <= rollback {
             if matches!(event_kind(e), SpanKind::Normal) {
-                completed_ids.insert(e.task_id);
+                done.extend(stream.get(&e.task_id));
             }
             kept.push(e.clone());
         } else if e.start < cut {
             kept.push(mark_lost(e, Some(cut)));
         }
     }
-    (kept, completed_ids)
+    (kept, done)
 }
 
-/// Phases "cut" and B of the permanent-failure replay, given phase A
-/// (`trace_a`, the full run on `session_a` with every non-permanent
-/// event live). Single-node and cluster replays differ only in where
-/// recovery rolls back to and in the placement remap of `run_pass`.
-fn replay_after_failure(
-    sc: &Scenario,
-    plan: &FaultPlan,
-    scope: FaultScope,
-    at: f64,
-    session_a: &SimSession,
-    trace_a: &Trace,
-) -> RunResult {
+/// Phases "cut" and B of the replay of `plan`'s permanent failure, given
+/// phase A (`a`, the pass of `plan` without its failure).
+/// Single-node and cluster replays differ only in where recovery rolls
+/// back to and in the placement remap of `run_pass`.
+fn replay_after_failure(sc: &Scenario, plan: &FaultPlan, a: &Pass) -> RunResult {
+    let (scope, at) = plan.permanent_failure().expect("a replay has a failure");
     // Shared memory, fail-stop quiesce: work completed by the failure
     // survives; every in-flight attempt aborts and re-runs with the
     // survivors. Distributed memory: recovery rolls back to the last
@@ -282,24 +362,19 @@ fn replay_after_failure(
             (k * cp.interval, k * cp.snapshot_cost + cp.restore_cost)
         }
     };
-    let (kept, completed_ids) = cut_phase_a(trace_a, rollback, at);
-    let stream = stream_indices(trace_a);
-    let done: HashSet<u64> = completed_ids
-        .iter()
-        .filter_map(|id| stream.get(id).copied())
-        .collect();
+    let (kept, done) = cut_phase_a(&a.trace, rollback, at);
     let offset = at + plan.recovery.restart_delay + checkpoint_overhead;
-    let id_offset = trace_a.spans().iter().map(|e| e.task_id).max().unwrap_or(0) + 1;
+    let id_offset = a.trace.spans().iter().map(|e| e.task_id).max().unwrap_or(0) + 1;
 
     // Phase B: the survivors re-run the incomplete tasks on a fresh clock
     // and a fresh machine — cold caches (warm-up is charged again), an
     // empty coherence map (the restart invalidates every replicated
     // copy), dead lanes decommissioned before submission, and a dead
     // node's tiles re-homed.
-    let session_b = session_a.fork();
+    let session_b = a.session.fork();
     sc.attach_plan(&session_b, plan, offset);
     let mut restarted = 0;
-    let (trace_b, _) = run_pass(sc, session_b, Some(scope), &mut |i| {
+    let (trace_b, ..) = run_pass(sc, session_b, Some(scope), &mut |i| {
         let rerun = !done.contains(&i);
         restarted += u64::from(rerun);
         rerun
@@ -308,122 +383,83 @@ fn replay_after_failure(
     let trace = stitch(sc.lane_map().total(), kept, &trace_b, offset, id_offset);
     RunResult {
         makespan: trace.t_max(),
-        trace,
+        trace: Rc::new(trace),
         checkpoint_overhead,
         restarted,
     }
 }
 
-/// What a faulted run is compared against: the fault-free run's makespan
-/// and critical lane.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Baseline {
-    pub(crate) makespan: f64,
-    pub(crate) critical_lane: usize,
-}
-
-impl Baseline {
-    /// The baseline a fault-free `trace` of makespan `makespan` gives.
-    pub(crate) fn of(trace: &Trace, makespan: f64) -> Baseline {
-        Baseline {
-            makespan,
-            critical_lane: critical_lane(trace),
-        }
-    }
-}
-
-/// Execute [`Scenario::run_faults`]: the clean run, the faulted run, and
-/// (for multi-event plans) per-event attribution runs.
+/// Execute [`Scenario::run_faults`]: the clean pass, the faulted run and
+/// (for multi-event plans) the per-event attribution, from one table.
 pub(crate) fn run_faults(sc: Scenario) -> FaultOutcome {
-    let mut used = false;
-    let clean = run_plan(&sc, &FaultPlan::new(), &mut used);
-    let faulted = if sc.faults.is_empty() {
-        clean.clone()
-    } else {
-        run_plan(&sc, &sc.faults, &mut used)
-    };
-    let baseline = Baseline::of(&clean.trace, clean.makespan);
-    let report = degradation(&sc, baseline, &faulted, &mut used);
+    let mut table = Passes::new(&sc);
+    let (faulted, report) = table.compare(&sc.faults);
+    let clean = std::mem::take(&mut table.passes).swap_remove(0).trace;
+    let owned = |trace: Rc<Trace>| Rc::try_unwrap(trace).unwrap_or_else(|t| (*t).clone());
     FaultOutcome {
-        clean_trace: clean.trace,
-        clean_makespan: clean.makespan,
+        clean_makespan: report.clean_makespan,
         faulted_makespan: faulted.makespan,
-        trace: faulted.trace,
+        clean_trace: owned(clean),
+        trace: owned(faulted.trace),
         report,
     }
 }
 
-/// [`run_faults`] without its clean run: `sc`'s non-empty plan, compared
-/// against a `clean` baseline the caller has already simulated (a sweep's
-/// scenario group shares one clean run across its fault plans). The first
-/// run uses `sc`'s own session. Returns the faulted trace and the report.
-pub(crate) fn run_faults_against(sc: &Scenario, clean: Baseline) -> (Trace, DegradationReport) {
-    let mut used = false;
-    let faulted = run_plan(sc, &sc.faults, &mut used);
-    let report = degradation(sc, clean, &faulted, &mut used);
-    (faulted.trace, report)
-}
-
-/// Compare `faulted` (a run of `sc`'s plan) with `clean`, running each
-/// event alone when the plan has several (per-fault attribution).
-fn degradation(
+/// One simulated pass over the scenario's machine — single node or
+/// cluster — submitting only the stream indices `keep` accepts. `failed`
+/// is the scope a permanent failure took out: its lanes are
+/// decommissioned before submission and a dead cluster node's tiles are
+/// re-homed onto the survivors. Returns the trace, the makespan and the
+/// transfers and bytes moved.
+fn run_pass(
     sc: &Scenario,
-    clean: Baseline,
-    faulted: &RunResult,
-    used: &mut bool,
-) -> DegradationReport {
-    let plan = &sc.faults;
-    let ratio = |makespan: f64| {
-        if clean.makespan > 0.0 {
-            makespan / clean.makespan
-        } else {
-            1.0
+    session: Arc<SimSession>,
+    failed: Option<FaultScope>,
+    keep: &mut dyn FnMut(u64) -> bool,
+) -> (Trace, f64, u64, u64) {
+    let dead = failed.map_or(Vec::new(), |scope| sc.lane_map().lanes_of(scope));
+    let ran = match &sc.cluster {
+        None => {
+            let run = exec_sim(sc, session, &dead, keep);
+            (run.trace, run.predicted_seconds, 0, 0)
+        }
+        Some(spec) => {
+            let placement = match failed {
+                Some(FaultScope::Node(dead)) => Arc::new(RemapPlacement {
+                    inner: sc.resolved_placement(),
+                    dead,
+                    nodes: spec.nodes,
+                }),
+                _ => sc.resolved_placement(),
+            };
+            let run = exec_cluster(sc, placement, session, &dead, keep);
+            (
+                run.trace,
+                run.predicted_seconds,
+                run.transfers,
+                run.transfer_bytes,
+            )
         }
     };
-    let per_fault = plan
-        .events
-        .iter()
-        .map(|ev| {
-            let makespan = if plan.events.len() == 1 {
-                faulted.makespan
-            } else {
-                let sub = FaultPlan {
-                    events: vec![ev.clone()],
-                    recovery: plan.recovery.clone(),
-                };
-                run_plan(sc, &sub, used).makespan
-            };
-            FaultAttribution {
-                fault: describe_event(ev),
-                makespan,
-                slowdown: ratio(makespan),
-            }
-        })
-        .collect();
+    #[cfg(test)]
+    PASSES.with(|n| n.set(n.get() + 1));
+    ran
+}
 
-    let (retries, aborted, lost) = fault_numbers(&faulted.trace);
-    DegradationReport {
-        clean_makespan: clean.makespan,
-        faulted_makespan: faulted.makespan,
-        slowdown: ratio(faulted.makespan),
-        critical_lane_clean: clean.critical_lane,
-        critical_lane_faulted: critical_lane(&faulted.trace),
-        retries,
-        aborted_virtual_seconds: aborted,
-        lost_virtual_seconds: lost,
-        checkpoint_overhead: faulted.checkpoint_overhead,
-        restarted_tasks: faulted.restarted,
-        per_fault,
-    }
+#[cfg(test)]
+thread_local! {
+    /// Passes [`run_pass`] made on this thread, for the pass-count tests.
+    pub(crate) static PASSES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::Algorithm;
+    use proptest::prelude::*;
     use supersim_cluster::ClusterSpec;
     use supersim_core::{KernelModel, ModelRegistry};
-    use supersim_faults::CheckpointPolicy;
+    use supersim_faults::{CheckpointPolicy, RecoveryPolicy};
     use supersim_runtime::SchedulerKind;
 
     fn models(alg: Algorithm, secs: f64) -> ModelRegistry {
@@ -609,5 +645,221 @@ mod tests {
         let scratch = sc.faults(FaultPlan::new().kill_node(1, cut)).run_faults();
         assert!(out.report.restarted_tasks < scratch.report.restarted_tasks);
         assert!(out.trace.validate(1e-9).is_ok());
+    }
+
+    /// The per-plan path the pass table replaced, kept as the oracle:
+    /// every plan is its own full pass on a session of its own, phase A
+    /// included.
+    fn oracle_run(sc: &Scenario, plan: &FaultPlan) -> RunResult {
+        let session = sc.fresh_session();
+        sc.attach_plan(&session, plan, 0.0);
+        let (trace, makespan, transfers, transfer_bytes) =
+            run_pass(sc, session.clone(), None, &mut |_| true);
+        let a = Pass {
+            plan: plan.clone(),
+            whole: true,
+            session,
+            trace: Rc::new(trace),
+            makespan,
+            transfers,
+            transfer_bytes,
+        };
+        match plan.permanent_failure() {
+            Some((_, at)) if at < a.trace.t_max() => replay_after_failure(sc, plan, &a),
+            _ => RunResult {
+                trace: a.trace,
+                makespan,
+                checkpoint_overhead: 0.0,
+                restarted: 0,
+            },
+        }
+    }
+
+    /// [`Scenario::run_faults`] through [`oracle_run`]: the clean run, the
+    /// faulted run and each event alone, none shared.
+    fn oracle_run_faults(sc: &Scenario) -> FaultOutcome {
+        let clean = oracle_run(sc, &FaultPlan::new());
+        let faulted = oracle_run(sc, &sc.faults);
+        let ratio = |m: f64| {
+            if clean.makespan > 0.0 {
+                m / clean.makespan
+            } else {
+                1.0
+            }
+        };
+        let per_fault = sc
+            .faults
+            .events
+            .iter()
+            .map(|ev| {
+                let makespan = if sc.faults.events.len() == 1 {
+                    faulted.makespan
+                } else {
+                    let alone = FaultPlan {
+                        events: vec![ev.clone()],
+                        recovery: sc.faults.recovery.clone(),
+                    };
+                    oracle_run(sc, &alone).makespan
+                };
+                FaultAttribution {
+                    fault: describe_event(ev),
+                    makespan,
+                    slowdown: ratio(makespan),
+                }
+            })
+            .collect();
+        let (retries, aborted, lost) = fault_numbers(&faulted.trace);
+        let report = DegradationReport {
+            clean_makespan: clean.makespan,
+            faulted_makespan: faulted.makespan,
+            slowdown: ratio(faulted.makespan),
+            critical_lane_clean: critical_lane(&clean.trace),
+            critical_lane_faulted: critical_lane(&faulted.trace),
+            retries,
+            aborted_virtual_seconds: aborted,
+            lost_virtual_seconds: lost,
+            checkpoint_overhead: faulted.checkpoint_overhead,
+            restarted_tasks: faulted.restarted,
+            per_fault,
+        };
+        FaultOutcome {
+            clean_trace: (*clean.trace).clone(),
+            trace: (*faulted.trace).clone(),
+            clean_makespan: clean.makespan,
+            faulted_makespan: faulted.makespan,
+            report,
+        }
+    }
+
+    /// A sampled-duration DES scenario, single node or a 2 × 2 cluster.
+    fn sampled(alg: Algorithm, cluster: bool, seed: u64) -> Scenario {
+        let model = crate::scenario::synthetic_model(-4.6, 0.3, 1.5).unwrap();
+        let sc = Scenario::new(alg)
+            .seed(seed)
+            .backend(crate::replay::Backend::Des)
+            .models(crate::scenario::uniform_models(&[alg], &model));
+        if cluster {
+            sc.n(48).tile_size(12).cluster(ClusterSpec::new(2, 2))
+        } else {
+            sc.n(60)
+                .tile_size(12)
+                .workers(3)
+                .scheduler(SchedulerKind::Quark)
+        }
+    }
+
+    /// Passes [`run_pass`] makes on this thread while `f` runs.
+    fn passes_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = PASSES.with(|n| n.get());
+        let out = f();
+        (out, PASSES.with(|n| n.get()) - before)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The pass table reports exactly what the per-plan path reports —
+        /// the degradation JSON, the faulted and the clean trace, byte for
+        /// byte — for straggler, transient, link and kill mixes on one node
+        /// and on a cluster, with the kill before, at or after the end of
+        /// its phase A.
+        #[test]
+        fn pass_table_matches_the_per_plan_path(
+            shape in (any::<bool>(), 0usize..3, 1u64..1000),
+            straggler in (0usize..3, 0.0f64..0.2, 0.05f64..0.4, 1.5f64..4.0),
+            transient in (0usize..3, 1u64..6, 1u32..3),
+            link in (any::<bool>(), 0.0f64..0.2, 1.5f64..4.0),
+            kill in (0usize..3, 0usize..4),
+            recovery in (0.0f64..0.05, any::<bool>(), 1e-4f64..1e-2),
+        ) {
+            let (cluster, alg, seed) = shape;
+            let (restart_delay, checkpoint, backoff) = recovery;
+            // Distributed QR does not exist.
+            let alg = [Algorithm::Cholesky, Algorithm::Lu, Algorithm::Qr][alg % if cluster { 2 } else { 3 }];
+            let mut plan = FaultPlan::new();
+            // Each event is absent, or one of its scopes.
+            let (scope, from, len, factor) = straggler;
+            match scope {
+                1 => plan = plan.straggler_worker(1, from, from + len, factor),
+                2 => plan = plan.straggler_node(0, from, from + len, factor),
+                _ => {}
+            }
+            let (which, period, failures) = transient;
+            match which {
+                1 => plan = plan.transient(period, failures, 0.5),
+                2 => plan = plan.transient_for(alg.labels()[0], period, failures, 0.5),
+                _ => {}
+            }
+            let (degrade, from, factor) = link;
+            if degrade && cluster {
+                plan = plan.degrade_link(1, from, from + 0.1, factor);
+            }
+            plan = plan.with_recovery(RecoveryPolicy {
+                backoff_base: backoff,
+                backoff_cap: backoff * 10.0,
+                restart_delay,
+                checkpoint: (checkpoint && cluster).then_some(CheckpointPolicy {
+                    interval: 0.03,
+                    snapshot_cost: 0.001,
+                    restore_cost: 0.002,
+                }),
+            });
+            let sc = sampled(alg, cluster, seed);
+            let (scope, when) = kill;
+            if scope > 0 {
+                // Before, at and after the end of the run the kill cuts.
+                let end = oracle_run(&sc, &plan).trace.t_max();
+                let at = end * [0.3, 0.7, 1.0, 1.3][when];
+                plan = if scope == 1 || !cluster {
+                    plan.kill_worker(1, at)
+                } else {
+                    plan.kill_node(1, at)
+                };
+            }
+            let sc = sc.faults(plan);
+            let table = sc.clone().run_faults();
+            let oracle = oracle_run_faults(&sc);
+            prop_assert_eq!(
+                serde_json::to_string(&table.report).unwrap(),
+                serde_json::to_string(&oracle.report).unwrap()
+            );
+            prop_assert_eq!(&table.trace, &oracle.trace);
+            prop_assert_eq!(&table.clean_trace, &oracle.clean_trace);
+            prop_assert_eq!(table.trace.canonical(), oracle.trace.canonical());
+            prop_assert_eq!(table.clean_makespan.to_bits(), oracle.clean_makespan.to_bits());
+            prop_assert_eq!(table.faulted_makespan.to_bits(), oracle.faulted_makespan.to_bits());
+        }
+    }
+
+    /// A kill-only plan costs the clean pass and its phase B: its phase A
+    /// is the clean pass (the per-plan path ran 3 passes).
+    #[test]
+    fn a_kill_costs_only_its_phase_b() {
+        let sc = sampled(Algorithm::Cholesky, false, 3);
+        let end = sc.clone().run_sim().trace.t_max();
+        let sc = sc.faults(FaultPlan::new().kill_worker(2, end * 0.5));
+        let (out, passes) = passes_of(|| sc.clone().run_faults());
+        assert!(out.report.restarted_tasks > 0, "the kill lands mid-run");
+        assert_eq!(passes, 2);
+        assert_eq!(passes_of(|| oracle_run_faults(&sc)).1, 3);
+    }
+
+    /// LU straggler + kill with per-fault attribution: clean, straggler
+    /// (the faulted phase A and the straggler alone), the faulted phase B
+    /// and the kill alone's phase B (the per-plan path ran 6 passes).
+    #[test]
+    fn attribution_shares_the_passes_of_the_faulted_run() {
+        let sc = sampled(Algorithm::Lu, false, 5);
+        let end = sc.clone().run_sim().trace.t_max();
+        let sc = sc.faults(
+            FaultPlan::new()
+                .straggler_worker(1, 0.0, end * 0.5, 3.0)
+                .kill_worker(0, end * 0.4),
+        );
+        let (out, passes) = passes_of(|| sc.clone().run_faults());
+        assert!(out.report.restarted_tasks > 0, "the kill lands mid-run");
+        assert_eq!(out.report.per_fault.len(), 2);
+        assert_eq!(passes, 4);
+        assert_eq!(passes_of(|| oracle_run_faults(&sc)).1, 6);
     }
 }

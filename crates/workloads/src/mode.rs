@@ -15,11 +15,6 @@ pub enum ExecMode {
 }
 
 impl ExecMode {
-    /// Whether this is a simulated run.
-    pub fn is_simulated(&self) -> bool {
-        matches!(self, ExecMode::Simulated(_))
-    }
-
     /// The session, if simulated.
     pub fn session(&self) -> Option<&Arc<SimSession>> {
         match self {
@@ -45,11 +40,9 @@ mod tests {
 
     #[test]
     fn mode_predicates() {
-        assert!(!ExecMode::Real.is_simulated());
         assert!(ExecMode::Real.session().is_none());
         let s = SimSession::new(ModelRegistry::new(), SimConfig::default());
         let m = ExecMode::Simulated(s);
-        assert!(m.is_simulated());
         assert!(m.session().is_some());
         assert_eq!(format!("{m:?}"), "Simulated");
     }

@@ -43,6 +43,7 @@ use supersim_core::{KernelModel, ModelRegistry, SimConfig, SimSession};
 use supersim_dist::Dist;
 use supersim_faults::{CompiledFaults, FaultPlan, LaneMap};
 use supersim_runtime::SchedulerKind;
+use supersim_trace::{fnv1a, FNV1A_BASIS};
 
 /// Why a scenario — or a name in its vocabulary — was rejected. `Display`
 /// is the one-line message; the CLI, `serve` and `sweep` print or return
@@ -498,16 +499,12 @@ impl Scenario {
             .unwrap_or_else(|| Arc::new(BlockCyclic::square(spec.nodes)))
     }
 
-    /// A fresh session for one simulated run: the explicit session on
-    /// first use (forked on later uses, so repeated terminals see
-    /// identical virgin state), else models + config/seed.
-    pub(crate) fn fresh_session(&self, used_before: bool) -> Arc<SimSession> {
+    /// The session of the scenario's first simulated run: the explicit
+    /// one, else a new one from models + config/seed. Later runs of one
+    /// terminal fork it, so they see identical virgin state.
+    pub(crate) fn fresh_session(&self) -> Arc<SimSession> {
         if let Some(s) = &self.session {
-            if used_before {
-                s.fork()
-            } else {
-                s.clone()
-            }
+            s.clone()
         } else {
             let models = self
                 .models
@@ -587,16 +584,9 @@ impl Scenario {
         // above — reordering this function can never silently invalidate
         // caches keyed on the hash.
         lines.sort();
-        let mut h = 0xcbf29ce484222325u64;
-        for line in &lines {
-            for b in line.as_bytes() {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(0x100000001b3);
-            }
-            h ^= u64::from(b'\n');
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
+        lines.iter().fold(FNV1A_BASIS, |h, line| {
+            fnv1a(fnv1a(h, line.as_bytes()), b"\n")
+        })
     }
 
     /// The lane map fault plans compile against: the cluster layout if
@@ -674,7 +664,7 @@ impl Scenario {
             "permanent failures need the phased replay; use run_faults"
         );
         let sc = self.checked();
-        let session = sc.fresh_session(false);
+        let session = sc.fresh_session();
         sc.attach_plan(&session, &sc.faults, 0.0);
         exec_sim(&sc, session, &[], &mut |_| true)
     }
@@ -692,7 +682,7 @@ impl Scenario {
             "permanent failures need the phased replay; use run_faults"
         );
         let sc = self.checked();
-        let session = sc.fresh_session(false);
+        let session = sc.fresh_session();
         sc.attach_plan(&session, &sc.faults, 0.0);
         let placement = sc.resolved_placement();
         exec_cluster(&sc, placement, session, &[], &mut |_| true)
@@ -1099,6 +1089,28 @@ mod tests {
             .n(0)
             .models(models(Algorithm::Cholesky))
             .run_sim();
+    }
+
+    /// Content hashes key `serve`'s response cache and are echoed in every
+    /// `/run` answer: their values must not move.
+    #[test]
+    fn content_hash_values_are_pinned() {
+        let a = Scenario::new(Algorithm::Cholesky)
+            .n(128)
+            .tile_size(32)
+            .workers(4)
+            .seed(7)
+            .models(models(Algorithm::Cholesky))
+            .backend(Backend::Des);
+        assert_eq!(a.content_hash(), 0x64cd_aeff_a5c4_51ab);
+        let b = Scenario::new(Algorithm::Lu)
+            .tiles(6)
+            .tile_size(16)
+            .seed(3)
+            .models(models(Algorithm::Lu))
+            .cluster(ClusterSpec::new(2, 3))
+            .faults(FaultPlan::new().transient(4, 1, 0.5).kill_node(1, 0.05));
+        assert_eq!(b.content_hash(), 0x6607_c113_be01_15d4);
     }
 
     #[test]

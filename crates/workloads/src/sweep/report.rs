@@ -18,7 +18,7 @@ use supersim_faults::DegradationReport;
 const CELL_JSON_BYTES: usize = 800;
 
 /// One cell's resolved coordinates and results.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct CellResult {
     /// Position in the deterministic matrix expansion (also the merge
     /// order of the report).

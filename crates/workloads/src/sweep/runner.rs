@@ -4,11 +4,13 @@
 //! every fault plan swept over it. The expansion nests `plans` between
 //! `interconnects` and `seeds`, so with P plans and S seeds the cells of
 //! group `g` are `(g / S)·P·S + g % S + p·S` for `p < P`: arithmetic, no
-//! hashing, no lock. A group simulates its fault-free scenario once. That
-//! run is the result of every fault-free cell (`clean`) and the baseline
-//! (`clean_makespan`, `critical_lane_clean`) of every faulted one, so K
-//! single-event plans cost 1 + K runs (a `kill` plan that lands mid-run
-//! adds its phase B). Results merge by cell id.
+//! hashing, no lock. A group draws every run from one pass table
+//! (`faultsim::Passes`): its fault-free scenario runs once, as the result
+//! of every fault-free cell (`clean`) and the baseline (`clean_makespan`,
+//! `critical_lane_clean`) of every faulted one. Phase A of a permanent
+//! failure is the run of the plan without its failure, shared, so a
+//! `kill` cell costs only its phase B: K faulted single-event plans cost
+//! 1 + K passes, a kill's being its phase B. Results merge by cell id.
 //!
 //! The pool is trivial: one atomic next-group index and `jobs` workers,
 //! each looping "claim a group, run it, keep the results", then a merge +
@@ -22,9 +24,7 @@
 
 use super::report::{CellResult, SweepReport};
 use super::{CellSpec, ModelBank, SweepSpec};
-use crate::driver::Algorithm;
-use crate::faultsim::{run_faults_against, Baseline};
-use crate::scenario::Scenario;
+use crate::faultsim::Passes;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use supersim_cluster::TRANSFER_LABEL;
 use supersim_core::SimSession;
@@ -139,14 +139,6 @@ impl SweepSpec {
     }
 }
 
-fn transfer_spans(trace: &Trace) -> u64 {
-    trace
-        .spans()
-        .iter()
-        .filter(|e| base_kernel(&e.kernel) == TRANSFER_LABEL)
-        .count() as u64
-}
-
 /// `cell`'s coordinates, with the results of a run that has not happened
 /// yet (no tasks, slowdown 1).
 fn cell_result(cell: &CellSpec) -> CellResult {
@@ -168,51 +160,21 @@ fn cell_result(cell: &CellSpec) -> CellResult {
         plan: cell.plan_name.clone(),
         seed: scenario.seed,
         backend: scenario.backend.name().to_string(),
-        tasks: 0,
-        makespan: 0.0,
-        gflops: 0.0,
-        transfers: 0,
-        transfer_bytes: 0,
         slowdown: 1.0,
-        retries: 0,
-        restarted_tasks: 0,
-        degradation: None,
-    }
-}
-
-/// Run the fault-free `scenario` (a cell's, with its session attached)
-/// into `result`; returns the trace. Traces are dropped by the caller — a
-/// thousand-cell sweep keeps numbers, not schedules.
-fn run_clean(scenario: Scenario, result: &mut CellResult) -> Trace {
-    if result.nodes > 0 {
-        let run = scenario.run_cluster();
-        result.tasks = run.trace.len() as u64;
-        result.makespan = run.predicted_seconds;
-        result.gflops = run.gflops;
-        result.transfers = run.transfers;
-        result.transfer_bytes = run.transfer_bytes;
-        run.trace
-    } else {
-        let run = scenario.run_sim();
-        result.tasks = run.trace.len() as u64;
-        result.makespan = run.predicted_seconds;
-        result.gflops = run.gflops;
-        run.trace
+        ..CellResult::default()
     }
 }
 
 /// Record a faulted run of `result`'s cell: its `trace` and `report`.
-fn record_faulted(
-    result: &mut CellResult,
-    algorithm: Algorithm,
-    trace: &Trace,
-    report: DegradationReport,
-) {
+fn record_faulted(result: &mut CellResult, trace: &Trace, report: DegradationReport) {
     let nb = result.nb;
     result.tasks = trace.len() as u64;
     result.makespan = report.faulted_makespan;
-    result.gflops = flops::gflops(algorithm.flops(result.n), report.faulted_makespan);
-    result.transfers = transfer_spans(trace);
+    let transfers = trace
+        .spans()
+        .iter()
+        .filter(|e| base_kernel(&e.kernel) == TRANSFER_LABEL);
+    result.transfers = transfers.count() as u64;
     // The faulted path surfaces a trace, not the coherence engine's byte
     // ledger, so bytes are reconstructed from the transfer span count: one
     // full tile each (exact whenever nb divides n, as in tile-count-driven
@@ -224,8 +186,9 @@ fn record_faulted(
     result.degradation = Some(report);
 }
 
-/// Run one scenario group (its cells, one per plan, in plan order): the
-/// fault-free scenario once, then every faulted cell against it.
+/// Run one scenario group (its cells, one per plan, in plan order) from
+/// one pass table, dropped with its traces: a thousand-cell sweep keeps
+/// numbers, not schedules.
 fn run_group<'a>(
     mut group: impl Iterator<Item = &'a CellSpec>,
     bank: &ModelBank,
@@ -234,39 +197,54 @@ fn run_group<'a>(
     let first = group.next().expect("a group has one cell per plan");
     let models = bank.for_nb(first.scenario.tile_size_of());
     let scenario = first.scenario.clone().faults(FaultPlan::new());
-    let scenario = scenario.models_shared(models.clone());
-    let session = scenario.fresh_session(false);
-    let mut clean = cell_result(first);
-    let clean_trace = run_clean(scenario.session(session.clone()), &mut clean);
-    out.publish(&session);
-    let mut baseline = None;
-
+    let scenario = scenario.models_shared(models);
+    let mut passes = Passes::new(&scenario);
     for cell in std::iter::once(first).chain(group) {
-        if cell.scenario.faults.is_empty() {
-            out.results.push(CellResult {
-                id: cell.id,
-                plan: cell.plan_name.clone(),
-                ..clean.clone()
-            });
-            continue;
-        }
-        let against = *baseline.get_or_insert_with(|| Baseline::of(&clean_trace, clean.makespan));
-        let scenario = cell.scenario.clone().models_shared(models.clone());
-        let session = scenario.fresh_session(false);
-        let (trace, report) = run_faults_against(&scenario.session(session.clone()), against);
         let mut result = cell_result(cell);
-        record_faulted(&mut result, cell.scenario.algorithm, &trace, report);
-        out.publish(&session);
+        if cell.scenario.faults.is_empty() {
+            let clean = &passes.passes[0];
+            result.tasks = clean.trace.len() as u64;
+            result.makespan = clean.makespan;
+            result.transfers = clean.transfers;
+            result.transfer_bytes = clean.transfer_bytes;
+        } else {
+            let (faulted, report) = passes.compare(&cell.scenario.faults);
+            record_faulted(&mut result, &faulted.trace, report);
+        }
+        result.gflops = flops::gflops(scenario.algorithm.flops(result.n), result.makespan);
         out.results.push(result);
+    }
+    for pass in &passes.passes {
+        out.publish(&pass.session);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::Algorithm;
+    use crate::scenario::Scenario;
     use crate::sweep::FaultPlanSpec;
     use proptest::prelude::*;
     use supersim_runtime::SchedulerKind;
+
+    /// Run the fault-free `scenario` alone into `result`, as a clean cell
+    /// ran before scenario groups.
+    fn run_clean(scenario: Scenario, result: &mut CellResult) {
+        if result.nodes > 0 {
+            let run = scenario.run_cluster();
+            result.tasks = run.trace.len() as u64;
+            result.makespan = run.predicted_seconds;
+            result.gflops = run.gflops;
+            result.transfers = run.transfers;
+            result.transfer_bytes = run.transfer_bytes;
+        } else {
+            let run = scenario.run_sim();
+            result.tasks = run.trace.len() as u64;
+            result.makespan = run.predicted_seconds;
+            result.gflops = run.gflops;
+        }
+    }
 
     /// The per-cell execution that scenario groups replaced, kept as the
     /// oracle: every cell alone on its own session, a faulted cell through
@@ -284,12 +262,9 @@ mod tests {
                     run_clean(scenario, &mut result);
                 } else {
                     let outcome = scenario.run_faults();
-                    record_faulted(
-                        &mut result,
-                        cell.scenario.algorithm,
-                        &outcome.trace,
-                        outcome.report,
-                    );
+                    record_faulted(&mut result, &outcome.trace, outcome.report);
+                    result.gflops =
+                        flops::gflops(cell.scenario.algorithm.flops(result.n), result.makespan);
                 }
                 result
             })
@@ -413,6 +388,32 @@ mod tests {
                 "plans {plans:?}"
             );
         }
+    }
+
+    /// One scenario group over `clean,straggler,transient,kill` costs
+    /// four passes: the clean one (also the kill's phase A), the
+    /// straggler, the transient and the kill's phase B — one fewer than
+    /// running each plan on its own, which simulates the kill's phase A.
+    #[test]
+    fn a_kill_cell_costs_only_its_phase_b() {
+        let spec = SweepSpec {
+            tile_counts: vec![6],
+            worker_counts: vec![3],
+            ..grouped_spec(
+                &["clean", "straggler", "transient", "kill"],
+                vec![0],
+                vec![1],
+            )
+        };
+        let before = crate::faultsim::PASSES.with(|n| n.get());
+        let report = spec.run(1).report;
+        let passes = crate::faultsim::PASSES.with(|n| n.get()) - before;
+        assert_eq!(report.cells.len(), 4);
+        assert!(
+            report.cells.iter().any(|c| c.restarted_tasks > 0),
+            "the kill lands mid-run"
+        );
+        assert_eq!(passes, 4);
     }
 
     fn small_spec() -> SweepSpec {
