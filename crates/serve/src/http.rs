@@ -245,9 +245,9 @@ impl ClientResponse {
 }
 
 /// Minimal blocking HTTP client: one request, `Connection: close`, fixed
-/// or chunked response. The integration tests, the CI smoke job's
-/// cross-checks, and `perf_baseline`'s `serve_cached_rps` probe all go
-/// through this, so they measure the same byte stream a real client sees.
+/// or chunked response. The integration tests and the `serve-mix`
+/// benchmark workload go through this, so they see the same byte stream
+/// a real client sees.
 pub fn client_request(
     addr: SocketAddr,
     method: &str,

@@ -333,9 +333,9 @@ fn protocol_errors_map_to_statuses() {
 
 /// Satellite 4(b), third front end: every row of the illegal-input table
 /// (`scenario::tests::validate_rejects_each_illegal_scenario_with_one_line`)
-/// is a prompt 400 with a one-line reason, and the daemon answers
-/// `/healthz` afterwards. At the parent commit the two oversize rows
-/// aborted the whole process (a 560 GB tile layout; 50,000 thread
+/// is a prompt 400 with a one-line reason under 1 KiB, and the daemon
+/// answers `/healthz` afterwards. At the parent commit the two oversize
+/// rows aborted the whole process (a 560 GB tile layout; 50,000 thread
 /// spawns) and the custom-plan rows ran (or wedged a worker), because a
 /// deserialized plan skipped the builder's checks.
 #[test]
@@ -356,6 +356,8 @@ fn rejected_inputs_are_400s_and_the_daemon_survives() {
         format!("{{\"PermanentFailure\":{{\"scope\":{{\"Worker\":{worker}}},\"at\":0.01}}}}")
     };
     let seeds: Vec<String> = (0..5000).map(|s| s.to_string()).collect();
+    let long = "g".repeat(1 << 20);
+    let clipped = format!("{}…", &long[..64]);
     let rows: Vec<(&str, String, &str)> = vec![
         ("/run", "{\"n\":0}".into(), "n must be positive"),
         ("/run", "{\"workers\":0}".into(), "workers must be positive"),
@@ -438,6 +440,10 @@ fn rejected_inputs_are_400s_and_the_daemon_survives() {
             "{\"tile_counts\":[4],\"plan\":[\"kill\"]}".into(),
             "unknown field `plan` in SweepRequest",
         ),
+        // An unknown name of a megabyte, as a value or as a key, is quoted
+        // by its first 64 bytes only.
+        ("/run", format!("{{\"algorithm\":\"{long}\"}}"), clipped.as_str()),
+        ("/run", format!("{{\"tiles\":4,\"{long}\":3}}"), clipped.as_str()),
     ];
     for (path, body, needle) in rows {
         let started = std::time::Instant::now();
@@ -445,6 +451,7 @@ fn rejected_inputs_are_400s_and_the_daemon_survives() {
         let elapsed = started.elapsed();
         let shown = &body[..body.len().min(120)];
         assert_eq!(resp.status, 400, "{shown}: {}", resp.body);
+        assert!(resp.body.len() < 1024, "{shown}: {} bytes", resp.body.len());
         assert!(resp.body.contains(needle), "{shown}: {}", resp.body);
         assert_eq!(resp.body.lines().count(), 1, "{}", resp.body);
         assert!(

@@ -56,8 +56,10 @@ impl ScenarioError {
         ScenarioError(msg.into())
     }
 
-    /// `got` is not one of `names`.
+    /// `got` is not one of `names`; a long `got` is clipped
+    /// ([`serde::de::Quoted`]).
     pub(crate) fn unknown(what: &str, got: &str, names: &[&str]) -> Self {
+        let got = serde::de::Quoted(got);
         ScenarioError(format!("unknown {what} '{got}' ({})", names.join("|")))
     }
 

@@ -363,7 +363,8 @@ impl SweepSpec {
         if let Some(axis) = &self.autotune {
             if !(AUTOTUNE_AXES.contains(&axis.as_str()) || axis == "tile_size") {
                 return Err(ScenarioError::new(format!(
-                    "unknown autotune axis '{axis}' (one of {AUTOTUNE_AXES:?})"
+                    "unknown autotune axis '{}' (one of {AUTOTUNE_AXES:?})",
+                    serde::de::Quoted(axis)
                 )));
             }
         }

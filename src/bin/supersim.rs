@@ -49,9 +49,10 @@
 //! ```
 //!
 //! `metrics` runs a synthetic simulated workload (lognormal kernel models,
-//! no calibration file needed) once per requested TEQ wakeup mode and dumps
-//! the merged [`supersim::metrics::MetricsSnapshot`] as JSON: TEQ traffic
-//! and wait-latency histograms, engine counters, trace-shard occupancy.
+//! no calibration file needed) once per requested TEQ wakeup mode (once on
+//! `--backend des`, which has no TEQ) and dumps the merged
+//! [`supersim::metrics::MetricsSnapshot`] as JSON: TEQ traffic and
+//! wait-latency histograms, engine counters, trace-shard occupancy.
 //! `--chrome` adds counter tracks next to the task timeline;
 //! `--trace-out` writes the (virtual-time, deterministic) text trace of
 //! the last run, which CI diffs bit-for-bit across repeated runs.
@@ -1050,8 +1051,9 @@ fn cmd_dag(opts: &Opts) {
     );
 }
 
-/// Run a synthetic simulated workload once per requested TEQ wakeup mode,
-/// publish every instrumented component into one snapshot, and dump it.
+/// Run a synthetic simulated workload once per requested TEQ wakeup mode
+/// (once on the DES backend, which has no TEQ), publish every
+/// instrumented component into one snapshot, and dump it.
 /// `--workload cluster-cholesky|cluster-lu` runs the distributed recipe
 /// instead (once, over the default 4x2 Hockney cluster with one NIC lane
 /// per node) and adds cluster instrumentation: transfer counts/bytes and
@@ -1067,8 +1069,15 @@ fn cmd_metrics(opts: &Opts) {
         None => (false, workload),
     };
     let alg = or_fail(Algorithm::parse(name));
+    let backend = named(opts, "backend", Backend::parse);
+    // The DES replay has no TEQ: a second wakeup mode would replay the
+    // identical run again, so it runs once and refuses the other modes.
+    let des = backend == Backend::Des;
     let both = [WakeupMode::Targeted, WakeupMode::Broadcast];
-    let modes = match (opts.get("mode").map(String::as_str), clustered) {
+    let modes = match (opts.get("mode").map(String::as_str), clustered || des) {
+        (Some(mode @ ("both" | "broadcast")), _) if des => fail(format!(
+            "--mode {mode} needs --backend threaded: the DES replay has no TEQ wakeups"
+        )),
         (None, false) | (Some("both"), _) => &both[..],
         (None, true) | (Some("targeted"), _) => &both[..1],
         (Some("broadcast"), _) => &both[1..],
@@ -1079,7 +1088,7 @@ fn cmd_metrics(opts: &Opts) {
     } else {
         (512, 64, 8)
     };
-    let mut sc = scenario_from(opts, alg, sizes).backend(named(opts, "backend", Backend::parse));
+    let mut sc = scenario_from(opts, alg, sizes).backend(backend);
     if clustered {
         sc = with_cluster(opts, sc, Some(1)).0;
     }

@@ -257,6 +257,60 @@ fn metrics_trace_out_is_deterministic() {
     std::fs::remove_file(&b).ok();
 }
 
+/// The DES replay has no TEQ, so `metrics --backend des` replays once —
+/// every span of the trace exactly once — and refuses a second wakeup mode.
+#[cfg(feature = "metrics")]
+#[test]
+fn des_metrics_replay_once() {
+    let trace = tmpdir().join("des-once.txt");
+    let args = [
+        "metrics",
+        "--n",
+        "512",
+        "--nb",
+        "64",
+        "--workers",
+        "8",
+        "--seed",
+        "42",
+        "--backend",
+        "des",
+    ];
+    let out = bin()
+        .args(args)
+        .arg("--trace-out")
+        .arg(&trace)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let snap: serde_json::Value =
+        serde_json::from_str(std::str::from_utf8(&out.stdout).unwrap()).unwrap();
+    let counter = |name: &str| {
+        snap["counters"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .find(|c| c["name"] == name)
+            .map(|c| c["value"].as_u64().unwrap())
+    };
+    let spans = std::fs::read_to_string(&trace).unwrap().lines().count() as u64;
+    assert_eq!(spans, 120);
+    assert_eq!(counter("des.replay.runs"), Some(1));
+    assert_eq!(counter("des.replay.tasks"), Some(spans));
+    assert!(!String::from_utf8(out.stderr).unwrap().contains("Broadcast"));
+    std::fs::remove_file(&trace).ok();
+    for mode in ["both", "broadcast"] {
+        let out = bin().args(args).args(["--mode", mode]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "--mode {mode}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.starts_with("error: ") && err.contains("TEQ"), "{err}");
+    }
+}
+
 #[test]
 fn a_closed_stdout_pipe_is_a_clean_exit() {
     // `supersim … | head -1`: the reader takes one line and goes away
@@ -470,6 +524,39 @@ fn unknown_names_print_the_vocabularys_text() {
             "{args:?}"
         );
     }
+}
+
+/// An unknown name of a megabyte — a key in a calibration file — and one
+/// near the argument-length limit are refused on one short line quoting
+/// at most their first 64 bytes.
+#[test]
+fn long_unknown_names_are_quoted_clipped() {
+    let cal = tmpdir().join("long-key.json");
+    std::fs::write(&cal, format!("{{\"{}\":1}}", "k".repeat(1 << 20))).unwrap();
+    let alg = "g".repeat(100_000);
+    let runs = [
+        bin()
+            .arg("sim")
+            .arg("--calibration")
+            .arg(&cal)
+            .output()
+            .unwrap(),
+        bin().args(["faults", "--alg", &alg]).output().unwrap(),
+    ];
+    for (out, clipped) in runs.iter().zip([
+        format!("`{}…`", "k".repeat(64)),
+        format!("'{}…'", "g".repeat(64)),
+    ]) {
+        assert_eq!(out.status.code(), Some(2));
+        let err = String::from_utf8_lossy(&out.stderr);
+        let shown = &err[..err.len().min(200)];
+        assert!(err.len() < 1024, "{} bytes: {shown}", err.len());
+        assert!(
+            err.starts_with("error: ") && err.contains(&clipped),
+            "{shown}"
+        );
+    }
+    std::fs::remove_file(&cal).ok();
 }
 
 /// Satellite 4(c): documents that must not move — the `--help` text, and
