@@ -391,11 +391,6 @@ pub struct SimSession {
     /// unexpectedly huge even though each step is cheap. Per session:
     /// forks start unlimited.
     virtual_budget_bits: AtomicU64,
-    /// Recorder shard occupancy captured by [`SimSession::finish_trace`]
-    /// just before the shards are drained, so metrics published after the
-    /// run still describe the run (not the emptied buffers).
-    #[cfg(feature = "metrics")]
-    final_occupancy: Mutex<Option<Vec<usize>>>,
     /// Simulated kernels completed by this session. Per-session (not
     /// process-global) so N concurrent sessions never cross-talk.
     #[cfg(feature = "metrics")]
@@ -439,8 +434,6 @@ impl SimSession {
             ranks: Mutex::new(BTreeMap::new()),
             interrupt,
             virtual_budget_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-            #[cfg(feature = "metrics")]
-            final_occupancy: Mutex::new(None),
             #[cfg(feature = "metrics")]
             kernels: AtomicU64::new(0),
             #[cfg(feature = "metrics")]
@@ -575,10 +568,6 @@ impl SimSession {
     /// Consume the virtual-time trace recorded so far (normalized, with
     /// `workers` lanes).
     pub fn finish_trace(&self, workers: usize) -> Trace {
-        #[cfg(feature = "metrics")]
-        {
-            *self.final_occupancy.lock() = Some(self.trace.shard_occupancy());
-        }
         self.trace.finish(workers)
     }
 
@@ -586,10 +575,8 @@ impl SimSession {
     /// tally (counts, latency histograms, wakeups under the configured
     /// [`WakeupMode`]'s name), the session's kernel / settle-spin counters
     /// (`sim.kernels.count`, `sim.quiesce.spins`), any engine run counters
-    /// accumulated via [`SimSession::add_run_counter`], the trace
-    /// recorder's total event count, and its per-shard occupancy (as
-    /// captured at [`SimSession::finish_trace`] time, or live if the trace
-    /// has not been finished). All of these are per-session: concurrent
+    /// accumulated via [`SimSession::add_run_counter`] and the trace
+    /// recorder's total event count. All of these are per-session: concurrent
     /// sessions publish disjoint totals with no process-global cross-talk.
     /// See DESIGN.md §5e for the metric catalog.
     #[cfg(feature = "metrics")]
@@ -604,18 +591,6 @@ impl SimSession {
             snap.push_counter(name, *value);
         }
         snap.push_counter("trace.events.recorded", self.trace.total_recorded());
-        let occupancy = self
-            .final_occupancy
-            .lock()
-            .clone()
-            .unwrap_or_else(|| self.trace.shard_occupancy());
-        let occupied = occupancy.iter().filter(|&&n| n > 0).count();
-        snap.push_gauge("trace.shards.occupied", occupied as i64);
-        for (i, &n) in occupancy.iter().enumerate() {
-            if n > 0 {
-                snap.push_gauge(&format!("trace.shard.{i:02}.occupancy"), n as i64);
-            }
-        }
     }
 
     /// Accumulate an end-of-run counter under `name`, published by

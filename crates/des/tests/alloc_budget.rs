@@ -1,6 +1,6 @@
 //! The replay loop's allocation budget, as a test: a replayed task must
 //! not cost the engine a heap allocation of its own. What remains is
-//! amortised growth (trace shards, the node slab, the reader and
+//! amortised growth (the trace's span log, the node slab, the reader and
 //! successor pools, the hazard tracker's region map) and, under faults,
 //! the marked labels of failed-attempt and backoff spans — a quarter of
 //! an allocation per task at most. Before the node ring, the reused

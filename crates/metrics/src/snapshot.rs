@@ -1,9 +1,9 @@
 //! Point-in-time, serializable view of a set of instruments.
 //!
 //! A [`MetricsSnapshot`] is assembled from component-local tallies (the
-//! TEQ's in-lock counters, the runtime's per-run statistics, trace-shard
-//! occupancy) via the `push_*` methods — pushing a name that already
-//! exists **accumulates** counters and merges histograms, so two
+//! TEQ's in-lock counters, the runtime's per-run statistics, the trace
+//! recorder's event count) via the `push_*` methods — pushing a name that
+//! already exists **accumulates** counters and merges histograms, so two
 //! simulation sessions publishing under the same names sum naturally.
 
 use crate::instruments::{bucket_upper_ns, LocalHistogram};

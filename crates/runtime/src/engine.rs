@@ -422,8 +422,8 @@ fn worker_loop(shared: Arc<Shared>, worker: usize) {
         let t_end = shared.epoch.elapsed().as_secs_f64();
 
         // Both the trace record and the per-worker counter bump happen
-        // outside the engine lock: the trace recorder shards internally and
-        // the counter slot is owned by this worker alone.
+        // outside the engine lock: the trace recorder has a lock of its own
+        // and the counter slot is owned by this worker alone.
         if let Some(trace) = &shared.trace {
             trace.record(worker, &ctx.label, task_id, t_start, t_end);
         }

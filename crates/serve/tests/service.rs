@@ -358,6 +358,9 @@ fn rejected_inputs_are_400s_and_the_daemon_survives() {
     let seeds: Vec<String> = (0..5000).map(|s| s.to_string()).collect();
     let long = "g".repeat(1 << 20);
     let clipped = format!("{}…", &long[..64]);
+    // A value's `{:?}` is clipped by the same rule: `String("` and 56
+    // bytes (its quote JSON-escaped in the body).
+    let clipped_value = format!("expected object, got String(\\\"{}…", &long[..56]);
     let rows: Vec<(&str, String, &str)> = vec![
         ("/run", "{\"n\":0}".into(), "n must be positive"),
         ("/run", "{\"workers\":0}".into(), "workers must be positive"),
@@ -444,6 +447,12 @@ fn rejected_inputs_are_400s_and_the_daemon_survives() {
         // by its first 64 bytes only.
         ("/run", format!("{{\"algorithm\":\"{long}\"}}"), clipped.as_str()),
         ("/run", format!("{{\"tiles\":4,\"{long}\":3}}"), clipped.as_str()),
+        // A megabyte value where an object belongs is quoted the same way.
+        (
+            "/run",
+            format!("{{\"models\":\"{long}\"}}"),
+            clipped_value.as_str(),
+        ),
     ];
     for (path, body, needle) in rows {
         let started = std::time::Instant::now();

@@ -4,25 +4,24 @@
 //! wall-clock seconds; in a simulated run the sim-kernel protocol logs the
 //! same tuple in virtual time. Both go through [`TraceRecorder`].
 //!
-//! The recorder is **sharded**: events land in one of `SHARDS` per-shard
-//! buffers selected by `worker % SHARDS`, so concurrent workers recording
-//! on different shards never contend on a common lock. Each event is
-//! stamped with a globally unique sequence number from a single atomic
-//! counter, the tie-breaker that makes every merge deterministic for a
-//! given set of recorded events regardless of shard interleaving.
-//! [`TraceRecorder::finish`] deals the shards out lane by lane into the
-//! normalized order `(worker, start − t0, task_id, start, seq)` — what a
-//! `(start, seq)` merge followed by [`Trace::normalize`] would give — in
-//! one pass, because a lane's spans sit in one shard and, one task at a
-//! time, were pushed in that order already; a lane found out of order is
-//! sorted.
+//! The recorder keeps **one span log**: every engine — DES, threaded and
+//! real — appends its spans to one locked `Vec` in record order, so a
+//! span's position in the log is its sequence number, the tie-breaker
+//! that makes every merge deterministic for a given recording.
+//! [`TraceRecorder::finish`] turns the log into the normalized order
+//! `(worker, start − t0, task_id, start, seq)` — what a `(start, seq)`
+//! merge followed by [`Trace::normalize`] would give — in place: a stable
+//! counting sort by lane (one `u32` destination per span, applied by
+//! cycle-following swaps), then a check of each lane, which runs one task
+//! at a time and so was recorded in that order already; a lane found out
+//! of order is sorted.
 //!
 //! # Streaming (bounded-memory) mode
 //!
 //! [`TraceRecorder::attach_sink`] switches the recorder into streaming
 //! mode: whenever an engine reports virtual-clock progress via
 //! [`TraceRecorder::observe_clock`], every flush epoch the clock has
-//! advanced strictly past is drained from the shards — spans with
+//! advanced strictly past is drained from the log — spans with
 //! `end ≤ k·ε` for epoch `k` — sorted by the same `(start, seq)` order
 //! the buffered merge uses, and pushed to the [`TraceSink`]. Resident
 //! memory is then bounded by the spans of one epoch window instead of
@@ -32,7 +31,7 @@
 //! their *final* virtual times before the task retires, and both engines
 //! retire tasks in nondecreasing virtual-time order. Once the clock has
 //! advanced past an epoch bound, every span ending at or before that
-//! bound is already in the shards and can never be joined by another —
+//! bound is already in the log and can never be joined by another —
 //! any span recorded later starts (and therefore ends) past the bound.
 //! Flushing is therefore both safe and complete, and epoch batches are a
 //! pure function of the recorded span set, not of which thread happened
@@ -40,15 +39,15 @@
 //!
 //! ## Accounting under partial drains
 //!
-//! In streaming mode the shards hold only the *resident* (not yet
+//! In streaming mode the log holds only the *resident* (not yet
 //! drained) tail of the trace, which changes what the inspection
 //! methods report:
 //!
-//! * [`TraceRecorder::len`] / [`TraceRecorder::shard_occupancy`] /
-//!   [`TraceRecorder::is_empty`] — resident spans only;
+//! * [`TraceRecorder::len`] / [`TraceRecorder::is_empty`] — resident
+//!   spans only;
 //! * [`TraceRecorder::drained`] — spans already pushed to the sink;
 //! * [`TraceRecorder::total_recorded`] — lifetime count (resident +
-//!   drained);
+//!   drained + consumed by `finish`);
 //! * [`TraceRecorder::sink_error`] — the sink's first I/O error. Later
 //!   epochs are still handed to the sink, so a sink that recovers loses
 //!   only what failed; the error outlives the sink's detach;
@@ -62,17 +61,12 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Number of independent event buffers. Workers map onto shards by
-/// `worker % SHARDS`; 32 shards keep lock collisions rare for any
-/// realistic worker count while bounding per-recorder memory.
-const SHARDS: usize = 32;
-
-/// One shard: a locked event buffer, padded to its own cache line so
-/// neighbouring shard locks do not false-share.
-#[repr(align(128))]
+/// The span log: resident spans in record order.
 #[derive(Debug, Default)]
-struct Shard {
-    events: Mutex<Vec<(u64, TraceEvent)>>,
+struct Log {
+    spans: Vec<TraceEvent>,
+    /// Spans taken out of `spans` so far, by epoch drains and `finish`.
+    taken: u64,
 }
 
 /// Streaming-mode state behind `Inner::stream`.
@@ -97,9 +91,7 @@ impl std::fmt::Debug for StreamState {
 
 #[derive(Debug)]
 struct Inner {
-    shards: Vec<Shard>,
-    /// Global event sequence stamp: the deterministic merge tie-breaker.
-    seq: AtomicU64,
+    log: Mutex<Log>,
     /// Spans drained to the attached sink so far (lifetime, survives
     /// sink detach).
     drained: AtomicU64,
@@ -112,21 +104,20 @@ struct Inner {
     sink_error: Mutex<Option<String>>,
 }
 
-/// The order of two stamped spans of one lane in a normalized trace whose
-/// time origin is `t0`: by shifted start and task id (what
-/// [`Trace::normalize`] sorts by), then by the `(start, seq)` merge order
-/// its stable sort preserves among equals.
-fn lane_order(t0: f64, a: &(u64, TraceEvent), b: &(u64, TraceEvent)) -> std::cmp::Ordering {
-    (a.1.start - t0, a.1.task_id)
-        .partial_cmp(&(b.1.start - t0, b.1.task_id))
+/// The order of two spans of one lane in a normalized trace whose time
+/// origin is `t0`: by shifted start and task id (what [`Trace::normalize`]
+/// sorts by), then by the `(start, seq)` merge order its stable sort
+/// preserves among equals — `seq` being the log order a stable sort keeps.
+fn lane_order(t0: f64, a: &TraceEvent, b: &TraceEvent) -> std::cmp::Ordering {
+    (a.start - t0, a.task_id)
+        .partial_cmp(&(b.start - t0, b.task_id))
         .expect("non-finite times in trace")
-        .then(a.1.start.total_cmp(&b.1.start))
-        .then(a.0.cmp(&b.0))
+        .then(a.start.total_cmp(&b.start))
 }
 
 /// A shareable, thread-safe accumulator of trace events.
 ///
-/// Cloning shares the underlying buffers ([`Arc`] internally), so every
+/// Cloning shares the underlying log ([`Arc`] internally), so every
 /// worker thread can own a handle.
 #[derive(Debug, Clone)]
 pub struct TraceRecorder {
@@ -137,8 +128,7 @@ impl Default for TraceRecorder {
     fn default() -> Self {
         TraceRecorder {
             inner: Arc::new(Inner {
-                shards: (0..SHARDS).map(|_| Shard::default()).collect(),
-                seq: AtomicU64::new(0),
+                log: Mutex::default(),
                 drained: AtomicU64::new(0),
                 next_bound: AtomicU64::new(f64::INFINITY.to_bits()),
                 stream: Mutex::new(None),
@@ -167,129 +157,112 @@ impl TraceRecorder {
 
     /// Record a prebuilt event.
     pub fn record_event(&self, event: TraceEvent) {
-        let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.inner.shards[event.worker % SHARDS];
-        shard.events.lock().push((seq, event));
+        self.inner.log.lock().spans.push(event);
     }
 
     /// Number of events currently resident (recorded and, in streaming
     /// mode, not yet drained).
     pub fn len(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.events.lock().len())
-            .sum()
+        self.inner.log.lock().spans.len()
     }
 
     /// Whether no events are resident.
     pub fn is_empty(&self) -> bool {
-        self.inner.shards.iter().all(|s| s.events.lock().is_empty())
+        self.inner.log.lock().spans.is_empty()
     }
 
-    /// Merge the shards into a normalized [`Trace`] of at least `workers`
-    /// lanes: spans in `(worker, start′, task_id, start, seq)` order with
-    /// `start′ = start − t0` the time shifted so the earliest start is 0
-    /// — the order a `(start, seq)` merge followed by
+    /// Turn the log into a normalized [`Trace`] of at least `workers`
+    /// lanes, in place: spans in `(worker, start′, task_id, start, seq)`
+    /// order with `start′ = start − t0` the time shifted so the earliest
+    /// start is 0 — the order a `(start, seq)` merge followed by
     /// [`Trace::normalize`]'s stable `(worker, start′, task_id)` sort
-    /// produces. One pass instead of two sorts: a lane's spans all sit in
-    /// one shard, and a lane runs one task at a time, so they were pushed
-    /// in that order already. Each lane is checked, a shard holding a lane
-    /// that is not in order is sorted, and the shards are dealt out lane
-    /// by lane. The recorder is left empty.
+    /// produces. A stable counting sort deals the log out by lane; a lane
+    /// runs one task at a time, so its spans were recorded in order
+    /// already, and only a lane found out of order is sorted. Beside the
+    /// log this holds one `u32` per span and two words per lane. The
+    /// recorder is left empty.
     fn merged(&self, workers: usize) -> Trace {
-        let mut shards: Vec<Vec<(u64, TraceEvent)>> = self
-            .inner
-            .shards
-            .iter()
-            .map(|s| std::mem::take(&mut *s.events.lock()))
-            .collect();
+        let mut events = {
+            let mut log = self.inner.log.lock();
+            log.taken += log.spans.len() as u64;
+            std::mem::take(&mut log.spans)
+        };
+        events.shrink_to_fit();
 
         // Lane sizes and the time origin.
-        let mut lane_end = vec![0usize; workers];
+        let mut lane_start = vec![0usize; workers];
         let mut t0 = f64::INFINITY;
-        for (_, e) in shards.iter().flatten() {
-            if e.worker >= lane_end.len() {
-                lane_end.resize(e.worker + 1, 0);
+        for e in &events {
+            if e.worker >= lane_start.len() {
+                lane_start.resize(e.worker + 1, 0);
             }
-            lane_end[e.worker] += 1;
+            lane_start[e.worker] += 1;
             t0 = t0.min(e.start);
         }
         // `x - 0.0` is `x` bit for bit, so "no shift" is a shift by zero.
         let t0 = if t0.is_finite() && t0 != 0.0 { t0 } else { 0.0 };
 
-        // Each lane in order? A lane lives in one shard, so `latest` (the
-        // index of a lane's latest span within its shard) needs no reset
-        // between shards.
-        let mut latest: Vec<Option<usize>> = vec![None; lane_end.len()];
-        for shard in &mut shards {
-            let ordered = (0..shard.len()).all(|i| {
-                let prev = latest[shard[i].1.worker].replace(i);
-                prev.is_none_or(|p| lane_order(t0, &shard[p], &shard[i]).is_le())
-            });
-            if !ordered {
-                shard.sort_by(|a, b| {
-                    let by_lane = a.1.worker.cmp(&b.1.worker);
-                    by_lane.then_with(|| lane_order(t0, a, b))
-                });
-            }
-        }
-
-        // Deal the spans out: lane `l` fills `[lane_end[l-1], lane_end[l])`.
+        // Lane `l` fills `[lane_start[l], lane_end[l])`; span `i` moves to
+        // `dest[i]`, lanes kept in log order.
         let mut total = 0;
-        for n in &mut lane_end {
+        for n in &mut lane_start {
             total += *n;
             *n = total - *n;
         }
-        let mut events = vec![TraceEvent::default(); total];
-        for (_, e) in shards.into_iter().flatten() {
-            let slot = &mut lane_end[e.worker];
-            events[*slot] = TraceEvent {
-                start: e.start - t0,
-                end: e.end - t0,
-                ..e
-            };
-            *slot += 1;
+        assert!(
+            u32::try_from(total).is_ok(),
+            "a trace of {total} spans exceeds the recorder's u32 positions"
+        );
+        let mut lane_end = lane_start.clone();
+        let mut dest: Vec<u32> = events
+            .iter()
+            .map(|e| {
+                let slot = &mut lane_end[e.worker];
+                *slot += 1;
+                (*slot - 1) as u32
+            })
+            .collect();
+        // Apply the permutation by following its cycles: every swap puts
+        // one span in its final slot.
+        for i in 0..events.len() {
+            while dest[i] as usize != i {
+                let d = dest[i] as usize;
+                events.swap(i, d);
+                dest.swap(i, d);
+            }
         }
-        Trace::from_parts(lane_end.len(), events)
+        drop(dest);
+
+        for (&lo, &hi) in lane_start.iter().zip(&lane_end) {
+            let lane = &mut events[lo..hi];
+            if !lane.is_sorted_by(|a, b| lane_order(t0, a, b).is_le()) {
+                lane.sort_by(|a, b| lane_order(t0, a, b));
+            }
+        }
+        for e in &mut events {
+            e.start -= t0;
+            e.end -= t0;
+        }
+        Trace::from_parts(lane_start.len(), events)
     }
 
     /// Remove every resident event with `end <= bound` and return them
     /// in `(start, seq)` order — one flush-epoch batch.
     fn drain_upto(&self, bound: f64) -> Vec<TraceEvent> {
-        let mut stamped: Vec<(u64, TraceEvent)> = Vec::new();
-        for s in &self.inner.shards {
-            let mut guard = s.events.lock();
-            let mut i = 0;
-            while i < guard.len() {
-                if guard[i].1.end <= bound {
-                    stamped.push(guard.swap_remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        stamped.sort_by(|a, b| a.1.start.total_cmp(&b.1.start).then(a.0.cmp(&b.0)));
-        stamped.into_iter().map(|(_, e)| e).collect()
-    }
-
-    /// Events currently buffered in each shard (index = shard). A heavily
-    /// skewed distribution means workers are aliasing onto few shards and
-    /// contending on their locks. In streaming mode this covers resident
-    /// events only.
-    pub fn shard_occupancy(&self) -> Vec<usize> {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.events.lock().len())
-            .collect()
+        let mut log = self.inner.log.lock();
+        let mut batch: Vec<TraceEvent> = log.spans.extract_if(.., |e| e.end <= bound).collect();
+        log.taken += batch.len() as u64;
+        drop(log);
+        // Stable: spans starting together keep their log order, their seq.
+        batch.sort_by(|a, b| a.start.total_cmp(&b.start));
+        batch
     }
 
     /// Total events ever recorded through this recorder, including ones
-    /// since drained to a sink or consumed by [`TraceRecorder::finish`]
-    /// (read from the global sequence stamp).
+    /// since drained to a sink or consumed by [`TraceRecorder::finish`].
     pub fn total_recorded(&self) -> u64 {
-        self.inner.seq.load(Ordering::Relaxed)
+        let log = self.inner.log.lock();
+        log.taken + log.spans.len() as u64
     }
 
     /// Spans pushed to an attached sink so far, across the recorder's
@@ -469,35 +442,33 @@ mod tests {
     }
 
     #[test]
-    fn shards_beyond_worker_count_still_merge() {
-        // Workers far above SHARDS wrap onto existing shards without loss.
+    fn worker_indices_beyond_the_lane_count_grow_it() {
         let r = TraceRecorder::new();
-        for w in 0..(SHARDS * 3) {
+        for w in (0..96).rev() {
             r.record(w, "k", w as u64, w as f64, w as f64 + 0.5);
         }
         let t = r.finish(1);
-        assert_eq!(t.len(), SHARDS * 3);
-        assert_eq!(t.workers, SHARDS * 3);
+        assert_eq!(t.len(), 96);
+        assert_eq!(t.workers, 96);
+        assert!(t.spans().iter().enumerate().all(|(i, e)| e.worker == i));
     }
 
-    /// The merge `merged` replaced, kept as its oracle: every stamped span
-    /// sorted by `(start, seq)`, then [`Trace::normalize`]'s time shift and
-    /// stable `(worker, start′, task_id)` sort.
+    /// The merge `merged` replaced, kept as its oracle: every span sorted
+    /// by `(start, seq)` — seq being the log position a stable sort
+    /// keeps — then [`Trace::normalize`]'s time shift and stable
+    /// `(worker, start′, task_id)` sort.
     fn two_sort_oracle(r: &TraceRecorder, workers: usize) -> Trace {
-        let mut stamped: Vec<(u64, TraceEvent)> = Vec::new();
-        for s in &r.inner.shards {
-            stamped.extend(s.events.lock().iter().cloned());
-        }
-        stamped.sort_by(|a, b| a.1.start.total_cmp(&b.1.start).then(a.0.cmp(&b.0)));
-        let mut t = Trace::from_parts(workers, stamped.into_iter().map(|(_, e)| e).collect());
+        let mut spans = r.inner.log.lock().spans.clone();
+        spans.sort_by(|a, b| a.start.total_cmp(&b.start));
+        let mut t = Trace::from_parts(workers, spans);
         t.normalize();
         t
     }
 
     #[test]
     fn merge_order_is_deterministic_on_timestamp_ties() {
-        // Same timestamps recorded from one thread across different
-        // shards: the merge must equal the (start, seq) merge followed by
+        // Same timestamps recorded from one thread on different lanes:
+        // the merge must equal the (start, seq) merge followed by
         // normalization, and two identical recorders must agree.
         let r = TraceRecorder::new();
         for i in 0..10u64 {
@@ -538,8 +509,8 @@ mod tests {
 
         /// `(worker, task_id, start, duration)` on coarse grids, so equal
         /// starts, shared task ids (a faulted task's failed / backoff /
-        /// work spans) and zero-length spans are all common. 40 lanes
-        /// over 32 shards: lanes 32.. share a shard with lanes 0..8.
+        /// work spans) and zero-length spans are all common, over 40
+        /// lanes.
         fn spans() -> impl Strategy<Value = Vec<(usize, u64, u32, u32)>> {
             prop::collection::vec((0usize..40, 0u64..6, 0u32..8, 0u32..3), 0..80)
         }

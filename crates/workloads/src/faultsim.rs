@@ -82,6 +82,10 @@ pub(crate) struct RunResult {
     makespan: f64,
     checkpoint_overhead: f64,
     restarted: u64,
+    /// The phase-B sessions this result ran beyond the table's passes —
+    /// its own replay and those of its per-fault attribution runs — so a
+    /// sweep publishes their instruments too.
+    pub(crate) replays: Vec<Arc<SimSession>>,
 }
 
 /// Placement wrapper re-homing a dead node's tiles onto the survivors,
@@ -263,6 +267,7 @@ impl<'s> Passes<'s> {
                 makespan: a.makespan,
                 checkpoint_overhead: 0.0,
                 restarted: 0,
+                replays: Vec::new(),
             },
         }
     }
@@ -270,7 +275,7 @@ impl<'s> Passes<'s> {
     /// Run `plan` and compare it with the clean pass, running each event
     /// alone when the plan has several (per-fault attribution).
     pub(crate) fn compare(&mut self, plan: &FaultPlan) -> (RunResult, DegradationReport) {
-        let faulted = self.run(plan);
+        let mut faulted = self.run(plan);
         let clean_makespan = self.passes[0].makespan;
         let ratio = |makespan: f64| {
             if clean_makespan > 0.0 {
@@ -290,7 +295,9 @@ impl<'s> Passes<'s> {
                         events: vec![ev.clone()],
                         recovery: plan.recovery.clone(),
                     };
-                    self.run(&alone).makespan
+                    let alone = self.run(&alone);
+                    faulted.replays.extend(alone.replays);
+                    alone.makespan
                 };
                 FaultAttribution {
                     fault: describe_event(ev),
@@ -374,7 +381,7 @@ fn replay_after_failure(sc: &Scenario, plan: &FaultPlan, a: &Pass) -> RunResult 
     let session_b = a.session.fork();
     sc.attach_plan(&session_b, plan, offset);
     let mut restarted = 0;
-    let (trace_b, ..) = run_pass(sc, session_b, Some(scope), &mut |i| {
+    let (trace_b, ..) = run_pass(sc, session_b.clone(), Some(scope), &mut |i| {
         let rerun = !done.contains(&i);
         restarted += u64::from(rerun);
         rerun
@@ -386,6 +393,7 @@ fn replay_after_failure(sc: &Scenario, plan: &FaultPlan, a: &Pass) -> RunResult 
         trace: Rc::new(trace),
         checkpoint_overhead,
         restarted,
+        replays: vec![session_b],
     }
 }
 
@@ -671,6 +679,7 @@ mod tests {
                 makespan,
                 checkpoint_overhead: 0.0,
                 restarted: 0,
+                replays: Vec::new(),
             },
         }
     }

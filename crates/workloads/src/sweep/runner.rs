@@ -210,6 +210,9 @@ fn run_group<'a>(
         } else {
             let (faulted, report) = passes.compare(&cell.scenario.faults);
             record_faulted(&mut result, &faulted.trace, report);
+            for session in &faulted.replays {
+                out.publish(session);
+            }
         }
         result.gflops = flops::gflops(scenario.algorithm.flops(result.n), result.makespan);
         out.results.push(result);
@@ -394,6 +397,8 @@ mod tests {
     /// four passes: the clean one (also the kill's phase A), the
     /// straggler, the transient and the kill's phase B — one fewer than
     /// running each plan on its own, which simulates the kill's phase A.
+    /// All four are DES replays in the merged metrics, the phase B's
+    /// forked session included.
     #[test]
     fn a_kill_cell_costs_only_its_phase_b() {
         let spec = SweepSpec {
@@ -406,14 +411,17 @@ mod tests {
             )
         };
         let before = crate::faultsim::PASSES.with(|n| n.get());
-        let report = spec.run(1).report;
+        let outcome = spec.run(1);
         let passes = crate::faultsim::PASSES.with(|n| n.get()) - before;
+        let report = &outcome.report;
         assert_eq!(report.cells.len(), 4);
         assert!(
             report.cells.iter().any(|c| c.restarted_tasks > 0),
             "the kill lands mid-run"
         );
         assert_eq!(passes, 4);
+        #[cfg(feature = "metrics")]
+        assert_eq!(outcome.metrics.counter("des.replay.runs"), Some(4));
     }
 
     fn small_spec() -> SweepSpec {

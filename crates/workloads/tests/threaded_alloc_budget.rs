@@ -3,10 +3,10 @@
 //! execution queue and the session no heap allocation of their own. What
 //! remains per task is the producer's label and access list, the task
 //! body's box and the trace span's kernel name — four — plus amortised
-//! growth (the entry table, trace shards, per-thread buffers). Before the
-//! moved label, the per-worker dispatch state, the pooled successor lists,
-//! the reused hazard and plan buffers and the per-thread TEQ condvar, the
-//! figure was about 12.3.
+//! growth (the entry table, the trace's span log, per-thread buffers).
+//! Before the moved label, the per-worker dispatch state, the pooled
+//! successor lists, the reused hazard and plan buffers and the per-thread
+//! TEQ condvar, the figure was about 12.3.
 //!
 //! The engine's worker threads allocate on their own threads, so this
 //! binary counts allocations process-wide, and holds this one test only.

@@ -52,7 +52,7 @@
 //! no calibration file needed) once per requested TEQ wakeup mode (once on
 //! `--backend des`, which has no TEQ) and dumps the merged
 //! [`supersim::metrics::MetricsSnapshot`] as JSON: TEQ traffic and
-//! wait-latency histograms, engine counters, trace-shard occupancy.
+//! wait-latency histograms, engine counters, recorded trace events.
 //! `--chrome` adds counter tracks next to the task timeline;
 //! `--trace-out` writes the (virtual-time, deterministic) text trace of
 //! the last run, which CI diffs bit-for-bit across repeated runs.
