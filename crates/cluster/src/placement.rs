@@ -33,7 +33,7 @@ impl BlockCyclic {
     pub fn square(nodes: usize) -> Self {
         assert!(nodes > 0, "process grid must be non-empty");
         let mut p = (nodes as f64).sqrt() as usize;
-        while p > 1 && !nodes.is_multiple_of(p) {
+        while p > 1 && nodes % p != 0 {
             p -= 1;
         }
         BlockCyclic::new(p.max(1), nodes / p.max(1))

@@ -344,9 +344,7 @@ impl Interrupt {
     fn deadline_passed(&self) -> bool {
         let n = self.polls.load(Ordering::Relaxed);
         self.polls.store(n.wrapping_add(1), Ordering::Relaxed);
-        if !n.is_multiple_of(DEADLINE_STRIDE)
-            || self.deadline.get().is_none_or(|d| Instant::now() < *d)
-        {
+        if n % DEADLINE_STRIDE != 0 || self.deadline.get().is_none_or(|d| Instant::now() < *d) {
             return false;
         }
         self.state.fetch_or(CANCELLED, Ordering::Relaxed);

@@ -188,7 +188,8 @@ impl FaultInjector for CompiledFaults {
     fn transient(&self, label: &str, rank: u64) -> Option<TransientSpec> {
         for t in &self.transients {
             let label_ok = t.label.as_deref().is_none_or(|l| l == label);
-            if label_ok && rank.is_multiple_of(t.period) {
+            // `rank.is_multiple_of(period)` (Rust 1.87): period 0 matches rank 0.
+            if label_ok && rank.checked_rem(t.period).unwrap_or(rank) == 0 {
                 return Some(TransientSpec {
                     failures: t.failures,
                     fail_fraction: t.fail_fraction,

@@ -158,7 +158,7 @@ fn log10_pow5(e: u32) -> u32 {
 
 fn multiple_of_pow5(mut v: u64, p: u32) -> bool {
     let mut n = 0;
-    while v.is_multiple_of(5) {
+    while v % 5 == 0 {
         v /= 5;
         n += 1;
     }

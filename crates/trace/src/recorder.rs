@@ -250,7 +250,16 @@ impl TraceRecorder {
     /// in `(start, seq)` order — one flush-epoch batch.
     fn drain_upto(&self, bound: f64) -> Vec<TraceEvent> {
         let mut log = self.inner.log.lock();
-        let mut batch: Vec<TraceEvent> = log.spans.extract_if(.., |e| e.end <= bound).collect();
+        // `retain_mut` visits the spans in log order once, so both the
+        // batch and the kept spans stay in log order.
+        let mut batch = Vec::new();
+        log.spans.retain_mut(|e| {
+            let take = e.end <= bound;
+            if take {
+                batch.push(std::mem::take(e));
+            }
+            !take
+        });
         log.taken += batch.len() as u64;
         drop(log);
         // Stable: spans starting together keep their log order, their seq.

@@ -1,0 +1,181 @@
+//! The trace crate's memory budgets, as tests:
+//!
+//! * once the first epoch has sized a sink's line buffer, serializing a
+//!   span allocates nothing — no `format!`, no escaped-label `String`, no
+//!   number buffer;
+//! * buffered recording grows one span log (one allocation per doubling,
+//!   however many lanes record), and `finish` turns that log into the
+//!   trace in place, holding beside it no more than a `u32` per span and a
+//!   few words per lane — never a second span buffer.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use supersim_trace::sink::{ChromeStreamSink, NdjsonSink};
+use supersim_trace::{TraceEvent, TraceRecorder, TraceSink};
+
+/// Counts this thread's allocations and live bytes (tests run on
+/// parallel threads).
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// Count `delta` live bytes; an allocation raises the count by one.
+fn note(delta: isize, allocation: bool) {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + u64::from(allocation)));
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
+/// Reset the peak to the current live bytes and return them.
+fn reset_peak() -> isize {
+    let live = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(live));
+    live
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the counters are
+// const-initialized thread-locals without destructors, so touching them
+// allocates nothing and is valid for the whole life of the thread.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size() as isize, true);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(-(layout.size() as isize), false);
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size as isize - layout.size() as isize, true);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const SINK_SPANS: usize = 10_000;
+
+/// `des-stream`-like spans: accumulated `k · 1e-4` clocks, the four tile
+/// kernels, a fault-marked label and one that needs escaping.
+fn stream_spans() -> Vec<TraceEvent> {
+    const LABELS: [&str; 6] = ["dpotrf", "dtrsm", "dsyrk", "dgemm", "dgemm!fail", "we\"ird"];
+    let mut clock = 0.0;
+    (0..SINK_SPANS)
+        .map(|i| {
+            let start = clock;
+            clock += 1e-4 * (i % 7 + 1) as f64;
+            TraceEvent {
+                worker: i % 48,
+                kernel: LABELS[i % LABELS.len()].to_string(),
+                task_id: i as u64,
+                start,
+                end: clock,
+            }
+        })
+        .collect()
+}
+
+/// Allocations of `sink.flush_epoch(spans)` after a first epoch.
+fn steady_state_allocations(sink: &mut dyn TraceSink, spans: &[TraceEvent]) -> u64 {
+    sink.flush_epoch(&spans[..1])
+        .expect("a Vec accepts every write");
+    let before = allocations();
+    sink.flush_epoch(spans).expect("a Vec accepts every write");
+    allocations() - before
+}
+
+#[test]
+fn ndjson_sink_allocates_nothing_per_span() {
+    let spans = stream_spans();
+    let mut out = Vec::with_capacity(SINK_SPANS * 256);
+    let mut sink = NdjsonSink::new(&mut out);
+    assert_eq!(steady_state_allocations(&mut sink, &spans), 0);
+    drop(sink);
+    assert_eq!(
+        String::from_utf8(out).unwrap().lines().count(),
+        SINK_SPANS + 1,
+        "one line per span"
+    );
+}
+
+#[test]
+fn chrome_stream_sink_allocates_nothing_per_span() {
+    let spans = stream_spans();
+    let mut out = Vec::with_capacity(SINK_SPANS * 256);
+    let mut sink = ChromeStreamSink::new(&mut out);
+    assert_eq!(steady_state_allocations(&mut sink, &spans), 0);
+}
+
+/// A power of two, so the log's capacity equals its length and
+/// `finish`'s `shrink_to_fit` frees nothing that could hide a buffer.
+const LOG_SPANS: usize = 1 << 17;
+const LANES: usize = 48;
+
+/// `des-dense`-like spans: lanes take turns, each lane's spans back to
+/// back in record order (the engines' case), with the four tile kernels'
+/// labels.
+fn dense_spans() -> Vec<TraceEvent> {
+    const LABELS: [&str; 4] = ["dpotrf", "dtrsm", "dsyrk", "dgemm"];
+    (0..LOG_SPANS)
+        .map(|i| {
+            let start = 1.0 + (i / LANES) as f64 * 1e-3;
+            TraceEvent {
+                worker: (i * 7) % LANES,
+                kernel: LABELS[i % LABELS.len()].to_string(),
+                task_id: i as u64,
+                start,
+                end: start + 1e-3,
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn buffered_recording_grows_one_log() {
+    let spans = dense_spans();
+    let r = TraceRecorder::new();
+    let before = allocations();
+    for e in spans {
+        r.record_event(e);
+    }
+    let grown = allocations() - before;
+    // One allocation per doubling of one log: log2(2^17) = 17. A log
+    // per lane group (32 shards) made hundreds.
+    assert!(grown <= 20, "{grown} allocations for {LOG_SPANS} spans");
+    assert_eq!(r.len(), LOG_SPANS);
+}
+
+#[test]
+fn finish_holds_a_u32_per_span_beside_the_log() {
+    let spans = dense_spans();
+    let r = TraceRecorder::new();
+    for e in spans {
+        r.record_event(e);
+    }
+    let log = reset_peak();
+    let trace = r.finish(LANES);
+    let above = PEAK.with(Cell::get) - log;
+    let budget = (4 * LOG_SPANS + 64 * LANES + 1024) as isize;
+    assert!(
+        above <= budget,
+        "finish held {above} B beside the log, budget {budget} B ({LOG_SPANS} spans)"
+    );
+    assert_eq!(trace.len(), LOG_SPANS);
+    assert_eq!(trace.spans()[0].start, 0.0);
+    assert!(trace.spans().windows(2).all(|w| {
+        (w[0].worker, w[0].start, w[0].task_id) <= (w[1].worker, w[1].start, w[1].task_id)
+    }));
+}
