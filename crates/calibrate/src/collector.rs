@@ -69,7 +69,7 @@ pub fn collect(trace: &Trace, opts: CollectOptions) -> BTreeMap<String, KernelSa
     events.sort_by(|a, b| a.start.total_cmp(&b.start));
 
     for e in events {
-        let entry = out.entry(e.kernel.clone()).or_default();
+        let entry = out.entry(e.kernel.to_string()).or_default();
         let is_first = seen.insert((e.worker, e.kernel.as_str()));
         if opts.exclude_first_per_worker && is_first {
             entry.warmup_durations.push(e.duration());

@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use supersim_runtime::{Quiesce, TaskContext};
-use supersim_trace::{Trace, TraceEvent, TraceRecorder};
+use supersim_trace::{KernelName, Trace, TraceEvent, TraceRecorder};
 
 /// Simulation configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -238,49 +238,65 @@ pub fn aborted_seconds(bounds: &[(SegmentKind, f64, f64)]) -> f64 {
         .fold(0.0, |aborted, &(_, s, e)| aborted + (e - s))
 }
 
-/// Record one trace span per laid-out segment — failed attempts under
-/// `label` + [`supersim_trace::fault::FAIL_SUFFIX`], non-empty backoffs
-/// under [`supersim_trace::fault::BACKOFF_LABEL`], the closing work
-/// segment under `label` itself, all sharing `task_id`. `label` is taken
-/// by value and *moved* into the work span: a caller that owns the task's
-/// label records a clean task without copying it. Shared by the threaded
-/// protocol and the DES replay backend so faulted traces match bit for
-/// bit.
-pub fn record_segment_spans(
-    trace: &TraceRecorder,
-    worker: usize,
-    label: String,
-    task_id: u64,
-    bounds: &[(SegmentKind, f64, f64)],
-) {
-    let (&(last, start, end), faulted) = bounds
-        .split_last()
-        .expect("a kernel plan ends in its work segment");
-    debug_assert_eq!(last, SegmentKind::Work);
-    let span = |kernel: String, start: f64, end: f64| {
-        trace.record_event(TraceEvent {
-            worker,
-            kernel,
-            task_id,
-            start,
-            end,
-        })
-    };
-    for &(kind, s, e) in faulted {
-        match kind {
-            SegmentKind::Failed => span(
-                [label.as_str(), supersim_trace::fault::FAIL_SUFFIX].concat(),
-                s,
-                e,
-            ),
-            SegmentKind::Backoff if e > s => {
-                span(supersim_trace::fault::BACKOFF_LABEL.to_string(), s, e)
-            }
-            SegmentKind::Backoff => {}
-            SegmentKind::Work => span(label.clone(), s, e),
-        }
+/// One kernel class in a session's kernel table.
+struct KernelEntry {
+    /// The class's shared name: every span and task of the class carries
+    /// a clone of it.
+    name: KernelName,
+    /// The rank [`SimSession::claim`] hands out next.
+    next_rank: u64,
+    /// `name` + [`supersim_trace::fault::FAIL_SUFFIX`], made when a
+    /// failed attempt of the class is first recorded.
+    failed: Option<KernelName>,
+}
+
+/// A session's kernel table, keyed by label. A `BTreeMap`: a session sees
+/// a handful of labels, and a string compare or two beats hashing the
+/// label on every submission.
+#[derive(Default)]
+struct Kernels {
+    by_label: BTreeMap<KernelName, KernelEntry>,
+    /// [`supersim_trace::fault::BACKOFF_LABEL`], made once per session.
+    backoff: Option<KernelName>,
+}
+
+impl Kernels {
+    /// Claim `label`'s next rank, with its name: one lookup once the
+    /// label has been seen; its first sight makes the name, at rank 0.
+    fn claim(&mut self, label: &str) -> (KernelName, u64) {
+        let entry = match self.by_label.get_mut(label) {
+            Some(entry) => entry,
+            None => self.insert(label),
+        };
+        entry.next_rank += 1;
+        (entry.name.clone(), entry.next_rank - 1)
     }
-    span(label, start, end);
+
+    /// A new entry for `label`, at rank 0.
+    fn insert(&mut self, label: &str) -> &mut KernelEntry {
+        let name = KernelName::from(label);
+        self.by_label.entry(name.clone()).or_insert(KernelEntry {
+            name,
+            next_rank: 0,
+            failed: None,
+        })
+    }
+
+    /// The failed-attempt and backoff names of `label`'s spans.
+    fn marked(&mut self, label: &str) -> (KernelName, KernelName) {
+        let backoff = self
+            .backoff
+            .get_or_insert_with(|| supersim_trace::fault::BACKOFF_LABEL.into())
+            .clone();
+        let entry = match self.by_label.get_mut(label) {
+            Some(entry) => entry,
+            None => self.insert(label),
+        };
+        let failed = entry.failed.get_or_insert_with(|| {
+            KernelName::from([label, supersim_trace::fault::FAIL_SUFFIX].concat())
+        });
+        (failed.clone(), backoff)
+    }
 }
 
 /// What a session has attached, as one simulated kernel sees it.
@@ -372,12 +388,11 @@ pub struct SimSession {
     /// submissions of each label sample warm (see
     /// [`SimSession::set_warmup_slots`]). 0 disables warm-up entirely.
     warmup_slots: AtomicUsize,
-    /// Per-label submission-rank counters for [`SimSession::planned_body`].
-    /// Ranks are assigned on the (serial) master thread at submission
-    /// time, so they are deterministic regardless of worker interleaving.
-    /// A `BTreeMap`: a session sees a handful of labels, and a string
-    /// compare or two beats hashing the label on every submission.
-    ranks: Mutex<BTreeMap<String, u64>>,
+    /// The kernel table: each label's shared name, its next submission
+    /// rank ([`SimSession::claim`]) and its fault-marked names. Ranks are
+    /// assigned on the (serial) master thread at submission time, so
+    /// they are deterministic regardless of worker interleaving.
+    kernel_table: Mutex<Kernels>,
     /// Cooperative cancellation and the wall-clock deadline
     /// ([`SimSession::request_cancel`], [`SimSession::set_deadline`]),
     /// polled by engines between retirements and shared with every
@@ -429,7 +444,7 @@ impl SimSession {
             config,
             hooks: Mutex::new(Hooks::default()),
             warmup_slots: AtomicUsize::new(0),
-            ranks: Mutex::new(BTreeMap::new()),
+            kernel_table: Mutex::default(),
             interrupt,
             virtual_budget_bits: AtomicU64::new(f64::INFINITY.to_bits()),
             #[cfg(feature = "metrics")]
@@ -631,18 +646,60 @@ impl SimSession {
         self.warmup_slots.store(n, Ordering::Relaxed);
     }
 
-    /// Claim the next submission rank for `label`. Call from the (serial)
-    /// master thread at task-build time; [`SimSession::planned_body`] does
-    /// this for you.
+    /// Claim the next submission rank for `label`, with the label's
+    /// shared name — one lookup in the session's kernel table, which
+    /// makes the name on the label's first sight only. Call from the
+    /// (serial) master thread at task-build time;
+    /// [`SimSession::planned_body`] does this for you.
+    pub fn claim(&self, label: &str) -> (KernelName, u64) {
+        self.kernel_table.lock().claim(label)
+    }
+
+    /// Claim the next submission rank for `label` ([`SimSession::claim`]
+    /// without the name).
     pub fn next_rank(&self, label: &str) -> u64 {
-        let mut ranks = self.ranks.lock();
-        // Look up before inserting: only a label's first sight copies it.
-        if let Some(next) = ranks.get_mut(label) {
-            *next += 1;
-            return *next - 1;
+        self.claim(label).1
+    }
+
+    /// Record one trace span per laid-out segment — failed attempts under
+    /// `label` + [`supersim_trace::fault::FAIL_SUFFIX`], non-empty
+    /// backoffs under [`supersim_trace::fault::BACKOFF_LABEL`], the
+    /// closing work segment under `label` itself, all sharing `task_id`.
+    /// Every span shares its name: the marked ones come from the kernel
+    /// table, made once per session. Shared by the threaded protocol and
+    /// the DES replay backend so faulted traces match bit for bit.
+    pub fn record_segment_spans(
+        &self,
+        worker: usize,
+        label: KernelName,
+        task_id: u64,
+        bounds: &[(SegmentKind, f64, f64)],
+    ) {
+        let (&(last, start, end), faulted) = bounds
+            .split_last()
+            .expect("a kernel plan ends in its work segment");
+        debug_assert_eq!(last, SegmentKind::Work);
+        let span = |kernel: KernelName, start: f64, end: f64| {
+            self.trace.record_event(TraceEvent {
+                worker,
+                kernel,
+                task_id,
+                start,
+                end,
+            })
+        };
+        if !faulted.is_empty() {
+            let (failed, backoff) = self.kernel_table.lock().marked(&label);
+            for &(kind, s, e) in faulted {
+                match kind {
+                    SegmentKind::Failed => span(failed.clone(), s, e),
+                    SegmentKind::Backoff if e > s => span(backoff.clone(), s, e),
+                    SegmentKind::Backoff => {}
+                    SegmentKind::Work => span(label.clone(), s, e),
+                }
+            }
         }
-        ranks.insert(label.to_string(), 1);
-        0
+        span(label, start, end);
     }
 
     /// The simulated-kernel protocol (paper §V-D). Call from inside a task
@@ -657,7 +714,7 @@ impl SimSession {
     /// fixed at submission time, so per-task durations are identical across
     /// worker counts, schedulers, and cluster placements (transfer tasks
     /// interleaved into the id space cannot shift them).
-    pub fn run_kernel_ranked(&self, ctx: &TaskContext, label: &str, rank: u64) {
+    pub fn run_kernel_ranked(&self, ctx: &TaskContext, label: &KernelName, rank: u64) {
         let speed = self.config.speed_of(ctx.worker);
         assert!(speed > 0.0, "worker speed must be positive");
         let hooks = self.hooks();
@@ -739,12 +796,12 @@ impl SimSession {
     /// Used for communication tasks whose duration comes from an
     /// interconnect model. Zero durations are valid: the task occupies its
     /// lane for a virtual instant without advancing the clock.
-    pub fn run_fixed(&self, ctx: &TaskContext, label: &str, duration: f64) {
+    pub fn run_fixed(&self, ctx: &TaskContext, label: &KernelName, duration: f64) {
         self.simulate(ctx, label, duration, &self.hooks());
     }
 
     /// Steps (1)–(5) of the protocol, shared by every entry point.
-    fn simulate(&self, ctx: &TaskContext, label: &str, duration: f64, hooks: &Hooks) {
+    fn simulate(&self, ctx: &TaskContext, label: &KernelName, duration: f64, hooks: &Hooks) {
         self.note_kernel();
         // (1)+(2): read the clock for the start, insert the completion.
         // With an injector attached the duration is re-derived from the
@@ -758,8 +815,13 @@ impl SimSession {
                 .insert_with(|start| inj.perturb(ctx.worker, start, duration)),
         };
         // (3): the trace records virtual times.
-        self.trace
-            .record(ctx.worker, label, ctx.task_id, start, ticket.end);
+        self.trace.record_event(TraceEvent {
+            worker: ctx.worker,
+            kernel: label.clone(),
+            task_id: ctx.task_id,
+            start,
+            end: ticket.end,
+        });
         // The task is now visible to the simulation: scheduler bookkeeping
         // for this dispatch is done.
         ctx.mark_registered();
@@ -775,7 +837,7 @@ impl SimSession {
     fn simulate_segments(
         &self,
         ctx: &TaskContext,
-        label: &str,
+        label: &KernelName,
         segs: &[(SegmentKind, f64)],
         inj: &Arc<dyn FaultInjector>,
         hooks: &Hooks,
@@ -785,13 +847,7 @@ impl SimSession {
         let (ticket, _) = self.teq.insert_with(|start| {
             layout_segments(Some(inj.as_ref()), ctx.worker, start, segs, &mut bounds)
         });
-        record_segment_spans(
-            &self.trace,
-            ctx.worker,
-            label.to_string(),
-            ctx.task_id,
-            &bounds,
-        );
+        self.record_segment_spans(ctx.worker, label.clone(), ctx.task_id, &bounds);
         ctx.mark_registered();
         self.settle_and_retire(ticket, hooks);
         aborted_seconds(&bounds)
@@ -868,11 +924,10 @@ impl SimSession {
     /// when the task executes.
     pub fn planned_body(
         self: &Arc<Self>,
-        label: impl Into<String>,
+        label: impl AsRef<str>,
     ) -> impl FnOnce(&TaskContext) + Send + 'static {
         let session = self.clone();
-        let label = label.into();
-        let rank = session.next_rank(&label);
+        let (label, rank) = session.claim(label.as_ref());
         move |ctx: &TaskContext| session.run_kernel_ranked(ctx, &label, rank)
     }
 }
@@ -1315,11 +1370,11 @@ mod tests {
         session.attach_quiesce(rt.probe());
         let s = session.clone();
         rt.submit(TaskDesc::new("xfer", vec![Access::write(d(0))], move |c| {
-            s.run_fixed(c, "xfer", 2.0)
+            s.run_fixed(c, &c.label, 2.0)
         }));
         let s = session.clone();
         rt.submit(TaskDesc::new("xfer", vec![Access::write(d(1))], move |c| {
-            s.run_fixed(c, "xfer", 0.0)
+            s.run_fixed(c, &c.label, 0.0)
         }));
         rt.seal();
         rt.wait_all().unwrap();

@@ -23,5 +23,6 @@ pub mod replay;
 
 pub use engine::{simulate, DesPolicy, DesResult};
 pub use replay::{
-    replayable_policy, ReplayBody, ReplayEngine, ReplayOutcome, ReplayTask, Unsupported,
+    replayable_policy, ReplayBody, ReplayEngine, ReplayLabel, ReplayOutcome, ReplayTask,
+    Unsupported,
 };

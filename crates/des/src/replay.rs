@@ -39,12 +39,11 @@
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-use supersim_core::{
-    aborted_seconds, layout_segments, record_segment_spans, KernelPlan, SimSession,
-};
+use supersim_core::{aborted_seconds, layout_segments, KernelPlan, SimSession};
 use supersim_dag::Access;
 use supersim_runtime::policy::{make_policy, Policy};
 use supersim_runtime::{PolicyKind, RuntimeConfig, RuntimeStats, SchedCore};
+use supersim_trace::{KernelName, NameTable};
 
 /// How a replayed task obtains its duration.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,11 +67,15 @@ pub enum ReplayBody {
     },
 }
 
-/// One task of the replayed stream, in submission order.
+/// One task of the replayed stream, in submission order. The label is
+/// the class's shared [`KernelName`] in the product streams
+/// ([`SimSession::claim`] hands it out with the rank); a `String`-labelled
+/// stream is interned once per run, each distinct string made a name on
+/// its first sight.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ReplayTask {
+pub struct ReplayTask<L = String> {
     /// Kernel-class label (trace and duration-model key).
-    pub label: String,
+    pub label: L,
     /// Data accesses; hazards against earlier submissions become
     /// dependences.
     pub accesses: Vec<Access>,
@@ -223,13 +226,34 @@ impl LaneSet {
     }
 }
 
+/// A replayed task's label type: how it becomes the span's name.
+pub trait ReplayLabel {
+    /// The label as a shared name, made through the run's `names` table
+    /// if it is not one already.
+    fn into_name(self, names: &mut NameTable) -> KernelName;
+}
+
+impl ReplayLabel for KernelName {
+    fn into_name(self, _: &mut NameTable) -> KernelName {
+        self
+    }
+}
+
+impl ReplayLabel for String {
+    fn into_name(self, names: &mut NameTable) -> KernelName {
+        names.intern_owned(self)
+    }
+}
+
 /// What the core hands back at dispatch: the label and duration source.
-type Payload = (String, ReplayBody);
+type Payload = (KernelName, ReplayBody);
 
 /// The submission side of the loop: the lazily pulled stream, the core,
 /// and the lanes a newly ready task can wake.
 struct Submission<S> {
     stream: S,
+    /// The run's names of `String` labels (empty for a stream of names).
+    names: NameTable,
     exhausted: bool,
     lanes: usize,
     core: SchedCore<Payload>,
@@ -238,7 +262,7 @@ struct Submission<S> {
     candidates: LaneSet,
 }
 
-impl<S: Iterator<Item = ReplayTask>> Submission<S> {
+impl<L: ReplayLabel, S: Iterator<Item = ReplayTask<L>>> Submission<S> {
     /// Submit tasks while the window has room — `Runtime::submit` without
     /// the backpressure parking. Newly ready tasks' admitting idle lanes
     /// become dispatch candidates.
@@ -264,6 +288,7 @@ impl<S: Iterator<Item = ReplayTask>> Submission<S> {
                 pin,
                 body,
             } = t;
+            let label = label.into_name(&mut self.names);
             if self.core.submit(&accesses, priority, pin, (label, body)).1 {
                 self.candidates.admit(&self.idle, pin);
             }
@@ -342,9 +367,10 @@ impl ReplayEngine {
     /// # Panics
     ///
     /// If a task's `pin` is not a non-empty range of the machine's lanes.
-    pub fn run<I>(self, tasks: I) -> ReplayOutcome
+    pub fn run<I, L>(self, tasks: I) -> ReplayOutcome
     where
-        I: IntoIterator<Item = ReplayTask>,
+        I: IntoIterator<Item = ReplayTask<L>>,
+        L: ReplayLabel,
     {
         let ReplayEngine {
             session,
@@ -357,6 +383,7 @@ impl ReplayEngine {
         let recorder = session.trace_recorder();
         let mut sub = Submission {
             stream: tasks.into_iter().fuse(),
+            names: NameTable::new(),
             exhausted: false,
             lanes,
             core,
@@ -410,7 +437,7 @@ impl ReplayEngine {
                     inj.expect("transient plan requires an injector")
                         .on_transient(&label, plan.failures, aborted_seconds(&bounds));
                 }
-                record_segment_spans(recorder, lane, label, task, &bounds);
+                session.record_segment_spans(lane, label, task, &bounds);
                 executing.push(Exec {
                     end: clock + total,
                     seq: next_seq,

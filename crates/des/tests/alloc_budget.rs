@@ -1,11 +1,14 @@
 //! The replay loop's allocation budget, as a test: a replayed task must
-//! not cost the engine a heap allocation of its own. What remains is
-//! amortised growth (the trace's span log, the node slab, the reader and
-//! successor pools, the hazard tracker's region map) and, under faults,
-//! the marked labels of failed-attempt and backoff spans — a quarter of
-//! an allocation per task at most. Before the node ring, the reused
-//! hazard / plan / layout buffers and the moved label, the figure was
-//! about 8.
+//! not cost the engine a heap allocation of its own, clean or under
+//! transient faults. What remains is amortised growth (the trace's span
+//! log, the node slab, the reader and successor pools, the hazard
+//! tracker's region map): 0.006 allocations per task, clean or faulted,
+//! against a budget of 0.01. The stream's `String` labels are interned
+//! once per run, and a faulted task's failed-attempt and backoff spans
+//! share names the session's kernel table makes once. Before the node
+//! ring, the reused hazard / plan / layout buffers and the moved label,
+//! the figure was about 8; while each marked span made its own name, a
+//! faulted run cost 0.13.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -134,18 +137,18 @@ fn replay(injector: Option<Arc<dyn FaultInjector>>) -> (f64, usize) {
 }
 
 #[test]
-fn a_clean_replay_allocates_a_quarter_per_task_at_most() {
+fn a_clean_replay_allocates_a_hundredth_per_task_at_most() {
     let (per_task, spans) = replay(None);
     assert_eq!(spans, 19_600);
-    assert!(per_task <= 0.25, "{per_task} allocations per task");
+    assert!(per_task <= 0.01, "{per_task} allocations per task");
 }
 
 #[test]
-fn a_transient_fault_replay_allocates_a_quarter_per_task_at_most() {
+fn a_transient_fault_replay_allocates_a_hundredth_per_task_at_most() {
     let (per_task, spans) = replay(Some(Arc::new(EverySixteenth)));
     // Ranks 0, 16, 32, … of 48 dpotrf, 1,128 dtrsm, 1,128 dsyrk and
     // 17,296 dgemm: 1,226 faulted tasks, each with one failed-attempt
     // and one backoff span.
     assert_eq!(spans, 19_600 + 2 * (3 + 71 + 71 + 1_081));
-    assert!(per_task <= 0.25, "{per_task} allocations per task");
+    assert!(per_task <= 0.01, "{per_task} allocations per task");
 }

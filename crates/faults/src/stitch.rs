@@ -13,10 +13,9 @@ use supersim_trace::{Trace, TraceEvent};
 /// truncated at the failure time (for in-flight work cut mid-span).
 pub fn mark_lost(e: &TraceEvent, truncate_at: Option<f64>) -> TraceEvent {
     let mut out = e.clone();
-    out.kernel = format!(
-        "{}{LOST_SUFFIX}",
-        supersim_trace::fault::base_kernel(&e.kernel)
-    );
+    out.kernel = [supersim_trace::fault::base_kernel(&e.kernel), LOST_SUFFIX]
+        .concat()
+        .into();
     if let Some(t) = truncate_at {
         out.end = out.end.min(t).max(out.start);
     }
@@ -56,7 +55,7 @@ mod tests {
     fn ev(worker: usize, kernel: &str, id: u64, start: f64, end: f64) -> TraceEvent {
         TraceEvent {
             worker,
-            kernel: kernel.to_string(),
+            kernel: kernel.into(),
             task_id: id,
             start,
             end,

@@ -12,13 +12,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use supersim_trace::TraceRecorder;
+use supersim_trace::{KernelName, TraceEvent, TraceRecorder};
 
 struct Inner {
     /// Hazards, window, policy and successor release. A task's payload is
-    /// its body and its label (boxed: no capacity word), which moves into
-    /// the executing worker's [`TaskContext`] at dispatch.
-    core: SchedCore<(TaskBody, Box<str>)>,
+    /// its body and its label's shared name, which moves into the
+    /// executing worker's [`TaskContext`] at dispatch.
+    core: SchedCore<(TaskBody, KernelName)>,
     idle_workers: usize,
     in_dispatch: usize,
     /// Per-worker busy flags (`busy[w]` while worker `w` executes a task).
@@ -217,8 +217,7 @@ impl Runtime {
             pin,
             body,
         } = desc;
-        let payload = (body, label.into_boxed_str());
-        let (id, ready) = inner.core.submit(&accesses, priority, pin, payload);
+        let (id, ready) = inner.core.submit(&accesses, priority, pin, (body, label));
         if ready {
             inner.wake_workers(&self.shared, 1, 0);
             inner.notify_quiesce(&self.shared);
@@ -425,7 +424,13 @@ fn worker_loop(shared: Arc<Shared>, worker: usize) {
         // outside the engine lock: the trace recorder has a lock of its own
         // and the counter slot is owned by this worker alone.
         if let Some(trace) = &shared.trace {
-            trace.record(worker, &ctx.label, task_id, t_start, t_end);
+            trace.record_event(TraceEvent {
+                worker,
+                kernel: ctx.label.clone(),
+                task_id,
+                start: t_start,
+                end: t_end,
+            });
         }
         shared.worker_slots[worker].add_task(t_end - t_start);
 
@@ -442,7 +447,7 @@ fn next_task(
     shared: &Shared,
     inner: &mut MutexGuard<'_, Inner>,
     worker: usize,
-) -> Option<(u64, TaskBody, String)> {
+) -> Option<(u64, TaskBody, KernelName)> {
     let (t, (body, label)) = loop {
         if inner.decommissioned[worker] {
             // This worker may have absorbed a targeted wakeup meant to pair
@@ -472,7 +477,7 @@ fn next_task(
     inner.in_dispatch += 1;
     inner.busy[worker] = true;
     inner.stats.busy_transitions += 1;
-    Some((t, body, label.into_string()))
+    Some((t, body, label))
 }
 
 /// Propagate the completion of `ctx`'s task: release its successors, wake

@@ -3,6 +3,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use supersim_dag::Access;
+use supersim_trace::KernelName;
 
 /// The function a task runs. Receives the [`TaskContext`] so the body can
 /// learn its identity/placement and (for simulated kernels) signal
@@ -11,8 +12,9 @@ pub type TaskBody = Box<dyn FnOnce(&TaskContext) + Send + 'static>;
 
 /// A task submitted to the runtime.
 pub struct TaskDesc {
-    /// Kernel-class label (used for traces and duration models).
-    pub label: String,
+    /// Kernel-class label (used for traces and duration models): the
+    /// class's shared name.
+    pub label: KernelName,
     /// Data accesses; hazards against earlier submissions become
     /// dependences.
     pub accesses: Vec<Access>,
@@ -28,9 +30,11 @@ pub struct TaskDesc {
 }
 
 impl TaskDesc {
-    /// Convenience constructor.
+    /// Convenience constructor. A `&str` or `String` label becomes a new
+    /// name; a stream of many tasks passes its classes' shared
+    /// [`KernelName`]s.
     pub fn new(
-        label: impl Into<String>,
+        label: impl Into<KernelName>,
         accesses: Vec<Access>,
         body: impl FnOnce(&TaskContext) + Send + 'static,
     ) -> Self {
@@ -109,7 +113,7 @@ pub struct TaskContext {
     /// The task's stable id (submission order).
     pub task_id: u64,
     /// Kernel-class label.
-    pub label: String,
+    pub label: KernelName,
     pub(crate) token: DispatchToken,
     /// The worker's registration handle, shared by all its tasks.
     pub(crate) on_register: Arc<dyn Fn() + Send + Sync>,
@@ -121,14 +125,14 @@ impl TaskContext {
         TaskContext {
             worker,
             task_id: 0,
-            label: String::new(),
+            label: KernelName::default(),
             token: DispatchToken::new(),
             on_register,
         }
     }
 
-    /// Re-arm for task `task_id`, taking ownership of its label.
-    pub(crate) fn begin(&mut self, task_id: u64, label: String) {
+    /// Re-arm for task `task_id`, taking over its label.
+    pub(crate) fn begin(&mut self, task_id: u64, label: KernelName) {
         self.task_id = task_id;
         self.label = label;
         self.token.reset();

@@ -8,14 +8,14 @@
 //! with the uppercase kernel glyphs.
 
 use crate::fault::{span_kind, SpanKind};
-use crate::Trace;
+use crate::{KernelName, Trace};
 
 /// Render a trace as ASCII art, `cols` characters wide.
 pub fn render(trace: &Trace, cols: usize) -> String {
     let (workers, spans) = (trace.workers, trace.spans());
     let cols = cols.max(4);
     let span = spans.iter().map(|e| e.end).fold(0.0, f64::max).max(1e-12);
-    let mut labels: Vec<String> = Vec::new();
+    let mut labels: Vec<KernelName> = Vec::new();
     for e in spans {
         if span_kind(&e.kernel) == SpanKind::Normal && !labels.iter().any(|l| l == &e.kernel) {
             labels.push(e.kernel.clone());
@@ -78,7 +78,7 @@ pub fn render(trace: &Trace, cols: usize) -> String {
     out
 }
 
-fn assign_glyphs(labels: &[String]) -> Vec<char> {
+fn assign_glyphs(labels: &[KernelName]) -> Vec<char> {
     let mut used = Vec::new();
     let mut glyphs = Vec::with_capacity(labels.len());
     for label in labels {
@@ -102,7 +102,7 @@ fn assign_glyphs(labels: &[String]) -> Vec<char> {
     glyphs
 }
 
-fn glyph_for(glyphs: &[char], labels: &[String], kernel: &str) -> char {
+fn glyph_for(glyphs: &[char], labels: &[KernelName], kernel: &str) -> char {
     labels
         .iter()
         .position(|l| l == kernel)

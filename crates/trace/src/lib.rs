@@ -9,7 +9,8 @@
 //! crate is that environment, with one writer per output format:
 //!
 //! * [`Trace`] / [`TraceEvent`] — the trace model: one lane per worker,
-//!   one rectangle per executed task, in arbitrary time units;
+//!   one 40-byte rectangle per executed task, in arbitrary time units,
+//!   named by its kernel class's shared [`KernelName`];
 //! * [`TraceRecorder`] — a thread-safe recorder that workers log into
 //!   (in either real or virtual time), with an optional bounded-memory
 //!   streaming mode that drains to a [`TraceSink`] at epoch boundaries;
@@ -32,6 +33,7 @@ pub mod chrome;
 pub mod color;
 pub mod compare;
 pub mod fault;
+mod name;
 mod num;
 #[cfg(test)]
 mod proptests;
@@ -41,6 +43,7 @@ pub mod stats;
 pub mod svg;
 
 pub use compare::TraceComparison;
+pub use name::{KernelName, NameTable};
 pub use recorder::TraceRecorder;
 pub use sink::TraceSink;
 pub use stats::TraceStats;
@@ -61,13 +64,14 @@ pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
     })
 }
 
-/// One executed task occurrence in a trace.
+/// One executed task occurrence in a trace: 40 bytes, the kernel class
+/// a shared handle, not a copy of its name.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TraceEvent {
     /// Worker (lane) index the task ran on.
     pub worker: usize,
     /// Kernel class label, e.g. `"dgemm"`.
-    pub kernel: String,
+    pub kernel: KernelName,
     /// Stable task identity (submission order), used to match events
     /// between a real and a simulated trace.
     pub task_id: u64,
@@ -85,13 +89,38 @@ impl TraceEvent {
 }
 
 /// A complete execution trace.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Trace {
     /// Number of worker lanes (may exceed the max worker index seen, for
     /// workers that executed nothing).
     pub workers: usize,
     /// All events; kept sorted by `(worker, start)` after [`Trace::normalize`].
     events: Vec<TraceEvent>,
+}
+
+mod wire {
+    /// The wire form of a [`super::Trace`], before its names are shared
+    /// (same name, so decoding errors read the same).
+    #[derive(serde::Deserialize)]
+    pub(super) struct Trace {
+        pub(super) workers: usize,
+        pub(super) events: Vec<super::TraceEvent>,
+    }
+}
+
+impl<'de> Deserialize<'de> for Trace {
+    /// Decode a trace and give each distinct kernel name one handle.
+    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        let wire::Trace {
+            workers,
+            mut events,
+        } = wire::Trace::deserialize(d)?;
+        let mut names = NameTable::new();
+        for e in &mut events {
+            names.share(&mut e.kernel);
+        }
+        Ok(Trace { workers, events })
+    }
 }
 
 impl Trace {
@@ -264,10 +293,15 @@ mod tests {
         );
     }
 
+    #[test]
+    fn a_span_is_forty_bytes() {
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 40);
+    }
+
     fn ev(worker: usize, kernel: &str, id: u64, start: f64, end: f64) -> TraceEvent {
         TraceEvent {
             worker,
-            kernel: kernel.to_string(),
+            kernel: kernel.into(),
             task_id: id,
             start,
             end,
@@ -332,6 +366,19 @@ mod tests {
         let json = serde_json::to_string(&t).unwrap();
         let back: Trace = serde_json::from_str(&json).unwrap();
         assert_eq!(t, back);
+    }
+
+    #[test]
+    fn a_decoded_trace_shares_one_name_per_class() {
+        let mut t = Trace::new(2);
+        for i in 0..4 {
+            t.push(ev(i % 2, ["a", "b"][i / 2], i as u64, 0.0, 1.0));
+        }
+        let back: Trace = serde_json::from_str(&serde_json::to_string(&t).unwrap()).unwrap();
+        assert_eq!(back, t);
+        let s = back.spans();
+        assert!(s[0].kernel.ptr_eq(&s[1].kernel) && s[2].kernel.ptr_eq(&s[3].kernel));
+        assert!(!s[0].kernel.ptr_eq(&s[2].kernel));
     }
 
     #[test]

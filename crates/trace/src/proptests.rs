@@ -17,7 +17,7 @@ fn event_strategy() -> impl Strategy<Value = TraceEvent> {
     )
         .prop_map(|(worker, kernel, task_id, start, dur)| TraceEvent {
             worker,
-            kernel: kernel.to_string(),
+            kernel: kernel.into(),
             task_id,
             start,
             end: start + dur,
@@ -204,7 +204,7 @@ fn wild_event() -> impl Strategy<Value = TraceEvent> {
     )
         .prop_map(|(worker, kernel, task_id, start, end)| TraceEvent {
             worker,
-            kernel: kernel.to_string(),
+            kernel: kernel.into(),
             task_id,
             start,
             end,

@@ -7,7 +7,13 @@
 //! The recorder keeps **one span log**: every engine — DES, threaded and
 //! real — appends its spans to one locked `Vec` in record order, so a
 //! span's position in the log is its sequence number, the tie-breaker
-//! that makes every merge deterministic for a given recording.
+//! that makes every merge deterministic for a given recording. A span is
+//! 40 bytes: its kernel is the class's shared [`crate::KernelName`], so
+//! an engine records a task by cloning a handle
+//! ([`TraceRecorder::record_event`]) and no label is copied per span.
+//! A run that knows its span count in advance tells the recorder
+//! ([`TraceRecorder::expect_spans`]), and the buffered log is allocated
+//! once, at exactly that size, instead of doubling its way there.
 //! [`TraceRecorder::finish`] turns the log into the normalized order
 //! `(worker, start − t0, task_id, start, seq)` — what a `(start, seq)`
 //! merge followed by [`Trace::normalize`] would give — in place: a stable
@@ -56,7 +62,7 @@
 //!   (therefore empty) resident trace.
 
 use crate::sink::TraceSink;
-use crate::{Trace, TraceEvent};
+use crate::{NameTable, Trace, TraceEvent};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -67,6 +73,8 @@ struct Log {
     spans: Vec<TraceEvent>,
     /// Spans taken out of `spans` so far, by epoch drains and `finish`.
     taken: u64,
+    /// The names [`TraceRecorder::record`] was given as text.
+    names: NameTable,
 }
 
 /// Streaming-mode state behind `Inner::stream`.
@@ -144,11 +152,15 @@ impl TraceRecorder {
         Self::default()
     }
 
-    /// Record one event.
+    /// Record one event, naming its kernel by text: the recorder makes
+    /// one shared name per distinct `kernel` (engines, which hold their
+    /// classes' names, record through [`TraceRecorder::record_event`]).
     pub fn record(&self, worker: usize, kernel: &str, task_id: u64, start: f64, end: f64) {
-        self.record_event(TraceEvent {
+        let mut log = self.inner.log.lock();
+        let kernel = log.names.intern(kernel);
+        log.spans.push(TraceEvent {
             worker,
-            kernel: kernel.to_string(),
+            kernel,
             task_id,
             start,
             end,
@@ -158,6 +170,23 @@ impl TraceRecorder {
     /// Record a prebuilt event.
     pub fn record_event(&self, event: TraceEvent) {
         self.inner.log.lock().spans.push(event);
+    }
+
+    /// Expect `spans` more spans before [`TraceRecorder::finish`]: the
+    /// buffered log reserves exactly that room, so a run whose span count
+    /// is known grows its log once and `finish` has no slack to shrink.
+    /// Ignored while a sink is attached — a streamed log holds an epoch
+    /// window, not the run — so call it after any
+    /// [`TraceRecorder::attach_sink`] and before recording. A hint only:
+    /// room the allocator refuses leaves the log to grow as it records.
+    pub fn expect_spans(&self, spans: u64) {
+        let stream = self.inner.stream.lock();
+        if stream.is_some() {
+            return;
+        }
+        if let Ok(spans) = usize::try_from(spans) {
+            let _ = self.inner.log.lock().spans.try_reserve_exact(spans);
+        }
     }
 
     /// Number of events currently resident (recorded and, in streaming
@@ -415,6 +444,26 @@ mod tests {
         let t = r.finish(1);
         assert_eq!(t.spans()[0].start, 0.0);
         assert!((t.makespan() - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_name_recorded_as_text_is_made_once() {
+        let r = TraceRecorder::new();
+        r.record(0, "a", 0, 0.0, 1.0);
+        r.record(1, "a", 1, 0.0, 1.0);
+        r.record(1, "b", 2, 1.0, 2.0);
+        let t = r.finish(2);
+        let k: Vec<_> = t.spans().iter().map(|e| &e.kernel).collect();
+        assert!(k[0].ptr_eq(k[1]) && !k[1].ptr_eq(k[2]));
+        assert_eq!((k[0].as_str(), k[2].as_str()), ("a", "b"));
+    }
+
+    #[test]
+    fn a_span_count_no_allocator_can_hold_is_ignored() {
+        let r = TraceRecorder::new();
+        r.expect_spans(u64::MAX);
+        r.record(0, "a", 0, 0.0, 1.0);
+        assert_eq!(r.finish(1).len(), 1);
     }
 
     #[test]

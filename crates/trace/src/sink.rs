@@ -27,7 +27,7 @@
 use crate::chrome::push_json_string;
 pub use crate::chrome::ChromeStreamSink;
 use crate::num::{push_f64, push_u64};
-use crate::{Trace, TraceEvent};
+use crate::{NameTable, Trace, TraceEvent};
 use parking_lot::Mutex;
 use std::io::{self, Write};
 use std::sync::mpsc::{SyncSender, TrySendError};
@@ -242,16 +242,18 @@ pub fn ndjson_line(e: &TraceEvent) -> String {
 /// Parse an ndjson span stream (as written by [`NdjsonSink`]) back into
 /// a trace — the bridge from a streamed file to the canonical
 /// projection the CI determinism gates diff. The trace is *not*
-/// normalized; workers is grown to cover every span.
+/// normalized; workers is grown to cover every span. Each distinct
+/// kernel name is made once and shared by its spans.
 pub fn parse_ndjson(input: &str) -> Result<Trace, String> {
     let mut events = Vec::new();
     let mut workers = 0usize;
+    let mut names = NameTable::new();
     for (idx, line) in input.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        let e = parse_span_line(line)
+        let e = parse_span_line(line, &mut names)
             .map_err(|m| ["line ", &(idx + 1).to_string(), ": ", m].concat())?;
         workers = workers.max(e.worker + 1);
         events.push(e);
@@ -263,7 +265,8 @@ pub fn parse_ndjson(input: &str) -> Result<Trace, String> {
 /// object. Specialized to the flat shape [`ndjson_line`] emits: keys in
 /// any order, unknown keys skipped, integers for `worker`/`task_id`, and
 /// times through `str::parse::<f64>`, which round-trips `{:?}` exactly.
-fn parse_span_line(line: &str) -> Result<TraceEvent, &'static str> {
+/// The kernel name comes from `names`.
+fn parse_span_line(line: &str, names: &mut NameTable) -> Result<TraceEvent, &'static str> {
     let inner = line
         .strip_prefix('{')
         .and_then(|s| s.strip_suffix('}'))
@@ -280,7 +283,11 @@ fn parse_span_line(line: &str) -> Result<TraceEvent, &'static str> {
         rest = if value.starts_with('"') {
             let (raw, tail) = take_json_string(value)?;
             if key == "kernel" {
-                kernel = Some(unescape(raw)?);
+                kernel = Some(if raw.contains('\\') {
+                    names.intern_owned(unescape(raw)?)
+                } else {
+                    names.intern(raw)
+                });
             }
             tail
         } else {
@@ -331,12 +338,8 @@ fn take_json_string(s: &str) -> Result<(&str, &str), &'static str> {
     Err("unterminated string")
 }
 
-/// Decode a string body from [`take_json_string`]; one without escapes
-/// (every kernel label in practice) is copied as is.
+/// Decode a string body from [`take_json_string`].
 fn unescape(raw: &str) -> Result<String, &'static str> {
-    if !raw.contains('\\') {
-        return Ok(raw.to_owned());
-    }
     let mut out = String::with_capacity(raw.len());
     let mut chars = raw.chars();
     while let Some(c) = chars.next() {

@@ -54,7 +54,7 @@ impl TraceStats {
                 per_worker_busy[e.worker] += d;
                 per_worker_count[e.worker] += 1;
             }
-            let k = kernels.entry(e.kernel.clone()).or_insert(KernelStats {
+            let k = kernels.entry(e.kernel.to_string()).or_insert(KernelStats {
                 count: 0,
                 total_time: 0.0,
                 mean_time: 0.0,
@@ -125,7 +125,7 @@ mod tests {
         ] {
             t.push(TraceEvent {
                 worker: w,
-                kernel: k.to_string(),
+                kernel: k.into(),
                 task_id: id,
                 start: s,
                 end: e,

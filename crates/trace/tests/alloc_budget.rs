@@ -6,12 +6,15 @@
 //! * buffered recording grows one span log (one allocation per doubling,
 //!   however many lanes record), and `finish` turns that log into the
 //!   trace in place, holding beside it no more than a `u32` per span and a
-//!   few words per lane — never a second span buffer.
+//!   few words per lane — never a second span buffer;
+//! * a span is 40 bytes and names its kernel by a shared handle, so a log
+//!   told its span count holds 40 bytes a span, allocated once — and
+//!   nothing while a sink is attached, whose log holds an epoch window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use supersim_trace::sink::{ChromeStreamSink, NdjsonSink};
-use supersim_trace::{TraceEvent, TraceRecorder, TraceSink};
+use supersim_trace::sink::{ChromeStreamSink, NdjsonSink, NullSink};
+use supersim_trace::{KernelName, TraceEvent, TraceRecorder, TraceSink};
 
 /// Counts this thread's allocations and live bytes (tests run on
 /// parallel threads).
@@ -71,7 +74,8 @@ const SINK_SPANS: usize = 10_000;
 /// `des-stream`-like spans: accumulated `k · 1e-4` clocks, the four tile
 /// kernels, a fault-marked label and one that needs escaping.
 fn stream_spans() -> Vec<TraceEvent> {
-    const LABELS: [&str; 6] = ["dpotrf", "dtrsm", "dsyrk", "dgemm", "dgemm!fail", "we\"ird"];
+    let labels =
+        ["dpotrf", "dtrsm", "dsyrk", "dgemm", "dgemm!fail", "we\"ird"].map(KernelName::from);
     let mut clock = 0.0;
     (0..SINK_SPANS)
         .map(|i| {
@@ -79,7 +83,7 @@ fn stream_spans() -> Vec<TraceEvent> {
             clock += 1e-4 * (i % 7 + 1) as f64;
             TraceEvent {
                 worker: i % 48,
-                kernel: LABELS[i % LABELS.len()].to_string(),
+                kernel: labels[i % labels.len()].clone(),
                 task_id: i as u64,
                 start,
                 end: clock,
@@ -125,16 +129,16 @@ const LOG_SPANS: usize = 1 << 17;
 const LANES: usize = 48;
 
 /// `des-dense`-like spans: lanes take turns, each lane's spans back to
-/// back in record order (the engines' case), with the four tile kernels'
-/// labels.
-fn dense_spans() -> Vec<TraceEvent> {
-    const LABELS: [&str; 4] = ["dpotrf", "dtrsm", "dsyrk", "dgemm"];
-    (0..LOG_SPANS)
+/// back in record order (the engines' case), named by the four tile
+/// kernels' shared names.
+fn dense_spans(n: usize) -> Vec<TraceEvent> {
+    let labels = ["dpotrf", "dtrsm", "dsyrk", "dgemm"].map(KernelName::from);
+    (0..n)
         .map(|i| {
             let start = 1.0 + (i / LANES) as f64 * 1e-3;
             TraceEvent {
                 worker: (i * 7) % LANES,
-                kernel: LABELS[i % LABELS.len()].to_string(),
+                kernel: labels[i % labels.len()].clone(),
                 task_id: i as u64,
                 start,
                 end: start + 1e-3,
@@ -145,7 +149,7 @@ fn dense_spans() -> Vec<TraceEvent> {
 
 #[test]
 fn buffered_recording_grows_one_log() {
-    let spans = dense_spans();
+    let spans = dense_spans(LOG_SPANS);
     let r = TraceRecorder::new();
     let before = allocations();
     for e in spans {
@@ -160,7 +164,7 @@ fn buffered_recording_grows_one_log() {
 
 #[test]
 fn finish_holds_a_u32_per_span_beside_the_log() {
-    let spans = dense_spans();
+    let spans = dense_spans(LOG_SPANS);
     let r = TraceRecorder::new();
     for e in spans {
         r.record_event(e);
@@ -178,4 +182,48 @@ fn finish_holds_a_u32_per_span_beside_the_log() {
     assert!(trace.spans().windows(2).all(|w| {
         (w[0].worker, w[0].start, w[0].task_id) <= (w[1].worker, w[1].start, w[1].task_id)
     }));
+}
+
+/// Not a power of two, so a log that doubled its way up would hold a
+/// third more than its spans.
+const TOLD_SPANS: usize = 100_000;
+
+#[test]
+fn a_log_told_its_span_count_holds_forty_bytes_a_span() {
+    assert_eq!(std::mem::size_of::<TraceEvent>(), 40);
+    let spans = dense_spans(TOLD_SPANS);
+    let r = TraceRecorder::new();
+    let (base, before) = (reset_peak(), allocations());
+    r.expect_spans(TOLD_SPANS as u64);
+    // Cloning a span clones its name's handle: no allocation.
+    for e in &spans {
+        r.record_event(e.clone());
+    }
+    let (held, made) = (PEAK.with(Cell::get) - base, allocations() - before);
+    let budget = (40 * TOLD_SPANS + 64 * LANES + 1024) as isize;
+    assert!(
+        held <= budget,
+        "the log held {held} B for {TOLD_SPANS} spans, budget {budget} B"
+    );
+    assert_eq!(made, 1, "one allocation for the whole log");
+    let trace = r.finish(LANES);
+    assert_eq!(trace.len(), TOLD_SPANS);
+}
+
+#[test]
+fn the_span_count_is_ignored_while_a_sink_is_attached() {
+    let r = TraceRecorder::new();
+    r.attach_sink(Box::new(NullSink), 1.0);
+    let base = reset_peak();
+    r.expect_spans(1 << 20);
+    let held = PEAK.with(Cell::get) - base;
+    assert!(
+        held < 1024,
+        "a streamed log reserved {held} B for spans it never holds"
+    );
+    for e in dense_spans(1_000) {
+        r.record_event(e);
+    }
+    assert!(r.finish(LANES).is_empty());
+    assert_eq!(r.drained(), 1_000);
 }

@@ -18,6 +18,7 @@ use std::sync::Arc;
 use supersim_core::SimSession;
 use supersim_des::{ReplayEngine, ReplayTask, Unsupported};
 use supersim_runtime::{Runtime, RuntimeConfig, RuntimeStats, SchedulerKind};
+use supersim_trace::KernelName;
 
 /// Which execution engine runs a simulated scenario.
 ///
@@ -105,7 +106,7 @@ pub(crate) fn run_stream(
     config: &RuntimeConfig,
     session: &Arc<SimSession>,
     dead_lanes: &[usize],
-    tasks: impl Iterator<Item = ReplayTask>,
+    tasks: impl Iterator<Item = ReplayTask<KernelName>>,
 ) -> Result<(f64, RuntimeStats), Unsupported> {
     match backend {
         Backend::Des => {

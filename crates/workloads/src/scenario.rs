@@ -668,6 +668,11 @@ impl Scenario {
         let sc = self.checked();
         let session = sc.fresh_session();
         sc.attach_plan(&session, &sc.faults, 0.0);
+        // Without an injector every task is one span: a buffered log is
+        // sized once, exactly (the recorder ignores this while streaming).
+        if session.fault_injector().is_none() {
+            session.trace_recorder().expect_spans(sc.task_count());
+        }
         exec_sim(&sc, session, &[], &mut |_| true)
     }
 

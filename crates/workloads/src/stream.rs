@@ -27,6 +27,7 @@ use supersim_runtime::{Runtime, TaskDesc};
 use supersim_tile::cholesky::CholeskyTask;
 use supersim_tile::lu::LuTask;
 use supersim_tile::qr::QrTask;
+use supersim_trace::{KernelName, NameTable};
 
 /// One kernel invocation of a tile factorization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,18 +125,17 @@ pub fn tasks<'a>(
     }
 }
 
-/// A stream task as a simulated task, claiming the label's next
-/// submission rank from `session`. Call in stream order: ranks key the
-/// duration RNG, so they must not depend on the consumer.
-fn ranked(session: &SimSession, t: StreamTask) -> ReplayTask {
+/// A stream task as a simulated task, claiming the label's shared name
+/// and next submission rank from `session`. Call in stream order: ranks
+/// key the duration RNG, so they must not depend on the consumer.
+fn ranked(session: &SimSession, t: StreamTask) -> ReplayTask<KernelName> {
+    let (label, rank) = session.claim(t.label);
     ReplayTask {
-        label: t.label.to_string(),
+        label,
         accesses: t.accesses,
         priority: t.priority,
         pin: None,
-        body: ReplayBody::Ranked {
-            rank: session.next_rank(t.label),
-        },
+        body: ReplayBody::Ranked { rank },
     }
 }
 
@@ -147,7 +147,7 @@ pub(crate) fn replay_tasks<'a>(
     stream: impl Iterator<Item = StreamTask> + 'a,
     session: &'a SimSession,
     keep: &'a mut dyn FnMut(u64) -> bool,
-) -> impl Iterator<Item = ReplayTask> + 'a {
+) -> impl Iterator<Item = ReplayTask<KernelName>> + 'a {
     stream
         .filter(move |t| keep(t.index))
         .map(move |t| ranked(session, t))
@@ -156,7 +156,7 @@ pub(crate) fn replay_tasks<'a>(
 /// The threaded engine's form of a simulated task: the same label,
 /// accesses, priority and pin, with a body that runs the session's
 /// simulated-kernel protocol.
-pub(crate) fn task_desc(session: &Arc<SimSession>, t: ReplayTask) -> TaskDesc {
+pub(crate) fn task_desc(session: &Arc<SimSession>, t: ReplayTask<KernelName>) -> TaskDesc {
     let s = session.clone();
     let desc = match t.body {
         ReplayBody::Ranked { rank } => TaskDesc::new(t.label, t.accesses, move |ctx| {
@@ -183,11 +183,12 @@ pub(crate) fn submit(
     mode: &ExecMode,
 ) -> u64 {
     let mut count = 0;
+    let mut names = NameTable::new();
     for task in tasks(alg, a, t) {
         rt.submit(match mode {
             ExecMode::Real => {
                 let (a, t, kernel) = (a.clone(), t.cloned(), task.kernel);
-                TaskDesc::new(task.label, task.accesses, move |_ctx| {
+                TaskDesc::new(names.intern(task.label), task.accesses, move |_ctx| {
                     kernel.execute_real(&a, t.as_ref())
                 })
                 .with_priority(task.priority)
@@ -208,13 +209,14 @@ pub(crate) fn submit(
 /// NIC-lane occupancy are a function of the stream alone, whichever
 /// engine runs it.
 pub(crate) fn with_transfers<'a>(
-    tasks: impl Iterator<Item = ReplayTask> + 'a,
+    tasks: impl Iterator<Item = ReplayTask<KernelName>> + 'a,
     spec: &'a ClusterSpec,
     interconnect: &'a dyn Interconnect,
     home: impl Fn(DataId) -> (usize, u64) + 'a,
     coherence: &'a mut Coherence,
-) -> impl Iterator<Item = ReplayTask> + 'a {
+) -> impl Iterator<Item = ReplayTask<KernelName>> + 'a {
     let mut owned = Vec::new();
+    let xfer = KernelName::from(TRANSFER_LABEL);
     tasks.flat_map(move |mut task| {
         owned.clear();
         owned.extend(task.accesses.iter().map(|a| {
@@ -226,10 +228,11 @@ pub(crate) fn with_transfers<'a>(
         let (accesses, transfers) = coherence.plan_compute(node, &owned, interconnect);
         task.accesses = accesses;
         task.pin = Some(spec.compute_range(node));
+        let xfer = xfer.clone();
         transfers
             .into_iter()
             .map(move |x| ReplayTask {
-                label: TRANSFER_LABEL.to_string(),
+                label: xfer.clone(),
                 accesses: x.accesses,
                 priority: 0,
                 pin: Some(spec.nic_range(x.node)),
@@ -323,7 +326,7 @@ mod tests {
             let (a, t) = layout(alg, 20, 4);
             let session = session(alg.labels());
             let mut keep = |i: u64| i % 3 != 1;
-            let kept: Vec<ReplayTask> =
+            let kept: Vec<ReplayTask<KernelName>> =
                 replay_tasks(tasks(alg, &a, t.as_ref()), &session, &mut keep).collect();
             let full: Vec<StreamTask> = tasks(alg, &a, t.as_ref()).collect();
             let survivors: Vec<&StreamTask> = full.iter().filter(|t| t.index % 3 != 1).collect();
@@ -353,7 +356,7 @@ mod tests {
             let home = |id: DataId| homes[id.0 as usize];
             let mut coherence = Coherence::new(1, a.id_range().1);
             let (single, clustered) = (session(alg.labels()), session(alg.labels()));
-            let got: Vec<ReplayTask> = with_transfers(
+            let got: Vec<ReplayTask<KernelName>> = with_transfers(
                 replay_tasks(tasks(alg, &a, None), &clustered, &mut |_| true),
                 &spec,
                 &ZeroCost,
@@ -361,7 +364,7 @@ mod tests {
                 &mut coherence,
             )
             .collect();
-            let want: Vec<ReplayTask> =
+            let want: Vec<ReplayTask<KernelName>> =
                 replay_tasks(tasks(alg, &a, None), &single, &mut |_| true).collect();
             assert_eq!(coherence.transfers(), 0);
             assert_eq!(got.len(), want.len());
@@ -387,7 +390,7 @@ mod tests {
     const D2: DataId = DataId(2);
 
     struct ClusterRun {
-        stream: Vec<ReplayTask>,
+        stream: Vec<ReplayTask<KernelName>>,
         coherence: Coherence,
         spec: ClusterSpec,
         makespan: f64,
@@ -420,17 +423,18 @@ mod tests {
         let spec = two_nodes(interconnect);
         let session = session(&["k"]);
         let mut coherence = Coherence::new(2, 100);
-        let tasks = compute.into_iter().map(|accesses| ReplayTask {
-            label: "k".to_string(),
-            accesses,
-            priority: 0,
-            pin: None,
-            body: ReplayBody::Ranked {
-                rank: session.next_rank("k"),
-            },
+        let tasks = compute.into_iter().map(|accesses| {
+            let (label, rank) = session.claim("k");
+            ReplayTask {
+                label,
+                accesses,
+                priority: 0,
+                pin: None,
+                body: ReplayBody::Ranked { rank },
+            }
         });
         let home = |id: DataId| (usize::from(id != D0), tile_bytes);
-        let stream: Vec<ReplayTask> =
+        let stream: Vec<ReplayTask<KernelName>> =
             with_transfers(tasks, &spec, interconnect, home, &mut coherence).collect();
         let (makespan, _) = run_stream(
             backend,

@@ -8,6 +8,7 @@ use crate::mode::ExecMode;
 use rand::{Rng, SeedableRng};
 use supersim_dag::{Access, DagBuilder, DataId, TaskGraph};
 use supersim_runtime::{Runtime, TaskDesc};
+use supersim_trace::NameTable;
 
 /// One synthetic task: a label, a duration hint (used as DAG weight and by
 /// busy-wait real mode), and its accesses.
@@ -114,18 +115,20 @@ pub fn to_graph(tasks: &[SynthTask]) -> TaskGraph {
 /// protocol (the session must hold a model per label — see
 /// [`models_for`]).
 pub fn submit(rt: &Runtime, tasks: &[SynthTask], mode: &ExecMode, real_time_scale: f64) -> u64 {
+    let mut names = NameTable::new();
     for task in tasks {
+        let label = names.intern(&task.label);
         let desc = match mode {
             ExecMode::Real => {
                 let dur = std::time::Duration::from_secs_f64(task.duration * real_time_scale);
-                TaskDesc::new(task.label.clone(), task.accesses.clone(), move |_ctx| {
+                TaskDesc::new(label, task.accesses.clone(), move |_ctx| {
                     spin_sleep(dur);
                 })
             }
             ExecMode::Simulated(session) => TaskDesc::new(
-                task.label.clone(),
+                label,
                 task.accesses.clone(),
-                session.planned_body(task.label.clone()),
+                session.planned_body(&task.label),
             ),
         };
         rt.submit(desc);

@@ -357,6 +357,16 @@ fn sim_without_calibration_is_an_error() {
     assert!(err.contains("--calibration"));
 }
 
+/// The command the scenario-validation rows below run: `metrics`, or in a
+/// build without the `metrics` feature (which refuses that command
+/// outright) `faults`, whose flags are validated by the same
+/// `Scenario::validate` and flag parser.
+const CHECKED: &str = if cfg!(feature = "metrics") {
+    "metrics"
+} else {
+    "faults"
+};
+
 /// Every rejected input — flag syntax, unknown names, and each row of the
 /// illegal-scenario table that `Scenario::validate` and `serve` are also
 /// driven with (satellite 4(b)) — exits 2 with exactly one `error:` line
@@ -367,18 +377,15 @@ fn invalid_arguments_exit_two_with_one_line() {
     let many_workers: Vec<String> = (1..=1024).map(|w| w.to_string()).collect();
     let (many_seeds, many_workers) = (many_seeds.join(","), many_workers.join(","));
     for (args, needle) in [
-        (&["metrics", "--n", "0"][..], "n must be positive"),
-        (
-            &["metrics", "--workers", "0"][..],
-            "workers must be positive",
-        ),
+        (&[CHECKED, "--n", "0"][..], "n must be positive"),
+        (&[CHECKED, "--workers", "0"][..], "workers must be positive"),
         (&["cluster", "--alg", "qr"][..], "distributed QR"),
         (
             &["cluster", "--nodes", "0"][..],
             "cluster.nodes must be positive",
         ),
         (
-            &["metrics", "--scheduler", "starpu", "--backend", "des"][..],
+            &[CHECKED, "--scheduler", "starpu", "--backend", "des"][..],
             "cannot replay deterministically",
         ),
         (
@@ -406,19 +413,11 @@ fn invalid_arguments_exit_two_with_one_line() {
             "failures",
         ),
         (
-            &[
-                "metrics",
-                "--n",
-                "6400000",
-                "--nb",
-                "64",
-                "--backend",
-                "des",
-            ][..],
+            &[CHECKED, "--n", "6400000", "--nb", "64", "--backend", "des"][..],
             "tasks exceed",
         ),
         (
-            &["metrics", "--workers", "50000", "--backend", "threaded"][..],
+            &[CHECKED, "--workers", "50000", "--backend", "threaded"][..],
             "lanes exceed",
         ),
         (
@@ -439,18 +438,18 @@ fn invalid_arguments_exit_two_with_one_line() {
         ),
         (&["dag", "--nt", "100000"][..], "tasks exceed"),
         // Plain flag-syntax errors, for comparison.
-        (&["metrics", "--n", "banana"][..], "bad value for --n"),
+        (&[CHECKED, "--n", "banana"][..], "bad value for --n"),
         (
             &["faults", "--straggler", "0:1"][..],
             "bad --straggler entry",
         ),
-        (&["metrics", "--seed"][..], "needs a value"),
+        (&[CHECKED, "--seed"][..], "needs a value"),
         // A misspelt flag would run a plausible, wrong experiment.
         (
             &["faults", "--kil-worker", "0:0.01"][..],
             "unknown flag --kil-worker for faults",
         ),
-        (&["metrics", "--wrokers", "3"][..], "unknown flag --wrokers"),
+        (&[CHECKED, "--wrokers", "3"][..], "unknown flag --wrokers"),
         (&["sweep", "--tiles", "2", "--plan", "kill"][..], "--plans"),
     ] {
         let out = bin().args(args).output().unwrap();

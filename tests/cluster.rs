@@ -11,6 +11,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use supersim::cluster::TRANSFER_LABEL;
 use supersim::prelude::*;
+use supersim::trace::KernelName;
 
 const N: usize = 120;
 const NB: usize = 20;
@@ -55,7 +56,7 @@ fn distributed(interconnect: Arc<dyn Interconnect>) -> ClusterRun {
 /// Compute events only (transfers excluded), as an order-free multiset
 /// of exact virtual intervals. Task ids shift between the runs (transfer
 /// tasks consume ids), so identity is (kernel, start, end) bits.
-fn compute_multiset(t: &Trace) -> HashMap<(String, u64, u64), usize> {
+fn compute_multiset(t: &Trace) -> HashMap<(KernelName, u64, u64), usize> {
     let mut m = HashMap::new();
     for e in t.spans() {
         if e.kernel != TRANSFER_LABEL {
