@@ -69,7 +69,11 @@ pub fn collect(trace: &Trace, opts: CollectOptions) -> BTreeMap<String, KernelSa
     events.sort_by(|a, b| a.start.total_cmp(&b.start));
 
     for e in events {
-        let entry = out.entry(e.kernel.to_string()).or_default();
+        // Look up first: the key is made once per class, not per span.
+        if !out.contains_key(e.kernel.as_str()) {
+            out.insert(e.kernel.to_string(), KernelSamples::default());
+        }
+        let entry = out.get_mut(e.kernel.as_str()).expect("inserted above");
         let is_first = seen.insert((e.worker, e.kernel.as_str()));
         if opts.exclude_first_per_worker && is_first {
             entry.warmup_durations.push(e.duration());

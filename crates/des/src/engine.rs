@@ -9,7 +9,7 @@ use supersim_dag::critical_path::bottom_levels;
 use supersim_dag::{Access, DataId, TaskGraph, TaskId};
 use supersim_runtime::policy::{CentralFifo, Policy, PriorityQueue};
 use supersim_runtime::RuntimeConfig;
-use supersim_trace::Trace;
+use supersim_trace::{NameTable, Trace};
 
 /// Ready-task ordering policy of the offline simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,7 +68,9 @@ pub fn simulate(
             Box::new(PriorityQueue::default())
         }
     };
-    let tasks = (0..n).map(|t| {
+    // The graph's labels as shared names, each distinct string made once.
+    let mut names = NameTable::new();
+    let tasks = (0..n).map(move |t| {
         let preds = graph.predecessors(t);
         let mut accesses = Vec::with_capacity(preds.len() + 1);
         accesses.push(Access::write(DataId(t as u64)));
@@ -80,7 +82,7 @@ pub fn simulate(
             accesses.push(Access::read(DataId(p as u64)));
         }
         ReplayTask {
-            label: graph.node(t).label.clone(),
+            label: names.intern(&graph.node(t).label),
             accesses,
             priority: priority[t],
             pin: None,

@@ -725,6 +725,16 @@ mod tests {
     }
 
     #[test]
+    fn the_payload_is_the_one_the_core_sizes_its_node_for() {
+        // `supersim_runtime`'s node-size test stands a `(KernelName,
+        // (u64, f64))` in for this payload: a 64-byte node holds it.
+        assert_eq!(
+            std::mem::size_of::<Payload>(),
+            std::mem::size_of::<(KernelName, (u64, f64))>()
+        );
+    }
+
+    #[test]
     fn a_straggler_holds_the_id_span_open_but_not_the_slab() {
         // One 10⁶-unit task, then 10⁵ independent unit tasks, window 64:
         // the straggler outlives them all, so the core's ring spans every

@@ -9,6 +9,11 @@
 //! ring, the reused hazard / plan / layout buffers and the moved label,
 //! the figure was about 8; while each marked span made its own name, a
 //! faulted run cost 0.13.
+//!
+//! The offline list scheduler (`simulate`), which turns a task graph into
+//! that replay stream, allocates one access list per task and nothing
+//! else per task: 1.008 per task under either policy, against a budget of
+//! 1.01. While it copied each node's label `String`, the figure was 2.008.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -16,8 +21,8 @@ use std::sync::Arc;
 use supersim_core::{
     FaultInjector, KernelModel, ModelRegistry, SimConfig, SimSession, TransientSpec,
 };
-use supersim_dag::{Access, DataId};
-use supersim_des::{ReplayBody, ReplayEngine, ReplayTask};
+use supersim_dag::{Access, DagBuilder, DataId};
+use supersim_des::{simulate, DesPolicy, ReplayBody, ReplayEngine, ReplayTask};
 use supersim_dist::Dist;
 use supersim_runtime::SchedulerKind;
 
@@ -151,4 +156,32 @@ fn a_transient_fault_replay_allocates_a_hundredth_per_task_at_most() {
     // and one backoff span.
     assert_eq!(spans, 19_600 + 2 * (3 + 71 + 71 + 1_081));
     assert!(per_task <= 0.01, "{per_task} allocations per task");
+}
+
+/// Allocations per task of the offline list scheduler over the Cholesky
+/// DAG, under `policy`.
+fn simulate_per_task(policy: DesPolicy) -> f64 {
+    let session = SimSession::new(ModelRegistry::new(), SimConfig::default());
+    let mut builder = DagBuilder::new();
+    for t in cholesky(&session) {
+        builder.submit(&t.label, 1.0, &t.accesses);
+    }
+    let graph = builder.finish();
+    let before = allocations();
+    let out = simulate(&graph, LANES, policy, |t| graph.node(t).weight);
+    let spent = allocations() - before;
+    assert_eq!(out.tasks, 19_600);
+    assert_eq!(out.trace.len(), 19_600);
+    spent as f64 / graph.len() as f64
+}
+
+#[test]
+fn the_offline_simulator_allocates_one_access_list_per_task() {
+    for policy in [DesPolicy::Fifo, DesPolicy::BottomLevel] {
+        let per_task = simulate_per_task(policy);
+        assert!(
+            per_task <= 1.01,
+            "{policy:?}: {per_task} allocations per task"
+        );
+    }
 }

@@ -39,4 +39,4 @@ pub use compiled::{CompiledFaults, FaultStats};
 pub use lanes::{LaneMap, NodeLanes};
 pub use plan::{CheckpointPolicy, FaultEvent, FaultPlan, FaultScope, RecoveryPolicy};
 pub use report::{critical_lane, DegradationReport, FaultAttribution};
-pub use stitch::{mark_lost, stitch};
+pub use stitch::{lost_name, mark_lost, stitch};

@@ -6,16 +6,22 @@
 //! mark the work lost to the cut and stitch the two phases into one
 //! trace on a common timeline with unique task ids.
 
-use supersim_trace::fault::LOST_SUFFIX;
-use supersim_trace::{Trace, TraceEvent};
+use supersim_trace::fault::{base_kernel, LOST_SUFFIX};
+use supersim_trace::{KernelName, Trace, TraceEvent};
 
-/// A copy of `e` marked as lost to a permanent failure, optionally
-/// truncated at the failure time (for in-flight work cut mid-span).
-pub fn mark_lost(e: &TraceEvent, truncate_at: Option<f64>) -> TraceEvent {
+/// The name of `kernel`'s work lost to a permanent failure: its base
+/// kernel marked `!lost`. Make it once per class and hand it to every
+/// [`mark_lost`] of that class, so the lost spans share one name.
+pub fn lost_name(kernel: &str) -> KernelName {
+    [base_kernel(kernel), LOST_SUFFIX].concat().into()
+}
+
+/// A copy of `e` marked as lost to a permanent failure (renamed `lost`,
+/// its class's [`lost_name`]), optionally truncated at the failure time
+/// (for in-flight work cut mid-span).
+pub fn mark_lost(e: &TraceEvent, lost: &KernelName, truncate_at: Option<f64>) -> TraceEvent {
     let mut out = e.clone();
-    out.kernel = [supersim_trace::fault::base_kernel(&e.kernel), LOST_SUFFIX]
-        .concat()
-        .into();
+    out.kernel = lost.clone();
     if let Some(t) = truncate_at {
         out.end = out.end.min(t).max(out.start);
     }
@@ -65,14 +71,18 @@ mod tests {
     #[test]
     fn mark_lost_marks_and_truncates() {
         let e = ev(0, "dgemm", 3, 1.0, 4.0);
-        let lost = mark_lost(&e, Some(2.5));
+        let name = lost_name("dgemm");
+        let lost = mark_lost(&e, &name, Some(2.5));
         assert_eq!(lost.kernel, "dgemm!lost");
+        assert!(lost.kernel.ptr_eq(&name));
         assert_eq!(lost.end, 2.5);
         assert_eq!(event_kind(&lost), SpanKind::Lost);
         // No truncation point: span kept whole.
-        assert_eq!(mark_lost(&e, None).end, 4.0);
+        assert_eq!(mark_lost(&e, &name, None).end, 4.0);
         // Truncation before the start clamps to an instant, not negative.
-        assert_eq!(mark_lost(&e, Some(0.5)).end, 1.0);
+        assert_eq!(mark_lost(&e, &name, Some(0.5)).end, 1.0);
+        // A failed attempt's work is lost under its base kernel's name.
+        assert_eq!(lost_name("dgemm!fail"), "dgemm!lost");
     }
 
     #[test]

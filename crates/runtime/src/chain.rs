@@ -11,11 +11,14 @@
 //! hazard tracker drops retired readers) knows when a sweep pays: when
 //! its next pushes would carve cells and the live count has outgrown what
 //! the last sweep left.
+//!
+//! Ids are 32-bit: a scheduling core takes fewer than 2³² submissions,
+//! so a cell is 8 bytes, an id and the index of the next cell.
 
 /// End of a chain, and the empty free list.
 const NIL: u32 = u32::MAX;
 
-/// A first-in-first-out list of task ids whose cells live in a
+/// A first-in-first-out list of 32-bit task ids whose cells live in a
 /// [`ChainPool`]. `Default` is the empty chain. Always push to and pop
 /// from a chain through the pool it was first pushed to.
 #[derive(Debug, PartialEq, Eq)]
@@ -40,11 +43,13 @@ impl Chain {
     }
 }
 
+/// `(id, next cell)`; free cells are chained through `next` too.
+type Cell = (u32, u32);
+
 /// The cells behind any number of [`Chain`]s.
 #[derive(Debug)]
 pub struct ChainPool {
-    /// `(id, next cell)`; free cells are chained through `next` too.
-    cells: Vec<(u64, u32)>,
+    cells: Vec<Cell>,
     free: u32,
     /// Ids chained now: `cells.len()` less the free list.
     live: usize,
@@ -62,7 +67,7 @@ impl Default for ChainPool {
 
 impl ChainPool {
     /// Append `id` to `chain`.
-    pub fn push(&mut self, chain: &mut Chain, id: u64) {
+    pub fn push(&mut self, chain: &mut Chain, id: u32) {
         let cell = match self.free {
             NIL => {
                 let cell = u32::try_from(self.cells.len())
@@ -87,12 +92,12 @@ impl ChainPool {
     }
 
     /// The oldest id of `chain`, left in place.
-    pub(crate) fn front(&self, chain: &Chain) -> Option<u64> {
+    pub(crate) fn front(&self, chain: &Chain) -> Option<u32> {
         (chain.head != NIL).then(|| self.cells[chain.head as usize].0)
     }
 
     /// Remove and return the oldest id of `chain`, recycling its cell.
-    pub fn pop(&mut self, chain: &mut Chain) -> Option<u64> {
+    pub fn pop(&mut self, chain: &mut Chain) -> Option<u32> {
         let cell = chain.head;
         if cell == NIL {
             return None;
@@ -130,6 +135,11 @@ mod tests {
     use super::*;
 
     #[test]
+    fn a_cell_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<Cell>(), 8);
+    }
+
+    #[test]
     fn chains_are_fifo_and_interleave() {
         let mut pool = ChainPool::default();
         let (mut a, mut b) = (Chain::default(), Chain::default());
@@ -149,7 +159,7 @@ mod tests {
     fn popped_cells_are_reused() {
         let mut pool = ChainPool::default();
         let mut c = Chain::default();
-        for round in 0..1000u64 {
+        for round in 0..1000u32 {
             for id in 0..3 {
                 pool.push(&mut c, round * 3 + id);
             }

@@ -14,13 +14,26 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use supersim_dag::{normalize_accesses_into, Access, DataId};
 
-/// Per-data hazard state (same discipline as `supersim_dag::build`).
-#[derive(Default)]
+/// [`DataState::last_writer`] of a region not written yet.
+const NO_WRITER: u32 = u32::MAX;
+
+/// Per-data hazard state (same discipline as `supersim_dag::build`): 12
+/// bytes, so a map entry with its key is 24.
 struct DataState {
-    last_writer: Option<u64>,
+    /// The last task to write the region, or [`NO_WRITER`].
+    last_writer: u32,
     /// Readers since the last write, in [`HazardTracker::readers`], in
     /// ascending id order.
     readers: Chain,
+}
+
+impl Default for DataState {
+    fn default() -> Self {
+        DataState {
+            last_writer: NO_WRITER,
+            readers: Chain::default(),
+        }
+    }
 }
 
 /// Multiplicative hasher for [`DataId`] keys. Data ids are handed out by
@@ -49,7 +62,9 @@ impl Hasher for DataIdHasher {
 }
 
 /// Tracks reader/writer state per data id across a serial submission
-/// stream and derives each task's predecessor set.
+/// stream and derives each task's predecessor set. Task ids are below
+/// `u32::MAX` (a scheduling core takes fewer than 2³² submissions), so
+/// the state holds them in 32 bits.
 ///
 /// A region keeps its readers until its next write, so a region read
 /// often and never written again (a finished panel) would keep every
@@ -94,7 +109,7 @@ impl HazardTracker {
             while self
                 .readers
                 .front(&st.readers)
-                .is_some_and(|r| r < self.frontier)
+                .is_some_and(|r| u64::from(r) < self.frontier)
             {
                 self.readers.pop(&mut st.readers);
             }
@@ -116,6 +131,10 @@ impl HazardTracker {
     ///
     /// `id` must be the caller's next submission id; predecessors only
     /// ever reference earlier ids.
+    ///
+    /// # Panics
+    ///
+    /// If `id` is `u32::MAX` or more.
     pub fn analyze(&mut self, id: u64, accesses: &[Access]) -> (Vec<u64>, Option<u64>) {
         let mut preds = Vec::new();
         let affinity = self.analyze_into(id, accesses, &mut preds);
@@ -133,6 +152,10 @@ impl HazardTracker {
         accesses: &[Access],
         preds: &mut Vec<u64>,
     ) -> Option<u64> {
+        let id = u32::try_from(id)
+            .ok()
+            .filter(|&id| id != NO_WRITER)
+            .unwrap_or_else(|| panic!("task id {id} is past the tracker's 32-bit ids"));
         preds.clear();
         // This task may carve reader cells (one per access at most), and
         // the pool has more than doubled since the last sweep.
@@ -143,14 +166,14 @@ impl HazardTracker {
         normalize_accesses_into(accesses, &mut self.normalized);
         for a in &self.normalized {
             let st = self.data.entry(a.data).or_default();
-            if let Some(w) = st.last_writer {
-                preds.push(w);
+            if st.last_writer != NO_WRITER {
+                preds.push(u64::from(st.last_writer));
             }
             if a.mode.writes() {
                 while let Some(reader) = self.readers.pop(&mut st.readers) {
-                    preds.push(reader);
+                    preds.push(u64::from(reader));
                 }
-                st.last_writer = Some(id);
+                st.last_writer = id;
             } else {
                 self.readers.push(&mut st.readers, id);
             }
@@ -210,6 +233,22 @@ mod tests {
         let (p, aff) = h.analyze(0, &[Access::read(DataId(5)), Access::read_write(DataId(9))]);
         assert!(p.is_empty());
         assert_eq!(aff, Some(9));
+    }
+
+    #[test]
+    fn a_region_entry_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<(DataId, DataState)>(), 24);
+    }
+
+    #[test]
+    #[should_panic(expected = "task id 4294967295 is past the tracker's 32-bit ids")]
+    fn ids_are_32_bit_with_one_value_reserved() {
+        let mut h = HazardTracker::new();
+        let x = DataId(0);
+        let last = u64::from(u32::MAX) - 1;
+        h.analyze(last - 1, &[Access::write(x)]);
+        assert_eq!(h.analyze(last, &[Access::read_write(x)]).0, [last - 1]);
+        h.analyze(last + 1, &[Access::read(x)]);
     }
 
     #[test]

@@ -19,17 +19,67 @@ use crate::policy::{Policy, ReadyMeta};
 use std::collections::VecDeque;
 use supersim_dag::Access;
 
-/// Per-task bookkeeping. The payload is taken out at dispatch. A window
-/// of these is live at once, so the node is kept small: a 32-bit
-/// dependence count, and the policy metadata without the releaser, which
-/// is known only at release.
+/// Per-task bookkeeping, 64 bytes with either engine's payload. The
+/// payload is taken out at dispatch. A window of these is live at once,
+/// so the node is kept small: a 32-bit dependence count, and the policy
+/// metadata without the releaser (known only at release), its optional
+/// fields packed with a "none" value ([`Node::meta`] unpacks them).
 struct Node<T> {
     deps: u32,
     succs: Chain,
     priority: i64,
-    affinity: Option<u64>,
-    pin: Option<(usize, usize)>,
+    /// The first written region, or [`NO_AFFINITY`].
+    affinity: u64,
+    /// The half-open lane range, or [`NO_PIN`].
+    pin: (u32, u32),
     payload: Option<T>,
+}
+
+/// [`Node::affinity`] of a task that writes nothing. Region ids never
+/// reach it: a tile grid refuses an id range that would, and ghost
+/// counters start far below it.
+const NO_AFFINITY: u64 = u64::MAX;
+
+/// [`Node::pin`] of a task that may run on any lane.
+const NO_PIN: (u32, u32) = (u32::MAX, u32::MAX);
+
+impl<T> Node<T> {
+    fn new(
+        deps: u32,
+        priority: i64,
+        affinity: Option<u64>,
+        pin: Option<(usize, usize)>,
+        payload: T,
+    ) -> Self {
+        let lane = |l: usize| {
+            u32::try_from(l)
+                .ok()
+                .filter(|&l| l != u32::MAX)
+                .unwrap_or_else(|| panic!("pinned lane {l} is past the core's 32-bit lanes"))
+        };
+        Node {
+            deps,
+            succs: Chain::default(),
+            priority,
+            affinity: affinity.unwrap_or(NO_AFFINITY),
+            pin: pin.map_or(NO_PIN, |(lo, hi)| (lane(lo), lane(hi))),
+            payload: Some(payload),
+        }
+    }
+
+    fn pin(&self) -> Option<(usize, usize)> {
+        (self.pin != NO_PIN).then_some((self.pin.0 as usize, self.pin.1 as usize))
+    }
+
+    /// What the policy sees of this task, released by `releaser`.
+    fn meta(&self, releaser: Option<usize>) -> ReadyMeta {
+        ReadyMeta {
+            priority: self.priority,
+            releaser,
+            affinity: (self.affinity != NO_AFFINITY).then_some(self.affinity),
+            pin: self.pin(),
+        }
+    }
 }
 
 /// Ring mark of an id whose task has retired.
@@ -43,53 +93,54 @@ const RETIRED: u32 = u32::MAX;
 /// whose slots are reused as tasks retire, their successor lists in one
 /// shared [`ChainPool`]. The slab therefore never outgrows the in-flight
 /// window, even when one straggler keeps the id span long: replaying a
-/// 10⁶-task stream holds 10⁶ nodes only if the window is that large. An
-/// id below `base`, or marked [`RETIRED`], has retired and imposes no
-/// dependence.
+/// 10⁶-task stream holds 10⁶ nodes only if the window is that large. Its
+/// capacity does not either: it doubles like a `Vec`, but never past the
+/// window. An id below `base`, or marked [`RETIRED`], has retired and
+/// imposes no dependence.
 struct NodeTable<T> {
     base: u64,
     ring: VecDeque<u32>,
     slab: Vec<Node<T>>,
+    /// The most tasks in flight at once (the core's window), and so the
+    /// slab's bound in length and capacity.
+    window: usize,
     free: Vec<u32>,
     succs: ChainPool,
 }
 
-impl<T> Default for NodeTable<T> {
-    fn default() -> Self {
+impl<T> NodeTable<T> {
+    fn new(window: usize) -> Self {
         NodeTable {
             base: 0,
             ring: VecDeque::new(),
             slab: Vec::new(),
+            window,
             free: Vec::new(),
             succs: ChainPool::default(),
         }
     }
-}
 
-impl<T> NodeTable<T> {
     /// The id the next submission gets.
     fn next_id(&self) -> u64 {
         self.base + self.ring.len() as u64
     }
 
     /// Add the next submission.
-    fn insert(&mut self, deps: u32, meta: ReadyMeta, payload: T) {
-        let node = Node {
-            deps,
-            succs: Chain::default(),
-            priority: meta.priority,
-            affinity: meta.affinity,
-            pin: meta.pin,
-            payload: Some(payload),
-        };
+    fn insert(&mut self, node: Node<T>) {
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slab[slot as usize] = node;
                 slot
             }
             None => {
+                let len = self.slab.len();
+                if len == self.slab.capacity() {
+                    // `Vec`'s own growth (4, then doubling), clipped.
+                    let grown = (2 * len).max(4).min(self.window).max(len + 1);
+                    self.slab.reserve_exact(grown - len);
+                }
                 self.slab.push(node);
-                u32::try_from(self.slab.len() - 1)
+                u32::try_from(len)
                     .ok()
                     .filter(|&slot| slot != RETIRED)
                     .expect("more than u32::MAX tasks in flight")
@@ -113,7 +164,7 @@ impl<T> NodeTable<T> {
     }
 
     /// Make `id` a successor of `pred`; false if `pred` has retired.
-    fn add_successor(&mut self, pred: u64, id: u64) -> bool {
+    fn add_successor(&mut self, pred: u64, id: u32) -> bool {
         let Some(slot) = self.slot(pred) else {
             return false;
         };
@@ -124,7 +175,7 @@ impl<T> NodeTable<T> {
     /// Detach and return the oldest remaining successor of in-flight `id`.
     fn pop_successor(&mut self, id: u64) -> Option<u64> {
         let slot = self.slot(id).expect("retired a task twice");
-        self.succs.pop(&mut self.slab[slot].succs)
+        self.succs.pop(&mut self.slab[slot].succs).map(u64::from)
     }
 
     /// Retire `id` (its successors already popped), freeing its slot.
@@ -149,7 +200,6 @@ pub struct SchedCore<T> {
     /// Scratch for one task's predecessor ids.
     preds: Vec<u64>,
     policy: Box<dyn Policy>,
-    window: usize,
     in_flight: usize,
     /// Cancelled ids still queued in the policy, skipped at pop.
     stale: usize,
@@ -160,11 +210,10 @@ impl<T> SchedCore<T> {
     /// `window` unretired tasks.
     pub fn new(policy: Box<dyn Policy>, window: usize) -> Self {
         SchedCore {
-            nodes: NodeTable::default(),
+            nodes: NodeTable::new(window),
             hazards: HazardTracker::new(),
             preds: Vec::new(),
             policy,
-            window,
             in_flight: 0,
             stale: 0,
         }
@@ -187,13 +236,18 @@ impl<T> SchedCore<T> {
 
     /// Whether the window is full: no submission until a task retires.
     pub fn window_full(&self) -> bool {
-        self.in_flight >= self.window
+        self.in_flight >= self.nodes.window
     }
 
     /// Submit the next task: its hazards against earlier, unretired
     /// submissions become dependences. Returns its id and whether it is
     /// ready (queued in the policy) right away. The caller checks the
     /// window first.
+    ///
+    /// # Panics
+    ///
+    /// At the 2³²-th submission: ids are 32-bit inside the core. Also if
+    /// `pin` names a lane at or past `u32::MAX`.
     pub fn submit(
         &mut self,
         accesses: &[Access],
@@ -202,25 +256,24 @@ impl<T> SchedCore<T> {
         payload: T,
     ) -> (u64, bool) {
         let id = self.nodes.next_id();
+        let id32 = u32::try_from(id)
+            .ok()
+            .filter(|&id| id != u32::MAX)
+            .expect("a scheduling core takes at most 2^32 - 1 submissions");
         self.hazards.retire_below(self.nodes.base);
         let affinity = self.hazards.analyze_into(id, accesses, &mut self.preds);
         let mut deps = 0;
         for &p in &self.preds {
-            deps += usize::from(self.nodes.add_successor(p, id));
+            deps += usize::from(self.nodes.add_successor(p, id32));
         }
         let deps = u32::try_from(deps).expect("fewer than 2^32 predecessors");
-        let meta = ReadyMeta {
-            priority,
-            releaser: None,
-            affinity,
-            pin,
-        };
+        let node = Node::new(deps, priority, affinity, pin, payload);
         if deps == 0 {
-            self.policy.push(id, meta);
+            self.policy.push(id, node.meta(None));
         }
-        self.nodes.insert(deps, meta, payload);
+        self.nodes.insert(node);
         self.in_flight += 1;
-        debug_assert!(self.nodes.slab.len() <= self.window);
+        debug_assert!(self.nodes.slab.len() <= self.nodes.window);
         (id, deps == 0)
     }
 
@@ -260,14 +313,8 @@ impl<T> SchedCore<T> {
                 .expect("successor retired before its dependence");
             node.deps -= 1;
             if node.deps == 0 {
-                let meta = ReadyMeta {
-                    priority: node.priority,
-                    releaser: Some(lane),
-                    affinity: node.affinity,
-                    pin: node.pin,
-                };
-                self.policy.push(s, meta);
-                on_ready(node.pin);
+                self.policy.push(s, node.meta(Some(lane)));
+                on_ready(node.pin());
             }
         }
         self.nodes.retire(id);
@@ -304,39 +351,55 @@ mod tests {
     use super::*;
     use crate::policy::CentralFifo;
 
-    fn meta() -> ReadyMeta {
-        ReadyMeta {
-            priority: 0,
-            releaser: None,
-            affinity: None,
-            pin: None,
-        }
+    fn node() -> Node<()> {
+        Node::new(0, 0, None, None, ())
     }
 
     #[test]
-    fn a_threaded_node_is_no_larger_than_the_entry_it_replaced() {
+    fn a_node_is_64_bytes_for_either_engine() {
         // The engine's per-task entry was 96 bytes, and the slab that
         // replaced the entry table holds up to a window of nodes: every
         // task of a run that fits in Quark's window of 5,000. With the
-        // label a shared name (8 bytes, not a 16-byte boxed copy) a node
-        // is 88.
-        type Payload = (crate::task::TaskBody, supersim_trace::KernelName);
-        assert!(std::mem::size_of::<Node<Payload>>() <= 88);
+        // label a shared name, the affinity and pin packed and the
+        // releaser left to release time, a node is 64 bytes.
+        type Threaded = (crate::task::TaskBody, supersim_trace::KernelName);
+        // The DES payload: a name and a 16-byte duration source.
+        type Des = (supersim_trace::KernelName, (u64, f64));
+        assert_eq!(std::mem::size_of::<Node<Threaded>>(), 64);
+        assert_eq!(std::mem::size_of::<Node<Des>>(), 64);
+    }
+
+    #[test]
+    fn packed_metadata_round_trips() {
+        let n = Node::new(0, -3, Some(7), Some((2, 5)), ());
+        let m = n.meta(Some(1));
+        assert_eq!(
+            (m.priority, m.releaser, m.affinity, m.pin),
+            (-3, Some(1), Some(7), Some((2, 5)))
+        );
+        let m = node().meta(None);
+        assert_eq!((m.affinity, m.pin), (None, None));
+        let edge = Node::new(0, 0, Some(0), Some((0, u32::MAX as usize - 1)), ());
+        assert_eq!(edge.meta(None).affinity, Some(0));
+        assert_eq!(edge.pin(), Some((0, u32::MAX as usize - 1)));
     }
 
     #[test]
     fn node_slots_are_reused_behind_a_straggler() {
-        let mut nodes = NodeTable::default();
-        nodes.insert(0, meta(), ());
-        for id in 1..=10_000u64 {
-            nodes.insert(0, meta(), ());
+        let mut nodes = NodeTable::new(usize::MAX);
+        nodes.insert(node());
+        for id in 1..=10_000u32 {
+            nodes.insert(node());
             assert!(nodes.add_successor(0, id), "the straggler is in flight");
             if id > 1 {
-                assert!(!nodes.add_successor(id - 1, id), "retired: no dependence");
+                assert!(
+                    !nodes.add_successor(u64::from(id - 1), id),
+                    "retired: no dependence"
+                );
             }
-            assert_eq!(nodes.pop_successor(0), Some(id));
-            nodes.retire(id);
-            assert!(nodes.get_mut(id).is_none());
+            assert_eq!(nodes.pop_successor(0), Some(u64::from(id)));
+            nodes.retire(u64::from(id));
+            assert!(nodes.get_mut(u64::from(id)).is_none());
         }
         assert_eq!(nodes.slab.len(), 2, "one slot per task in flight");
         assert_eq!(nodes.succs.capacity(), 1);
@@ -345,6 +408,37 @@ mod tests {
         nodes.retire(0);
         assert_eq!((nodes.base, nodes.ring.len()), (10_001, 0));
         assert!(!nodes.add_successor(0, 10_001));
+    }
+
+    #[test]
+    fn the_slab_grows_like_a_vec_but_never_past_the_window() {
+        let capacity_at = |window: usize, tasks: usize| {
+            let mut nodes = NodeTable::new(window);
+            for _ in 0..tasks {
+                nodes.insert(node());
+            }
+            nodes.slab.capacity()
+        };
+        // Quark's window: 5,000 slots, not the 8,192 of plain doubling.
+        assert_eq!(capacity_at(5_000, 5_000), 5_000);
+        assert_eq!(capacity_at(5_000, 4_097), 5_000);
+        assert_eq!(capacity_at(5_000, 4_096), 4_096);
+        // Below the window, and without one, growth is `Vec`'s.
+        assert_eq!(capacity_at(5_000, 3), 4);
+        assert_eq!(capacity_at(usize::MAX, 5_000), 8_192);
+        assert_eq!(capacity_at(3, 3), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "a scheduling core takes at most 2^32 - 1 submissions")]
+    fn the_2_pow_32nd_submission_is_refused() {
+        use supersim_dag::DataId;
+        let mut core = SchedCore::new(Box::new(CentralFifo::default()), usize::MAX);
+        // As if 2^32 - 2 tasks had been submitted and retired.
+        core.nodes.base = u64::from(u32::MAX) - 1;
+        let (id, ready) = core.submit(&[Access::write(DataId(0))], 0, None, ());
+        assert_eq!((id, ready), (u64::from(u32::MAX) - 1, true));
+        core.submit(&[Access::read(DataId(0))], 0, None, ());
     }
 
     #[test]

@@ -697,7 +697,7 @@ mod tests {
         for (json, needle) in [
             (
                 "{\"tiles\":100000,\"backend\":\"des\"}",
-                "tasks exceed the limit of 4294967296",
+                "tasks exceed the limit of 4294967295",
             ),
             (
                 "{\"tiles\":300,\"backend\":\"des\"}",

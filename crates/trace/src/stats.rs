@@ -54,13 +54,18 @@ impl TraceStats {
                 per_worker_busy[e.worker] += d;
                 per_worker_count[e.worker] += 1;
             }
-            let k = kernels.entry(e.kernel.to_string()).or_insert(KernelStats {
-                count: 0,
-                total_time: 0.0,
-                mean_time: 0.0,
-                min_time: f64::INFINITY,
-                max_time: f64::NEG_INFINITY,
-            });
+            // Look up first: the key is made once per class, not per span.
+            if !kernels.contains_key(e.kernel.as_str()) {
+                let empty = KernelStats {
+                    count: 0,
+                    total_time: 0.0,
+                    mean_time: 0.0,
+                    min_time: f64::INFINITY,
+                    max_time: f64::NEG_INFINITY,
+                };
+                kernels.insert(e.kernel.to_string(), empty);
+            }
+            let k = kernels.get_mut(e.kernel.as_str()).expect("inserted above");
             k.count += 1;
             k.total_time += d;
             k.min_time = k.min_time.min(d);

@@ -9,12 +9,13 @@
 //!   few words per lane — never a second span buffer;
 //! * a span is 40 bytes and names its kernel by a shared handle, so a log
 //!   told its span count holds 40 bytes a span, allocated once — and
-//!   nothing while a sink is attached, whose log holds an epoch window.
+//!   nothing while a sink is attached, whose log holds an epoch window;
+//! * per-kernel statistics allocate per class, not per span.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use supersim_trace::sink::{ChromeStreamSink, NdjsonSink, NullSink};
-use supersim_trace::{KernelName, TraceEvent, TraceRecorder, TraceSink};
+use supersim_trace::{KernelName, Trace, TraceEvent, TraceRecorder, TraceSink, TraceStats};
 
 /// Counts this thread's allocations and live bytes (tests run on
 /// parallel threads).
@@ -226,4 +227,16 @@ fn the_span_count_is_ignored_while_a_sink_is_attached() {
     }
     assert!(r.finish(LANES).is_empty());
     assert_eq!(r.drained(), 1_000);
+}
+
+#[test]
+fn trace_stats_allocate_per_class_not_per_span() {
+    let trace = Trace::from_parts(LANES, dense_spans(LOG_SPANS));
+    let before = allocations();
+    let stats = TraceStats::of(&trace);
+    let made = allocations() - before;
+    // Two per-lane vectors, the map's node and a key per class (4).
+    assert!(made <= 10, "{made} allocations for {LOG_SPANS} spans");
+    assert_eq!(stats.kernels.len(), 4);
+    assert_eq!(stats.kernels["dgemm"].count, LOG_SPANS / 4);
 }

@@ -14,6 +14,8 @@ use supersim_tile::{Matrix, TiledMatrix};
 /// A tile grid shared across worker threads, with stable data ids.
 #[derive(Clone)]
 pub struct SharedTiles {
+    /// One lock per tile; a layout-only grid holds one empty tile that
+    /// every tile shares.
     tiles: Arc<Vec<RwLock<Matrix>>>,
     mt: usize,
     nt: usize,
@@ -48,22 +50,20 @@ impl SharedTiles {
 
     /// A grid with the right *shape* but zero-sized tiles — for simulated
     /// runs, where the data is never touched but the dependence layout
-    /// (tile ids) must match a real run exactly. Avoids allocating the
-    /// `O(n^2)` matrix for large simulated problems.
+    /// (tile ids) must match a real run exactly. Allocates the same few
+    /// bytes whatever the grid's size: every tile is one shared empty
+    /// tile (so writers of two tiles would contend on one lock, which a
+    /// simulated run never takes).
     pub fn layout_only(rows: usize, cols: usize, nb: usize, base_id: u64) -> Self {
         assert!(nb > 0, "tile size must be positive");
         let mt = rows.div_ceil(nb);
         let nt = cols.div_ceil(nb);
         // Checked: a wrapped tile count or id range would alias tiles.
-        let count = mt
-            .checked_mul(nt)
+        mt.checked_mul(nt)
             .filter(|&c| base_id.checked_add(c as u64).is_some())
             .unwrap_or_else(|| panic!("a {mt}x{nt} tile grid at id {base_id} overflows"));
-        let tiles: Vec<RwLock<Matrix>> = (0..count)
-            .map(|_| RwLock::new(Matrix::zeros(0, 0)))
-            .collect();
         SharedTiles {
-            tiles: Arc::new(tiles),
+            tiles: Arc::new(vec![RwLock::new(Matrix::zeros(0, 0))]),
             mt,
             nt,
             nb,
@@ -90,17 +90,24 @@ impl SharedTiles {
 
     /// Total tiles.
     pub fn len(&self) -> usize {
-        self.tiles.len()
+        self.mt * self.nt
     }
 
     /// Whether the grid is empty.
     pub fn is_empty(&self) -> bool {
-        self.tiles.is_empty()
+        self.len() == 0
     }
 
     /// The id space used by this grid: `[base_id, base_id + len)`.
     pub fn id_range(&self) -> (u64, u64) {
-        (self.base_id, self.base_id + self.tiles.len() as u64)
+        (self.base_id, self.base_id + self.len() as u64)
+    }
+
+    /// The lock of tile number `k` (column-major) for reading: its own,
+    /// or the one empty tile of a layout-only grid.
+    fn tile(&self, k: usize) -> &RwLock<Matrix> {
+        let own = self.tiles.len() == self.len();
+        &self.tiles[if own { k } else { 0 }]
     }
 
     /// Row count of tile `(i, j)` (edge tiles are smaller).
@@ -130,12 +137,22 @@ impl SharedTiles {
     /// Read-lock tile `(i, j)`.
     pub fn read(&self, i: usize, j: usize) -> parking_lot::RwLockReadGuard<'_, Matrix> {
         assert!(i < self.mt && j < self.nt, "tile ({i},{j}) out of range");
-        self.tiles[i + j * self.mt].read()
+        self.tile(i + j * self.mt).read()
     }
 
     /// Write-lock tile `(i, j)`.
+    ///
+    /// # Panics
+    ///
+    /// On a layout-only grid of more than one tile: it has no data to
+    /// write, and a kernel writing two of its tiles would deadlock on
+    /// their one shared lock.
     pub fn write(&self, i: usize, j: usize) -> parking_lot::RwLockWriteGuard<'_, Matrix> {
         assert!(i < self.mt && j < self.nt, "tile ({i},{j}) out of range");
+        assert!(
+            self.tiles.len() == self.len(),
+            "a layout-only grid has no tile data to write"
+        );
         self.tiles[i + j * self.mt].write()
     }
 
@@ -143,7 +160,9 @@ impl SharedTiles {
     ///
     /// Clones each tile under a read lock; call after `wait_all`.
     pub fn to_tiled(&self) -> TiledMatrix {
-        let tiles: Vec<Matrix> = self.tiles.iter().map(|t| t.read().clone()).collect();
+        let tiles: Vec<Matrix> = (0..self.len())
+            .map(|k| self.tile(k).read().clone())
+            .collect();
         TiledMatrix::from_tiles(tiles, self.mt, self.nt, self.nb, self.rows, self.cols)
     }
 
@@ -215,6 +234,24 @@ mod tests {
         assert_eq!(s.len(), 484);
         assert_eq!(s.read(0, 0).rows(), 0);
         let _ = s.data_id(21, 21);
+    }
+
+    #[test]
+    fn a_layout_only_grid_allocates_the_same_at_any_size() {
+        let bytes = |tiles: usize| {
+            let s = SharedTiles::layout_only(tiles * 10, tiles * 10, 10, 0);
+            assert_eq!(s.len(), tiles * tiles);
+            assert_eq!(s.read(tiles - 1, tiles - 1).rows(), 0);
+            assert_eq!(s.to_tiled().tile(tiles - 1, 0).rows(), 0);
+            s.tiles.capacity() * std::mem::size_of::<RwLock<Matrix>>()
+        };
+        assert_eq!(bytes(2), bytes(64));
+    }
+
+    #[test]
+    #[should_panic(expected = "a layout-only grid has no tile data to write")]
+    fn a_layout_only_grid_refuses_writes() {
+        drop(SharedTiles::layout_only(20, 20, 10, 0).write(1, 1));
     }
 
     #[test]

@@ -47,17 +47,17 @@
 use crate::cluster::exec_cluster;
 use crate::driver::exec_sim;
 use crate::scenario::Scenario;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
 use supersim_cluster::{Placement, TRANSFER_LABEL};
 use supersim_core::SimSession;
 use supersim_faults::{
-    critical_lane, mark_lost, stitch, DegradationReport, FaultAttribution, FaultEvent, FaultPlan,
-    FaultScope,
+    critical_lane, lost_name, mark_lost, stitch, DegradationReport, FaultAttribution, FaultEvent,
+    FaultPlan, FaultScope,
 };
 use supersim_trace::fault::{base_kernel, event_kind, SpanKind};
-use supersim_trace::{Trace, TraceEvent};
+use supersim_trace::{KernelName, Trace, TraceEvent};
 
 /// Result of [`Scenario::run_faults`]: both runs and the comparison.
 #[derive(Debug, Clone)]
@@ -336,6 +336,8 @@ fn cut_phase_a(trace: &Trace, rollback: f64, cut: f64) -> (Vec<TraceEvent>, Hash
     let stream = stream_indices(trace);
     let mut kept = Vec::new();
     let mut done = HashSet::new();
+    // One `!lost` name per base kernel class.
+    let mut lost: BTreeMap<&str, KernelName> = BTreeMap::new();
     for e in trace.spans() {
         if e.end <= rollback {
             if matches!(event_kind(e), SpanKind::Normal) {
@@ -343,7 +345,9 @@ fn cut_phase_a(trace: &Trace, rollback: f64, cut: f64) -> (Vec<TraceEvent>, Hash
             }
             kept.push(e.clone());
         } else if e.start < cut {
-            kept.push(mark_lost(e, Some(cut)));
+            let base = base_kernel(&e.kernel);
+            let name = lost.entry(base).or_insert_with(|| lost_name(base));
+            kept.push(mark_lost(e, name, Some(cut)));
         }
     }
     (kept, done)
@@ -535,6 +539,23 @@ mod tests {
                 "dead lane ran after the cut: {e:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_cut_names_its_lost_spans_once_per_class() {
+        // Rolled back to the start (a cluster without checkpoints), every
+        // span begun before the cut is lost: many of each class.
+        let clean = base(Algorithm::Cholesky).run_sim().trace;
+        let (kept, done) = cut_phase_a(&clean, 0.0, clean.makespan() * 0.5);
+        assert!(done.is_empty());
+        let mut names: BTreeMap<&str, &KernelName> = BTreeMap::new();
+        for e in &kept {
+            assert_eq!(event_kind(e), SpanKind::Lost);
+            let first = names.entry(&e.kernel).or_insert(&e.kernel);
+            assert!(first.ptr_eq(&e.kernel), "a second name for {}", e.kernel);
+        }
+        assert_eq!(names.len(), 4, "{:?}", names.keys());
+        assert!(kept.len() > 2 * names.len());
     }
 
     #[test]

@@ -95,8 +95,9 @@ impl From<ScenarioError> for String {
 /// `O(tiles^2)`, both engines keep per-lane state, and the threaded engine
 /// spawns a host thread per lane. A host with less headroom (the `serve`
 /// daemon) compares [`Scenario::task_count`] / [`Scenario::lane_count`]
-/// against tighter limits of its own.
-pub const MAX_TASKS: u64 = 1 << 32;
+/// against tighter limits of its own. The task ceiling is the scheduling
+/// core's: it numbers submissions in 32 bits and refuses the 2³²-th.
+pub const MAX_TASKS: u64 = u32::MAX as u64;
 /// See [`MAX_TASKS`].
 pub const MAX_LANES: u64 = 1 << 20;
 /// See [`MAX_TASKS`].
@@ -1085,6 +1086,29 @@ mod tests {
             assert!(err.contains(needle), "want {needle:?}, got {err:?}");
             assert_eq!(err.lines().count(), 1, "{err:?}");
         }
+    }
+
+    /// A stream of 2³² tasks or more is refused up front, one task fewer
+    /// is not: closed-form counts, nothing is laid out or run.
+    #[test]
+    fn a_stream_of_2_pow_32_tasks_is_refused() {
+        let scenario = |tiles| {
+            Scenario::new(Algorithm::Cholesky)
+                .tiles(tiles)
+                .backend(Backend::Des)
+                .models(models(Algorithm::Cholesky))
+        };
+        let tiles = (1..)
+            .find(|&t| scenario(t).task_count() >= 1 << 32)
+            .unwrap();
+        assert!(scenario(tiles - 1).task_count() < 1 << 32);
+        assert_eq!(scenario(tiles - 1).validate(), Ok(()));
+        let refused = scenario(tiles).validate().unwrap_err().to_string();
+        let want = format!(
+            "{} tasks exceed the limit of 4294967295",
+            scenario(tiles).task_count()
+        );
+        assert_eq!(refused, want);
     }
 
     /// Library callers that skip `validate` get its message as the

@@ -321,6 +321,16 @@ mod tests {
     }
 
     #[test]
+    fn the_qr_t_grid_takes_the_ids_after_a() {
+        let (a, t) = layout(Algorithm::Qr, 24 * 8, 8);
+        let t = t.expect("QR lays out a T grid");
+        assert_eq!(a.id_range(), (0, 576));
+        assert_eq!(t.id_range(), (576, 1152));
+        assert_eq!(t.data_id(0, 0).0, 576);
+        assert_eq!(t.data_id(23, 23).0, 1151);
+    }
+
+    #[test]
     fn only_kept_tasks_claim_ranks() {
         for alg in ALGORITHMS {
             let (a, t) = layout(alg, 20, 4);
