@@ -38,7 +38,7 @@ pub mod teq;
 pub use model::{KernelModel, ModelRegistry};
 pub use race::RaceMitigation;
 pub use session::{
-    aborted_seconds, layout_segments, FaultInjector, KernelPlan, SegmentKind, SimConfig,
-    SimSession, TransientSpec,
+    FaultInjector, KernelPlan, ReplayBody, SegmentKind, SimConfig, SimSession, Timeline,
+    TransientSpec,
 };
-pub use teq::{TaskExecutionQueue, WakeupMode};
+pub use teq::{Completion, CompletionSeq, TaskExecutionQueue, WakeupMode};

@@ -31,7 +31,7 @@
 
 use crate::model::ModelRegistry;
 use crate::race::RaceMitigation;
-use crate::teq::{TaskExecutionQueue, WakeupMode};
+use crate::teq::{Completion, TaskExecutionQueue, WakeupMode};
 use parking_lot::Mutex;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -143,9 +143,6 @@ pub trait FaultInjector: Send + Sync {
 /// Segment kinds of a simulated task's virtual timeline. A clean task is
 /// a single [`SegmentKind::Work`] segment; a transiently failing one
 /// interleaves failed attempts and backoffs before the final execution.
-///
-/// Public so the DES replay backend can lay out the same timelines the
-/// threaded protocol produces (see [`layout_segments`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegmentKind {
     /// A failed attempt (discarded work).
@@ -159,10 +156,10 @@ pub enum SegmentKind {
 /// The planned virtual timeline of one ranked kernel execution: everything
 /// about the task's duration that is fixed at submission time — sampled
 /// durations, transient-failure segments — before any start time or lane
-/// assignment is known. Produced by [`SimSession::plan_ranked`]; consumed
-/// by [`SimSession::run_kernel_ranked`] (threaded backend) and by the DES
-/// replay backend, which must draw the *same* plan for the same
-/// `(seed, label, rank)`.
+/// assignment is known. Produced by [`SimSession::plan_ranked`] and, for
+/// either engine's tasks, by [`SimSession::plan_body`]; both engines lay it
+/// out with [`SimSession::lay_out`], so the same `(seed, label, rank)`
+/// gives the same timeline on both.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelPlan {
     /// Nominal segment durations in timeline order: any number of
@@ -177,65 +174,66 @@ pub struct KernelPlan {
     pub transient: bool,
 }
 
-impl KernelPlan {
-    /// Whether this plan came from a transient-failure prescription.
-    pub fn is_transient(&self) -> bool {
-        self.transient
-    }
-
-    /// Overwrite with the clean single-segment plan of `duration` seconds
-    /// (what [`SimSession::run_fixed`] executes), keeping the buffer.
-    pub fn set_clean(&mut self, duration: f64) {
-        self.segments.clear();
-        self.segments.push((SegmentKind::Work, duration));
-        self.failures = 0;
-        self.transient = false;
-    }
+/// How a simulated task obtains its duration: the body of a task on
+/// either engine.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ReplayBody {
+    /// The plan-based simulated-kernel protocol: duration drawn by
+    /// [`SimSession::plan_ranked`] from `(seed, label, rank)`, warm-up and
+    /// transient-fault prescriptions included. What
+    /// [`SimSession::planned_body`] runs.
+    Ranked {
+        /// Submission rank of this task within its label (claim with
+        /// [`SimSession::next_rank`] in stream order, exactly as
+        /// `planned_body` does).
+        rank: u64,
+    },
+    /// A fixed externally computed duration (transfer tasks costed by an
+    /// interconnect model): no model, no RNG, no speed scaling, no
+    /// overhead — but still perturbed by an attached injector. Zero
+    /// durations are valid: the task occupies its lane for a virtual
+    /// instant without advancing the clock.
+    Fixed {
+        /// Nominal duration in virtual seconds.
+        duration: f64,
+    },
 }
 
-/// Lay a kernel plan's segments onto the virtual timeline from `start`,
-/// applying the injector's perturbation to work (but not idle backoff) and
-/// the TEQ's non-finite/negative clamping to every segment. Writes the
-/// per-segment `(kind, start, end)` bounds into `bounds` (cleared first)
-/// and returns the total duration.
-///
-/// This is the exact arithmetic [`SimSession`] performs under the TEQ
-/// state lock when inserting a segmented task; the DES replay backend
-/// calls it with its own event-loop clock, for clean and faulted tasks
-/// alike, to reproduce the threaded timelines bit for bit. Note the total
-/// is `(start + d) - start`, not `d`: the rounding is part of the
-/// timeline.
-pub fn layout_segments(
-    inj: Option<&dyn FaultInjector>,
-    worker: usize,
-    start: f64,
-    segs: &[(SegmentKind, f64)],
-    bounds: &mut Vec<(SegmentKind, f64, f64)>,
-) -> f64 {
-    bounds.clear();
-    let mut t = start;
-    for &(kind, nominal) in segs {
-        // Backoff is idle waiting — a slow worker waits at the same rate
-        // as a fast one — so only work is perturbed.
-        let d = match (kind, inj) {
-            (SegmentKind::Backoff, _) | (_, None) => nominal,
-            (SegmentKind::Failed | SegmentKind::Work, Some(inj)) => inj.perturb(worker, t, nominal),
-        };
-        let d = if d.is_finite() { d.max(0.0) } else { 0.0 };
-        bounds.push((kind, t, t + d));
-        t += d;
-    }
-    t - start
+/// One task's plan and laid-out timeline: the scratch an engine reuses
+/// for every task it runs (one per worker thread on the threaded engine,
+/// one per run in the DES loop), so planning and laying out a task
+/// allocate nothing once the buffers have grown.
+#[derive(Debug, Default)]
+pub struct Timeline {
+    plan: KernelPlan,
+    /// Per-segment `(kind, start, end)`, in timeline order.
+    bounds: Vec<(SegmentKind, f64, f64)>,
 }
 
-/// The aborted virtual seconds of a laid-out timeline: the summed
-/// post-perturbation cost of its failed attempts (what
-/// [`FaultInjector::on_transient`] is told).
-pub fn aborted_seconds(bounds: &[(SegmentKind, f64, f64)]) -> f64 {
-    bounds
-        .iter()
-        .filter(|b| b.0 == SegmentKind::Failed)
-        .fold(0.0, |aborted, &(_, s, e)| aborted + (e - s))
+impl Timeline {
+    /// Lay the plan's segments onto the virtual timeline from `start`,
+    /// applying the injector's perturbation to work (but not idle backoff)
+    /// and the TEQ's non-finite/negative clamping to every segment, into
+    /// `bounds`. Returns the total duration: `(start + d) - start`, not
+    /// `d`, for a clean task too — the rounding is part of the timeline.
+    fn lay_out_from(&mut self, inj: Option<&dyn FaultInjector>, worker: usize, start: f64) -> f64 {
+        self.bounds.clear();
+        let mut t = start;
+        for &(kind, nominal) in &self.plan.segments {
+            // Backoff is idle waiting — a slow worker waits at the same rate
+            // as a fast one — so only work is perturbed.
+            let d = match (kind, inj) {
+                (SegmentKind::Backoff, _) | (_, None) => nominal,
+                (SegmentKind::Failed | SegmentKind::Work, Some(inj)) => {
+                    inj.perturb(worker, t, nominal)
+                }
+            };
+            let d = if d.is_finite() { d.max(0.0) } else { 0.0 };
+            self.bounds.push((kind, t, t + d));
+            t += d;
+        }
+        t - start
+    }
 }
 
 /// One kernel class in a session's kernel table.
@@ -313,9 +311,8 @@ struct Hooks {
 }
 
 thread_local! {
-    /// A worker thread's kernel-plan buffer, reused by every ranked kernel
-    /// it runs.
-    static PLAN: std::cell::Cell<KernelPlan> = std::cell::Cell::default();
+    /// A worker thread's timeline scratch, reused by every kernel it runs.
+    static SCRATCH: std::cell::Cell<Timeline> = std::cell::Cell::default();
 }
 
 /// [`Interrupt::state`] bit: cancellation was requested (or the deadline
@@ -370,8 +367,8 @@ impl Interrupt {
 
 /// A simulation session. Create one per simulated run; build every task
 /// body with [`SimSession::planned_body`] in submission order (engines
-/// that claim ranks themselves call [`SimSession::run_kernel_ranked`] or
-/// [`SimSession::plan_ranked`]), then read the predicted makespan and the
+/// that claim ranks themselves call [`SimSession::simulate_kernel`] or
+/// [`SimSession::plan_body`]), then read the predicted makespan and the
 /// virtual-time trace.
 pub struct SimSession {
     teq: TaskExecutionQueue,
@@ -666,9 +663,8 @@ impl SimSession {
     /// backoffs under [`supersim_trace::fault::BACKOFF_LABEL`], the
     /// closing work segment under `label` itself, all sharing `task_id`.
     /// Every span shares its name: the marked ones come from the kernel
-    /// table, made once per session. Shared by the threaded protocol and
-    /// the DES replay backend so faulted traces match bit for bit.
-    pub fn record_segment_spans(
+    /// table, made once per session.
+    fn record_segment_spans(
         &self,
         worker: usize,
         label: KernelName,
@@ -702,49 +698,72 @@ impl SimSession {
         span(label, start, end);
     }
 
-    /// The simulated-kernel protocol (paper §V-D). Call from inside a task
-    /// body submitted to the runtime; `label` selects the duration model.
+    /// The simulated-kernel protocol (paper §V-D) for a task of `label`
+    /// whose duration comes from `body`; clean, `Fixed` and transiently
+    /// failing tasks alike. Call from inside a task body submitted to the
+    /// runtime.
     ///
     /// The call blocks (in wall-clock time) until every simulated task with
     /// an earlier virtual completion has returned, then returns — from the
     /// scheduler's perspective the kernel "ran" for its virtual duration.
-    /// The duration RNG is keyed by `(seed, label, rank)` — the task's
-    /// submission rank within its label — and warm-up applies to the first
-    /// [`SimSession::set_warmup_slots`] ranks of each label. Both keys are
-    /// fixed at submission time, so per-task durations are identical across
-    /// worker counts, schedulers, and cluster placements (transfer tasks
-    /// interleaved into the id space cannot shift them).
-    pub fn run_kernel_ranked(&self, ctx: &TaskContext, label: &KernelName, rank: u64) {
-        let speed = self.config.speed_of(ctx.worker);
-        assert!(speed > 0.0, "worker speed must be positive");
+    pub fn simulate_kernel(&self, ctx: &TaskContext, label: &KernelName, body: ReplayBody) {
         let hooks = self.hooks();
-        let mut plan = PLAN.take();
-        self.plan_ranked_into(label, rank, speed, hooks.faults.as_deref(), &mut plan);
-        if plan.is_transient() {
-            let inj = hooks
-                .faults
-                .as_ref()
-                .expect("transient plan requires an injector");
-            let aborted = self.simulate_segments(ctx, label, &plan.segments, inj, &hooks);
-            inj.on_transient(label, plan.failures, aborted);
-        } else {
-            self.simulate(ctx, label, plan.segments[0].1, &hooks);
-        }
-        PLAN.set(plan);
+        let inj = hooks.faults.as_deref();
+        let mut scratch = SCRATCH.take();
+        let speed = self.config.speed_of(ctx.worker);
+        self.plan_body(label, body, speed, inj, &mut scratch);
+        self.note_kernel();
+        // (1)+(2): read the clock for the start and insert the completion,
+        // laying the timeline out under the TEQ lock, so start-dependent
+        // costs (straggler windows, degraded links) are a pure function of
+        // the virtual timeline. (3): the trace records virtual times.
+        let (ticket, _) = self.lay_out(
+            inj,
+            ctx.worker,
+            label.clone(),
+            ctx.task_id,
+            &mut scratch,
+            |lay| self.teq.insert_with(lay),
+        );
+        SCRATCH.set(scratch);
+        // The task is now visible to the simulation: scheduler bookkeeping
+        // for this dispatch is done.
+        ctx.mark_registered();
+        self.settle_and_retire(ticket, &hooks);
     }
 
-    /// Draw the virtual timeline of the `rank`-th submission of `label`:
-    /// the sampled duration (RNG keyed by `(seed, label, rank)`, warm-up
-    /// applied to the first [`SimSession::set_warmup_slots`] ranks) plus
-    /// any transient-failure segments the injector prescribes — `failures`
-    /// aborted attempts, each consuming a fraction of a *freshly sampled*
-    /// duration (retries re-draw from the same keyed stream — a retry is a
-    /// new execution, not a replay), separated by capped exponential
-    /// backoff in virtual time, then the final successful execution.
-    ///
-    /// Every sampling decision of the threaded protocol lives here, so the
-    /// DES replay backend obtains bit-identical durations by calling this
-    /// with the same arguments.
+    /// Steps (2)+(3) of the protocol on either engine, for the plan in
+    /// `scratch`: `insert` is handed the layout, which maps the task's
+    /// start to its total duration, and files the completion — the
+    /// threaded protocol's `insert_with` calls it with the clock under the
+    /// TEQ lock, the DES loop with its own clock. Then a transient
+    /// prescription is reported to `inj` and the spans are recorded.
+    pub fn lay_out<K>(
+        &self,
+        inj: Option<&dyn FaultInjector>,
+        worker: usize,
+        label: KernelName,
+        task_id: u64,
+        scratch: &mut Timeline,
+        insert: impl FnOnce(&mut dyn FnMut(f64) -> f64) -> K,
+    ) -> K {
+        let key = insert(&mut |start| scratch.lay_out_from(inj, worker, start));
+        let Timeline { plan, bounds } = scratch;
+        if plan.transient {
+            // The post-perturbation cost of the failed attempts.
+            let aborted = bounds
+                .iter()
+                .filter(|b| b.0 == SegmentKind::Failed)
+                .fold(0.0, |aborted, &(_, s, e)| aborted + (e - s));
+            inj.expect("transient plan requires an injector")
+                .on_transient(&label, plan.failures, aborted);
+        }
+        self.record_segment_spans(worker, label, task_id, bounds);
+        key
+    }
+
+    /// The timeline of the `rank`-th submission of `label`
+    /// ([`SimSession::plan_body`] of a ranked body, into a fresh plan).
     pub fn plan_ranked(
         &self,
         label: &str,
@@ -752,22 +771,42 @@ impl SimSession {
         speed: f64,
         inj: Option<&dyn FaultInjector>,
     ) -> KernelPlan {
-        let mut plan = KernelPlan::default();
-        self.plan_ranked_into(label, rank, speed, inj, &mut plan);
-        plan
+        let mut scratch = Timeline::default();
+        self.plan_body(label, ReplayBody::Ranked { rank }, speed, inj, &mut scratch);
+        scratch.plan
     }
 
-    /// [`SimSession::plan_ranked`] into a caller-owned plan (overwritten,
-    /// its segment buffer reused): an engine that keeps one `KernelPlan`
-    /// as scratch plans clean and faulted tasks alike without allocating.
-    pub fn plan_ranked_into(
+    /// Plan a task of `label` into `scratch` from its body. A fixed body
+    /// is its duration as one clean segment. A ranked one is the sampled
+    /// duration (RNG keyed by `(seed, label, rank)`, warm-up applied to the
+    /// first [`SimSession::set_warmup_slots`] ranks, divided by the
+    /// worker's `speed`) plus any transient-failure segments the injector
+    /// prescribes — `failures` aborted attempts, each consuming a fraction
+    /// of a *freshly sampled* duration (retries re-draw from the same keyed
+    /// stream — a retry is a new execution, not a replay), separated by
+    /// capped exponential backoff in virtual time, then the final
+    /// successful execution. Both keys are fixed at submission time, so
+    /// per-task durations are identical across worker counts, schedulers,
+    /// cluster placements and engines.
+    pub fn plan_body(
         &self,
         label: &str,
-        rank: u64,
+        body: ReplayBody,
         speed: f64,
         inj: Option<&dyn FaultInjector>,
-        plan: &mut KernelPlan,
+        scratch: &mut Timeline,
     ) {
+        let plan = &mut scratch.plan;
+        plan.segments.clear();
+        let rank = match body {
+            ReplayBody::Ranked { rank } => rank,
+            ReplayBody::Fixed { duration } => {
+                plan.segments.push((SegmentKind::Work, duration));
+                (plan.failures, plan.transient) = (0, false);
+                return;
+            }
+        };
+        assert!(speed > 0.0, "worker speed must be positive");
         let model = self.models.expect(label);
         let warm = (rank as usize) < self.warmup_slots.load(Ordering::Relaxed);
         let key = self.config.seed ^ label_hash(label) ^ rank.wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -775,7 +814,6 @@ impl SimSession {
         let _: u64 = rng.random();
         let mut attempt = model.sample(&mut rng, warm) / speed + self.config.overhead_per_task;
         let spec = inj.and_then(|inj| inj.transient(label, rank));
-        plan.segments.clear();
         plan.failures = spec.map_or(0, |spec| spec.failures);
         plan.transient = spec.is_some();
         if let Some(spec) = spec {
@@ -791,71 +829,8 @@ impl SimSession {
         plan.segments.push((SegmentKind::Work, attempt));
     }
 
-    /// Run a simulated task with an externally computed `duration` —
-    /// no model lookup, no RNG, no speed scaling, no per-task overhead.
-    /// Used for communication tasks whose duration comes from an
-    /// interconnect model. Zero durations are valid: the task occupies its
-    /// lane for a virtual instant without advancing the clock.
-    pub fn run_fixed(&self, ctx: &TaskContext, label: &KernelName, duration: f64) {
-        self.simulate(ctx, label, duration, &self.hooks());
-    }
-
-    /// Steps (1)–(5) of the protocol, shared by every entry point.
-    fn simulate(&self, ctx: &TaskContext, label: &KernelName, duration: f64, hooks: &Hooks) {
-        self.note_kernel();
-        // (1)+(2): read the clock for the start, insert the completion.
-        // With an injector attached the duration is re-derived from the
-        // start time *under the TEQ lock*, so start-dependent costs
-        // (straggler windows, degraded links) are a pure function of the
-        // virtual timeline.
-        let (ticket, start) = match &hooks.faults {
-            None => self.teq.insert(duration),
-            Some(inj) => self
-                .teq
-                .insert_with(|start| inj.perturb(ctx.worker, start, duration)),
-        };
-        // (3): the trace records virtual times.
-        self.trace.record_event(TraceEvent {
-            worker: ctx.worker,
-            kernel: label.clone(),
-            task_id: ctx.task_id,
-            start,
-            end: ticket.end,
-        });
-        // The task is now visible to the simulation: scheduler bookkeeping
-        // for this dispatch is done.
-        ctx.mark_registered();
-        self.settle_and_retire(ticket, hooks);
-    }
-
-    /// Steps (1)–(5) for a transiently failing task: one TEQ insertion
-    /// covering the whole failed-attempt / backoff / re-execution timeline
-    /// (computed segment by segment under the TEQ lock, stragglers applied
-    /// to work but not to idle backoff), recorded as one trace span per
-    /// segment under the same task id. Returns the aborted virtual seconds
-    /// (the post-perturbation cost of the failed attempts).
-    fn simulate_segments(
-        &self,
-        ctx: &TaskContext,
-        label: &KernelName,
-        segs: &[(SegmentKind, f64)],
-        inj: &Arc<dyn FaultInjector>,
-        hooks: &Hooks,
-    ) -> f64 {
-        self.note_kernel();
-        let mut bounds: Vec<(SegmentKind, f64, f64)> = Vec::with_capacity(segs.len());
-        let (ticket, _) = self.teq.insert_with(|start| {
-            layout_segments(Some(inj.as_ref()), ctx.worker, start, segs, &mut bounds)
-        });
-        self.record_segment_spans(ctx.worker, label.clone(), ctx.task_id, &bounds);
-        ctx.mark_registered();
-        self.settle_and_retire(ticket, hooks);
-        aborted_seconds(&bounds)
-    }
-
-    /// Steps (4)+(5) of the protocol, shared by [`SimSession::simulate`]
-    /// and [`SimSession::simulate_segments`].
-    fn settle_and_retire(&self, ticket: crate::teq::TeqTicket, hooks: &Hooks) {
+    /// Steps (4)+(5) of the protocol.
+    fn settle_and_retire(&self, ticket: Completion, hooks: &Hooks) {
         // (4): wait to be the next virtual completion, guarding against the
         // §V-E race before retiring. `wait_front` parks on this thread's
         // condvar (targeted wakeup): the retiring front wakes exactly the
@@ -920,7 +895,7 @@ impl SimSession {
 
     /// Build a task body for the plan-based protocol: claims the label's
     /// next submission rank *now* (call on the master thread, in
-    /// submission order) and runs [`SimSession::run_kernel_ranked`] with it
+    /// submission order) and runs [`SimSession::simulate_kernel`] with it
     /// when the task executes.
     pub fn planned_body(
         self: &Arc<Self>,
@@ -928,7 +903,7 @@ impl SimSession {
     ) -> impl FnOnce(&TaskContext) + Send + 'static {
         let session = self.clone();
         let (label, rank) = session.claim(label.as_ref());
-        move |ctx: &TaskContext| session.run_kernel_ranked(ctx, &label, rank)
+        move |ctx: &TaskContext| session.simulate_kernel(ctx, &label, ReplayBody::Ranked { rank })
     }
 }
 
@@ -1357,7 +1332,7 @@ mod tests {
     }
 
     #[test]
-    fn run_fixed_uses_exact_duration_no_overhead() {
+    fn fixed_bodies_use_exact_duration_no_overhead() {
         let session = SimSession::new(
             ModelRegistry::new(), // no models needed
             SimConfig {
@@ -1370,11 +1345,11 @@ mod tests {
         session.attach_quiesce(rt.probe());
         let s = session.clone();
         rt.submit(TaskDesc::new("xfer", vec![Access::write(d(0))], move |c| {
-            s.run_fixed(c, &c.label, 2.0)
+            s.simulate_kernel(c, &c.label, ReplayBody::Fixed { duration: 2.0 })
         }));
         let s = session.clone();
         rt.submit(TaskDesc::new("xfer", vec![Access::write(d(1))], move |c| {
-            s.run_fixed(c, &c.label, 0.0)
+            s.simulate_kernel(c, &c.label, ReplayBody::Fixed { duration: 0.0 })
         }));
         rt.seal();
         rt.wait_all().unwrap();

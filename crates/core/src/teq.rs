@@ -25,27 +25,43 @@ thread_local! {
     static PARK: Arc<Condvar> = Arc::default();
 }
 
-/// Ticket identifying one entry in the queue.
+/// A completion on the virtual timeline, in retire order: the earliest
+/// `end` first, equal ends in `seq` order (insertion order in this queue,
+/// dispatch order in the DES replay). `Ord` is reversed so that a
+/// `BinaryHeap`, a max-heap, pops the next completion: both engines key
+/// their heaps by this one definition.
+///
+/// A completion is made only by [`CompletionSeq::key`], which numbers keys
+/// in the order it makes them; `seq` is private, so no caller can write a
+/// ticket by hand for another task's entry.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TeqTicket {
+pub struct Completion {
+    /// The order in which completions were keyed (the tie-break).
     seq: u64,
-    /// The virtual completion time of this entry.
+    /// The virtual completion time.
     pub end: f64,
 }
 
-/// Heap entry: min-heap by (end, seq) via reversed `Ord`.
-#[derive(Debug, PartialEq)]
-struct HeapEntry {
-    end: f64,
-    seq: u64,
+/// Keys completions in the order they are made: each one's `seq` counts
+/// the keys made before it.
+#[derive(Debug, Default)]
+pub struct CompletionSeq {
+    next: u64,
 }
 
-impl Eq for HeapEntry {}
+impl CompletionSeq {
+    /// The next completion, ending at `end`.
+    pub fn key(&mut self, end: f64) -> Completion {
+        let seq = self.next;
+        self.next += 1;
+        Completion { seq, end }
+    }
+}
 
-impl Ord for HeapEntry {
+impl Eq for Completion {}
+
+impl Ord for Completion {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse: BinaryHeap is a max-heap, we want the smallest end (then
-        // smallest seq, i.e. earliest insertion) on top.
         other
             .end
             .total_cmp(&self.end)
@@ -53,7 +69,7 @@ impl Ord for HeapEntry {
     }
 }
 
-impl PartialOrd for HeapEntry {
+impl PartialOrd for Completion {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
@@ -77,8 +93,8 @@ pub enum WakeupMode {
 
 struct State {
     clock: f64,
-    heap: BinaryHeap<HeapEntry>,
-    next_seq: u64,
+    heap: BinaryHeap<Completion>,
+    keys: CompletionSeq,
     /// Completions retired so far (monotone, for diagnostics).
     retired: u64,
     /// Parked `wait_front` callers as `(ticket seq, the thread's condvar)`
@@ -121,7 +137,7 @@ impl TaskExecutionQueue {
             state: Mutex::new(State {
                 clock: 0.0,
                 heap: BinaryHeap::new(),
-                next_seq: 0,
+                keys: CompletionSeq::default(),
                 retired: 0,
                 waiters: Vec::new(),
                 tally: obs::TeqTally::default(),
@@ -182,7 +198,7 @@ impl TaskExecutionQueue {
     ///
     /// `duration` is clamped at 0 (models can produce tiny negative
     /// samples when a fitted normal has mass below zero).
-    pub fn insert(&self, duration: f64) -> (TeqTicket, f64) {
+    pub fn insert(&self, duration: f64) -> (Completion, f64) {
         self.insert_with(|_| duration)
     }
 
@@ -191,7 +207,7 @@ impl TaskExecutionQueue {
     /// dependent costs (fault windows, time-varying slowdowns) see exactly
     /// the clock value the task starts at — no other insert or retire can
     /// interleave between the clock read and the completion insert.
-    pub fn insert_with(&self, duration_at: impl FnOnce(f64) -> f64) -> (TeqTicket, f64) {
+    pub fn insert_with(&self, duration_at: impl FnOnce(f64) -> f64) -> (Completion, f64) {
         // Sampled latency stamp, taken before the lock so the measurement
         // covers acquisition (the interesting part under contention).
         let stamp = obs::stamp();
@@ -204,9 +220,8 @@ impl TaskExecutionQueue {
             0.0
         };
         let end = start + duration;
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        st.heap.push(HeapEntry { end, seq });
+        let ticket = st.keys.key(end);
+        st.heap.push(ticket);
         // An insert can only displace the front with the new entry (whose
         // owner is the caller, not parked); it can never make an already
         // parked ticket become the front. Targeted mode therefore has no
@@ -214,11 +229,11 @@ impl TaskExecutionQueue {
         // discipline uniform across transitions.
         self.wake_front(&mut st);
         st.tally.on_insert(stamp);
-        (TeqTicket { seq, end }, start)
+        (ticket, start)
     }
 
     /// Whether `ticket` is at the front of the queue (the next completion).
-    pub fn is_front(&self, ticket: TeqTicket) -> bool {
+    pub fn is_front(&self, ticket: Completion) -> bool {
         let st = self.state.lock();
         st.heap.peek().is_some_and(|e| e.seq == ticket.seq)
     }
@@ -226,7 +241,7 @@ impl TaskExecutionQueue {
     /// Block until `ticket` is at the front. Returns the retired count
     /// read under the same lock acquisition that saw it there — the settle
     /// target of [`TaskExecutionQueue::retire_if_settled`].
-    pub fn wait_front(&self, ticket: TeqTicket) -> u64 {
+    pub fn wait_front(&self, ticket: Completion) -> u64 {
         let mut st = self.state.lock();
         if st.heap.peek().is_some_and(|e| e.seq == ticket.seq) {
             st.tally.on_wait_immediate();
@@ -259,7 +274,7 @@ impl TaskExecutionQueue {
 
     /// Retire the front entry (must be `ticket` — panics otherwise),
     /// advancing the clock to its completion time. Returns the clock.
-    pub fn retire(&self, ticket: TeqTicket) -> f64 {
+    pub fn retire(&self, ticket: Completion) -> f64 {
         let stamp = obs::stamp();
         let mut st = self.state.lock();
         let front = st.heap.peek().expect("retire on empty queue");
@@ -272,7 +287,7 @@ impl TaskExecutionQueue {
     /// step, so nothing can slip between them. Returns the advanced clock,
     /// or `None` (and changes nothing) when the front moved or another
     /// entry retired since the caller read `retired`.
-    pub fn retire_if_settled(&self, ticket: TeqTicket, retired: u64) -> Option<f64> {
+    pub fn retire_if_settled(&self, ticket: Completion, retired: u64) -> Option<f64> {
         let stamp = obs::stamp();
         let mut st = self.state.lock();
         let settled = st.retired == retired && st.heap.peek().is_some_and(|e| e.seq == ticket.seq);
@@ -531,7 +546,7 @@ mod tests {
         let order = Arc::new(Mutex::new(Vec::<(f64, u64)>::with_capacity(
             THREADS * TASKS_PER_THREAD,
         )));
-        let mut per_thread: Vec<Vec<TeqTicket>> = vec![Vec::new(); THREADS];
+        let mut per_thread: Vec<Vec<Completion>> = vec![Vec::new(); THREADS];
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         for i in 0..THREADS * TASKS_PER_THREAD {
             // xorshift64 durations with a coarse grid: variety plus ties.

@@ -17,13 +17,13 @@
 //!    the *same* [`SchedCore`] the threaded engine drives: one hazard
 //!    analysis, one window, one policy object
 //!    (`make_policy(config.policy, workers)`), one successor release.
-//! 2. **Dispatch** one task per idle lane through the core, laying out
-//!    its virtual timeline with the session's [`SimSession::plan_ranked`] /
-//!    [`supersim_core::layout_segments`] — the same draws and the same
-//!    arithmetic as the threaded protocol.
-//! 3. **Retire** the earliest completion (min `(end, seq)`, exactly the
-//!    TEQ's ordering), advance the clock, release successors through the
-//!    core, refill the window, and dispatch again.
+//! 2. **Dispatch** one task per idle lane through the core, planning and
+//!    laying out its virtual timeline with the session's
+//!    [`SimSession::plan_body`] / [`SimSession::lay_out`] — the threaded
+//!    protocol's own draws and arithmetic.
+//! 3. **Retire** the earliest completion (min `(end, seq)`: the TEQ's
+//!    [`Completion`] key), advance the clock, release successors through
+//!    the core, refill the window, and dispatch again.
 //!
 //! The loop keeps only what the core leaves to its caller: virtual time
 //! (the `(end, seq)` heap) and the lanes (which are idle, which may have
@@ -36,36 +36,14 @@
 //! same goes for heterogeneous `worker_speeds`, which would make durations
 //! depend on the racy task-to-lane assignment.
 
-use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-use supersim_core::{aborted_seconds, layout_segments, KernelPlan, SimSession};
+pub use supersim_core::ReplayBody;
+use supersim_core::{Completion, CompletionSeq, SimSession, Timeline};
 use supersim_dag::Access;
 use supersim_runtime::policy::{make_policy, Policy};
 use supersim_runtime::{PolicyKind, RuntimeConfig, RuntimeStats, SchedCore};
 use supersim_trace::{KernelName, NameTable};
-
-/// How a replayed task obtains its duration.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ReplayBody {
-    /// The plan-based simulated-kernel protocol: duration drawn by
-    /// [`SimSession::plan_ranked`] from `(seed, label, rank)`, warm-up and
-    /// transient-fault prescriptions included. Mirrors
-    /// `SimSession::planned_body`.
-    Ranked {
-        /// Submission rank of this task within its label (claim with
-        /// [`SimSession::next_rank`] in stream order, exactly as
-        /// `planned_body` does).
-        rank: u64,
-    },
-    /// A fixed externally computed duration (transfer tasks costed by an
-    /// interconnect model). Mirrors `SimSession::run_fixed`: no model, no
-    /// RNG, no overhead — but still perturbed by an attached injector.
-    Fixed {
-        /// Nominal duration in virtual seconds.
-        duration: f64,
-    },
-}
 
 /// One task of the replayed stream, in submission order. The label is
 /// the class's shared [`KernelName`] in the product streams
@@ -133,37 +111,13 @@ pub fn replayable_policy(policy: PolicyKind) -> Result<(), Unsupported> {
     }
 }
 
-/// An executing task, ordered like the TEQ: min `(end, seq)` where `seq`
-/// is dispatch order.
+/// An executing task, retired in its [`Completion`] order, where `seq` is
+/// dispatch order.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct Exec {
-    end: f64,
-    seq: u64,
+    done: Completion,
     lane: usize,
     task: u64,
-}
-
-impl PartialEq for Exec {
-    fn eq(&self, other: &Self) -> bool {
-        self.end == other.end && self.seq == other.seq
-    }
-}
-
-impl Eq for Exec {}
-
-impl Ord for Exec {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        // Reversed for BinaryHeap's max-heap: earliest (end, seq) on top.
-        other
-            .end
-            .total_cmp(&self.end)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for Exec {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// A set of lanes as a fixed-width bitset, read out in ascending lane
@@ -395,13 +349,12 @@ impl ReplayEngine {
         }
         let mut executing: BinaryHeap<Exec> = BinaryHeap::new();
         let mut clock = 0.0f64;
-        let mut next_seq = 0u64;
+        let mut keys = CompletionSeq::default();
         let mut events = 0u64;
         let mut cancelled = false;
         let mut stats = RuntimeStats::new(lanes);
         // One task's plan and laid-out timeline, reused for every dispatch.
-        let mut plan = KernelPlan::default();
-        let mut bounds = Vec::new();
+        let mut scratch = Timeline::default();
 
         // Initial fill: stream in up to a window of tasks, then dispatch
         // every lane that can take one (all at clock 0, like the threaded
@@ -424,27 +377,13 @@ impl ReplayEngine {
                     continue;
                 };
                 sub.idle.remove(lane);
-                // The same draws the threaded protocol would make; clean
-                // and faulted tasks share one plan → layout → record path.
-                match body {
-                    ReplayBody::Ranked { rank } => {
-                        session.plan_ranked_into(&label, rank, 1.0, inj, &mut plan)
-                    }
-                    ReplayBody::Fixed { duration } => plan.set_clean(duration),
-                }
-                let total = layout_segments(inj, lane, clock, &plan.segments, &mut bounds);
-                if plan.is_transient() {
-                    inj.expect("transient plan requires an injector")
-                        .on_transient(&label, plan.failures, aborted_seconds(&bounds));
-                }
-                session.record_segment_spans(lane, label, task, &bounds);
-                executing.push(Exec {
-                    end: clock + total,
-                    seq: next_seq,
-                    lane,
-                    task,
+                // The threaded protocol's plan → layout → record path, with
+                // this loop's clock as the start.
+                session.plan_body(&label, body, 1.0, inj, &mut scratch);
+                let done = session.lay_out(inj, lane, label, task, &mut scratch, |lay| {
+                    keys.key(clock + lay(clock))
                 });
-                next_seq += 1;
+                executing.push(Exec { done, lane, task });
             }
 
             // Cooperative cancellation / virtual-budget check, once per
@@ -461,7 +400,7 @@ impl ReplayEngine {
             // engine's order (successor pushes land before the refill's).
             let Some(exec) = executing.pop() else { break };
             events += 1;
-            clock = clock.max(exec.end);
+            clock = clock.max(exec.done.end);
             // Streaming trace mode: every span ending at or before the
             // new clock is recorded, so elapsed flush epochs can drain.
             recorder.observe_clock(clock);

@@ -208,7 +208,7 @@ pub(crate) fn exec_sim(
     // Plan-based warm-up: one warm slot per worker, assigned by submission
     // rank rather than worker arrival order, so warm-up placement is
     // deterministic even with `warmup_factor != 1` (see
-    // `SimSession::run_kernel_ranked`).
+    // `SimSession::simulate_kernel`).
     session.set_warmup_slots(workers);
     let t0 = std::time::Instant::now();
     let tasks = stream::replay_tasks(stream::tasks(alg, &a, t.as_ref()), &session, keep);

@@ -239,20 +239,37 @@ mod tests {
 
     #[test]
     fn des_matches_threaded_under_cluster_node_kill() {
-        use supersim_cluster::ClusterSpec;
+        use supersim_cluster::{ClusterSpec, Hockney, ZeroCost};
         use supersim_faults::FaultPlan;
-        let mk = |backend| {
-            base(Algorithm::Cholesky)
-                .backend(backend)
-                .cluster(ClusterSpec::new(4, 2))
-                .faults(FaultPlan::new().kill_node(1, 0.05))
-                .run_faults()
-        };
-        let threaded = mk(Backend::Threaded);
-        let des = mk(Backend::Des);
-        assert_eq!(threaded.trace.canonical(), des.trace.canonical());
-        assert_eq!(threaded.faulted_makespan, des.faulted_makespan);
-        assert_eq!(threaded.report.restarted_tasks, des.report.restarted_tasks);
+        let kill = FaultPlan::new().kill_node(1, 0.05);
+        // Transfers (fixed-duration bodies) under a perturbing injector:
+        // a degraded link and a node straggler stretch them and the
+        // compute tasks, and transient dgemms retry, beside the kill.
+        let perturbed = FaultPlan::new()
+            .degrade_link(2, 0.0, 0.2, 4.0)
+            .straggler_node(0, 0.0, 0.2, 3.0)
+            .transient_for("dgemm", 3, 1, 0.5)
+            .kill_node(1, 0.05);
+        let inputs: [(FaultPlan, Arc<dyn Interconnect>); 2] = [
+            (kill, Arc::new(ZeroCost)),
+            (perturbed, Arc::new(Hockney::new(1e-4, 1e9))),
+        ];
+        for (plan, ic) in inputs {
+            let mk = |backend| {
+                base(Algorithm::Cholesky)
+                    .backend(backend)
+                    .cluster(ClusterSpec::new(4, 2))
+                    .interconnect(ic.clone())
+                    .faults(plan.clone())
+                    .run_faults()
+            };
+            let threaded = mk(Backend::Threaded);
+            let des = mk(Backend::Des);
+            assert_eq!(threaded.trace.canonical(), des.trace.canonical());
+            assert_eq!(threaded.faulted_makespan, des.faulted_makespan);
+            assert_eq!(threaded.report.retries, des.report.retries);
+            assert_eq!(threaded.report.restarted_tasks, des.report.restarted_tasks);
+        }
     }
 
     #[test]

@@ -158,18 +158,12 @@ pub(crate) fn replay_tasks<'a>(
 /// simulated-kernel protocol.
 pub(crate) fn task_desc(session: &Arc<SimSession>, t: ReplayTask<KernelName>) -> TaskDesc {
     let s = session.clone();
-    let desc = match t.body {
-        ReplayBody::Ranked { rank } => TaskDesc::new(t.label, t.accesses, move |ctx| {
-            s.run_kernel_ranked(ctx, &ctx.label, rank)
-        }),
-        ReplayBody::Fixed { duration } => TaskDesc::new(t.label, t.accesses, move |ctx| {
-            s.run_fixed(ctx, &ctx.label, duration)
-        }),
-    };
     TaskDesc {
         priority: t.priority,
         pin: t.pin,
-        ..desc
+        ..TaskDesc::new(t.label, t.accesses, move |ctx| {
+            s.simulate_kernel(ctx, &ctx.label, t.body)
+        })
     }
 }
 

@@ -9,13 +9,20 @@
 //! state, the pooled successor lists, the reused hazard and plan buffers
 //! and the per-thread TEQ condvar, it was about 12.3.
 //!
+//! A faulted run (node straggler, a third of the dgemms failing once)
+//! takes the same path and stays at 2.09: its transient tasks lay out
+//! into each worker thread's reused timeline. When the transient path
+//! allocated its segment bounds per task, the figure was 2.35.
+//!
 //! The engine's worker threads allocate on their own threads, so this
-//! binary counts allocations process-wide, and holds this one test only.
+//! binary counts allocations process-wide, and holds this one test only:
+//! it runs the clean and the faulted case in turn.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use supersim_core::{KernelModel, ModelRegistry};
 use supersim_dist::Dist;
+use supersim_faults::FaultPlan;
 use supersim_runtime::SchedulerKind;
 use supersim_workloads::{Algorithm, Backend, Scenario};
 
@@ -50,6 +57,16 @@ const TILES: usize = 24;
 const TASKS: u64 = 2_600;
 const WORKERS: usize = 8;
 
+/// Allocations per task of one threaded Cholesky run of `scenario`, and
+/// the run's span count.
+fn allocations_per_task(scenario: Scenario) -> (f64, usize) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let run = scenario.run_sim();
+    let spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(run.stats.completed, TASKS);
+    (spent as f64 / TASKS as f64, run.trace.len())
+}
+
 #[test]
 fn a_threaded_cholesky_allocates_three_per_task_at_most() {
     let mut models = ModelRegistry::new();
@@ -65,11 +82,18 @@ fn a_threaded_cholesky_allocates_three_per_task_at_most() {
         .backend(Backend::Threaded)
         .models(models)
         .seed(1);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let run = scenario.run_sim();
-    let spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert_eq!(run.stats.completed, TASKS);
-    assert_eq!(run.trace.len(), TASKS as usize);
-    let per_task = spent as f64 / TASKS as f64;
-    assert!(per_task <= 3.0, "{per_task} allocations per task");
+    let (clean, spans) = allocations_per_task(scenario.clone());
+    assert_eq!(spans, TASKS as usize, "one span per clean task");
+    assert!(clean <= 3.0, "{clean} allocations per task");
+    // Faulted tasks take the same path: a straggler window over the whole
+    // node, and every third dgemm failing once before it succeeds.
+    let plan = FaultPlan::new()
+        .straggler_node(0, 0.0, 0.05, 3.0)
+        .transient_for("dgemm", 3, 1, 0.5);
+    let (faulted, spans) = allocations_per_task(scenario.faults(plan));
+    assert!(spans > TASKS as usize, "the plan laid out no transient");
+    assert!(
+        faulted <= 3.0,
+        "{faulted} allocations per task under faults"
+    );
 }
