@@ -37,6 +37,8 @@ pub mod stitch;
 
 pub use compiled::{CompiledFaults, FaultStats};
 pub use lanes::{LaneMap, NodeLanes};
-pub use plan::{CheckpointPolicy, FaultEvent, FaultPlan, FaultScope, RecoveryPolicy};
+pub use plan::{
+    CheckpointPolicy, FaultEvent, FaultPlan, FaultScope, RecoveryPolicy, MAX_FAULT_EVENTS,
+};
 pub use report::{critical_lane, DegradationReport, FaultAttribution};
 pub use stitch::{lost_name, mark_lost, stitch};

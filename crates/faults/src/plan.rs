@@ -115,6 +115,12 @@ pub struct FaultPlan {
 /// bound keeps that plan small however the event was written down.
 pub const MAX_TRANSIENT_FAILURES: u32 = 64;
 
+/// Most events one plan may hold. Compiling a plan's straggler rates and
+/// attributing its slowdown event by event both grow faster than its
+/// length, so the bound keeps the cost of any accepted plan small
+/// however it was written down.
+pub const MAX_FAULT_EVENTS: usize = 1_024;
+
 impl FaultEvent {
     /// The checks an event can fail on its own — whether it was built by a
     /// [`FaultPlan`] method or deserialized. Phrased positively, so NaN
@@ -172,13 +178,21 @@ impl FaultPlan {
     }
 
     /// Everything that makes a plan legal for a machine laid out as `map`:
-    /// every event's own [`FaultEvent::check`], at most one permanent
+    /// at most [`MAX_FAULT_EVENTS`] events (checked first, so an oversize
+    /// plan costs nothing more), every event's own [`FaultEvent::check`],
+    /// at most one permanent
     /// failure, every scope inside the lane space, a permanent failure
     /// the machine survives, and a positive checkpoint interval. The
     /// builder methods below panic on the first two; a deserialized plan
     /// has passed through none of them, so front ends call this before
     /// running it.
     pub fn validate(&self, map: &LaneMap) -> Result<(), String> {
+        if self.events.len() > MAX_FAULT_EVENTS {
+            return Err(format!(
+                "a fault plan holds at most {MAX_FAULT_EVENTS} events, got {}",
+                self.events.len()
+            ));
+        }
         self.single_permanent()?;
         for ev in &self.events {
             ev.check()?;
@@ -428,6 +442,29 @@ mod tests {
             ..RecoveryPolicy::default()
         });
         assert!(bad_recovery.validate(&map).is_err());
+    }
+
+    #[test]
+    fn a_plan_holds_at_most_max_fault_events() {
+        let map = LaneMap::single_node(4);
+        let plan = |n: usize| {
+            (0..n).fold(FaultPlan::new(), |p, i| {
+                p.straggler_worker(i % 4, i as f64, i as f64 + 0.5, 2.0)
+            })
+        };
+        assert_eq!(plan(MAX_FAULT_EVENTS).validate(&map), Ok(()));
+        // Checked before anything else: the extra event is illegal too.
+        let mut over = plan(MAX_FAULT_EVENTS);
+        over.events.push(FaultEvent::Straggler {
+            scope: FaultScope::Worker(9999),
+            from: 0.0,
+            until: 1.0,
+            factor: 2.0,
+        });
+        assert_eq!(
+            over.validate(&map),
+            Err("a fault plan holds at most 1024 events, got 1025".to_string())
+        );
     }
 
     #[test]

@@ -18,7 +18,9 @@ use supersim_cluster::ClusterSpec;
 use supersim_core::{ModelRegistry, SimConfig};
 use supersim_faults::FaultPlan;
 use supersim_trace::{fnv1a, FNV1A_BASIS};
-use supersim_workloads::scenario::{parse_scheduler, SYNTHETIC_MU, SYNTHETIC_SIGMA};
+use supersim_workloads::scenario::{
+    parse_scheduler, MIN_STREAM_EPOCH, SYNTHETIC_MU, SYNTHETIC_SIGMA,
+};
 use supersim_workloads::sweep::{FaultPlanSpec, InterconnectSpec, SweepModels};
 use supersim_workloads::{
     Algorithm, Backend, ClusterRun, FaultOutcome, Scenario, SimRun, SweepSpec,
@@ -340,6 +342,11 @@ impl RunRequest {
         if !stream_epoch.is_finite() || stream_epoch <= 0.0 {
             return Err(format!(
                 "stream_epoch must be a positive finite number of virtual seconds, got {stream_epoch}"
+            ));
+        }
+        if stream_epoch < MIN_STREAM_EPOCH {
+            return Err(format!(
+                "stream_epoch must be at least {MIN_STREAM_EPOCH:e} virtual seconds, got {stream_epoch:e}"
             ));
         }
 

@@ -256,6 +256,14 @@ fn streaming_run_ends_with_a_result_event() {
         "{\"tiles\":4,\"stream\":true,\"stream_epoch\":0.0}",
     );
     assert_eq!(bad.status, 400, "{}", bad.body);
+    // So is one below the 1e-9 s floor.
+    let tiny = post(
+        &handle,
+        "/run",
+        "{\"tiles\":4,\"stream\":true,\"stream_epoch\":1e-300}",
+    );
+    assert_eq!(tiny.status, 400, "{}", tiny.body);
+    assert!(tiny.body.contains("at least 1e-9"), "{}", tiny.body);
     handle.shutdown();
 }
 
@@ -390,6 +398,17 @@ fn rejected_inputs_are_400s_and_the_daemon_survives() {
                 "{\"Transient\":{\"label\":null,\"period\":5,\"failures\":400000000,\"fail_fraction\":0.5}}",
             ),
             "failures",
+        ),
+        (
+            "/run",
+            plan(
+                4,
+                &(0..1025)
+                    .map(|i| straggler(i % 4, 1.0 + i as f64, 2.0))
+                    .collect::<Vec<_>>()
+                    .join(","),
+            ),
+            "at most 1024 events, got 1025",
         ),
         (
             "/run",

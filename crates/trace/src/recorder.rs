@@ -28,10 +28,35 @@
 //! mode: whenever an engine reports virtual-clock progress via
 //! [`TraceRecorder::observe_clock`], every flush epoch the clock has
 //! advanced strictly past is drained from the log — spans with
-//! `end ≤ k·ε` for epoch `k` — sorted by the same `(start, seq)` order
-//! the buffered merge uses, and pushed to the [`TraceSink`]. Resident
+//! `end ≤ k·ε` for epoch `k` — in the same `(start, seq)` order the
+//! buffered merge uses, and pushed to the [`TraceSink`]. Resident
 //! memory is then bounded by the spans of one epoch window instead of
 //! the whole run.
+//!
+//! An epoch is flushed from the log's own buffer. Under the log lock the
+//! spans that stay (those ending past the bound: in-flight tasks, about
+//! one per lane) move to a small spare `Vec`, which stands in as the log
+//! while the taken spans, closed up in log order at the front of the
+//! buffer, are out at the sink. The sink runs without the log lock (only
+//! the lock that serializes flushes is held), so it may read the
+//! recorder, and other threads record on.
+//! Then the buffer is the log again, the kept spans and whatever was
+//! recorded during the flush in front, in log order. So a streamed log
+//! holds one epoch's resident spans, 40 bytes each, plus the kept ones:
+//! there is no batch copy. A batch in `start` order — every DES epoch
+//! without transient faults, whose spans are recorded at dispatch with
+//! the nondecreasing loop clock as start — is handed over as it is; an
+//! out-of-order one (transient-fault segments, threaded recording) is
+//! sorted by one `u32` source position per span, applied by
+//! cycle-following swaps.
+//!
+//! Epochs that hold no span are skipped, not walked: a drain notes the
+//! earliest end among the spans it keeps, and the next epoch flushed is
+//! the one holding that end, or the first whose bound is at or past the
+//! clock. So a tiny epoch costs a drain per non-empty epoch, not one per
+//! `ε` of virtual time; front ends still refuse an epoch below 1e-9
+//! virtual seconds, which keeps the epoch index below 2⁵³ for any run
+//! shorter than 10⁶ virtual seconds.
 //!
 //! This is safe because of how the engines record: spans are logged with
 //! their *final* virtual times before the task retires, and both engines
@@ -82,10 +107,40 @@ struct StreamState {
     sink: Box<dyn TraceSink>,
     /// Flush epoch length `ε` in virtual seconds.
     epoch: f64,
-    /// Index `k` of the next epoch to flush; its upper bound is `k·ε`
-    /// (computed by multiplication, not accumulation, so long runs do
-    /// not drift).
+    /// Index `k` of the next epoch to flush; its upper bound is
+    /// [`StreamState::bound`].
     next_epoch: u64,
+    /// The log while an epoch's batch is out at the sink: the spans the
+    /// epoch keeps, then those recorded during the flush. Empty between
+    /// flushes; kept for its capacity.
+    spare: Vec<TraceEvent>,
+}
+
+impl StreamState {
+    /// The upper bound of epoch `k`: `k·ε`, computed by multiplication,
+    /// not accumulation, so long runs do not drift — and unbounded for
+    /// the last index, where an epoch no index reaches lands.
+    fn bound(&self, k: u64) -> f64 {
+        if k == u64::MAX {
+            f64::INFINITY
+        } else {
+            self.epoch * k as f64
+        }
+    }
+
+    /// The first epoch whose bound is at or past `t`.
+    fn epoch_holding(&self, t: f64) -> u64 {
+        // `as` saturates: a `t` past every finite bound maps to the last
+        // index. The float quotient can be off by one either way.
+        let mut k = ((t / self.epoch).ceil() as u64).max(1);
+        while self.bound(k) < t {
+            k += 1;
+        }
+        while k > 1 && self.bound(k - 1) >= t {
+            k -= 1;
+        }
+        k
+    }
 }
 
 impl std::fmt::Debug for StreamState {
@@ -121,6 +176,38 @@ fn lane_order(t0: f64, a: &TraceEvent, b: &TraceEvent) -> std::cmp::Ordering {
         .partial_cmp(&(b.start - t0, b.task_id))
         .expect("non-finite times in trace")
         .then(a.start.total_cmp(&b.start))
+}
+
+/// Put an epoch batch, in log order, into `(start, seq)` order — `seq`
+/// being that log order. A batch in `start` order already is left as it
+/// is; otherwise one `u32` source position per span is sorted (the
+/// positions are distinct, so an unstable sort is exact and holds nothing
+/// more) and applied by cycle-following swaps.
+fn in_start_order(batch: &mut [TraceEvent]) {
+    if batch.is_sorted_by(|a, b| a.start.total_cmp(&b.start).is_le()) {
+        return;
+    }
+    let n = u32::try_from(batch.len())
+        .unwrap_or_else(|_| panic!("an epoch of {} spans exceeds u32 positions", batch.len()));
+    let mut from: Vec<u32> = (0..n).collect();
+    from.sort_unstable_by(|&a, &b| {
+        let (x, y) = (&batch[a as usize], &batch[b as usize]);
+        x.start.total_cmp(&y.start).then(a.cmp(&b))
+    });
+    // Slot `i` takes the span at `from[i]`: each swap fills one slot of a
+    // cycle, and a filled slot is marked by pointing at itself.
+    for i in 0..from.len() {
+        let mut slot = i;
+        loop {
+            let src = from[slot] as usize;
+            from[slot] = slot as u32;
+            if src == i {
+                break;
+            }
+            batch.swap(slot, src);
+            slot = src;
+        }
+    }
 }
 
 /// A shareable, thread-safe accumulator of trace events.
@@ -275,25 +362,43 @@ impl TraceRecorder {
         Trace::from_parts(lane_start.len(), events)
     }
 
-    /// Remove every resident event with `end <= bound` and return them
-    /// in `(start, seq)` order — one flush-epoch batch.
-    fn drain_upto(&self, bound: f64) -> Vec<TraceEvent> {
+    /// Flush one epoch: hand the sink every resident span with
+    /// `end <= bound`, in `(start, seq)` order, from the log's own
+    /// buffer (see the module docs), without the log lock held.
+    /// Returns the earliest end among the spans kept resident (∞ if
+    /// none).
+    fn flush_upto(&self, st: &mut StreamState, bound: f64) -> f64 {
+        let mut earliest = f64::INFINITY;
+        let mut batch = {
+            let mut log = self.inner.log.lock();
+            // `retain_mut` visits the spans in log order once, so both the
+            // batch and the kept spans stay in log order.
+            let spare = &mut st.spare;
+            log.spans.retain_mut(|e| {
+                let keep = e.end > bound;
+                if keep {
+                    earliest = earliest.min(e.end);
+                    spare.push(std::mem::take(e));
+                }
+                !keep
+            });
+            log.taken += log.spans.len() as u64;
+            std::mem::replace(&mut log.spans, std::mem::take(spare))
+        };
+        if !batch.is_empty() {
+            in_start_order(&mut batch);
+            self.inner
+                .drained
+                .fetch_add(batch.len() as u64, Ordering::Relaxed);
+            self.note(st.sink.flush_epoch(&batch));
+            batch.clear();
+        }
+        // The buffer is the log again: the kept spans, then those
+        // recorded during the flush.
         let mut log = self.inner.log.lock();
-        // `retain_mut` visits the spans in log order once, so both the
-        // batch and the kept spans stay in log order.
-        let mut batch = Vec::new();
-        log.spans.retain_mut(|e| {
-            let take = e.end <= bound;
-            if take {
-                batch.push(std::mem::take(e));
-            }
-            !take
-        });
-        log.taken += batch.len() as u64;
-        drop(log);
-        // Stable: spans starting together keep their log order, their seq.
-        batch.sort_by(|a, b| a.start.total_cmp(&b.start));
-        batch
+        batch.append(&mut log.spans);
+        st.spare = std::mem::replace(&mut log.spans, batch);
+        earliest
     }
 
     /// Total events ever recorded through this recorder, including ones
@@ -347,6 +452,7 @@ impl TraceRecorder {
             sink,
             epoch,
             next_epoch: 1,
+            spare: Vec::new(),
         });
         self.inner
             .next_bound
@@ -358,31 +464,28 @@ impl TraceRecorder {
     /// the next epoch bound yet) it is one relaxed atomic load.
     pub fn observe_clock(&self, now: f64) {
         let bound = f64::from_bits(self.inner.next_bound.load(Ordering::Relaxed));
-        if now <= bound {
+        if now <= bound || now.is_nan() {
             return;
         }
         let mut guard = self.inner.stream.lock();
         let Some(st) = guard.as_mut() else { return };
-        // Flush strictly elapsed epochs one by one: each batch is a pure
-        // function of the epoch bounds and the spans' end times, so the
-        // stream content is identical no matter how many boundaries one
-        // observe_clock call happens to cross.
+        // Flush strictly elapsed epochs one by one, skipping empty ones:
+        // each batch is a pure function of the epoch bounds and the
+        // spans' end times, so the stream content is identical no matter
+        // how many boundaries one observe_clock call happens to cross.
         loop {
-            let bound = st.epoch * st.next_epoch as f64;
+            let bound = st.bound(st.next_epoch);
             if now <= bound {
                 self.inner
                     .next_bound
                     .store(bound.to_bits(), Ordering::Relaxed);
                 break;
             }
-            let batch = self.drain_upto(bound);
-            st.next_epoch += 1;
-            if !batch.is_empty() {
-                self.inner
-                    .drained
-                    .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                self.note(st.sink.flush_epoch(&batch));
-            }
+            let earliest = self.flush_upto(st, bound);
+            // No span ends before the earliest kept one, nor (being
+            // recorded later) before the clock: the epochs in between
+            // are empty.
+            st.next_epoch = st.epoch_holding(earliest.min(now)).max(st.next_epoch + 1);
         }
     }
 
@@ -405,13 +508,7 @@ impl TraceRecorder {
     pub fn finish_stream(&self) {
         let mut guard = self.inner.stream.lock();
         let Some(mut st) = guard.take() else { return };
-        let batch = self.drain_upto(f64::INFINITY);
-        if !batch.is_empty() {
-            self.inner
-                .drained
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
-            self.note(st.sink.flush_epoch(&batch));
-        }
+        self.flush_upto(&mut st, f64::INFINITY);
         self.note(st.sink.close());
         self.inner
             .next_bound
@@ -699,6 +796,240 @@ mod tests {
     #[should_panic(expected = "flush epoch must be positive")]
     fn attach_sink_rejects_bad_epoch() {
         TraceRecorder::new().attach_sink(Box::new(CollectSink::new()), 0.0);
+    }
+
+    /// What a sink saw of the recorder from inside `flush_epoch`.
+    #[derive(Debug, PartialEq)]
+    struct Seen {
+        batch: usize,
+        resident: usize,
+        total: u64,
+        drained: u64,
+    }
+
+    /// A sink that reads the recorder feeding it on every flush.
+    struct InspectingSink {
+        recorder: TraceRecorder,
+        seen: Arc<parking_lot::Mutex<Vec<Seen>>>,
+    }
+
+    impl TraceSink for InspectingSink {
+        fn flush_epoch(&mut self, spans: &[TraceEvent]) -> std::io::Result<()> {
+            self.seen.lock().push(Seen {
+                batch: spans.len(),
+                resident: self.recorder.len(),
+                total: self.recorder.total_recorded(),
+                drained: self.recorder.drained(),
+            });
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_sink_may_inspect_the_recorder_mid_flush() {
+        let r = TraceRecorder::new();
+        let seen = Arc::default();
+        r.attach_sink(
+            Box::new(InspectingSink {
+                recorder: r.clone(),
+                seen: Arc::clone(&seen),
+            }),
+            1.0,
+        );
+        r.record(0, "a", 0, 0.0, 0.5);
+        r.record(1, "b", 1, 0.2, 1.5); // in flight past the bound
+        r.record(2, "c", 2, 0.4, 1.0);
+        r.record(3, "d", 3, 0.6, 2.5); // in flight past the bound
+        r.observe_clock(1.2);
+        r.finish(4);
+        let expected = [
+            Seen {
+                batch: 2,
+                resident: 2,
+                total: 4,
+                drained: 2,
+            },
+            Seen {
+                batch: 2,
+                resident: 0,
+                total: 4,
+                drained: 4,
+            },
+        ];
+        assert_eq!(*seen.lock(), expected, "only the kept spans are resident");
+    }
+
+    /// A sink that, on its first flush, says so and waits to be let go;
+    /// it keeps every batch.
+    struct BlockingSink {
+        entered: std::sync::mpsc::Sender<()>,
+        go: std::sync::mpsc::Receiver<()>,
+        batches: Arc<parking_lot::Mutex<Vec<Vec<TraceEvent>>>>,
+    }
+
+    impl TraceSink for BlockingSink {
+        fn flush_epoch(&mut self, spans: &[TraceEvent]) -> std::io::Result<()> {
+            let mut batches = self.batches.lock();
+            if batches.is_empty() {
+                self.entered.send(()).unwrap();
+                self.go.recv().unwrap();
+            }
+            batches.push(spans.to_vec());
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn recording_goes_on_while_a_sink_blocks_mid_flush() {
+        let r = TraceRecorder::new();
+        let (entered, entered_rx) = std::sync::mpsc::channel();
+        let (go_tx, go) = std::sync::mpsc::channel();
+        let batches = Arc::default();
+        r.attach_sink(
+            Box::new(BlockingSink {
+                entered,
+                go,
+                batches: Arc::clone(&batches),
+            }),
+            1.0,
+        );
+        // Epoch 1, recorded out of start order (task id = record order),
+        // and two spans in flight past its bound.
+        for (id, start) in [0.5, 0.1, 0.3, 0.1, 0.0, 0.7].into_iter().enumerate() {
+            r.record(id % 3, "k", id as u64, start, start + 0.2);
+        }
+        r.record(3, "k", 6, 0.9, 1.4);
+        r.record(4, "k", 7, 0.95, 2.2);
+        let flusher = {
+            let r = r.clone();
+            thread::spawn(move || r.observe_clock(1.1))
+        };
+        entered_rx.recv().unwrap();
+        assert_eq!(r.len(), 2, "mid-flush, the kept spans are resident");
+        // Spans recorded while the batch is out at the sink.
+        for id in 8..40u64 {
+            let start = 1.1 + id as f64 * 0.05;
+            r.record(id as usize % 5, "k", id, start, start + 0.3);
+        }
+        assert_eq!(r.len(), 34);
+        go_tx.send(()).unwrap();
+        flusher.join().unwrap();
+        assert_eq!(r.len(), 34, "nothing recorded mid-flush was lost");
+        r.observe_clock(2.5);
+        r.finish(5);
+        let batches = batches.lock();
+        assert!(batches.len() >= 3);
+        let mut ids: Vec<u64> = batches.iter().flatten().map(|e| e.task_id).collect();
+        for b in batches.iter() {
+            assert!(
+                b.windows(2)
+                    .all(|w| (w[0].start, w[0].task_id) < (w[1].start, w[1].task_id)),
+                "a batch out of (start, seq) order: {b:?}"
+            );
+        }
+        assert_eq!(
+            batches[0].iter().map(|e| e.task_id).collect::<Vec<_>>(),
+            [4, 1, 3, 2, 0, 5]
+        );
+        ids.sort_unstable();
+        assert_eq!(ids, (0..40).collect::<Vec<_>>(), "every span exactly once");
+    }
+
+    #[test]
+    fn a_tiny_epoch_skips_the_empty_ones() {
+        // 10^15 epochs of 1e-9 s pass by: only the few that hold a span
+        // are visited. An epoch no index reaches leaves every span to the
+        // final flush.
+        for epoch in [1e-9, 1e-300] {
+            let r = TraceRecorder::new();
+            let sink = CollectSink::new();
+            let handle = sink.handle();
+            r.attach_sink(Box::new(sink), epoch);
+            for i in 0..100u64 {
+                let start = i as f64 * 1e4;
+                r.record(0, "k", i, start, start + 1e4);
+                r.observe_clock(start);
+            }
+            r.observe_clock(f64::INFINITY);
+            r.observe_clock(f64::NAN);
+            r.finish(1);
+            assert_eq!(handle.len(), 100);
+        }
+    }
+
+    mod epoch_skip_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The batches of the epoch rule walked one epoch at a time: a
+        /// DES-like recording where span `i` is recorded and then the
+        /// clock observed at `clocks[i]`.
+        fn walked(epoch: f64, spans: &[(f64, f64)], clocks: &[f64]) -> Vec<Vec<u64>> {
+            let mut resident: Vec<(u64, f64, f64)> = Vec::new();
+            let mut batches = Vec::new();
+            let mut k = 1u64;
+            let mut take = |resident: &mut Vec<(u64, f64, f64)>, bound: f64| {
+                let mut batch: Vec<_> = resident.iter().filter(|s| s.2 <= bound).copied().collect();
+                resident.retain(|s| s.2 > bound);
+                batch.sort_by(|a, b| a.1.total_cmp(&b.1));
+                if !batch.is_empty() {
+                    batches.push(batch.iter().map(|s| s.0).collect());
+                }
+            };
+            for (i, (&(start, end), &now)) in spans.iter().zip(clocks).enumerate() {
+                resident.push((i as u64, start, end));
+                while now > epoch * k as f64 {
+                    take(&mut resident, epoch * k as f64);
+                    k += 1;
+                }
+            }
+            take(&mut resident, f64::INFINITY);
+            batches
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// Skipping empty epochs delivers exactly the batches that
+            /// walking every epoch does, with spans that start before
+            /// the clock (transient segments) as well as at it.
+            #[test]
+            fn skipping_equals_walking(
+                steps in prop::collection::vec((0u32..6, 0u32..3, 0u32..12), 1..60),
+                epoch in prop_oneof![Just(0.25), Just(0.1), Just(0.037), Just(1e-3)],
+            ) {
+                let mut clock = 0.0;
+                let (mut spans, mut clocks) = (Vec::new(), Vec::new());
+                for &(advance, back, dur) in &steps {
+                    clock += f64::from(advance) * 0.125;
+                    let start = (clock - f64::from(back) * 0.1f64).max(0.0);
+                    spans.push((start, clock + f64::from(dur) * 0.125));
+                    clocks.push(clock);
+                }
+                let r = TraceRecorder::new();
+                let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+                r.attach_sink(Box::new(IdSink(Arc::clone(&seen))), epoch);
+                for (i, (&(start, end), &now)) in spans.iter().zip(&clocks).enumerate() {
+                    r.record(i % 4, "k", i as u64, start, end);
+                    r.observe_clock(now);
+                }
+                r.finish(4);
+                let got = std::mem::take(&mut *seen.lock());
+                prop_assert_eq!(got, walked(epoch, &spans, &clocks));
+            }
+        }
+
+        /// Keeps each batch's task ids.
+        struct IdSink(Arc<parking_lot::Mutex<Vec<Vec<u64>>>>);
+
+        impl TraceSink for IdSink {
+            fn flush_epoch(&mut self, spans: &[TraceEvent]) -> std::io::Result<()> {
+                self.0
+                    .lock()
+                    .push(spans.iter().map(|e| e.task_id).collect());
+                Ok(())
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,10 @@
 //! * a span is 40 bytes and names its kernel by a shared handle, so a log
 //!   told its span count holds 40 bytes a span, allocated once — and
 //!   nothing while a sink is attached, whose log holds an epoch window;
+//! * a streamed epoch is handed to the sink from the log's own buffer:
+//!   once warm, a start-ordered stream allocates nothing per epoch and
+//!   holds a few KiB beside the log, and an out-of-order one holds at
+//!   most a `u32` per span beside it;
 //! * per-kernel statistics allocate per class, not per span.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -227,6 +231,71 @@ fn the_span_count_is_ignored_while_a_sink_is_attached() {
     }
     assert!(r.finish(LANES).is_empty());
     assert_eq!(r.drained(), 1_000);
+}
+
+const STREAM_SPANS: u64 = 1 << 17;
+/// Spans per flush epoch (32 epochs in all) and spans in flight at once.
+const EPOCH_SPANS: u64 = 4096;
+const IN_FLIGHT: u64 = 64;
+/// What the recorder may hold beside the log: the spare for the kept
+/// spans and the sink's box, not a batch.
+const BESIDE: isize = 16 << 10;
+
+/// Stream `STREAM_SPANS` spans through a `NullSink` in `des-stream`'s
+/// pattern: span `i` starts at `i·δ` and runs for `IN_FLIGHT·δ`, and the
+/// clock is observed at each start, an epoch being `EPOCH_SPANS·δ`.
+/// `reorder` maps a record index to the span recorded there. Returns
+/// the allocations made and the peak held beside the log once warm
+/// (after the first four epochs, which size the log and the spare).
+fn stream_through_null_sink(reorder: impl Fn(u64) -> u64) -> (u64, isize) {
+    let labels = ["dpotrf", "dtrsm", "dsyrk", "dgemm"].map(KernelName::from);
+    let delta = 1.0 / EPOCH_SPANS as f64;
+    let r = TraceRecorder::new();
+    r.attach_sink(Box::new(NullSink), EPOCH_SPANS as f64 * delta);
+    let (mut base, mut before) = (0, 0);
+    for i in 0..STREAM_SPANS {
+        if i == 4 * EPOCH_SPANS {
+            (base, before) = (reset_peak(), allocations());
+        }
+        let id = reorder(i);
+        let start = id as f64 * delta;
+        r.record_event(TraceEvent {
+            worker: (id % IN_FLIGHT) as usize,
+            kernel: labels[(id % 4) as usize].clone(),
+            task_id: id,
+            start,
+            end: start + IN_FLIGHT as f64 * delta,
+        });
+        r.observe_clock(i as f64 * delta);
+    }
+    let made = allocations() - before;
+    let beside = PEAK.with(Cell::get) - base;
+    r.finish(IN_FLIGHT as usize);
+    assert_eq!(r.drained(), STREAM_SPANS);
+    (made, beside)
+}
+
+#[test]
+fn a_streamed_epoch_is_flushed_from_the_log_itself() {
+    let (made, beside) = stream_through_null_sink(|i| i);
+    assert_eq!(made, 0, "28 warm epochs made {made} allocations");
+    assert!(
+        beside <= BESIDE,
+        "the recorder held {beside} B beside the log, budget {BESIDE} B"
+    );
+}
+
+#[test]
+fn an_out_of_order_epoch_holds_a_u32_per_span_beside_the_log() {
+    // Each run of 64 spans recorded backwards: every batch is out of
+    // start order, as transient segments or threaded recording make it.
+    let (_, beside) = stream_through_null_sink(|i| i ^ (IN_FLIGHT - 1));
+    let budget = 4 * EPOCH_SPANS as isize + BESIDE;
+    assert!(
+        beside <= budget,
+        "the recorder held {beside} B beside the log, budget {budget} B \
+         ({EPOCH_SPANS} spans an epoch)"
+    );
 }
 
 #[test]

@@ -102,6 +102,14 @@ pub const MAX_TASKS: u64 = u32::MAX as u64;
 pub const MAX_LANES: u64 = 1 << 20;
 /// See [`MAX_TASKS`].
 pub const MAX_THREADED_LANES: u64 = 1 << 12;
+/// Most events a fault plan may hold ([`FaultPlan::validate`]).
+pub use supersim_faults::MAX_FAULT_EVENTS;
+/// Shortest flush epoch, in virtual seconds, a front end accepts for a
+/// streamed trace. The recorder skips epochs that hold no span, so an
+/// epoch this short costs only the epochs the run fills; the floor keeps
+/// the epoch index below 2⁵³ for any run shorter than 10⁶ virtual
+/// seconds, where it converts to a float exactly.
+pub const MIN_STREAM_EPOCH: f64 = 1e-9;
 
 /// The scheduler profile called `name` ([`SchedulerKind::parse`] with the
 /// vocabulary's error).

@@ -101,7 +101,8 @@ use supersim::prelude::*;
 use supersim::trace::sink::ndjson_line;
 use supersim::trace::{chrome, svg};
 use supersim::workloads::scenario::{
-    parse_scheduler, synthetic_model, uniform_models, SYNTHETIC_MU, SYNTHETIC_SIGMA,
+    parse_scheduler, synthetic_model, uniform_models, MIN_STREAM_EPOCH, SYNTHETIC_MU,
+    SYNTHETIC_SIGMA,
 };
 use supersim::workloads::sweep::{FaultPlanSpec, InterconnectSpec, SweepModels, SweepSpec};
 
@@ -422,12 +423,29 @@ fn synthetic_models(alg: Algorithm, clustered: bool) -> ModelRegistry {
     uniform_models(&[alg], &model)
 }
 
+/// The `--trace-stream PATH [--stream-epoch S]` pair, checked before the
+/// command prints anything: an epoch must be finite and at least
+/// [`MIN_STREAM_EPOCH`] virtual seconds.
+fn trace_stream(opts: &Opts) -> Option<(&str, f64)> {
+    let path = opts.get("trace-stream")?;
+    let epoch = get(opts, "stream-epoch", 1.0f64);
+    if !epoch.is_finite() || epoch <= 0.0 {
+        fail("--stream-epoch must be a positive number of virtual seconds");
+    }
+    if epoch < MIN_STREAM_EPOCH {
+        fail(format!(
+            "--stream-epoch must be at least {MIN_STREAM_EPOCH:e} virtual seconds, got {epoch:e}"
+        ));
+    }
+    Some((path, epoch))
+}
+
 /// A session of its own for `sc`'s run, so the command can publish its
-/// metrics afterwards, with `--trace-stream PATH [--stream-epoch S]`
-/// honoured: a streaming ndjson sink on the recorder drains finalized
-/// spans at virtual-time epoch boundaries instead of buffering the run.
+/// metrics afterwards, with a [`trace_stream`] honoured: a streaming
+/// ndjson sink on the recorder drains finalized spans at virtual-time
+/// epoch boundaries instead of buffering the run.
 fn session_for(
-    opts: &Opts,
+    stream: Option<(&str, f64)>,
     sc: &Scenario,
     clustered: bool,
     wakeup_mode: WakeupMode,
@@ -440,11 +458,7 @@ fn session_for(
             ..SimConfig::default()
         },
     );
-    if let Some(path) = opts.get("trace-stream") {
-        let epoch = get(opts, "stream-epoch", 1.0f64);
-        if !epoch.is_finite() || epoch <= 0.0 {
-            fail("--stream-epoch must be a positive number of virtual seconds");
-        }
+    if let Some((path, epoch)) = stream {
         let sink = supersim::trace::sink::NdjsonSink::create(path)
             .unwrap_or_else(|e| fail(format!("cannot create {path}: {e}")));
         session.trace_recorder().attach_sink(Box::new(sink), epoch);
@@ -619,6 +633,7 @@ fn cmd_cluster(opts: &Opts) {
     let sc = scenario_from(opts, alg, (960, 96, 4)).backend(named(opts, "backend", Backend::parse));
     let (sc, spec, interconnect, placement) = with_cluster(opts, sc, None);
     or_fail(sc.validate());
+    let stream = trace_stream(opts);
     let (n, nb, seed, backend) = (
         sc.matrix_order(),
         sc.tile_size_of(),
@@ -636,7 +651,7 @@ fn cmd_cluster(opts: &Opts) {
         placement.name(),
         backend.name()
     );
-    let session = session_for(opts, &sc, true, WakeupMode::default());
+    let session = session_for(stream, &sc, true, WakeupMode::default());
     let run = sc.session(session.clone()).run_cluster();
     check_trace_stream(opts, &session);
     eprintln!(
@@ -1093,11 +1108,12 @@ fn cmd_metrics(opts: &Opts) {
         sc = with_cluster(opts, sc, Some(1)).0;
     }
     or_fail(sc.validate());
+    let stream = trace_stream(opts);
 
     let mut snap = MetricsSnapshot::default();
     let mut last_trace = None;
     for &mode in modes {
-        let session = session_for(opts, &sc, clustered, mode);
+        let session = session_for(stream, &sc, clustered, mode);
         let sc = sc.clone().session(session.clone());
         let trace = if clustered {
             let run = sc.run_cluster();

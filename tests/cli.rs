@@ -437,6 +437,24 @@ fn invalid_arguments_exit_two_with_one_line() {
             "autotune",
         ),
         (&["dag", "--nt", "100000"][..], "tasks exceed"),
+        (
+            &[
+                "cluster",
+                "--n",
+                "192",
+                "--nb",
+                "48",
+                "--nodes",
+                "2",
+                "--backend",
+                "des",
+                "--trace-stream",
+                "/dev/null",
+                "--stream-epoch",
+                "1e-300",
+            ][..],
+            "--stream-epoch must be at least 1e-9",
+        ),
         // Plain flag-syntax errors, for comparison.
         (&[CHECKED, "--n", "banana"][..], "bad value for --n"),
         (
@@ -767,4 +785,45 @@ fn trace_stream_write_failure_exits_two() {
         assert!(errors[0].contains("cannot write /dev/full"), "{err}");
         assert!(out.stdout.is_empty(), "no report after a failed stream");
     }
+}
+
+/// A flush epoch at the 1e-9 s floor streams a run whose makespan spans
+/// ~10^8 such epochs in no time — the recorder visits only the epochs
+/// that hold a span — and the spans convert to the canonical trace of a
+/// 1 s epoch byte for byte.
+#[test]
+fn the_shortest_stream_epoch_skips_empty_epochs() {
+    let dir = tmpdir();
+    let canonical = |epoch: &str| {
+        let spans = dir.join(format!("epoch-{epoch}.ndjson"));
+        let started = std::time::Instant::now();
+        let out = bin()
+            .args(["cluster", "--n", "192", "--nb", "48", "--nodes", "2"])
+            .args(["--backend", "des", "--seed", "42", "--stream-epoch", epoch])
+            .arg("--trace-stream")
+            .arg(&spans)
+            .output()
+            .unwrap();
+        let took = started.elapsed();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let out = bin()
+            .args(["trace-convert", "--in"])
+            .arg(&spans)
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        std::fs::remove_file(&spans).ok();
+        (out.stdout, took)
+    };
+    let (reference, _) = canonical("1.0");
+    let (shortest, took) = canonical("1e-9");
+    assert!(!reference.is_empty());
+    assert!(reference == shortest, "the 1e-9 s epoch changed the trace");
+    // Walking every epoch took minutes; a debug build skips in well
+    // under a second.
+    assert!(took.as_secs_f64() < 10.0, "a 1e-9 s epoch took {took:?}");
 }
