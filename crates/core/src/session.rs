@@ -570,11 +570,6 @@ impl SimSession {
         self.teq.now()
     }
 
-    /// Number of simulated kernels currently "executing".
-    pub fn executing(&self) -> usize {
-        self.teq.len()
-    }
-
     /// Consume the virtual-time trace recorded so far (normalized, with
     /// `workers` lanes).
     pub fn finish_trace(&self, workers: usize) -> Trace {

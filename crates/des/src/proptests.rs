@@ -19,7 +19,19 @@ use supersim_core::{KernelModel, ModelRegistry, SimConfig, SimSession};
 use supersim_dag::{Access, DataId};
 use supersim_dist::Dist;
 use supersim_runtime::{PolicyKind, RuntimeConfig};
-use supersim_trace::sink::CollectSink;
+use supersim_trace::sink::TraceSink;
+use supersim_trace::{Trace, TraceEvent};
+
+/// A sink that keeps every span it is handed, shared with the test.
+#[derive(Clone, Default)]
+struct Collect(Arc<std::sync::Mutex<Vec<TraceEvent>>>);
+
+impl TraceSink for Collect {
+    fn flush_epoch(&mut self, spans: &[TraceEvent]) -> std::io::Result<()> {
+        self.0.lock().unwrap().extend_from_slice(spans);
+        Ok(())
+    }
+}
 
 /// One randomly shaped task: which cells it touches (hazards against
 /// earlier tasks become the DAG edges) and its kernel class.
@@ -84,7 +96,7 @@ fn tasks_for(
 }
 
 /// Run the replay once buffered and once streaming through a
-/// `CollectSink` with the given epoch, and return both canonical
+/// [`Collect`] sink with the given epoch, and return both canonical
 /// projections. Identical seeds give identical durations, so any
 /// difference is the streaming path's fault.
 fn canonical_pair(
@@ -104,9 +116,9 @@ fn canonical_pair(
     };
     let streamed = {
         let s = session(seed);
-        let sink = CollectSink::new();
-        let handle = sink.handle();
-        s.trace_recorder().attach_sink(Box::new(sink), epoch);
+        let collected = Collect::default();
+        s.trace_recorder()
+            .attach_sink(Box::new(collected.clone()), epoch);
         let eng = ReplayEngine::new(config, s.clone()).unwrap();
         eng.run(tasks_for(&s, specs, pin_lanes));
         let residual = s.finish_trace(config.workers);
@@ -114,7 +126,8 @@ fn canonical_pair(
             residual.is_empty(),
             "streaming finish leaves nothing resident"
         );
-        let mut trace = handle.into_trace(config.workers);
+        let spans = std::mem::take(&mut *collected.0.lock().unwrap());
+        let mut trace = Trace::from_parts(config.workers, spans);
         trace.normalize();
         trace.canonical()
     };

@@ -19,7 +19,7 @@ use supersim_core::{ModelRegistry, SimConfig};
 use supersim_faults::FaultPlan;
 use supersim_trace::{fnv1a, FNV1A_BASIS};
 use supersim_workloads::scenario::{
-    parse_scheduler, MIN_STREAM_EPOCH, SYNTHETIC_MU, SYNTHETIC_SIGMA,
+    check_stream_epoch, parse_scheduler, SYNTHETIC_MU, SYNTHETIC_SIGMA,
 };
 use supersim_workloads::sweep::{FaultPlanSpec, InterconnectSpec, SweepModels};
 use supersim_workloads::{
@@ -136,8 +136,9 @@ pub struct RunRequest {
     /// Wall-clock timeout in milliseconds (overrides the server default;
     /// 0 disables).
     pub timeout_ms: Option<u64>,
-    /// Stream ndjson progress events over a chunked response instead of
-    /// one JSON document.
+    /// Answer with a chunked ndjson stream instead of one JSON document:
+    /// every span of the run as a `span` event, in the order of its flush
+    /// epochs, then one `result` or `error` event.
     pub stream: Option<bool>,
     /// Flush epoch, in virtual seconds, for streamed span events: spans
     /// are delivered once the simulated clock passes each epoch boundary
@@ -289,7 +290,8 @@ pub struct PreparedRun {
     pub virtual_budget: Option<f64>,
     /// Requested wall timeout override.
     pub timeout_ms: Option<u64>,
-    /// Stream progress events.
+    /// Stream the run's spans: the session's trace sink writes each
+    /// flush epoch to the client as the run makes it.
     pub stream: bool,
     /// Virtual-seconds flush epoch for streamed span events.
     pub stream_epoch: f64,
@@ -338,17 +340,7 @@ impl RunRequest {
         if !self.virtual_budget.is_none_or(|b| b >= 0.0) {
             return Err("virtual_budget must be non-negative".to_string());
         }
-        let stream_epoch = self.stream_epoch.unwrap_or(1.0);
-        if !stream_epoch.is_finite() || stream_epoch <= 0.0 {
-            return Err(format!(
-                "stream_epoch must be a positive finite number of virtual seconds, got {stream_epoch}"
-            ));
-        }
-        if stream_epoch < MIN_STREAM_EPOCH {
-            return Err(format!(
-                "stream_epoch must be at least {MIN_STREAM_EPOCH:e} virtual seconds, got {stream_epoch:e}"
-            ));
-        }
+        let stream_epoch = check_stream_epoch("stream_epoch", self.stream_epoch.unwrap_or(1.0))?;
 
         let source = self.models.as_ref().unwrap_or(&ModelSource::DEFAULT);
         let (models, models_json) = cache.resolve(source, algorithm)?;

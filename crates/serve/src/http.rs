@@ -9,7 +9,7 @@
 //! chunked (`Transfer-Encoding: chunked`) responses. Not supported:
 //! keep-alive pipelining, trailers, compression, TLS.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -181,8 +181,10 @@ impl Response {
 
 /// A chunked (`Transfer-Encoding: chunked`) response in progress: the
 /// status line goes out at construction, each [`ChunkedWriter::chunk`]
-/// flushes immediately (streamed progress must not sit in a buffer), and
-/// [`ChunkedWriter::finish`] terminates the stream.
+/// is written through at once, and [`ChunkedWriter::finish`] terminates
+/// the stream. Between the two, others may write whole chunks onto the
+/// same socket with [`write_chunk`] — a streamed `/run`'s span events go
+/// out that way, from the run's own trace sink.
 pub struct ChunkedWriter<'a> {
     stream: &'a mut TcpStream,
 }
@@ -208,12 +210,9 @@ impl<'a> ChunkedWriter<'a> {
         Ok(ChunkedWriter { stream })
     }
 
-    /// Emit one chunk (a full ndjson line including its newline).
+    /// Emit one chunk (whole ndjson lines, newlines included).
     pub fn chunk(&mut self, data: &[u8]) -> io::Result<()> {
-        write!(self.stream, "{:x}\r\n", data.len())?;
-        self.stream.write_all(data)?;
-        self.stream.write_all(b"\r\n")?;
-        self.stream.flush()
+        write_chunk(&mut *self.stream, data)
     }
 
     /// Terminate the chunked stream.
@@ -221,6 +220,26 @@ impl<'a> ChunkedWriter<'a> {
         self.stream.write_all(b"0\r\n\r\n")?;
         self.stream.flush()
     }
+}
+
+/// Write `data` as one chunk of a chunked body onto `out`: size line,
+/// data and CRLF in one vectored write (a socket takes them in one
+/// system call) where `out` accepts them whole.
+pub fn write_chunk(mut out: impl Write, data: &[u8]) -> io::Result<()> {
+    let head = format!("{:x}\r\n", data.len());
+    let mut parts = [
+        IoSlice::new(head.as_bytes()),
+        IoSlice::new(data),
+        IoSlice::new(b"\r\n"),
+    ];
+    let mut rest = &mut parts[..];
+    while !rest.is_empty() {
+        match out.write_vectored(rest)? {
+            0 => return Err(io::ErrorKind::WriteZero.into()),
+            n => IoSlice::advance_slices(&mut rest, n),
+        }
+    }
+    out.flush()
 }
 
 /// A parsed client-side response (testing / benchmarking helper).
@@ -365,17 +384,38 @@ mod tests {
             let (mut stream, _) = listener.accept().unwrap();
             let _ = read_request(&mut stream, 1 << 20).unwrap();
             let mut w = ChunkedWriter::start(&mut stream, 200, &[]).unwrap();
-            w.chunk(b"{\"event\":\"progress\"}\n").unwrap();
+            w.chunk(b"{\"event\":\"span\"}\n").unwrap();
             w.chunk(b"{\"event\":\"result\"}\n").unwrap();
             w.finish().unwrap();
         });
         let resp = client_request(addr, "GET", "/x", "", Duration::from_secs(5)).unwrap();
         assert_eq!(resp.status, 200);
-        assert_eq!(
-            resp.body,
-            "{\"event\":\"progress\"}\n{\"event\":\"result\"}\n"
-        );
+        assert_eq!(resp.body, "{\"event\":\"span\"}\n{\"event\":\"result\"}\n");
         server.join().unwrap();
+    }
+
+    /// A writer that takes at most 3 bytes per call still receives the
+    /// whole chunk, in order.
+    #[test]
+    fn a_chunk_survives_short_writes() {
+        struct Trickle(Vec<u8>);
+
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                let n = buf.len().min(3);
+                self.0.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let mut out = Trickle(Vec::new());
+        let line = b"{\"event\":\"span\",\"worker\":0}\n";
+        write_chunk(&mut out, line).unwrap();
+        assert_eq!(out.0, [&b"1c\r\n"[..], line, b"\r\n"].concat());
     }
 
     #[test]

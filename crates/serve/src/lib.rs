@@ -3,7 +3,7 @@
 //! Spinning up a fresh process per scenario wastes the expensive,
 //! reusable intermediates — fitted duration-model databases, shared model
 //! registries — and gives interactive callers (notebooks, dashboards,
-//! sweep frontends) no way to watch a run progress or bound its cost.
+//! sweep frontends) no way to watch a run's trace or bound its cost.
 //! This crate keeps one process resident and multiplexes typed scenario
 //! and sweep requests over HTTP/1.1 (hand-rolled on `std::net`; the
 //! workspace vendors every dependency):
@@ -20,7 +20,10 @@
 //!   on the deterministic DES backend a cache hit is byte-identical to
 //!   the cold response. ([`cache`])
 //! * **Streaming** — `"stream": true` switches `/run` to a chunked
-//!   ndjson response of progress events ending in the result. ([`http`])
+//!   ndjson response: the run's trace sink writes every span as a `span`
+//!   event as its flush epoch closes, and one `result` or `error` event
+//!   ends it. Nothing is dropped; a client that goes away cancels the
+//!   run. ([`server`], [`http`])
 //!
 //! See DESIGN.md §11 for the request lifecycle, cache keying, and
 //! backpressure rules.

@@ -1,6 +1,6 @@
 //! The daemon: accept loop, bounded worker pool with admission control,
 //! request routing, per-request timeouts/budgets with cooperative
-//! cancellation, progress streaming, and the response cache.
+//! cancellation, span streaming, and the response cache.
 //!
 //! ## Threading model
 //!
@@ -11,32 +11,34 @@
 //! itself (on a short-lived thread, so slow clients cannot stall the
 //! accept loop) — requests are *never* silently dropped.
 //!
-//! A worker runs what has nothing to do concurrently itself: every
-//! non-streamed `/run`, on either backend, and a `/sweep` at `jobs: 1`.
-//! The run's wall-clock deadline lives in its `SimSession`; both engines
-//! check it where they already poll `should_abort` (at every retirement,
-//! reading the clock every 64th poll) and stop at the next retirement
-//! once it has passed, cancelling the phases and forks of a fault replay
-//! with it. A streamed run executes on a child thread instead, because
-//! something does run concurrently: the worker writes progress and span
-//! events while the run goes on, and cancels the session if the client
-//! goes away; it joins the run before answering. Both paths execute the
-//! same terminal body and time out the same way.
+//! A worker runs every `/run` itself — on either backend, streamed or
+//! not, through one `execute(scenario, terminal)` call — and a `/sweep`
+//! at `jobs: 1`. The run's wall-clock deadline lives in its
+//! `SimSession`; both engines check it where they already poll
+//! `should_abort` (at every retirement, reading the clock every 64th
+//! poll) and stop at the next retirement once it has passed, cancelling
+//! the phases and forks of a fault replay with it. A streamed run
+//! differs only in where its spans go: the response's chunked header
+//! goes out first, and a `SocketSink` on the session's recorder writes
+//! each flush epoch's spans straight to the socket from whichever engine
+//! thread flushes it, so nothing is copied or dropped on the way. A
+//! client that reads slowly slows its own run; one that goes away fails
+//! a write, and the sink cancels the run.
 
 use crate::api::{RunOutput, RunRequest, SweepRequest, Terminal, MAX_BODY_BYTES};
 use crate::cache::{ModelCache, ResponseCache};
-use crate::http::{read_request, ChunkedWriter, Request, Response};
+use crate::http::{read_request, write_chunk, ChunkedWriter, Request, Response};
 use parking_lot::{Condvar, Mutex};
 use serde::Serialize;
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 use supersim_core::SimSession;
 use supersim_metrics::{LocalHistogram, MetricsSnapshot};
-use supersim_trace::sink::{push_ndjson_fields, ChannelSink};
+use supersim_trace::sink::{push_ndjson_fields, TraceSink};
 use supersim_trace::TraceEvent;
 use supersim_workloads::Scenario;
 
@@ -341,46 +343,65 @@ fn route(state: &State, req: &Request, stream: &mut TcpStream) -> u16 {
     }
 }
 
-/// One streamed progress event.
-#[derive(Serialize)]
-struct ProgressEvent {
-    event: &'static str,
-    virtual_seconds: f64,
-    executing: usize,
+/// Most bytes of span events [`SocketSink`] sends in one chunk (a line
+/// longer than this goes out alone), so its buffer stays small beside the
+/// recorder's epoch however many spans the epoch holds.
+const CHUNK_BYTES: usize = 64 << 10;
+
+/// A streamed run's trace sink: each flush epoch's spans, as `span`
+/// events (the recorder's ndjson line tagged with an `event`
+/// discriminator), written as HTTP chunks cut at line boundaries onto a
+/// clone of the response's socket. A failed write means the client went
+/// away: the sink cancels the run and reports the error, which the
+/// recorder keeps ([`supersim_trace::TraceRecorder::sink_error`]).
+struct SocketSink {
+    out: TcpStream,
+    /// Weak: the session owns the recorder that owns this sink.
+    session: Weak<SimSession>,
+    /// The chunk being built, reused across epochs.
+    buf: Vec<u8>,
 }
 
-/// Forward every epoch batch currently in the channel to the chunked
-/// stream, one chunk per span: the recorder's ndjson line tagged with an
-/// `event` discriminator so clients demultiplex one ndjson stream of
-/// progress, span, and result events. Returns false when the client
-/// went away mid-write.
-fn forward_spans(w: &mut ChunkedWriter<'_>, srx: &mpsc::Receiver<Vec<TraceEvent>>) -> bool {
-    let mut line = Vec::new();
-    while let Ok(batch) = srx.try_recv() {
-        for e in &batch {
-            line.clear();
-            line.extend_from_slice(br#"{"event":"span","#);
-            push_ndjson_fields(&mut line, e);
-            line.extend_from_slice(b"}\n");
-            if w.chunk(&line).is_err() {
-                return false;
+impl SocketSink {
+    fn write_epoch(&mut self, spans: &[TraceEvent]) -> io::Result<()> {
+        self.buf.clear();
+        for e in spans {
+            let line = self.buf.len();
+            self.buf.extend_from_slice(br#"{"event":"span","#);
+            push_ndjson_fields(&mut self.buf, e);
+            self.buf.extend_from_slice(b"}\n");
+            if self.buf.len() > CHUNK_BYTES && line > 0 {
+                write_chunk(&mut self.out, &self.buf[..line])?;
+                self.buf.drain(..line);
             }
         }
+        // An empty chunk would end the response.
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        write_chunk(&mut self.out, &self.buf)
     }
-    true
+}
+
+impl TraceSink for SocketSink {
+    fn flush_epoch(&mut self, spans: &[TraceEvent]) -> io::Result<()> {
+        let written = self.write_epoch(spans);
+        if written.is_err() {
+            if let Some(session) = self.session.upgrade() {
+                session.request_cancel();
+            }
+        }
+        written
+    }
 }
 
 /// Where a `/run` response goes: one JSON document, or an already-open
 /// chunked ndjson stream (whose 200 header has gone out, so errors become
 /// terminal `error` events instead of status codes).
-enum Sink<'a> {
+enum Reply<'a> {
     Plain(&'a mut TcpStream),
     Stream(ChunkedWriter<'a>),
 }
-
-/// A streamed run's span subscription: the channel the recorder's epoch
-/// batches arrive on, and the count of batches dropped for a slow client.
-type SpanFeed = (mpsc::Receiver<Vec<TraceEvent>>, Arc<AtomicU64>);
 
 /// A request DTO from its JSON body. The body must be UTF-8: decoding
 /// anything else lossily would let two different bodies read as one
@@ -389,6 +410,23 @@ fn parse_body<T: for<'de> serde::Deserialize<'de>>(body: &[u8]) -> Result<T, Str
     let text =
         std::str::from_utf8(body).map_err(|e| format!("bad request: body is not UTF-8: {e}"))?;
     serde_json::from_str(text).map_err(|e| format!("bad request: {e}"))
+}
+
+/// Open a streamed `/run`'s chunked response on `stream` and attach a
+/// [`SocketSink`] on a clone of the socket to `session`'s recorder.
+fn open_stream<'a>(
+    stream: &'a mut TcpStream,
+    session: &Arc<SimSession>,
+    epoch: f64,
+) -> io::Result<ChunkedWriter<'a>> {
+    let sink = SocketSink {
+        out: stream.try_clone()?,
+        session: Arc::downgrade(session),
+        buf: Vec::new(),
+    };
+    let w = ChunkedWriter::start(stream, 200, &[("X-Cache".to_string(), "miss".to_string())])?;
+    session.trace_recorder().attach_sink(Box::new(sink), epoch);
+    Ok(w)
 }
 
 fn handle_run(state: &State, req: &Request, stream: &mut TcpStream) -> u16 {
@@ -432,42 +470,29 @@ fn handle_run(state: &State, req: &Request, stream: &mut TcpStream) -> u16 {
     if timeout_ms > 0 {
         session.set_deadline(Instant::now() + Duration::from_millis(timeout_ms));
     }
-    let scenario = prepared.scenario.clone().session(session.clone());
-    let mut spans = None;
-    let (outcome, sink) = if !prepared.stream {
-        // A non-streamed run has nothing to do concurrently, so it runs
-        // on this worker.
-        (
-            Some(execute(scenario, prepared.terminal)),
-            Sink::Plain(stream),
-        )
-    } else {
-        // Streaming runs subscribe to the trace: a bounded channel sink
-        // drains finalized epoch batches off the recorder, and the watch
-        // loop forwards them as `span` events. Bounded and lossy (drops
-        // are counted and reported) so a slow client can never stall the
-        // run.
-        let (stx, srx) = mpsc::sync_channel::<Vec<TraceEvent>>(256);
-        let sink = ChannelSink::new(stx);
-        let dropped = sink.dropped();
-        session
-            .trace_recorder()
-            .attach_sink(Box::new(sink), prepared.stream_epoch);
-        let feed = spans.insert((srx, dropped));
-        match watch(&session, feed, scenario, prepared.terminal, stream) {
-            Some((outcome, w)) => (outcome, Sink::Stream(w)),
+    let reply = if prepared.stream {
+        match open_stream(stream, &session, prepared.stream_epoch) {
+            Ok(w) => Reply::Stream(w),
             // The client went away before the stream opened.
-            None => return 200,
+            Err(_) => return 200,
         }
+    } else {
+        Reply::Plain(stream)
     };
-    // A run that finished cancelled, with its client still there, ran
-    // past its deadline.
+    let outcome = execute(
+        prepared.scenario.clone().session(session.clone()),
+        prepared.terminal,
+    );
+    // A streamed run whose client went away was cancelled by its sink; a
+    // run that finished cancelled, with its client still there, ran past
+    // its deadline.
     let outcome = match outcome {
-        Some(_) if session.cancel_requested() => {
+        _ if session.trace_recorder().sink_error().is_some() => None,
+        _ if session.cancel_requested() => {
             state.metrics.bump("serve.timeouts");
             None
         }
-        ran => ran,
+        ran => Some(ran),
     };
 
     // Fold the served session's simulator instruments into the daemon
@@ -480,8 +505,8 @@ fn handle_run(state: &State, req: &Request, stream: &mut TcpStream) -> u16 {
     }
 
     match outcome {
-        None => finish_run(sink, 504, "wall-clock timeout; run cancelled"),
-        Some(Err(msg)) => finish_run(sink, 500, &format!("run failed: {msg}")),
+        None => finish_run(reply, 504, "wall-clock timeout; run cancelled"),
+        Some(Err(msg)) => finish_run(reply, 500, &format!("run failed: {msg}")),
         Some(Ok(out)) => {
             // Both engines stop at the first retirement past the budget,
             // so the makespan exceeds it exactly when the budget fired.
@@ -490,7 +515,7 @@ fn handle_run(state: &State, req: &Request, stream: &mut TcpStream) -> u16 {
                 .is_some_and(|b| out.makespan() > b || session.cancel_requested())
             {
                 return finish_run(
-                    sink,
+                    reply,
                     422,
                     &format!(
                         "virtual budget exceeded: clock {} > budget {}",
@@ -507,25 +532,15 @@ fn handle_run(state: &State, req: &Request, stream: &mut TcpStream) -> u16 {
             // Release the run before answering: the client may send its
             // next request the moment the answer arrives.
             drop((doc, out, session));
-            match sink {
-                Sink::Stream(mut w) => {
-                    // The runner has joined, so the recorder's final
-                    // flush has already landed in the channel: drain the
-                    // tail, report any drops, then emit the result.
-                    if let Some((srx, dropped)) = &spans {
-                        let _ = forward_spans(&mut w, srx);
-                        let d = dropped.load(Ordering::Relaxed);
-                        if d > 0 {
-                            let line = format!("{{\"event\":\"spans_dropped\",\"count\":{d}}}\n");
-                            let _ = w.chunk(line.as_bytes());
-                        }
-                    }
+            match reply {
+                Reply::Stream(mut w) => {
+                    // The run has returned, so its last spans are out.
                     let line = format!("{{\"event\":\"result\",\"data\":{body}}}\n");
                     let _ = w.chunk(line.as_bytes());
                     let _ = w.finish();
                     200
                 }
-                Sink::Plain(stream) => {
+                Reply::Plain(stream) => {
                     if prepared.cacheable {
                         state
                             .responses
@@ -552,83 +567,17 @@ fn execute(scenario: Scenario, terminal: Terminal) -> Result<RunOutput, String> 
     .map_err(|p| panic_message(&*p))
 }
 
-/// [`execute`] on a child thread, for a streamed run: this worker writes
-/// progress and `spans` events while the run goes on, and cancels the
-/// session when the client goes away. The run stops at its next
-/// retirement once cancelled (or past the session's deadline), and the
-/// runner is joined before this returns, so no thread of the run outlives
-/// the request. Returns the outcome (`None`: the client left) and the
-/// open stream, or `None` if the client left before the stream opened.
-fn watch<'s>(
-    session: &SimSession,
-    (srx, _): &SpanFeed,
-    scenario: Scenario,
-    terminal: Terminal,
-    stream: &'s mut TcpStream,
-) -> Option<(Option<Result<RunOutput, String>>, ChunkedWriter<'s>)> {
-    let (tx, rx) = mpsc::channel::<Result<RunOutput, String>>();
-    let runner = std::thread::Builder::new()
-        .name("serve-run".to_string())
-        .spawn(move || {
-            let _ = tx.send(execute(scenario, terminal));
-        })
-        .expect("spawn run thread");
-
-    let mut w =
-        match ChunkedWriter::start(stream, 200, &[("X-Cache".to_string(), "miss".to_string())]) {
-            Ok(w) => w,
-            Err(_) => {
-                // Client went away before the stream opened: cancel and
-                // let the runner wind down.
-                session.request_cancel();
-                let _ = runner.join();
-                return None;
-            }
-        };
-
-    let outcome = loop {
-        match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(out) => break Some(out),
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                break Some(Err("run thread died without a result".to_string()))
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if !forward_spans(&mut w, srx) {
-                    session.request_cancel();
-                    break None;
-                }
-                let ev = ProgressEvent {
-                    event: "progress",
-                    virtual_seconds: session.virtual_now(),
-                    executing: session.executing(),
-                };
-                let line = format!(
-                    "{}\n",
-                    serde_json::to_string(&ev).expect("progress serializes")
-                );
-                if w.chunk(line.as_bytes()).is_err() {
-                    // Client went away: cancel the run and stop.
-                    session.request_cancel();
-                    break None;
-                }
-            }
-        }
-    };
-    let _ = runner.join();
-    Some((outcome, w))
-}
-
 /// Emit a terminal error for `/run`: an `error` event on an open stream
 /// (the 200 header already went out), a plain status response otherwise.
-fn finish_run(sink: Sink<'_>, status: u16, msg: &str) -> u16 {
-    match sink {
-        Sink::Stream(mut w) => {
+fn finish_run(reply: Reply<'_>, status: u16, msg: &str) -> u16 {
+    match reply {
+        Reply::Stream(mut w) => {
             let escaped = serde_json::to_string(msg).expect("string serializes");
             let line = format!("{{\"event\":\"error\",\"status\":{status},\"error\":{escaped}}}\n");
             let _ = w.chunk(line.as_bytes());
             let _ = w.finish();
         }
-        Sink::Plain(stream) => {
+        Reply::Plain(stream) => {
             let _ = Response::error(status, msg).write_to(stream);
         }
     }

@@ -267,6 +267,143 @@ fn streaming_run_ends_with_a_result_event() {
     handle.shutdown();
 }
 
+/// The body that once lost spans: a 12-tile straggler run whose epochs
+/// come faster than a relay could forward them.
+const STRAGGLER_12: &str =
+    "{\"tiles\":12,\"backend\":\"des\",\"fault_preset\":\"straggler\",\"stream\":true";
+
+/// A streamed body's `span` events with their tag stripped: the run's
+/// ndjson trace.
+fn streamed_spans(body: &str) -> String {
+    body.lines()
+        .filter(|l| l.starts_with("{\"event\":\"span\","))
+        .map(|l| l.replacen("\"event\":\"span\",", "", 1) + "\n")
+        .collect()
+}
+
+/// Every span of the run reaches the client, at the shortest legal epoch
+/// as at the default one: the 364 tasks of a 12-tile Cholesky arrive as
+/// 364 `span` events, then one `result` event and nothing else.
+#[test]
+fn a_streamed_run_loses_no_span_at_any_epoch() {
+    let handle = boot(1, 4, 120_000);
+    for epoch in ["1e-9", "1e-6", "1e-3", "1.0"] {
+        let resp = post(
+            &handle,
+            "/run",
+            &format!("{STRAGGLER_12},\"stream_epoch\":{epoch}}}"),
+        );
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let lines: Vec<&str> = resp.body.lines().collect();
+        let (last, spans) = lines.split_last().expect("at least one event");
+        assert!(
+            last.starts_with("{\"event\":\"result\","),
+            "ε {epoch}: {last}"
+        );
+        assert_eq!(spans.len(), 364, "ε {epoch}: every span, once");
+        assert!(
+            spans.iter().all(|l| l.starts_with("{\"event\":\"span\",")),
+            "ε {epoch}: only span events before the result"
+        );
+        assert!(!resp.body.contains("spans_dropped"), "ε {epoch}");
+    }
+    handle.shutdown();
+}
+
+/// A streamed DES body is a function of the request: sent twice, it
+/// comes back byte for byte.
+#[test]
+fn a_streamed_des_body_is_a_function_of_the_request() {
+    let handle = boot(2, 4, 120_000);
+    let body = format!("{STRAGGLER_12},\"stream_epoch\":1e-6}}");
+    let first = post(&handle, "/run", &body);
+    let second = post(&handle, "/run", &body);
+    assert_eq!(first.status, 200, "{}", first.body);
+    assert_eq!(first.body, second.body);
+    handle.shutdown();
+}
+
+/// The streamed spans are the run's trace: parsed back, their canonical
+/// FNV-1a is the `trace_hash` a plain run of the same body reports.
+#[test]
+fn streamed_spans_hash_to_the_plain_runs_trace_hash() {
+    let handle = boot(2, 4, 120_000);
+    let streamed = post(
+        &handle,
+        "/run",
+        &format!("{STRAGGLER_12},\"stream_epoch\":1e-6}}"),
+    );
+    assert_eq!(streamed.status, 200, "{}", streamed.body);
+    let plain_body = STRAGGLER_12.replace(",\"stream\":true", "}");
+    let plain = post(&handle, "/run", &plain_body);
+    assert_eq!(plain.status, 200, "{}", plain.body);
+    let doc: serde_json::Value = serde_json::from_str(&plain.body).unwrap();
+
+    let mut trace = supersim_trace::sink::parse_ndjson(&streamed_spans(&streamed.body)).unwrap();
+    trace.normalize();
+    let hash = supersim_trace::fnv1a(supersim_trace::FNV1A_BASIS, trace.canonical().as_bytes());
+    assert_eq!(trace.len(), 364);
+    assert_eq!(
+        format!("{hash:#018x}"),
+        doc["result"]["trace_hash"].as_str().unwrap()
+    );
+    handle.shutdown();
+}
+
+/// A client that hangs up mid-stream cancels its run: the sink's next
+/// write fails and stops the engine. The client reads the first chunk
+/// of a 120-tile run (295,240 spans, far more than the socket buffers
+/// hold, so the run cannot finish while nobody reads) and closes; the
+/// daemon's one worker then answers `/metrics`, which shows fewer spans
+/// recorded than the scenario has tasks.
+#[cfg(feature = "metrics")]
+#[test]
+fn a_client_that_hangs_up_cancels_its_streamed_run() {
+    use std::io::{Read, Write};
+    const TASKS: u64 = 120 * 121 * 122 / 6;
+    let handle = boot(1, 4, 120_000);
+    let body = "{\"tiles\":120,\"backend\":\"des\",\"stream\":true,\"stream_epoch\":1e-3}";
+    let mut conn = std::net::TcpStream::connect(handle.addr).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    write!(
+        conn,
+        "POST /run HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut seen = Vec::new();
+    let mut buf = [0u8; 4096];
+    while !String::from_utf8_lossy(&seen).contains("\"event\":\"span\"") {
+        let n = conn.read(&mut buf).unwrap();
+        assert!(n > 0, "the stream ended before its first span");
+        seen.extend_from_slice(&buf[..n]);
+    }
+    drop(conn);
+
+    let metrics: serde_json::Value = serde_json::from_str(&get(&handle, "/metrics").body).unwrap();
+    let counter = |name: &str| {
+        metrics["counters"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .find(|c| c["name"] == name)
+            .and_then(|c| c["value"].as_u64())
+    };
+    let recorded = counter("trace.events.recorded").expect("the run's spans are counted");
+    assert!(
+        recorded < TASKS,
+        "{recorded} of {TASKS} spans recorded: the run went on without its client"
+    );
+    assert_eq!(
+        counter("serve.timeouts"),
+        None,
+        "a hang-up is not a timeout"
+    );
+    assert_eq!(get(&handle, "/healthz").status, 200);
+    handle.shutdown();
+}
+
 /// A streamed run times out the way a plain one does: the engine polls
 /// the session's deadline, and the open stream ends with an `error` event
 /// carrying 504 instead of a result. The daemon counts the timeout.

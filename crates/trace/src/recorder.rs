@@ -496,8 +496,7 @@ impl TraceRecorder {
     /// In streaming mode, every span still resident is first pushed to
     /// the sink as one final (partial) epoch, the sink is closed and
     /// detached, and the returned trace is empty — the spans live
-    /// wherever the sink put them. Callers wanting both behaviours at
-    /// once can stream into a [`crate::sink::CollectSink`].
+    /// wherever the sink put them.
     pub fn finish(&self, workers: usize) -> Trace {
         self.finish_stream();
         self.merged(workers)
@@ -519,8 +518,28 @@ impl TraceRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::CollectSink;
     use std::thread;
+
+    /// A sink that keeps every span it is handed, shared with the test.
+    #[derive(Clone, Default)]
+    struct Collect(Arc<Mutex<Vec<TraceEvent>>>);
+
+    impl TraceSink for Collect {
+        fn flush_epoch(&mut self, spans: &[TraceEvent]) -> std::io::Result<()> {
+            self.0.lock().extend_from_slice(spans);
+            Ok(())
+        }
+    }
+
+    impl Collect {
+        fn len(&self) -> usize {
+            self.0.lock().len()
+        }
+
+        fn take(&self) -> Vec<TraceEvent> {
+            std::mem::take(&mut *self.0.lock())
+        }
+    }
 
     #[test]
     fn record_and_finish() {
@@ -705,9 +724,8 @@ mod tests {
     #[test]
     fn observe_clock_flushes_elapsed_epochs_only() {
         let r = TraceRecorder::new();
-        let sink = CollectSink::new();
-        let handle = sink.handle();
-        r.attach_sink(Box::new(sink), 1.0);
+        let handle = Collect::default();
+        r.attach_sink(Box::new(handle.clone()), 1.0);
         r.record(0, "a", 0, 0.0, 0.5);
         r.record(1, "b", 1, 0.4, 1.0); // ends exactly on the epoch bound
         r.record(0, "c", 2, 0.8, 1.7); // crosses into epoch 2
@@ -734,9 +752,8 @@ mod tests {
             }
         };
         let streamed = TraceRecorder::new();
-        let sink = CollectSink::new();
-        let handle = sink.handle();
-        streamed.attach_sink(Box::new(sink), 0.4);
+        let handle = Collect::default();
+        streamed.attach_sink(Box::new(handle.clone()), 0.4);
         record_all(&streamed);
         for step in 0..40 {
             streamed.observe_clock(step as f64 * 0.1);
@@ -745,15 +762,16 @@ mod tests {
         assert!(st.is_empty(), "streaming finish leaves no resident trace");
         let buffered = TraceRecorder::new();
         record_all(&buffered);
-        assert_eq!(handle.into_trace(5), buffered.finish(5));
+        let mut collected = Trace::from_parts(5, handle.take());
+        collected.normalize();
+        assert_eq!(collected, buffered.finish(5));
     }
 
     #[test]
     fn finish_flushes_remainder_and_detaches() {
         let r = TraceRecorder::new();
-        let sink = CollectSink::new();
-        let handle = sink.handle();
-        r.attach_sink(Box::new(sink), 10.0);
+        let handle = Collect::default();
+        r.attach_sink(Box::new(handle.clone()), 10.0);
         r.record(0, "a", 0, 0.0, 1.0);
         let t = r.finish(1);
         assert!(t.is_empty());
@@ -795,7 +813,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "flush epoch must be positive")]
     fn attach_sink_rejects_bad_epoch() {
-        TraceRecorder::new().attach_sink(Box::new(CollectSink::new()), 0.0);
+        TraceRecorder::new().attach_sink(Box::new(Collect::default()), 0.0);
     }
 
     /// What a sink saw of the recorder from inside `flush_epoch`.
@@ -942,9 +960,8 @@ mod tests {
         // final flush.
         for epoch in [1e-9, 1e-300] {
             let r = TraceRecorder::new();
-            let sink = CollectSink::new();
-            let handle = sink.handle();
-            r.attach_sink(Box::new(sink), epoch);
+            let handle = Collect::default();
+            r.attach_sink(Box::new(handle.clone()), epoch);
             for i in 0..100u64 {
                 let start = i as f64 * 1e4;
                 r.record(0, "k", i, start, start + 1e4);
@@ -1037,9 +1054,8 @@ mod tests {
         // Recording races observe_clock from many threads; the union of
         // sink content and resident events must still be exact.
         let r = TraceRecorder::new();
-        let sink = CollectSink::new();
-        let handle = sink.handle();
-        r.attach_sink(Box::new(sink), 0.5);
+        let handle = Collect::default();
+        r.attach_sink(Box::new(handle.clone()), 0.5);
         let handles: Vec<_> = (0..4)
             .map(|w| {
                 let r = r.clone();

@@ -20,18 +20,16 @@
 //! runs that start at virtual time 0).
 //!
 //! Sinks run on whichever engine thread happens to advance the clock
-//! past an epoch boundary, hence `Send`. Slow sinks stall the engine;
-//! sinks that must not stall it (live subscribers) should buffer or
-//! drop, as [`ChannelSink`] does.
+//! past an epoch boundary, hence `Send`. A slow sink slows the run that
+//! feeds it, and never loses a span: `serve`'s streamed `/run` writes
+//! each epoch straight to its client's socket, so a client that reads
+//! slowly slows only its own run.
 
 use crate::chrome::push_json_string;
 pub use crate::chrome::ChromeStreamSink;
 use crate::num::{push_f64, push_u64};
 use crate::{NameTable, Trace, TraceEvent};
-use parking_lot::Mutex;
 use std::io::{self, Write};
-use std::sync::mpsc::{SyncSender, TrySendError};
-use std::sync::Arc;
 
 /// A destination for finalized trace spans, fed one flush epoch at a
 /// time in deterministic `(start, seq)` order.
@@ -44,68 +42,6 @@ pub trait TraceSink: Send {
     /// once, after the final (possibly partial) epoch.
     fn close(&mut self) -> io::Result<()> {
         Ok(())
-    }
-}
-
-/// The compatibility sink: collects streamed spans back into an
-/// in-memory buffer shared with a [`CollectHandle`], so callers that
-/// want a full [`Trace`] can still get one from a streaming run.
-#[derive(Debug, Default)]
-pub struct CollectSink {
-    shared: Arc<Mutex<Vec<TraceEvent>>>,
-}
-
-impl CollectSink {
-    /// New empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A handle onto the shared buffer, valid after the sink itself has
-    /// been boxed away into a recorder.
-    pub fn handle(&self) -> CollectHandle {
-        CollectHandle {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-impl TraceSink for CollectSink {
-    fn flush_epoch(&mut self, spans: &[TraceEvent]) -> io::Result<()> {
-        self.shared.lock().extend_from_slice(spans);
-        Ok(())
-    }
-}
-
-/// Reader side of a [`CollectSink`].
-#[derive(Debug, Clone)]
-pub struct CollectHandle {
-    shared: Arc<Mutex<Vec<TraceEvent>>>,
-}
-
-impl CollectHandle {
-    /// Spans collected so far.
-    pub fn len(&self) -> usize {
-        self.shared.lock().len()
-    }
-
-    /// Whether nothing has been collected.
-    pub fn is_empty(&self) -> bool {
-        self.shared.lock().is_empty()
-    }
-
-    /// Take the collected spans, leaving the buffer empty.
-    pub fn take(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.shared.lock())
-    }
-
-    /// Drain the collected spans into a normalized [`Trace`] with
-    /// `workers` lanes — the streaming equivalent of
-    /// [`crate::TraceRecorder::finish`].
-    pub fn into_trace(&self, workers: usize) -> Trace {
-        let mut t = Trace::from_parts(workers, self.take());
-        t.normalize();
-        t
     }
 }
 
@@ -154,44 +90,6 @@ impl<W: Write + Send> TraceSink for NdjsonSink<W> {
 
     fn close(&mut self) -> io::Result<()> {
         self.out.flush()
-    }
-}
-
-/// Non-blocking forwarding sink for live subscribers (the `serve`
-/// streaming path): epochs are `try_send`-ed over a bounded channel,
-/// and epochs the receiver cannot keep up with are *dropped* (counted
-/// in [`ChannelSink::dropped`]) rather than stalling the simulation.
-#[derive(Debug)]
-pub struct ChannelSink {
-    tx: SyncSender<Vec<TraceEvent>>,
-    dropped: Arc<std::sync::atomic::AtomicU64>,
-}
-
-impl ChannelSink {
-    /// Forward epochs into `tx`.
-    pub fn new(tx: SyncSender<Vec<TraceEvent>>) -> Self {
-        ChannelSink {
-            tx,
-            dropped: Arc::new(std::sync::atomic::AtomicU64::new(0)),
-        }
-    }
-
-    /// Shared counter of spans dropped because the channel was full.
-    pub fn dropped(&self) -> Arc<std::sync::atomic::AtomicU64> {
-        Arc::clone(&self.dropped)
-    }
-}
-
-impl TraceSink for ChannelSink {
-    fn flush_epoch(&mut self, spans: &[TraceEvent]) -> io::Result<()> {
-        match self.tx.try_send(spans.to_vec()) {
-            Ok(()) | Err(TrySendError::Disconnected(_)) => {}
-            Err(TrySendError::Full(_)) => {
-                self.dropped
-                    .fetch_add(spans.len() as u64, std::sync::atomic::Ordering::Relaxed);
-            }
-        }
-        Ok(())
     }
 }
 
@@ -372,7 +270,6 @@ fn unescape(raw: &str) -> Result<String, &'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc::sync_channel;
 
     fn ev(worker: usize, kernel: &str, id: u64, start: f64, end: f64) -> TraceEvent {
         TraceEvent {
@@ -382,19 +279,6 @@ mod tests {
             start,
             end,
         }
-    }
-
-    #[test]
-    fn collect_sink_round_trips_epochs() {
-        let sink = CollectSink::new();
-        let handle = sink.handle();
-        let mut boxed: Box<dyn TraceSink> = Box::new(sink);
-        boxed.flush_epoch(&[ev(0, "a", 0, 0.0, 1.0)]).unwrap();
-        boxed.flush_epoch(&[ev(1, "b", 1, 1.0, 2.0)]).unwrap();
-        boxed.close().unwrap();
-        let t = handle.into_trace(2);
-        assert_eq!(t.len(), 2);
-        assert!(handle.is_empty());
     }
 
     #[test]
@@ -509,21 +393,5 @@ mod tests {
             sink.close().unwrap();
         }
         assert_eq!(String::from_utf8(buf).unwrap(), "[]");
-    }
-
-    #[test]
-    fn channel_sink_drops_instead_of_blocking() {
-        let (tx, rx) = sync_channel(1);
-        let mut sink = ChannelSink::new(tx);
-        let dropped = sink.dropped();
-        sink.flush_epoch(&[ev(0, "a", 0, 0.0, 1.0)]).unwrap();
-        // Channel full: the second epoch is counted, not delivered.
-        sink.flush_epoch(&[ev(0, "b", 1, 1.0, 2.0), ev(1, "c", 2, 1.0, 2.0)])
-            .unwrap();
-        assert_eq!(dropped.load(std::sync::atomic::Ordering::Relaxed), 2);
-        assert_eq!(rx.recv().unwrap().len(), 1);
-        drop(rx);
-        // Disconnected receiver is not an error either.
-        sink.flush_epoch(&[ev(0, "d", 3, 2.0, 3.0)]).unwrap();
     }
 }

@@ -111,6 +111,23 @@ pub use supersim_faults::MAX_FAULT_EVENTS;
 /// seconds, where it converts to a float exactly.
 pub const MIN_STREAM_EPOCH: f64 = 1e-9;
 
+/// A streamed trace's flush epoch, checked: finite, positive and at least
+/// [`MIN_STREAM_EPOCH`] virtual seconds. `input` is the name the front end
+/// reads it under (`--stream-epoch`, `stream_epoch`), for the error.
+pub fn check_stream_epoch(input: &str, epoch: f64) -> Result<f64, ScenarioError> {
+    if !(epoch.is_finite() && epoch > 0.0) {
+        return Err(ScenarioError::new(format!(
+            "{input} must be a positive finite number of virtual seconds, got {epoch}"
+        )));
+    }
+    if epoch < MIN_STREAM_EPOCH {
+        return Err(ScenarioError::new(format!(
+            "{input} must be at least {MIN_STREAM_EPOCH:e} virtual seconds, got {epoch:e}"
+        )));
+    }
+    Ok(epoch)
+}
+
 /// The scheduler profile called `name` ([`SchedulerKind::parse`] with the
 /// vocabulary's error).
 pub fn parse_scheduler(name: &str) -> Result<SchedulerKind, ScenarioError> {
@@ -726,6 +743,30 @@ mod tests {
             m.insert(*l, KernelModel::constant(0.01));
         }
         m
+    }
+
+    #[test]
+    fn one_stream_epoch_check_names_its_input() {
+        assert_eq!(check_stream_epoch("e", MIN_STREAM_EPOCH).unwrap(), 1e-9);
+        assert_eq!(check_stream_epoch("e", 1.0).unwrap(), 1.0);
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let msg = check_stream_epoch("--stream-epoch", bad)
+                .unwrap_err()
+                .to_string();
+            assert_eq!(
+                msg,
+                format!(
+                    "--stream-epoch must be a positive finite number of virtual seconds, got {bad}"
+                )
+            );
+        }
+        let msg = check_stream_epoch("stream_epoch", 5e-10)
+            .unwrap_err()
+            .to_string();
+        assert_eq!(
+            msg,
+            "stream_epoch must be at least 1e-9 virtual seconds, got 5e-10"
+        );
     }
 
     #[test]

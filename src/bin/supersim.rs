@@ -101,7 +101,7 @@ use supersim::prelude::*;
 use supersim::trace::sink::ndjson_line;
 use supersim::trace::{chrome, svg};
 use supersim::workloads::scenario::{
-    parse_scheduler, synthetic_model, uniform_models, MIN_STREAM_EPOCH, SYNTHETIC_MU,
+    check_stream_epoch, parse_scheduler, synthetic_model, uniform_models, SYNTHETIC_MU,
     SYNTHETIC_SIGMA,
 };
 use supersim::workloads::sweep::{FaultPlanSpec, InterconnectSpec, SweepModels, SweepSpec};
@@ -423,21 +423,12 @@ fn synthetic_models(alg: Algorithm, clustered: bool) -> ModelRegistry {
     uniform_models(&[alg], &model)
 }
 
-/// The `--trace-stream PATH [--stream-epoch S]` pair, checked before the
-/// command prints anything: an epoch must be finite and at least
-/// [`MIN_STREAM_EPOCH`] virtual seconds.
+/// The `--trace-stream PATH [--stream-epoch S]` pair, checked
+/// ([`check_stream_epoch`]) before the command prints anything.
 fn trace_stream(opts: &Opts) -> Option<(&str, f64)> {
     let path = opts.get("trace-stream")?;
     let epoch = get(opts, "stream-epoch", 1.0f64);
-    if !epoch.is_finite() || epoch <= 0.0 {
-        fail("--stream-epoch must be a positive number of virtual seconds");
-    }
-    if epoch < MIN_STREAM_EPOCH {
-        fail(format!(
-            "--stream-epoch must be at least {MIN_STREAM_EPOCH:e} virtual seconds, got {epoch:e}"
-        ));
-    }
-    Some((path, epoch))
+    Some((path, or_fail(check_stream_epoch("--stream-epoch", epoch))))
 }
 
 /// A session of its own for `sc`'s run, so the command can publish its

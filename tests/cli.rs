@@ -455,6 +455,22 @@ fn invalid_arguments_exit_two_with_one_line() {
             ][..],
             "--stream-epoch must be at least 1e-9",
         ),
+        (
+            &[
+                "cluster",
+                "--n",
+                "192",
+                "--nb",
+                "48",
+                "--nodes",
+                "2",
+                "--trace-stream",
+                "/dev/null",
+                "--stream-epoch",
+                "0",
+            ][..],
+            "--stream-epoch must be a positive finite number of virtual seconds, got 0",
+        ),
         // Plain flag-syntax errors, for comparison.
         (&[CHECKED, "--n", "banana"][..], "bad value for --n"),
         (
